@@ -12,6 +12,7 @@ statevector, and the verification cross-check between both engines.
 """
 
 import os
+import sys
 import time
 
 from conftest import report
@@ -19,6 +20,10 @@ from conftest import report
 from repro.core.circuit import QuantumCircuit
 from repro.simulator.stabilizer import StabilizerSimulator
 from repro.simulator.statevector import Statevector, StatevectorSimulator
+
+# the dense tensordot reference simulator lives with the tests
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+import _dense_reference  # noqa: E402
 
 
 def layered_circuit(num_qubits, layers=3):
@@ -58,21 +63,27 @@ def test_statevector_scaling(benchmark):
     assert timings[-1][1] > 4 * timings[0][1]
 
 
-def _time_evolution(n, use_kernels, repeats=3):
-    """Best-of-``repeats`` wall time of one layered_circuit(n) evolution."""
+def _time_evolution(n, dense=False, repeats=3):
+    """Best-of-``repeats`` wall time of one layered_circuit(n) evolution.
+
+    ``dense=True`` times the dense tensordot reference
+    (``tests/_dense_reference.py``) instead of the kernel layer.
+    """
     circ = layered_circuit(n)
     best = float("inf")
     for _ in range(repeats):
         state = Statevector(n)
-        state.use_kernels = use_kernels
         start = time.perf_counter()
-        state.evolve(circ)
+        if dense:
+            _dense_reference.evolve(state.data, circ.gates)
+        else:
+            state.evolve(circ)
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def test_kernels_vs_dense(benchmark):
-    """In-place kernel + fusion path vs the seed tensordot pipeline.
+    """In-place kernel + fusion path vs the dense tensordot reference.
 
     The kernel path (bit-sliced views, gate fusion, matmul blocks) must
     be at least 5x faster than the dense seed implementation on the
@@ -83,8 +94,8 @@ def test_kernels_vs_dense(benchmark):
         rows = [("series: layered_circuit(n), kernels vs dense seed path", "")]
         speedups = {}
         for n in (8, 10, 12, 14, 16):
-            fast = _time_evolution(n, use_kernels=True)
-            dense = _time_evolution(n, use_kernels=False)
+            fast = _time_evolution(n)
+            dense = _time_evolution(n, dense=True)
             speedups[n] = dense / fast
             rows.append(
                 (
@@ -101,151 +112,6 @@ def test_kernels_vs_dense(benchmark):
         if benchmark.enabled and not os.environ.get("CI"):
             assert speedups[16] >= 5.0, (
                 f"kernel path only {speedups[16]:.1f}x faster at n=16"
-            )
-
-    benchmark.pedantic(_run, rounds=1, iterations=1)
-
-
-def test_backend_matrix(benchmark):
-    def _run():
-        """Per-array-backend timings of the layered_circuit(16) series.
-
-        Every registered array backend (NumPy always; numba when the
-        optional dependency is installed) evolves the same circuit;
-        the amplitudes must agree to 1e-12 and the per-backend wall
-        times land in the committed ``BENCH_simulator.json`` baseline
-        so later PRs can track NumPy-path regressions and the JIT
-        backend's trajectory.
-        """
-        import numpy as np
-
-        from repro.simulator import backends as array_backends
-
-        circ = layered_circuit(16)
-        rows = [("series: layered_circuit(16), one row per array backend", "")]
-        matrix = {}
-        reference = None
-        for name in array_backends.backends():
-            best = float("inf")
-            final = None
-            for _ in range(3):  # best-of-3 also absorbs JIT warm-up
-                sim = StatevectorSimulator(backend=name)
-                start = time.perf_counter()
-                final = sim.statevector(circ)
-                best = min(best, time.perf_counter() - start)
-            matrix[name] = best
-            if reference is None:
-                reference = final
-            else:
-                assert np.allclose(final, reference, atol=1e-12), name
-            rows.append(
-                (f"backend = {name}", f"best of 3 = {best * 1000:8.2f} ms")
-            )
-        for name in ("numba", "numba_parallel"):
-            if name not in matrix:
-                rows.append(
-                    (f"backend = {name}",
-                     "not installed (optional) — skipped")
-                )
-        report("CLAIM-SIM: array-backend timing matrix", rows)
-        benchmark.extra_info["backend_matrix_seconds"] = {
-            name: round(t, 4) for name, t in matrix.items()
-        }
-        benchmark.extra_info["backend_matrix_note"] = (
-            "layered_circuit(16) best-of-3 per registered array backend; "
-            "numba rows appear only where the optional dependency is "
-            "installed (never a hard requirement); at n=16 "
-            "numba_parallel sits below its size threshold, so its row "
-            "must track the serial numba row"
-        )
-        assert "numpy" in matrix
-        # threshold-fallback gate: at 2**16 amplitudes numba_parallel
-        # delegates to the serial tier, so the two numba rows must be
-        # within 10% of each other (local real runs only, PR 1 style)
-        if (
-            benchmark.enabled
-            and not os.environ.get("CI")
-            and "numba" in matrix
-            and "numba_parallel" in matrix
-        ):
-            assert matrix["numba_parallel"] <= matrix["numba"] * 1.10, (
-                f"numba_parallel {matrix['numba_parallel']:.4f}s not "
-                f"within 10% of numba {matrix['numba']:.4f}s at n=16 — "
-                "the size-threshold fallback is not engaging"
-            )
-
-    benchmark.pedantic(_run, rounds=1, iterations=1)
-
-
-def test_parallel_sweeps(benchmark):
-    def _run():
-        """Parallel prange sweeps vs NumPy on a 22-qubit layered circuit.
-
-        Records the numba_parallel speedup on ``layered_circuit(22)``
-        (2**22 amplitudes — far above the parallel size threshold) in
-        the committed baseline.  The speedup itself is asserted only on
-        local multi-core real runs, per the PR 1 convention: CI
-        runners and single-core boxes record the numbers without
-        gating on them.
-        """
-        import numpy as np
-
-        from repro.simulator import backends as array_backends
-
-        circ = layered_circuit(22)
-        rows = [("series: layered_circuit(22), parallel vs numpy", "")]
-        timings = {}
-        reference = None
-        names = ["numpy"]
-        if "numba_parallel" in array_backends.backends():
-            names.append("numba_parallel")
-        for name in names:
-            best = float("inf")
-            final = None
-            for _ in range(2):  # best-of-2 absorbs JIT warm-up
-                sim = StatevectorSimulator(backend=name)
-                start = time.perf_counter()
-                final = sim.statevector(circ)
-                best = min(best, time.perf_counter() - start)
-            timings[name] = best
-            if reference is None:
-                reference = final
-            else:
-                assert np.allclose(final, reference, atol=1e-12), name
-            rows.append(
-                (f"backend = {name}", f"best of 2 = {best * 1000:8.2f} ms")
-            )
-        if "numba_parallel" in timings:
-            speedup = timings["numpy"] / timings["numba_parallel"]
-            rows.append(
-                ("parallel speedup", f"{speedup:5.2f}x over numpy "
-                 f"({os.cpu_count()} cores)")
-            )
-            benchmark.extra_info["parallel_speedup_22"] = round(speedup, 3)
-        else:
-            rows.append(
-                ("backend = numba_parallel",
-                 "not installed (optional) — skipped")
-            )
-        report("CLAIM-SIM: parallel sweep speedup", rows)
-        benchmark.extra_info["parallel_sweep_seconds"] = {
-            name: round(t, 4) for name, t in timings.items()
-        }
-        benchmark.extra_info["parallel_sweep_note"] = (
-            "layered_circuit(22) best-of-2; parallel_speedup_22 is "
-            "asserted > 1 only on local multi-core real runs (PR 1 "
-            "convention), recorded everywhere"
-        )
-        if (
-            benchmark.enabled
-            and not os.environ.get("CI")
-            and "numba_parallel" in timings
-            and (os.cpu_count() or 1) > 1
-        ):
-            speedup = timings["numpy"] / timings["numba_parallel"]
-            assert speedup > 1.0, (
-                f"numba_parallel only {speedup:.2f}x vs numpy at n=22 "
-                f"on {os.cpu_count()} cores"
             )
 
     benchmark.pedantic(_run, rounds=1, iterations=1)

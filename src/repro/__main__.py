@@ -298,36 +298,6 @@ def _cmd_engines(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_backends(args: argparse.Namespace) -> int:
-    """Run the ``backends`` subcommand (list array backends)."""
-    from repro.simulator import backends as array_backends
-
-    names = array_backends.backends()
-    if args.names:
-        for name in names:
-            print(name)
-        return 0
-    rows = []
-    for name in names:
-        backend = array_backends.get(name)
-        rows.append((name, backend.description,
-                     tuple(getattr(backend, "aliases", ())), None))
-    for cls in array_backends._BUILTIN_CLASSES:
-        if cls.name not in names:
-            rows.append((cls.name, cls.description, cls.aliases,
-                         "unavailable: pip install numba"))
-    width = max(len(name) for name, *_ in rows)
-    for name, description, aliases, note in rows:
-        extras = []
-        if aliases:
-            extras.append(f"aka {'/'.join(aliases)}")
-        if note:
-            extras.append(note)
-        suffix = f"  [{', '.join(extras)}]" if extras else ""
-        print(f"{name:<{width}}  {description}{suffix}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -471,18 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print bare engine names, one per line (for scripting)",
     )
     engs.set_defaults(func=_cmd_engines)
-
-    bkds = sub.add_parser(
-        "backends",
-        help="list array backends (availability included)",
-    )
-    bkds.add_argument(
-        "--names",
-        action="store_true",
-        help="print bare names of usable backends, one per line "
-        "(for scripting)",
-    )
-    bkds.set_defaults(func=_cmd_backends)
 
     cache = sub.add_parser(
         "cache",

@@ -22,38 +22,30 @@ if TYPE_CHECKING:  # pragma: no cover
     from .circuit import QuantumCircuit
 
 
-def _apply_gate_inplace(
-    unitary: np.ndarray, gate, num_qubits: int, backend=None
-) -> None:
+def _apply_gate_inplace(unitary: np.ndarray, gate, num_qubits: int) -> None:
     """Left-multiply ``unitary`` by ``gate`` in place via the kernels."""
     from ..simulator import kernels
 
-    if not kernels.apply_gate(unitary, gate, num_qubits, backend=backend):
-        kernels.apply_matrix(
-            unitary, gate.matrix(), gate.qubits, num_qubits, backend=backend
-        )
+    if not kernels.apply_gate(unitary, gate, num_qubits):
+        kernels.apply_matrix(unitary, gate.matrix(), gate.qubits, num_qubits)
 
 
-def apply_gate_to_unitary(
-    unitary: np.ndarray, gate, num_qubits: int, backend=None
-) -> np.ndarray:
+def apply_gate_to_unitary(unitary: np.ndarray, gate, num_qubits: int) -> np.ndarray:
     """Left-multiply ``unitary`` by ``gate`` lifted to ``num_qubits``.
 
     Qubit 0 is the least-significant bit of row/column indices.  The
-    input is not modified; a new array is returned.  ``backend``
-    optionally names the array backend executing the kernels.
+    input is not modified; a new array is returned.
     """
     out = np.array(unitary, dtype=complex)
-    _apply_gate_inplace(out, gate, num_qubits, backend)
+    _apply_gate_inplace(out, gate, num_qubits)
     return out
 
 
-def circuit_unitary(circuit: "QuantumCircuit", backend=None) -> np.ndarray:
+def circuit_unitary(circuit: "QuantumCircuit") -> np.ndarray:
     """Dense unitary of a measurement-free circuit.
 
     The unitary is evolved as a ``2**n``-column batch through the
-    array backend's batch axis; ``backend`` optionally names the
-    backend (``None`` uses the process default).
+    kernels' batch axis.
     """
     if circuit.num_qubits > 12:
         raise ValueError(
@@ -66,7 +58,7 @@ def circuit_unitary(circuit: "QuantumCircuit", backend=None) -> np.ndarray:
             continue
         if not gate.is_unitary:
             raise ValueError(f"circuit contains non-unitary gate {gate.name!r}")
-        _apply_gate_inplace(unitary, gate, circuit.num_qubits, backend)
+        _apply_gate_inplace(unitary, gate, circuit.num_qubits)
     return unitary
 
 

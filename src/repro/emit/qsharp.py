@@ -1,9 +1,8 @@
 """Q# backend — the Fig. 10 oracle operation as a registry emitter.
 
-The emitted text is exactly what
-``repro.frameworks.qsharp.operation_from_circuit`` historically
-produced (a self-adjointable operation over a ``Qubit[]`` register);
-that entry point now forwards here through the registry.  The gate
+The emitted text is the Fig. 10 operation (a self-adjointable
+operation over a ``Qubit[]`` register); :mod:`repro.frameworks.qsharp`
+renders its oracle operations through this registry entry.  The gate
 vocabulary and the statement parser stay in
 :mod:`repro.frameworks.qsharp`, the source of truth for the Q#
 dialect.

@@ -41,9 +41,9 @@ class EngineCapabilities:
         max_qubits: practical circuit-width ceiling — the widest
             circuit the engine is expected to handle on workstation
             memory; ``None`` means effectively unbounded (stabilizer
-            tableaus grow polynomially).  Engines enforce their own
-            hard limits; this figure is advisory for listings and
-            backend selection.
+            tableaus grow polynomially).  Every engine refuses wider
+            circuits up front (:func:`reject_width`), before allocating
+            any state.
         noise: whether :meth:`Engine.run` accepts a
             :class:`~repro.engines.noise.NoiseModel`.
         exact: whether outcome probabilities are computed exactly
@@ -152,4 +152,26 @@ def reject_opts(engine: Engine, opts: dict, allowed: Tuple[str, ...] = ()) -> No
         raise EngineError(
             f"engine {engine.name!r} got unknown option {unknown[0]!r}"
             + (f"; supported options: {', '.join(allowed)}" if allowed else "")
+        )
+
+
+def reject_width(engine: Engine, circuit: "QuantumCircuit") -> None:
+    """Raise when ``circuit`` is wider than the engine's declared cap.
+
+    Called first thing in every engine's ``run``, so an oversized job
+    fails with a typed error instead of a ``MemoryError`` from deep
+    inside the state allocation.
+
+    Args:
+        engine: the backend the circuit was handed to.
+        circuit: the circuit to vet.
+
+    Raises:
+        EngineError: naming the circuit width and the engine's cap.
+    """
+    cap = engine.capabilities.max_qubits
+    if cap is not None and circuit.num_qubits > cap:
+        raise EngineError(
+            f"engine {engine.name!r} caps at {cap} qubits; the circuit "
+            f"has {circuit.num_qubits}"
         )

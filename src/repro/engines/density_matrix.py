@@ -40,7 +40,6 @@ import numpy as np
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import ADJOINT_NAME, Gate
-from ..simulator import backends as array_backends
 from ..simulator import kernels
 from ..simulator.statevector import (
     SimulationResult,
@@ -48,7 +47,7 @@ from ..simulator.statevector import (
     _measured_width,
     _measurements_terminal,
 )
-from .base import EngineCapabilities, EngineError, reject_opts
+from .base import EngineCapabilities, EngineError, reject_opts, reject_width
 from .noise import NoiseModel
 from .ptm import channel_superoperator
 
@@ -103,7 +102,6 @@ class DensityMatrix:
         self,
         num_qubits: int,
         data: Optional[np.ndarray] = None,
-        backend=None,
     ):
         """Initialize to |0..0><0..0| or a copy of ``data``.
 
@@ -111,9 +109,6 @@ class DensityMatrix:
             num_qubits: the register width ``n``.
             data: optional ``2^n x 2^n`` (or flat ``4^n``) initial
                 matrix, copied.
-            backend: optional array backend (name, instance, or
-                ``None`` for the process default) executing the
-                kernels on the flat ``rho`` vector.
         """
         if num_qubits < 0:
             raise ValueError("num_qubits must be non-negative")
@@ -125,14 +120,12 @@ class DensityMatrix:
                 "'monte_carlo' for wider circuits"
             )
         self.num_qubits = num_qubits
-        #: the array backend executing this matrix's kernel sweeps.
-        self.backend = array_backends.resolve(backend)
         dim = 1 << num_qubits
         if data is None:
-            self.data = self.backend.zeros(2 * num_qubits)
+            self.data = np.zeros(dim * dim, dtype=complex)
             self.data[0] = 1.0
         else:
-            data = self.backend.prepare(data).reshape(-1)
+            data = kernels._prepare(data).reshape(-1)
             if data.shape != (dim * dim,):
                 raise ValueError(f"density matrix must have {dim * dim} entries")
             self.data = data
@@ -151,7 +144,7 @@ class DensityMatrix:
 
     def copy(self) -> "DensityMatrix":
         """Return an independent copy."""
-        return DensityMatrix(self.num_qubits, self.data, backend=self.backend)
+        return DensityMatrix(self.num_qubits, self.data)
 
     def matrix(self) -> np.ndarray:
         """The density matrix as a ``2^n x 2^n`` array (a view)."""
@@ -178,24 +171,15 @@ class DensityMatrix:
         total = 2 * n
         # left-multiply U: the same gate on the row qubits
         row_gate = gate.remap({q: q + n for q in gate.qubits})
-        if not kernels.apply_gate(
-            self.data, row_gate, total, backend=self.backend
-        ):
+        if not kernels.apply_gate(self.data, row_gate, total):
             kernels.apply_matrix(
-                self.data,
-                gate.matrix(),
-                [q + n for q in gate.qubits],
-                total,
-                backend=self.backend,
+                self.data, gate.matrix(), [q + n for q in gate.qubits], total
             )
         # right-multiply U^+: the conjugated gate on the column qubits
         conj = _conjugate_gate(gate)
-        if conj is None or not kernels.apply_gate(
-            self.data, conj, total, backend=self.backend
-        ):
+        if conj is None or not kernels.apply_gate(self.data, conj, total):
             kernels.apply_matrix(
-                self.data, np.conj(gate.matrix()), gate.qubits, total,
-                backend=self.backend,
+                self.data, np.conj(gate.matrix()), gate.qubits, total
             )
 
     def apply_unitary(self, matrix: np.ndarray, qubits: List[int]) -> None:
@@ -207,13 +191,8 @@ class DensityMatrix:
         """
         n = self.num_qubits
         matrix = np.asarray(matrix, dtype=complex)
-        kernels.apply_matrix(
-            self.data, matrix, [q + n for q in qubits], 2 * n,
-            backend=self.backend,
-        )
-        kernels.apply_matrix(
-            self.data, np.conj(matrix), qubits, 2 * n, backend=self.backend
-        )
+        kernels.apply_matrix(self.data, matrix, [q + n for q in qubits], 2 * n)
+        kernels.apply_matrix(self.data, np.conj(matrix), qubits, 2 * n)
 
     def apply_channel(self, kind: str, rate: float, qubit: int) -> None:
         """Apply a builtin single-qubit channel exactly.
@@ -233,7 +212,6 @@ class DensityMatrix:
             superop,
             [qubit + self.num_qubits, qubit],
             2 * self.num_qubits,
-            backend=self.backend,
         )
 
     def reset_qubit(self, qubit: int) -> None:
@@ -345,13 +323,13 @@ class DensityMatrixEngine:
                 damping channels on every touched qubit, and measured
                 bits mix through the readout-assignment matrix.
             seed: RNG seed for the count sampling only.
-            **opts: ``backend`` selects the array backend (name or
-                instance); any other option raises.
+            **opts: none are accepted; any option raises.
 
         Returns:
             The run's :class:`DensityMatrixResult`.
         """
-        reject_opts(self, opts, allowed=("backend",))
+        reject_width(self, circuit)
+        reject_opts(self, opts)
         if shots < 0:
             raise EngineError("shots must be non-negative")
         if not _measurements_terminal(circuit):
@@ -360,7 +338,7 @@ class DensityMatrixEngine:
                 "use 'statevector' or 'monte_carlo' for mid-circuit "
                 "measurement"
             )
-        rho = DensityMatrix(circuit.num_qubits, backend=opts.get("backend"))
+        rho = DensityMatrix(circuit.num_qubits)
         measure_map: Dict[int, int] = {}  # clbit -> qubit (last wins)
         for gate in circuit.gates:
             if gate.name == "barrier":

@@ -15,7 +15,7 @@ from typing import Optional
 from ..core.circuit import QuantumCircuit
 from ..simulator.stabilizer import StabilizerSimulator
 from ..simulator.statevector import SimulationResult, _measured_width
-from .base import EngineCapabilities, reject_noise, reject_opts
+from .base import EngineCapabilities, reject_noise, reject_opts, reject_width
 from .noise import NoiseModel
 
 
@@ -57,6 +57,7 @@ class StabilizerEngine:
         Raises:
             StabilizerError: for non-Clifford gates.
         """
+        reject_width(self, circuit)
         reject_noise(self, noise)
         reject_opts(self, opts)
         counts = StabilizerSimulator(seed=seed).run(circuit, shots=shots)

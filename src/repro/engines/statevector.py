@@ -12,7 +12,7 @@ from typing import Optional
 
 from ..core.circuit import QuantumCircuit
 from ..simulator.statevector import SimulationResult, StatevectorSimulator
-from .base import EngineCapabilities, reject_noise, reject_opts
+from .base import EngineCapabilities, reject_noise, reject_opts, reject_width
 from .noise import NoiseModel
 
 
@@ -45,17 +45,16 @@ class StatevectorEngine:
                 noiseless; the error names the noisy alternatives).
             seed: RNG seed for measurement sampling.
             **opts: ``fusion=False`` disables the gate-fusion pre-pass;
-                ``backend`` selects the array backend (name or instance).
+                any other option raises.
 
         Returns:
             The run's :class:`SimulationResult` (with final state).
         """
+        reject_width(self, circuit)
         reject_noise(self, noise)
-        reject_opts(self, opts, allowed=("fusion", "backend"))
+        reject_opts(self, opts, allowed=("fusion",))
         simulator = StatevectorSimulator(
-            seed=seed,
-            fusion=opts.get("fusion", True),
-            backend=opts.get("backend"),
+            seed=seed, fusion=opts.get("fusion", True)
         )
         return simulator.run(circuit, shots=shots)
 

@@ -17,7 +17,6 @@ inspection.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -59,12 +58,6 @@ class CompilerBackend(Backend):
         coupling: optional device topology; when given, the compiled
             circuit is routed onto it and measurements follow their
             logical qubits.
-        optimize: run tpar + cancellation (on by default).
-
-            .. deprecated:: 1.0
-                Pass ``compile_target=targets.PROJECTQ.with_(
-                optimization_level=...)`` instead; ``optimize=`` will
-                be removed.
         pipeline: pass-manager runner shared across flushes (fresh one
             with the shared cache by default).
         compile_target: a :class:`repro.compiler.Target` (or
@@ -76,31 +69,18 @@ class CompilerBackend(Backend):
         self,
         target: Optional[Backend] = None,
         coupling: Optional[CouplingMap] = None,
-        optimize: Optional[bool] = None,
         pipeline: Optional[Pipeline] = None,
         compile_target=None,
     ):
         from ... import compiler
 
         self.target = target if target is not None else Simulator()
-        if optimize is not None:
-            warnings.warn(
-                "CompilerBackend(optimize=...) is deprecated; pass "
-                "compile_target=targets.PROJECTQ.with_("
-                "optimization_level=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if compile_target is None:
             compile_target = compiler.targets.PROJECTQ
         else:
             compile_target = compiler.get_target(compile_target)
         if coupling is not None:
             compile_target = compile_target.with_(coupling=coupling)
-        if optimize is not None:
-            compile_target = compile_target.with_(
-                optimization_level=2 if optimize else 1
-            )
         self.compile_target = compile_target
         self.coupling = compile_target.coupling
         self.optimize = compile_target.optimization_level >= 2

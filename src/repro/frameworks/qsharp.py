@@ -19,15 +19,13 @@ environment, so this module
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from ..boolean.permutation import BitPermutation
 from ..core.circuit import QuantumCircuit
 from ..emit.base import EmitterError
 from ..pipeline import Pipeline
-from ..synthesis.reversible import ReversibleCircuit
 
 _QSHARP_NAMES = {
     "h": "H",
@@ -93,72 +91,8 @@ def _operation_from_circuit(
     return QSharpOperation(name, code, circuit.copy())
 
 
-_OPERATION_SHIM_WARNED = False
-
-
-def operation_from_circuit(
-    name: str,
-    circuit: QuantumCircuit,
-    namespace: str = "Repro.Quantum.PermOracle",
-) -> QSharpOperation:
-    """Emit a circuit as a self-adjointable Q# operation (Fig. 10 style).
-
-    .. deprecated:: 1.1
-        The text generation lives in the ``qsharp`` backend of the
-        :mod:`repro.emit` registry
-        (``repro.emit.emit(circuit, "qsharp", name=...)``); this shim
-        forwards there and warns once per process.
-
-    Args:
-        name: the Q# operation name to emit.
-        circuit: the compiled circuit to render.
-        namespace: the Q# namespace wrapping the operation.
-
-    Returns:
-        The generated operation with its executable circuit attached.
-    """
-    global _OPERATION_SHIM_WARNED
-    if not _OPERATION_SHIM_WARNED:
-        _OPERATION_SHIM_WARNED = True
-        warnings.warn(
-            "frameworks.qsharp.operation_from_circuit is deprecated; "
-            "use repro.emit.emit(circuit, 'qsharp', name=...) (the "
-            "registry keeps the same Fig. 10 text)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _operation_from_circuit(name, circuit, namespace=namespace)
-
-
-def _resolve_target(target, synth, entry_name: str):
-    """Resolve an entry point's target, honoring the deprecated synth=.
-
-    Shared by :func:`permutation_oracle_operation` and
-    :func:`hidden_shift_program`: defaults to the ``qsharp`` preset
-    and folds a legacy ``synth=`` callable into the target's
-    ``synthesis`` field with a :class:`DeprecationWarning` naming the
-    calling entry point.
-    """
-    from .. import compiler
-
-    if target is None:
-        target = compiler.targets.QSHARP
-    else:
-        target = compiler.get_target(target)
-    if synth is not None:
-        warnings.warn(
-            f"{entry_name}(synth=...) is deprecated; pass "
-            "target=targets.QSHARP.with_(synthesis=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        target = target.with_(synthesis=synth)
-    return target
-
-
 def permutation_oracle_operation(
     permutation: Union[BitPermutation, Sequence[int]],
-    synth: Optional[Callable[[BitPermutation], ReversibleCircuit]] = None,
     name: str = "PermutationOracle",
     pipeline: Optional[Pipeline] = None,
     target=None,
@@ -173,11 +107,6 @@ def permutation_oracle_operation(
 
     Args:
         permutation: the oracle permutation ``pi``.
-        synth: synthesis back-end (name or callable).
-
-            .. deprecated:: 1.0
-                Pass ``target=targets.QSHARP.with_(synthesis=...)``
-                instead; ``synth=`` will be removed.
         name: Q# operation name to emit.
         pipeline: pass-manager runner to execute on (fresh one with
             the shared cache by default).
@@ -192,7 +121,8 @@ def permutation_oracle_operation(
 
     if not isinstance(permutation, BitPermutation):
         permutation = BitPermutation(list(permutation))
-    target = _resolve_target(target, synth, "permutation_oracle_operation")
+    if target is None:
+        target = compiler.targets.QSHARP
     result = compiler.compile(permutation, target=target, pipeline=pipeline)
     return _operation_from_circuit(name, result.circuit)
 
@@ -200,16 +130,13 @@ def permutation_oracle_operation(
 def hidden_shift_program(
     permutation: Union[BitPermutation, Sequence[int]],
     num_vars: int,
-    synth: Optional[Callable[[BitPermutation], ReversibleCircuit]] = None,
     target=None,
 ) -> str:
     """The full two-namespace Q# program of Figs. 9 and 10.
 
-    ``synth=`` is deprecated like on
-    :func:`permutation_oracle_operation`; pass
-    ``target=targets.QSHARP.with_(synthesis=...)`` instead.
+    ``target`` selects the oracle's compilation chain exactly as on
+    :func:`permutation_oracle_operation`.
     """
-    target = _resolve_target(target, synth, "hidden_shift_program")
     oracle = permutation_oracle_operation(permutation, target=target)
     driver = f"""namespace Repro.Quantum.HiddenShift {{
     // basic operations: Hadamard, CNOT, etc

@@ -59,10 +59,10 @@ from ..pipeline import (
     TparPass,
 )
 from ..pipeline.runner import PassRecord
-from ..pipeline.verification import check_mapped_circuit
 from ..synthesis.decomposition import decomposition_based_synthesis
 from ..synthesis.reversible import ReversibleCircuit
 from ..synthesis.transformation import transformation_based_synthesis
+from ..verify import default_checker
 
 
 class ShellError(RuntimeError):
@@ -97,7 +97,6 @@ class RevKitShell:
             "ps": self._cmd_ps,
             "simulate": self._cmd_simulate,
             "verify": self._cmd_verify,
-            "backends": self._cmd_backends,
         }
 
     # ------------------------------------------------------------------
@@ -358,13 +357,13 @@ class RevKitShell:
         check is that |x>|0> -> e^{i phi}|P(x)>|0> for every data
         input x, with P the reversible circuit's permutation
         (Sec. IX's verification obligation).  The tiered checker
-        picks the cheapest sound tier for the width at hand; a check
-        it cannot run is reported as an explicit skip, never as a
-        pass.
+        picks the cheapest sound tier for the width at hand (dense
+        unitaries up to 10 qubits); a check it cannot run is reported
+        as an explicit skip, never as a pass.
         """
         quantum = self._need_quantum()
         reversible = self._need_reversible()
-        verdict = check_mapped_circuit(quantum, reversible)
+        verdict = default_checker().check_mapped_circuit(quantum, reversible)
         if verdict.failed:
             return f"equivalent: False ({verdict.detail})"
         if verdict.skipped:
@@ -373,37 +372,6 @@ class RevKitShell:
 
     def verify(self) -> str:
         return self._cmd_verify()
-
-    def _cmd_backends(self, *args: str) -> str:
-        """List the array backends and whether each is usable.
-
-        One line per backend: usable backends come from the
-        :mod:`repro.simulator.backends` registry, known builtins whose
-        accelerator dependency is missing are listed as unavailable so
-        the shell answers "why is numba_parallel not offered?" without
-        a Python probe.
-        """
-        from ..simulator import backends as array_backends
-
-        registered = array_backends.backends()
-        lines = []
-        for name in registered:
-            backend = array_backends.get(name)
-            aliases = tuple(getattr(backend, "aliases", ()))
-            alias_text = f" (aka {'/'.join(aliases)})" if aliases else ""
-            lines.append(f"{name}{alias_text}: {backend.description}")
-        for cls in array_backends._BUILTIN_CLASSES:
-            if cls.name not in registered:
-                alias_text = f" (aka {'/'.join(cls.aliases)})"
-                lines.append(
-                    f"{cls.name}{alias_text}: unavailable "
-                    "(pip install numba)"
-                )
-        return "\n".join(lines)
-
-    def backends(self) -> str:
-        """Python form of the ``backends`` shell command."""
-        return self._cmd_backends()
 
     def _cmd_write(self, format: str, *args: str) -> str:
         """Write the quantum circuit in any registered emit format.

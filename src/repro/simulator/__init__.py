@@ -1,16 +1,11 @@
 """Simulation backends: statevector, stabilizer, noisy, resource counter.
 
 The statevector, noisy, and dense-unitary paths all execute gates via
-the shared in-place kernel layer in :mod:`repro.simulator.kernels`,
-which in turn dispatches every array sweep to a pluggable
-:mod:`repro.simulator.backends` array backend (NumPy by default, an
-optional numba JIT accelerator when installed).
+the shared in-place NumPy kernel layer in :mod:`repro.simulator.kernels`.
 """
 
-from . import backends
 from . import kernels
 from ..engines.noise import NoiseModel  # canonical home since PR 8
-from .backends import ArrayBackend, BackendError, BackendUnavailable
 from .noise import NoisyBackend
 from .resources import ResourceCounter, ResourceEstimate
 from .stabilizer import StabilizerSimulator, StabilizerState, StabilizerError
@@ -23,11 +18,7 @@ from .statevector import (
 )
 
 __all__ = [
-    "backends",
     "kernels",
-    "ArrayBackend",
-    "BackendError",
-    "BackendUnavailable",
     "evolve_batch",
     "NoiseModel",
     "NoisyBackend",

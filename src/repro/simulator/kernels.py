@@ -15,31 +15,28 @@ operating on views of the state reshaped as a ``(2,) * n`` tensor
 * diagonal gates (Z/S/T/RZ/P and their controlled forms) are pure
   elementwise multiplies on the relevant slices;
 * arbitrary matrices fall back to :func:`apply_matrix`, a generic
-  in-place ``2^k``-slice kernel (still no transpose / copy).
+  in-place ``2^k``-slice kernel (still no transpose / copy);
+* fused blocks run as one axis-grouped BLAS matmul.
 
-Since the array-backend refactor, this module owns the gate
-*semantics* — named-gate dispatch, control handling, gate fusion —
-while every actual array sweep is delegated to a pluggable
-:class:`~repro.simulator.backends.ArrayBackend` (state allocation,
-slice linear combinations, elementwise diagonal multiplies,
-axis-grouped matmul).  Every public entry point accepts ``backend=``
-(a name, an instance, or ``None`` for the process default); the NumPy
-backend is the default and reproduces the pre-backend kernels
-*identically*, and an optional numba backend JIT-compiles the
-memory-bound sweeps when numba is installed.
+This module is the only place array sweeps live: the public entry
+points (:func:`apply_gate`, :func:`apply_matrix`, :func:`apply_pauli`,
+:func:`apply_ops`) own the gate semantics — named-gate dispatch,
+control handling, gate fusion — and the private ``_apply_*`` sweeps
+below do the NumPy slice math on the *flat* state of shape
+``(2**n, *batch)``.
 
 All kernels accept batched states: an array of shape ``(2^n, b...)``
 is treated as ``b`` independent states, which lets
 :mod:`repro.core.unitary` evolve a full ``2^n x 2^n`` unitary column
 batch through the same code (and noise trajectories vectorize over the
-same batch axis).
+same batch axis, see :meth:`repro.simulator.noise.NoisyBackend.run`).
 
 Dtype contract: states must be complex arrays.  The entry points
 raise ``TypeError`` for real/integer states instead of silently
 truncating the imaginary parts to zero (the historical behaviour was
-an all-zero state plus a ``ComplexWarning``); use
-``backend.prepare(data)`` — or ``np.asarray(data, dtype=complex)`` —
-to upcast on ingest.
+an all-zero state plus a ``ComplexWarning``); state constructors
+upcast real/integer/boolean input on ingest (:func:`_prepare`) and
+refuse non-numeric data.
 
 :func:`compile_circuit` is the gate-fusion pre-pass used by
 ``Statevector.evolve``.  It runs three stages:
@@ -64,7 +61,7 @@ sweeps than they have gates.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import cmath
 import math
@@ -72,8 +69,6 @@ import math
 import numpy as np
 
 from ..core.gates import Gate, base_matrix
-from . import backends as array_backends
-from .backends import ArrayBackend, infer_num_qubits  # noqa: F401  (re-export)
 
 #: base names whose matrix is diagonal in the computational basis.
 DIAGONAL_BASES = frozenset({"z", "s", "sdg", "t", "tdg", "rz", "p"})
@@ -111,9 +106,6 @@ BLOCK_LOOKAHEAD = 256
 
 _IDENTITY_ATOL = 1e-14
 
-#: optional backend argument accepted by every public entry point.
-BackendSpec = Union[str, ArrayBackend, None]
-
 
 def _require_complex(state: np.ndarray, where: str) -> None:
     """Refuse non-complex states at the public kernel entry points.
@@ -122,16 +114,43 @@ def _require_complex(state: np.ndarray, where: str) -> None:
     cannot be upcast here — historically such states were silently
     corrupted (a Y gate on a float64 state produced all zeros with
     only a ``ComplexWarning``).  Callers who hold real data should
-    upcast on ingest via ``backend.prepare(data)`` or
-    ``np.asarray(data, dtype=complex)``.
+    upcast on ingest, e.g. ``np.asarray(data, dtype=complex)``.
     """
     dtype = getattr(state, "dtype", None)
     if dtype is None or not np.issubdtype(dtype, np.complexfloating):
         raise TypeError(
             f"{where} requires a complex state array (in-place kernels "
             f"cannot widen dtype {dtype}); upcast on ingest with "
-            "backend.prepare(data) or np.asarray(data, dtype=complex)"
+            "np.asarray(data, dtype=complex)"
         )
+
+
+def _prepare(data) -> np.ndarray:
+    """Copy ``data`` into a complex state array (the dtype contract).
+
+    Real floating, integer and boolean input upcasts to
+    ``complex128``; complex input is copied.
+
+    Raises:
+        TypeError: for data that cannot upcast to complex (strings,
+            objects, ...).
+    """
+    arr = np.asarray(data)
+    if not np.issubdtype(arr.dtype, np.number) and arr.dtype != bool:
+        raise TypeError(
+            f"cannot build a complex state from dtype {arr.dtype}; "
+            "states must be numeric (upcastable to complex128)"
+        )
+    return np.array(arr, dtype=complex, copy=True)
+
+
+def infer_num_qubits(state: np.ndarray) -> int:
+    """Number of qubits of a flat or batched state array."""
+    dim = state.shape[0]
+    n = dim.bit_length() - 1
+    if 1 << n != dim:
+        raise ValueError("state length is not a power of two")
+    return n
 
 
 @lru_cache(maxsize=1024)
@@ -161,11 +180,210 @@ _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 
 
 # ----------------------------------------------------------------------
+# array sweeps on the flat (2**n, *batch) state
+# ----------------------------------------------------------------------
+def _tensor(state: np.ndarray, n: int) -> np.ndarray:
+    """View of ``state`` with one axis per qubit (batch axes trail)."""
+    return state.reshape((2,) * n + state.shape[1:])
+
+
+def _subview(t: np.ndarray, n: int, controls: Sequence[int]) -> np.ndarray:
+    """View with every control axis fixed at |1>."""
+    if not controls:
+        return t
+    idx: List[object] = [slice(None)] * n
+    for c in controls:
+        idx[n - 1 - c] = 1
+    return t[tuple(idx)]
+
+
+def _axis_after_controls(qubit: int, n: int, controls: Sequence[int]) -> int:
+    """Axis of ``qubit`` inside the control subview."""
+    return (n - 1 - qubit) - sum(1 for c in controls if c > qubit)
+
+
+def _apply_1q(
+    state: np.ndarray,
+    n: int,
+    matrix: np.ndarray,
+    qubit: int,
+    controls: Sequence[int] = (),
+) -> None:
+    """Apply a 2x2 matrix to ``qubit`` within the control subspace.
+
+    One linear combination over two half-state views; diagonal and
+    antidiagonal matrices take cheaper copy/scale paths.
+    """
+    t = _tensor(state, n)
+    sub = _subview(t, n, controls)
+    ax = _axis_after_controls(qubit, n, controls)
+    i0 = (slice(None),) * ax + (0,)
+    i1 = (slice(None),) * ax + (1,)
+    a, b, c, d = matrix.ravel()
+    if b == 0 and c == 0:  # diagonal
+        if a != 1.0:
+            sub[i0] *= a
+        if d != 1.0:
+            sub[i1] *= d
+        return
+    v0 = sub[i0]
+    v1 = sub[i1]
+    if a == 0 and d == 0:  # antidiagonal (X, Y, and phased variants)
+        tmp = v0.copy()
+        sub[i0] = v1 if b == 1.0 else b * v1
+        sub[i1] = tmp if c == 1.0 else c * tmp
+        return
+    t0 = a * v0 + b * v1
+    t1 = c * v0 + d * v1
+    sub[i0] = t0
+    sub[i1] = t1
+
+
+def _apply_swap(
+    state: np.ndarray,
+    n: int,
+    qubit_a: int,
+    qubit_b: int,
+    controls: Sequence[int] = (),
+) -> None:
+    """Exchange the |01> and |10> subspaces of two qubits."""
+    t = _tensor(state, n)
+    sub = _subview(t, n, controls)
+    ax_a = _axis_after_controls(qubit_a, n, controls)
+    ax_b = _axis_after_controls(qubit_b, n, controls)
+    idx01: List[object] = [slice(None)] * (max(ax_a, ax_b) + 1)
+    idx10 = list(idx01)
+    idx01[ax_a] = 0
+    idx01[ax_b] = 1
+    idx10[ax_a] = 1
+    idx10[ax_b] = 0
+    i01 = tuple(idx01)
+    i10 = tuple(idx10)
+    tmp = sub[i01].copy()
+    sub[i01] = sub[i10]
+    sub[i10] = tmp
+
+
+def _apply_slices(
+    state: np.ndarray,
+    n: int,
+    matrix: np.ndarray,
+    qubits: Sequence[int],
+) -> None:
+    """Generic in-place k-qubit kernel: one view per local basis state.
+
+    ``qubits[0]`` is the most-significant bit of the matrix's local
+    index space (matching ``Gate.matrix``).
+    """
+    t = _tensor(state, n)
+    k = len(qubits)
+    dim = 1 << k
+    if matrix.shape != (dim, dim):
+        raise ValueError("matrix does not match qubit count")
+    if t.ndim == n:
+        # gate touches every axis: keep a trailing length-1 axis so
+        # the per-basis views stay writable arrays instead of scalars
+        t = t.reshape((2,) * n + (1,))
+    views = []
+    for basis in range(dim):
+        idx: List[object] = [slice(None)] * n
+        for j, q in enumerate(qubits):
+            idx[n - 1 - q] = (basis >> (k - 1 - j)) & 1
+        views.append(t[tuple(idx)])
+    rows = []
+    for r in range(dim):
+        acc = None
+        for c in range(dim):
+            coeff = matrix[r, c]
+            if coeff == 0:
+                continue
+            if acc is None:
+                acc = views[c] * coeff  # materializes; views stay readable
+            else:
+                acc += coeff * views[c]
+        rows.append(acc)
+    for r in range(dim):
+        if rows[r] is None:
+            views[r][...] = 0
+        else:
+            views[r][...] = rows[r]
+
+
+def _apply_diag1(
+    state: np.ndarray,
+    n: int,
+    d0: complex,
+    d1: complex,
+    qubit: int,
+    controls: Sequence[int] = (),
+) -> None:
+    """Multiply the |0>/|1> slices of ``qubit`` by ``(d0, d1)``."""
+    t = _tensor(state, n)
+    sub = _subview(t, n, controls)
+    ax = _axis_after_controls(qubit, n, controls)
+    if d0 != 1.0:
+        sub[(slice(None),) * ax + (0,)] *= d0
+    if d1 != 1.0:
+        sub[(slice(None),) * ax + (1,)] *= d1
+
+
+def _apply_diag(
+    state: np.ndarray,
+    n: int,
+    qubits_desc: Tuple[int, ...],
+    diag: np.ndarray,
+) -> None:
+    """Multiply by a merged multi-qubit local diagonal.
+
+    ``qubits_desc`` lists the touched qubits in descending order;
+    ``qubits_desc[0]`` is the most-significant bit of ``diag``'s
+    index space.
+    """
+    t = _tensor(state, n)
+    shape = [1] * t.ndim
+    for q in qubits_desc:
+        shape[n - 1 - q] = 2
+    t *= diag.reshape(shape)
+
+
+def _apply_block(
+    state: np.ndarray,
+    n: int,
+    qubits_desc: Tuple[int, ...],
+    matrix: np.ndarray,
+) -> None:
+    """Apply a fused block matrix with one BLAS matmul.
+
+    The state is reshaped so the block's qubit axes form one axis;
+    if the block's qubits are contiguous this is a pure reshape,
+    otherwise the axes are transposed next to each other first (two
+    copies).  Batched states fall back to the generic slice kernel.
+    """
+    t = _tensor(state, n)
+    f = len(qubits_desc)
+    dim = 1 << f
+    axes = [n - 1 - q for q in qubits_desc]  # ascending
+    if t.ndim != n:  # batched (e.g. dense-unitary evolution)
+        _apply_slices(state, n, matrix, qubits_desc)
+        return
+    if axes == list(range(axes[0], axes[0] + f)):
+        if axes[-1] == n - 1:
+            view = state.reshape(-1, dim)
+            view[...] = view @ matrix.T
+        else:
+            view = state.reshape(1 << axes[0], dim, -1)
+            view[...] = np.matmul(matrix, view)
+        return
+    perm = [a for a in range(n) if a not in axes] + axes
+    transposed = np.transpose(t, perm)
+    flat = np.ascontiguousarray(transposed).reshape(-1, dim)
+    transposed[...] = (flat @ matrix.T).reshape(transposed.shape)
+
+
+# ----------------------------------------------------------------------
 # named-gate dispatch
 # ----------------------------------------------------------------------
-def _apply_named(
-    state: np.ndarray, n: int, gate: Gate, backend: ArrayBackend
-) -> bool:
+def _apply_named(state: np.ndarray, n: int, gate: Gate) -> bool:
     """Apply a named gate via its dedicated kernel; False if unknown."""
     name = gate.name
     if name in ("barrier", "id"):
@@ -175,18 +393,16 @@ def _apply_named(
     base = gate.base_name
     if base in DIAGONAL_BASES:
         d0, d1 = _diag_entries(base, gate.params)
-        backend.apply_diag1(state, n, d0, d1, gate.targets[0], gate.controls)
+        _apply_diag1(state, n, d0, d1, gate.targets[0], gate.controls)
         return True
     if base in SINGLE_QUBIT_BASES:
-        backend.apply_1q(
+        _apply_1q(
             state, n, base_matrix(base, gate.params),
             gate.targets[0], gate.controls,
         )
         return True
     if base == "swap":
-        backend.apply_swap(
-            state, n, gate.targets[0], gate.targets[1], gate.controls
-        )
+        _apply_swap(state, n, gate.targets[0], gate.targets[1], gate.controls)
         return True
     return False
 
@@ -195,7 +411,6 @@ def apply_gate(
     state: np.ndarray,
     gate: Gate,
     num_qubits: Optional[int] = None,
-    backend: BackendSpec = None,
 ) -> bool:
     """Apply a named gate in place on a flat/batched state.
 
@@ -205,7 +420,7 @@ def apply_gate(
     """
     _require_complex(state, "apply_gate")
     n = infer_num_qubits(state) if num_qubits is None else num_qubits
-    return _apply_named(state, n, gate, array_backends.resolve(backend))
+    return _apply_named(state, n, gate)
 
 
 def apply_matrix(
@@ -213,14 +428,11 @@ def apply_matrix(
     matrix: np.ndarray,
     qubits: Sequence[int],
     num_qubits: Optional[int] = None,
-    backend: BackendSpec = None,
 ) -> None:
     """Apply an arbitrary ``2^k x 2^k`` matrix in place (dense fallback)."""
     _require_complex(state, "apply_matrix")
     n = infer_num_qubits(state) if num_qubits is None else num_qubits
-    array_backends.resolve(backend).apply_matrix(
-        state, n, np.asarray(matrix, dtype=complex), qubits
-    )
+    _apply_slices(state, n, np.asarray(matrix, dtype=complex), qubits)
 
 
 def apply_pauli(
@@ -228,18 +440,16 @@ def apply_pauli(
     pauli: str,
     qubit: int,
     num_qubits: Optional[int] = None,
-    backend: BackendSpec = None,
 ) -> None:
     """Apply a single Pauli X/Y/Z without building a Gate object."""
     _require_complex(state, "apply_pauli")
     n = infer_num_qubits(state) if num_qubits is None else num_qubits
-    resolved = array_backends.resolve(backend)
     if pauli == "z":
-        resolved.apply_diag1(state, n, 1.0, -1.0, qubit)
+        _apply_diag1(state, n, 1.0, -1.0, qubit)
     elif pauli == "x":
-        resolved.apply_1q(state, n, _PAULI_X, qubit)
+        _apply_1q(state, n, _PAULI_X, qubit)
     elif pauli == "y":
-        resolved.apply_1q(state, n, _PAULI_Y, qubit)
+        _apply_1q(state, n, _PAULI_Y, qubit)
     else:
         raise ValueError(f"unknown Pauli {pauli!r}")
 
@@ -399,9 +609,7 @@ def _block_matrix(
 
     The block matrix is built by evolving an identity through the same
     batched kernels, with every member remapped onto the block-local
-    qubit numbering (``qubits_desc[0]`` is the local MSB).  Block
-    construction always runs on the NumPy backend so the compiled op
-    list is identical whichever backend later executes it.
+    qubit numbering (``qubits_desc[0]`` is the local MSB).
     """
     f = len(qubits_desc)
     local = {q: f - 1 - j for j, q in enumerate(qubits_desc)}
@@ -416,7 +624,7 @@ def _block_matrix(
             qs, diag = payload
             remapped.append(("diag", (tuple(local[q] for q in qs), diag)))
     unitary = np.eye(1 << f, dtype=complex)
-    apply_ops(unitary, remapped, f, backend="numpy")
+    apply_ops(unitary, remapped, f)
     return np.ascontiguousarray(unitary)
 
 
@@ -539,25 +747,23 @@ def apply_ops(
     state: np.ndarray,
     ops: Sequence[CompiledOp],
     num_qubits: Optional[int] = None,
-    backend: BackendSpec = None,
 ) -> None:
     """Run a compiled op list in place on a flat/batched state."""
     _require_complex(state, "apply_ops")
     n = infer_num_qubits(state) if num_qubits is None else num_qubits
-    resolved = array_backends.resolve(backend)
     for kind, payload in ops:
         if kind == "gate":
             gate = payload
-            if not _apply_named(state, n, gate, resolved):
-                resolved.apply_matrix(state, n, gate.matrix(), gate.qubits)
+            if not _apply_named(state, n, gate):
+                _apply_slices(state, n, gate.matrix(), gate.qubits)
         elif kind == "u1":
             matrix, qubit = payload
-            resolved.apply_1q(state, n, matrix, qubit)
+            _apply_1q(state, n, matrix, qubit)
         elif kind == "diag":
             qubits, diag = payload
-            resolved.apply_diag(state, n, qubits, diag)
+            _apply_diag(state, n, qubits, diag)
         elif kind == "block":
             qubits, matrix = payload
-            resolved.apply_block(state, n, qubits, matrix)
+            _apply_block(state, n, qubits, matrix)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown compiled op kind {kind!r}")

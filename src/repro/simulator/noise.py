@@ -18,142 +18,97 @@ the other basis states.  The exact counterpart is the
 ``density_matrix`` engine (:mod:`repro.engines.density_matrix`), which
 evolves the trajectory average of this sampler as a full density
 matrix — same depolarizing convention, no sampling error.
-
-Importing ``NoiseModel`` from this module still works but warns once:
-the dataclass now lives in :mod:`repro.engines.noise` (import it from
-there, or from :mod:`repro.simulator`, which re-exports it silently).
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..core.circuit import QuantumCircuit
-from ..engines.noise import NoiseModel as _NoiseModel
-from . import backends as array_backends
+from ..core.gates import Gate
+from ..engines.noise import NoiseModel
 from . import kernels
-from .statevector import SimulationResult, Statevector, _measured_width
+from .statevector import SimulationResult, _measured_width
 
 _PAULIS = ("x", "y", "z")
 
-_DEPRECATED_WARNED = False
-
-
-def __getattr__(name: str):
-    """Warn once when the relocated ``NoiseModel`` is pulled from here."""
-    if name == "NoiseModel":
-        global _DEPRECATED_WARNED
-        if not _DEPRECATED_WARNED:
-            _DEPRECATED_WARNED = True
-            warnings.warn(
-                "repro.simulator.noise.NoiseModel moved to "
-                "repro.engines.noise (also re-exported by repro.simulator "
-                "and repro.engines); this alias will be removed",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return _NoiseModel
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class NoisyBackend:
-    """Monte-Carlo statevector simulator with Pauli/readout noise.
+    """Monte-Carlo statevector sampler with Pauli/readout noise.
 
-    Each shot evolves a fresh statevector; after every unitary gate each
-    touched qubit is hit by a uniformly random Pauli with the model's
-    per-class probability, and measured bits are flipped with
-    ``p_meas``.  The RNG is seeded for reproducible experiments.
+    Shots evolve together as the columns of one ``(2**n, shots)``
+    array: after every unitary gate each touched qubit of each shot is
+    hit by a uniformly random Pauli with the model's per-class
+    probability, and measured bits are flipped with ``p_meas``.  The
+    RNG is seeded for reproducible experiments.
     """
+
+    #: memory guard: largest ``shots * 2**n`` complex128 batch evolved
+    #: at once (256 MiB); more shots run as consecutive chunks.
+    max_batch_bytes = 1 << 28
 
     def __init__(
         self,
-        noise_model: Optional[_NoiseModel] = None,
+        noise_model: Optional[NoiseModel] = None,
         seed: Optional[int] = None,
-        backend=None,
     ):
-        self.noise_model = noise_model or _NoiseModel.ibm_qe_2018()
+        self.noise_model = noise_model or NoiseModel.ibm_qe_2018()
         self._seed = seed
-        self._array_backend = backend
 
     def run(self, circuit: QuantumCircuit, shots: int = 1024) -> SimulationResult:
         """Execute ``circuit`` with noise for ``shots`` repetitions.
 
-        Gate application goes through the in-place kernel layer
-        (:mod:`repro.simulator.kernels`); per-gate error rates are
-        looked up once per circuit rather than once per shot, and the
-        injected Pauli errors skip Gate construction entirely.  No gate
-        fusion happens here — the noise model is defined per physical
-        gate, so the gate sequence must be executed verbatim.
+        Every gate is one batched kernel call over the shot columns;
+        sampled Pauli errors are scattered onto only the affected
+        columns, and measurements collapse all columns at once.  No
+        gate fusion happens here — the noise model is defined per
+        physical gate, so the gate sequence runs verbatim.
+
+        Shots are evolved in chunks of at most :attr:`max_batch_bytes`
+        of state.  Chunking only partitions the shots: all chunks draw
+        from one RNG stream, and a run that fits one chunk consumes it
+        exactly as an unchunked sweep would.
         """
         rng = np.random.default_rng(self._seed)
-        counts: Dict[int, int] = {}
         model = self.noise_model
-        num_qubits = circuit.num_qubits
         gates = [g for g in circuit.gates if g.name != "barrier"]
         error_rates = [
             0.0 if g.is_measurement or g.name == "reset" else model.gate_error(g)
             for g in gates
         ]
-        for _ in range(shots):
-            state = Statevector(num_qubits, backend=self._array_backend)
-            creg = 0
-            for gate, p_err in zip(gates, error_rates):
-                if gate.is_measurement:
-                    bit = state.measure_qubit(gate.targets[0], rng)
-                    if rng.random() < model.p_meas:
-                        bit ^= 1
-                    clbit = gate.cbits[0]
-                    creg = (creg & ~(1 << clbit)) | (bit << clbit)
-                    continue
-                if gate.name == "reset":
-                    state.reset_qubit(gate.targets[0], rng)
-                    continue
-                state.apply_gate(gate)
-                if p_err > 0.0:
-                    for qubit in gate.qubits:
-                        if rng.random() < p_err:
-                            pauli = _PAULIS[rng.integers(0, 3)]
-                            kernels.apply_pauli(
-                                state.data, pauli, qubit, num_qubits,
-                                backend=state.backend,
-                            )
-            counts[creg] = counts.get(creg, 0) + 1
+        shot_bytes = (1 << circuit.num_qubits) * 16
+        chunk = max(1, self.max_batch_bytes // shot_bytes)
+        creg = np.empty(shots, dtype=np.int64)
+        for start in range(0, shots, chunk):
+            stop = min(start + chunk, shots)
+            creg[start:stop] = self._sample(
+                gates, error_rates, circuit.num_qubits, stop - start, rng
+            )
+        counts: Dict[int, int] = {}
+        for value, count in zip(*np.unique(creg, return_counts=True)):
+            counts[int(value)] = int(count)
         return SimulationResult(counts, None, shots, _measured_width(circuit))
 
-    def run_batched(
-        self, circuit: QuantumCircuit, shots: int = 1024
-    ) -> SimulationResult:
-        """Vectorized counterpart of :meth:`run`: all shots in one batch.
-
-        The ``shots`` trajectories evolve together as one
-        ``(2**n, shots)`` array on the backend's batch axis: every gate
-        is a single batched kernel call, sampled Pauli errors are
-        scattered onto only the affected trajectory columns, and
-        measurements collapse all columns at once.  Results are
-        statistically identical to :meth:`run` but a seed does **not**
-        reproduce the looped sampler's exact counts — the vectorized
-        sampler draws its random numbers in a different order.
-        """
-        rng = np.random.default_rng(self._seed)
-        model = self.noise_model
-        num_qubits = circuit.num_qubits
-        backend = array_backends.resolve(self._array_backend)
-        gates = [g for g in circuit.gates if g.name != "barrier"]
-        error_rates = [
-            0.0 if g.is_measurement or g.name == "reset" else model.gate_error(g)
-            for g in gates
-        ]
-        state = backend.zeros(num_qubits, batch=(shots,))
+    def _sample(
+        self,
+        gates: List[Gate],
+        error_rates: List[float],
+        num_qubits: int,
+        shots: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Evolve one chunk of ``shots`` trajectories; return its registers."""
+        p_meas = self.noise_model.p_meas
+        state = np.zeros((1 << num_qubits, shots), dtype=complex)
         state[0, :] = 1.0
         creg = np.zeros(shots, dtype=np.int64)
         for gate, p_err in zip(gates, error_rates):
             if gate.is_measurement:
                 bits = _measure_batch(state, num_qubits, gate.targets[0], rng)
-                if model.p_meas > 0.0:
-                    bits ^= rng.random(shots) < model.p_meas
+                if p_meas > 0.0:
+                    bits ^= rng.random(shots) < p_meas
                 clbit = gate.cbits[0]
                 creg = (creg & ~(1 << clbit)) | (
                     bits.astype(np.int64) << clbit
@@ -162,11 +117,8 @@ class NoisyBackend:
             if gate.name == "reset":
                 _reset_batch(state, num_qubits, gate.targets[0], rng)
                 continue
-            if not kernels.apply_gate(state, gate, num_qubits, backend=backend):
-                kernels.apply_matrix(
-                    state, gate.matrix(), gate.qubits, num_qubits,
-                    backend=backend,
-                )
+            if not kernels.apply_gate(state, gate, num_qubits):
+                kernels.apply_matrix(state, gate.matrix(), gate.qubits, num_qubits)
             if p_err > 0.0:
                 for qubit in gate.qubits:
                     hit = rng.random(shots) < p_err
@@ -178,14 +130,9 @@ class NoisyBackend:
                         if cols.size == 0:
                             continue
                         sub = np.ascontiguousarray(state[:, cols])
-                        kernels.apply_pauli(
-                            sub, pauli, qubit, num_qubits, backend=backend
-                        )
+                        kernels.apply_pauli(sub, pauli, qubit, num_qubits)
                         state[:, cols] = sub
-        counts: Dict[int, int] = {}
-        for value, count in zip(*np.unique(creg, return_counts=True)):
-            counts[int(value)] = int(count)
-        return SimulationResult(counts, None, shots, _measured_width(circuit))
+        return creg
 
     def run_repeated(
         self, circuit: QuantumCircuit, shots: int, repetitions: int

@@ -30,12 +30,6 @@ ops are grouped into multi-qubit blocks executed as one BLAS matmul
 each, so deep Clifford+T circuits execute far fewer full-state sweeps
 than they have gates.
 
-Setting ``Statevector.use_kernels = False`` (class or instance level)
-restores the seed implementation — dense tensordot contraction with
-``np.arange``-based MCX/MCZ fast paths — which
-``benchmarks/bench_simulator_scaling.py`` uses as the comparison
-baseline.
-
 Sampling is vectorized: measurement histograms are produced by numpy
 bit-gathers over the sampled outcome array plus ``np.unique`` instead
 of per-shot Python loops, and shot-based runs with mid-circuit
@@ -52,7 +46,6 @@ import numpy as np
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import Gate
-from . import backends as array_backends
 from . import kernels
 
 
@@ -63,28 +56,16 @@ class SimulationError(RuntimeError):
 class Statevector:
     """Mutable n-qubit pure state."""
 
-    #: route gates through the in-place kernel layer; set to False to
-    #: fall back to the dense tensordot implementation (benchmarking).
-    use_kernels = True
-
-    def __init__(
-        self,
-        num_qubits: int,
-        data: Optional[np.ndarray] = None,
-        backend: kernels.BackendSpec = None,
-    ):
+    def __init__(self, num_qubits: int, data: Optional[np.ndarray] = None):
         if num_qubits < 0:
             raise ValueError("num_qubits must be non-negative")
         self.num_qubits = num_qubits
-        #: the array backend executing this state's kernels (resolved
-        #: once at construction; ``None`` picks the process default).
-        self.backend = array_backends.resolve(backend)
         dim = 1 << num_qubits
         if data is None:
-            self.data = self.backend.zeros(num_qubits)
+            self.data = np.zeros(dim, dtype=complex)
             self.data[0] = 1.0
         else:
-            data = self.backend.prepare(data)
+            data = kernels._prepare(data)
             if data.shape != (dim,):
                 raise ValueError(f"state must have length {dim}")
             self.data = data
@@ -123,10 +104,7 @@ class Statevector:
         return state
 
     def copy(self) -> "Statevector":
-        out = Statevector(self.num_qubits, self.data, backend=self.backend)
-        if "use_kernels" in self.__dict__:  # carry instance-level override
-            out.use_kernels = self.use_kernels
-        return out
+        return Statevector(self.num_qubits, self.data)
 
     # ------------------------------------------------------------------
     # evolution
@@ -140,30 +118,7 @@ class Statevector:
         k = len(qubits)
         if matrix.shape != (1 << k, 1 << k):
             raise ValueError("matrix does not match qubit count")
-        if self.use_kernels:
-            kernels.apply_matrix(
-                self.data, matrix, qubits, self.num_qubits,
-                backend=self.backend,
-            )
-        else:
-            self._apply_matrix_dense(matrix, qubits)
-
-    def _apply_matrix_dense(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
-        """Seed implementation: tensordot + transpose + contiguous copy."""
-        k = len(qubits)
-        n = self.num_qubits
-        tensor = self.data.reshape([2] * n)
-        axes = [n - 1 - q for q in qubits]
-        local = matrix.reshape([2] * (2 * k))
-        tensor = np.tensordot(local, tensor, axes=(list(range(k, 2 * k)), axes))
-        # restore axis ordering (same logic as core.unitary)
-        remaining = [a for a in range(n) if a not in axes]
-        out_index = {axis: i for i, axis in enumerate(axes)}
-        rem_index = {axis: k + i for i, axis in enumerate(remaining)}
-        perm = [
-            out_index[a] if a in out_index else rem_index[a] for a in range(n)
-        ]
-        self.data = np.ascontiguousarray(np.transpose(tensor, perm)).reshape(-1)
+        kernels.apply_matrix(self.data, matrix, qubits, self.num_qubits)
 
     def apply_gate(self, gate: Gate) -> None:
         """Apply a unitary gate via its dedicated kernel when one exists."""
@@ -173,38 +128,8 @@ class Statevector:
             raise SimulationError(
                 f"apply_gate cannot handle non-unitary {gate.name!r}"
             )
-        if self.use_kernels:
-            if kernels.apply_gate(
-                self.data, gate, self.num_qubits, backend=self.backend
-            ):
-                return
-        else:
-            if gate.base_name == "x" and not gate.params:
-                self._apply_mcx(gate.controls, gate.targets[0])
-                return
-            if gate.base_name == "z" and not gate.params:
-                self._apply_mcz(gate.controls, gate.targets[0])
-                return
-        self.apply_matrix(gate.matrix(), gate.qubits)
-
-    def _apply_mcx(self, controls: Tuple[int, ...], target: int) -> None:
-        """Seed permutation path for X/CX/CCX/MCX (dense fallback)."""
-        indices = np.arange(self.data.size)
-        mask = np.ones(self.data.size, dtype=bool)
-        for ctl in controls:
-            mask &= (indices >> ctl) & 1 == 1
-        flipped = indices ^ (1 << target)
-        new_data = self.data.copy()
-        new_data[flipped[mask]] = self.data[indices[mask]]
-        self.data = new_data
-
-    def _apply_mcz(self, controls: Tuple[int, ...], target: int) -> None:
-        """Seed diagonal path for Z/CZ/CCZ/MCZ (dense fallback)."""
-        indices = np.arange(self.data.size)
-        mask = (indices >> target) & 1 == 1
-        for ctl in controls:
-            mask &= (indices >> ctl) & 1 == 1
-        self.data[mask] *= -1.0
+        if not kernels.apply_gate(self.data, gate, self.num_qubits):
+            self.apply_matrix(gate.matrix(), gate.qubits)
 
     def evolve(self, circuit: QuantumCircuit, fuse: bool = True) -> "Statevector":
         """Apply all unitary gates of ``circuit`` in place; returns self.
@@ -262,9 +187,7 @@ class Statevector:
     def reset_qubit(self, qubit: int, rng: np.random.Generator) -> None:
         """Measure and, if 1, flip back to |0>."""
         if self.measure_qubit(qubit, rng) == 1:
-            kernels.apply_pauli(
-                self.data, "x", qubit, self.num_qubits, backend=self.backend
-            )
+            kernels.apply_pauli(self.data, "x", qubit, self.num_qubits)
 
     def sample_counts(
         self,
@@ -314,19 +237,9 @@ def _bit_gather_counts(
 class StatevectorSimulator:
     """Shot-based simulator supporting mid-circuit measurement/reset."""
 
-    def __init__(
-        self,
-        seed: Optional[int] = None,
-        fusion: bool = True,
-        backend: kernels.BackendSpec = None,
-    ):
+    def __init__(self, seed: Optional[int] = None, fusion: bool = True):
         self._seed = seed
         self._fusion = fusion
-        self._backend = array_backends.resolve(backend)
-
-    def _fresh_state(self, num_qubits: int) -> "Statevector":
-        """A |0..0> state on this simulator's array backend."""
-        return Statevector(num_qubits, backend=self._backend)
 
     def run(
         self,
@@ -344,7 +257,7 @@ class StatevectorSimulator:
         rng = np.random.default_rng(self._seed)
         if not circuit.has_measurements():
             state = initial_state.copy() if initial_state else (
-                self._fresh_state(circuit.num_qubits)
+                Statevector(circuit.num_qubits)
             )
             state.evolve(circuit, fuse=self._fusion)
             return SimulationResult({}, state, shots)
@@ -353,7 +266,7 @@ class StatevectorSimulator:
 
         if _measurements_terminal(circuit):
             state = initial_state.copy() if initial_state else (
-                self._fresh_state(circuit.num_qubits)
+                Statevector(circuit.num_qubits)
             )
             measure_map: List[Tuple[int, int]] = []
             prefix: List[Gate] = []
@@ -376,7 +289,7 @@ class StatevectorSimulator:
         # prefix once and re-simulate only the suffix per shot.
         split = _first_nonunitary_index(circuit)
         base = initial_state.copy() if initial_state else (
-            self._fresh_state(circuit.num_qubits)
+            Statevector(circuit.num_qubits)
         )
         _evolve_gates(base, circuit.gates[:split], self._fusion)
         suffix = circuit.gates[split:]
@@ -401,7 +314,7 @@ class StatevectorSimulator:
 
     def statevector(self, circuit: QuantumCircuit) -> Statevector:
         """Evolve |0..0> through a unitary circuit and return the state."""
-        state = self._fresh_state(circuit.num_qubits)
+        state = Statevector(circuit.num_qubits)
         return state.evolve(circuit, fuse=self._fusion)
 
 
@@ -409,27 +322,20 @@ def _evolve_gates(
     state: Statevector, gates: Sequence[Gate], fusion: bool
 ) -> None:
     """Apply a unitary gate list in place (fused when enabled)."""
-    if state.use_kernels:
-        ops = kernels.compile_circuit(gates, fuse=fusion)
-        kernels.apply_ops(
-            state.data, ops, state.num_qubits, backend=state.backend
-        )
-    else:
-        for gate in gates:
-            state.apply_gate(gate)
+    ops = kernels.compile_circuit(gates, fuse=fusion)
+    kernels.apply_ops(state.data, ops, state.num_qubits)
 
 
 def evolve_batch(
     circuit: QuantumCircuit,
     states: np.ndarray,
     fuse: bool = True,
-    backend: kernels.BackendSpec = None,
 ) -> np.ndarray:
     """Evolve a batch of states through a unitary circuit in place.
 
     The batch is one array of shape ``(2**n, b...)`` — column ``i`` of
     the trailing axes is an independent state — and every gate sweeps
-    the whole batch through the array backend's vectorized batch axis,
+    the whole batch through the kernels' vectorized batch axis,
     which is how multi-shot and noise-trajectory simulation amortize
     gate dispatch across shots.
 
@@ -437,8 +343,6 @@ def evolve_batch(
         circuit: a measurement-free circuit of matching width.
         states: the complex state batch, modified in place.
         fuse: run the gate-fusion pre-pass (default).
-        backend: optional array backend (name, instance, or ``None``
-            for the process default).
 
     Returns:
         The evolved ``states`` array (the same object).
@@ -454,7 +358,7 @@ def evolve_batch(
                 "evolve_batch() only handles unitary circuits"
             )
     ops = kernels.compile_circuit(circuit.gates, fuse=fuse)
-    kernels.apply_ops(states, ops, circuit.num_qubits, backend=backend)
+    kernels.apply_ops(states, ops, circuit.num_qubits)
     return states
 
 

@@ -258,26 +258,13 @@ class TestFormatsCommand:
         assert tuple(out.split()) == emit.formats()
 
 
-class TestBackendsCommand:
-    def test_lists_every_builtin_with_availability(self, run_cli):
-        from repro.simulator import backends
-
-        code, out, _err = run_cli("backends")
-        assert code == 0
-        # every builtin appears whether or not its dependency is there
-        for cls in (backends.NumpyBackend, backends.NumbaBackend,
-                    backends.NumbaParallelBackend):
-            assert cls.name in out
-        assert "aka np/default" in out
-        if not backends.NumbaParallelBackend.available():
-            assert "pip install numba" in out
-
-    def test_names_mode_lists_only_usable_backends(self, run_cli):
-        from repro.simulator import backends
-
-        code, out, _err = run_cli("backends", "--names")
-        assert code == 0
-        assert tuple(out.split()) == backends.backends()
+class TestRetiredCommands:
+    def test_backends_subcommand_is_a_usage_error(self, capsys):
+        # the array-backend registry it listed is gone
+        with pytest.raises(SystemExit) as info:
+            main(["backends"])
+        assert info.value.code == 2
+        assert "invalid choice: 'backends'" in capsys.readouterr().err
 
 
 class TestEmitMatrix:

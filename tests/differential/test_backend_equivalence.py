@@ -1,32 +1,27 @@
-"""Differential harness for the array-backend layer.
+"""Differential harness for the kernel layer's array sweeps.
 
-Property: whichever :class:`ArrayBackend` executes the kernels —
-NumPy, numba (when installed), fused or unfused, batched or looped —
-the amplitudes must agree to 1e-12.  The numba legs skip cleanly when
-numba is absent (the CI backend-matrix job runs one leg with numba and
-one without, so both paths stay exercised).
+Property: however the kernels execute a circuit — fused or unfused,
+batched or looped — the amplitudes must agree to 1e-12 with each other
+and with the dense tensordot reference (``tests/_dense_reference.py``),
+and the batched noisy sampler must reproduce the exact distribution.
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _dense_reference as dense
+
 from repro.core.circuit import QuantumCircuit
 from repro.engines.density_matrix import DensityMatrix
 from repro.engines.noise import NoiseModel
-from repro.simulator import backends as B
 from repro.simulator import kernels
 from repro.simulator.noise import NoisyBackend
-from repro.simulator.statevector import StatevectorSimulator, evolve_batch
-
-needs_numba = pytest.mark.skipif(
-    not B.NumbaBackend.available(), reason="numba not installed"
-)
-needs_numba_parallel = pytest.mark.skipif(
-    not B.NumbaParallelBackend.available(), reason="numba not installed"
+from repro.simulator.statevector import (
+    Statevector,
+    StatevectorSimulator,
+    evolve_batch,
 )
 
 ATOL = 1e-12
@@ -73,23 +68,23 @@ def random_state(num_qubits, seed, batch=()):
     return data
 
 
-def evolve_on(circ, state, backend, fuse=True):
+def evolve_on(circ, state, fuse=True):
     out = np.array(state, dtype=complex)
     ops = kernels.compile_circuit(circ.gates, fuse=fuse)
-    kernels.apply_ops(out, ops, circ.num_qubits, backend=backend)
+    kernels.apply_ops(out, ops, circ.num_qubits)
     return out
 
 
 # ----------------------------------------------------------------------
-# NumPy-only properties (always run)
+# NumPy properties
 # ----------------------------------------------------------------------
 class TestNumpyProperties:
     @given(circuits())
     @settings(max_examples=25)
     def test_fused_matches_unfused(self, circ):
         state = random_state(circ.num_qubits, 7)
-        fused = evolve_on(circ, state, "numpy", fuse=True)
-        unfused = evolve_on(circ, state, "numpy", fuse=False)
+        fused = evolve_on(circ, state, fuse=True)
+        unfused = evolve_on(circ, state, fuse=False)
         np.testing.assert_allclose(fused, unfused, atol=ATOL)
 
     @given(circuits())
@@ -108,69 +103,121 @@ class TestNumpyProperties:
         evolve_batch(circ, batched)
         np.testing.assert_allclose(batched, looped, atol=ATOL)
 
-    def test_run_batched_noiseless_matches_exact_distribution(self):
+    def test_sampler_noiseless_matches_exact_distribution(self):
         bell = QuantumCircuit(2, 2)
         bell.h(0)
         bell.cx(0, 1)
         bell.measure(0, 0)
         bell.measure(1, 1)
-        result = NoisyBackend(NoiseModel.noiseless(), seed=5).run_batched(
+        result = NoisyBackend(NoiseModel.noiseless(), seed=5).run(
             bell, shots=4000
         )
         assert set(result.counts) == {0, 3}
         assert sum(result.counts.values()) == 4000
         assert abs(result.counts[0] / 4000 - 0.5) < 0.05
 
-    def test_run_batched_noisy_keeps_bell_dominant(self):
+    def test_sampler_noisy_keeps_bell_dominant(self):
         bell = QuantumCircuit(2, 2)
         bell.h(0)
         bell.cx(0, 1)
         bell.measure(0, 0)
         bell.measure(1, 1)
-        result = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=5).run_batched(
+        result = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=5).run(
             bell, shots=4000
         )
         assert sum(result.counts.values()) == 4000
         dominant = (result.counts.get(0, 0) + result.counts.get(3, 0)) / 4000
         assert dominant > 0.75  # QE5 rates: correct pair dominates
 
-    def test_run_batched_handles_reset_and_midcircuit_measure(self):
+    def test_sampler_handles_reset_and_midcircuit_measure(self):
         circ = QuantumCircuit(2, 2)
         circ.h(0)
         circ.measure(0, 0)
         circ.reset(0)
         circ.x(0)
         circ.measure(0, 1)
-        result = NoisyBackend(NoiseModel.noiseless(), seed=2).run_batched(
+        result = NoisyBackend(NoiseModel.noiseless(), seed=2).run(
             circ, shots=600
         )
         # bit 1 is always 1 after reset + x; bit 0 is a fair coin
         assert set(result.counts) <= {0b10, 0b11}
         assert sum(result.counts.values()) == 600
 
+    def test_sampler_stream_unchanged_when_shots_fill_one_chunk(self):
+        # a guard exactly one run's worth of state still means a
+        # single chunk, so the RNG stream matches an unbounded guard
+        circ = _noisy_probe()
+        unbounded = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=19)
+        exact_fit = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=19)
+        exact_fit.max_batch_bytes = 300 * (1 << circ.num_qubits) * 16
+        assert (
+            exact_fit.run(circ, shots=300).counts
+            == unbounded.run(circ, shots=300).counts
+        )
+
+    @pytest.mark.parametrize("shots_per_chunk", [1, 7, 64])
+    def test_sampler_chunks_keep_the_distribution(self, shots_per_chunk):
+        # chunking partitions the shots: a noiseless Bell pair stays a
+        # fair coin on {00, 11} whatever the chunk size and remainder
+        circ = QuantumCircuit(2, 2)
+        circ.h(0)
+        circ.cx(0, 1)
+        circ.measure(0, 0)
+        circ.measure(1, 1)
+        backend = NoisyBackend(NoiseModel.noiseless(), seed=23)
+        backend.max_batch_bytes = shots_per_chunk * (1 << 2) * 16
+        result = backend.run(circ, shots=1000)
+        assert set(result.counts) == {0, 3}
+        assert sum(result.counts.values()) == 1000
+        assert abs(result.counts[0] / 1000 - 0.5) < 0.06
+
+    def test_sampler_guard_below_one_shot_still_runs(self):
+        # max(1, ...) : a guard smaller than one state is one shot
+        # per chunk, never zero
+        circ = _noisy_probe()
+        backend = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=3)
+        backend.max_batch_bytes = 1
+        first = backend.run(circ, shots=40)
+        assert sum(first.counts.values()) == 40
+        assert backend.run(circ, shots=40).counts == first.counts
+
+
+def _noisy_probe():
+    circ = QuantumCircuit(3, 3)
+    circ.h(0)
+    circ.cx(0, 1)
+    circ.t(2)
+    circ.ccx(0, 1, 2)
+    circ.measure_all()
+    return circ
+
 
 # ----------------------------------------------------------------------
-# numba-vs-NumPy differential (skips without numba)
+# kernels vs the dense tensordot reference
 # ----------------------------------------------------------------------
-@needs_numba
-class TestNumbaDifferential:
+def _unitary_gates(circ):
+    return [gate for gate in circ.gates if gate.name != "barrier"]
+
+
+class TestDenseReferenceDifferential:
     @given(circuits())
     @settings(max_examples=20, deadline=None)
     def test_gate_vocabulary_matches(self, circ):
         state = random_state(circ.num_qubits, 3)
         np.testing.assert_allclose(
-            evolve_on(circ, state, "numba", fuse=False),
-            evolve_on(circ, state, "numpy", fuse=False),
+            evolve_on(circ, state, fuse=False),
+            dense.evolve(state, _unitary_gates(circ)),
             atol=ATOL,
         )
 
     @given(circuits())
     @settings(max_examples=20, deadline=None)
     def test_fused_ops_match(self, circ):
+        # fuse=True routes dense runs through the block sweep
         state = random_state(circ.num_qubits, 9)
         np.testing.assert_allclose(
-            evolve_on(circ, state, "numba", fuse=True),
-            evolve_on(circ, state, "numpy", fuse=True),
+            evolve_on(circ, state, fuse=True),
+            dense.evolve(state, _unitary_gates(circ)),
             atol=ATOL,
         )
 
@@ -179,122 +226,50 @@ class TestNumbaDifferential:
     def test_batched_states_match(self, circ):
         n = circ.num_qubits
         batch = random_state(n, 21, batch=(3,))
-        out_nb = batch.copy()
-        out_np = batch.copy()
-        evolve_batch(circ, out_nb, backend="numba")
-        evolve_batch(circ, out_np, backend="numpy")
-        np.testing.assert_allclose(out_nb, out_np, atol=ATOL)
+        out = batch.copy()
+        evolve_batch(circ, out)
+        for col in range(3):
+            np.testing.assert_allclose(
+                out[:, col],
+                dense.evolve(batch[:, col], _unitary_gates(circ)),
+                atol=ATOL,
+            )
 
     @given(circuits(max_qubits=3))
     @settings(max_examples=10, deadline=None)
     def test_density_matrix_evolution_matches(self, circ):
-        rhos = {}
-        for name in ("numba", "numpy"):
-            rho = DensityMatrix(circ.num_qubits, backend=name)
-            for gate in circ.gates:
-                if gate.name != "barrier":
-                    rho.apply_gate(gate)
-            rho.apply_channel("amplitude_damping", 0.15, 0)
-            rho.apply_channel("depolarizing", 0.05, 1)
-            rhos[name] = rho.data
-        np.testing.assert_allclose(rhos["numba"], rhos["numpy"], atol=ATOL)
-
-    def test_simulator_counts_identical_across_backends(self):
-        # sampling consumes the RNG identically, so a shared seed must
-        # give byte-identical counts whichever backend evolved the state
-        circ = QuantumCircuit(3, 3)
-        circ.h(0)
-        circ.cx(0, 1)
-        circ.ccx(0, 1, 2)
-        circ.measure_all()
-        res_np = StatevectorSimulator(seed=11, backend="numpy").run(
-            circ, shots=512
-        )
-        res_nb = StatevectorSimulator(seed=11, backend="numba").run(
-            circ, shots=512
-        )
-        assert res_np.counts == res_nb.counts
-
-
-# ----------------------------------------------------------------------
-# numba_parallel-vs-NumPy differential (skips without numba)
-# ----------------------------------------------------------------------
-@contextmanager
-def forced_parallel(threshold=1):
-    """Drop the prange size threshold so small states hit the kernels.
-
-    Without this, every Hypothesis-sized state (< 2**17 amplitudes)
-    would delegate to the serial tier and the parallel kernels would
-    never be differentially exercised.
-    """
-    saved = B.NumbaParallelBackend.parallel_threshold
-    B.NumbaParallelBackend.parallel_threshold = threshold
-    try:
-        yield
-    finally:
-        B.NumbaParallelBackend.parallel_threshold = saved
-
-
-@needs_numba_parallel
-class TestNumbaParallelDifferential:
-    @given(circuits())
-    @settings(max_examples=20, deadline=None)
-    def test_gate_vocabulary_matches(self, circ):
-        state = random_state(circ.num_qubits, 3)
-        with forced_parallel():
-            out = evolve_on(circ, state, "numba_parallel", fuse=False)
+        # the two kernel passes of DensityMatrix.apply_gate must give
+        # U rho U^+ for a pure rho = |psi><psi|
+        psi = random_state(circ.num_qubits, 31)
+        rho = DensityMatrix.from_statevector(Statevector(circ.num_qubits, psi))
+        for gate in _unitary_gates(circ):
+            rho.apply_gate(gate)
+        out = dense.evolve(psi, _unitary_gates(circ))
         np.testing.assert_allclose(
-            out, evolve_on(circ, state, "numpy", fuse=False), atol=ATOL
+            rho.matrix(), np.outer(out, out.conj()), atol=ATOL
         )
 
-    @given(circuits())
-    @settings(max_examples=20, deadline=None)
-    def test_fused_blocks_match(self, circ):
-        # fuse=True routes through apply_block — the prange
-        # gather/matmul/scatter kernel, new for the numba tiers
-        state = random_state(circ.num_qubits, 9)
-        with forced_parallel():
-            out = evolve_on(circ, state, "numba_parallel", fuse=True)
-        np.testing.assert_allclose(
-            out, evolve_on(circ, state, "numpy", fuse=True), atol=ATOL
-        )
+    @pytest.mark.parametrize("gamma", [0.15, 0.5, 1.0])
+    def test_amplitude_damping_matches_kraus_sum(self, gamma):
+        # sum_k K_k rho K_k^+ with each K_k applied to rho's columns
+        # and rows by the reference's tensordot path
+        n, qubit = 3, 1
+        psi = random_state(n, 37)
+        rho = DensityMatrix.from_statevector(Statevector(n, psi))
+        rho.apply_channel("amplitude_damping", gamma, qubit)
+        kraus = [
+            np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),
+            np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
+        ]
+        expected = np.zeros((1 << n, 1 << n), dtype=complex)
+        for k in kraus:
+            branch = dense.apply_matrix(psi, k.astype(complex), [qubit])
+            expected += np.outer(branch, branch.conj())
+        np.testing.assert_allclose(rho.matrix(), expected, atol=ATOL)
 
-    @given(circuits(max_qubits=4))
-    @settings(max_examples=10, deadline=None)
-    def test_batched_states_match(self, circ):
-        # batched input must delegate to the NumPy paths untouched
-        n = circ.num_qubits
-        batch = random_state(n, 21, batch=(3,))
-        out_nbp = batch.copy()
-        out_np = batch.copy()
-        with forced_parallel():
-            evolve_batch(circ, out_nbp, backend="numba_parallel")
-        evolve_batch(circ, out_np, backend="numpy")
-        np.testing.assert_allclose(out_nbp, out_np, atol=ATOL)
-
-    @given(circuits(max_qubits=4))
-    @settings(max_examples=10, deadline=None)
-    def test_single_thread_leg_matches(self, circ):
-        # threads=1 exercises the prange machinery without concurrency
-        import numba
-
-        state = random_state(circ.num_qubits, 17)
-        saved = numba.get_num_threads()
-        try:
-            numba.set_num_threads(1)
-            with forced_parallel():
-                out = evolve_on(circ, state, "numba_parallel", fuse=True)
-        finally:
-            numba.set_num_threads(saved)
-        np.testing.assert_allclose(
-            out, evolve_on(circ, state, "numpy", fuse=True), atol=ATOL
-        )
-
-    def test_wide_state_crosses_real_threshold(self):
-        # 17 qubits = 2**17 amplitudes: at the default threshold this
-        # genuinely runs the parallel kernels, no monkeypatching
+    def test_wide_state_matches(self):
+        # 17 qubits: every sweep runs on a state far past cache size
         n = 17
-        assert (1 << n) >= B.NumbaParallelBackend.parallel_threshold
         circ = QuantumCircuit(n)
         for q in range(n):
             circ.h(q)
@@ -303,30 +278,30 @@ class TestNumbaParallelDifferential:
         circ.rz(0.37, 5)
         circ.swap(2, 11)
         circ.ccx(0, 8, 16)
+        circ.crz(-1.1, 16, 3)
         state = random_state(n, 29)
         np.testing.assert_allclose(
-            evolve_on(circ, state, "numba_parallel", fuse=True),
-            evolve_on(circ, state, "numpy", fuse=True),
+            evolve_on(circ, state, fuse=True),
+            dense.evolve(state, circ.gates),
             atol=ATOL,
         )
 
-    def test_below_threshold_delegates_to_serial_tier(self):
-        # the fallback rule itself: narrow states never hit prange
-        backend = B.get("numba_parallel")
-        state = random_state(8, 5)
-        assert not backend._parallel(np.array(state, dtype=complex))
-
-    def test_simulator_counts_identical_across_backends(self):
+    def test_simulator_state_and_counts_match_reference(self):
+        # the simulator's final state is the reference's, and a shared
+        # seed gives identical counts run after run
         circ = QuantumCircuit(3, 3)
         circ.h(0)
         circ.cx(0, 1)
         circ.ccx(0, 1, 2)
-        circ.measure_all()
-        with forced_parallel():
-            res_nbp = StatevectorSimulator(
-                seed=11, backend="numba_parallel"
-            ).run(circ, shots=512)
-        res_np = StatevectorSimulator(seed=11, backend="numpy").run(
-            circ, shots=512
+        circ.t(2)
+        ground = Statevector(3).data
+        np.testing.assert_allclose(
+            Statevector(3).evolve(circ).data,
+            dense.evolve(ground, circ.gates),
+            atol=ATOL,
         )
-        assert res_np.counts == res_nbp.counts
+        circ.measure_all()
+        first = StatevectorSimulator(seed=11).run(circ, shots=512)
+        again = StatevectorSimulator(seed=11).run(circ, shots=512)
+        assert first.counts == again.counts
+        assert set(first.counts) == {0b000, 0b111}

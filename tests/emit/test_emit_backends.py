@@ -161,6 +161,17 @@ class TestQasm2ExternalFiles:
         with pytest.raises(QasmError, match="OpenQASM 3 import"):
             emit.parse("OPENQASM 3.0;\nqubit[2] q;\n", "qasm2")
 
+    def test_core_package_reexports_do_not_warn(self):
+        import warnings
+
+        from repro.emit import qasm2
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from repro.core import from_qasm, to_qasm
+        assert to_qasm is qasm2.to_qasm
+        assert from_qasm is qasm2.from_qasm
+
 
 class TestQir:
     def test_structure(self, clifford_t_circuit):

@@ -74,9 +74,10 @@ class TestStatevectorAdapter:
         )
         assert sum(result.counts.values()) == 8
 
-    def test_unknown_opt_rejected(self):
+    @pytest.mark.parametrize("option", ["frobnicate", "backend"])
+    def test_unknown_opt_rejected(self, option):
         with pytest.raises(engines.EngineError, match="unknown option"):
-            engines.run("statevector", _universal_circuit(), frobnicate=1)
+            engines.run("statevector", _universal_circuit(), **{option: 1})
 
 
 class TestStabilizerAdapter:
@@ -102,48 +103,56 @@ class TestStabilizerAdapter:
 
 class TestMonteCarloAdapter:
     def test_counts_identical_to_direct_path(self):
-        # batched=False pins the historical per-shot loop and its RNG
-        # stream (the default now routes through run_batched)
         circuit = _universal_circuit()
         model = NoiseModel.ibm_qe_2018()
         for seed in (0, 42):
             direct = NoisyBackend(model, seed=seed).run(circuit, shots=200)
             via = engines.run(
-                "monte_carlo", circuit, shots=200, noise=model, seed=seed,
-                batched=False,
+                "monte_carlo", circuit, shots=200, noise=model, seed=seed
             )
             assert via.counts == direct.counts
 
     def test_default_routes_through_batched_sweep(self):
-        # trajectory-safe model within the memory guard: the default
-        # (batched=None) must reproduce the batched sweep's stream
+        # a job that fits one chunk draws the batched sweep's RNG
+        # stream unchanged: these counts are the single-batch sampler's
+        # output for the same seeds, pinned as literals
         circuit = _universal_circuit()
         model = NoiseModel.ibm_qe_2018()
-        for seed in (0, 42):
-            batched = NoisyBackend(model, seed=seed).run_batched(
-                circuit, shots=200
-            )
+        expected = {
+            0: {0: 58, 1: 14, 2: 13, 3: 10, 4: 14, 5: 3, 6: 5, 7: 83},
+            42: {0: 59, 1: 16, 2: 14, 3: 14, 4: 12, 5: 6, 6: 6, 7: 73},
+        }
+        for seed, counts in expected.items():
             via = engines.run(
                 "monte_carlo", circuit, shots=200, noise=model, seed=seed
             )
-            assert via.counts == batched.counts
+            assert via.counts == counts
 
-    def test_memory_guard_falls_back_to_loop(self):
-        # an oversized shots x 2**n batch must fall back to the
-        # per-shot loop without the caller asking
+    def test_memory_guard_chunks_the_shots(self, monkeypatch):
+        # a guard of three shots' worth of state forces 17 chunks for
+        # 50 shots; chunking only partitions the shots
         circuit = _universal_circuit()
-        model = NoiseModel.ibm_qe_2018()
-        engine = engines.get("monte_carlo")
-        guard = engine.max_batch_bytes
-        try:
-            engine.max_batch_bytes = 0
-            via = engines.run(
-                "monte_carlo", circuit, shots=50, noise=model, seed=7
+        monkeypatch.setattr(
+            NoisyBackend, "max_batch_bytes", 3 * (1 << 3) * 16
+        )
+        noisy = engines.run(
+            "monte_carlo", circuit, shots=50,
+            noise=NoiseModel.ibm_qe_2018(), seed=7,
+        )
+        assert sum(noisy.counts.values()) == 50
+        deterministic = QuantumCircuit(3, 3)
+        deterministic.x(0)
+        deterministic.x(2)
+        deterministic.measure_all()
+        exact = engines.run("monte_carlo", deterministic, shots=50, seed=7)
+        assert exact.counts == {0b101: 50}
+
+    @pytest.mark.parametrize("option", ["backend", "batched"])
+    def test_removed_options_rejected(self, option):
+        with pytest.raises(engines.EngineError, match="unknown option"):
+            engines.run(
+                "monte_carlo", _universal_circuit(), **{option: "numpy"}
             )
-        finally:
-            engine.max_batch_bytes = guard
-        direct = NoisyBackend(model, seed=7).run(circuit, shots=50)
-        assert via.counts == direct.counts
 
     def test_none_noise_means_noiseless(self):
         # unlike raw NoisyBackend (which defaults to QE5), the engine

@@ -101,37 +101,8 @@ class TestAsNoiseModel:
             as_noise_model(0.5)
 
 
-class TestDeprecationShim:
-    """repro.simulator.noise.NoiseModel moved to repro.engines.noise."""
-
-    def test_shim_returns_canonical_class(self):
-        import repro.simulator.noise as legacy
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy._DEPRECATED_WARNED = False
-            assert legacy.NoiseModel is engines_noise.NoiseModel
-
-    def test_shim_warns_exactly_once(self):
-        import repro.simulator.noise as legacy
-
-        legacy._DEPRECATED_WARNED = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            getattr(legacy, "NoiseModel")
-            getattr(legacy, "NoiseModel")
-        relevant = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "repro.engines" in str(w.message)
-        ]
-        assert len(relevant) == 1
-
-    def test_shim_unknown_attribute_still_raises(self):
-        import repro.simulator.noise as legacy
-
-        with pytest.raises(AttributeError):
-            legacy.NoSuchThing
+class TestSharedNoiseModel:
+    """One NoiseModel class, defined in repro.engines.noise."""
 
     def test_simulator_package_reexport_is_silent(self):
         with warnings.catch_warnings():
@@ -140,6 +111,19 @@ class TestDeprecationShim:
 
             importlib.reload(repro.simulator)
             assert repro.simulator.NoiseModel is engines_noise.NoiseModel
+
+    def test_noise_module_names_the_canonical_class(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            import repro.simulator.noise as noise
+
+            assert noise.NoiseModel is engines_noise.NoiseModel
+
+    def test_noise_module_unknown_attribute_raises(self):
+        import repro.simulator.noise as noise
+
+        with pytest.raises(AttributeError):
+            noise.NoSuchThing
 
     def test_noisy_backend_consumes_shared_model(self):
         from repro.core.circuit import QuantumCircuit

@@ -10,6 +10,10 @@ from repro.simulator.statevector import SimulationResult
 EXPECTED_ENGINES = (
     "statevector", "stabilizer", "density_matrix", "monte_carlo",
 )
+CAPPED_ENGINES = [
+    name for name in EXPECTED_ENGINES
+    if engines.get(name).capabilities.max_qubits is not None
+]
 
 
 class DummyEngine:
@@ -178,3 +182,35 @@ class TestRegistration:
             assert captured["noise"].p1 == 0.5
         finally:
             engines.unregister("probe")
+
+
+class TestDeclaredCapacity:
+    """Engines refuse circuits past ``max_qubits`` before allocating."""
+
+    @pytest.mark.parametrize("name", CAPPED_ENGINES)
+    def test_wide_circuit_raises_before_allocating(self, name):
+        import tracemalloc
+
+        cap = engines.get(name).capabilities.max_qubits
+        circuit = QuantumCircuit(40, 40)
+        circuit.h(0)
+        circuit.measure_all()
+        tracemalloc.start()
+        try:
+            with pytest.raises(engines.EngineError) as info:
+                engines.run(name, circuit, shots=8, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"caps at {cap} qubits" in str(info.value)
+        assert "40" in str(info.value)
+        assert peak < 1 << 20  # nothing state-sized was allocated
+
+    @pytest.mark.parametrize("name", CAPPED_ENGINES)
+    def test_result_simulate_checks_width_too(self, name):
+        # CompilationResult.simulate calls engine.run directly, so the
+        # check cannot live only in the registry's run()
+        engine = engines.get(name)
+        cap = engine.capabilities.max_qubits
+        with pytest.raises(engines.EngineError, match=f"caps at {cap}"):
+            engine.run(QuantumCircuit(cap + 1), shots=1)

@@ -128,20 +128,6 @@ class TestCompilerBackend:
         names = [g.name for g in backend.compiled_circuit]
         assert names == ["t", "t"]
 
-    def test_optimize_kwarg_deprecated_but_equivalent(self):
-        import pytest
-
-        with pytest.warns(DeprecationWarning, match="optimize=.*deprecated"):
-            backend = CompilerBackend(optimize=False)
-        eng = MainEngine(backend=backend)
-        q = eng.allocate_qubit()
-        from repro.frameworks.projectq import T
-
-        T | q
-        T | q
-        eng.flush()
-        assert [g.name for g in backend.compiled_circuit] == ["t", "t"]
-
     def test_t_count_never_increases(self):
         backend = CompilerBackend()
         eng = MainEngine(backend=backend)

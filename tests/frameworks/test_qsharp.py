@@ -1,5 +1,7 @@
 """Unit tests for Q# code generation."""
 
+import warnings
+
 import pytest
 
 from repro.boolean.permutation import BitPermutation
@@ -88,47 +90,25 @@ class TestPermutationOracleGeneration:
         )
         assert validate_program(op.code)
 
-    def test_synth_kwarg_deprecated_but_equivalent(self, paper_pi):
-        import pytest
-
-        with pytest.warns(DeprecationWarning, match="synth=.*deprecated"):
-            legacy = permutation_oracle_operation(
-                paper_pi, synth=decomposition_based_synthesis
-            )
-        from repro.compiler import targets
-
-        modern = permutation_oracle_operation(
-            paper_pi,
-            target=targets.QSHARP.with_(
-                synthesis=decomposition_based_synthesis
-            ),
-        )
-        assert legacy.circuit.gates == modern.circuit.gates
-
-
 class TestFullProgram:
-    def test_hidden_shift_program_synth_deprecated(self, paper_pi):
+    def test_hidden_shift_program_custom_synthesis(self, paper_pi):
         import warnings
 
-        import pytest
-
         from repro.compiler import targets
 
-        with pytest.warns(DeprecationWarning, match="synth=.*deprecated"):
-            legacy = hidden_shift_program(
-                paper_pi, 3, synth=decomposition_based_synthesis
-            )
+        target = targets.QSHARP.with_(synthesis=decomposition_based_synthesis)
         with warnings.catch_warnings():
-            # the modern spelling stays silent
             warnings.simplefilter("error")
-            modern = hidden_shift_program(
-                paper_pi,
-                3,
-                target=targets.QSHARP.with_(
-                    synthesis=decomposition_based_synthesis
-                ),
-            )
-        assert legacy == modern
+            program = hidden_shift_program(paper_pi, 3, target=target)
+        oracle = permutation_oracle_operation(paper_pi, target=target)
+        assert validate_program(program)
+        assert oracle.code in program
+
+    def test_generation_raises_no_deprecation_warnings(self, paper_pi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            permutation_oracle_operation(paper_pi)
+            hidden_shift_program(paper_pi, 3)
 
     def test_hidden_shift_program_structure(self, paper_pi):
         program = hidden_shift_program(paper_pi, 3)

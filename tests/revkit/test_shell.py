@@ -113,21 +113,11 @@ class TestCommands:
         shell.run("revgen --hwb 3; tbs")
         assert "quantum-cost" in shell.execute("ps -c")
 
-    def test_backends_lists_every_builtin(self):
-        from repro.simulator import backends
-
-        out = RevKitShell().execute("backends")
-        for name in ("numpy", "numba", "numba_parallel"):
-            assert name in out
-        assert "aka np/default" in out
-        if backends.NumbaParallelBackend.available():
-            assert "unavailable" not in out.split("numba_parallel")[1]
-        else:
-            assert "pip install numba" in out
-
-    def test_backends_python_method_mirrors_command(self):
-        shell = RevKitShell()
-        assert shell.backends() == shell.execute("backends")
+    def test_backends_command_is_gone(self):
+        # the array-backend registry it listed is gone
+        with pytest.raises(ShellError, match="unknown command 'backends'"):
+            RevKitShell().execute("backends")
+        assert not hasattr(RevKitShell, "backends")
 
     def test_ps_empty_store_rejected(self):
         with pytest.raises(ShellError):

@@ -1,8 +1,8 @@
-"""Array-backend layer: registry semantics, dtype contract, goldens.
+"""Array sweeps of the kernel layer: goldens and the dtype contract.
 
-The golden tests assert the refactored NumPy backend is *identical* —
-``np.array_equal``, not ``allclose`` — to the pre-refactor kernel
-layer, using states captured before the backend seam existed
+The golden tests assert the kernels' NumPy sweeps are *identical* —
+``np.array_equal``, not ``allclose`` — to the historical kernel layer,
+using states captured from it
 (``tests/simulator/golden/kernel_states.npz``).
 """
 
@@ -13,27 +13,14 @@ import pytest
 
 from _backend_corpus import CASES, corpus_circuit, corpus_state
 from repro.engines.density_matrix import DensityMatrix
-from repro.simulator import backends as B
 from repro.simulator import kernels
 from repro.simulator.statevector import Statevector
 
 GOLDEN = "tests/simulator/golden/kernel_states.npz"
 
 
-@pytest.fixture
-def clean_default():
-    """Run a test with no process default and a pristine env warning."""
-    saved_default = B._DEFAULT
-    saved_warned = B._ENV_WARNED
-    B._DEFAULT = None
-    B._ENV_WARNED = False
-    yield
-    B._DEFAULT = saved_default
-    B._ENV_WARNED = saved_warned
-
-
 # ----------------------------------------------------------------------
-# golden identity: the NumPy backend IS the historical kernel layer
+# golden identity: the kernel sweeps ARE the historical kernel layer
 # ----------------------------------------------------------------------
 class TestGoldenIdentity:
     @pytest.fixture(scope="class")
@@ -51,7 +38,7 @@ class TestGoldenIdentity:
         circ = corpus_circuit(num_qubits, seed, gates)
         state = corpus_state(num_qubits, seed + 1)
         ops = kernels.compile_circuit(circ.gates, fuse=fuse)
-        kernels.apply_ops(state, ops, num_qubits, backend="numpy")
+        kernels.apply_ops(state, ops, num_qubits)
         assert np.array_equal(state, golden[name])
 
     def test_density_matrix_bit_identical(self, golden):
@@ -69,34 +56,34 @@ class TestGoldenIdentity:
 # allocation and the dtype contract
 # ----------------------------------------------------------------------
 class TestAllocationAndDtype:
-    def test_zeros_shape_and_dtype(self):
-        backend = B.get("numpy")
-        state = backend.zeros(3)
+    def test_fresh_states_are_complex_ground_states(self):
+        state = Statevector(3).data
         assert state.shape == (8,)
         assert state.dtype == np.complex128
-        assert not state.any()
-        batched = backend.zeros(2, batch=(5,))
-        assert batched.shape == (4, 5)
+        assert state[0] == 1.0 and not state[1:].any()
+        rho = DensityMatrix(2).data
+        assert rho.shape == (16,)
+        assert rho.dtype == np.complex128
 
     @pytest.mark.parametrize(
         "dtype", [np.float64, np.float32, np.int64, np.int32, bool]
     )
-    def test_prepare_upcasts_numeric(self, dtype):
-        backend = B.get("numpy")
-        out = backend.prepare(np.array([1, 0, 0, 0], dtype=dtype))
+    def test_ingest_upcasts_numeric(self, dtype):
+        out = Statevector(2, data=np.array([1, 0, 0, 0], dtype=dtype)).data
         assert out.dtype == np.complex128
         assert out[0] == 1.0 + 0j
 
-    def test_prepare_copies_complex_by_default(self):
-        backend = B.get("numpy")
+    def test_ingest_copies_complex_data(self):
         data = np.array([1.0 + 0j, 0.0])
-        out = backend.prepare(data)
-        assert out is not data
-        assert backend.prepare(data, copy=False) is data
+        assert Statevector(1, data).data is not data
+        rho = np.outer(data, data.conj()).ravel()
+        assert DensityMatrix(1, rho).data is not rho
 
-    def test_prepare_rejects_non_numeric(self):
+    def test_ingest_rejects_non_numeric(self):
         with pytest.raises(TypeError, match="dtype"):
-            B.get("numpy").prepare(np.array(["a", "b"]))
+            Statevector(1, np.array(["a", "b"]))
+        with pytest.raises(TypeError, match="dtype"):
+            DensityMatrix(1, np.array(["a", "b", "c", "d"]))
 
     def test_apply_pauli_rejects_float64(self):
         # regression: apply_pauli(float64_state, "y", 0) used to emit a
@@ -133,191 +120,6 @@ class TestAllocationAndDtype:
         assert sv.data.dtype == np.complex128
         kernels.apply_pauli(sv.data, "y", 0, 1)
         assert np.allclose(sv.data, [0.0, 1j])
-
-
-# ----------------------------------------------------------------------
-# registry semantics (mirrors the emit / engines registries)
-# ----------------------------------------------------------------------
-class _ToyBackend(B.NumpyBackend):
-    name = "toy"
-    description = "test double"
-    aliases = ("plaything",)
-
-
-class TestRegistry:
-    def test_builtin_listing(self):
-        assert "numpy" in B.backends()
-        assert "numpy" in B.describe_backends()
-
-    def test_get_is_case_insensitive_and_alias_aware(self):
-        assert B.get("NumPy") is B.get("np")
-        assert B.get("default") is B.get("numpy")
-
-    def test_instance_passthrough(self):
-        backend = B.NumpyBackend()
-        assert B.get(backend) is backend
-        assert B.resolve(backend) is backend
-
-    def test_register_unregister_roundtrip(self):
-        toy = B.register(_ToyBackend())
-        try:
-            assert B.get("toy") is toy
-            assert B.get("PLAYTHING") is toy
-            with pytest.raises(B.BackendError, match="already registered"):
-                B.register(_ToyBackend())
-            replacement = B.register(_ToyBackend(), overwrite=True)
-            assert B.get("toy") is replacement
-        finally:
-            B.unregister("toy")
-        with pytest.raises(B.BackendError, match="unknown array backend"):
-            B.get("toy")
-
-    def test_register_validates_interface(self):
-        class Bogus:
-            name = "bogus"
-            description = "missing everything"
-
-        with pytest.raises(B.BackendError, match="missing 'zeros'"):
-            B.register(Bogus())
-
-    def test_unknown_name_lists_registered(self):
-        with pytest.raises(B.BackendError, match="numpy"):
-            B.get("tpu")
-
-    def test_numba_resolution(self):
-        # numba is optional: when absent the *name* must still resolve
-        # to a clear BackendUnavailable naming the package
-        if B.NumbaBackend.available():
-            backend = B.get("numba")
-            assert backend.name == "numba"
-            assert B.get("jit") is backend
-        else:
-            with pytest.raises(B.BackendUnavailable, match="numba"):
-                B.get("numba")
-            with pytest.raises(B.BackendUnavailable, match="numba"):
-                B.NumbaBackend()
-
-    def test_non_backend_spec_rejected(self):
-        with pytest.raises(B.BackendError, match="expected a backend"):
-            B.get(3.14)
-
-
-# ----------------------------------------------------------------------
-# the parallel numba tier: registry semantics + threshold + threads env
-# ----------------------------------------------------------------------
-class TestNumbaParallelRegistry:
-    def test_resolution(self):
-        # same contract as the serial tier: the name always resolves,
-        # to the backend when numba is present and to a clear
-        # BackendUnavailable naming the package when it is not
-        if B.NumbaParallelBackend.available():
-            backend = B.get("numba_parallel")
-            assert backend.name == "numba_parallel"
-            assert B.get("nbp") is backend
-            assert B.get("parallel") is backend
-        else:
-            for spec in ("numba_parallel", "nbp", "parallel"):
-                with pytest.raises(
-                    B.BackendUnavailable, match="numba_parallel"
-                ):
-                    B.get(spec)
-            with pytest.raises(B.BackendUnavailable, match="pip install"):
-                B.NumbaParallelBackend()
-
-    def test_env_selection_degrades_with_one_warning(
-        self, clean_default, monkeypatch
-    ):
-        if B.NumbaParallelBackend.available():
-            pytest.skip("numba installed: env selection succeeds")
-        monkeypatch.setenv(B.ENV_VAR, "parallel")
-        with pytest.warns(RuntimeWarning, match="numba_parallel"):
-            assert B.default_backend().name == "numpy"
-
-    def test_threshold_keeps_small_registers_serial(self):
-        # the ≤12-qubit regime must never pay thread fork/join costs
-        assert B.NumbaParallelBackend.parallel_threshold > (1 << 12)
-
-    def test_threads_env_invalid_value_warns_once(self, monkeypatch):
-        monkeypatch.setenv(B.THREADS_ENV_VAR, "zero-ish")
-        monkeypatch.setattr(
-            B.NumbaParallelBackend, "_threads_warned", False
-        )
-        with pytest.warns(RuntimeWarning, match="REPRO_NUM_THREADS"):
-            B.NumbaParallelBackend._configure_threads()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call: no warning
-            B.NumbaParallelBackend._configure_threads()
-
-    def test_threads_env_unset_is_a_noop(self, monkeypatch):
-        monkeypatch.delenv(B.THREADS_ENV_VAR, raising=False)
-        B.NumbaParallelBackend._configure_threads()
-
-    def test_threads_env_bounds_thread_count(self, monkeypatch):
-        if not B.NumbaParallelBackend.available():
-            pytest.skip("numba not installed")
-        import numba
-
-        saved = numba.get_num_threads()
-        try:
-            monkeypatch.setenv(B.THREADS_ENV_VAR, "1")
-            B.NumbaParallelBackend._configure_threads()
-            assert numba.get_num_threads() == 1
-        finally:
-            numba.set_num_threads(saved)
-
-    def test_block_offsets_msb_convention(self):
-        # qubits_desc[0] is the MSB of the local index space, matching
-        # apply_matrix; offsets are the flat-index contributions
-        offsets = B._block_offsets((3, 1))
-        assert offsets.tolist() == [0, 2, 8, 10]
-        assert B._block_offsets((0,)).tolist() == [0, 1]
-
-
-# ----------------------------------------------------------------------
-# default selection precedence
-# ----------------------------------------------------------------------
-class TestDefaultSelection:
-    def test_plain_default_is_numpy(self, clean_default, monkeypatch):
-        monkeypatch.delenv(B.ENV_VAR, raising=False)
-        assert B.default_backend().name == "numpy"
-        assert B.resolve(None).name == "numpy"
-
-    def test_env_var_selects_backend(self, clean_default, monkeypatch):
-        monkeypatch.setenv(B.ENV_VAR, "np")
-        assert B.default_backend().name == "numpy"
-
-    def test_env_var_degrades_with_one_warning(
-        self, clean_default, monkeypatch
-    ):
-        monkeypatch.setenv(B.ENV_VAR, "gpu9000")
-        with pytest.warns(RuntimeWarning, match="gpu9000"):
-            backend = B.default_backend()
-        assert backend.name == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call: no warning
-            assert B.default_backend().name == "numpy"
-
-    def test_set_default_beats_env(self, clean_default, monkeypatch):
-        monkeypatch.setenv(B.ENV_VAR, "gpu9000")
-        toy = B.register(_ToyBackend(), overwrite=True)
-        try:
-            B.set_default_backend("toy")
-            assert B.default_backend() is toy
-            assert Statevector(2).backend is toy
-        finally:
-            B.set_default_backend(None)
-            B.unregister("toy")
-
-    def test_explicit_argument_beats_default(self, clean_default):
-        toy = B.register(_ToyBackend(), overwrite=True)
-        try:
-            B.set_default_backend("toy")
-            sv = Statevector(2, backend="numpy")
-            assert sv.backend.name == "numpy"
-            assert sv.copy().backend.name == "numpy"
-        finally:
-            B.set_default_backend(None)
-            B.unregister("toy")
 
 
 # ----------------------------------------------------------------------

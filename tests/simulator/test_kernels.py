@@ -1,10 +1,9 @@
 """Property tests for the in-place gate kernels and gate fusion.
 
 Every named gate must take the dedicated kernel path, and that path
-must agree with the dense tensordot reference (the seed
-implementation, still reachable via ``Statevector.use_kernels =
-False``) to 1e-12.  Fusion must preserve circuit semantics up to
-global phase.
+must agree with the dense tensordot reference
+(``tests/_dense_reference.py``, the simulator's original gate path)
+to 1e-12.  Fusion must preserve circuit semantics up to global phase.
 """
 
 import math
@@ -13,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+import _dense_reference as dense
 from _helpers import random_clifford_t_circuit
 
 from repro.core.circuit import QuantumCircuit
@@ -68,14 +68,12 @@ def test_kernel_matches_dense_apply_matrix(seed):
     data = _random_state(num_qubits, seed)
 
     fast = Statevector(num_qubits, data)
-    slow = Statevector(num_qubits, data)
-    slow.use_kernels = False
+    slow = data
     for _ in range(12):
         gate = _random_gate(num_qubits, rng)
         fast.apply_gate(gate)
-        slow.use_kernels = False
-        slow.apply_gate(gate)
-    assert np.abs(fast.data - slow.data).max() < 1e-12
+        slow = dense.apply_gate(slow, gate)
+    assert np.abs(fast.data - slow).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -91,11 +89,9 @@ def test_generic_kernel_matches_dense_for_arbitrary_matrix(seed):
     )[0]
     data = _random_state(num_qubits, seed + 100)
     fast = Statevector(num_qubits, data)
-    slow = Statevector(num_qubits, data)
-    slow.use_kernels = False
     fast.apply_matrix(matrix, qubits)
-    slow.apply_matrix(matrix, qubits)
-    assert np.abs(fast.data - slow.data).max() < 1e-12
+    slow = dense.apply_matrix(data, matrix, qubits)
+    assert np.abs(fast.data - slow).max() < 1e-12
 
 
 def test_named_gates_take_kernel_path():
@@ -141,11 +137,10 @@ def test_fusion_preserves_clifford_t_equivalence(seed):
     num_qubits = rng.randint(3, 6)
     circ = random_clifford_t_circuit(num_qubits, 60, seed=seed)
     fused = Statevector(num_qubits).evolve(circ, fuse=True)
-    dense = Statevector(num_qubits)
-    dense.use_kernels = False
-    dense.evolve(circ)
-    assert fused.equiv(dense, atol=1e-10)
-    assert np.abs(fused.data - dense.data).max() < 1e-10
+    ground = Statevector(num_qubits).data
+    reference = Statevector(num_qubits, dense.evolve(ground, circ.gates))
+    assert fused.equiv(reference, atol=1e-10)
+    assert np.abs(fused.data - reference.data).max() < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -185,12 +180,9 @@ def test_diagonal_run_merges_to_single_op():
     assert qubits == (2, 1, 0)
     # check against dense evolution
     state = _random_state(3, 3)
-    expected = Statevector(3, state)
-    expected.use_kernels = False
-    for gate in circ.gates:
-        expected.apply_gate(gate)
+    expected = dense.evolve(state, circ.gates)
     got = Statevector(3, state).evolve(circ)
-    assert np.abs(got.data - expected.data).max() < 1e-12
+    assert np.abs(got.data - expected).max() < 1e-12
 
 
 def test_block_fusion_emits_blocks_on_dense_circuits():

@@ -1,0 +1,105 @@
+"""Retired simulator and shim surfaces fail loudly, never half-work.
+
+The array-backend registry (and its ``backend=`` keywords, engine
+options and environment variables), ``core/qasm.py``,
+``pipeline/verification.py`` and the deprecated ``optimize=`` /
+``synth=`` keywords are gone.  An old spelling must end in an import,
+type or engine error — or, for the environment variables, have no
+effect at all — rather than being silently accepted.
+"""
+
+import importlib
+import warnings
+
+import numpy as np
+import pytest
+
+from repro import engines
+from repro.core.circuit import QuantumCircuit
+from repro.core.gates import Gate
+from repro.engines.density_matrix import DensityMatrix
+from repro.simulator import kernels
+from repro.simulator.noise import NoisyBackend
+from repro.simulator.statevector import Statevector
+
+
+def _bell() -> QuantumCircuit:
+    circuit = QuantumCircuit(2, 2)
+    circuit.h(0)
+    circuit.cx(0, 1)
+    circuit.measure(0, 0)
+    circuit.measure(1, 1)
+    return circuit
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.core.qasm",
+        "repro.simulator.backends",
+        "repro.pipeline.verification",
+    ],
+)
+def test_retired_modules_are_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Statevector(2, backend="numpy"),
+        lambda: DensityMatrix(2, backend="numpy"),
+        lambda: NoisyBackend(backend="numpy"),
+        lambda: kernels.apply_gate(
+            Statevector(2).data, Gate("h", (0,)), 2, backend="numpy"
+        ),
+    ],
+    ids=["Statevector", "DensityMatrix", "NoisyBackend", "kernels.apply_gate"],
+)
+def test_backend_keyword_is_gone(call):
+    with pytest.raises(TypeError, match="backend"):
+        call()
+
+
+def test_density_matrix_engine_rejects_backend_option():
+    with pytest.raises(engines.EngineError, match="unknown option"):
+        engines.run("density_matrix", _bell(), backend="numpy")
+
+
+def test_array_backend_env_vars_are_ignored(monkeypatch):
+    baseline = engines.run("statevector", _bell(), shots=256, seed=4)
+    monkeypatch.setenv("REPRO_ARRAY_BACKEND", "numba")
+    monkeypatch.setenv("REPRO_NUM_THREADS", "not-a-number")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = engines.run("statevector", _bell(), shots=256, seed=4)
+        state = Statevector(2)
+        state.apply_gate(Gate("h", (0,)))
+    assert result.counts == baseline.counts
+    np.testing.assert_allclose(
+        state.data, [2 ** -0.5, 2 ** -0.5, 0.0, 0.0], atol=1e-15
+    )
+
+
+def test_compiler_backend_optimize_keyword_is_gone():
+    from repro.frameworks.projectq.compiler import CompilerBackend
+
+    with pytest.raises(TypeError, match="optimize"):
+        CompilerBackend(optimize=False)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda qsharp, pi: qsharp.permutation_oracle_operation(pi, synth=None),
+        lambda qsharp, pi: qsharp.hidden_shift_program(pi, 3, synth=None),
+    ],
+    ids=["permutation_oracle_operation", "hidden_shift_program"],
+)
+def test_qsharp_synth_keyword_is_gone(call, paper_pi):
+    from repro.frameworks import qsharp
+
+    with pytest.raises(TypeError, match="synth"):
+        call(qsharp, paper_pi)
+    assert not hasattr(qsharp, "operation_from_circuit")

@@ -25,7 +25,6 @@ from repro.pipeline import (
     VerificationError,
     flows,
 )
-from repro.pipeline import verification as legacy
 from repro.revkit import generators
 from repro.synthesis.reversible import ReversibleCircuit
 from repro.verify import EquivalenceChecker, Verdict, VerifyPass, as_checker
@@ -177,14 +176,14 @@ class TestExplicitSkips:
         assert verdict.tier == "probes"
         assert "22" in verdict.detail
 
-    def test_legacy_helper_reports_skip_distinctly(self):
-        """Regression: the old helper returned None both for passed
-        and for skipped-above-the-width-limit."""
+    def test_mapped_check_reports_skip_distinctly(self):
+        """Regression: the old mapped-circuit helper returned None both
+        for passed and for skipped-above-the-width-limit."""
         rev = ReversibleCircuit(18)
         for q in range(17):
             rev.cnot(q, q + 1)
         quantum = rev.to_quantum_circuit()
-        verdict = legacy.check_mapped_circuit(quantum, rev)
+        verdict = EquivalenceChecker().check_mapped_circuit(quantum, rev)
         assert isinstance(verdict, Verdict)
         # 18 data lines exceed the exhaustive-table limit, but the
         # outcome is an explicit skip, never a silent pass
