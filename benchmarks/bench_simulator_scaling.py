@@ -122,15 +122,13 @@ def test_stabilizer_reach(benchmark):
         """The Clifford engine runs widths the statevector never could.
 
         PR 10 bit-packed the tableau; the dense pre-refactor
-        implementation is kept in ``_tableau_reference`` so the speedup
-        is measured in-run rather than against a stale committed
-        number.  The reference leg stops at n=100 (its n=200 run alone
+        implementation is kept in ``tests/_tableau_reference.py`` so
+        the speedup is measured in-run rather than against a stale
+        committed number.  The reference leg stops at n=100 (its n=200 run alone
         takes seconds), and the >=5x gate follows the PR 1 convention:
         asserted on local real runs only, recorded everywhere.
         """
-        from repro.simulator._tableau_reference import (
-            ReferenceStabilizerSimulator,
-        )
+        from _tableau_reference import ReferenceStabilizerSimulator
 
         rows = [("paper: restricted classes simulate beyond 49 qubits", "")]
         packed_ms = {}

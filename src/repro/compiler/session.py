@@ -12,10 +12,13 @@ parameter grid into compilation points — all sharing one
 :class:`~repro.pipeline.cache.PassCache` (optionally disk-backed via
 ``cache=<path>``), so repeated sub-flows replay instead of recompute.
 
-The ``*_async`` variants (:meth:`~CompilerSession.compile_many_async`,
-:meth:`~CompilerSession.sweep_async`) run the same batches on an
-asyncio event loop: every job is its own future, in-flight concurrency
-is bounded by a semaphore, results come back in deterministic input
+Every batch runs on one asyncio core.  The ``*_async`` variants
+(:meth:`~CompilerSession.compile_many_async`,
+:meth:`~CompilerSession.sweep_async`) await it on the caller's event
+loop; the synchronous :meth:`~CompilerSession.compile_many` and
+:meth:`~CompilerSession.sweep` drive the same core to completion on a
+private loop.  Every job is its own future, in-flight concurrency is
+bounded by a semaphore, results come back in deterministic input
 order, the first failing job cancels the rest and its exception
 propagates unwrapped, and cancelling the outer coroutine cancels every
 pending job.  Jobs already running on an executor worker when the
@@ -26,14 +29,9 @@ finish in the background and their results are discarded.
 from __future__ import annotations
 
 import asyncio
-import functools
 import itertools
 import os
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    TimeoutError as FuturesTimeout,
-)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -309,14 +307,15 @@ class SweepResult:
 
 
 def _compile_task(task: Tuple) -> CompilationResult:
-    """Process-pool entry: re-resolve the cache spec and compile.
+    """Run one batch job on a pool worker (thread or process).
 
-    A dict spec rebuilds a disk-backed :class:`PassCache` in the
-    worker, including the parent's eviction budgets; strings pass
-    through :func:`_resolve_cache` unchanged.  The job's deadline
-    starts here — in the worker, when the job actually begins — and
-    spans every retry attempt, so a retried job cannot outlive its
-    ``job_timeout``.
+    A dict cache spec rebuilds a disk-backed :class:`PassCache` in a
+    worker process, including the parent's eviction budgets; a
+    :class:`PassCache` instance (the thread pool's shared cache),
+    ``None`` and strings pass through :func:`_resolve_cache`
+    unchanged.  The job's deadline starts here — in the worker, when
+    the job actually begins — and spans every retry attempt, so a
+    retried job cannot outlive its ``job_timeout``.
     """
     workload, target, flow, verify, cache_spec, job_timeout, retry = task
     if isinstance(cache_spec, dict):
@@ -341,6 +340,29 @@ def _compile_task(task: Tuple) -> CompilationResult:
     if policy is None:
         return attempt()
     return policy.call(attempt, site="session.dispatch", deadline=deadline)
+
+
+def _run_sync(coro):
+    """Run a batch coroutine to completion from synchronous code.
+
+    Runs it like :func:`asyncio.run` on a private loop, leaving the
+    calling thread's current event loop untouched; when the calling
+    thread already runs an event loop (where a second one cannot
+    start), the coroutine runs on a one-shot helper thread instead,
+    blocking the caller just as a synchronous call must.
+    """
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return _run_private(coro)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        return helper.submit(_run_private, coro).result()
+
+
+def _run_private(coro):
+    """Run a coroutine on a fresh loop, never installed as current."""
+    with asyncio.Runner(loop_factory=asyncio.new_event_loop) as runner:
+        return runner.run(coro)
 
 
 class CompilerSession:
@@ -454,127 +476,6 @@ class CompilerSession:
             cache=self.cache,
         )
 
-    def _compile_job(
-        self,
-        task: Tuple[Any, Union[Target, str, None], Union[Flow, None]],
-        job_timeout: Optional[float],
-        retry: Union[RetryPolicy, int, None],
-    ) -> CompilationResult:
-        """Run one batch job under its deadline and retry policy.
-
-        The deadline starts here — when the job begins on its worker,
-        not when the batch was submitted — and spans every retry
-        attempt.
-        """
-        workload, target, flow = task
-        deadline = (
-            Deadline.after(job_timeout) if job_timeout is not None else None
-        )
-        policy = as_retry(retry)
-
-        def attempt() -> CompilationResult:
-            """Run one (possibly retried) dispatch of the job."""
-            fault_point("session.dispatch")
-            return compile(
-                workload,
-                target=target if target is not None else self.target,
-                flow=flow if flow is not None else self.flow,
-                verify=self.verify,
-                cache=self.cache,
-                deadline=deadline,
-            )
-
-        if policy is None:
-            return attempt()
-        return policy.call(
-            attempt, site="session.dispatch", deadline=deadline
-        )
-
-    def _collect(
-        self, futures: List, job_timeout: Optional[float]
-    ) -> List[CompilationResult]:
-        """Await batch futures in input order (deterministic results).
-
-        With a ``job_timeout``, each wait carries a hard backstop: a
-        job whose worker does not return within the timeout (plus a
-        small grace so the cooperative in-job deadline fires first
-        with its precise flow position) raises
-        :class:`~repro.resilience.DeadlineExceeded` and the worker is
-        abandoned — never joined, never waited on.
-        """
-        results = []
-        for index, future in enumerate(futures):
-            if job_timeout is None:
-                results.append(future.result())
-                continue
-            try:
-                results.append(
-                    future.result(
-                        timeout=job_timeout + _JOB_TIMEOUT_GRACE
-                    )
-                )
-            except FuturesTimeout:
-                future.cancel()
-                raise DeadlineExceeded(
-                    f"session.job[{index}]: no result within the "
-                    f"{job_timeout:g}s job timeout (worker abandoned)",
-                    site="session.job",
-                ) from None
-        return results
-
-    def _run_batch(
-        self,
-        tasks: List[Tuple[Any, Union[Target, str, None], Union[Flow, None]]],
-        job_timeout: Optional[float] = None,
-        retry: Union[RetryPolicy, int, None] = None,
-    ) -> List[CompilationResult]:
-        """Fan a list of (workload, target, flow) tasks over the pool.
-
-        Results come back in task order regardless of completion
-        order, so batched runs are deterministic.  The first failing
-        (or hard-timed-out) job fails the batch: queued jobs are
-        cancelled, and the pool is shut down without joining hung
-        workers when a ``job_timeout`` is in force.
-        """
-        if not tasks:
-            return []
-        job_timeout = (
-            job_timeout if job_timeout is not None else self.job_timeout
-        )
-        retry = retry if retry is not None else self.retry
-        if len(tasks) == 1 and job_timeout is None:
-            # fast path: no backstop needed without a timeout, so the
-            # job can run on the calling thread
-            return [self._compile_job(tasks[0], None, retry)]
-        if self.executor == "process":
-            payload = [
-                (w, t, f, self.verify, self._cache_spec, job_timeout, retry)
-                for w, t, f in tasks
-            ]
-            pool: Union[ProcessPoolExecutor, ThreadPoolExecutor]
-            pool = ProcessPoolExecutor(max_workers=self.max_workers)
-            try:
-                futures = [
-                    pool.submit(_compile_task, item) for item in payload
-                ]
-                return self._collect(futures, job_timeout)
-            finally:
-                pool.shutdown(
-                    wait=job_timeout is None, cancel_futures=True
-                )
-        max_workers = self.max_workers or min(len(tasks), 8)
-        pool = ThreadPoolExecutor(max_workers=max_workers)
-        try:
-            futures = [
-                pool.submit(self._compile_job, task, job_timeout, retry)
-                for task in tasks
-            ]
-            return self._collect(futures, job_timeout)
-        finally:
-            # wait=False under a job timeout: joining the pool here
-            # would block on the very worker the backstop abandoned
-            pool.shutdown(wait=job_timeout is None, cancel_futures=True)
-
     async def _run_batch_async(
         self,
         tasks: List[Tuple[Any, Union[Target, str, None], Union[Flow, None]]],
@@ -584,17 +485,19 @@ class CompilerSession:
     ) -> List[CompilationResult]:
         """Fan (workload, target, flow) tasks out on the event loop.
 
-        Each task becomes one future on the running loop, executed on
-        a private thread (or process) pool; an
-        :class:`asyncio.Semaphore` bounds how many are in flight at
-        once.  Results are gathered in task order (deterministic), the
-        first failing job cancels the not-yet-started ones and
-        re-raises its exception unwrapped, and an outer cancellation
-        propagates to every pending job.  Already-running jobs finish
-        on their worker in the background; their results are
-        discarded.  A ``job_timeout`` bounds each job cooperatively
-        inside the worker and with an :func:`asyncio.wait_for` hard
-        backstop around it, surfaced as
+        This is the session's only batch executor: the ``*_async``
+        entry points await it, and the synchronous ones drive it
+        through :func:`_run_sync`.  Each task becomes one future on
+        the running loop, executed on a private thread (or process)
+        pool; an :class:`asyncio.Semaphore` bounds how many are in
+        flight at once.  Results are gathered in task order
+        (deterministic), the first failing job cancels the
+        not-yet-started ones and re-raises its exception unwrapped,
+        and an outer cancellation propagates to every pending job.
+        Already-running jobs finish on their worker in the background;
+        their results are discarded.  A ``job_timeout`` bounds each
+        job cooperatively inside the worker and with an
+        :func:`asyncio.wait_for` hard backstop around it, surfaced as
         :class:`~repro.resilience.DeadlineExceeded`.
         """
         if not tasks:
@@ -609,30 +512,21 @@ class CompilerSession:
         if self.executor == "process":
             pool: Union[ProcessPoolExecutor, ThreadPoolExecutor]
             pool = ProcessPoolExecutor(max_workers=self.max_workers or limit)
-
-            def submit(task):
-                """Ship one task to a worker process."""
-                workload, target, flow = task
-                payload = (
-                    workload, target, flow, self.verify, self._cache_spec,
-                    job_timeout, retry,
-                )
-                return loop.run_in_executor(pool, _compile_task, payload)
-
+            cache_spec = self._cache_spec
         else:
+            # threads share the session's cache object itself
             pool = ThreadPoolExecutor(max_workers=limit)
-
-            def submit(task):
-                """Run one task on the shared-cache thread pool."""
-                call = functools.partial(
-                    self._compile_job, task, job_timeout, retry
-                )
-                return loop.run_in_executor(pool, call)
+            cache_spec = self.cache
 
         async def run_one(index, task):
             """Await one job under the in-flight semaphore."""
+            workload, target, flow = task
+            payload = (
+                workload, target, flow, self.verify, cache_spec,
+                job_timeout, retry,
+            )
             async with semaphore:
-                future = submit(task)
+                future = loop.run_in_executor(pool, _compile_task, payload)
                 if job_timeout is None:
                     return await future
                 try:
@@ -699,10 +593,12 @@ class CompilerSession:
         """
         target = target if target is not None else self.target
         flow = flow if flow is not None else self.flow
-        return self._run_batch(
-            [(w, target, flow) for w in workloads],
-            job_timeout=job_timeout,
-            retry=retry,
+        return _run_sync(
+            self._run_batch_async(
+                [(w, target, flow) for w in workloads],
+                job_timeout=job_timeout,
+                retry=retry,
+            )
         )
 
     async def compile_many_async(
@@ -829,8 +725,10 @@ class CompilerSession:
                 not apply.
         """
         assignments, tasks = self._sweep_tasks(param_grid, base)
-        results = self._run_batch(
-            tasks, job_timeout=job_timeout, retry=retry
+        results = _run_sync(
+            self._run_batch_async(
+                tasks, job_timeout=job_timeout, retry=retry
+            )
         )
         return SweepResult(
             points=[
@@ -913,21 +811,5 @@ class CompilerSession:
     def cache_stats(self) -> Dict[str, int]:
         """Return the shared cache's entry/hit/miss/eviction counters."""
         if self.cache is None:
-            return {
-                "entries": 0,
-                "hits": 0,
-                "misses": 0,
-                "disk_hits": 0,
-                "evictions": 0,
-                "memory_evictions": 0,
-                "disk_evictions": 0,
-                "io_errors": 0,
-                "memory_io_errors": 0,
-                "disk_io_errors": 0,
-                "retries": 0,
-                "quarantined": 0,
-                "degraded": 0,
-                "disk_entries": 0,
-                "disk_bytes": 0,
-            }
+            return PassCache().stats()
         return self.cache.stats()

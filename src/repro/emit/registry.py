@@ -1,199 +1,50 @@
 """The emitter registry: name → backend resolution for every format.
 
-Built-in backends load lazily on first registry use — importing
-:mod:`repro.emit` alone pays for none of them (in a full ``import
-repro`` the compiler's target presets resolve their ``emitter``
-fields, which does load the builtins; each backend module is kept
-import-light for exactly that reason).  User backends join via
-:func:`register`; from then on both kinds are indistinguishable.
-Resolution is case-insensitive and alias-aware (``"qasm"`` is the
-historical alias of ``"qasm2"``).
+One :class:`~repro.registry.Registry` instance holds the formats;
+:func:`register`, :func:`unregister`, :func:`get`, :func:`formats`
+and :func:`describe_formats` are its bound methods.  Built-in backends
+load lazily on first registry use — importing :mod:`repro.emit` alone
+pays for none of them (in a full ``import repro`` the compiler's
+target presets resolve their ``emitter`` fields, which does load the
+builtins; each backend module is kept import-light for exactly that
+reason).  Resolution is case-insensitive and alias-aware (``"qasm"``
+is the historical alias of ``"qasm2"``).  The format-specific helpers
+(parse support, dispatch, extension lookup) live here.
 """
 
 from __future__ import annotations
 
-import importlib
-from typing import TYPE_CHECKING, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Tuple
 
+from ..registry import Registry
 from .base import Emitter, EmitterError, can_parse
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.circuit import QuantumCircuit
 
-#: Built-in backend modules, in canonical listing order; each module
-#: exposes its backend instance as ``EMITTER``.
-_BUILTIN_MODULES = ("qasm2", "qasm3", "qsharp", "projectq", "cirq", "qir")
+#: The format registry; built-in backend modules are listed in
+#: canonical order and each exposes its backend instance as ``EMITTER``.
+_REGISTRY = Registry(
+    kind="emission format",
+    plural="formats",
+    protocol="Emitter",
+    error=EmitterError,
+    required=("name", "description", "file_extension", "emit"),
+    package=__package__,
+    modules=("qasm2", "qasm3", "qsharp", "projectq", "cirq", "qir"),
+    attribute="EMITTER",
+)
 
-_REGISTRY: Dict[str, Emitter] = {}
-_ALIASES: Dict[str, str] = {}
-_ORDER: List[str] = []
-_BUILTINS_LOADED = False
-
-
-def _ensure_builtins() -> None:
-    """Load and register the built-in backends exactly once."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
-    for module_name in _BUILTIN_MODULES:
-        module = importlib.import_module(f".{module_name}", __package__)
-        register(module.EMITTER)
-
-
-def register(emitter: Emitter, overwrite: bool = False) -> Emitter:
-    """Register a backend under its canonical name and aliases.
-
-    Args:
-        emitter: the backend to register (anything satisfying the
-            :class:`~.base.Emitter` protocol).
-        overwrite: replace an existing registration of the same name
-            or alias instead of raising.
-
-    Returns:
-        The registered backend (for chaining).
-
-    Raises:
-        EmitterError: when the backend is missing protocol fields, or
-            its name/alias collides with an existing registration and
-            ``overwrite`` is false.
-    """
-    for attr in ("name", "description", "file_extension", "emit"):
-        if not hasattr(emitter, attr):
-            raise EmitterError(
-                f"emitter {emitter!r} does not satisfy the Emitter "
-                f"protocol: missing {attr!r}"
-            )
-    _ensure_builtins()
-    name = emitter.name.lower()
-    aliases = tuple(a.lower() for a in getattr(emitter, "aliases", ()))
-    taken = [
-        key
-        for key in (name, *aliases)
-        if key in _REGISTRY or key in _ALIASES
-    ]
-    if taken and not overwrite:
-        raise EmitterError(
-            f"emission format {taken[0]!r} is already registered; pass "
-            "overwrite=True to replace it"
-        )
-    # evict everything the new registration shadows: backends whose
-    # canonical name collides with one of our keys, aliases colliding
-    # with our keys, and the replaced backend's own old aliases
-    predecessors = (
-        set(_ORDER[: _ORDER.index(name)]) if name in _REGISTRY else None
-    )
-    for key in (name, *aliases):
-        if key in _REGISTRY:
-            unregister(key)
-        _ALIASES.pop(key, None)
-    for alias, canonical in list(_ALIASES.items()):
-        if canonical == name:
-            del _ALIASES[alias]
-    _REGISTRY[name] = emitter
-    if predecessors is not None:
-        # keep the replaced backend's listing position relative to the
-        # entries that survived the evictions (order is also
-        # emitter_for_path's first-match priority)
-        index = sum(1 for key in _ORDER if key in predecessors)
-        _ORDER.insert(index, name)
-    elif name not in _ORDER:
-        _ORDER.append(name)
-    for alias in aliases:
-        _ALIASES[alias] = name
-    return emitter
-
-
-def unregister(name: str) -> Emitter:
-    """Remove a backend registration (built-ins included).
-
-    Args:
-        name: the canonical format name to remove (not an alias).
-
-    Returns:
-        The removed backend.
-
-    Raises:
-        EmitterError: when no backend of that name is registered.
-    """
-    _ensure_builtins()
-    key = name.lower()
-    emitter = _REGISTRY.get(key)
-    if emitter is None:
-        raise EmitterError(
-            f"unknown emission format {name!r}; registered formats: "
-            f"{describe_formats()}"
-        )
-    del _REGISTRY[key]
-    _ORDER.remove(key)
-    for alias, canonical in list(_ALIASES.items()):
-        if canonical == key:
-            del _ALIASES[alias]
-    return emitter
-
-
-def get(spec: Union[str, Emitter]) -> Emitter:
-    """Resolve a format name (or alias, or backend) to its backend.
-
-    Args:
-        spec: a registered format name or alias (case-insensitive),
-            or an :class:`~.base.Emitter` instance (returned as-is).
-
-    Returns:
-        The resolved backend.
-
-    Raises:
-        EmitterError: for unknown names; the message lists the
-            registered formats (with their aliases).
-    """
-    if not isinstance(spec, str):
-        # duck-typed like register(): 'aliases' stays optional
-        if hasattr(spec, "emit") and hasattr(spec, "name"):
-            return spec
-        raise EmitterError(
-            f"expected a format name or Emitter, got {type(spec).__name__}"
-        )
-    _ensure_builtins()
-    key = spec.lower()
-    key = _ALIASES.get(key, key)
-    emitter = _REGISTRY.get(key)
-    if emitter is None:
-        raise EmitterError(
-            f"unknown emission format {spec!r}; registered formats: "
-            f"{describe_formats()}"
-        )
-    return emitter
-
-
-def formats() -> Tuple[str, ...]:
-    """Return the canonical registered format names, in listing order."""
-    _ensure_builtins()
-    return tuple(_ORDER)
-
-
-def describe_formats() -> str:
-    """Return ``"qasm2 (aka qasm), qasm3, ..."`` for error messages."""
-    parts = []
-    for name in formats():
-        # the live alias map, not the backends' static declarations:
-        # overwrite registrations may have reassigned an alias
-        aliases = tuple(
-            alias
-            for alias, canonical in _ALIASES.items()
-            if canonical == name
-        )
-        if aliases:
-            parts.append(f"{name} (aka {', '.join(aliases)})")
-        else:
-            parts.append(name)
-    return ", ".join(parts)
+register = _REGISTRY.register
+unregister = _REGISTRY.unregister
+get = _REGISTRY.get
+formats = _REGISTRY.names
+describe_formats = _REGISTRY.describe
 
 
 def parseable_formats() -> Tuple[str, ...]:
     """Return the registered formats whose backend can ``parse``."""
-    return tuple(
-        name for name in formats() if can_parse(_REGISTRY[name])
-    )
+    return tuple(name for name in formats() if can_parse(get(name)))
 
 
 def emit(circuit: "QuantumCircuit", format: str, **opts) -> str:
@@ -257,10 +108,10 @@ def emitter_for_path(path: str) -> Emitter:
     """
     lowered = str(path).lower()
     for name in formats():
-        if lowered.endswith(_REGISTRY[name].file_extension):
-            return _REGISTRY[name]
+        if lowered.endswith(get(name).file_extension):
+            return get(name)
     known = ", ".join(
-        f"{_REGISTRY[name].file_extension} ({name})" for name in formats()
+        f"{get(name).file_extension} ({name})" for name in formats()
     )
     raise EmitterError(
         f"no emission format claims the extension of {path!r}; known "

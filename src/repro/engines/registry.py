@@ -1,18 +1,20 @@
 """The engine registry: name → backend resolution for every simulator.
 
-The simulator-side mirror of :mod:`repro.emit.registry`.  Built-in
+The same :class:`~repro.registry.Registry` class as
+:mod:`repro.emit.registry`, configured for engines: :func:`register`,
+:func:`unregister`, :func:`get`, :func:`engines` and
+:func:`describe_engines` are bound methods of one instance.  Built-in
 engines load lazily on first registry use — importing
-:mod:`repro.engines` alone pays for none of them.  User backends join
-via :func:`register`; from then on both kinds are indistinguishable.
-Resolution is case-insensitive and alias-aware (``"sv"`` resolves to
+:mod:`repro.engines` alone pays for none of them.  Resolution is
+case-insensitive and alias-aware (``"sv"`` resolves to
 ``"statevector"``, ``"dm"`` to ``"density_matrix"``).
 """
 
 from __future__ import annotations
 
-import importlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Union
 
+from ..registry import Registry
 from .base import Engine, EngineError
 from .noise import NoiseModel, as_noise_model
 
@@ -20,172 +22,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.circuit import QuantumCircuit
     from ..simulator.statevector import SimulationResult
 
-#: Built-in engine modules, in canonical listing order; each module
-#: exposes its backend instance as ``ENGINE``.
-_BUILTIN_MODULES = ("statevector", "stabilizer", "density_matrix", "monte_carlo")
+#: The engine registry; built-in engine modules are listed in canonical
+#: order and each exposes its backend instance as ``ENGINE``.
+_REGISTRY = Registry(
+    kind="engine",
+    plural="engines",
+    protocol="Engine",
+    error=EngineError,
+    required=("name", "description", "capabilities", "run"),
+    package=__package__,
+    modules=("statevector", "stabilizer", "density_matrix", "monte_carlo"),
+    attribute="ENGINE",
+)
 
-_REGISTRY: Dict[str, Engine] = {}
-_ALIASES: Dict[str, str] = {}
-_ORDER: List[str] = []
-_BUILTINS_LOADED = False
-
-
-def _ensure_builtins() -> None:
-    """Load and register the built-in engines exactly once."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
-    for module_name in _BUILTIN_MODULES:
-        module = importlib.import_module(f".{module_name}", __package__)
-        register(module.ENGINE)
-
-
-def register(engine: Engine, overwrite: bool = False) -> Engine:
-    """Register a backend under its canonical name and aliases.
-
-    Args:
-        engine: the backend to register (anything satisfying the
-            :class:`~.base.Engine` protocol).
-        overwrite: replace an existing registration of the same name
-            or alias instead of raising.
-
-    Returns:
-        The registered backend (for chaining).
-
-    Raises:
-        EngineError: when the backend is missing protocol fields, or
-            its name/alias collides with an existing registration and
-            ``overwrite`` is false.
-    """
-    for attr in ("name", "description", "capabilities", "run"):
-        if not hasattr(engine, attr):
-            raise EngineError(
-                f"engine {engine!r} does not satisfy the Engine "
-                f"protocol: missing {attr!r}"
-            )
-    _ensure_builtins()
-    name = engine.name.lower()
-    aliases = tuple(a.lower() for a in getattr(engine, "aliases", ()))
-    taken = [
-        key
-        for key in (name, *aliases)
-        if key in _REGISTRY or key in _ALIASES
-    ]
-    if taken and not overwrite:
-        raise EngineError(
-            f"engine {taken[0]!r} is already registered; pass "
-            "overwrite=True to replace it"
-        )
-    # evict everything the new registration shadows: backends whose
-    # canonical name collides with one of our keys, aliases colliding
-    # with our keys, and the replaced backend's own old aliases
-    predecessors = (
-        set(_ORDER[: _ORDER.index(name)]) if name in _REGISTRY else None
-    )
-    for key in (name, *aliases):
-        if key in _REGISTRY:
-            unregister(key)
-        _ALIASES.pop(key, None)
-    for alias, canonical in list(_ALIASES.items()):
-        if canonical == name:
-            del _ALIASES[alias]
-    _REGISTRY[name] = engine
-    if predecessors is not None:
-        # keep the replaced backend's listing position relative to the
-        # entries that survived the evictions
-        index = sum(1 for key in _ORDER if key in predecessors)
-        _ORDER.insert(index, name)
-    elif name not in _ORDER:
-        _ORDER.append(name)
-    for alias in aliases:
-        _ALIASES[alias] = name
-    return engine
-
-
-def unregister(name: str) -> Engine:
-    """Remove a backend registration (built-ins included).
-
-    Args:
-        name: the canonical engine name to remove (not an alias).
-
-    Returns:
-        The removed backend.
-
-    Raises:
-        EngineError: when no engine of that name is registered.
-    """
-    _ensure_builtins()
-    key = name.lower()
-    engine = _REGISTRY.get(key)
-    if engine is None:
-        raise EngineError(
-            f"unknown engine {name!r}; registered engines: "
-            f"{describe_engines()}"
-        )
-    del _REGISTRY[key]
-    _ORDER.remove(key)
-    for alias, canonical in list(_ALIASES.items()):
-        if canonical == key:
-            del _ALIASES[alias]
-    return engine
-
-
-def get(spec: Union[str, Engine]) -> Engine:
-    """Resolve an engine name (or alias, or backend) to its backend.
-
-    Args:
-        spec: a registered engine name or alias (case-insensitive),
-            or an :class:`~.base.Engine` instance (returned as-is).
-
-    Returns:
-        The resolved backend.
-
-    Raises:
-        EngineError: for unknown names; the message lists the
-            registered engines (with their aliases).
-    """
-    if not isinstance(spec, str):
-        # duck-typed like register(): 'aliases' stays optional
-        if hasattr(spec, "run") and hasattr(spec, "name"):
-            return spec
-        raise EngineError(
-            f"expected an engine name or Engine, got {type(spec).__name__}"
-        )
-    _ensure_builtins()
-    key = spec.lower()
-    key = _ALIASES.get(key, key)
-    engine = _REGISTRY.get(key)
-    if engine is None:
-        raise EngineError(
-            f"unknown engine {spec!r}; registered engines: "
-            f"{describe_engines()}"
-        )
-    return engine
-
-
-def engines() -> Tuple[str, ...]:
-    """Return the canonical registered engine names, in listing order."""
-    _ensure_builtins()
-    return tuple(_ORDER)
-
-
-def describe_engines() -> str:
-    """Return ``"statevector (aka sv, pure), ..."`` for error messages."""
-    parts = []
-    for name in engines():
-        # the live alias map, not the backends' static declarations:
-        # overwrite registrations may have reassigned an alias
-        aliases = tuple(
-            alias
-            for alias, canonical in _ALIASES.items()
-            if canonical == name
-        )
-        if aliases:
-            parts.append(f"{name} (aka {', '.join(aliases)})")
-        else:
-            parts.append(name)
-    return ", ".join(parts)
+register = _REGISTRY.register
+unregister = _REGISTRY.unregister
+get = _REGISTRY.get
+engines = _REGISTRY.names
+describe_engines = _REGISTRY.describe
 
 
 def run(

@@ -13,7 +13,6 @@ objects: constructor arguments select the algorithm variant, and
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..boolean.permutation import BitPermutation
@@ -32,8 +31,8 @@ from ..synthesis.transformation import (
     bidirectional_synthesis,
     transformation_based_synthesis,
 )
-from ..verify.checker import EquivalenceChecker, default_checker
-from ..verify.verdict import Verdict
+from ..verify.checker import EquivalenceChecker
+from ..verify.verdict import Verdict, timed
 from .state import FlowState, PipelineError
 
 
@@ -104,29 +103,7 @@ class Pass:
         """
         return ()
 
-    def verify(self, before: FlowState, after: FlowState) -> Optional[str]:
-        """Check that the pass preserved the flow's semantics.
-
-        The default implementation delegates to the tiered
-        :meth:`check` with the default checker; subclasses may
-        override this hook with a custom check (the pipeline then
-        reports it under the ``custom`` tier).
-
-        Args:
-            before: store content entering the pass.
-            after: store content the pass produced.
-
-        Returns:
-            ``None`` on success (or when no check applies), else a
-            human-readable failure message.
-        """
-        verdict = self._tiered_check(default_checker(), before, after)
-        return verdict.detail if verdict.failed else None
-
-    #: marks the un-overridden hook so :meth:`check` can tell library
-    #: tiered checks apart from user-defined ``verify`` overrides.
-    verify.__tiered__ = True  # type: ignore[attr-defined]
-
+    @timed
     def check(
         self,
         checker: EquivalenceChecker,
@@ -135,10 +112,8 @@ class Pass:
     ) -> Verdict:
         """Run the tiered semantic check for this pass.
 
-        Library passes implement :meth:`_tiered_check` and get full
-        tier/cost/verdict reporting; a subclass that overrides the
-        legacy :meth:`verify` hook instead is honored verbatim and
-        reported under the ``custom`` tier.
+        Passes implement :meth:`_tiered_check`; this entry point stamps
+        the verdict with the wall-clock cost of the whole check.
 
         Args:
             checker: the pipeline's
@@ -149,16 +124,7 @@ class Pass:
         Returns:
             The :class:`~repro.verify.Verdict` of the check.
         """
-        if getattr(type(self).verify, "__tiered__", False):
-            return self._tiered_check(checker, before, after)
-        started = time.perf_counter()
-        failure = self.verify(before, after)
-        seconds = time.perf_counter() - started
-        if failure is not None:
-            return Verdict.reject("custom", failure, seconds)
-        return Verdict.accept(
-            "custom", seconds, detail="pass-defined verify() hook"
-        )
+        return self._tiered_check(checker, before, after)
 
     def _tiered_check(
         self,
@@ -310,22 +276,15 @@ class GeneratePass(Pass):
         after: FlowState,
     ) -> Verdict:
         """Re-run the (deterministic) generator and compare outputs."""
-        import time as _time
-
-        started = _time.perf_counter()
-        expected = self._generate()
-        seconds = _time.perf_counter() - started
-        if after.function == expected:
+        if after.function == self._generate():
             return Verdict.accept(
                 "specification",
-                seconds,
                 detail="regenerated specification matches",
                 checks=1,
             )
         return Verdict.reject(
             "specification",
             "stored specification differs from the regenerated one",
-            seconds,
             checks=1,
         )
 
@@ -441,36 +400,25 @@ class SynthesisPass(Pass):
     ) -> Verdict:
         """Check the cascade against the specification."""
         function, cascade = after.function, after.reversible
-        started = time.perf_counter()
         if cascade is None:
             return Verdict.reject(
-                "specification",
-                "synthesis produced no cascade",
-                time.perf_counter() - started,
+                "specification", "synthesis produced no cascade"
             )
         if self.method == "esop" and isinstance(function, TruthTable):
-            ok = verify_esop_circuit(cascade, function)
-            seconds = time.perf_counter() - started
-            if not ok:
+            if not verify_esop_circuit(cascade, function):
                 return Verdict.reject(
                     "specification",
                     "esop cascade does not compute the truth table",
-                    seconds,
                 )
-            return Verdict.accept(
-                "specification", seconds, detail="esop covers agree"
-            )
+            return Verdict.accept("specification", detail="esop covers agree")
         if self.method == "bdd" and isinstance(function, TruthTable):
-            ok = verify_bdd_synthesis(after.artifacts["bdd"], function)
-            seconds = time.perf_counter() - started
-            if not ok:
+            if not verify_bdd_synthesis(after.artifacts["bdd"], function):
                 return Verdict.reject(
                     "specification",
                     "bdd cascade does not compute the truth table",
-                    seconds,
                 )
             return Verdict.accept(
-                "specification", seconds, detail="bdd evaluation agrees"
+                "specification", detail="bdd evaluation agrees"
             )
         return checker.check_specification(cascade, function)
 

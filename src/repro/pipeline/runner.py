@@ -17,6 +17,7 @@ benchmarks all execute through this runner.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -48,14 +49,29 @@ def _default_follower_timeout() -> float:
     Read at wait time (not construction), so tests and operators can
     adjust ``REPRO_SINGLE_FLIGHT_TIMEOUT`` — or monkeypatch
     :data:`SINGLE_FLIGHT_TIMEOUT` — without rebuilding pipelines.
+    Unparsable, non-finite and non-positive values fall back to the
+    constant.
     """
     raw = os.environ.get("REPRO_SINGLE_FLIGHT_TIMEOUT")
     if raw:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             pass
+        else:
+            if _valid_follower_timeout(value):
+                return value
     return SINGLE_FLIGHT_TIMEOUT
+
+
+def _valid_follower_timeout(value: float) -> bool:
+    """Whether a follower timeout is usable by ``Event.wait``.
+
+    Infinite values overflow the wait's timestamp arithmetic, and NaN,
+    zero or negative values return at once — silently turning
+    single-flight waiting off.
+    """
+    return math.isfinite(value) and value > 0
 
 
 class VerificationError(PipelineError):
@@ -284,10 +300,12 @@ class Pipeline:
         cache: a :class:`~.cache.PassCache`, the string ``"shared"``
             for the process-wide cache (default), or ``None`` to
             disable result caching.
-        follower_timeout: how long a single-flight follower waits for
-            the leader's result before recomputing itself; ``None``
-            (default) resolves ``REPRO_SINGLE_FLIGHT_TIMEOUT`` and
-            then :data:`SINGLE_FLIGHT_TIMEOUT` at wait time.
+        follower_timeout: how long (positive, finite seconds) a
+            single-flight follower waits for the leader's result
+            before recomputing itself — any other value raises
+            :class:`~.state.PipelineError`; ``None`` (default)
+            resolves ``REPRO_SINGLE_FLIGHT_TIMEOUT`` and then
+            :data:`SINGLE_FLIGHT_TIMEOUT` at wait time.
         deadline: default compute budget for :meth:`run`/:meth:`apply`
             — a :class:`~repro.resilience.Deadline` or seconds from
             now; checked at cooperative checkpoints (between passes,
@@ -318,9 +336,14 @@ class Pipeline:
             self.cache: Optional[PassCache] = shared_cache()
         else:
             self.cache = cache
-        self.follower_timeout = (
-            float(follower_timeout) if follower_timeout is not None else None
-        )
+        if follower_timeout is not None:
+            follower_timeout = float(follower_timeout)
+            if not _valid_follower_timeout(follower_timeout):
+                raise PipelineError(
+                    "follower_timeout must be a positive, finite number "
+                    f"of seconds or None, not {follower_timeout!r}"
+                )
+        self.follower_timeout = follower_timeout
         self.deadline = as_deadline(deadline)
         self.retry = as_retry(retry)
         self.on_error = _check_on_error(on_error)

@@ -19,8 +19,8 @@ and accumulates the Pauli phase with popcount arithmetic instead of a
 per-column Python loop.  The public API and the RNG stream (exactly
 one ``rng.integers(0, 2)`` draw per random measurement, in tableau
 order) are unchanged from the dense implementation, which survives as
-``_tableau_reference.ReferenceStabilizerState`` for differential
-testing; the packed layout itself is documented in
+``ReferenceStabilizerState`` in ``tests/_tableau_reference.py`` for
+differential testing; the packed layout itself is documented in
 ``docs/ARCHITECTURE.md``.
 """
 

@@ -24,7 +24,6 @@ skips to hard failures.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
@@ -34,7 +33,7 @@ from ..boolean.permutation import BitPermutation
 from ..core.circuit import QuantumCircuit
 from ..synthesis.reversible import ReversibleCircuit
 from . import tiers
-from .verdict import Verdict
+from .verdict import Verdict, timed
 
 #: Widest register for which dense unitary checks are attempted.
 DEFAULT_MAX_DENSE_QUBITS = 10
@@ -118,6 +117,7 @@ class EquivalenceChecker:
     # ------------------------------------------------------------------
     # cascade-level checks
     # ------------------------------------------------------------------
+    @timed
     def check_same_permutation(
         self, before: ReversibleCircuit, after: ReversibleCircuit
     ) -> Verdict:
@@ -134,13 +134,8 @@ class EquivalenceChecker:
         Returns:
             The tier :class:`~.verdict.Verdict`.
         """
-        started = time.perf_counter()
         if before.num_lines != after.num_lines:
-            return Verdict.reject(
-                "permutation",
-                "pass changed the line count",
-                time.perf_counter() - started,
-            )
+            return Verdict.reject("permutation", "pass changed the line count")
         n = before.num_lines
         if n <= self.max_table_lines:
             for x in range(1 << n):
@@ -149,12 +144,9 @@ class EquivalenceChecker:
                         "permutation",
                         "pass changed the realized permutation "
                         f"(input {x})",
-                        time.perf_counter() - started,
                         checks=x + 1,
                     )
-            return Verdict.accept(
-                "permutation", time.perf_counter() - started, checks=1 << n
-            )
+            return Verdict.accept("permutation", checks=1 << n)
         rng = np.random.default_rng(self.seed)
         count = max(1, self.probes)
         for i in range(count):
@@ -164,16 +156,15 @@ class EquivalenceChecker:
                     "probes",
                     "pass changed the realized permutation "
                     f"(probe input {x})",
-                    time.perf_counter() - started,
                     checks=i + 1,
                 )
         return Verdict.accept(
             "probes",
-            time.perf_counter() - started,
             detail=f"{count} random basis inputs agree",
             checks=count,
         )
 
+    @timed
     def check_specification(
         self, reversible: ReversibleCircuit, function
     ) -> Verdict:
@@ -190,13 +181,11 @@ class EquivalenceChecker:
         Returns:
             The tier :class:`~.verdict.Verdict`.
         """
-        started = time.perf_counter()
         if not isinstance(function, BitPermutation):
             return Verdict.skip(
                 "none",
                 f"specification kind {type(function).__name__} has a "
                 "synthesis-specific embedding; no generic check applies",
-                time.perf_counter() - started,
             )
         n = reversible.num_lines
         if n > self.max_table_lines:
@@ -204,7 +193,6 @@ class EquivalenceChecker:
                 "permutation",
                 f"{n} lines exceed the {self.max_table_lines}-line "
                 "exhaustive-table limit",
-                time.perf_counter() - started,
             )
         for x in range(1 << n):
             if reversible.apply(x) != function(x):
@@ -212,16 +200,14 @@ class EquivalenceChecker:
                     "permutation",
                     "synthesized cascade does not realize the "
                     f"permutation (input {x})",
-                    time.perf_counter() - started,
                     checks=x + 1,
                 )
-        return Verdict.accept(
-            "permutation", time.perf_counter() - started, checks=1 << n
-        )
+        return Verdict.accept("permutation", checks=1 << n)
 
     # ------------------------------------------------------------------
     # circuit-level checks
     # ------------------------------------------------------------------
+    @timed
     def check_same_unitary(
         self, before: QuantumCircuit, after: QuantumCircuit
     ) -> Verdict:
@@ -240,27 +226,17 @@ class EquivalenceChecker:
         Returns:
             The tier :class:`~.verdict.Verdict`.
         """
-        started = time.perf_counter()
         if before.num_qubits != after.num_qubits:
-            return Verdict.reject(
-                "dense",
-                "pass changed the circuit width",
-                time.perf_counter() - started,
-            )
+            return Verdict.reject("dense", "pass changed the circuit width")
         n = before.num_qubits
         gates_before = tiers.semantic_gates(before)
         gates_after = tiers.semantic_gates(after)
         if gates_before == gates_after:
-            return Verdict.accept(
-                "syntactic",
-                time.perf_counter() - started,
-                detail="gate lists identical",
-            )
+            return Verdict.accept("syntactic", detail="gate lists identical")
         if before.has_measurements() or after.has_measurements():
             return Verdict.skip(
                 "none",
                 "measurement circuits have no unitary check",
-                time.perf_counter() - started,
             )
         rest_before, rest_after = tiers.strip_common_gates(
             gates_before, gates_after
@@ -271,12 +247,10 @@ class EquivalenceChecker:
             failure = tiers.clifford_equivalence_failure(
                 tab_before, tab_after, n
             )
-            seconds = time.perf_counter() - started
             if failure is not None:
-                return Verdict.reject("stabilizer", failure, seconds)
+                return Verdict.reject("stabilizer", failure)
             return Verdict.accept(
                 "stabilizer",
-                seconds,
                 detail="composed tableau is the identity",
             )
         support = tiers.gate_support(rest_before + rest_after)
@@ -285,24 +259,21 @@ class EquivalenceChecker:
                 tiers.compact_circuit(rest_before, support),
                 tiers.compact_circuit(rest_after, support),
             )
-            seconds = time.perf_counter() - started
             if failure is not None:
-                return Verdict.reject("dense", failure, seconds)
+                return Verdict.reject("dense", failure)
             return Verdict.accept(
                 "dense",
-                seconds,
                 detail=f"rewritten region on {len(support)} qubits",
             )
         if n <= self.max_dense_qubits:
             failure = self._dense_failure(before, after)
-            seconds = time.perf_counter() - started
             if failure is not None:
-                return Verdict.reject("dense", failure, seconds)
-            return Verdict.accept("dense", seconds)
-        return self._probe_same_unitary(before, after, started)
+                return Verdict.reject("dense", failure)
+            return Verdict.accept("dense")
+        return self._probe_same_unitary(before, after)
 
     def _probe_same_unitary(
-        self, before: QuantumCircuit, after: QuantumCircuit, started: float
+        self, before: QuantumCircuit, after: QuantumCircuit
     ) -> Verdict:
         """Run the randomized fidelity-probe tier for equal widths."""
         n = before.num_qubits
@@ -311,7 +282,6 @@ class EquivalenceChecker:
                 "probes",
                 f"width {n} exceeds the {self.max_probe_qubits}-qubit "
                 "probe limit",
-                time.perf_counter() - started,
             )
         rng = np.random.default_rng(self.seed)
         count = max(1, self.probes)
@@ -325,16 +295,15 @@ class EquivalenceChecker:
                     "probes",
                     f"probe {i} distinguishes the circuits "
                     f"(|overlap| = {overlap:.6f})",
-                    time.perf_counter() - started,
                     checks=i + 1,
                 )
         return Verdict.accept(
             "probes",
-            time.perf_counter() - started,
             detail=f"{count} random product states agree",
             checks=count,
         )
 
+    @timed
     def check_extended_unitary(
         self, before: QuantumCircuit, after: QuantumCircuit
     ) -> Verdict:
@@ -354,34 +323,26 @@ class EquivalenceChecker:
         Returns:
             The tier :class:`~.verdict.Verdict`.
         """
-        started = time.perf_counter()
         if after.num_qubits < before.num_qubits:
-            return Verdict.reject(
-                "dense",
-                "pass narrowed the circuit",
-                time.perf_counter() - started,
-            )
+            return Verdict.reject("dense", "pass narrowed the circuit")
         if after.num_qubits == before.num_qubits:
             return self.check_same_unitary(before, after)
         if before.has_measurements() or after.has_measurements():
             return Verdict.skip(
                 "none",
                 "measurement circuits have no unitary check",
-                time.perf_counter() - started,
             )
         w = after.num_qubits
         if w <= self.max_dense_qubits + 1:
             failure = self._dense_extended_failure(before, after)
-            seconds = time.perf_counter() - started
             if failure is not None:
-                return Verdict.reject("dense", failure, seconds)
-            return Verdict.accept("dense", seconds)
+                return Verdict.reject("dense", failure)
+            return Verdict.accept("dense")
         if w > self.max_probe_qubits:
             return Verdict.skip(
                 "probes",
                 f"width {w} exceeds the {self.max_probe_qubits}-qubit "
                 "probe limit",
-                time.perf_counter() - started,
             )
         rng = np.random.default_rng(self.seed)
         count = max(1, self.probes)
@@ -396,16 +357,15 @@ class EquivalenceChecker:
                     f"probe {i} distinguishes the lowered circuit "
                     f"(|overlap| = {overlap:.6f}; a low overlap also "
                     "witnesses ancilla leakage)",
-                    time.perf_counter() - started,
                     checks=i + 1,
                 )
         return Verdict.accept(
             "probes",
-            time.perf_counter() - started,
             detail=f"{count} ancilla-aware probes agree",
             checks=count,
         )
 
+    @timed
     def check_mapped_circuit(
         self,
         quantum: QuantumCircuit,
@@ -435,7 +395,6 @@ class EquivalenceChecker:
         Returns:
             The tier :class:`~.verdict.Verdict`.
         """
-        started = time.perf_counter()
         n = reversible.num_lines
         w = quantum.num_qubits
         in_map = tuple(in_map) if in_map is not None else tuple(range(n))
@@ -444,7 +403,6 @@ class EquivalenceChecker:
             return Verdict.reject(
                 "permutation",
                 "layout maps do not cover the data register",
-                time.perf_counter() - started,
             )
         if w < n or any(p >= w for p in in_map) or any(
             p >= w for p in out_map
@@ -452,20 +410,17 @@ class EquivalenceChecker:
             return Verdict.reject(
                 "permutation",
                 "mapped circuit is narrower than the cascade",
-                time.perf_counter() - started,
             )
         if quantum.has_measurements():
             return Verdict.skip(
                 "none",
                 "measurement circuits have no unitary check",
-                time.perf_counter() - started,
             )
         if n > self.max_table_lines:
             return Verdict.skip(
                 "permutation",
                 f"{n} data lines exceed the {self.max_table_lines}-line "
                 "exhaustive-table limit",
-                time.perf_counter() - started,
             )
         if tiers.is_classical(quantum):
             for x in range(1 << n):
@@ -473,29 +428,20 @@ class EquivalenceChecker:
                     quantum, reversible, x, in_map, out_map
                 )
                 if failure is not None:
-                    return Verdict.reject(
-                        "permutation",
-                        failure,
-                        time.perf_counter() - started,
-                        checks=x + 1,
-                    )
-            return Verdict.accept(
-                "permutation", time.perf_counter() - started, checks=1 << n
-            )
+                    return Verdict.reject("permutation", failure, checks=x + 1)
+            return Verdict.accept("permutation", checks=1 << n)
         if w <= self.max_dense_qubits + 1:
             failure = self._dense_mapped_failure(
                 quantum, reversible, in_map, out_map
             )
-            seconds = time.perf_counter() - started
             if failure is not None:
-                return Verdict.reject("dense", failure, seconds)
-            return Verdict.accept("dense", seconds, checks=1 << n)
+                return Verdict.reject("dense", failure)
+            return Verdict.accept("dense", checks=1 << n)
         if w > self.max_probe_qubits:
             return Verdict.skip(
                 "probes",
                 f"width {w} exceeds the {self.max_probe_qubits}-qubit "
                 "probe limit",
-                time.perf_counter() - started,
             )
         rng = np.random.default_rng(self.seed)
         count = min(max(1, self.probes), 1 << n)
@@ -515,16 +461,15 @@ class EquivalenceChecker:
                     "probes",
                     f"basis input {x} does not map to the cascade's "
                     f"output (probability {prob:.6f})",
-                    time.perf_counter() - started,
                     checks=i + 1,
                 )
         return Verdict.accept(
             "probes",
-            time.perf_counter() - started,
             detail=f"{len(inputs)} sampled basis inputs agree",
             checks=len(inputs),
         )
 
+    @timed
     def check_routing(self, original: QuantumCircuit, routing) -> Verdict:
         """Check a routed circuit against the pre-routing original.
 
@@ -540,30 +485,22 @@ class EquivalenceChecker:
         """
         from ..mapping.routing import verify_routing
 
-        started = time.perf_counter()
         if routing is None:
-            return Verdict.reject(
-                "dense",
-                "routing produced no result",
-                time.perf_counter() - started,
-            )
+            return Verdict.reject("dense", "routing produced no result")
         w = routing.circuit.num_qubits
         if w <= self.max_dense_qubits:
             ok = verify_routing(original, routing, atol=self.atol)
-            seconds = time.perf_counter() - started
             if not ok:
                 return Verdict.reject(
                     "dense",
                     "routed circuit is not equivalent under its layout",
-                    seconds,
                 )
-            return Verdict.accept("dense", seconds)
+            return Verdict.accept("dense")
         if w > self.max_probe_qubits:
             return Verdict.skip(
                 "probes",
                 f"width {w} exceeds the {self.max_probe_qubits}-qubit "
                 "probe limit",
-                time.perf_counter() - started,
             )
         mapping = {
             q: routing.initial_layout[q] for q in range(original.num_qubits)
@@ -588,12 +525,10 @@ class EquivalenceChecker:
                     "probes",
                     f"probe {i} distinguishes the routed circuit under "
                     f"its layout (|overlap| = {overlap:.6f})",
-                    time.perf_counter() - started,
                     checks=i + 1,
                 )
         return Verdict.accept(
             "probes",
-            time.perf_counter() - started,
             detail=f"{count} layout-aware probes agree",
             checks=count,
         )

@@ -12,17 +12,19 @@ legacy dense helpers had).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import time
+from dataclasses import dataclass, replace
+from typing import Callable
 
 #: Verdict status values.
 PASSED = "passed"
 FAILED = "failed"
 SKIPPED = "skipped"
 
-#: Tier names a verdict may carry, cheapest first (``custom`` marks a
-#: user-defined ``Pass.verify`` override, ``cache`` a replay of an
-#: entry verified when first computed, ``none`` a check that could not
-#: run at all).
+#: Tier names a verdict may carry, cheapest first (``cache`` marks a
+#: replay of an entry verified when first computed, ``none`` a check
+#: that could not run at all).
 TIERS = (
     "syntactic",
     "permutation",
@@ -30,7 +32,6 @@ TIERS = (
     "stabilizer",
     "dense",
     "probes",
-    "custom",
     "cache",
     "none",
 )
@@ -132,3 +133,22 @@ class Verdict:
         if self.detail:
             base += f": {self.detail}"
         return base
+
+
+def timed(check: Callable[..., Verdict]) -> Callable[..., Verdict]:
+    """Decorate a verdict-returning check to stamp its wall-clock cost.
+
+    The decorated call returns a copy of the check's verdict whose
+    ``seconds`` field is the time the whole call took, so checks build
+    their verdicts without timing each exit themselves.  When one
+    timed check returns another's verdict, the outer call's time wins.
+    """
+
+    @functools.wraps(check)
+    def timed_check(*args, **kwargs) -> Verdict:
+        """Run the check and return its verdict with ``seconds`` set."""
+        started = time.perf_counter()
+        verdict = check(*args, **kwargs)
+        return replace(verdict, seconds=time.perf_counter() - started)
+
+    return timed_check

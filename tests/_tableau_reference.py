@@ -1,8 +1,9 @@
-"""The pre-PR-10 per-gate-loop CHP tableau, kept as a reference oracle.
+"""The per-gate-loop CHP tableau, kept as a reference oracle.
 
 This is the historical ``StabilizerState`` implementation (dense uint8
 bit matrices, per-row Python ``_rowsum``) exactly as it shipped before
-the bit-packed rewrite.  It exists for two jobs only:
+the bit-packed rewrite.  It lives with the tests, outside the package,
+and has two jobs only:
 
 * the differential/pinning tests in
   ``tests/simulator/test_stabilizer_packed.py`` assert that the packed
@@ -10,8 +11,7 @@ the bit-packed rewrite.  It exists for two jobs only:
   outcomes and RNG stream bit for bit;
 * ``benchmarks/bench_simulator_scaling.py::test_stabilizer_reach``
   times it against the packed tableau to enforce the >= 5x speedup
-  gate in-run (PR 1 style), instead of trusting a stale committed
-  number.
+  gate in-run, instead of trusting a stale committed number.
 
 Do not use it anywhere else — it is O(n) Python per row product and
 two orders of magnitude slower at bench widths.
@@ -23,8 +23,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.circuit import QuantumCircuit
-from ..core.gates import Gate
+from repro.core.circuit import QuantumCircuit
+from repro.core.gates import Gate
 
 
 class ReferenceStabilizerError(RuntimeError):

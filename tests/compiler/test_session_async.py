@@ -170,6 +170,49 @@ class TestSweepAsync:
         )
 
 
+class TestSyncEntryPointsInsideALoop:
+    """The sync batch calls drive the async core on a private loop,
+    which cannot start inside a running one; there they must still
+    block and return (on a helper thread)."""
+
+    def test_compile_many_and_sweep_from_a_running_loop(self):
+        session = CompilerSession(
+            target="toffoli", cache=PassCache(), max_workers=2
+        )
+
+        async def story():
+            compiled = session.compile_many([{"hwb": 3}, {"hwb": 4}])
+            swept = session.sweep({"hwb": [3, 4]})
+            return compiled, swept
+
+        compiled, swept = asyncio.run(story())
+        assert [r.reversible.num_lines for r in compiled] == [3, 4]
+        assert [p.params for p in swept] == [{"hwb": 3}, {"hwb": 4}]
+        for result, point in zip(compiled, swept):
+            assert point.result.reversible.gates == result.reversible.gates
+
+    def test_sync_calls_leave_the_thread_event_loop_alone(self):
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        try:
+            session = CompilerSession(target="toffoli", cache=None)
+            session.compile_many([{"hwb": 3}])
+            session.sweep({"hwb": [3]})
+            assert asyncio.get_event_loop_policy().get_event_loop() is loop
+        finally:
+            asyncio.set_event_loop(None)
+            loop.close()
+
+    def test_errors_cross_the_helper_thread_unwrapped(self):
+        session = CompilerSession(target="toffoli", cache=None)
+
+        async def story():
+            session.compile_many([{"hwb": 3}, object()])
+
+        with pytest.raises(TypeError, match="workload"):
+            asyncio.run(story())
+
+
 class TestProcessExecutorAsync:
     def test_process_pool_batch(self, tmp_path):
         session = CompilerSession(

@@ -260,21 +260,21 @@ class TestVerification:
         """Entries stored by a verifying pipeline are flagged, so a
         warm verify=True run does not redo the dense checks."""
 
-        class CountingVerify(SimplifyPass):
-            verify_calls = 0
+        class CountingCheck(SimplifyPass):
+            check_calls = 0
 
-            def verify(self, before, after):
-                type(self).verify_calls += 1
-                return super().verify(before, after)
+            def _tiered_check(self, checker, before, after):
+                type(self).check_calls += 1
+                return super()._tiered_check(checker, before, after)
 
-        CountingVerify.verify_calls = 0
+        CountingCheck.check_calls = 0
         cache = PassCache()
         state = hwb4_state()
         pipeline = Pipeline(cache=cache, verify=True)
-        pipeline.apply(CountingVerify(), state)
-        _, warm = pipeline.apply(CountingVerify(), state)
+        pipeline.apply(CountingCheck(), state)
+        _, warm = pipeline.apply(CountingCheck(), state)
         assert warm.cache_hit
-        assert CountingVerify.verify_calls == 1
+        assert CountingCheck.check_calls == 1
 
     def test_unverified_entry_verified_on_first_hit(self):
         """An entry stored by a verify=False pipeline is checked (once)

@@ -294,13 +294,43 @@ class TestSingleFlightTimeout:
         assert outcome["hit"] is False
         assert elapsed < 10  # nowhere near the 60s default
 
+    @pytest.mark.parametrize("raw", ["soon-ish", "inf", "nan", "0", "-1"])
     def test_invalid_env_value_falls_back_to_the_constant(
-        self, monkeypatch
+        self, monkeypatch, raw
     ):
-        monkeypatch.setenv("REPRO_SINGLE_FLIGHT_TIMEOUT", "soon-ish")
+        # inf used to overflow Event.wait's timestamp; nan/0/-1 made it
+        # return at once, silently disabling single-flight waiting
+        monkeypatch.setenv("REPRO_SINGLE_FLIGHT_TIMEOUT", raw)
         from repro.pipeline.runner import SINGLE_FLIGHT_TIMEOUT
 
         assert _default_follower_timeout() == SINGLE_FLIGHT_TIMEOUT
+
+    def test_inf_env_value_no_longer_overflows_the_wait(
+        self, monkeypatch
+    ):
+        # inf used to escape Pipeline.apply as a raw OverflowError
+        monkeypatch.setenv("REPRO_SINGLE_FLIGHT_TIMEOUT", "inf")
+        cache = PassCache()
+        seed = self.seed()
+        key = self.hung_leader(cache, seed)
+        # the leader gives up shortly; the woken follower computes
+        releaser = threading.Timer(0.05, cache.end_compute, args=(key,))
+        releaser.start()
+        try:
+            outcome = self.run_follower(Pipeline(cache=cache), seed)
+        finally:
+            releaser.join()
+        assert outcome["hit"] is False
+        reference = SynthesisPass("tbs").run(self.seed())
+        assert outcome["gates"] == reference.reversible.gates
+
+    @pytest.mark.parametrize(
+        "timeout", [float("inf"), float("nan"), 0, -1.0]
+    )
+    def test_constructor_rejects_invalid_follower_timeout(self, timeout):
+        with pytest.raises(PipelineError, match="follower_timeout") as info:
+            Pipeline(cache=None, follower_timeout=timeout)
+        assert repr(float(timeout)) in str(info.value)
 
     def test_deadline_bounds_the_follower_wait(self):
         cache = PassCache()

@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.compiler import CompilerSession
+from repro.compiler.session import _compile_task
 from repro.pipeline import Pipeline, PipelineError
 from repro.resilience import DeadlineExceeded, RetriesExhausted
 
@@ -102,9 +103,11 @@ class TestJobTimeoutBackstop:
         # exists only for workers that never come back at all
         chaos([{"site": "pipeline.pass.run.*", "action": "delay",
                 "seconds": 0.3, "times": 1}])
-        session = CompilerSession(target="toffoli", cache=None)
+        # the job function both pools run: (workload, target, flow,
+        # verify, cache spec, job_timeout, retry)
+        task = ({"hwb": 3}, "toffoli", None, None, None, 0.1, None)
         with pytest.raises(DeadlineExceeded) as info:
-            session._compile_job(({"hwb": 3}, None, None), 0.1, None)
+            _compile_task(task)
         message = str(info.value)
         assert "deadline of 0.1s exceeded" in message
         assert "pass " in message  # cooperative: flow position known

@@ -3,7 +3,7 @@
 PR 10 rewrote :class:`StabilizerState` onto bit-packed uint64 planes
 with vectorized popcount rowsums.  These differentials pin the rewrite
 to the historical dense implementation
-(:mod:`repro.simulator._tableau_reference`), which evolved the tableau
+(``tests/_tableau_reference.py``), which evolved the tableau
 with per-column Python loops:
 
 * every gate of the 12-gate ``TABLEAU_GATES`` vocabulary, applied on
@@ -21,12 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.circuit import QuantumCircuit
-from repro.core.gates import Gate
-from repro.simulator._tableau_reference import (
+from _tableau_reference import (
     ReferenceStabilizerSimulator,
     ReferenceStabilizerState,
 )
+
+from repro.core.circuit import QuantumCircuit
+from repro.core.gates import Gate
 from repro.simulator.stabilizer import StabilizerSimulator, StabilizerState
 from repro.verify.tiers import TABLEAU_GATES
 
