@@ -8,6 +8,8 @@ dispatches any registered :mod:`repro.emit` format (the legacy
 :meth:`~CompilationResult.to_qasm` / :meth:`~CompilationResult.to_qsharp`
 / :meth:`~CompilationResult.to_projectq` are thin wrappers over it),
 rendering the compiled circuit on first use and caching the text.
+The compiled circuit is frozen, so the cached text cannot go stale;
+``result.circuit.copy()`` is the editable builder.
 """
 
 from __future__ import annotations
@@ -226,7 +228,8 @@ class CompilationResult:
         when ``format`` is omitted, the target's ``emitter`` is used,
         falling back to the executed flow's ``emitter`` for flow-only
         compilations.  The rendered text is cached per
-        ``(format, opts)``, so repeated calls return the same object.
+        ``(format, opts)``, so repeated calls return the same object;
+        the circuit is frozen, so the text always matches it.
 
         Args:
             format: a registered format name or alias (``qasm2``,

@@ -222,9 +222,14 @@ def compile(
             retry=retry,
             on_error=on_error,
         )
-    outcome = resolved_flow.run(
-        normalized.state.copy(), pipeline=pipeline
-    )
+    # every circuit of a result is frozen (emission memoizes on it),
+    # but never the caller's own builder: freeze a copy of that
+    state = normalized.state.copy()
+    for name in ("reversible", "quantum"):
+        circuit = getattr(state, name)
+        if circuit is not None and not circuit.frozen:
+            setattr(state, name, circuit.copy().freeze())
+    outcome = resolved_flow.run(state, pipeline=pipeline)
     return CompilationResult(
         workload=normalized,
         target=resolved_target,

@@ -1,6 +1,6 @@
 """Core quantum circuit IR: gates, circuits, statistics, QASM, DAG."""
 
-from .circuit import QuantumCircuit
+from .circuit import FrozenCircuitError, QuantumCircuit
 from .dag import CircuitDag
 from .drawing import draw_circuit, draw_reversible
 from .gates import Gate, gate_matrix, is_clifford_name, is_clifford_t_name
@@ -14,6 +14,7 @@ from .unitary import (
 )
 
 __all__ = [
+    "FrozenCircuitError",
     "QuantumCircuit",
     "CircuitDag",
     "draw_circuit",

@@ -8,6 +8,9 @@ structural operations (composition, inversion, power, remapping), and
 conversion helpers (unitary matrix via :mod:`repro.core.unitary`,
 OpenQASM and every other output format via the :mod:`repro.emit`
 registry).
+
+A circuit is a builder until ``freeze()``; the pass manager freezes
+pass outputs so they can be shared, and ``copy()`` is editable again.
 """
 
 from __future__ import annotations
@@ -20,7 +23,30 @@ import numpy as np
 from .gates import Gate, is_clifford_name, is_clifford_t_name
 
 
-class QuantumCircuit:
+class FrozenCircuitError(TypeError):
+    """Raised when a frozen (shared, read-only) circuit is mutated."""
+
+
+class Freezable:
+    """Builder-then-read-only lifecycle; mutators call ``_check_mutable``."""
+
+    #: set by :meth:`freeze`; the class default keeps builders mutable
+    frozen = False
+
+    def freeze(self):
+        """Make the circuit read-only in O(1), for good, and return it."""
+        self.frozen = True
+        return self
+
+    def _check_mutable(self) -> None:
+        if self.frozen:
+            raise FrozenCircuitError(
+                f"{type(self).__name__} {self.name!r} is frozen (shared, "
+                "read-only); call .copy() to edit"
+            )
+
+
+class QuantumCircuit(Freezable):
     """An ordered sequence of gates over a fixed set of qubits."""
 
     def __init__(self, num_qubits: int, num_clbits: int = 0, name: str = "circuit"):
@@ -52,6 +78,7 @@ class QuantumCircuit:
         )
 
     def copy(self) -> "QuantumCircuit":
+        """Return an editable (unfrozen) copy of this circuit."""
         out = QuantumCircuit(self.num_qubits, self.num_clbits, self.name)
         out.gates = list(self.gates)
         return out
@@ -61,6 +88,7 @@ class QuantumCircuit:
     # ------------------------------------------------------------------
     def append(self, gate: Gate) -> "QuantumCircuit":
         """Append a gate, validating wire indices."""
+        self._check_mutable()
         for q in gate.qubits:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(
@@ -74,6 +102,7 @@ class QuantumCircuit:
         return self
 
     def extend(self, gates: Iterable[Gate]) -> "QuantumCircuit":
+        self._check_mutable()
         for gate in gates:
             self.append(gate)
         return self
@@ -204,6 +233,7 @@ class QuantumCircuit:
 
     def measure_all(self) -> "QuantumCircuit":
         """Measure qubit i into classical bit i, growing clbits if needed."""
+        self._check_mutable()
         if self.num_clbits < self.num_qubits:
             self.num_clbits = self.num_qubits
         for q in range(self.num_qubits):
@@ -231,6 +261,7 @@ class QuantumCircuit:
             qubits: target wires in ``self`` for each wire of ``other``;
                 defaults to the identity mapping.
         """
+        self._check_mutable()
         if qubits is None:
             if other.num_qubits > self.num_qubits:
                 raise ValueError("composed circuit is wider than target")

@@ -15,9 +15,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .circuit import QuantumCircuit
 
 
-@dataclass
+@dataclass(frozen=True)
 class CircuitStatistics:
-    """Cost summary of a quantum circuit."""
+    """Cost summary of a quantum circuit (read-only)."""
 
     num_qubits: int
     num_gates: int

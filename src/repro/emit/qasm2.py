@@ -17,7 +17,7 @@ import math
 import re
 from typing import TYPE_CHECKING, List, Tuple
 
-from ..core.gates import Gate
+from ..core.gates import ROTATION_GATES, Gate
 from .base import EmitterError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +54,7 @@ _EXPORT_NAMES = {
 _IMPORT_NAMES = {v: k for k, v in _EXPORT_NAMES.items()}
 _IMPORT_NAMES["u1"] = "p"
 _IMPORT_NAMES["cu1"] = "cp"
+_IMPORT_NAMES["reset"] = "reset"
 
 #: number of control qubits per exported name
 _NUM_CONTROLS = {
@@ -143,6 +144,8 @@ _MEASURE_RE = re.compile(
     r"^measure\s+(\w+)\[(\d+)\]\s*->\s*(\w+)\[(\d+)\];$"
 )
 _OPERAND_RE = re.compile(r"(\w+)\[(\d+)\]")
+#: a whole operand list: indexed wires only (no register broadcast)
+_OPERANDS_RE = re.compile(r"\w+\[\d+\](?:\s*,\s*\w+\[\d+\])*")
 
 
 def _parse_angle(text: str) -> float:
@@ -151,7 +154,10 @@ def _parse_angle(text: str) -> float:
     # restrict eval to arithmetic characters
     if not re.fullmatch(r"[0-9eE+\-*/. ()]*", text):
         raise QasmError(f"bad angle expression {text!r}")
-    return float(eval(text, {"__builtins__": {}}))  # noqa: S307
+    try:
+        return float(eval(text, {"__builtins__": {}}))  # noqa: S307
+    except (SyntaxError, ArithmeticError) as exc:
+        raise QasmError(f"bad angle expression {text!r}") from exc
 
 
 def _wire_lookup(registers, kind):
@@ -187,7 +193,9 @@ def from_qasm(text: str) -> "QuantumCircuit":
     Externally produced files are welcome too: named and multiple
     ``qreg``/``creg`` declarations flatten onto one register in
     declaration order, and operands referencing undeclared registers
-    raise :class:`QasmError` instead of being dropped.
+    raise :class:`QasmError` instead of being dropped.  A gate line with
+    the wrong operand or parameter count, or a register broadcast,
+    raises :class:`QasmError` naming the line.
     """
     from ..core.circuit import QuantumCircuit
 
@@ -236,28 +244,37 @@ def from_qasm(text: str) -> "QuantumCircuit":
         if not match:
             raise QasmError(f"cannot parse line {line!r}")
         qasm_name = match.group("name")
+        args = match.group("args").strip()
+        if not _OPERANDS_RE.fullmatch(args):
+            raise QasmError(
+                f"line {line!r}: operands must be indexed wires like "
+                "q[0], separated by commas"
+            )
         qubits = [
-            qubit_of(reg, int(idx))
-            for reg, idx in _OPERAND_RE.findall(match.group("args"))
+            qubit_of(reg, int(idx)) for reg, idx in _OPERAND_RE.findall(args)
         ]
         if qasm_name == "barrier":
             circuit.barrier(*qubits)
             continue
-        if qasm_name == "reset":
-            circuit.reset(qubits[0])
-            continue
         name = _IMPORT_NAMES.get(qasm_name)
         if name is None:
             raise QasmError(f"unsupported gate {qasm_name!r}")
-        params = ()
-        if match.group("params"):
-            params = tuple(
-                _parse_angle(p) for p in match.group("params").split(",")
-            )
+        texts = match.group("params")
+        texts = texts.split(",") if texts is not None else []
         n_ctl = _NUM_CONTROLS.get(name, 0)
-        controls = tuple(qubits[:n_ctl])
-        targets = tuple(qubits[n_ctl:])
-        circuit.append(Gate(name, targets, controls, params))
+        arity = n_ctl + (2 if name in ("swap", "cswap") else 1)
+        n_params = 1 if name in ROTATION_GATES else 0
+        if len(qubits) != arity or len(texts) != n_params:
+            raise QasmError(
+                f"line {line!r}: {qasm_name} takes {arity} operand(s) "
+                f"and {n_params} parameter(s)"
+            )
+        params = tuple(_parse_angle(p) for p in texts)
+        targets, controls = tuple(qubits[n_ctl:]), tuple(qubits[:n_ctl])
+        try:
+            circuit.append(Gate(name, targets, controls, params))
+        except ValueError as exc:
+            raise QasmError(f"line {line!r}: {exc}") from exc
     return circuit
 
 

@@ -75,11 +75,3 @@ def swap_from_cx(a: int, b: int, num_qubits: int) -> QuantumCircuit:
     circ.cx(b, a)
     circ.cx(a, b)
     return circ
-
-
-def controlled_phase_clifford_t(angle_over_pi_4: int) -> str:
-    """Not supported: arbitrary phases need Solovay-Kitaev (out of
-    scope); multiples of pi/4 are emitted directly by the optimizer."""
-    raise NotImplementedError(
-        "arbitrary-angle synthesis is outside the paper's scope"
-    )

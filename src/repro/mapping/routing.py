@@ -19,7 +19,7 @@ This module provides that substrate:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.circuit import QuantumCircuit
@@ -137,20 +137,23 @@ class CouplingMap:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingResult:
-    """Routed circuit plus layout bookkeeping."""
+    """Routed circuit plus layout bookkeeping (read-only; layouts are
+    tuples, and :meth:`freeze` freezes the circuit too)."""
 
     circuit: QuantumCircuit
-    initial_layout: List[int]    # logical -> physical at the start
-    final_layout: List[int]      # logical -> physical at the end
+    initial_layout: Tuple[int, ...]    # logical -> physical at the start
+    final_layout: Tuple[int, ...]      # logical -> physical at the end
     swap_count: int
     #: full device-wire permutation: content initially at physical wire
     #: c ends the routed circuit at wire position_of[c]
-    position_of: List[int] = field(default_factory=list)
+    position_of: Tuple[int, ...] = ()
 
-    def logical_of_physical(self) -> Dict[int, int]:
-        return {p: l for l, p in enumerate(self.final_layout)}
+    def freeze(self) -> "RoutingResult":
+        """Freeze the routed circuit and return ``self``."""
+        self.circuit.freeze()
+        return self
 
 
 def route_circuit(
@@ -234,10 +237,10 @@ def route_circuit(
         routed.append(gate.remap(mapping))
     return RoutingResult(
         circuit=routed,
-        initial_layout=list(layout),
-        final_layout=list(physical_of),
+        initial_layout=tuple(layout),
+        final_layout=tuple(physical_of),
         swap_count=swap_count,
-        position_of=position_of,
+        position_of=tuple(position_of),
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import Gate
@@ -47,18 +47,6 @@ def is_region_gate(gate: Gate) -> bool:
     if gate.name in LINEAR_GATES or gate.name in PHASE_STEPS:
         return True
     return gate.name in ("rz", "p") and not gate.controls
-
-
-@dataclass
-class Parity:
-    """An affine function of the region inputs: mask over input wires
-    plus a complement bit."""
-
-    mask: int
-    complement: bool
-
-    def key(self) -> Tuple[int, bool]:
-        return (self.mask, self.complement)
 
 
 @dataclass

@@ -7,10 +7,14 @@ content fingerprint of the store fields it reads
 (:func:`~.state.state_key`), so a second identical invocation replays
 the stored outputs instead of recomputing them.
 
-Values are defensively copied on both insert and lookup: callers may
-mutate circuits they receive (the shell does), and that must never
-corrupt cached entries.  All operations take an internal lock, so one
-cache may back the batched compilations of a
+Values are stored and handed out by reference, never copied: the
+pipeline freezes every pass output at the pass boundary, so a circuit
+a caller receives raises
+:class:`~repro.core.circuit.FrozenCircuitError` on mutation instead of
+corrupting the entry (``copy()`` gives an editable builder), and
+routing results and statistics are frozen dataclasses.  Entries
+decoded from disk come back frozen too.  All operations take an
+internal lock, so one cache may back the batched compilations of a
 :class:`~repro.compiler.session.CompilerSession` thread pool.
 
 With ``PassCache(path=...)`` entries are additionally written to disk
@@ -46,7 +50,7 @@ the tier once the disk heals.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -113,19 +117,6 @@ def _slack(budget: Optional[int]) -> Optional[int]:
     return max(budget - max(1, budget // 4), 0)
 
 
-def _copy_value(value: Any) -> Any:
-    """Return a safe copy of one cached store value.
-
-    Circuits use their cheap ``copy`` (gate objects are immutable);
-    everything else is deep-copied.
-    """
-    if isinstance(value, (QuantumCircuit, ReversibleCircuit)):
-        return value.copy()
-    if value is None or isinstance(value, (int, float, str, bool, tuple)):
-        return value
-    return copy.deepcopy(value)
-
-
 # ----------------------------------------------------------------------
 # JSON codec for disk spilling
 # ----------------------------------------------------------------------
@@ -178,17 +169,7 @@ def _encode(value: Any) -> Any:
             "position_of": list(value.position_of),
         }
     if isinstance(value, CircuitStatistics):
-        return {
-            "__t__": "stats",
-            "num_qubits": value.num_qubits,
-            "num_gates": value.num_gates,
-            "depth": value.depth,
-            "t_count": value.t_count,
-            "t_depth": value.t_depth,
-            "two_qubit_count": value.two_qubit_count,
-            "clifford_count": value.clifford_count,
-            "histogram": dict(value.histogram),
-        }
+        return {"__t__": "stats", **dataclasses.asdict(value)}
     if isinstance(value, (list, tuple)):
         return {
             "__t__": "list" if isinstance(value, list) else "tuple",
@@ -219,14 +200,14 @@ def _decode(value: Any) -> Any:
                 tuple(params),
                 tuple(cbits),
             )
-        return circuit
+        return circuit.freeze()
     if tag == "rev":
         circuit = ReversibleCircuit(value["lines"], name=value["name"])
         for target, controls, polarity in value["gates"]:
             circuit.append(
                 MctGate(target, tuple(controls), tuple(polarity))
             )
-        return circuit
+        return circuit.freeze()
     if tag == "tt":
         return TruthTable(value["n"], value["bits"])
     if tag == "perm":
@@ -234,22 +215,14 @@ def _decode(value: Any) -> Any:
     if tag == "route":
         return RoutingResult(
             circuit=_decode(value["circuit"]),
-            initial_layout=list(value["initial_layout"]),
-            final_layout=list(value["final_layout"]),
+            initial_layout=tuple(value["initial_layout"]),
+            final_layout=tuple(value["final_layout"]),
             swap_count=value["swap_count"],
-            position_of=list(value["position_of"]),
+            position_of=tuple(value["position_of"]),
         )
     if tag == "stats":
-        return CircuitStatistics(
-            num_qubits=value["num_qubits"],
-            num_gates=value["num_gates"],
-            depth=value["depth"],
-            t_count=value["t_count"],
-            t_depth=value["t_depth"],
-            two_qubit_count=value["two_qubit_count"],
-            clifford_count=value["clifford_count"],
-            histogram=dict(value["histogram"]),
-        )
+        fields = {k: v for k, v in value.items() if k != "__t__"}
+        return CircuitStatistics(**fields)
     if tag == "list":
         return [_decode(v) for v in value["items"]]
     if tag == "tuple":
@@ -761,10 +734,10 @@ class PassCache:
                 one spurious miss per wait.
 
         Returns:
-            A fresh copy of the stored output fields, the recorded
-            pass statistics, and whether the entry has already passed
-            functional verification — or ``None`` on a miss in both
-            tiers.
+            The stored output values themselves (frozen and shared by
+            reference, in a fresh dict), the recorded pass statistics,
+            and whether the entry has already passed functional
+            verification — or ``None`` on a miss in both tiers.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -816,14 +789,10 @@ class PassCache:
                 with self._lock:
                     self.misses += 1
             return None
-        # entry tuples are replaced wholesale, never mutated in place,
-        # so the defensive copy can run without holding the lock
+        # entry tuples are replaced wholesale, never mutated in place;
+        # the stored values are frozen, so they are handed out shared
         outputs, details, verified = entry
-        return (
-            {name: _copy_value(value) for name, value in outputs.items()},
-            dict(details),
-            verified,
-        )
+        return dict(outputs), dict(details), verified
 
     def count_miss(self) -> None:
         """Record one cache miss (see ``get(count_miss=False)``)."""
@@ -873,11 +842,7 @@ class PassCache:
             verified: whether the outputs passed functional
                 verification before being stored.
         """
-        entry = (
-            {name: _copy_value(value) for name, value in outputs.items()},
-            dict(details),
-            verified,
-        )
+        entry = (dict(outputs), dict(details), verified)
         try:
             with self._lock:
                 self._store(key, entry)

@@ -357,7 +357,7 @@ class SynthesisPass(Pass):
 
     def run(self, state: FlowState) -> FlowState:
         """Synthesize ``function`` into ``reversible``."""
-        out = state.copy(skip=("reversible",))
+        out = state.copy()
         out.reversible = None
         function = state.function
         if function is None:
@@ -451,7 +451,7 @@ class SimplifyPass(Pass):
         """Rewrite ``reversible`` with the simplified cascade."""
         if state.reversible is None:
             raise PipelineError("revsimp: no reversible circuit in store")
-        out = state.copy(skip=("reversible",))
+        out = state.copy()
         out.reversible = simplify_reversible(
             state.reversible, max_rounds=self.max_rounds
         )
@@ -481,7 +481,7 @@ class TemplatePass(Pass):
         """Rewrite ``reversible`` with the template-optimized cascade."""
         if state.reversible is None:
             raise PipelineError("templ: no reversible circuit in store")
-        out = state.copy(skip=("reversible",))
+        out = state.copy()
         out.reversible = template_optimize(state.reversible)
         return out
 
@@ -556,7 +556,7 @@ class MapToCliffordTPass(Pass):
         multi-controlled gates.
         """
         if not self._uses_quantum_source(state):
-            out = state.copy(skip=("quantum",))
+            out = state.copy()
             out.quantum = map_to_clifford_t(
                 state.reversible,
                 relative_phase=self.relative_phase,
@@ -570,7 +570,7 @@ class MapToCliffordTPass(Pass):
             g.name in lowerable for g in state.quantum.gates
         ):
             return state.copy()
-        out = state.copy(skip=("quantum",))
+        out = state.copy()
         out.quantum = map_to_clifford_t(
             state.quantum,
             relative_phase=self.relative_phase,
@@ -633,7 +633,7 @@ class CancelPass(Pass):
         """Rewrite ``quantum`` with adjacent inverses cancelled."""
         if state.quantum is None:
             raise PipelineError("cancel: no quantum circuit in store")
-        out = state.copy(skip=("quantum",))
+        out = state.copy()
         out.quantum = cancel_adjacent_gates(state.quantum)
         return out
 
@@ -674,7 +674,7 @@ class TparPass(Pass):
         """Rewrite ``quantum`` with merged phase rotations."""
         if state.quantum is None:
             raise PipelineError("tpar: no quantum circuit in store")
-        out = state.copy(skip=("quantum",))
+        out = state.copy()
         work = state.quantum
         if self.pre_cancel:
             work = cancel_adjacent_gates(work)
@@ -733,7 +733,7 @@ class RoutePass(Pass):
         """Write the routed circuit and layout bookkeeping."""
         if state.quantum is None:
             raise PipelineError("route: no quantum circuit in store")
-        out = state.copy(skip=("quantum",))
+        out = state.copy()
         result = route_circuit(
             state.quantum, self.coupling, initial_layout=self.initial_layout
         )

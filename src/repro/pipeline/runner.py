@@ -515,9 +515,18 @@ class Pipeline:
         return result, record
 
     def _run_pass(self, pass_: Pass, state: FlowState) -> FlowState:
-        """Run one pass through its fault-injection site."""
+        """Run one pass and freeze every field it wrote.
+
+        This is the one place pass outputs become read-only values.
+        """
         fault_point(f"pipeline.pass.run.{pass_.name}")
-        return pass_.run(state)
+        result = pass_.run(state)
+        for name in pass_.writes:
+            out = getattr(result, name)
+            for value in out.values() if name == "artifacts" else (out,):
+                if hasattr(value, "freeze"):
+                    value.freeze()
+        return result
 
     def _execute(
         self,
@@ -744,11 +753,8 @@ class Pipeline:
     def _apply_outputs(
         state: FlowState, outputs: Dict[str, Any]
     ) -> FlowState:
-        """Overlay cached outputs onto a copy of ``state``."""
-        skip = tuple(
-            name for name in ("reversible", "quantum") if name in outputs
-        )
-        result = state.copy(skip=skip)
+        """Overlay cached (frozen, shared) outputs onto a copy of ``state``."""
+        result = state.copy()
         for name, value in outputs.items():
             if name == "artifacts":
                 result.artifacts.update(value)

@@ -51,27 +51,16 @@ class FlowState:
     routing: Optional[RoutingResult] = None
     artifacts: Dict[str, Any] = field(default_factory=dict)
 
-    def copy(self, skip: Iterable[str] = ()) -> "FlowState":
-        """Return a shallow-but-safe copy of the store.
+    def copy(self) -> "FlowState":
+        """Return a shallow copy of the store with a fresh artifacts dict.
 
-        Circuits are copied via their own ``copy`` (gate objects are
-        immutable), the artifacts dict is re-created; specification and
-        routing objects are shared (treated as read-only).
-
-        Args:
-            skip: circuit fields (``reversible``/``quantum``) to carry
-                over by reference instead of copying — an optimization
-                for callers about to overwrite them immediately.
+        Field values are shared: pass outputs are frozen at the pass
+        boundary, so sharing them is safe.
         """
-        reversible, quantum = self.reversible, self.quantum
-        if reversible is not None and "reversible" not in skip:
-            reversible = reversible.copy()
-        if quantum is not None and "quantum" not in skip:
-            quantum = quantum.copy()
         return FlowState(
             function=self.function,
-            reversible=reversible,
-            quantum=quantum,
+            reversible=self.reversible,
+            quantum=self.quantum,
             routing=self.routing,
             artifacts=dict(self.artifacts),
         )

@@ -139,12 +139,6 @@ class Gf2Matrix:
         return Gf2Matrix(aug, size)
 
 
-def _row_add_as_cnot(circuit: QuantumCircuit, source: int, target: int) -> None:
-    """Row_target ^= Row_source corresponds to CNOT(source, target) at
-    the *input* side when synthesizing by inverse elimination."""
-    circuit.cx(source, target)
-
-
 def gaussian_synthesis(matrix: Gf2Matrix) -> QuantumCircuit:
     """CNOT circuit for an invertible matrix by Gaussian elimination.
 

@@ -171,10 +171,6 @@ def optimal_moves(num_steps: int, pebbles: int) -> Optional[List[Move]]:
     return moves
 
 
-def move_count(moves: List[Move]) -> int:
-    return len(moves)
-
-
 def pebble_tradeoff_curve(
     num_steps: int, budgets: List[int]
 ) -> List[Tuple[int, int]]:

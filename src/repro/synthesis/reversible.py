@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..boolean.permutation import BitPermutation
-from ..core.circuit import QuantumCircuit
+from ..core.circuit import Freezable, QuantumCircuit
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,9 @@ class MctGate:
         return f"MCT([{ctl}] -> {self.target})"
 
 
-class ReversibleCircuit:
-    """Cascade of MCT gates over ``num_lines`` lines."""
+class ReversibleCircuit(Freezable):
+    """Cascade of MCT gates over ``num_lines`` lines (a builder until
+    ``freeze()``, like :class:`~repro.core.circuit.QuantumCircuit`)."""
 
     def __init__(self, num_lines: int, name: str = "reversible"):
         if num_lines < 0:
@@ -135,11 +136,13 @@ class ReversibleCircuit:
         )
 
     def copy(self) -> "ReversibleCircuit":
+        """Return an editable (unfrozen) copy of this cascade."""
         out = ReversibleCircuit(self.num_lines, self.name)
         out.gates = list(self.gates)
         return out
 
     def append(self, gate: MctGate) -> "ReversibleCircuit":
+        self._check_mutable()
         for line in gate.lines():
             if not 0 <= line < self.num_lines:
                 raise ValueError(f"line {line} out of range")
@@ -147,6 +150,7 @@ class ReversibleCircuit:
         return self
 
     def extend(self, gates: Iterable[MctGate]) -> "ReversibleCircuit":
+        self._check_mutable()
         for gate in gates:
             self.append(gate)
         return self
@@ -191,6 +195,7 @@ class ReversibleCircuit:
     inverse = dagger
 
     def compose(self, other: "ReversibleCircuit") -> "ReversibleCircuit":
+        self._check_mutable()
         if other.num_lines > self.num_lines:
             raise ValueError("composed circuit is wider")
         self.gates.extend(other.gates)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.circuit import QuantumCircuit
+from repro.core.circuit import FrozenCircuitError, QuantumCircuit
 from repro.core.gates import Gate
 from repro.core.unitary import circuit_unitary, circuits_equivalent
+from repro.synthesis.reversible import MctGate, ReversibleCircuit
 
 
 class TestBuilding:
@@ -173,3 +174,103 @@ class TestEquality:
         b.x(1)
         assert len(a) == 1
         assert len(b) == 2
+
+
+#: every QuantumCircuit mutator, as (label, call on a 4-qubit circuit)
+_QUANTUM_MUTATORS = [
+    ("append", lambda c: c.append(Gate("h", (0,)))),
+    ("extend", lambda c: c.extend([Gate("x", (1,))])),
+    ("extend-empty", lambda c: c.extend([])),
+    ("i", lambda c: c.i(0)),
+    ("h", lambda c: c.h(0)),
+    ("x", lambda c: c.x(0)),
+    ("y", lambda c: c.y(0)),
+    ("z", lambda c: c.z(0)),
+    ("s", lambda c: c.s(0)),
+    ("sdg", lambda c: c.sdg(0)),
+    ("t", lambda c: c.t(0)),
+    ("tdg", lambda c: c.tdg(0)),
+    ("sx", lambda c: c.sx(0)),
+    ("sxdg", lambda c: c.sxdg(0)),
+    ("rx", lambda c: c.rx(0.5, 0)),
+    ("ry", lambda c: c.ry(0.5, 0)),
+    ("rz", lambda c: c.rz(0.5, 0)),
+    ("p", lambda c: c.p(0.5, 0)),
+    ("cx", lambda c: c.cx(0, 1)),
+    ("cy", lambda c: c.cy(0, 1)),
+    ("cz", lambda c: c.cz(0, 1)),
+    ("ch", lambda c: c.ch(0, 1)),
+    ("crz", lambda c: c.crz(0.5, 0, 1)),
+    ("cp", lambda c: c.cp(0.5, 0, 1)),
+    ("swap", lambda c: c.swap(0, 1)),
+    ("cswap", lambda c: c.cswap(0, 1, 2)),
+    ("ccx", lambda c: c.ccx(0, 1, 2)),
+    ("ccz", lambda c: c.ccz(0, 1, 2)),
+    ("mcx", lambda c: c.mcx([0, 1, 2], 3)),
+    ("mcz", lambda c: c.mcz([0, 1, 2], 3)),
+    ("mcp", lambda c: c.mcp(0.5, [0, 1], 3)),
+    ("measure", lambda c: c.measure(0, 0)),
+    ("measure_all", lambda c: c.measure_all()),
+    ("reset", lambda c: c.reset(0)),
+    ("barrier", lambda c: c.barrier()),
+    ("compose", lambda c: c.compose(QuantumCircuit(2).h(0))),
+    ("compose-empty", lambda c: c.compose(QuantumCircuit(2))),
+]
+
+
+class TestFrozen:
+    @pytest.mark.parametrize(
+        "mutate",
+        [m for _, m in _QUANTUM_MUTATORS],
+        ids=[label for label, _ in _QUANTUM_MUTATORS],
+    )
+    def test_every_mutator_raises_and_changes_nothing(self, mutate):
+        circ = QuantumCircuit(4, 1).h(0).cx(0, 1)
+        gates = list(circ.gates)
+        assert circ.freeze() is circ and circ.frozen
+        with pytest.raises(FrozenCircuitError):
+            mutate(circ)
+        assert circ.gates == gates
+        assert circ.num_clbits == 1
+        editable = circ.copy()  # copy() is the way back to a builder
+        assert not editable.frozen
+        mutate(editable)
+        assert circ.gates == gates and circ.num_clbits == 1
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda r: r.append(MctGate(0, (1,))),
+            lambda r: r.extend([MctGate(1)]),
+            lambda r: r.extend([]),
+            lambda r: r.add_gate(2, (0, 1)),
+            lambda r: r.x(0),
+            lambda r: r.cnot(0, 1),
+            lambda r: r.toffoli(0, 1, 2),
+            lambda r: r.compose(ReversibleCircuit(3).x(1)),
+        ],
+        ids=[
+            "append", "extend", "extend-empty", "add_gate", "x", "cnot",
+            "toffoli", "compose",
+        ],
+    )
+    def test_every_reversible_mutator_raises(self, mutate):
+        cascade = ReversibleCircuit(3).cnot(0, 1).freeze()
+        gates = list(cascade.gates)
+        with pytest.raises(FrozenCircuitError):
+            mutate(cascade)
+        assert cascade.gates == gates
+        mutate(cascade.copy())  # the copy is a builder again
+
+    def test_derived_circuits_are_builders(self):
+        circ = QuantumCircuit(2).h(0).cx(0, 1).freeze()
+        for derived in (
+            circ.dagger(), circ.power(2), circ.remap({0: 1, 1: 0}),
+            circ.controlled(),
+        ):
+            assert not derived.frozen
+            derived.x(0)
+
+    def test_frozen_circuit_still_compares_equal(self):
+        circ = QuantumCircuit(2).h(0)
+        assert circ.copy().freeze() == circ

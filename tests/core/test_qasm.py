@@ -1,6 +1,7 @@
 """Unit tests for OpenQASM 2.0 export/import."""
 
 import math
+import re
 
 import pytest
 
@@ -95,6 +96,25 @@ x q[0]; // trailing comment
             from_qasm(
                 'OPENQASM 2.0;\nqreg q[1];\nrz(__import__) q[0];\n'
             )
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "cx q[0];",  # missing target
+            "h q[0],q[1];",  # one-qubit gate on two wires
+            "rz q[0];",  # rotation without its angle
+            "h(0.5) q[0];",  # fixed gate with a parameter
+            "rz(pi,) q[0];",  # empty second parameter
+            "h q;",  # register broadcast
+            "h q[0] junk;",  # operand text left over
+            "reset q;",  # used to escape as IndexError
+            "cx q[0],q[0];",  # used to escape as ValueError
+            "cswap q[0],q[1];",  # two-wire target needs both wires
+        ],
+    )
+    def test_malformed_gate_line_raises_naming_it(self, line):
+        with pytest.raises(QasmError, match=re.escape(repr(line))):
+            from_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{line}\n")
 
     def test_barrier_round_trip(self):
         circ = QuantumCircuit(2).h(0).barrier(0, 1).h(1)

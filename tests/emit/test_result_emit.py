@@ -5,6 +5,7 @@ import pytest
 import repro
 from repro import emit
 from repro.compiler import EmissionError
+from repro.core.circuit import FrozenCircuitError, QuantumCircuit
 from repro.pipeline import flows
 
 
@@ -35,6 +36,26 @@ class TestDispatch:
         # text emit("qsharp") already cached
         assert result.to_qsharp() is result.emit("qsharp")
         assert result.emit() is result.to_qsharp()
+
+    def test_memoized_text_cannot_go_stale(self, result):
+        # the memo keys on the circuit never changing: the compiled
+        # circuit is frozen, so a post-emit edit raises instead of
+        # leaving the cached text describing a different circuit
+        text = result.emit("qasm2")
+        gates = len(result.circuit)
+        with pytest.raises(FrozenCircuitError):
+            result.circuit.x(0)
+        assert len(result.circuit) == gates
+        assert result.emit("qasm2") is text
+        assert text == emit.emit(result.circuit, "qasm2")
+
+    def test_caller_circuit_workload_is_never_frozen(self):
+        circuit = QuantumCircuit(2).h(0).cx(0, 1)
+        result = repro.compile(circuit, target="clifford_t", cache=None)
+        compiled = list(result.circuit.gates)
+        assert result.circuit.frozen and not circuit.frozen
+        circuit.x(1)  # the caller's builder stays editable
+        assert result.circuit.gates == compiled
 
     def test_qsharp_unknown_option_raises_emission_error(self, result):
         with pytest.raises(EmissionError, match="name=/namespace="):

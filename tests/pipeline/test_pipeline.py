@@ -3,6 +3,7 @@
 import pytest
 
 from repro.boolean.permutation import BitPermutation
+from repro.core.circuit import FrozenCircuitError
 from repro.pipeline import (
     CancelPass,
     FlowState,
@@ -163,10 +164,44 @@ class TestCache:
         state = FlowState(function=perm)
         state, _ = pipeline.apply(SynthesisPass("tbs"), state)
         mapped, _ = pipeline.apply(MapToCliffordTPass(), state)
-        mapped.quantum.x(0)  # caller corrupts its copy
+        original = list(mapped.quantum.gates)
+        with pytest.raises(FrozenCircuitError):
+            mapped.quantum.x(0)  # a caller may not corrupt the entry
         replay, record = pipeline.apply(MapToCliffordTPass(), state)
         assert record.cache_hit
-        assert replay.quantum.gates != mapped.quantum.gates
+        assert replay.quantum.gates == original
+        edited = replay.quantum.copy().x(0)  # copies are editable
+        assert len(edited) == len(original) + 1
+        assert replay.quantum.gates == original
+
+    def test_memory_hit_returns_the_stored_objects(self):
+        circuit = ReversibleCircuit(2).cnot(0, 1).freeze()
+        cache = PassCache()
+        cache.put("k", {"reversible": circuit}, {"n": 1})
+        outputs, details, _ = cache.get("k")
+        assert outputs["reversible"] is circuit
+        assert cache.get("k")[0]["reversible"] is circuit
+        assert details == {"n": 1}
+
+    def test_warm_routed_replay_shares_frozen_outputs(self):
+        import repro
+
+        cache = PassCache()
+        cold = repro.compile(generators.hwb(4), target="ibm_qe5", cache=cache)
+        warm = repro.compile(generators.hwb(4), target="ibm_qe5", cache=cache)
+        assert warm.cache_hits == len(warm.records)
+        assert warm.circuit is cold.circuit
+        assert warm.reversible is cold.reversible
+        assert warm.routing is cold.routing
+        assert warm.statistics is cold.statistics
+        for circuit in (warm.circuit, warm.reversible, warm.routing.circuit):
+            gates = list(circuit.gates)
+            with pytest.raises(FrozenCircuitError):
+                circuit.append(circuit.gates[0])
+            assert circuit.gates == gates
+        with pytest.raises(AttributeError):
+            warm.routing.swap_count = 0
+        assert isinstance(warm.routing.final_layout, tuple)
 
     def test_lru_eviction(self):
         cache = PassCache(maxsize=2)

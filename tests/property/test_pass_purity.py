@@ -1,0 +1,127 @@
+"""Property: a pass never mutates its input store.
+
+Pass outputs are shared by reference — ``FlowState.copy`` is shallow and
+the result cache hands out the stored objects themselves — which is
+sound only if every pass treats the store it is given as read-only.
+The stores here hold *unfrozen* builders, so a mutating pass would go
+through silently; the content tokens of every field catch it.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.boolean.permutation import BitPermutation
+from repro.boolean.truth_table import TruthTable
+from repro.mapping.barenco import map_to_clifford_t
+from repro.mapping.routing import CouplingMap, route_circuit
+from repro.pipeline import (
+    CancelPass,
+    FlowState,
+    GeneratePass,
+    MapToCliffordTPass,
+    PipelineError,
+    RoutePass,
+    SimplifyPass,
+    StatisticsPass,
+    SynthesisPass,
+    TemplatePass,
+    TparPass,
+    state_token,
+)
+from repro.pipeline.passes import GENERATOR_KINDS
+from repro.pipeline.state import FIELDS
+from repro.synthesis.transformation import transformation_based_synthesis
+from repro.verify import VerifyPass
+
+SYNTHESIS_METHODS = ("tbs", "tbs-bidir", "dbs", "exact", "esop", "bdd")
+
+
+def permutations(min_bits=2, max_bits=3):
+    return st.integers(min_bits, max_bits).flatmap(
+        lambda n: st.permutations(list(range(1 << n))).map(BitPermutation)
+    )
+
+
+def truth_tables(max_vars=3):
+    return st.integers(1, max_vars).flatmap(
+        lambda n: st.integers(0, (1 << (1 << n)) - 1).map(
+            lambda bits: TruthTable(n, bits)
+        )
+    )
+
+
+def full_store(perm):
+    """A store with every field set, all circuits unfrozen builders."""
+    cascade = transformation_based_synthesis(perm)
+    mapped = map_to_clifford_t(cascade)
+    routing = route_circuit(mapped, CouplingMap.line(mapped.num_qubits))
+    return FlowState(
+        function=perm,
+        reversible=cascade,
+        quantum=routing.circuit,
+        routing=routing,
+        artifacts={"note": "caller's"},
+    )
+
+
+def assert_pure(pass_, state):
+    """Run ``pass_`` and check it left ``state`` exactly as it was."""
+    tokens = {name: state_token(getattr(state, name)) for name in FIELDS}
+    objects = {name: getattr(state, name) for name in FIELDS}
+    try:
+        pass_.run(state)
+    except PipelineError:
+        pass  # a refusal must leave the input intact too
+    for name in FIELDS:
+        assert getattr(state, name) is objects[name], name
+        assert state_token(getattr(state, name)) == tokens[name], name
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generate_leaves_input_intact(kind):
+    perm = BitPermutation.random(3, seed=1)
+    assert_pure(GeneratePass(kind, 3), full_store(perm))
+
+
+@pytest.mark.parametrize("method", SYNTHESIS_METHODS)
+@given(perm=permutations(), table=truth_tables())
+@settings(max_examples=10, deadline=None)
+def test_synthesis_leaves_input_intact(method, perm, table):
+    state = full_store(perm)
+    if method in ("esop", "bdd"):
+        state.function = table
+    assert_pure(SynthesisPass(method), state)
+
+
+@pytest.mark.parametrize(
+    "pass_",
+    [
+        SimplifyPass(),
+        TemplatePass(),
+        MapToCliffordTPass(),
+        MapToCliffordTPass(relative_phase=False),
+        TparPass(),
+        CancelPass(),
+        RoutePass(CouplingMap.ring(8)),
+        StatisticsPass(),
+        VerifyPass(),
+    ],
+    ids=lambda p: p.name,
+)
+@given(perm=permutations())
+@settings(max_examples=10, deadline=None)
+def test_rewrite_passes_leave_input_intact(pass_, perm):
+    assert_pure(pass_, full_store(perm))
+
+
+@pytest.mark.parametrize("only_if_needed", [False, True])
+@given(perm=permutations())
+@settings(max_examples=10, deadline=None)
+def test_rptm_from_quantum_source_leaves_input_intact(only_if_needed, perm):
+    cascade = transformation_based_synthesis(perm)
+    state = FlowState(quantum=cascade.to_quantum_circuit())
+    assert_pure(MapToCliffordTPass(only_if_needed=only_if_needed), state)
+    # on-need lowering over an already-lowered circuit passes it through
+    state = FlowState(quantum=map_to_clifford_t(cascade), reversible=cascade)
+    assert_pure(MapToCliffordTPass(only_if_needed=only_if_needed), state)

@@ -209,7 +209,8 @@ class TestVerifyCommand:
     def test_verify_detects_corruption(self):
         shell = RevKitShell()
         shell.run("revgen --hwb 3; tbs; rptm")
-        shell.quantum.x(0)  # corrupt the mapped circuit
+        # corrupt an editable copy of the (frozen) mapped circuit
+        shell.quantum = shell.quantum.copy().x(0)
         assert "False" in shell.execute("verify")
 
     def test_verify_requires_both_stores(self):

@@ -208,7 +208,7 @@ class TestExplicitSkips:
             writes = ("quantum",)
 
             def run(self, state):
-                out = state.copy(skip=("quantum",))
+                out = state.copy()
                 rewritten = QuantumCircuit(n)
                 for q in range(n):
                     rewritten.h(q)
@@ -245,7 +245,7 @@ class TestExplicitSkips:
             writes = ("quantum",)
 
             def run(self, state):
-                out = state.copy(skip=("quantum",))
+                out = state.copy()
                 rewritten = QuantumCircuit(n)
                 for q in range(n):
                     rewritten.h(q)
@@ -283,7 +283,7 @@ class TestStrictMode:
             writes = ("quantum",)
 
             def run(self, state):
-                out = state.copy(skip=("quantum",))
+                out = state.copy()
                 rewritten = QuantumCircuit(n)
                 for q in range(n):
                     rewritten.h(q)
@@ -314,7 +314,7 @@ class TestStrictMode:
             writes = ("quantum",)
 
             def run(self, state):
-                out = state.copy(skip=("quantum",))
+                out = state.copy()
                 rewritten = QuantumCircuit(n)
                 for q in range(n):
                     rewritten.h(q)
