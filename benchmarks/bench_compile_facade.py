@@ -15,9 +15,9 @@ Obligations of the `repro.compile()` front door:
   on a warm disk-backed cache beats the sequential cold sweep
   (combined caching + overlapped-execution win; on a single-core
   runner the overlap itself is GIL-bound, so the margin is carried by
-  the warm tier), and a budgeted cache (`max_entries=8` < 32 points)
-  records evictions while still compiling every point gate-for-gate
-  identically.
+  the warm tier), and an explicit `gc(max_entries=8)` sweep (< 32
+  points) records evictions while a re-sweep still compiles every
+  point gate-for-gate identically.
 * **Emitter matrix (PR 5)** — one compiled workload renders in every
   format registered with `repro.emit`; per-format timings land in
   `BENCH_compiler.json` `extra_info` (`emit_<format>_s`) and the
@@ -187,16 +187,22 @@ def test_async_sweep_and_bounded_cache(benchmark, tmp_path):
             == warm_point.result.circuit.gates
         )
 
-    # a bounded cache (max_entries < sweep size) must evict and still
-    # compile every point correctly
-    bounded = PassCache(path=str(tmp_path / "bounded"), max_entries=8)
+    # a gc sweep down to 8 entries (< sweep size) must evict, and a
+    # re-sweep by a fresh instance (empty memory tier, so it reads the
+    # 8 survivors and recomputes the rest) must still compile every
+    # point correctly
+    bounded = PassCache(path=str(tmp_path / "bounded"))
     bounded_session = CompilerSession(cache=bounded, max_workers=8)
-    bounded_sweep = asyncio.run(
-        bounded_session.sweep_async(ASYNC_SWEEP_GRID)
-    )
+    asyncio.run(bounded_session.sweep_async(ASYNC_SWEEP_GRID))
+    gc_report = bounded.gc(max_entries=8)
     bounded_stats = bounded.stats()
     assert bounded_stats["evictions"] > 0
-    assert bounded_stats["disk_entries"] <= 8
+    assert bounded.disk_usage()[0] <= 8
+    bounded_sweep = asyncio.run(
+        CompilerSession(
+            cache=PassCache(path=bounded.path), max_workers=8
+        ).sweep_async(ASYNC_SWEEP_GRID)
+    )
     for cold_point, bounded_point in zip(baseline, bounded_sweep):
         assert (
             cold_point.result.circuit.gates
@@ -213,7 +219,7 @@ def test_async_sweep_and_bounded_cache(benchmark, tmp_path):
     benchmark.extra_info["bounded_disk_evictions"] = bounded_stats[
         "disk_evictions"
     ]
-    benchmark.extra_info["bounded_disk_bytes"] = bounded_stats["disk_bytes"]
+    benchmark.extra_info["bounded_disk_bytes"] = gc_report["bytes"]
 
     report(
         "sweep_async: 32 points, warm cache vs sequential cold",
@@ -222,7 +228,7 @@ def test_async_sweep_and_bounded_cache(benchmark, tmp_path):
             ("async warm best", f"{async_warm_s * 1e3:.2f}ms"),
             ("speedup", f"{speedup:.1f}x"),
             ("bounded evictions", bounded_stats["evictions"]),
-            ("bounded disk entries", bounded_stats["disk_entries"]),
+            ("bounded disk entries", gc_report["entries"]),
             ("gate-for-gate (warm+bounded)", True),
         ],
     )

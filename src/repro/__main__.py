@@ -184,6 +184,19 @@ def _quarantined_entries(path: str) -> int:
         return 0
 
 
+def _budget(text: str) -> int:
+    """Parse a ``cache gc`` budget; negative values are refused."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Run the ``cache`` subcommand (stats / gc / clear)."""
     from .pipeline.cache import PassCache
@@ -197,11 +210,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 2
     cache = PassCache(path=path)
     if args.action == "stats":
+        entries, size = cache.disk_usage()
         stats = cache.stats()
         payload = {
             "path": path,
-            "entries": stats["disk_entries"],
-            "bytes": stats["disk_bytes"],
+            "entries": entries,
+            "bytes": size,
             # per-instance I/O health counters (zero for this fresh
             # maintenance instance unless the scan itself failed) and
             # the durable quarantine count read from the directory
@@ -220,13 +234,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         )
         payload = {"path": path, **swept}
     else:  # clear
-        before = cache.stats()
+        entries, size = cache.disk_usage()
         cache.clear(disk=True)
-        payload = {
-            "path": path,
-            "cleared": before["disk_entries"],
-            "bytes_freed": before["disk_bytes"],
-        }
+        payload = {"path": path, "cleared": entries, "bytes_freed": size}
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -461,13 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--max-entries",
-        type=int,
+        type=_budget,
         default=None,
         help="gc: evict least-recently-used entries beyond this count",
     )
     cache.add_argument(
         "--max-bytes",
-        type=int,
+        type=_budget,
         default=None,
         help="gc: evict least-recently-used entries beyond this size",
     )

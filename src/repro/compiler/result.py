@@ -48,13 +48,11 @@ class CompilationResult:
         state: the final flow store.
         records: per-pass execution records, in order.
         cache_stats: snapshot of the pass cache's counters
-            (hits/misses/evictions/bytes, plus the resilience
+            (entries/hits/misses/evictions, plus the resilience
             counters — ``io_errors`` with its memory/disk split,
             ``retries``, ``quarantined``, ``degraded`` — see
-            :meth:`repro.pipeline.PassCache.counters`) taken when
-            this compilation finished; ``None`` when it ran uncached.
-            The disk figures are ``None`` when the process had not
-            yet sized the disk tier (no scan is paid on this path).
+            :meth:`repro.pipeline.PassCache.stats`) taken when this
+            compilation finished; ``None`` when it ran uncached.
         engine: the simulation backend requested at compile time
             (``repro.compile(..., engine=)``), canonical name or
             ``None``; :meth:`simulate` prefers it over the target's
@@ -66,7 +64,7 @@ class CompilationResult:
     flow: Flow
     state: FlowState
     records: List[PassRecord]
-    cache_stats: Optional[Dict[str, Optional[int]]] = None
+    cache_stats: Optional[Dict[str, int]] = None
     engine: Optional[str] = None
     _emitted: Dict[str, str] = field(
         default_factory=dict, repr=False, compare=False

@@ -236,10 +236,8 @@ def compile(
         flow=resolved_flow,
         state=outcome.state,
         records=outcome.records,
-        # counters(), not stats(): the per-compile snapshot must never
-        # pay a directory scan of the disk tier on the hot path
         cache_stats=(
-            pipeline.cache.counters() if pipeline.cache is not None else None
+            pipeline.cache.stats() if pipeline.cache is not None else None
         ),
         engine=engine,
     )
@@ -315,7 +313,7 @@ def _compile_task(task: Tuple) -> CompilationResult:
     """Run one batch job on a pool worker (thread or process).
 
     A dict cache spec rebuilds a disk-backed :class:`PassCache` in a
-    worker process, including the parent's eviction budgets; a
+    worker process (same path and memory cap as the parent's); a
     :class:`PassCache` instance (the thread pool's shared cache),
     ``None`` and strings pass through :func:`_resolve_cache`
     unchanged.  The job's deadline starts here — in the worker, when
@@ -436,15 +434,12 @@ class CompilerSession:
         # ship it to workers, where as_retry() resolves it
         self.retry = retry
         # what a process-pool task carries to rebuild the cache in the
-        # worker: a disk spec (shared tier, with eviction budgets) or
-        # "shared"/None; a purely in-memory PassCache cannot cross the
-        # process boundary
+        # worker: a disk spec (shared tier) or "shared"/None; a purely
+        # in-memory PassCache cannot cross the process boundary
         if self.cache is not None and self.cache.path is not None:
             self._cache_spec: Union[Dict[str, Any], PassCache, str, None] = {
                 "path": self.cache.path,
                 "maxsize": self.cache.maxsize,
-                "max_entries": self.cache.max_entries,
-                "max_bytes": self.cache.max_bytes,
             }
         elif isinstance(cache, PassCache) and executor == "process":
             raise PipelineError(

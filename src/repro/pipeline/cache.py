@@ -24,28 +24,25 @@ values with a registered JSON codec spill (circuits, specifications,
 routing results, statistics); entries carrying opaque artifacts stay
 memory-only.
 
-The disk tier has a bounded lifecycle: ``max_entries``/``max_bytes``
-budgets trigger an LRU sweep (:meth:`PassCache.gc`) ordered by each
+The disk tier grows until swept: :meth:`PassCache.gc` is its one
+eviction path (the CLI's ``python -m repro cache gc`` calls it), an
+LRU sweep down to the budgets passed to that call, ordered by each
 entry file's access stamp (its mtime, touched on every disk hit).
 Entries are generation-stamped and written atomically
 (``os.replace``), so concurrent writers can never produce a torn
-read; in-flight entries — pinned via :meth:`PassCache.pin` while a
-pipeline is computing or replaying them — are never evicted by this
-instance's own sweeps.  Pins live in the instance, so a sweep run by
-a different instance or process (e.g. ``python -m repro cache gc``)
-cannot see them; crossing that line costs a recompute, never
-corruption.
+read.  A sweep may evict an entry another flow is about to read; that
+flow misses and recomputes, never reads a corrupt entry.
 
 The disk tier is also *resilient* (PR 6): transient I/O errors are
-retried per a :class:`~repro.resilience.RetryPolicy` and counted
-(``io_errors`` with a memory/disk split in :meth:`PassCache.stats`)
-instead of silently swallowed; corrupt or foreign-format entry files
-are moved into ``<dir>/quarantine/`` under their original names,
-never re-read and never silently deleted; and after ``degrade_after``
+retried per :data:`DISK_RETRY` and counted (``io_errors`` with a
+memory/disk split in :meth:`PassCache.stats`) instead of silently
+swallowed; corrupt or foreign-format entry files are moved into
+``<dir>/quarantine/`` under their original names, never re-read and
+never silently deleted; and after :data:`DEFAULT_DEGRADE_AFTER`
 *consecutive* disk failures the tier trips into memory-only degraded
 mode — compiles keep working off the memory tier, the flag shows up
-in ``stats()``/``counters()``, and :meth:`PassCache.probe` recovers
-the tier once the disk heals.
+in ``stats()``, and :meth:`PassCache.probe` recovers the tier once
+the disk heals.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..boolean.permutation import BitPermutation
 from ..boolean.truth_table import TruthTable
@@ -68,15 +65,16 @@ from ..core.statistics import CircuitStatistics
 from ..mapping.routing import RoutingResult
 from ..resilience.errors import DegradedCache
 from ..resilience.faults import fault_point, mutate_payload
-from ..resilience.policies import RetryPolicy, as_retry
+from ..resilience.policies import RetryPolicy
 from ..synthesis.reversible import MctGate, ReversibleCircuit
 
 #: Default number of entries a cache retains (LRU eviction).
 DEFAULT_MAXSIZE = 512
 
-#: Default retry policy for transient disk I/O: three quick attempts
-#: with millisecond backoff — enough to ride out a transient EIO or a
-#: busy file, cheap enough that a genuinely dead disk fails fast.
+#: Retry policy for transient disk I/O, read at each operation: three
+#: quick attempts with millisecond backoff — enough to ride out a
+#: transient EIO or a busy file, cheap enough that a genuinely dead
+#: disk fails fast.
 DISK_RETRY = RetryPolicy(
     max_attempts=3,
     base_delay=0.002,
@@ -87,7 +85,7 @@ DISK_RETRY = RetryPolicy(
 )
 
 #: Consecutive disk failures before a tier trips into memory-only
-#: degraded mode (``degrade_after``'s default).
+#: degraded mode (read when each failure is counted).
 DEFAULT_DEGRADE_AFTER = 5
 
 #: Subdirectory (under the cache path) corrupt entries are moved to.
@@ -108,13 +106,6 @@ _STALE_TMP_SECONDS = 300.0
 
 #: Per-process monotonic generation counter for disk entry stamps.
 _GENERATION = itertools.count(1)
-
-
-def _slack(budget: Optional[int]) -> Optional[int]:
-    """Return ~75% of a budget — the auto-gc hysteresis target."""
-    if budget is None:
-        return None
-    return max(budget - max(1, budget // 4), 0)
 
 
 # ----------------------------------------------------------------------
@@ -240,46 +231,25 @@ class PassCache:
             evicted first.  ``None`` disables eviction.
         path: optional directory for the persistent tier; entries with
             JSON-codable values are written there and reloaded on a
-            memory miss, including from other processes.
-        max_entries: disk-tier entry budget; a spill that pushes the
-            running tally past it triggers an LRU :meth:`gc` sweep.
-            ``None`` leaves the tier unbounded.
-        max_bytes: disk-tier byte budget, enforced like
-            ``max_entries``.
-        retry: retry policy for transient disk I/O — a
-            :class:`~repro.resilience.RetryPolicy`, an int (attempt
-            count), ``None`` (no retries), or ``"default"`` for
-            :data:`DISK_RETRY`.
-        degrade_after: consecutive disk failures before the tier trips
-            into memory-only degraded mode (recover via
-            :meth:`probe`); ``None`` never degrades.
+            memory miss, including from other processes.  The tier is
+            unbounded until :meth:`gc` sweeps it.
+
+    Raises:
+        ValueError: ``maxsize`` is neither ``None`` nor at least 1.
     """
 
     def __init__(
         self,
         maxsize: Optional[int] = DEFAULT_MAXSIZE,
         path: Optional[str] = None,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        retry: Union[RetryPolicy, int, None, str] = "default",
-        degrade_after: Optional[int] = DEFAULT_DEGRADE_AFTER,
     ) -> None:
         """Create an empty cache with the given capacity and tier."""
+        if maxsize is not None and maxsize < 1:
+            raise ValueError(f"maxsize must be None or >= 1, not {maxsize!r}")
         self.maxsize = maxsize
         self.path = os.fspath(path) if path is not None else None
         if self.path is not None:
             os.makedirs(self.path, exist_ok=True)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        if isinstance(retry, str):
-            if retry != "default":
-                raise ValueError(f"unknown retry spec {retry!r}")
-            self.retry: Optional[RetryPolicy] = DISK_RETRY
-        else:
-            self.retry = as_retry(retry)
-        if degrade_after is not None and degrade_after < 1:
-            raise ValueError("degrade_after must be positive or None")
-        self.degrade_after = degrade_after
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -297,27 +267,10 @@ class PassCache:
             "OrderedDict[str, Tuple[Dict[str, Any], Dict[str, Any], bool]]"
         )
         self._entries = OrderedDict()
-        # key -> pin count: pinned entries are never evicted by the
-        # memory LRU cap or by gc() — they are in flight in a pipeline
-        self._pins: Dict[str, int] = {}
-        # entry-file basename -> pin count: the disk-tier view of the
-        # same pins, maintained eagerly so gc's per-file check is an
-        # O(1) lookup under the lock instead of hashing every pin
-        self._pin_names: Dict[str, int] = {}
         # key -> (completion event, owning thread ident): the
         # single-flight registry Pipeline.apply uses so concurrent
         # flows computing the same key run it once
         self._inflight: Dict[str, Tuple[threading.Event, int]] = {}
-        # this process's running (entries, bytes) view of the disk
-        # tier, seeded lazily by one scan and resynced by every gc();
-        # keeps budget checks and stats() off the listdir/stat path.
-        # _tally_writes counts additive mutations (spills, drops) so
-        # gc() can tell whether its unlocked directory scan went
-        # stale; _tally_resets counts destructive ones (clear), which
-        # additionally forbid installing a concurrently-taken seed.
-        self._disk_tally: Optional[Tuple[int, int]] = None
-        self._tally_writes = 0
-        self._tally_resets = 0
         # keys this process knows to have an entry file (spilled or
         # loaded): gates the LRU access stamp so memory hits on
         # never-spilled entries skip a guaranteed-failing utime
@@ -329,57 +282,16 @@ class PassCache:
             return len(self._entries)
 
     # ------------------------------------------------------------------
-    # pinning and single-flight (in-flight entry lifecycle)
+    # single-flight (in-flight entry lifecycle)
     # ------------------------------------------------------------------
-    def _pin_locked(self, key: str) -> None:
-        """Add one pin for ``key`` (caller holds the lock)."""
-        self._pins[key] = self._pins.get(key, 0) + 1
-        if self.path is not None:
-            name = os.path.basename(self._entry_path(key))
-            self._pin_names[name] = self._pin_names.get(name, 0) + 1
-
-    def _unpin_locked(self, key: str) -> None:
-        """Release one pin for ``key`` (caller holds the lock)."""
-        count = self._pins.get(key, 0) - 1
-        if count > 0:
-            self._pins[key] = count
-        else:
-            self._pins.pop(key, None)
-        if self.path is not None:
-            name = os.path.basename(self._entry_path(key))
-            count = self._pin_names.get(name, 0) - 1
-            if count > 0:
-                self._pin_names[name] = count
-            else:
-                self._pin_names.pop(name, None)
-
-    def pin(self, key: str) -> None:
-        """Protect ``key`` from eviction until :meth:`unpin`.
-
-        Pins nest (a count per key); both the memory LRU cap and
-        :meth:`gc` skip pinned entries.
-        """
-        with self._lock:
-            self._pin_locked(key)
-
-    def unpin(self, key: str) -> None:
-        """Release one :meth:`pin` of ``key``."""
-        with self._lock:
-            self._unpin_locked(key)
-
-    def pinned(self, key: str) -> bool:
-        """Return whether ``key`` currently holds any pins."""
-        with self._lock:
-            return self._pins.get(key, 0) > 0
-
     def begin_compute(
         self, key: str
     ) -> Tuple[str, Optional[threading.Event]]:
         """Claim (or observe) the in-flight computation of ``key``.
 
         The caller must pair a ``"leader"`` claim with
-        :meth:`end_compute` (use ``try/finally``); the entry stays
-        pinned — safe from every eviction path — for the duration.
+        :meth:`end_compute` (use ``try/finally``).  A follower that
+        finds the entry evicted when it re-reads recomputes it.
 
         Returns:
             ``("leader", event)`` — this caller should compute and
@@ -395,7 +307,6 @@ class PassCache:
             if inflight is None:
                 event = threading.Event()
                 self._inflight[key] = (event, me)
-                self._pin_locked(key)
                 return "leader", event
             event, owner = inflight
             if owner == me:
@@ -406,8 +317,6 @@ class PassCache:
         """Release a ``"leader"`` claim and wake the key's followers."""
         with self._lock:
             inflight = self._inflight.pop(key, None)
-            if inflight is not None:
-                self._unpin_locked(key)
         if inflight is not None:
             inflight[0].set()
 
@@ -434,15 +343,11 @@ class PassCache:
                 return
             self.disk_io_errors += 1
             self._consecutive_io_errors += 1
-            if (
-                self.degrade_after is not None
-                and not self._degraded
-                and self._consecutive_io_errors >= self.degrade_after
-            ):
+            if self._consecutive_io_errors >= DEFAULT_DEGRADE_AFTER:
                 self._degraded = True
 
     def _disk_io(self, operation, site: str):
-        """Run one disk operation under the tier's retry policy.
+        """Run one disk operation under :data:`DISK_RETRY`.
 
         Transient failures (per the policy's classifier) are retried
         with backoff; the final failure is counted against the tier —
@@ -450,15 +355,14 @@ class PassCache:
         into its own fallback (skip the spill, miss the load).  Any
         success resets the consecutive-failure streak.
         """
-        policy = self.retry
+        policy = DISK_RETRY
         attempt = 0
         while True:
             try:
                 result = operation()
             except OSError as exc:
                 if (
-                    policy is not None
-                    and attempt + 1 < policy.max_attempts
+                    attempt + 1 < policy.max_attempts
                     and policy.is_transient(exc)
                 ):
                     with self._lock:
@@ -491,10 +395,6 @@ class PassCache:
         quarantine_dir = os.path.join(self.path, QUARANTINE_DIR)
         with self._lock:
             try:
-                size = os.stat(entry_path).st_size
-            except OSError:
-                size = 0
-            try:
                 os.makedirs(quarantine_dir, exist_ok=True)
                 os.replace(
                     entry_path, os.path.join(quarantine_dir, name)
@@ -514,12 +414,6 @@ class PassCache:
             self.quarantined += 1
             if key is not None:
                 self._spilled.discard(key)
-            self._tally_writes += 1
-            if self._disk_tally is not None:
-                entries, total = self._disk_tally
-                self._disk_tally = (
-                    max(entries - 1, 0), max(total - size, 0)
-                )
             return True
 
     def probe(self, strict: bool = False) -> bool:
@@ -604,8 +498,8 @@ class PassCache:
         # new complete entry, never a torn mix of the two
         tmp = f"{target}.tmp.{os.getpid()}.{threading.get_ident()}"
 
-        def write() -> int:
-            """Write the payload to the temp file; return its length.
+        def write() -> None:
+            """Write the payload to the temp file.
 
             One injection visit per attempt: a raise-spec becomes a
             (retried) I/O error, a torn-spec truncates the payload
@@ -614,60 +508,26 @@ class PassCache:
             data = mutate_payload("cache.spill.write", payload)
             with open(tmp, "w") as stream:
                 stream.write(data)
-            return len(data)
 
         try:
-            written = self._disk_io(write, "cache.spill.write")
+            self._disk_io(write, "cache.spill.write")
         except OSError:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             return
-        # stat + replace + tally update are one locked step, so two
-        # racing spills of the same new key cannot both see "no
-        # previous file" and double-count the entry
-        with self._lock:
-            try:
-                previous_size: Optional[int] = os.stat(target).st_size
-            except OSError:
-                previous_size = None
-            try:
-                os.replace(tmp, target)
-            except OSError:
-                replaced = False
-            else:
-                replaced = True
-                self._spilled.add(key)
-                # bump unconditionally: gc()/_disk_usage() use this to
-                # detect spills landing during their unlocked scans
-                # even while the tally itself is still unseeded
-                self._tally_writes += 1
-                if self._disk_tally is not None:
-                    entries, size = self._disk_tally
-                    self._disk_tally = (
-                        entries + (previous_size is None),
-                        size + written - (previous_size or 0),
-                    )
-        if not replaced:
+        try:
+            os.replace(tmp, target)
+        except OSError:
             self._record_disk_error("cache.spill.write")
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             return
-        if self.max_entries is not None or self.max_bytes is not None:
-            entries, size = self._disk_usage()
-            if (
-                self.max_entries is not None and entries > self.max_entries
-            ) or (self.max_bytes is not None and size > self.max_bytes):
-                # hysteresis: sweep ~25% below the budget so a tier
-                # sitting at its cap does not pay a full directory
-                # scan on every subsequent spill
-                self.gc(
-                    max_entries=_slack(self.max_entries),
-                    max_bytes=_slack(self.max_bytes),
-                )
+        with self._lock:
+            self._spilled.add(key)
 
     def _load(
         self, key: str
@@ -809,21 +669,9 @@ class PassCache:
         self._entries[key] = entry
         self._entries.move_to_end(key)
         if self.maxsize is not None:
+            # maxsize >= 1, so the entry just inserted is never evicted
             while len(self._entries) > self.maxsize:
-                victim = None
-                for candidate in self._entries:
-                    # skip in-flight entries and the entry being
-                    # inserted right now — never evicted; like gc(),
-                    # prefer a transiently-over-budget tier to
-                    # dropping either.  The scan stops at the first
-                    # evictable key, so the common (pin-free) case
-                    # stays O(1) per insert.
-                    if candidate != key and not self._pins.get(candidate):
-                        victim = candidate
-                        break
-                if victim is None:
-                    break  # everything is pinned — allow the overflow
-                del self._entries[victim]
+                self._entries.popitem(last=False)
                 self.memory_evictions += 1
 
     def put(
@@ -874,21 +722,12 @@ class PassCache:
             self._entries.pop(key, None)
             if self.path is not None:
                 self._spilled.discard(key)
-                entry_path = self._entry_path(key)
                 try:
-                    size = os.stat(entry_path).st_size
-                    os.unlink(entry_path)
+                    os.unlink(self._entry_path(key))
                 except FileNotFoundError:
                     pass  # never spilled or already evicted
                 except OSError:
                     self._record_disk_error("cache.drop.unlink")
-                else:
-                    self._tally_writes += 1
-                    if self._disk_tally is not None:
-                        entries, total = self._disk_tally
-                        self._disk_tally = (
-                            max(entries - 1, 0), max(total - size, 0)
-                        )
 
     def clear(self, disk: bool = False) -> None:
         """Drop all in-memory entries and reset the counters.
@@ -920,9 +759,6 @@ class PassCache:
                         except OSError:
                             pass
                 self._spilled.clear()
-                self._disk_tally = None  # reseed on next use
-                # invalidate any seeding scan that started pre-clear
-                self._tally_resets += 1
 
     # ------------------------------------------------------------------
     # disk-tier lifecycle
@@ -949,62 +785,15 @@ class PassCache:
             )
         return entries
 
-    def _disk_usage(self) -> Tuple[int, int]:
-        """Return this process's (entries, bytes) view of the tier.
+    def disk_usage(self) -> Tuple[int, int]:
+        """Return the disk tier's ``(entries, bytes)`` from one scan.
 
-        Seeded by one directory scan on first use, then maintained
-        incrementally by spills/drops and resynced by every
-        :meth:`gc`, so the hot path never re-walks the directory.
-        Concurrent writers in other processes drift this view until
-        the next :meth:`gc` (which rescans).
+        ``(0, 0)`` for a memory-only cache.  This walks the directory,
+        so call it for maintenance (the CLI's ``cache stats``), not
+        per compilation — :meth:`stats` never touches the disk.
         """
-        if self.path is None:
-            return (0, 0)
-        with self._lock:
-            tally = self._disk_tally
-            resets_before = self._tally_resets
-        if tally is None:
-            scan = self._scan_disk()
-            tally = (len(scan), sum(item[3] for item in scan))
-            with self._lock:
-                if self._disk_tally is not None:
-                    # another thread seeded (and kept current) first
-                    tally = self._disk_tally
-                elif self._tally_resets == resets_before:
-                    # spills racing the scan leave this seed off by at
-                    # most the in-flight writes (gc() resyncs); still
-                    # installing it keeps sustained-contention spills
-                    # from re-walking the directory every time
-                    self._disk_tally = tally
-                # else: a clear() landed mid-scan — never install
-                # pre-clear totals; reseed on next use
-        return tally
-
-    def _unlink_if_unpinned(self, name: str, entry_path: str) -> Optional[bool]:
-        """Delete one entry file unless its key is pinned right now.
-
-        The pin check and the unlink happen under the cache lock —
-        the same lock :meth:`pin`/:meth:`begin_compute` take — so a
-        pin can never slip in between check and delete.
-
-        Returns:
-            ``True`` when unlinked, ``False`` when skipped because
-            the key is in flight, ``None`` when the file was already
-            gone (another process evicted it first) or the unlink
-            itself failed (counted as a disk I/O error).
-        """
-        with self._lock:
-            if self._pin_names.get(name, 0) > 0:
-                return False
-            try:
-                fault_point("cache.gc.unlink")
-                os.unlink(entry_path)
-            except FileNotFoundError:
-                return None
-            except OSError:
-                self._record_disk_error("cache.gc.unlink")
-                return None
-            return True
+        entries = self._scan_disk()
+        return len(entries), sum(item[3] for item in entries)
 
     def gc(
         self,
@@ -1012,36 +801,40 @@ class PassCache:
         max_bytes: Optional[int] = None,
         validate: bool = False,
     ) -> Dict[str, int]:
-        """Sweep the disk tier down to its budgets (LRU order).
+        """Sweep the disk tier down to this call's budgets (LRU order).
 
-        Entries are evicted oldest-access-stamp first until both the
-        entry and the byte budget hold.  Entries pinned in this cache
-        instance — in flight in a pipeline — are never evicted, even
-        if that leaves a budget exceeded (pins in other instances or
-        processes are invisible here; evicting their entries costs a
-        recompute, never corruption).  Leaked spill temp files older
-        than five minutes are removed as well.
+        The only path that evicts entry files.  Entries are evicted
+        oldest-access-stamp first until both the entry and the byte
+        budget hold; ``None`` leaves that dimension unbounded.  An
+        entry another flow is computing or about to re-read may go
+        too: that flow misses and recomputes.  Leaked spill temp
+        files older than five minutes are removed as well.
 
         Args:
-            max_entries: per-call entry budget overriding the
-                instance's ``max_entries``.
-            max_bytes: per-call byte budget overriding ``max_bytes``.
+            max_entries: entry budget (``>= 0``) for this sweep.
+            max_bytes: byte budget (``>= 0``) for this sweep.
             validate: additionally parse every entry file and move the
                 corrupt or foreign-format ones into ``quarantine/``
                 (CLI maintenance mode); quarantined files count as
                 evicted and additionally under ``quarantined``.
 
         Returns:
-            A dict with ``scanned``, ``evicted``, ``quarantined``,
-            ``pinned`` (skipped in-flight entries) and the surviving
-            ``entries``/``bytes``.
+            A dict with ``scanned``, ``evicted``, ``quarantined`` and
+            the surviving ``entries``/``bytes``.
+
+        Raises:
+            ValueError: a budget is negative.
         """
+        for flag, budget in (
+            ("max_entries", max_entries), ("max_bytes", max_bytes)
+        ):
+            if budget is not None and budget < 0:
+                raise ValueError(f"{flag} must be >= 0, not {budget!r}")
         if self.path is None:
             return {
                 "scanned": 0,
                 "evicted": 0,
                 "quarantined": 0,
-                "pinned": 0,
                 "entries": 0,
                 "bytes": 0,
             }
@@ -1055,17 +848,9 @@ class PassCache:
                 "scanned": 0,
                 "evicted": 0,
                 "quarantined": 0,
-                "pinned": 0,
                 "entries": 0,
                 "bytes": 0,
             }
-        limit_entries = (
-            max_entries if max_entries is not None else self.max_entries
-        )
-        limit_bytes = max_bytes if max_bytes is not None else self.max_bytes
-        with self._lock:
-            tally_writes_before = self._tally_writes
-            tally_resets_before = self._tally_resets
         now = time.time()
         try:
             for name in os.listdir(self.path):
@@ -1102,121 +887,74 @@ class PassCache:
                 if valid:
                     survivors.append((name, entry_path, stamp, size))
                     continue
-                # corrupt entries are quarantined, not deleted: the
-                # pin check and the move share the cache lock so an
-                # in-flight key can never be swept out from under a
-                # pipeline
-                with self._lock:
-                    if self._pin_names.get(name, 0) > 0:
-                        moved: Optional[bool] = False
-                    else:
-                        moved = self._quarantine(entry_path)
+                # corrupt entries are quarantined, not deleted
+                moved = self._quarantine(entry_path)
                 if moved:
                     evicted += 1
                     quarantined += 1
-                elif moved is False:  # in flight — keep it
+                elif moved is False:  # could not even be removed
                     survivors.append((name, entry_path, stamp, size))
             entries = survivors
         entries.sort(key=lambda item: item[2])  # oldest access first
         total_entries = len(entries)
         total_bytes = sum(item[3] for item in entries)
-        skipped_pins = 0
-        for name, entry_path, _stamp, size in entries:
+        for _name, entry_path, _stamp, size in entries:
             over_budget = (
-                limit_entries is not None and total_entries > limit_entries
-            ) or (limit_bytes is not None and total_bytes > limit_bytes)
+                max_entries is not None and total_entries > max_entries
+            ) or (max_bytes is not None and total_bytes > max_bytes)
             if not over_budget:
                 break
-            unlinked = self._unlink_if_unpinned(name, entry_path)
-            if unlinked is False:  # pinned at delete time — in flight
-                skipped_pins += 1
-                continue
-            if unlinked is None:  # another process won the race
-                total_entries -= 1
-                total_bytes -= size
-                continue
-            evicted += 1
+            try:
+                fault_point("cache.gc.unlink")
+                os.unlink(entry_path)
+            except FileNotFoundError:
+                pass  # another process evicted it first
+            except OSError:
+                self._record_disk_error("cache.gc.unlink")
+            else:
+                evicted += 1
             total_entries -= 1
             total_bytes -= size
         with self._lock:
             self.disk_evictions += evicted
-            if (
-                self._tally_writes == tally_writes_before
-                and self._tally_resets == tally_resets_before
-            ):
-                self._disk_tally = (total_entries, total_bytes)
-            else:
-                # a spill or clear landed during the (unlocked) scan,
-                # so these totals are stale — drop the tally; the next
-                # _disk_usage() reseeds it with one scan
-                self._disk_tally = None
         return {
             "scanned": scanned,
             "evicted": evicted,
             "quarantined": quarantined,
-            "pinned": skipped_pins,
             "entries": total_entries,
             "bytes": total_bytes,
         }
 
     def stats(self) -> Dict[str, int]:
-        """Return the cache's counters and tier sizes.
+        """Return the cache's counters; never touches the disk.
 
         Returns:
             A dict with the in-memory ``entries``, the ``hits`` /
             ``misses`` / ``disk_hits`` counters, the total
             ``evictions`` (memory LRU plus disk gc, with the
-            ``memory_evictions`` / ``disk_evictions`` split), the
+            ``memory_evictions`` / ``disk_evictions`` split), and the
             resilience counters — total ``io_errors`` with the
             ``memory_io_errors`` / ``disk_io_errors`` split, I/O
             ``retries``, ``quarantined`` entries, and ``degraded``
-            (1 while the tier is memory-only) — and the disk tier's
-            ``disk_entries`` / ``disk_bytes`` (this process's
-            incrementally-maintained view — one directory scan on
-            first use, resynced by every :meth:`gc`).
-        """
-        disk_entries, disk_bytes = self._disk_usage()
-        with self._lock:
-            return self._counters_locked(disk_entries, disk_bytes)
-
-    def counters(self) -> Dict[str, Optional[int]]:
-        """Return :meth:`stats` without ever scanning the directory.
-
-        The hot-path variant (every compilation snapshots this): the
-        ``disk_entries`` / ``disk_bytes`` figures come from the
-        running tally when this process has already seeded it (budget
-        enforcement or a prior :meth:`stats`/:meth:`gc` call) and are
-        ``None`` otherwise — call :meth:`stats` when an exact disk
-        view is worth a scan.
+            (1 while the tier is memory-only).  The disk tier's size
+            comes from :meth:`disk_usage`.
         """
         with self._lock:
-            tally = self._disk_tally if self.path is not None else (0, 0)
-            disk_entries, disk_bytes = tally if tally is not None else (
-                None, None
-            )
-            return self._counters_locked(disk_entries, disk_bytes)
-
-    def _counters_locked(
-        self, disk_entries: Optional[int], disk_bytes: Optional[int]
-    ) -> Dict[str, Optional[int]]:
-        """Assemble the stats payload (caller holds the lock)."""
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "evictions": self.memory_evictions + self.disk_evictions,
-            "memory_evictions": self.memory_evictions,
-            "disk_evictions": self.disk_evictions,
-            "io_errors": self.io_errors,
-            "memory_io_errors": self.memory_io_errors,
-            "disk_io_errors": self.disk_io_errors,
-            "retries": self.retries,
-            "quarantined": self.quarantined,
-            "degraded": int(self._degraded),
-            "disk_entries": disk_entries,
-            "disk_bytes": disk_bytes,
-        }
+            return {
+                "entries": len(self._entries),
+                "hits": self.hits,
+                "misses": self.misses,
+                "disk_hits": self.disk_hits,
+                "evictions": self.memory_evictions + self.disk_evictions,
+                "memory_evictions": self.memory_evictions,
+                "disk_evictions": self.disk_evictions,
+                "io_errors": self.io_errors,
+                "memory_io_errors": self.memory_io_errors,
+                "disk_io_errors": self.disk_io_errors,
+                "retries": self.retries,
+                "quarantined": self.quarantined,
+                "degraded": int(self._degraded),
+            }
 
 
 _SHARED: Optional[PassCache] = None

@@ -17,8 +17,6 @@ benchmarks all execute through this runner.
 
 from __future__ import annotations
 
-import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -33,45 +31,13 @@ from .passes import Pass
 from .state import FlowState, PipelineError, state_key
 
 #: How long a follower waits for another thread computing the same
-#: cache key before giving up and computing the pass itself — the
-#: default when neither ``Pipeline(follower_timeout=...)`` nor the
-#: ``REPRO_SINGLE_FLIGHT_TIMEOUT`` environment variable overrides it.
+#: cache key before giving up and computing the pass itself (read at
+#: wait time, and further bounded by the flow's deadline).
 SINGLE_FLIGHT_TIMEOUT = 60.0
 
 #: Per-pass error policies ``on_error=`` accepts (or a dict mapping
 #: pass names to one of these).
 ON_ERROR_POLICIES = ("raise", "retry", "fallback")
-
-
-def _default_follower_timeout() -> float:
-    """Resolve the follower timeout: env override, then the constant.
-
-    Read at wait time (not construction), so tests and operators can
-    adjust ``REPRO_SINGLE_FLIGHT_TIMEOUT`` — or monkeypatch
-    :data:`SINGLE_FLIGHT_TIMEOUT` — without rebuilding pipelines.
-    Unparsable, non-finite and non-positive values fall back to the
-    constant.
-    """
-    raw = os.environ.get("REPRO_SINGLE_FLIGHT_TIMEOUT")
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            pass
-        else:
-            if _valid_follower_timeout(value):
-                return value
-    return SINGLE_FLIGHT_TIMEOUT
-
-
-def _valid_follower_timeout(value: float) -> bool:
-    """Whether a follower timeout is usable by ``Event.wait``.
-
-    Infinite values overflow the wait's timestamp arithmetic, and NaN,
-    zero or negative values return at once — silently turning
-    single-flight waiting off.
-    """
-    return math.isfinite(value) and value > 0
 
 
 class VerificationError(PipelineError):
@@ -300,12 +266,6 @@ class Pipeline:
         cache: a :class:`~.cache.PassCache`, the string ``"shared"``
             for the process-wide cache (default), or ``None`` to
             disable result caching.
-        follower_timeout: how long (positive, finite seconds) a
-            single-flight follower waits for the leader's result
-            before recomputing itself — any other value raises
-            :class:`~.state.PipelineError`; ``None`` (default)
-            resolves ``REPRO_SINGLE_FLIGHT_TIMEOUT`` and then
-            :data:`SINGLE_FLIGHT_TIMEOUT` at wait time.
         deadline: default compute budget for :meth:`run`/:meth:`apply`
             — a :class:`~repro.resilience.Deadline` or seconds from
             now; checked at cooperative checkpoints (between passes,
@@ -324,7 +284,6 @@ class Pipeline:
         self,
         verify: Union[bool, str, EquivalenceChecker, None] = False,
         cache: Union[PassCache, str, None] = "shared",
-        follower_timeout: Optional[float] = None,
         deadline: Union[Deadline, float, None] = None,
         retry: Union[RetryPolicy, int, None] = None,
         on_error: Union[str, Dict[str, str], None] = None,
@@ -336,14 +295,6 @@ class Pipeline:
             self.cache: Optional[PassCache] = shared_cache()
         else:
             self.cache = cache
-        if follower_timeout is not None:
-            follower_timeout = float(follower_timeout)
-            if not _valid_follower_timeout(follower_timeout):
-                raise PipelineError(
-                    "follower_timeout must be a positive, finite number "
-                    f"of seconds or None, not {follower_timeout!r}"
-                )
-        self.follower_timeout = follower_timeout
         self.deadline = as_deadline(deadline)
         self.retry = as_retry(retry)
         self.on_error = _check_on_error(on_error)
@@ -373,14 +324,13 @@ class Pipeline:
         safe here: a cache miss claims the key in the cache's
         single-flight registry, so a second thread arriving at the
         same key waits for the first result and replays it instead of
-        recomputing, and the entry stays pinned (exempt from LRU
-        eviction and :meth:`~.cache.PassCache.gc`) while in flight.
-        No lock is held while a pass runs, and a nested flow that
-        re-enters the same key on the same thread computes directly
-        instead of deadlocking on itself.  A follower whose leader
-        stalls past the follower timeout recomputes the pass itself;
-        the wait is additionally bounded by the deadline, so a hung
-        leader can never consume a follower's whole budget.
+        recomputing.  No lock is held while a pass runs, and a nested
+        flow that re-enters the same key on the same thread computes
+        directly instead of deadlocking on itself.  A follower whose
+        leader stalls past :data:`SINGLE_FLIGHT_TIMEOUT`, or whose
+        leader's entry was evicted before it re-reads, recomputes the
+        pass itself; the wait is additionally bounded by the deadline,
+        so a hung leader can never consume a follower's whole budget.
 
         Args:
             pass_: the pass to execute.
@@ -432,11 +382,7 @@ class Pipeline:
             if role == "follower":
                 # another thread is computing this key — wait for it
                 # and replay; on timeout or eviction, compute anyway
-                timeout = (
-                    self.follower_timeout
-                    if self.follower_timeout is not None
-                    else _default_follower_timeout()
-                )
+                timeout = SINGLE_FLIGHT_TIMEOUT
                 if deadline is not None:
                     timeout = deadline.bound(timeout)
                 fault_point("pipeline.apply.wait")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.__main__ import main
+from repro.pipeline import PassCache
 
 
 @pytest.fixture
@@ -202,6 +203,27 @@ class TestCacheCommand:
         )
         assert code == 0
         assert json.loads(out)["entries"] == 0
+
+    @pytest.mark.parametrize(
+        "flag, budget", [("--max-entries", -1), ("--max-bytes", -5)]
+    )
+    def test_negative_budget_is_refused(
+        self, run_cli, capsys, tmp_path, flag, budget
+    ):
+        cache_dir = tmp_path / "tier"
+        self._warm(run_cli, str(cache_dir))
+        entries = sorted(cache_dir.glob("*.json"))
+        with pytest.raises(SystemExit) as info:
+            run_cli(
+                "cache", "gc", "--cache-dir", str(cache_dir),
+                flag, str(budget),
+            )
+        assert info.value.code == 2
+        assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
+        keyword = flag[2:].replace("-", "_")
+        with pytest.raises(ValueError, match=f"{keyword} must be >= 0"):
+            PassCache(path=str(cache_dir)).gc(**{keyword: budget})
+        assert sorted(cache_dir.glob("*.json")) == entries  # none evicted
 
     def test_missing_directory_exits_nonzero(self, run_cli, tmp_path):
         for action in ("stats", "gc", "clear"):

@@ -202,24 +202,13 @@ class TestProcessExecutor:
             CompilerSession(cache=PassCache(), executor="process")
 
     def test_disk_backed_pass_cache_instance_allowed(self, tmp_path):
-        cache = PassCache(
-            maxsize=32,
-            path=str(tmp_path / "tier"),
-            max_entries=64,
-            max_bytes=1 << 20,
-        )
+        cache = PassCache(maxsize=32, path=str(tmp_path / "tier"))
         session = CompilerSession(
             target="toffoli", cache=cache, executor="process"
         )
-        # the worker-side spec rebuilds the disk tier with the same
-        # budgets (both tiers), so eviction policy follows the cache
-        # across processes
-        assert session._cache_spec == {
-            "path": cache.path,
-            "maxsize": 32,
-            "max_entries": 64,
-            "max_bytes": 1 << 20,
-        }
+        # the worker-side spec rebuilds the disk tier at the same path
+        # with the same memory cap
+        assert session._cache_spec == {"path": cache.path, "maxsize": 32}
 
     def test_process_pool_compiles_spec_workloads(self, tmp_path):
         session = CompilerSession(

@@ -1,14 +1,16 @@
 """Concurrency stress tests for the disk-backed pass cache.
 
 Many threads plus a process-pool session hammer one disk-backed
-:class:`~repro.pipeline.PassCache` under a deliberately tiny byte
-budget, so spills and eviction sweeps race with lookups the whole
-time.  The obligations: every compilation still produces the correct
-circuit, every entry file that survives parses as a complete
-generation-stamped entry (no torn writes), the budget holds once the
-dust settles, and ``gc()`` never evicts an entry that is in flight.
+:class:`~repro.pipeline.PassCache` while a sweeper thread keeps
+running ``gc()`` down to a deliberately tiny byte budget, so spills
+and eviction sweeps race with lookups the whole time.  The
+obligations: every compilation still produces the correct circuit,
+every entry file that survives parses as a complete generation-stamped
+entry (no torn writes), the budget holds once the dust settles, and a
+flow whose entry is evicted under it recomputes the same result.
 """
 
+import contextlib
 import json
 import threading
 import time
@@ -28,17 +30,42 @@ def _reference(n, target="clifford_t"):
     return repro.compile({"hwb": n}, target=target, cache=None)
 
 
+@contextlib.contextmanager
+def _sweeping(cache):
+    """Run ``cache.gc(max_bytes=BYTE_BUDGET)`` in a loop meanwhile."""
+    stop = threading.Event()
+    errors = []
+
+    def sweep():
+        try:
+            while True:
+                cache.gc(max_bytes=BYTE_BUDGET)
+                if stop.wait(0.005):
+                    return
+        except Exception as exc:  # re-raised on the test thread below
+            errors.append(exc)
+
+    sweeper = threading.Thread(target=sweep)
+    sweeper.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        sweeper.join(timeout=60)
+    assert not sweeper.is_alive()
+    assert not errors, errors
+
+
 class TestThreadStress:
     def test_hammered_bounded_cache_stays_correct(self, tmp_path):
-        cache = PassCache(
-            maxsize=4, path=str(tmp_path), max_bytes=BYTE_BUDGET
-        )
+        cache = PassCache(maxsize=4, path=str(tmp_path))
         session = CompilerSession(
             target="clifford_t", cache=cache, max_workers=8
         )
         reference = {n: _reference(n) for n in (3, 4)}
         workloads = [{"hwb": n} for n in (3, 4)] * 8
-        results = session.compile_many(workloads)
+        with _sweeping(cache):
+            results = session.compile_many(workloads)
         for workload, result in zip(workloads, results):
             expected = reference[workload["hwb"]]
             assert result.circuit.gates == expected.circuit.gates
@@ -52,14 +79,12 @@ class TestThreadStress:
             assert "key" in payload and "outputs" in payload
             assert len(payload["gen"]) == 2
 
-        # in-flight pins may leave the tier transiently over budget;
-        # with nothing in flight anymore a sweep must restore it, and
-        # the auto-sweeps must actually have evicted along the way
-        assert cache.stats()["disk_evictions"] > 0
-        swept = cache.gc()
-        assert swept["pinned"] == 0
+        # spills landing after the sweeper's last pass may leave the
+        # tier over budget; one final sweep must restore it
+        swept = cache.gc(max_bytes=BYTE_BUDGET)
         assert swept["bytes"] <= BYTE_BUDGET
-        assert cache.stats()["disk_bytes"] <= BYTE_BUDGET
+        assert cache.disk_usage()[1] <= BYTE_BUDGET
+        assert cache.stats()["disk_evictions"] > 0
 
         # no lost updates: the tier still serves a fresh process-shape
         # consumer correctly after all that churn
@@ -71,14 +96,13 @@ class TestThreadStress:
     def test_threads_and_process_pool_share_one_tier(self, tmp_path):
         path = str(tmp_path)
         reference = {n: _reference(n, "toffoli") for n in (3, 4)}
+        thread_cache = PassCache(path=path)
         thread_session = CompilerSession(
-            target="toffoli",
-            cache=PassCache(path=path, max_bytes=BYTE_BUDGET),
-            max_workers=4,
+            target="toffoli", cache=thread_cache, max_workers=4
         )
         process_session = CompilerSession(
             target="toffoli",
-            cache=PassCache(path=path, max_bytes=BYTE_BUDGET),
+            cache=PassCache(path=path),
             executor="process",
             max_workers=2,
         )
@@ -89,13 +113,14 @@ class TestThreadStress:
                 [{"hwb": 3}, {"hwb": 4}] * 2
             )
 
-        worker = threading.Thread(target=hammer_processes)
-        worker.start()
-        outcome["thread"] = thread_session.compile_many(
-            [{"hwb": n} for n in (3, 4)] * 4
-        )
-        worker.join(timeout=300)
-        assert not worker.is_alive()
+        with _sweeping(thread_cache):
+            worker = threading.Thread(target=hammer_processes)
+            worker.start()
+            outcome["thread"] = thread_session.compile_many(
+                [{"hwb": n} for n in (3, 4)] * 4
+            )
+            worker.join(timeout=300)
+            assert not worker.is_alive()
 
         for results in (outcome["thread"], outcome["process"]):
             for result in results:
@@ -108,7 +133,9 @@ class TestThreadStress:
 
 
 class TestInFlightProtection:
-    def test_gc_never_evicts_inflight_entry(self, tmp_path):
+    def test_gc_may_evict_an_inflight_entry(self, tmp_path):
+        """Nothing is pinned: a sweep under a running leader takes its
+        entry too, and the leader's store puts it back."""
         cache = PassCache(path=str(tmp_path))
         cache.put("busy", {"function": None}, {})
         cache.put("idle", {"function": None}, {})
@@ -116,44 +143,39 @@ class TestInFlightProtection:
         assert role == "leader"
         try:
             swept = cache.gc(max_entries=0)
-            assert swept["pinned"] == 1
-            remaining = {
-                json.loads(f.read_text())["key"]
-                for f in tmp_path.glob("*.json")
-            }
-            assert remaining == {"busy"}
+            assert swept["evicted"] == 2
+            assert cache.disk_usage() == (0, 0)
+            # another process now misses and would recompute
+            assert PassCache(path=str(tmp_path)).get("busy") is None
+            cache.put("busy", {"function": None}, {"again": True})
         finally:
             cache.end_compute("busy")
-        # once released, the same sweep may take it
-        assert cache.gc(max_entries=0)["evicted"] == 1
+        reread = PassCache(path=str(tmp_path)).get("busy")
+        assert reread is not None and reread[1] == {"again": True}
+        assert cache.begin_compute("busy")[0] == "leader"  # released
+        cache.end_compute("busy")
 
-    def test_full_pinned_tier_never_drops_a_fresh_insert(self):
-        """With every LRU candidate pinned, put() must keep the new
-        entry (transient overflow) rather than evict it — otherwise
-        an unpinned insert silently becomes a no-op."""
+    def test_full_tier_keeps_the_fresh_insert(self):
+        """A put into a full memory tier evicts the least recently
+        used entry, never the one just inserted."""
         cache = PassCache(maxsize=4)
         for index in range(4):
-            key = f"pinned{index}"
-            cache.put(key, {"function": None}, {})
-            cache.pin(key)
-        try:
-            cache.put("fresh", {"function": None}, {})
-            assert cache.get("fresh") is not None
-            assert len(cache) == 5  # over budget, by design
-        finally:
-            for index in range(4):
-                cache.unpin(f"pinned{index}")
+            cache.put(f"key{index}", {"function": None}, {})
+        cache.put("fresh", {"function": None}, {})
+        assert len(cache) == 4
+        assert cache.get("fresh") is not None
+        assert cache.get("key0", count_miss=False) is None
+        assert cache.stats()["memory_evictions"] == 1
 
-    def test_memory_lru_skips_pinned_entries(self):
-        cache = PassCache(maxsize=1)
+    def test_memory_lru_hit_refreshes_recency(self):
+        cache = PassCache(maxsize=2)
         cache.put("hot", {"function": None}, {})
-        cache.pin("hot")
-        try:
-            cache.put("other", {"function": None}, {})
-            cache.put("another", {"function": None}, {})
-            assert cache.get("hot") is not None
-        finally:
-            cache.unpin("hot")
+        cache.put("other", {"function": None}, {})
+        assert cache.get("hot") is not None  # now the most recent
+        cache.put("another", {"function": None}, {})
+        assert cache.get("hot") is not None
+        assert cache.get("another") is not None
+        assert cache.get("other", count_miss=False) is None
 
     def test_single_flight_runs_concurrent_identical_passes_once(self):
         class SlowSimplify(SimplifyPass):
@@ -248,6 +270,56 @@ class TestInFlightProtection:
         assert not stalled_result["hit"]
         assert stalled_result["gates"]
 
+    def test_follower_recomputes_entry_evicted_before_reread(self):
+        """The leader's entry is evicted before the waiting follower
+        re-reads it: the follower claims the key and recomputes, and
+        its outputs match the leader's gate for gate."""
+        from repro.pipeline import SynthesisPass
+
+        class EvictingCache(PassCache):
+            def __init__(self):
+                super().__init__()
+                self.roles = []
+                self.follower_waiting = threading.Event()
+
+            def begin_compute(self, key):
+                role, event = super().begin_compute(key)
+                self.roles.append(role)
+                if role == "follower":
+                    self.follower_waiting.set()
+                return role, event
+
+            def put(self, *args, **kwargs):
+                super().put(*args, **kwargs)
+                self.clear()  # gone before the follower re-reads it
+
+        cache = EvictingCache()
+
+        class HeldSynthesis(SynthesisPass):
+            def run(self, state):
+                # the leader stores only once a follower is waiting
+                assert cache.follower_waiting.wait(timeout=30)
+                return super().run(state)
+
+        seed = FlowState(function=generators.hwb(3))
+        outcomes = []
+
+        def apply():
+            state, record = Pipeline(cache=cache).apply(
+                HeldSynthesis("tbs"), seed
+            )
+            outcomes.append((state.reversible.gates, record.cache_hit))
+
+        threads = [threading.Thread(target=apply) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.roles == ["leader", "follower", "leader"]
+        reference = SynthesisPass("tbs").run(seed).reversible.gates
+        assert outcomes == [(reference, False), (reference, False)]
+
 
 class TestConcurrentWriters:
     def test_racing_spills_leave_whole_entries(self, tmp_path):
@@ -278,11 +350,10 @@ class TestConcurrentWriters:
         assert len(generations) == 5  # every survivor a distinct stamp
         assert not list(tmp_path.glob("*.tmp.*"))
 
-    def test_racing_spills_keep_disk_tally_accurate(self, tmp_path):
-        """Two spills racing on the same new key must not both count
-        it: the running tally has to match the real directory."""
-        # a (non-binding) budget makes the budget check seed the tally
-        cache = PassCache(path=str(tmp_path), max_entries=10**6)
+    def test_racing_spills_leave_disk_usage_accurate(self, tmp_path):
+        """Spills racing on the same new keys: one scan of the
+        directory reports exactly the entries and bytes on disk."""
+        cache = PassCache(path=str(tmp_path))
 
         def writer(worker_id):
             for index in range(50):
@@ -297,9 +368,11 @@ class TestConcurrentWriters:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         real_entries = list(tmp_path.glob("*.json"))
-        stats = cache.stats()
-        assert stats["disk_entries"] == len(real_entries) == 50
-        assert stats["disk_bytes"] == sum(
-            f.stat().st_size for f in real_entries
+        assert len(real_entries) == 50
+        assert cache.disk_usage() == (
+            50,
+            sum(f.stat().st_size for f in real_entries),
         )
+        assert cache.stats()["disk_evictions"] == 0  # puts never evict

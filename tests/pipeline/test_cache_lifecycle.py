@@ -4,6 +4,8 @@ import json
 import os
 import time
 
+import pytest
+
 import repro
 from repro.pipeline import PassCache
 from repro.pipeline.cache import DISK_FORMAT
@@ -57,10 +59,11 @@ class TestGcOrdering:
             "scanned": 0,
             "evicted": 0,
             "quarantined": 0,
-            "pinned": 0,
             "entries": 0,
             "bytes": 0,
         }
+        assert cache.disk_usage() == (0, 0)
+        assert len(cache) == 3
 
     def test_validate_drops_foreign_and_corrupt_files(self, tmp_path):
         cache = PassCache(path=str(tmp_path))
@@ -74,19 +77,40 @@ class TestGcOrdering:
         assert bystander.exists()
 
 
-class TestAutoGc:
-    def test_put_keeps_disk_tier_within_budget(self, tmp_path):
-        cache = PassCache(path=str(tmp_path), max_entries=3)
+class TestUnboundedDiskTier:
+    def test_put_never_evicts_from_disk(self, tmp_path):
+        """The memory tier is LRU-capped; the disk tier keeps every
+        spilled entry until gc() sweeps it."""
+        cache = PassCache(maxsize=2, path=str(tmp_path))
         _fill(cache, 10)
-        assert len(list(tmp_path.glob("*.json"))) <= 3
-        assert cache.disk_evictions >= 7
+        assert len(cache) == 2
+        assert cache.disk_usage()[0] == 10
+        stats = cache.stats()
+        assert stats["memory_evictions"] == 8
+        assert stats["disk_evictions"] == 0
+        # an entry long gone from memory is still served from disk
+        assert cache.get("key0") is not None
+        assert cache.stats()["disk_hits"] == 1
 
+    def test_disk_usage_counts_only_entry_files(self, tmp_path):
+        cache = PassCache(path=str(tmp_path))
+        _fill(cache, 2)
+        expected = sum(f.stat().st_size for f in tmp_path.glob("*.json"))
+        (tmp_path / "notes.json").write_text("{}")
+        leaked = cache._entry_path("key0") + ".tmp.1.2"
+        with open(leaked, "w") as stream:
+            stream.write("partial")
+        (tmp_path / "quarantine").mkdir()
+        (tmp_path / "quarantine" / "a.json").write_text("{}")
+        assert cache.disk_usage() == (2, expected)
+
+
+class TestGcRecompile:
     def test_evicted_entry_recompiles_cleanly(self, tmp_path):
-        bounded = PassCache(path=str(tmp_path), max_entries=2)
-        first = repro.compile(
-            {"hwb": 3}, target="clifford_t", cache=bounded
-        )
-        assert bounded.stats()["disk_evictions"] > 0
+        cache = PassCache(path=str(tmp_path))
+        first = repro.compile({"hwb": 3}, target="clifford_t", cache=cache)
+        assert cache.gc(max_entries=2)["evicted"] > 0
+        assert cache.disk_usage()[0] == 2
         # a fresh instance sees only the surviving entries; the flow
         # must recompute the evicted ones and still agree exactly
         again = repro.compile(
@@ -122,25 +146,53 @@ class TestStampsAndStats:
         assert stats["evictions"] == stats["memory_evictions"] + stats[
             "disk_evictions"
         ]
-        assert stats["disk_entries"] == 3
-        assert stats["disk_bytes"] > 0
+        # stats() never sizes the disk tier; disk_usage() scans it
+        assert "disk_entries" not in stats and "disk_bytes" not in stats
+        entries, size = cache.disk_usage()
+        assert entries == 3
+        assert size == sum(f.stat().st_size for f in tmp_path.glob("*.json"))
+
+    def test_stats_never_touches_the_disk(self, tmp_path, monkeypatch):
+        cache = PassCache(path=str(tmp_path))
+        _fill(cache, 3)
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("listdir", "scandir", "stat"):
+            monkeypatch.setattr(os, name, counting(getattr(os, name)))
+        assert cache.stats()["entries"] == 3
+        assert calls == []
+        assert cache.disk_usage()[0] == 3
+        assert calls.count("listdir") == 1  # one directory scan
 
     def test_compilation_result_surfaces_cache_stats(self):
         cache = PassCache()
         result = repro.compile({"hwb": 3}, target="toffoli", cache=cache)
         assert result.cache_stats is not None
         assert result.cache_stats["entries"] == len(cache)
-        assert set(result.cache_stats) >= {
-            "hits", "misses", "evictions", "disk_bytes",
-        }
+        assert set(result.cache_stats) == set(cache.stats())
         uncached = repro.compile({"hwb": 3}, target="toffoli", cache=None)
         assert uncached.cache_stats is None
 
     def test_clear_resets_eviction_counters(self, tmp_path):
-        cache = PassCache(maxsize=1, path=str(tmp_path), max_entries=1)
+        cache = PassCache(maxsize=1, path=str(tmp_path))
         _fill(cache, 3)
-        assert cache.stats()["evictions"] > 0
-        cache.clear(disk=True)
+        assert cache.gc(max_entries=1)["evicted"] == 2
         stats = cache.stats()
-        assert stats["evictions"] == 0
-        assert stats["disk_entries"] == 0
+        assert stats["memory_evictions"] == 2
+        assert stats["disk_evictions"] == 2
+        cache.clear(disk=True)
+        assert cache.stats()["evictions"] == 0
+        assert cache.disk_usage() == (0, 0)
+
+    @pytest.mark.parametrize("maxsize", [0, -1])
+    def test_maxsize_below_one_is_refused(self, maxsize):
+        with pytest.raises(ValueError, match=f"maxsize .* not {maxsize}$"):
+            PassCache(maxsize=maxsize)
+        assert PassCache(maxsize=1).maxsize == 1
+        assert PassCache(maxsize=None).maxsize is None

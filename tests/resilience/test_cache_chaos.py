@@ -12,12 +12,13 @@ import os
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.pipeline import cache as cache_module
 from repro.pipeline.cache import (
     DISK_RETRY,
     QUARANTINE_DIR,
     PassCache,
 )
-from repro.resilience import DegradedCache
+from repro.resilience import DegradedCache, RetryPolicy
 
 KEY = "pass=tbs|sig=chaos|state=deadbeef"
 
@@ -150,30 +151,37 @@ class TestTornWriteQuarantine:
         ]
 
 
+def no_retry_degrade_after(monkeypatch, failures):
+    """Disable disk retries and degrade after ``failures`` in a row."""
+    monkeypatch.setattr(
+        cache_module, "DISK_RETRY", RetryPolicy(max_attempts=1)
+    )
+    monkeypatch.setattr(cache_module, "DEFAULT_DEGRADE_AFTER", failures)
+
+
 class TestDegradedMode:
-    def degraded_cache(self, tmp_path, chaos):
+    def degraded_cache(self, tmp_path, chaos, monkeypatch):
         """Return a cache tripped into degraded mode by spill faults."""
         chaos([{"site": "cache.spill.write", "times": None}])
-        cache = PassCache(
-            path=str(tmp_path), retry=None, degrade_after=3
-        )
+        no_retry_degrade_after(monkeypatch, 3)
+        cache = PassCache(path=str(tmp_path))
         for index in range(3):
             put_one(cache, key=f"{KEY}:{index}", value=index)
         return cache
 
     def test_consecutive_failures_trip_memory_only_mode(
-        self, tmp_path, chaos
+        self, tmp_path, chaos, monkeypatch
     ):
-        cache = self.degraded_cache(tmp_path, chaos)
+        cache = self.degraded_cache(tmp_path, chaos, monkeypatch)
         assert cache.degraded
         stats = cache.stats()
         assert stats["degraded"] == 1
         assert stats["disk_io_errors"] == 3
 
     def test_degraded_cache_still_serves_compilations(
-        self, tmp_path, chaos
+        self, tmp_path, chaos, monkeypatch
     ):
-        cache = self.degraded_cache(tmp_path, chaos)
+        cache = self.degraded_cache(tmp_path, chaos, monkeypatch)
         # memory tier keeps working: inserts and hits succeed
         put_one(cache, key=f"{KEY}:fresh", value=99)
         outputs, _details, _verified = cache.get(f"{KEY}:fresh")
@@ -185,9 +193,9 @@ class TestDegradedMode:
         assert cache.stats()["disk_io_errors"] == errors_before
 
     def test_probe_recovers_the_tier_once_the_disk_heals(
-        self, tmp_path, chaos
+        self, tmp_path, chaos, monkeypatch
     ):
-        cache = self.degraded_cache(tmp_path, chaos)
+        cache = self.degraded_cache(tmp_path, chaos, monkeypatch)
         # the plan is exhausted-per-site only for spills; the real
         # disk is fine, so a probe round-trips and un-degrades
         chaos([])  # install a no-fault plan over the failing one
@@ -213,11 +221,10 @@ class TestDegradedMode:
             os.unlink(tmp_path)
 
     def test_advisory_touch_failures_never_trip_degradation(
-        self, tmp_path, chaos
+        self, tmp_path, chaos, monkeypatch
     ):
-        cache = PassCache(
-            path=str(tmp_path), retry=None, degrade_after=1
-        )
+        no_retry_degrade_after(monkeypatch, 1)
+        cache = PassCache(path=str(tmp_path))
         put_one(cache)
         # break only the LRU access stamp: the entry file vanishes, so
         # every memory hit's utime touch fails with FileNotFoundError
@@ -274,7 +281,6 @@ class TestGcChaos:
             "scanned": 0,
             "evicted": 0,
             "quarantined": 0,
-            "pinned": 0,
             "entries": 0,
             "bytes": 0,
         }

@@ -2,8 +2,10 @@
 
 The array-backend registry (and its ``backend=`` keywords, engine
 options and environment variables), ``core/qasm.py``,
-``pipeline/verification.py`` and the deprecated ``optimize=`` /
-``synth=`` keywords are gone.  An old spelling must end in an import,
+``pipeline/verification.py``, the deprecated ``optimize=`` /
+``synth=`` keywords, and the pass cache's constructor budgets, retry
+and degradation knobs and the pipeline's ``follower_timeout=`` are
+gone.  An old spelling must end in an import,
 type or engine error — or, for the environment variables, have no
 effect at all — rather than being silently accepted.
 """
@@ -103,3 +105,22 @@ def test_qsharp_synth_keyword_is_gone(call, paper_pi):
     with pytest.raises(TypeError, match="synth"):
         call(qsharp, paper_pi)
     assert not hasattr(qsharp, "operation_from_circuit")
+
+
+@pytest.mark.parametrize(
+    "keyword", ["max_entries", "max_bytes", "retry", "degrade_after"]
+)
+def test_pass_cache_takes_only_maxsize_and_path(keyword):
+    from repro.pipeline import PassCache
+
+    with pytest.raises(TypeError, match=keyword):
+        PassCache(**{keyword: 1})
+    assert not hasattr(PassCache, "counters")
+    assert not hasattr(PassCache, "pin")
+
+
+def test_pipeline_follower_timeout_keyword_is_gone():
+    from repro.pipeline import Pipeline
+
+    with pytest.raises(TypeError, match="follower_timeout"):
+        Pipeline(cache=None, follower_timeout=1.0)
