@@ -15,9 +15,9 @@ gap.
 import numpy as np
 from conftest import report
 
-from repro.core.circuit import QuantumCircuit
-from repro.engines import NoiseModel
-from repro.simulator.noise import NoisyBackend
+from repro import engines
+from repro.engines import QE5_NOISE, NoiseModel
+from repro.engines.monte_carlo import run_repeated
 from bench_fig5_simple_hidden_shift import run_program
 
 
@@ -27,8 +27,9 @@ def build_circuit():
 
 
 def run_chip_experiment(circuit, shots=1024, repetitions=3, seed=2018):
-    backend = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=seed)
-    return backend.run_repeated(circuit, shots, repetitions)
+    return run_repeated(
+        circuit, shots, repetitions, noise=QE5_NOISE, seed=seed
+    )
 
 
 def test_fig6_histogram(benchmark):
@@ -75,14 +76,15 @@ def test_fig6_noise_sensitivity(benchmark):
                 p_meas=0.04 * scale,
                 p_multi=0.06 * scale,
             )
-            backend = NoisyBackend(model, seed=7)
-            result = backend.run(circuit, shots=1024)
+            result = engines.run(
+                "monte_carlo", circuit, shots=1024, noise=model, seed=7
+            )
             p = result.probability(1)
             rows.append((f"noise x{scale}", f"p(correct) = {p:.3f}"))
             previous = p
         report("FIG6 extension: success vs noise scale", rows)
-        noiseless = NoisyBackend(NoiseModel.noiseless(), seed=7).run(
-            circuit, shots=256
+        noiseless = engines.run(
+            "monte_carlo", circuit, shots=256, seed=7
         )
         assert noiseless.probability(1) == 1.0
     benchmark.pedantic(_run, rounds=1, iterations=1)

@@ -17,9 +17,9 @@ import time
 
 from conftest import report
 
+from repro import engines
 from repro.core.circuit import QuantumCircuit
-from repro.simulator.stabilizer import StabilizerSimulator
-from repro.simulator.statevector import Statevector, StatevectorSimulator
+from repro.simulator.statevector import Statevector
 
 # the dense tensordot reference simulator lives with the tests
 sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
@@ -37,16 +37,14 @@ def layered_circuit(num_qubits, layers=3):
 
 
 def test_statevector_scaling(benchmark):
-    benchmark(
-        lambda: StatevectorSimulator().statevector(layered_circuit(12))
-    )
+    benchmark(lambda: Statevector(12).evolve(layered_circuit(12)))
 
     rows = [("paper: cost doubles per added qubit", "")]
     timings = []
     for n in (8, 10, 12, 14, 16, 18):
         circ = layered_circuit(n)
         start = time.perf_counter()
-        StatevectorSimulator().statevector(circ)
+        Statevector(n).evolve(circ)
         elapsed = time.perf_counter() - start
         per_gate = elapsed / len(circ)
         timings.append((n, elapsed))
@@ -128,7 +126,7 @@ def test_stabilizer_reach(benchmark):
         takes seconds), and the >=5x gate follows the PR 1 convention:
         asserted on local real runs only, recorded everywhere.
         """
-        from _tableau_reference import ReferenceStabilizerSimulator
+        from _tableau_reference import reference_counts
 
         rows = [("paper: restricted classes simulate beyond 49 qubits", "")]
         packed_ms = {}
@@ -141,7 +139,7 @@ def test_stabilizer_reach(benchmark):
             for q in range(n):
                 circ.measure(q, q)
             start = time.perf_counter()
-            counts = StabilizerSimulator(seed=1).run(circ, shots=3)
+            counts = engines.run("stabilizer", circ, shots=3, seed=1).counts
             elapsed = time.perf_counter() - start
             packed_ms[n] = elapsed * 1000
             rows.append(
@@ -151,9 +149,7 @@ def test_stabilizer_reach(benchmark):
                 assert outcome in (0, (1 << n) - 1)
             if n <= 100:
                 start = time.perf_counter()
-                dense = ReferenceStabilizerSimulator(seed=1).run(
-                    circ, shots=3
-                )
+                dense = reference_counts(circ, shots=3, seed=1)
                 reference_ms[n] = (time.perf_counter() - start) * 1000
                 assert dense == counts
                 rows.append(
@@ -214,8 +210,6 @@ def test_engines_agree(benchmark):
         """
         import random
 
-        from repro import engines
-
         rng = random.Random(0)
         corpus = _clifford_corpus(rng)
         shots = 600
@@ -227,8 +221,8 @@ def test_engines_agree(benchmark):
                 continue
             agreements = 0
             for trial, circ in enumerate(corpus):
-                reference = StatevectorSimulator(seed=trial).run(
-                    circ, shots=shots
+                reference = engines.run(
+                    "statevector", circ, shots=shots, seed=trial
                 )
                 result = engines.run(name, circ, shots=shots, seed=trial)
                 if name == "density_matrix":

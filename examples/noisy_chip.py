@@ -22,8 +22,8 @@ from repro.frameworks.projectq import (
     Uncompute,
     X,
 )
-from repro.engines import NoiseModel
-from repro.simulator.noise import NoisyBackend
+from repro.engines import QE5_NOISE
+from repro.engines.monte_carlo import run_repeated
 
 
 def f(a, b, c, d):
@@ -52,8 +52,9 @@ def main():
     print(f"modal outcome read off the chip: shift = {shift} (paper: 1)")
 
     # the Fig. 6 protocol: three independent runs of 1024 shots
-    backend = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=2018)
-    mean, std = backend.run_repeated(circuit, shots=1024, repetitions=3)
+    mean, std = run_repeated(
+        circuit, shots=1024, repetitions=3, noise=QE5_NOISE, seed=2018
+    )
 
     print("\noutcome   probability (3 x 1024 shots)")
     for outcome in range(16):

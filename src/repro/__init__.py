@@ -10,8 +10,8 @@ Subpackages
     compiled circuits as OpenQASM 2/3, Q#, ProjectQ, cirq or textual
     QIR, with round-trip import for OpenQASM 2.
 ``repro.simulator``
-    Statevector, stabilizer (CHP), noisy (IBM-QE substitute) and
-    resource-counting backends.
+    The states the engines evolve (statevector, CHP stabilizer
+    tableau), the shared gate kernels and the resource counter.
 ``repro.engines``
     The simulation-engine registry: statevector, stabilizer,
     Monte-Carlo and exact density-matrix backends behind one
@@ -54,8 +54,7 @@ Subpackages
 ``repro.revkit``
     The RevKit command shell (``revgen; tbs; revsimp; rptm; tpar; ps``).
 ``repro.algorithms``
-    Hidden shift (the paper's running example), Deutsch–Jozsa,
-    Bernstein–Vazirani, Grover.
+    Hidden shift (the paper's running example), Grover, Simon.
 """
 
 __version__ = "1.0.0"

@@ -184,8 +184,8 @@ def _quarantined_entries(path: str) -> int:
         return 0
 
 
-def _budget(text: str) -> int:
-    """Parse a ``cache gc`` budget; negative values are refused."""
+def _non_negative(text: str) -> int:
+    """Parse a count flag (``--shots``, ``cache gc`` budgets); refuse < 0."""
     try:
         value = int(text)
     except ValueError:
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument(
         "--shots",
-        type=int,
+        type=_non_negative,
         default=None,
         metavar="N",
         help="measurement repetitions for --simulate (default 1024)",
@@ -471,13 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--max-entries",
-        type=_budget,
+        type=_non_negative,
         default=None,
         help="gc: evict least-recently-used entries beyond this count",
     )
     cache.add_argument(
         "--max-bytes",
-        type=_budget,
+        type=_non_negative,
         default=None,
         help="gc: evict least-recently-used entries beyond this size",
     )

@@ -1,16 +1,5 @@
 """Quantum algorithms built on the compilation flow."""
 
-from .bernstein_vazirani import (
-    BernsteinVaziraniResult,
-    bernstein_vazirani_circuit,
-    linear_function,
-    solve_bernstein_vazirani,
-)
-from .deutsch_jozsa import (
-    DeutschJozsaResult,
-    deutsch_jozsa_circuit,
-    solve_deutsch_jozsa,
-)
 from .grover import (
     GroverResult,
     diffusion_circuit,
@@ -29,13 +18,6 @@ from .hidden_shift import (
 )
 
 __all__ = [
-    "BernsteinVaziraniResult",
-    "bernstein_vazirani_circuit",
-    "linear_function",
-    "solve_bernstein_vazirani",
-    "DeutschJozsaResult",
-    "deutsch_jozsa_circuit",
-    "solve_deutsch_jozsa",
     "GroverResult",
     "diffusion_circuit",
     "grover_circuit",

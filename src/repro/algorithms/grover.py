@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+from .. import engines
 from ..boolean.truth_table import TruthTable
 from ..core.circuit import QuantumCircuit
-from ..simulator.statevector import StatevectorSimulator
+from ..simulator.statevector import Statevector
 from .hidden_shift import phase_oracle_circuit
 
 
@@ -102,15 +103,14 @@ def solve_grover(
     if iterations is None:
         iterations = optimal_iterations(table.num_vars, table.count_ones())
     circuit = grover_circuit(table, iterations)
-    simulator = StatevectorSimulator(seed=seed)
-    result = simulator.run(circuit, shots=1)
+    result = engines.run("statevector", circuit, shots=1, seed=seed)
     measured = result.most_frequent()
     # exact success probability from the final state
     unitary_part = QuantumCircuit(circuit.num_qubits)
     for gate in circuit.gates:
         if not gate.is_measurement:
             unitary_part.append(gate)
-    state = StatevectorSimulator().statevector(unitary_part)
+    state = Statevector(circuit.num_qubits).evolve(unitary_part)
     probability = sum(
         state.probability_of(x)
         for x in range(table.size)

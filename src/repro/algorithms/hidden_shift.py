@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+from .. import engines
 from ..boolean.bent import HiddenShiftInstance, MaioranaMcFarland
 from ..boolean.esop import minimize_esop
 from ..boolean.permutation import BitPermutation
@@ -33,7 +34,7 @@ from ..frameworks.projectq.oracles import (
     permutation_oracle_gates,
     phase_oracle_gates,
 )
-from ..simulator.statevector import StatevectorSimulator
+from ..simulator.statevector import Statevector
 from ..synthesis.reversible import ReversibleCircuit
 
 SynthesisFn = Callable[[BitPermutation], ReversibleCircuit]
@@ -223,8 +224,7 @@ def solve_hidden_shift(
     built = hidden_shift_circuit(
         instance, method=method, synth=synth, inverse_synth=inverse_synth
     )
-    simulator = StatevectorSimulator(seed=seed)
-    result = simulator.run(built.circuit, shots=1)
+    result = engines.run("statevector", built.circuit, shots=1, seed=seed)
     measured = result.most_frequent()
     probability = _shift_probability(built.circuit, instance.shift)
     return HiddenShiftResult(
@@ -243,7 +243,7 @@ def _shift_probability(circuit: QuantumCircuit, shift: int) -> float:
         if gate.is_measurement or gate.name == "barrier":
             continue
         unitary_part.append(gate)
-    state = StatevectorSimulator().statevector(unitary_part)
+    state = Statevector(circuit.num_qubits).evolve(unitary_part)
     return state.probability_of(shift)
 
 

@@ -19,9 +19,9 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+from .. import engines
 from ..boolean.truth_table import MultiTruthTable, TruthTable
 from ..core.circuit import QuantumCircuit
-from ..simulator.statevector import StatevectorSimulator
 from ..synthesis.esop_based import esop_synthesis
 
 
@@ -123,9 +123,8 @@ def solve_simon(
     """Sample orthogonality equations until the secret is determined."""
     n = instance.function.num_vars
     circuit = simon_circuit(instance)
-    simulator = StatevectorSimulator(seed=seed)
     # draw the sample budget in one batch (one simulation, many shots)
-    batch = simulator.run(circuit, shots=max_rounds)
+    batch = engines.run("statevector", circuit, shots=max_rounds, seed=seed)
     samples: List[int] = []
     for outcome, count in batch.counts.items():
         samples.extend([outcome] * count)

@@ -21,6 +21,7 @@ without trying it first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING, Optional, Protocol, Tuple, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -155,12 +156,34 @@ def reject_opts(engine: Engine, opts: dict, allowed: Tuple[str, ...] = ()) -> No
         )
 
 
+def reject_shots(engine: Engine, shots: object) -> None:
+    """Raise unless ``shots`` is a non-negative integer.
+
+    Called first thing in every engine's ``run``, so a bad count fails
+    with a typed error naming it instead of a NumPy error (or a result
+    reporting ``shots == -1``).
+
+    Args:
+        engine: the backend the shot count was handed to.
+        shots: the count to vet; ``bool`` is refused even though it is
+            an ``int`` subclass.
+
+    Raises:
+        EngineError: naming the offending value.
+    """
+    if isinstance(shots, bool) or not isinstance(shots, Integral) or shots < 0:
+        raise EngineError(
+            f"engine {engine.name!r} needs a non-negative integer shot "
+            f"count, got shots={shots!r}"
+        )
+
+
 def reject_width(engine: Engine, circuit: "QuantumCircuit") -> None:
     """Raise when ``circuit`` is wider than the engine's declared cap.
 
-    Called first thing in every engine's ``run``, so an oversized job
-    fails with a typed error instead of a ``MemoryError`` from deep
-    inside the state allocation.
+    Called at the top of every engine's ``run``, right after
+    :func:`reject_shots`, so an oversized job fails with a typed error
+    instead of a ``MemoryError`` from deep inside the state allocation.
 
     Args:
         engine: the backend the circuit was handed to.

@@ -1,9 +1,9 @@
 """Exact density-matrix engine with Pauli-transfer-matrix noise.
 
 The open-system tier of the engine registry: instead of sampling noisy
-trajectories (:class:`repro.simulator.noise.NoisyBackend`), the state
-is the full density matrix ``rho`` and every noise channel is applied
-exactly, so outcome probabilities are read off the diagonal of ``rho``
+trajectories (the ``monte_carlo`` engine), the state is the full
+density matrix ``rho`` and every noise channel is applied exactly, so
+outcome probabilities are read off the diagonal of ``rho``
 without shot sampling — the paper's Fig. 6 recovery probability (~0.63
 under IBM QE5 calibration rates) becomes a deterministic number.
 
@@ -47,7 +47,13 @@ from ..simulator.statevector import (
     _measured_width,
     _measurements_terminal,
 )
-from .base import EngineCapabilities, EngineError, reject_opts, reject_width
+from .base import (
+    EngineCapabilities,
+    EngineError,
+    reject_opts,
+    reject_shots,
+    reject_width,
+)
 from .noise import NoiseModel
 from .ptm import channel_superoperator
 
@@ -328,10 +334,9 @@ class DensityMatrixEngine:
         Returns:
             The run's :class:`DensityMatrixResult`.
         """
+        reject_shots(self, shots)
         reject_width(self, circuit)
         reject_opts(self, opts)
-        if shots < 0:
-            raise EngineError("shots must be non-negative")
         if not _measurements_terminal(circuit):
             raise EngineError(
                 "density_matrix engine requires terminal measurements; "

@@ -8,16 +8,16 @@ description both noisy tiers consume:
 * the exact ``density_matrix`` engine applies the corresponding
   Pauli-transfer-matrix channels (:mod:`repro.engines.ptm`) after
   every gate and a readout-assignment matrix at measurement;
-* the Monte-Carlo sampler (:class:`repro.simulator.noise.NoisyBackend`)
+* the ``monte_carlo`` engine (:mod:`repro.engines.monte_carlo`)
   draws random Paulis and readout flips at the same rates.
 
 Default error rates follow published calibration data of the 2017/2018
 IBM QE 5-qubit devices (1q ~1.5e-3, 2q ~3.5e-2, readout ~4e-2),
 exposed as the :data:`QE5_NOISE` preset.  The depolarizing convention
-is the Monte-Carlo one: with probability ``p`` a uniformly random
-non-identity Pauli hits each touched qubit, so both tiers agree
-channel-for-channel (the exact engine is the trajectory average of the
-sampler).
+is the ``monte_carlo`` engine's: with probability ``p`` a uniformly
+random non-identity Pauli hits each touched qubit, so both tiers agree
+channel-for-channel (``density_matrix`` is the trajectory average of
+``monte_carlo``).
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from ..core.gates import Gate
 class NoiseModel:
     """Per-gate-class error rates plus open-system damping channels.
 
-    The first four fields keep the historical constructor of
-    ``repro.simulator.noise.NoiseModel`` (same names, same positional
-    order); the damping rates are new with the density-matrix tier and
-    default to zero, so every pre-existing call site constructs the
-    identical model.
+    The first four fields are the Pauli/readout rates both noisy
+    engines use (positional order ``p1, p2, p_meas, p_multi``); the
+    damping rates exist only for the density-matrix tier and default
+    to zero.
 
     Attributes:
         p1: single-qubit gate depolarizing probability.

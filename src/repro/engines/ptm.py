@@ -17,8 +17,9 @@ which :func:`repro.simulator.kernels.apply_matrix` then applies to the
 a two-qubit gate on a statevector.
 
 Channels provided: amplitude damping (T1 relaxation), phase damping
-(T2 dephasing), depolarizing (uniform random Pauli — the Monte-Carlo
-sampler's convention, so both noisy tiers agree channel-for-channel),
+(T2 dephasing), depolarizing (uniform random Pauli — the
+``monte_carlo`` engine's convention, so both noisy tiers agree
+channel-for-channel),
 and the PTM of any single-qubit unitary.
 """
 
@@ -120,8 +121,8 @@ def depolarizing_ptm(p: float) -> np.ndarray:
     """PTM of the uniform-random-Pauli channel with rate ``p``.
 
     With probability ``p`` one of X/Y/Z (uniformly) hits the qubit —
-    the exact-channel form of the Monte-Carlo sampler in
-    :mod:`repro.simulator.noise`, so differential tests can compare
+    the exact-channel form of the ``monte_carlo`` engine's sampler
+    (:mod:`repro.engines.monte_carlo`), so differential tests can compare
     the two tiers channel-for-channel.
 
     Args:

@@ -1,21 +1,27 @@
 """The ``stabilizer`` builtin engine — polynomial-time Clifford runs.
 
-A thin adapter over :class:`repro.simulator.stabilizer.StabilizerSimulator`.
-The direct simulator returns a raw counts dict; the adapter wraps the
-byte-identical dict in a :class:`SimulationResult` so every engine has
-one result type (the dict itself is golden-asserted against the direct
-path in ``tests/engines/test_adapters_golden.py``).  Non-Clifford gates
-raise the simulator's own :class:`StabilizerError`.
+Owns the shot loop over :class:`~repro.simulator.stabilizer.StabilizerState`:
+every shot starts a fresh CHP tableau at |0..0>, and measurements and
+resets draw from one RNG stream shared by all shots.  Non-Clifford
+gates raise the tableau's own :class:`StabilizerError`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
+
+import numpy as np
 
 from ..core.circuit import QuantumCircuit
-from ..simulator.stabilizer import StabilizerSimulator
+from ..simulator.stabilizer import StabilizerState
 from ..simulator.statevector import SimulationResult, _measured_width
-from .base import EngineCapabilities, reject_noise, reject_opts, reject_width
+from .base import (
+    EngineCapabilities,
+    reject_noise,
+    reject_opts,
+    reject_shots,
+    reject_width,
+)
 from .noise import NoiseModel
 
 
@@ -41,7 +47,7 @@ class StabilizerEngine:
         seed: Optional[int] = None,
         **opts,
     ) -> SimulationResult:
-        """Run a Clifford circuit on a fresh :class:`StabilizerSimulator`.
+        """Run a Clifford circuit ``shots`` times on fresh tableaus.
 
         Args:
             circuit: the Clifford circuit to execute.
@@ -57,10 +63,26 @@ class StabilizerEngine:
         Raises:
             StabilizerError: for non-Clifford gates.
         """
+        reject_shots(self, shots)
         reject_width(self, circuit)
         reject_noise(self, noise)
         reject_opts(self, opts)
-        counts = StabilizerSimulator(seed=seed).run(circuit, shots=shots)
+        rng = np.random.default_rng(seed)
+        counts: Dict[int, int] = {}
+        for _ in range(shots):
+            state = StabilizerState(circuit.num_qubits)
+            creg = 0
+            for gate in circuit.gates:
+                if gate.is_measurement:
+                    bit = state.measure(gate.targets[0], rng)
+                    clbit = gate.cbits[0]
+                    creg = (creg & ~(1 << clbit)) | (bit << clbit)
+                elif gate.name == "reset":
+                    if state.measure(gate.targets[0], rng):
+                        state.apply_x(gate.targets[0])
+                else:
+                    state.apply_gate(gate)
+            counts[creg] = counts.get(creg, 0) + 1
         return SimulationResult(counts, None, shots, _measured_width(circuit))
 
 

@@ -1,20 +1,22 @@
 """Engine backends: simulator, noisy chip model, resource counter.
 
 The paper's ProjectQ flow targets "the IBM Quantum Experience or a
-local simulator"; here the chip is replaced by the calibrated noisy
-simulator (see :mod:`repro.simulator.noise`), and a resource counter
-rounds out the set, mirroring ProjectQ's backend portfolio (Sec. VI).
+local simulator"; both run on the engine registry (:mod:`repro.engines`):
+the simulator is the ``statevector`` engine, the chip is the
+``monte_carlo`` engine under the QE5 calibration, and a resource
+counter rounds out the set, mirroring ProjectQ's backend portfolio
+(Sec. VI).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ... import engines
 from ...core.circuit import QuantumCircuit
-from ...engines.noise import NoiseModel
-from ...simulator.noise import NoisyBackend
+from ...engines.noise import QE5_NOISE, NoiseModel
 from ...simulator.resources import ResourceCounter, ResourceEstimate
-from ...simulator.statevector import Statevector, StatevectorSimulator
+from ...simulator.statevector import Statevector
 
 
 class Backend:
@@ -27,18 +29,21 @@ class Backend:
 class Simulator(Backend):
     """Noiseless statevector backend (the 'local simulator').
 
-    Executes through the in-place kernel layer of
-    :mod:`repro.simulator.kernels`; ``fusion`` toggles the gate-fusion
-    pre-pass (single-qubit run folding + diagonal merging).
+    Runs one shot on the ``statevector`` engine; ``fusion`` toggles its
+    gate-fusion pre-pass (single-qubit run folding + diagonal merging).
     """
 
     def __init__(self, seed: Optional[int] = None, fusion: bool = True):
-        self._engine = StatevectorSimulator(seed=seed, fusion=fusion)
+        self._seed = seed
+        self._fusion = fusion
         self.final_state: Optional[Statevector] = None
         self.last_counts: Dict[int, int] = {}
 
     def execute(self, circuit: QuantumCircuit) -> Optional[int]:
-        result = self._engine.run(circuit, shots=1)
+        result = engines.run(
+            "statevector", circuit, shots=1, seed=self._seed,
+            fusion=self._fusion,
+        )
         self.final_state = result.final_state
         self.last_counts = result.counts
         if result.counts:
@@ -58,8 +63,9 @@ class Simulator(Backend):
 class IBMBackend(Backend):
     """Noisy shot-based backend standing in for the IBM QE chip.
 
-    Runs ``shots`` executions under the calibrated noise model and
-    reports the modal outcome (what one reads off the chip's
+    Runs ``shots`` executions on the ``monte_carlo`` engine under the
+    calibrated noise model (default :data:`~repro.engines.QE5_NOISE`)
+    and reports the modal outcome (what one reads off the chip's
     histogram); the full histogram is kept in ``last_counts``.
     """
 
@@ -70,13 +76,15 @@ class IBMBackend(Backend):
         seed: Optional[int] = None,
     ):
         self.shots = shots
-        self._backend = NoisyBackend(
-            noise_model or NoiseModel.ibm_qe_2018(), seed=seed
-        )
+        self._noise = QE5_NOISE if noise_model is None else noise_model
+        self._seed = seed
         self.last_counts: Dict[int, int] = {}
 
     def execute(self, circuit: QuantumCircuit) -> Optional[int]:
-        result = self._backend.run(circuit, shots=self.shots)
+        result = engines.run(
+            "monte_carlo", circuit, shots=self.shots,
+            noise=self._noise, seed=self._seed,
+        )
         self.last_counts = result.counts
         if not result.counts:
             return None

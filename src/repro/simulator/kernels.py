@@ -29,7 +29,7 @@ All kernels accept batched states: an array of shape ``(2^n, b...)``
 is treated as ``b`` independent states, which lets
 :mod:`repro.core.unitary` evolve a full ``2^n x 2^n`` unitary column
 batch through the same code (and noise trajectories vectorize over the
-same batch axis, see :meth:`repro.simulator.noise.NoisyBackend.run`).
+same batch axis, see :mod:`repro.engines.monte_carlo`).
 
 Dtype contract: states must be complex arrays.  The entry points
 raise ``TypeError`` for real/integer states instead of silently

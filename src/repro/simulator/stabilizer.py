@@ -1,10 +1,12 @@
-"""Stabilizer (CHP tableau) simulator over bit-packed uint64 planes.
+"""Stabilizer (CHP tableau) state over bit-packed uint64 planes.
 
 Implements the Aaronson–Gottesman tableau algorithm so Clifford
 circuits — the dominant part of mapped hidden-shift circuits, cf. the
 Bravyi–Gosset reference [72] in the paper — can be simulated in
-polynomial time.  Supports H, S, CNOT (and the gates reducible to them:
-X, Y, Z, S', CZ, SWAP, SX) plus projective measurement.
+polynomial time.  Supports H, S, CNOT (and the gates reducible to
+them: X, Y, Z, S', CZ, SWAP, SX) plus projective measurement; the shot
+loop over this state is the ``stabilizer`` engine
+(:mod:`repro.engines.stabilizer`).
 
 The tableau holds 2n+1 rows (n destabilizers, n stabilizers, one
 scratch row), exactly as in "Improved simulation of stabilizer
@@ -30,7 +32,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.circuit import QuantumCircuit
 from ..core.gates import Gate
 
 _ONE = np.uint64(1)
@@ -335,38 +336,3 @@ def _dispatch_table() -> Dict[str, object]:
 
 
 StabilizerState._DISPATCH = _dispatch_table()
-
-
-class StabilizerSimulator:
-    """Shot-based Clifford circuit simulator."""
-
-    def __init__(self, seed: Optional[int] = None):
-        self._seed = seed
-
-    def run(self, circuit: QuantumCircuit, shots: int = 1) -> Dict[int, int]:
-        """Execute a Clifford circuit; returns classical-register counts."""
-        rng = np.random.default_rng(self._seed)
-        counts: Dict[int, int] = {}
-        for _ in range(shots):
-            state = StabilizerState(circuit.num_qubits)
-            creg = 0
-            for gate in circuit.gates:
-                if gate.is_measurement:
-                    bit = state.measure(gate.targets[0], rng)
-                    creg = (creg & ~(1 << gate.cbits[0])) | (bit << gate.cbits[0])
-                elif gate.name == "reset":
-                    if state.measure(gate.targets[0], rng):
-                        state.apply_x(gate.targets[0])
-                else:
-                    state.apply_gate(gate)
-            counts[creg] = counts.get(creg, 0) + 1
-        return counts
-
-    def final_state(self, circuit: QuantumCircuit) -> StabilizerState:
-        """Tableau after a measurement-free Clifford circuit."""
-        state = StabilizerState(circuit.num_qubits)
-        for gate in circuit.gates:
-            if gate.is_measurement or gate.name == "reset":
-                raise StabilizerError("final_state needs a unitary circuit")
-            state.apply_gate(gate)
-        return state

@@ -1,7 +1,8 @@
-"""Full state-vector simulator.
+"""Pure-state primitives: :class:`Statevector` and :class:`SimulationResult`.
 
-The local simulator backend of the paper's ProjectQ flow (Sec. VII) and
-the reference oracle for every synthesis/optimization test in this
+The state behind the ``statevector`` engine (:mod:`repro.engines.statevector`,
+the local simulator of the paper's ProjectQ flow, Sec. VII) and the
+reference oracle for every synthesis/optimization test in this
 repository.  States are numpy complex vectors of length ``2**n`` with
 qubit 0 as the least-significant bit of the basis-state index.
 
@@ -32,15 +33,14 @@ than they have gates.
 
 Sampling is vectorized: measurement histograms are produced by numpy
 bit-gathers over the sampled outcome array plus ``np.unique`` instead
-of per-shot Python loops, and shot-based runs with mid-circuit
-measurements share the deterministic unitary prefix across shots
-instead of re-evolving every shot from |0...0>.
+of per-shot Python loops.  The shot loop itself (terminal and
+mid-circuit measurement) lives in the ``statevector`` engine.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,8 +142,8 @@ class Statevector:
         for gate in circuit.gates:
             if gate.is_measurement or gate.name == "reset":
                 raise SimulationError(
-                    "evolve() only handles unitary circuits; "
-                    "use StatevectorSimulator.run for measurements"
+                    "evolve() only handles unitary circuits; use "
+                    "engines.run('statevector', ...) for measurements"
                 )
         _evolve_gates(self, circuit.gates, fuse)
         return self
@@ -234,90 +234,6 @@ def _bit_gather_counts(
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-class StatevectorSimulator:
-    """Shot-based simulator supporting mid-circuit measurement/reset."""
-
-    def __init__(self, seed: Optional[int] = None, fusion: bool = True):
-        self._seed = seed
-        self._fusion = fusion
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        shots: int = 1,
-        initial_state: Optional[Statevector] = None,
-    ) -> "SimulationResult":
-        """Execute ``circuit`` for ``shots`` repetitions.
-
-        If the circuit's measurements are all terminal, a single state
-        evolution is sampled ``shots`` times; otherwise the unitary
-        prefix before the first measurement/reset is evolved once and
-        shared, and only the remainder is re-simulated per shot.
-        """
-        rng = np.random.default_rng(self._seed)
-        if not circuit.has_measurements():
-            state = initial_state.copy() if initial_state else (
-                Statevector(circuit.num_qubits)
-            )
-            state.evolve(circuit, fuse=self._fusion)
-            return SimulationResult({}, state, shots)
-
-        num_clbits = _measured_width(circuit)
-
-        if _measurements_terminal(circuit):
-            state = initial_state.copy() if initial_state else (
-                Statevector(circuit.num_qubits)
-            )
-            measure_map: List[Tuple[int, int]] = []
-            prefix: List[Gate] = []
-            for gate in circuit.gates:
-                if gate.is_measurement:
-                    measure_map.append((gate.cbits[0], gate.targets[0]))
-                elif gate.name == "reset":
-                    raise SimulationError("reset after measurement unsupported")
-                else:
-                    prefix.append(gate)
-            _evolve_gates(state, prefix, self._fusion)
-            probs = state.probabilities()
-            outcomes = rng.choice(
-                probs.size, size=shots, p=probs / probs.sum()
-            )
-            counts = _bit_gather_counts(outcomes, measure_map)
-            return SimulationResult(counts, state, shots, num_clbits)
-
-        # mid-circuit measurement: evolve the deterministic unitary
-        # prefix once and re-simulate only the suffix per shot.
-        split = _first_nonunitary_index(circuit)
-        base = initial_state.copy() if initial_state else (
-            Statevector(circuit.num_qubits)
-        )
-        _evolve_gates(base, circuit.gates[:split], self._fusion)
-        suffix = circuit.gates[split:]
-
-        counts: Dict[int, int] = {}
-        last_state = None
-        for _ in range(shots):
-            state = base.copy()
-            creg = 0
-            for gate in suffix:
-                if gate.is_measurement:
-                    bit = state.measure_qubit(gate.targets[0], rng)
-                    clbit = gate.cbits[0]
-                    creg = (creg & ~(1 << clbit)) | (bit << clbit)
-                elif gate.name == "reset":
-                    state.reset_qubit(gate.targets[0], rng)
-                else:
-                    state.apply_gate(gate)
-            counts[creg] = counts.get(creg, 0) + 1
-            last_state = state
-        return SimulationResult(counts, last_state, shots, num_clbits)
-
-    def statevector(self, circuit: QuantumCircuit) -> Statevector:
-        """Evolve |0..0> through a unitary circuit and return the state."""
-        state = Statevector(circuit.num_qubits)
-        return state.evolve(circuit, fuse=self._fusion)
-
-
 def _evolve_gates(
     state: Statevector, gates: Sequence[Gate], fusion: bool
 ) -> None:
@@ -360,14 +276,6 @@ def evolve_batch(
     ops = kernels.compile_circuit(circuit.gates, fuse=fuse)
     kernels.apply_ops(states, ops, circuit.num_qubits)
     return states
-
-
-def _first_nonunitary_index(circuit: QuantumCircuit) -> int:
-    """Index of the first measurement/reset gate."""
-    for i, gate in enumerate(circuit.gates):
-        if gate.is_measurement or gate.name == "reset":
-            return i
-    return len(circuit.gates)
 
 
 def _measured_width(circuit: QuantumCircuit) -> int:

@@ -227,27 +227,27 @@ class ReferenceStabilizerState:
         return out
 
 
-class ReferenceStabilizerSimulator:
-    """Shot-based runner over the reference tableau (bench/test use)."""
+def reference_counts(
+    circuit: QuantumCircuit, shots: int, seed: Optional[int] = None
+) -> Dict[int, int]:
+    """Shot loop over the reference tableau; classical-register counts.
 
-    def __init__(self, seed: Optional[int] = None):
-        self._seed = seed
-
-    def run(self, circuit: QuantumCircuit, shots: int = 1) -> Dict[int, int]:
-        """Execute a Clifford circuit; returns classical-register counts."""
-        rng = np.random.default_rng(self._seed)
-        counts: Dict[int, int] = {}
-        for _ in range(shots):
-            state = ReferenceStabilizerState(circuit.num_qubits)
-            creg = 0
-            for gate in circuit.gates:
-                if gate.is_measurement:
-                    bit = state.measure(gate.targets[0], rng)
-                    creg = (creg & ~(1 << gate.cbits[0])) | (bit << gate.cbits[0])
-                elif gate.name == "reset":
-                    if state.measure(gate.targets[0], rng):
-                        state.apply_x(gate.targets[0])
-                else:
-                    state.apply_gate(gate)
-            counts[creg] = counts.get(creg, 0) + 1
-        return counts
+    The same loop as the ``stabilizer`` engine's ``run`` (fresh tableau
+    per shot, one RNG stream for all shots).
+    """
+    rng = np.random.default_rng(seed)
+    counts: Dict[int, int] = {}
+    for _ in range(shots):
+        state = ReferenceStabilizerState(circuit.num_qubits)
+        creg = 0
+        for gate in circuit.gates:
+            if gate.is_measurement:
+                bit = state.measure(gate.targets[0], rng)
+                creg = (creg & ~(1 << gate.cbits[0])) | (bit << gate.cbits[0])
+            elif gate.name == "reset":
+                if state.measure(gate.targets[0], rng):
+                    state.apply_x(gate.targets[0])
+            else:
+                state.apply_gate(gate)
+        counts[creg] = counts.get(creg, 0) + 1
+    return counts

@@ -13,16 +13,12 @@ from hypothesis import strategies as st
 
 import _dense_reference as dense
 
+from repro import engines
 from repro.core.circuit import QuantumCircuit
+from repro.engines import QE5_NOISE, monte_carlo
 from repro.engines.density_matrix import DensityMatrix
-from repro.engines.noise import NoiseModel
 from repro.simulator import kernels
-from repro.simulator.noise import NoisyBackend
-from repro.simulator.statevector import (
-    Statevector,
-    StatevectorSimulator,
-    evolve_batch,
-)
+from repro.simulator.statevector import Statevector, evolve_batch
 
 ATOL = 1e-12
 
@@ -109,9 +105,7 @@ class TestNumpyProperties:
         bell.cx(0, 1)
         bell.measure(0, 0)
         bell.measure(1, 1)
-        result = NoisyBackend(NoiseModel.noiseless(), seed=5).run(
-            bell, shots=4000
-        )
+        result = engines.run("monte_carlo", bell, shots=4000, seed=5)
         assert set(result.counts) == {0, 3}
         assert sum(result.counts.values()) == 4000
         assert abs(result.counts[0] / 4000 - 0.5) < 0.05
@@ -122,8 +116,8 @@ class TestNumpyProperties:
         bell.cx(0, 1)
         bell.measure(0, 0)
         bell.measure(1, 1)
-        result = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=5).run(
-            bell, shots=4000
+        result = engines.run(
+            "monte_carlo", bell, shots=4000, noise=QE5_NOISE, seed=5
         )
         assert sum(result.counts.values()) == 4000
         dominant = (result.counts.get(0, 0) + result.counts.get(3, 0)) / 4000
@@ -136,27 +130,32 @@ class TestNumpyProperties:
         circ.reset(0)
         circ.x(0)
         circ.measure(0, 1)
-        result = NoisyBackend(NoiseModel.noiseless(), seed=2).run(
-            circ, shots=600
-        )
+        result = engines.run("monte_carlo", circ, shots=600, seed=2)
         # bit 1 is always 1 after reset + x; bit 0 is a fair coin
         assert set(result.counts) <= {0b10, 0b11}
         assert sum(result.counts.values()) == 600
 
-    def test_sampler_stream_unchanged_when_shots_fill_one_chunk(self):
+    def test_sampler_stream_unchanged_when_shots_fill_one_chunk(
+        self, monkeypatch
+    ):
         # a guard exactly one run's worth of state still means a
         # single chunk, so the RNG stream matches an unbounded guard
         circ = _noisy_probe()
-        unbounded = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=19)
-        exact_fit = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=19)
-        exact_fit.max_batch_bytes = 300 * (1 << circ.num_qubits) * 16
-        assert (
-            exact_fit.run(circ, shots=300).counts
-            == unbounded.run(circ, shots=300).counts
+        unbounded = engines.run(
+            "monte_carlo", circ, shots=300, noise=QE5_NOISE, seed=19
         )
+        monkeypatch.setattr(
+            monte_carlo, "MAX_BATCH_BYTES", 300 * (1 << circ.num_qubits) * 16
+        )
+        exact_fit = engines.run(
+            "monte_carlo", circ, shots=300, noise=QE5_NOISE, seed=19
+        )
+        assert exact_fit.counts == unbounded.counts
 
     @pytest.mark.parametrize("shots_per_chunk", [1, 7, 64])
-    def test_sampler_chunks_keep_the_distribution(self, shots_per_chunk):
+    def test_sampler_chunks_keep_the_distribution(
+        self, shots_per_chunk, monkeypatch
+    ):
         # chunking partitions the shots: a noiseless Bell pair stays a
         # fair coin on {00, 11} whatever the chunk size and remainder
         circ = QuantumCircuit(2, 2)
@@ -164,22 +163,28 @@ class TestNumpyProperties:
         circ.cx(0, 1)
         circ.measure(0, 0)
         circ.measure(1, 1)
-        backend = NoisyBackend(NoiseModel.noiseless(), seed=23)
-        backend.max_batch_bytes = shots_per_chunk * (1 << 2) * 16
-        result = backend.run(circ, shots=1000)
+        monkeypatch.setattr(
+            monte_carlo, "MAX_BATCH_BYTES", shots_per_chunk * (1 << 2) * 16
+        )
+        result = engines.run("monte_carlo", circ, shots=1000, seed=23)
         assert set(result.counts) == {0, 3}
         assert sum(result.counts.values()) == 1000
         assert abs(result.counts[0] / 1000 - 0.5) < 0.06
 
-    def test_sampler_guard_below_one_shot_still_runs(self):
+    def test_sampler_guard_below_one_shot_still_runs(self, monkeypatch):
         # max(1, ...) : a guard smaller than one state is one shot
         # per chunk, never zero
         circ = _noisy_probe()
-        backend = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=3)
-        backend.max_batch_bytes = 1
-        first = backend.run(circ, shots=40)
+        monkeypatch.setattr(monte_carlo, "MAX_BATCH_BYTES", 1)
+
+        def run():
+            return engines.run(
+                "monte_carlo", circ, shots=40, noise=QE5_NOISE, seed=3
+            )
+
+        first = run()
         assert sum(first.counts.values()) == 40
-        assert backend.run(circ, shots=40).counts == first.counts
+        assert run().counts == first.counts
 
 
 def _noisy_probe():
@@ -301,7 +306,7 @@ class TestDenseReferenceDifferential:
             atol=ATOL,
         )
         circ.measure_all()
-        first = StatevectorSimulator(seed=11).run(circ, shots=512)
-        again = StatevectorSimulator(seed=11).run(circ, shots=512)
+        first = engines.run("statevector", circ, shots=512, seed=11)
+        again = engines.run("statevector", circ, shots=512, seed=11)
         assert first.counts == again.counts
         assert set(first.counts) == {0b000, 0b111}

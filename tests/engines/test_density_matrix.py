@@ -16,7 +16,7 @@ from repro.engines.density_matrix import (
     _conjugate_gate,
 )
 from repro.engines.noise import NoiseModel
-from repro.simulator.statevector import StatevectorSimulator
+from repro.simulator.statevector import Statevector
 
 
 class TestPTM:
@@ -167,7 +167,7 @@ class TestDensityMatrix:
         circuit.swap(0, 2)
         circuit.ccx(0, 1, 2)
         circuit.cy(0, 2)
-        state = StatevectorSimulator().run(circuit, shots=0).final_state
+        state = Statevector(circuit.num_qubits).evolve(circuit)
         rho = DensityMatrix(3)
         for gate in circuit.gates:
             rho.apply_gate(gate)
@@ -225,7 +225,7 @@ class TestDensityMatrix:
         circuit = QuantumCircuit(2)
         circuit.h(0)
         circuit.cx(0, 1)
-        state = StatevectorSimulator().run(circuit, shots=0).final_state
+        state = Statevector(circuit.num_qubits).evolve(circuit)
         rho = DensityMatrix.from_statevector(state)
         assert rho.purity() == pytest.approx(1.0)
         assert np.allclose(
@@ -305,10 +305,6 @@ class TestDensityMatrixEngine:
     def test_unknown_option_rejected(self):
         with pytest.raises(engines.EngineError, match="unknown option"):
             engines.run("density_matrix", QuantumCircuit(1), fusion=False)
-
-    def test_negative_shots_rejected(self):
-        with pytest.raises(engines.EngineError, match="non-negative"):
-            engines.run("density_matrix", QuantumCircuit(1), shots=-1)
 
     def test_width_cap_enforced(self):
         with pytest.raises(engines.EngineError, match="caps at"):

@@ -22,7 +22,7 @@ from repro import engines
 from repro.core.circuit import QuantumCircuit
 from repro.engines import NoiseModel, QE5_NOISE
 from repro.engines.density_matrix import DensityMatrix
-from repro.simulator.statevector import StatevectorSimulator
+from repro.simulator.statevector import Statevector
 
 #: gate vocabulary for random circuits: (name, arity, has_param)
 _ONE_QUBIT = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "sx")
@@ -64,9 +64,7 @@ def random_circuits(draw, max_qubits=4, max_gates=24):
 class TestZeroNoiseAgreement:
     @given(random_circuits())
     def test_rho_is_statevector_outer_product(self, circuit):
-        state = StatevectorSimulator(fusion=False).run(
-            circuit, shots=0
-        ).final_state
+        state = Statevector(circuit.num_qubits).evolve(circuit, fuse=False)
         rho = DensityMatrix(circuit.num_qubits)
         for gate in circuit.gates:
             rho.apply_gate(gate)
@@ -77,9 +75,7 @@ class TestZeroNoiseAgreement:
     def test_engine_probabilities_match_statevector(self, circuit):
         circuit.measure_all()
         exact = engines.run("density_matrix", circuit, shots=0)
-        state = StatevectorSimulator(fusion=True).run(
-            circuit, shots=0
-        ).final_state
+        state = engines.run("statevector", circuit, shots=0).final_state
         assert np.allclose(
             exact.exact_probabilities,
             state.probabilities(),

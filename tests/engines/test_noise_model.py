@@ -1,11 +1,7 @@
-"""The shared NoiseModel: one home for the rates, spec parsing, shim."""
-
-import importlib
-import warnings
+"""The shared NoiseModel: one home for the rates and spec parsing."""
 
 import pytest
 
-from repro.engines import noise as engines_noise
 from repro.engines import (
     EngineError,
     NOISE_PRESETS,
@@ -104,34 +100,15 @@ class TestAsNoiseModel:
 class TestSharedNoiseModel:
     """One NoiseModel class, defined in repro.engines.noise."""
 
-    def test_simulator_package_reexport_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            import repro.simulator
-
-            importlib.reload(repro.simulator)
-            assert repro.simulator.NoiseModel is engines_noise.NoiseModel
-
-    def test_noise_module_names_the_canonical_class(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            import repro.simulator.noise as noise
-
-            assert noise.NoiseModel is engines_noise.NoiseModel
-
-    def test_noise_module_unknown_attribute_raises(self):
-        import repro.simulator.noise as noise
-
-        with pytest.raises(AttributeError):
-            noise.NoSuchThing
-
-    def test_noisy_backend_consumes_shared_model(self):
+    def test_monte_carlo_consumes_shared_model(self):
+        from repro import engines
         from repro.core.circuit import QuantumCircuit
-        from repro.simulator.noise import NoisyBackend
 
         circuit = QuantumCircuit(1, 1)
         circuit.x(0)
         circuit.measure(0, 0)
-        backend = NoisyBackend(NoiseModel.noiseless(), seed=11)
-        result = backend.run(circuit, shots=64)
+        result = engines.run(
+            "monte_carlo", circuit, shots=64, noise=NoiseModel.noiseless(),
+            seed=11,
+        )
         assert result.counts == {1: 64}

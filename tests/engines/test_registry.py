@@ -214,3 +214,32 @@ class TestDeclaredCapacity:
         cap = engine.capabilities.max_qubits
         with pytest.raises(engines.EngineError, match=f"caps at {cap}"):
             engine.run(QuantumCircuit(cap + 1), shots=1)
+
+
+class TestShotsGuard:
+    """Every engine vets ``shots`` first, with one typed error."""
+
+    @pytest.mark.parametrize("shots", [-1, 2.5, True])
+    @pytest.mark.parametrize("name", engines.engines())
+    def test_bad_shots_raise_engine_error(self, name, shots):
+        circuit = QuantumCircuit(1, 1)
+        circuit.measure(0, 0)
+        with pytest.raises(engines.EngineError) as info:
+            engines.run(name, circuit, shots=shots, seed=0)
+        assert f"shots={shots!r}" in str(info.value)
+        assert name in str(info.value)
+
+    @pytest.mark.parametrize("name", engines.engines())
+    def test_shots_checked_before_width(self, name):
+        with pytest.raises(engines.EngineError, match="shot count"):
+            engines.get(name).run(QuantumCircuit(40), shots=-1)
+
+    @pytest.mark.parametrize("name", engines.engines())
+    def test_numpy_and_zero_shots_accepted(self, name):
+        import numpy as np
+
+        circuit = QuantumCircuit(1, 1)
+        circuit.x(0)
+        circuit.measure(0, 0)
+        assert engines.run(name, circuit, shots=np.int64(3)).counts == {1: 3}
+        assert engines.run(name, circuit, shots=0).counts == {}

@@ -165,6 +165,17 @@ class TestCLI:
         assert code == 2
         assert "presets" in capsys.readouterr().err
 
+    def test_compile_negative_shots_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "compile", "hwb=3", "--target", "ibm_qe5",
+                    "--engine", "monte_carlo", "--shots", "-5",
+                ]
+            )
+        assert info.value.code == 2
+        assert "argument --shots: must be >= 0" in capsys.readouterr().err
+
 
 class TestShell:
     @pytest.fixture
@@ -193,6 +204,10 @@ class TestShell:
     def test_unknown_option(self, shell):
         with pytest.raises(ShellError, match="unknown options"):
             shell.execute("sim_dm --frobnicate 1")
+
+    def test_negative_shots_become_shell_error(self, shell):
+        with pytest.raises(ShellError, match="shots=-1"):
+            shell.execute("sim_monte_carlo --shots=-1")
 
     def test_backend_refusal_becomes_shell_error(self, shell):
         # the hwb3 mapped circuit carries T gates

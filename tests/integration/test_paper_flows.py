@@ -31,7 +31,7 @@ from repro.frameworks.qsharp import (
     validate_program,
 )
 from repro.revkit import RevKitShell, dbs
-from repro.simulator.statevector import StatevectorSimulator
+from repro.simulator.statevector import Statevector
 
 
 def paper_f(a, b, c, d):
@@ -168,7 +168,8 @@ class TestFig7Flow:
         eng.flush()
         # the four dashed boxes exist as gate blocks; just check the
         # full sequence is unitary-trivial (each pair cancels)
-        state = StatevectorSimulator().statevector(eng.backend.circuit)
+        circuit = eng.backend.circuit
+        state = Statevector(circuit.num_qubits).evolve(circuit)
         assert state.probability_of(0) == pytest.approx(1.0)
 
 

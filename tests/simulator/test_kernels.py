@@ -15,10 +15,11 @@ import pytest
 import _dense_reference as dense
 from _helpers import random_clifford_t_circuit
 
+from repro import engines
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
 from repro.simulator import kernels
-from repro.simulator.statevector import Statevector, StatevectorSimulator
+from repro.simulator.statevector import Statevector
 
 
 def _random_state(num_qubits, seed):
@@ -239,7 +240,7 @@ def test_shared_prefix_mid_circuit_run_statistics():
     circ.measure(0, 0)
     circ.x(0)
     circ.measure(0, 1)
-    result = StatevectorSimulator(seed=3).run(circ, shots=200)
+    result = engines.run("statevector", circ, shots=200, seed=3)
     assert sum(result.counts.values()) == 200
     for outcome in result.counts:
         first = outcome & 1

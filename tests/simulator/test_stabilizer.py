@@ -5,13 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from repro import engines
 from repro.core.circuit import QuantumCircuit
-from repro.simulator.stabilizer import (
-    StabilizerError,
-    StabilizerSimulator,
-    StabilizerState,
-)
-from repro.simulator.statevector import StatevectorSimulator
+from repro.simulator.stabilizer import StabilizerError, StabilizerState
 
 
 def random_clifford_circuit(num_qubits, num_gates, seed, measure=True):
@@ -105,8 +101,8 @@ class TestAgainstStatevector:
         distribution on random Clifford circuits."""
         circ = random_clifford_circuit(3, 25, seed)
         shots = 400
-        stab = StabilizerSimulator(seed=seed).run(circ, shots=shots)
-        sv = StatevectorSimulator(seed=seed).run(circ, shots=shots).counts
+        stab = engines.run("stabilizer", circ, shots=shots, seed=seed).counts
+        sv = engines.run("statevector", circ, shots=shots, seed=seed).counts
         # supports must agree and frequencies be close
         support_stab = {k for k, v in stab.items() if v > 0}
         support_sv = {k for k, v in sv.items() if v > 0}
@@ -121,13 +117,8 @@ class TestAgainstStatevector:
         circ.x(0).cx(0, 1).cx(1, 2).x(1)
         for q in range(3):
             circ.measure(q, q)
-        counts = StabilizerSimulator(seed=0).run(circ, shots=10)
+        counts = engines.run("stabilizer", circ, shots=10, seed=0).counts
         assert counts == {0b101: 10}
-
-    def test_final_state_rejects_measurement(self):
-        circ = QuantumCircuit(1, 1).measure(0, 0)
-        with pytest.raises(StabilizerError):
-            StabilizerSimulator().final_state(circ)
 
     def test_scalability_smoke(self):
         """Tableau handles widths far beyond statevector reach."""
@@ -137,6 +128,6 @@ class TestAgainstStatevector:
             circ.cx(q, q + 1)
         for q in range(64):
             circ.measure(q, q)
-        counts = StabilizerSimulator(seed=1).run(circ, shots=5)
+        counts = engines.run("stabilizer", circ, shots=5, seed=1).counts
         for outcome in counts:
             assert outcome in (0, (1 << 64) - 1)

@@ -21,14 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _tableau_reference import (
-    ReferenceStabilizerSimulator,
-    ReferenceStabilizerState,
-)
+from _tableau_reference import ReferenceStabilizerState, reference_counts
 
+from repro import engines
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
-from repro.simulator.stabilizer import StabilizerSimulator, StabilizerState
+from repro.simulator.stabilizer import StabilizerState
 from repro.verify.tiers import TABLEAU_GATES
 
 # the same entangled preludes the verify-tier vocabulary tests use
@@ -124,8 +122,8 @@ class TestSeededStreamPinning:
         # same seed -> byte-identical counts: the packed rewrite must
         # not perturb the RNG stream of seeded shot runs
         circ = self._random_clifford_circuit(4, 30, seed)
-        packed = StabilizerSimulator(seed=seed).run(circ, shots=64)
-        dense = ReferenceStabilizerSimulator(seed=seed).run(circ, shots=64)
+        packed = engines.run("stabilizer", circ, shots=64, seed=seed).counts
+        dense = reference_counts(circ, shots=64, seed=seed)
         assert packed == dense
 
     def test_reset_stream_pinned_to_reference(self):
@@ -137,11 +135,9 @@ class TestSeededStreamPinning:
         circ.h(0)
         circ.measure(0, 1)
         for seed in (1, 7):
-            packed = StabilizerSimulator(seed=seed).run(circ, shots=40)
-            dense = ReferenceStabilizerSimulator(seed=seed).run(
-                circ, shots=40
-            )
-            assert packed == dense
+            packed = engines.run("stabilizer", circ, shots=40, seed=seed)
+            dense = reference_counts(circ, shots=40, seed=seed)
+            assert packed.counts == dense
 
     def test_wide_register_beyond_word_boundary(self):
         # 70 qubits: the packed rows span two uint64 words, and the
@@ -152,7 +148,7 @@ class TestSeededStreamPinning:
         for q in range(n - 1):
             circ.cx(q, q + 1)
         circ.measure_all()
-        counts = StabilizerSimulator(seed=3).run(circ, shots=6)
+        counts = engines.run("stabilizer", circ, shots=6, seed=3).counts
         assert set(counts) <= {0, (1 << n) - 1}
         assert sum(counts.values()) == 6
 

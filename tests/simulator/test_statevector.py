@@ -5,13 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from repro import engines
 from repro.core.circuit import QuantumCircuit
 from repro.core.unitary import circuit_unitary
-from repro.simulator.statevector import (
-    SimulationError,
-    Statevector,
-    StatevectorSimulator,
-)
+from repro.simulator.statevector import SimulationError, Statevector
 
 from _helpers import random_clifford_t_circuit
 
@@ -85,7 +82,7 @@ class TestEvolution:
 
     def test_evolve_rejects_measurement(self):
         circ = QuantumCircuit(1, 1).measure(0, 0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=r"engines\.run\('statevector'"):
             Statevector(1).evolve(circ)
 
     def test_width_mismatch(self):
@@ -139,14 +136,14 @@ class TestSimulatorRuns:
     def test_run_counts_sum_to_shots(self):
         circ = QuantumCircuit(2, 2).h(0).cx(0, 1)
         circ.measure(0, 0).measure(1, 1)
-        result = StatevectorSimulator(seed=11).run(circ, shots=256)
+        result = engines.run("statevector", circ, shots=256, seed=11)
         assert sum(result.counts.values()) == 256
         assert set(result.counts) <= {0, 3}
 
     def test_seeded_reproducibility(self):
         circ = QuantumCircuit(1, 1).h(0).measure(0, 0)
-        a = StatevectorSimulator(seed=42).run(circ, shots=100).counts
-        b = StatevectorSimulator(seed=42).run(circ, shots=100).counts
+        a = engines.run("statevector", circ, shots=100, seed=42).counts
+        b = engines.run("statevector", circ, shots=100, seed=42).counts
         assert a == b
 
     def test_mid_circuit_measurement(self):
@@ -156,7 +153,7 @@ class TestSimulatorRuns:
         circ.measure(0, 0)
         circ.x(0)
         circ.measure(0, 1)
-        result = StatevectorSimulator(seed=2).run(circ, shots=64)
+        result = engines.run("statevector", circ, shots=64, seed=2)
         for outcome in result.counts:
             first = outcome & 1
             second = (outcome >> 1) & 1
@@ -164,7 +161,7 @@ class TestSimulatorRuns:
 
     def test_counts_by_bitstring(self):
         circ = QuantumCircuit(2, 2).x(1).measure(0, 0).measure(1, 1)
-        result = StatevectorSimulator(seed=0).run(circ, shots=10)
+        result = engines.run("statevector", circ, shots=10, seed=0)
         assert result.counts_by_bitstring() == {"10": 10}
 
     def test_counts_by_bitstring_all_zero_without_final_state(self):
@@ -183,7 +180,7 @@ class TestSimulatorRuns:
         circ = QuantumCircuit(3, 3)
         for q in range(3):
             circ.measure(q, q)
-        result = StatevectorSimulator(seed=1).run(circ, shots=5)
+        result = engines.run("statevector", circ, shots=5, seed=1)
         assert result.num_clbits == 3
         assert result.counts_by_bitstring() == {"000": 5}
 
@@ -191,32 +188,23 @@ class TestSimulatorRuns:
         """A declared 3-clbit register formats 3 chars wide even when
         only one clbit is measured."""
         circ = QuantumCircuit(3, 3).x(0).measure(0, 0)
-        result = StatevectorSimulator(seed=2).run(circ, shots=5)
+        result = engines.run("statevector", circ, shots=5, seed=2)
         assert result.counts_by_bitstring() == {"001": 5}
 
-    def test_counts_by_bitstring_noisy_backend_width(self):
-        """NoisyBackend results (no final state) format full-width too."""
-        from repro.engines import NoiseModel
-        from repro.simulator.noise import NoisyBackend
-
+    def test_counts_by_bitstring_monte_carlo_width(self):
+        """monte_carlo results (no final state) format full-width too."""
         circ = QuantumCircuit(3, 3)
         for q in range(3):
             circ.measure(q, q)
-        backend = NoisyBackend(NoiseModel.noiseless(), seed=0)
-        result = backend.run(circ, shots=4)
+        result = engines.run("monte_carlo", circ, shots=4, seed=0)
         assert result.final_state is None
         assert result.counts_by_bitstring() == {"000": 4}
 
     def test_most_frequent_requires_counts(self):
         circ = QuantumCircuit(1).h(0)
-        result = StatevectorSimulator().run(circ)
+        result = engines.run("statevector", circ)
         with pytest.raises(SimulationError):
             result.most_frequent()
-
-    def test_statevector_shortcut(self):
-        circ = QuantumCircuit(1).x(0)
-        state = StatevectorSimulator().statevector(circ)
-        assert state.probability_of(1) == pytest.approx(1.0)
 
 
 class TestStateComparison:

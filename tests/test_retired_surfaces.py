@@ -3,9 +3,11 @@
 The array-backend registry (and its ``backend=`` keywords, engine
 options and environment variables), ``core/qasm.py``,
 ``pipeline/verification.py``, the deprecated ``optimize=`` /
-``synth=`` keywords, and the pass cache's constructor budgets, retry
-and degradation knobs and the pipeline's ``follower_timeout=`` are
-gone.  An old spelling must end in an import,
+``synth=`` keywords, the pass cache's constructor budgets, retry
+and degradation knobs, the pipeline's ``follower_timeout=``, and the
+simulator classes beside the engines (``StatevectorSimulator``,
+``StabilizerSimulator``, ``NoisyBackend`` with ``repro.simulator.noise``
+and the ``repro.simulator.NoiseModel`` re-export) are gone.  An old spelling must end in an import,
 type or engine error — or, for the environment variables, have no
 effect at all — rather than being silently accepted.
 """
@@ -21,7 +23,6 @@ from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
 from repro.engines.density_matrix import DensityMatrix
 from repro.simulator import kernels
-from repro.simulator.noise import NoisyBackend
 from repro.simulator.statevector import Statevector
 
 
@@ -39,7 +40,10 @@ def _bell() -> QuantumCircuit:
     [
         "repro.core.qasm",
         "repro.simulator.backends",
+        "repro.simulator.noise",
         "repro.pipeline.verification",
+        "repro.algorithms.bernstein_vazirani",
+        "repro.algorithms.deutsch_jozsa",
     ],
 )
 def test_retired_modules_are_gone(module):
@@ -52,12 +56,11 @@ def test_retired_modules_are_gone(module):
     [
         lambda: Statevector(2, backend="numpy"),
         lambda: DensityMatrix(2, backend="numpy"),
-        lambda: NoisyBackend(backend="numpy"),
         lambda: kernels.apply_gate(
             Statevector(2).data, Gate("h", (0,)), 2, backend="numpy"
         ),
     ],
-    ids=["Statevector", "DensityMatrix", "NoisyBackend", "kernels.apply_gate"],
+    ids=["Statevector", "DensityMatrix", "kernels.apply_gate"],
 )
 def test_backend_keyword_is_gone(call):
     with pytest.raises(TypeError, match="backend"):
@@ -124,3 +127,21 @@ def test_pipeline_follower_timeout_keyword_is_gone():
 
     with pytest.raises(TypeError, match="follower_timeout"):
         Pipeline(cache=None, follower_timeout=1.0)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.simulator", "StatevectorSimulator"),
+        ("repro.simulator", "StabilizerSimulator"),
+        ("repro.simulator", "NoisyBackend"),
+        ("repro.simulator", "NoiseModel"),
+        ("repro.simulator.statevector", "StatevectorSimulator"),
+        ("repro.simulator.stabilizer", "StabilizerSimulator"),
+    ],
+)
+def test_simulator_classes_beside_the_engines_are_gone(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module), name)
