@@ -3,19 +3,20 @@
 Obligations of the `repro.compile()` front door:
 
 * **Overhead** — the facade (workload detection + target resolution +
-  result bundling) adds < 5% wall-clock over the hand-wired
-  `flows.eq5(...).run(...)` path it resolves to, measured cache-off so
-  the comparison is real compute on both sides.
+  result bundling) adds < 5% wall-clock over running the pass list it
+  resolves to directly,
+  `Pipeline(cache=None).run(CLIFFORD_T.flow({"hwb": 4}))`, measured
+  cache-off so the comparison is real compute on both sides.
 * **Sweep caching** — a `CompilerSession.sweep` over 8 parameter
   points with the shared pass cache beats the same sweep cold
   (cache=None), because repeated sub-flows (shared generation /
   synthesis prefixes) replay instead of recompute; a repeated sweep
   replays everything.
-* **Async + bounded cache** — `sweep_async` over 32 parameter points
+* **Async + bounded cache** — `sweep_async` over 24 parameter points
   on a warm disk-backed cache beats the sequential cold sweep
   (combined caching + overlapped-execution win; on a single-core
   runner the overlap itself is GIL-bound, so the margin is carried by
-  the warm tier), and an explicit `gc(max_entries=8)` sweep (< 32
+  the warm tier), and an explicit `gc(max_entries=8)` sweep (< 24
   points) records evictions while a re-sweep still compiles every
   point gate-for-gate identically.
 * **Emitter matrix (PR 5)** — one compiled workload renders in every
@@ -49,7 +50,8 @@ from conftest import report
 import repro
 from repro import emit
 from repro.compiler import CompilerSession
-from repro.pipeline import PassCache, Pipeline, flows
+from repro.compiler.target import CLIFFORD_T
+from repro.pipeline import PassCache, Pipeline
 
 SWEEP_GRID = {
     "hwb": [3, 4],
@@ -73,7 +75,7 @@ def run_facade():
 
 
 def run_hand_wired():
-    return flows.eq5(hwb=4).run(pipeline=Pipeline(cache=None))
+    return Pipeline(cache=None).run(CLIFFORD_T.flow({"hwb": 4}))
 
 
 def test_facade_overhead(benchmark):
@@ -86,7 +88,7 @@ def test_facade_overhead(benchmark):
     overhead = facade_s / direct_s - 1.0
 
     report(
-        "compile() facade vs hand-wired flows.eq5",
+        "compile() facade vs Pipeline.run of the resolved flow",
         [
             ("hand-wired best", f"{direct_s * 1e3:.2f}ms"),
             ("facade best", f"{facade_s * 1e3:.2f}ms"),
@@ -148,11 +150,11 @@ def test_sweep_with_cache_vs_cold(benchmark):
         assert warm_s < cold_s, "cached sweep should beat cold sweep"
 
 
-#: 2 (sizes) x 2 (synthesis) x 4 (levels) x 2 (mapping) = 32 points.
+#: 2 (sizes) x 2 (synthesis) x 3 (levels) x 2 (mapping) = 24 points.
 ASYNC_SWEEP_GRID = {
     "hwb": [3, 4],
     "synthesis": ["tbs", "tbs-bidir"],
-    "optimization_level": [0, 1, 2, 3],
+    "optimization_level": [0, 1, 2],
     "relative_phase": [True, False],
 }
 
@@ -161,7 +163,7 @@ def test_async_sweep_and_bounded_cache(benchmark, tmp_path):
     # sequential cold reference: one point at a time, no cache
     sequential = CompilerSession(cache=None, max_workers=1)
     baseline = sequential.sweep(ASYNC_SWEEP_GRID)
-    assert len(baseline) == 32
+    assert len(baseline) == 24
     sequential_cold_s = _best_of(
         lambda: sequential.sweep(ASYNC_SWEEP_GRID), rounds=2
     )
@@ -222,7 +224,7 @@ def test_async_sweep_and_bounded_cache(benchmark, tmp_path):
     benchmark.extra_info["bounded_disk_bytes"] = gc_report["bytes"]
 
     report(
-        "sweep_async: 32 points, warm cache vs sequential cold",
+        "sweep_async: 24 points, warm cache vs sequential cold",
         [
             ("sequential cold best", f"{sequential_cold_s * 1e3:.2f}ms"),
             ("async warm best", f"{async_warm_s * 1e3:.2f}ms"),

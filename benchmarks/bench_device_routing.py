@@ -12,9 +12,9 @@ insertion — more two-qubit gates, and under the chip noise model a
 measurably lower success probability.  That chain (topology -> SWAPs
 -> fidelity) is part of why Fig. 6 sits near p ~ 0.63.
 
-Since PR 2 the routing stage executes through the pass manager: each
-topology run dispatches one :class:`repro.pipeline.RoutePass` (the
-final stage of the :func:`repro.pipeline.flows.device` preset) over
+The routing stage executes through the pass manager: each topology
+run dispatches one :class:`repro.pipeline.RoutePass` (the final stage
+of the Sec. VII device shape the ``ibm_qe5`` target resolves to) over
 the already-prepared circuit, and the pass records carry the SWAP
 counts.
 """

@@ -14,23 +14,23 @@ absolute numbers for this pipeline, so the shape obligations are:
 every stage preserves the function, revsimp never grows the cascade,
 rptm emits pure Clifford+T, and tpar strictly reduces T-count.
 
-Since PR 2 the script executes through the pass manager: the timed
-kernel runs the :func:`repro.pipeline.flows.eq5` preset (with caching
+The script executes through the pass manager: the timed kernel
+compiles ``{"hwb": 4}`` for the ``clifford_t`` target (with caching
 disabled so the measurement is real compute), and the shell path is
 asserted to produce the identical circuit gate-for-gate.
 """
 
 from conftest import report
 
+import repro
 from repro.boolean.permutation import BitPermutation
 from repro.core.statistics import circuit_statistics
-from repro.pipeline import Pipeline, flows
+from repro.pipeline import Pipeline
 from repro.revkit import RevKitShell
 
 
 def run_pipeline():
-    pipeline = Pipeline(cache=None)
-    return flows.eq5(hwb=4).run(pipeline=pipeline)
+    return repro.compile({"hwb": 4}, target="clifford_t", cache=None)
 
 
 def test_eq5_pipeline(benchmark):
@@ -48,7 +48,7 @@ def test_eq5_pipeline(benchmark):
     # the RevKit shell dispatches the same passes: identical circuit
     shell = RevKitShell(pipeline=Pipeline(cache=None))
     shell.run("revgen --hwb 4; tbs; revsimp; rptm; tpar; ps -c")
-    assert shell.quantum.gates == result.quantum.gates
+    assert shell.quantum.gates == result.circuit.gates
     assert circuit_statistics(shell.quantum).as_dict() == stats.as_dict()
 
     report(
@@ -71,12 +71,12 @@ def test_eq5_pipeline(benchmark):
     assert simp_gates <= tbs_gates
     assert mapped_record.details["clifford_t"]
     assert t_after < t_before
-    assert result.quantum.is_clifford_t()
+    assert result.circuit.is_clifford_t()
 
 
 def test_eq5_pipeline_other_generators(benchmark):
     def _run():
-        """Same preset over the other revgen functions: the invariants
+        """Same target over the other revgen functions: the invariants
         hold for every benchmark function, not just hwb4."""
         rows = []
         for label, options in (
@@ -86,8 +86,8 @@ def test_eq5_pipeline_other_generators(benchmark):
             ("--gray 4", {"gray": 4}),
             ("--random 4 --seed 11", {"random": 4, "seed": 11}),
         ):
-            result = flows.eq5(**options).run(
-                pipeline=Pipeline(cache=None, verify=True)
+            result = repro.compile(
+                options, target="clifford_t", verify=True, cache=None
             )
             assert result.reversible.permutation() == result.state.function
             before = result.record("rptm").after["t_count"]
@@ -107,18 +107,18 @@ def test_eq5_cache_replays(benchmark):
         content-keyed cache without recomputing."""
         from repro.pipeline import PassCache
 
-        pipeline = Pipeline(cache=PassCache())
-        cold = flows.eq5(hwb=4).run(pipeline=pipeline)
-        warm = flows.eq5(hwb=4).run(pipeline=pipeline)
+        cache = PassCache()
+        cold = repro.compile({"hwb": 4}, target="clifford_t", cache=cache)
+        warm = repro.compile({"hwb": 4}, target="clifford_t", cache=cache)
         assert [record.cache_hit for record in cold.records] == [False] * 6
         assert [record.cache_hit for record in warm.records] == [True] * 6
-        assert warm.quantum.gates == cold.quantum.gates
+        assert warm.circuit.gates == cold.circuit.gates
         report(
             "EQ5 extension: pass-result cache",
             [
                 ("cold run wall-clock", f"{cold.total_seconds * 1e3:.2f}ms"),
                 ("warm run wall-clock", f"{warm.total_seconds * 1e3:.2f}ms"),
-                ("cache", pipeline.cache.stats()),
+                ("cache", cache.stats()),
             ],
         )
     benchmark.pedantic(_run, rounds=1, iterations=1)

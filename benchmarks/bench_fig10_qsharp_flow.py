@@ -10,10 +10,10 @@ a circuit, and the same algorithm is simulated natively — checking
 that the emitted code is both well-formed and semantically the right
 oracle.
 
-Since PR 2 the RevKit pre-processing (synthesize, revsimp, rptm,
-cancel) runs as the :data:`repro.pipeline.flows.QSHARP` preset on the
-pass manager; the bench asserts the emitted oracle circuit equals the
-preset's output gate-for-gate.
+The RevKit pre-processing (synthesize, revsimp, rptm, cancel) is the
+``qsharp`` compilation target, run on the pass manager; the bench
+asserts the emitted oracle circuit equals the target's output
+gate-for-gate.
 """
 
 import numpy as np
@@ -30,7 +30,9 @@ from repro.frameworks.qsharp import (
     permutation_oracle_operation,
     validate_program,
 )
-from repro.pipeline import FlowState, Pipeline, flows
+import repro
+from repro.compiler import targets
+from repro.pipeline import Pipeline
 from repro.synthesis.decomposition import decomposition_based_synthesis
 
 PAPER_PI = BitPermutation([0, 2, 3, 5, 7, 1, 4, 6])
@@ -59,17 +61,15 @@ def test_fig10_qsharp_generation(benchmark):
     )
     native = solve_hidden_shift(instance, method="mm")
 
-    # the emitted oracle is exactly the QSHARP preset's compiled circuit
-    preset = flows.QSHARP.run(
-        FlowState(function=PAPER_PI), pipeline=Pipeline(cache=None)
-    )
-    assert operation.circuit.gates == preset.quantum.gates
+    # the emitted oracle is exactly the qsharp target's compiled circuit
+    preset = repro.compile(PAPER_PI, target="qsharp", cache=None)
+    assert operation.circuit.gates == preset.circuit.gates
 
     report(
         "FIG9/10: Q# interop (RevKit as pre-processor)",
         [
             ("paper: emitted operation", "PermutationOracle (Fig. 10)"),
-            ("pipeline preset", str(flows.QSHARP)),
+            ("pipeline preset", str(preset.flow)),
             ("generated program valid", validate_program(program)),
             ("operation gate statements", len(gate_lines)),
             ("paper Fig.10 gate set", "H, T, T', CNOT"),
@@ -94,8 +94,6 @@ def test_fig10_synthesis_choices(benchmark):
         synthesis back-ends must produce valid, equivalent Q# oracles
         (compiled under the pass manager's fail-fast verification)."""
         rows = []
-        from repro.compiler import targets
-
         for name, synth in (
             ("tbs (default)", None),
             ("dbs", decomposition_based_synthesis),

@@ -25,7 +25,7 @@ def main():
     for x in solutions:
         print(f"  abcd = {x & 1}{(x >> 1) & 1}{(x >> 2) & 1}{(x >> 3) & 1}")
 
-    result = solve_grover(constraint)
+    result = solve_grover(constraint, seed=7)
     measured = result.measured
     print(
         f"\nGrover ({result.iterations} iterations) measured "
@@ -39,7 +39,9 @@ def main():
         f"oracle + diffusion circuit: {len(result.circuit)} gates on "
         f"{result.circuit.num_qubits} qubits"
     )
-    assert result.is_solution
+    # one shot finds a solution with probability ~0.95; the check is
+    # on the exact probability, not on a single sampled outcome
+    assert result.success_probability > 0.9
 
 
 if __name__ == "__main__":

@@ -10,13 +10,13 @@ function, both via the shell syntax and the Python API
 
 The shell dispatches every command through the pass manager
 (``repro.pipeline``), so the session also prints the per-pass
-timing/delta report and demonstrates the equivalent declarative
-preset, ``flows.EQ5``.
+timing/delta report and compiles the same flow through its target,
+``repro.compile({"hwb": 4}, target="clifford_t")``.
 
 Run:  python examples/revkit_shell.py
 """
 
-from repro.pipeline import Pipeline, flows
+import repro
 from repro.revkit import RevKitShell
 
 
@@ -33,20 +33,20 @@ def main():
     for line in shell.report().splitlines():
         print("  " + line)
 
-    print("\nsame flow as a declarative preset (flows.EQ5):")
-    result = flows.EQ5.run(pipeline=Pipeline(cache=None))
+    print("\nsame flow through its target (target='clifford_t'):")
+    result = repro.compile({"hwb": 4}, target="clifford_t", cache=None)
     for line in result.report().splitlines():
         print("  " + line)
-    assert result.quantum.gates == shell.quantum.gates
+    assert result.circuit.gates == shell.quantum.gates
     print(f"  -> identical to the shell run, gate for gate "
-          f"({len(result.quantum)} gates)")
+          f"({len(result.circuit)} gates)")
 
-    print("\nparameterized sweep via flows.eq5(...):")
+    print("\nother specifications through the same target:")
     for options in ({"hwb": 4}, {"gray": 4}, {"adder": 4, "const": 3}):
-        res = flows.eq5(**options).run()
+        res = repro.compile(options, target="clifford_t")
         tpar = res.record("tpar")
         label = ",".join(f"{k}={v}" for k, v in options.items())
-        print(f"  eq5({label:<16}) MCT={len(res.reversible):2d}  "
+        print(f"  {label:<20} MCT={len(res.reversible):2d}  "
               f"T {tpar.before['t_count']:3d} -> {tpar.after['t_count']:3d}")
 
     print("\nsynthesis command comparison on hwb4 (python API):")

@@ -12,9 +12,9 @@ library, showing the trade-offs the paper surveys:
 
 Every result is verified by simulation and finally mapped to
 Clifford+T with and without relative-phase Toffolis.  The closing
-section runs the same portfolio through the pass manager's preset
-flows (``repro.pipeline``) with fail-fast verification on, printing
-the per-pass statistics report.
+sections run the same portfolio through the ``qsharp`` target
+(``repro.compile``) with fail-fast verification on, printing the
+per-pass statistics report.
 
 Run:  python examples/synthesis_tour.py
 """
@@ -113,25 +113,27 @@ def mapping_demo():
 
 
 def pipeline_demo():
-    print("\n== the same flow as pass-manager presets (repro.pipeline) ==")
-    from repro.pipeline import FlowState, Pipeline, flows
+    print("\n== the same flow through a target (repro.compile) ==")
+    import repro
+    from repro.compiler import targets
 
     perm = BitPermutation([0, 2, 3, 5, 7, 1, 4, 6])
-    print("  flows.QSHARP on pi, verify=True (per-pass report):")
-    result = flows.QSHARP.run(
-        FlowState(function=perm), pipeline=Pipeline(cache=None, verify=True)
-    )
+    print("  target 'qsharp' on pi, verify=True (per-pass report):")
+    result = repro.compile(perm, target="qsharp", verify=True, cache=None)
     for line in result.report().splitlines():
         print("    " + line)
 
-    print("  synthesis back-ends through the same preset:")
-    for method in ("tbs", "tbs-bidir", "dbs", "exact"):
-        res = flows.qsharp(synth=method).run(
-            FlowState(function=perm), pipeline=Pipeline(cache=None)
-        )
+    print("  synthesis back-ends and mappings through the same target:")
+    methods = ("tbs", "tbs-bidir", "dbs", "exact")
+    variants = [{"synthesis": method} for method in methods]
+    variants.append({"synthesis": "tbs", "relative_phase": False})
+    for changes in variants:
+        target = targets.QSHARP.with_(**changes)
+        res = repro.compile(perm, target=target, cache=None)
+        label = ",".join(f"{k}={v}" for k, v in changes.items())
         print(
-            f"    {method:<9} MCT={len(res.reversible):2d}  "
-            f"gates={len(res.quantum):3d}  T={res.quantum.t_count():2d}  "
+            f"    {label:<36} MCT={len(res.reversible):2d}  "
+            f"gates={len(res.circuit):3d}  T={res.circuit.t_count():2d}  "
             f"({res.total_seconds * 1e3:.2f}ms)"
         )
 

@@ -31,8 +31,8 @@ Subpackages
     revsimp gate cancellation and T-par phase folding.
 ``repro.pipeline``
     The pass manager: a unified compilation pipeline with per-pass
-    statistics, result caching, verification, and the paper's flow
-    presets (``flows.EQ5``, ``flows.QSHARP``, ``flows.DEVICE``).
+    statistics, result caching and verification, running any pass
+    list (``Pipeline.run``).
 ``repro.resilience``
     The resilience layer: cooperative deadlines, retry policies with
     deterministic backoff, a fault-injection harness for chaos
@@ -46,7 +46,9 @@ Subpackages
 ``repro.compiler``
     The compiler facade: ``repro.compile(workload, target=...)``
     normalizes any workload shape, resolves a ``Target`` preset to a
-    pass sequence, and returns a ``CompilationResult`` with lazy
+    pass sequence — targets are the only named recipes: the paper's
+    flows are ``clifford_t`` (Eq. 5), ``qsharp`` (Fig. 10) and
+    ``ibm_qe5`` (Sec. VII) — and returns a ``CompilationResult`` with lazy
     QASM/Q#/ProjectQ emission; ``CompilerSession`` batches
     compilations and parameter sweeps over a shared pass cache.
 ``repro.frameworks``

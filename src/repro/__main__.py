@@ -46,20 +46,12 @@ from typing import Any
 
 from . import emit as emit_registry
 from . import engines as engine_registry
-from .compiler import (
-    NAMED_FLOWS,
-    compile as compile_workload,
-    get_target,
-    list_targets,
-)
+from .compiler import compile as compile_workload, get_target, list_targets
 from .pipeline.state import PipelineError
 
 
 def _load_workload(spec: str) -> Any:
     """Translate the CLI workload argument into a workload object."""
-    if spec == "-":
-        # empty seed: the explicit --flow generates its own input
-        return None
     if os.path.exists(spec):
         if spec.endswith(".json"):
             with open(spec) as stream:
@@ -94,7 +86,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         result = compile_workload(
             workload,
             target=args.target,
-            flow=args.flow,
             verify=args.verify,
             cache=args.cache_dir if args.cache_dir else "shared",
             deadline=args.deadline,
@@ -324,20 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "workload",
         help="generator spec (hwb=4), Boolean expression, "
-        "perm:..., tt:<n>:<hex>, a .qasm/.json file, or '-' for an "
-        "empty seed when --flow generates its own input",
+        "perm:..., tt:<n>:<hex>, or a .qasm/.json file",
     )
     cmd.add_argument(
         "--target",
         default=None,
         help=f"target preset ({', '.join(list_targets())}); "
         "default clifford_t",
-    )
-    cmd.add_argument(
-        "--flow",
-        default=None,
-        choices=sorted(NAMED_FLOWS),
-        help="explicit flow preset overriding target resolution",
     )
     cmd.add_argument(
         "--verify",

@@ -12,8 +12,9 @@ This package is that front door, in four layers:
   :class:`~.target.Target` (gate set, coupling map, optimization
   level, emitter) with registered presets ``targets.TOFFOLI``,
   ``targets.CLIFFORD_T``, ``targets.IBM_QE5``, ``targets.QSHARP``,
-  ``targets.PROJECTQ``, resolved to pass sequences via the existing
-  flow builders;
+  ``targets.PROJECTQ``, resolved to pass sequences
+  (:meth:`~.target.Target.flow`) — the only named recipes for the
+  paper's flows;
 * :mod:`~.result` — :class:`~.result.CompilationResult`: final
   circuit, per-pass records, statistics, and lazy
   ``to_qasm``/``to_qsharp``/``to_projectq`` emission;
@@ -30,13 +31,13 @@ from . import target as targets
 from .frontends import (
     SUPPORTED_SHAPES,
     Workload,
+    WorkloadError,
     as_truth_table,
     detect_workload,
     expression_to_truth_table,
 )
 from .result import CompilationResult, EmissionError
 from .session import (
-    NAMED_FLOWS,
     CompilerSession,
     SweepPoint,
     SweepResult,
@@ -58,12 +59,12 @@ __all__ = [
     "targets",
     "SUPPORTED_SHAPES",
     "Workload",
+    "WorkloadError",
     "as_truth_table",
     "detect_workload",
     "expression_to_truth_table",
     "CompilationResult",
     "EmissionError",
-    "NAMED_FLOWS",
     "CompilerSession",
     "SweepPoint",
     "SweepResult",

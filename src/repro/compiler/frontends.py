@@ -12,8 +12,8 @@ that the :class:`~.target.Target` resolution consumes.
 
 Detection is strict about ambiguity: an integer sequence that is both
 a valid permutation image and a valid truth-table value list raises a
-``TypeError`` telling the caller which wrapper type to use instead of
-silently guessing.
+:class:`WorkloadError` (a ``TypeError``) telling the caller which
+wrapper type to use instead of silently guessing.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from ..boolean.expression import predicate_to_truth_table
 from ..boolean.permutation import BitPermutation
 from ..boolean.truth_table import MultiTruthTable, TruthTable
 from ..core.circuit import QuantumCircuit
-from ..pipeline.flows import _generate_pass
-from ..pipeline.passes import GENERATOR_KINDS, Pass
+from ..pipeline.passes import GENERATOR_KINDS, GeneratePass, Pass
 from ..pipeline.state import FlowState
 from ..synthesis.reversible import ReversibleCircuit
 
@@ -39,7 +38,7 @@ from ..synthesis.reversible import ReversibleCircuit
 DEFAULT_SYNTHESIS = {"permutation": "tbs", "truth_table": "esop"}
 
 #: One-line description of every accepted workload shape, used to
-#: build actionable ``TypeError`` messages.
+#: build actionable :class:`WorkloadError` messages.
 SUPPORTED_SHAPES = (
     "TruthTable / MultiTruthTable (reversible)",
     "BitPermutation (or an int sequence permuting 0..2^n-1)",
@@ -57,14 +56,22 @@ SUPPORTED_SHAPES = (
 _GENERATOR_SPEC_RE = re.compile(r"^\s*\w+\s*=\s*-?\d+(\s*,\s*\w+\s*=\s*-?\d+)*\s*$")
 
 
+class WorkloadError(TypeError):
+    """Raised when an input cannot be interpreted as a workload.
+
+    A ``TypeError`` subclass, so callers catching ``TypeError`` keep
+    working; the message names the input's type and lists the
+    supported shapes.
+    """
+
+
 @dataclass(frozen=True)
 class Workload:
     """A normalized compilation input.
 
     Attributes:
         kind: detected shape — ``generator``, ``permutation``,
-            ``truth_table``, ``circuit``, ``reversible``, ``state``
-            or ``empty``.
+            ``truth_table``, ``circuit``, ``reversible`` or ``state``.
         description: human-readable workload summary for reports.
         state: the :class:`~repro.pipeline.state.FlowState` seed.
         prelude: passes to run before synthesis (the generator pass
@@ -94,14 +101,14 @@ class Workload:
         return replace(self, synthesis=method)
 
 
-def _unsupported(obj: Any, hint: str = "") -> TypeError:
-    """Build the actionable TypeError for an undetectable workload."""
+def _unsupported(obj: Any, hint: str = "") -> WorkloadError:
+    """Build the actionable error for an undetectable workload."""
     lines = [f"cannot interpret {type(obj).__name__!r} object as a workload"]
     if hint:
         lines.append(hint)
     lines.append("supported workload shapes:")
     lines.extend(f"  - {shape}" for shape in SUPPORTED_SHAPES)
-    return TypeError("\n".join(lines))
+    return WorkloadError("\n".join(lines))
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -151,7 +158,7 @@ def expression_to_truth_table(expr: str) -> TruthTable:
         The evaluated :class:`~repro.boolean.truth_table.TruthTable`.
 
     Raises:
-        TypeError: when the string does not parse, or uses syntax
+        WorkloadError: when the string does not parse, or uses syntax
             outside the Boolean fragment (pass a Python predicate for
             arithmetic like ``a + b >= 1``).
     """
@@ -177,8 +184,23 @@ def expression_to_truth_table(expr: str) -> TruthTable:
 
 
 def _generator_workload(options: dict) -> Workload:
-    """Build a generator-prelude workload from revgen-style options."""
-    prelude = _generate_pass(dict(options))
+    """Build a generator-prelude workload from revgen-style options.
+
+    Exactly one generator-family key (``hwb=4``, ``adder=4``, ...)
+    selects kind and size; the rest (``seed``, ``const``, ``amount``)
+    are family options.
+    """
+    kinds = [key for key in options if key in GENERATOR_KINDS]
+    if len(kinds) != 1:
+        raise _unsupported(
+            options,
+            hint=(
+                "generator spec needs exactly one generator family key "
+                f"out of: {', '.join(GENERATOR_KINDS)}"
+            ),
+        )
+    params = dict(options)
+    prelude = GeneratePass(kinds[0], params.pop(kinds[0]), **params)
     label = ",".join(f"{k}={v}" for k, v in sorted(options.items()))
     return Workload(
         kind="generator",
@@ -332,27 +354,19 @@ def detect_workload(obj: Any) -> Workload:
 
     Args:
         obj: any supported workload shape (see
-            :data:`SUPPORTED_SHAPES`), or ``None`` for an empty seed
-            (useful with an explicit ``flow=`` that generates its own
-            specification).
+            :data:`SUPPORTED_SHAPES`).
 
     Returns:
         The normalized :class:`Workload`.
 
     Raises:
-        TypeError: for unsupported or ambiguous inputs; the message
-            names the supported shapes and, for ambiguous sequences,
-            the wrapper types that disambiguate.
+        WorkloadError: for unsupported or ambiguous inputs (``None``
+            included); the message names the input's type, the
+            supported shapes and, for ambiguous sequences, the
+            wrapper types that disambiguate.
     """
     if isinstance(obj, Workload):
         return obj
-    if obj is None:
-        return Workload(
-            kind="empty",
-            description="(empty)",
-            state=FlowState(),
-            needs_synthesis=False,
-        )
     if isinstance(obj, FlowState):
         needs_synthesis = (
             obj.function is not None
@@ -420,15 +434,7 @@ def detect_workload(obj: Any) -> Workload:
     if isinstance(obj, Path):
         return _path_workload(obj)
     if isinstance(obj, dict):
-        if any(key in GENERATOR_KINDS for key in obj):
-            return _generator_workload(obj)
-        raise _unsupported(
-            obj,
-            hint=(
-                "dict workload needs exactly one generator family key "
-                f"out of: {', '.join(GENERATOR_KINDS)}"
-            ),
-        )
+        return _generator_workload(obj)
     if (
         isinstance(obj, tuple)
         and len(obj) == 2
@@ -502,7 +508,7 @@ def as_truth_table(obj: Any, num_vars: Optional[int] = None) -> TruthTable:
         The workload's single-output truth table.
 
     Raises:
-        TypeError: when the workload is not function-shaped (e.g. a
+        WorkloadError: when the workload is not function-shaped (e.g. a
             circuit or permutation), cannot be detected, or uses more
             variables than ``num_vars``.
     """

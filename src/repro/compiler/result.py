@@ -26,11 +26,10 @@ from ..emit import EmitterError, describe_formats
 from ..emit import get as get_emitter
 from ..engines import NoiseModel, as_noise_model
 from ..engines import get as get_engine
-from ..pipeline.flows import Flow
 from ..pipeline.runner import PassRecord, format_records, state_metrics
 from ..pipeline.state import FlowState, PipelineError
 from .frontends import Workload
-from .target import Target
+from .target import Flow, Target
 
 
 class EmissionError(PipelineError, EmitterError):
@@ -43,7 +42,7 @@ class CompilationResult:
 
     Attributes:
         workload: the normalized input workload.
-        target: the resolved target (``None`` for flow-only calls).
+        target: the resolved target.
         flow: the flow that actually executed.
         state: the final flow store.
         records: per-pass execution records, in order.
@@ -60,7 +59,7 @@ class CompilationResult:
     """
 
     workload: Workload
-    target: Optional[Target]
+    target: Target
     flow: Flow
     state: FlowState
     records: List[PassRecord]
@@ -163,10 +162,9 @@ class CompilationResult:
 
     def summary(self) -> str:
         """Return a one-line workload/target/cost summary."""
-        target = self.target.name if self.target is not None else "-"
         parts = [
             f"workload={self.workload.description}",
-            f"target={target}",
+            f"target={self.target.name}",
             f"passes={len(self.records)}",
             f"cached={self.cache_hits}",
         ]
@@ -223,11 +221,10 @@ class CompilationResult:
         """Render in the given (or the default) format, memoized.
 
         Any format registered with :mod:`repro.emit` is accepted;
-        when ``format`` is omitted, the target's ``emitter`` is used,
-        falling back to the executed flow's ``emitter`` for flow-only
-        compilations.  The rendered text is cached per
-        ``(format, opts)``, so repeated calls return the same object;
-        the circuit is frozen, so the text always matches it.
+        when ``format`` is omitted, the target's ``emitter`` is used.
+        The rendered text is cached per ``(format, opts)``, so
+        repeated calls return the same object; the circuit is frozen,
+        so the text always matches it.
 
         Args:
             format: a registered format name or alias (``qasm2``,
@@ -240,16 +237,13 @@ class CompilationResult:
             The emitted source text.
 
         Raises:
-            EmissionError: when no format is given and neither the
-                target nor the flow has a default emitter, when the
-                format is unknown (both messages list the registered
-                formats), or when the circuit has gates the backend
-                cannot express.
+            EmissionError: when no format is given and the target has
+                no default emitter, when the format is unknown (both
+                messages list the registered formats), or when the
+                circuit has gates the backend cannot express.
         """
         if format is None:
-            format = self.target.emitter if self.target else None
-        if format is None:
-            format = getattr(self.flow, "emitter", None)
+            format = self.target.emitter
         if format is None:
             raise EmissionError(
                 "no emission format: pass format= or compile for a "
@@ -324,15 +318,12 @@ class CompilationResult:
                 "cannot simulate: the flow produced no quantum circuit "
                 "(reversible-level target?)"
             )
-        name = engine or self.engine
-        if name is None and self.target is not None:
-            name = self.target.engine
+        name = engine or self.engine or self.target.engine
         backend = get_engine(name or "statevector")
         model = as_noise_model(noise)
         if (
             model is None
             and noise is None
-            and self.target is not None
             and backend.capabilities.noise
         ):
             model = as_noise_model(self.target.noise)

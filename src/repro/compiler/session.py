@@ -38,7 +38,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..engines import EngineError
 from ..engines import get as get_engine
 from ..pipeline.cache import PassCache, shared_cache
-from ..pipeline.flows import DEVICE, EQ5, QSHARP as QSHARP_FLOW, Flow
 from ..pipeline.passes import GENERATOR_KINDS
 from ..pipeline.runner import Pipeline
 from ..pipeline.state import PipelineError
@@ -46,7 +45,7 @@ from ..resilience.errors import DeadlineExceeded
 from ..resilience.faults import fault_point
 from ..resilience.policies import Deadline, RetryPolicy, as_retry
 from ..verify.checker import EquivalenceChecker
-from .frontends import Workload, detect_workload
+from .frontends import detect_workload
 from .result import CompilationResult
 from .target import Target, get_target
 
@@ -57,13 +56,6 @@ from .target import Target, get_target
 #: non-cooperative code.
 _JOB_TIMEOUT_GRACE = 0.1
 
-#: Named flows accepted wherever a ``flow=`` argument takes a string.
-NAMED_FLOWS: Dict[str, Flow] = {
-    "eq5": EQ5,
-    "qsharp": QSHARP_FLOW,
-    "device": DEVICE,
-}
-
 #: Sweep parameter keys that derive a per-point target override.
 _TARGET_FIELDS = tuple(
     f.name for f in dataclass_fields(Target) if f.name != "name"
@@ -71,19 +63,6 @@ _TARGET_FIELDS = tuple(
 
 #: Generator option keys accepted alongside a family key in sweeps.
 _GENERATOR_OPTION_KEYS = ("seed", "const", "amount")
-
-
-def _resolve_flow(flow: Union[Flow, str, None]) -> Optional[Flow]:
-    """Map a flow argument (object or preset name) to a Flow."""
-    if flow is None or isinstance(flow, Flow):
-        return flow
-    preset = NAMED_FLOWS.get(str(flow).lower())
-    if preset is None:
-        raise PipelineError(
-            f"unknown flow {flow!r}; named flows: "
-            f"{', '.join(NAMED_FLOWS)}"
-        )
-    return preset
 
 
 def _resolve_cache(
@@ -104,7 +83,6 @@ def _resolve_cache(
 def compile(
     workload: Any,
     target: Union[Target, str, None] = None,
-    flow: Union[Flow, str, None] = None,
     verify: Union[bool, str, EquivalenceChecker, None] = None,
     cache: Union[PassCache, str, None] = "shared",
     pipeline: Optional[Pipeline] = None,
@@ -117,20 +95,15 @@ def compile(
 
     Normalizes the workload (:func:`~.frontends.detect_workload`),
     resolves the target to a pass sequence
-    (:meth:`~.target.Target.flow`, unless an explicit ``flow`` is
-    given), executes it on the pass manager, and returns the bundled
-    result.
+    (:meth:`~.target.Target.flow`), executes it on the pass manager,
+    and returns the bundled result.
 
     Args:
         workload: anything :func:`~.frontends.detect_workload`
             accepts — specification, predicate, expression string,
-            generator spec, circuit, or ``None`` with an explicit
-            ``flow=`` that generates its own input.
+            generator spec or circuit.
         target: a :class:`~.target.Target`, a registered target name,
             or ``None`` for the default (``clifford_t``).
-        flow: explicit :class:`~repro.pipeline.flows.Flow` (or preset
-            name ``eq5``/``qsharp``/``device``) overriding target
-            resolution.
         verify: fail-fast functional verification of every pass —
             ``"auto"``/``True`` runs the tiered
             :class:`~repro.verify.EquivalenceChecker` (every pass
@@ -167,6 +140,7 @@ def compile(
         circuit, per-pass records and lazy emitters.
 
     Raises:
+        WorkloadError: when the workload is not a supported shape.
         PipelineError: when ``pipeline=`` is combined with
             ``deadline``/``retry``/``on_error`` — the explicit runner
             carries its own resilience configuration; ignoring a
@@ -181,32 +155,7 @@ def compile(
             raise PipelineError(str(exc)) from exc
     if verify is None:
         verify = resolved_target.verify
-    resolved_flow = _resolve_flow(flow)
-    if resolved_flow is None:
-        resolved_flow = resolved_target.flow(normalized)
-    else:
-        # an explicit flow runs as-is; refuse combinations where it
-        # would silently discard the workload instead of compiling it
-        if normalized.prelude:
-            raise PipelineError(
-                f"workload {normalized.description} carries its own "
-                f"generator pass, which flow {resolved_flow.name!r} "
-                "would not run; drop flow= (let the target resolve "
-                "it) or pass workload=None"
-            )
-        seeded = any(
-            getattr(normalized.state, field) is not None
-            for field in ("function", "reversible", "quantum")
-        )
-        if seeded and any(
-            "function" in pass_.writes for pass_ in resolved_flow.passes
-        ):
-            raise PipelineError(
-                f"flow {resolved_flow.name!r} generates its own "
-                "specification and would overwrite or ignore workload "
-                f"{normalized.description}; drop flow= or pass "
-                "workload=None"
-            )
+    resolved_flow = resolved_target.flow(normalized)
     if pipeline is not None and (
         deadline is not None or retry is not None or on_error is not None
     ):
@@ -229,7 +178,7 @@ def compile(
         circuit = getattr(state, name)
         if circuit is not None and not circuit.frozen:
             setattr(state, name, circuit.copy().freeze())
-    outcome = resolved_flow.run(state, pipeline=pipeline)
+    outcome = pipeline.run(resolved_flow, state)
     return CompilationResult(
         workload=normalized,
         target=resolved_target,
@@ -320,7 +269,7 @@ def _compile_task(task: Tuple) -> CompilationResult:
     the job actually begins — and spans every retry attempt, so a
     retried job cannot outlive its ``job_timeout``.
     """
-    workload, target, flow, verify, cache_spec, job_timeout, retry = task
+    workload, target, verify, cache_spec, job_timeout, retry = task
     if isinstance(cache_spec, dict):
         cache_spec = PassCache(**cache_spec)
     deadline = (
@@ -334,7 +283,6 @@ def _compile_task(task: Tuple) -> CompilationResult:
         return compile(
             workload,
             target=target,
-            flow=flow,
             verify=verify,
             cache=cache_spec,
             deadline=deadline,
@@ -375,7 +323,6 @@ class CompilerSession:
         target: session default target (name or
             :class:`~.target.Target`); ``None`` keeps the library
             default.
-        flow: session default flow override.
         verify: fail-fast functional verification of every pass —
             ``"auto"``/``"strict"``/``"off"``, a boolean, a
             configured :class:`~repro.verify.EquivalenceChecker`, or
@@ -405,7 +352,6 @@ class CompilerSession:
     def __init__(
         self,
         target: Union[Target, str, None] = None,
-        flow: Union[Flow, str, None] = None,
         verify: Union[bool, str, EquivalenceChecker, None] = None,
         cache: Union[PassCache, str, None] = "shared",
         max_workers: Optional[int] = None,
@@ -422,7 +368,6 @@ class CompilerSession:
         if job_timeout is not None and job_timeout <= 0:
             raise PipelineError("job_timeout must be positive or None")
         self.target = get_target(target) if target is not None else None
-        self.flow = _resolve_flow(flow)
         self.verify = verify
         self.cache = _resolve_cache(cache)
         self.max_workers = max_workers
@@ -456,14 +401,12 @@ class CompilerSession:
         self,
         workload: Any,
         target: Union[Target, str, None] = None,
-        flow: Union[Flow, str, None] = None,
     ) -> CompilationResult:
         """Compile one workload with the session's defaults.
 
         Args:
             workload: any supported workload shape.
             target: per-call target override.
-            flow: per-call flow override.
 
         Returns:
             The :class:`~.result.CompilationResult`.
@@ -471,19 +414,18 @@ class CompilerSession:
         return compile(
             workload,
             target=target if target is not None else self.target,
-            flow=flow if flow is not None else self.flow,
             verify=self.verify,
             cache=self.cache,
         )
 
     async def _run_batch_async(
         self,
-        tasks: List[Tuple[Any, Union[Target, str, None], Union[Flow, None]]],
+        tasks: List[Tuple[Any, Union[Target, str, None]]],
         max_in_flight: Optional[int] = None,
         job_timeout: Optional[float] = None,
         retry: Union[RetryPolicy, int, None] = None,
     ) -> List[CompilationResult]:
-        """Fan (workload, target, flow) tasks out on the event loop.
+        """Fan (workload, target) tasks out on the event loop.
 
         This is the session's only batch executor: the ``*_async``
         entry points await it, and the synchronous ones drive it
@@ -520,10 +462,10 @@ class CompilerSession:
 
         async def run_one(index, task):
             """Await one job under the in-flight semaphore."""
-            workload, target, flow = task
+            workload, target = task
             payload = (
-                workload, target, flow, self.verify, cache_spec,
-                job_timeout, retry,
+                workload, target, self.verify, cache_spec, job_timeout,
+                retry,
             )
             async with semaphore:
                 future = loop.run_in_executor(pool, _compile_task, payload)
@@ -564,7 +506,6 @@ class CompilerSession:
         self,
         workloads: Sequence[Any],
         target: Union[Target, str, None] = None,
-        flow: Union[Flow, str, None] = None,
         job_timeout: Optional[float] = None,
         retry: Union[RetryPolicy, int, None] = None,
     ) -> List[CompilationResult]:
@@ -576,7 +517,6 @@ class CompilerSession:
         Args:
             workloads: the workload batch.
             target: per-batch target override.
-            flow: per-batch flow override.
             job_timeout: per-job wall-clock budget in seconds
                 (overrides the session default) — a cooperative
                 deadline inside each job plus a hard backstop; a job
@@ -592,10 +532,9 @@ class CompilerSession:
             input order.
         """
         target = target if target is not None else self.target
-        flow = flow if flow is not None else self.flow
         return _run_sync(
             self._run_batch_async(
-                [(w, target, flow) for w in workloads],
+                [(w, target) for w in workloads],
                 job_timeout=job_timeout,
                 retry=retry,
             )
@@ -605,7 +544,6 @@ class CompilerSession:
         self,
         workloads: Sequence[Any],
         target: Union[Target, str, None] = None,
-        flow: Union[Flow, str, None] = None,
         max_in_flight: Optional[int] = None,
         job_timeout: Optional[float] = None,
         retry: Union[RetryPolicy, int, None] = None,
@@ -622,7 +560,6 @@ class CompilerSession:
         Args:
             workloads: the workload batch.
             target: per-batch target override.
-            flow: per-batch flow override.
             max_in_flight: in-flight concurrency bound (defaults to
                 the session's ``max_workers``, else ``min(len, 8)``).
             job_timeout: per-job wall-clock budget in seconds (see
@@ -634,9 +571,8 @@ class CompilerSession:
             input order.
         """
         target = target if target is not None else self.target
-        flow = flow if flow is not None else self.flow
         return await self._run_batch_async(
-            [(w, target, flow) for w in workloads],
+            [(w, target) for w in workloads],
             max_in_flight=max_in_flight,
             job_timeout=job_timeout,
             retry=retry,
@@ -717,12 +653,6 @@ class CompilerSession:
 
         Returns:
             The :class:`SweepResult`, one point per grid assignment.
-
-        Raises:
-            PipelineError: when the session carries a ``flow=``
-                override — an explicit flow bypasses per-point target
-                resolution, so the sweep parameters would silently
-                not apply.
         """
         assignments, tasks = self._sweep_tasks(param_grid, base)
         results = _run_sync(
@@ -766,10 +696,6 @@ class CompilerSession:
 
         Returns:
             The :class:`SweepResult`, one point per grid assignment.
-
-        Raises:
-            PipelineError: when the session carries a ``flow=``
-                override (see :meth:`sweep`).
         """
         assignments, tasks = self._sweep_tasks(param_grid, base)
         results = await self._run_batch_async(
@@ -789,21 +715,13 @@ class CompilerSession:
         self, param_grid: Dict[str, Sequence[Any]], base: Any
     ) -> Tuple[List[Dict[str, Any]], List[Tuple]]:
         """Expand a grid into (assignments, batch tasks), in order."""
-        if self.flow is not None:
-            raise PipelineError(
-                "cannot sweep on a session with a flow= override: the "
-                "explicit flow bypasses per-point target resolution, "
-                "so the sweep parameters would not apply; create a "
-                "session without flow= (or sweep 'target'/'synthesis' "
-                "parameters instead)"
-            )
         keys = sorted(param_grid)
         combos = list(
             itertools.product(*(list(param_grid[k]) for k in keys))
         )
         assignments = [dict(zip(keys, combo)) for combo in combos]
         tasks = [
-            self._sweep_point(assignment, base) + (None,)
+            self._sweep_point(assignment, base)
             for assignment in assignments
         ]
         return assignments, tasks

@@ -5,10 +5,12 @@ circuit is going — its gate set (reversible MCT level or Clifford+T),
 an optional device :class:`~repro.mapping.routing.CouplingMap`, the
 optimization effort, the preferred synthesis method and the default
 emission format.  :meth:`Target.flow` resolves a target against a
-normalized :class:`~.frontends.Workload` into a concrete
-:class:`~repro.pipeline.flows.Flow` built from the existing pass
-vocabulary, so facade compilations are gate-for-gate identical to the
-hand-wired presets (``flows.EQ5``/``QSHARP``/``DEVICE``).
+normalized :class:`~.frontends.Workload` into a concrete :class:`Flow`
+built from the existing pass vocabulary.  Targets are the only named
+recipes: the paper's Eq. (5) script is ``clifford_t``, the Fig. 10 Q#
+preprocessing is ``qsharp``, and the Sec. VII device flow is
+``ibm_qe5``; any other pass list runs through
+:meth:`repro.pipeline.Pipeline.run` directly.
 
 Resolution rules (also documented in docs/ARCHITECTURE.md):
 
@@ -41,7 +43,6 @@ from ..emit import get as get_emitter
 from ..engines import EngineError, NoiseModel, as_noise_model
 from ..engines import get as get_engine
 from ..mapping.routing import CouplingMap
-from ..pipeline.flows import Flow, device as device_flow
 from ..pipeline.passes import (
     CancelPass,
     MapToCliffordTPass,
@@ -64,17 +65,39 @@ MCT_GATES = ("mct",)
 
 
 @dataclass(frozen=True)
+class Flow:
+    """A named, immutable pass sequence — what :meth:`Target.flow` builds.
+
+    Attributes:
+        name: ``<target>[<workload kind>]``, used in error context.
+        description: one-line summary shown in reports.
+        passes: the pass sequence, first to last.
+    """
+
+    name: str
+    description: str
+    passes: Tuple[Pass, ...]
+
+    def __str__(self) -> str:
+        """Return ``name: pass1 -> pass2 -> ...``."""
+        chain = " -> ".join(p.name for p in self.passes)
+        return f"{self.name}: {chain}"
+
+
+@dataclass(frozen=True)
 class Target:
     """An immutable compilation target.
 
     Attributes:
         name: registry identifier (lowercase).
         description: one-line summary shown by ``list_targets``.
-        gate_set: the output basis; ``("mct",)`` keeps the flow at the
-            reversible level, anything else lowers to Clifford+T.
+        gate_set: the output basis — :data:`MCT_GATES` keeps the flow
+            at the reversible level, :data:`CLIFFORD_T_GATES` lowers
+            to Clifford+T; any other value is refused.
         coupling: device topology to route onto (``None`` = all-to-all).
         optimization_level: 0 = none, 1 = simplification +
-            cancellation, 2 = additionally T-par phase folding.
+            cancellation, 2 = additionally T-par phase folding; any
+            other value is refused.
         emitter: default emission format of
             :meth:`~.result.CompilationResult.emit` — any name or
             alias registered with :mod:`repro.emit` (``qasm2``,
@@ -118,13 +141,27 @@ class Target:
     noise: Union[NoiseModel, str, None] = None
 
     def __post_init__(self) -> None:
-        """Canonicalize ``emitter``/``engine``/``noise``, vet ``verify``.
+        """Vet the pass-picking fields, canonicalize the registry names.
 
         Raises:
-            PipelineError: for emission formats, engines or noise
-                specs the registries do not know (the message lists
-                the registered ones), or an unknown verification mode.
+            PipelineError: for an ``optimization_level`` outside
+                {0, 1, 2} or a ``gate_set`` other than the two bases,
+                for emission formats, engines or noise specs the
+                registries do not know (the message lists the
+                registered ones), or an unknown verification mode.
         """
+        level = self.optimization_level
+        if type(level) is not int or level not in (0, 1, 2):
+            raise PipelineError(
+                f"target {self.name!r}: optimization_level must be 0, 1 "
+                f"or 2, got {level!r}"
+            )
+        if self.gate_set not in (MCT_GATES, CLIFFORD_T_GATES):
+            raise PipelineError(
+                f"target {self.name!r}: gate_set must be MCT_GATES "
+                f"{MCT_GATES} or CLIFFORD_T_GATES {CLIFFORD_T_GATES}, "
+                f"got {self.gate_set!r}"
+            )
         try:
             as_checker(self.verify)
         except ValueError as exc:
@@ -180,10 +217,8 @@ class Target:
                 :func:`~.frontends.detect_workload`).
 
         Returns:
-            The :class:`~repro.pipeline.flows.Flow` realizing this
-            target for that workload, built from the existing pass
-            vocabulary (gate-for-gate identical to the hand-wired
-            preset of the same shape).
+            The :class:`Flow` realizing this target for that workload,
+            built from the existing pass vocabulary.
 
         Raises:
             PipelineError: when the workload provides nothing to
@@ -207,11 +242,15 @@ class Target:
                     f"workload {workload.description} is already a "
                     "quantum circuit"
                 )
-            passes.extend(
-                device_flow(
-                    coupling=self.coupling, optimize=level >= 2
-                ).passes
+            # the Sec. VII device shape
+            passes.append(CancelPass())
+            passes.append(
+                MapToCliffordTPass(relative_phase=True, only_if_needed=True)
             )
+            if level >= 2:
+                passes.append(TparPass(pre_cancel=False, post_cancel=True))
+            if self.coupling is not None:
+                passes.append(RoutePass(self.coupling))
             if self.collect_statistics:
                 passes.append(StatisticsPass())
         elif state.reversible is not None:
@@ -219,8 +258,7 @@ class Target:
         else:
             raise PipelineError(
                 f"workload {workload.description} provides nothing to "
-                "compile; pass a specification, a circuit, or an "
-                "explicit flow="
+                "compile; pass a specification or a circuit"
             )
         return Flow(
             name=f"{self.name}[{workload.kind}]",

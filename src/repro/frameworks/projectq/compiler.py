@@ -8,9 +8,9 @@ replicates that: circuits emitted by :class:`MainEngine` pass through
     T-par phase folding -> cancellation -> device routing
 
 before reaching the actual execution backend, so the user's program is
-automatically legal for a constrained chip.  The chain is the
-:func:`repro.pipeline.flows.device` preset executed on the pass
-manager, so repeated flushes of identical circuits replay cached pass
+automatically legal for a constrained chip.  The chain is the Sec. VII
+device shape that :meth:`repro.compiler.Target.flow` builds for a
+circuit workload, executed on the pass manager, so repeated flushes of identical circuits replay cached pass
 results.  Compilation statistics of the last flush are kept for
 inspection.
 """

@@ -11,18 +11,18 @@ routing.  This subsystem makes that flow a first-class object:
 * :class:`~.runner.Pipeline` — the runner: per-pass timing,
   gate-count/T-count deltas, fail-fast functional verification behind
   a flag, and a content-keyed result cache so repeated flows skip
-  recomputation;
-* :mod:`~.flows` — declarative presets (:data:`~.flows.EQ5`,
-  :data:`~.flows.QSHARP`, :data:`~.flows.DEVICE`) mirroring the
-  paper's pipelines.
+  recomputation.
 
-The RevKit shell, the Q#/ProjectQ framework flows and the paper-flow
-benchmarks all dispatch through this package.
+:meth:`~.runner.Pipeline.run` executes any pass list.  The paper's
+named pipelines are compilation targets
+(:mod:`repro.compiler.target`: ``clifford_t`` for Eq. (5), ``qsharp``
+for Fig. 10, ``ibm_qe5`` for Sec. VII), which ``repro.compile``
+resolves to pass lists and runs here.  The RevKit shell, the
+Q#/ProjectQ framework flows and the paper-flow benchmarks all
+dispatch through this package.
 """
 
-from . import flows
 from .cache import PassCache, shared_cache
-from .flows import DEVICE, EQ5, QSHARP, Flow, device, eq5, qsharp
 from .passes import (
     GENERATOR_KINDS,
     CancelPass,
@@ -47,16 +47,8 @@ from .runner import (
 from .state import FlowState, PipelineError, state_key, state_token
 
 __all__ = [
-    "flows",
     "PassCache",
     "shared_cache",
-    "DEVICE",
-    "EQ5",
-    "QSHARP",
-    "Flow",
-    "device",
-    "eq5",
-    "qsharp",
     "GENERATOR_KINDS",
     "CancelPass",
     "GeneratePass",

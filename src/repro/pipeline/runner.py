@@ -618,7 +618,8 @@ class Pipeline:
 
         Args:
             passes: an iterable of passes, or any object with a
-                ``passes`` attribute (a :class:`~.flows.Flow`).
+                ``passes`` attribute (a
+                :class:`~repro.compiler.target.Flow`).
             state: the initial store; a fresh empty one by default.
             flow_name: name used in error context; inferred from
                 ``passes.name`` when a flow object is given.

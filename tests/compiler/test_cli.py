@@ -122,18 +122,6 @@ class TestCompileCommand:
         assert code == 2
         assert "error: cannot emit qasm" in err
 
-    def test_flow_preset_with_empty_seed(self, run_cli):
-        code, out, _err = run_cli("compile", "-", "--flow", "eq5")
-        assert code == 0
-        assert "passes=6" in out
-
-    def test_flow_preset_rejects_conflicting_workload(self, run_cli):
-        # eq5 generates hwb=4 itself; a generator workload would be
-        # silently discarded, so the CLI refuses the combination
-        code, _out, err = run_cli("compile", "hwb=6", "--flow", "eq5")
-        assert code == 2
-        assert "generator pass" in err
-
 
 class TestCacheCommand:
     def _warm(self, run_cli, cache_dir):

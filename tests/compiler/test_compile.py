@@ -2,6 +2,7 @@
 
 import pytest
 
+import _hand_wired as hand_wired
 import repro
 from repro.compiler import (
     CompilationResult,
@@ -14,94 +15,40 @@ from repro.compiler import (
 )
 from repro.core.circuit import QuantumCircuit
 from repro.frameworks.qsharp import parse_operation_body
-from repro.pipeline import FlowState, Pipeline, PipelineError, flows
+from repro.mapping.routing import CouplingMap
+from repro.pipeline import FlowState, Pipeline, PipelineError
+from repro.revkit import generators
 from repro.synthesis.transformation import transformation_based_synthesis
 
 
 class TestPresetEquivalence:
-    """repro.compile() reproduces the hand-wired presets gate-for-gate."""
+    """repro.compile() reproduces the hand-wired flows gate-for-gate."""
 
     def test_eq5_gate_for_gate(self):
-        direct = flows.EQ5.run(pipeline=Pipeline(cache=None))
+        reversible, _, optimized = hand_wired.eq5(generators.hwb(4))
         facade = repro.compile(
             {"hwb": 4}, target="clifford_t", cache=None
         )
-        assert facade.circuit.gates == direct.quantum.gates
-        assert facade.reversible.gates == direct.reversible.gates
+        assert facade.circuit.gates == optimized.gates
+        assert facade.reversible.gates == reversible.gates
         assert [r.name for r in facade.records] == [
-            r.name for r in direct.records
+            "revgen-hwb", "tbs", "revsimp", "rptm", "tpar", "ps",
         ]
-        assert (
-            facade.statistics.as_dict()
-            == direct.state.artifacts["statistics"].as_dict()
-        )
 
     def test_qsharp_gate_for_gate(self, paper_pi):
-        direct = flows.QSHARP.run(
-            FlowState(function=paper_pi), pipeline=Pipeline(cache=None)
-        )
         facade = repro.compile(paper_pi, target="qsharp", cache=None)
-        assert facade.circuit.gates == direct.quantum.gates
+        assert facade.circuit.gates == hand_wired.qsharp(paper_pi).gates
 
     def test_device_gate_for_gate(self, paper_pi):
-        source = flows.QSHARP.run(
-            FlowState(function=paper_pi), pipeline=Pipeline(cache=None)
-        ).quantum
-        direct = flows.DEVICE.run(
-            FlowState(quantum=source.copy()),
-            pipeline=Pipeline(cache=None),
-        )
+        source = hand_wired.qsharp(paper_pi)
+        direct = hand_wired.device(source, CouplingMap.ibm_qx2())
         facade = repro.compile(
             source.copy(), target="ibm_qe5", cache=None
         )
-        assert facade.circuit.gates == direct.quantum.gates
+        assert facade.circuit.gates == direct.circuit.gates
         assert (
-            facade.routing.initial_layout == direct.routing.initial_layout
+            facade.routing.initial_layout == direct.initial_layout
         )
-
-    def test_explicit_flow_overrides_target(self):
-        direct = flows.EQ5.run(pipeline=Pipeline(cache=None))
-        facade = repro.compile(None, flow=flows.EQ5, cache=None)
-        assert facade.circuit.gates == direct.quantum.gates
-
-    def test_named_flow_string(self):
-        direct = flows.EQ5.run(pipeline=Pipeline(cache=None))
-        facade = repro.compile(None, flow="eq5", cache=None)
-        assert facade.circuit.gates == direct.quantum.gates
-
-    def test_explicit_flow_rejects_generator_workload(self):
-        with pytest.raises(PipelineError, match="generator pass"):
-            repro.compile({"hwb": 6}, flow="eq5", cache=None)
-
-    def test_explicit_flow_rejects_clobbered_function(self, paper_pi):
-        # EQ5's GeneratePass would overwrite the permutation
-        with pytest.raises(PipelineError, match="overwrite"):
-            repro.compile(paper_pi, flow="eq5", cache=None)
-
-    def test_explicit_flow_rejects_clobbered_circuits(self, paper_pi):
-        # ... and would equally discard circuit-level workloads
-        from repro.synthesis.transformation import (
-            transformation_based_synthesis,
-        )
-
-        with pytest.raises(PipelineError, match="overwrite or ignore"):
-            repro.compile(
-                QuantumCircuit(2).h(0).cx(0, 1), flow="eq5", cache=None
-            )
-        with pytest.raises(PipelineError, match="overwrite or ignore"):
-            repro.compile(
-                transformation_based_synthesis(paper_pi),
-                flow="eq5",
-                cache=None,
-            )
-
-    def test_explicit_flow_accepts_consumed_function(self, paper_pi):
-        # QSHARP consumes the seeded function: legitimate combination
-        direct = flows.QSHARP.run(
-            FlowState(function=paper_pi), pipeline=Pipeline(cache=None)
-        )
-        facade = repro.compile(paper_pi, flow="qsharp", cache=None)
-        assert facade.circuit.gates == direct.quantum.gates
 
     def test_toffoli_level_zero_is_raw_synthesis(self, paper_pi):
         facade = repro.compile(
@@ -171,9 +118,33 @@ class TestTargets:
                 cache=None,
             )
 
-    def test_empty_workload_without_flow_rejected(self):
+    def test_empty_state_rejected(self):
         with pytest.raises(PipelineError, match="nothing to compile"):
-            repro.compile(None, cache=None)
+            repro.compile(FlowState(), cache=None)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("optimization_level", 7),
+            ("optimization_level", 3),
+            ("optimization_level", -1),
+            ("optimization_level", "2"),
+            ("optimization_level", 2.0),
+            ("optimization_level", True),
+            ("gate_set", ("foo",)),
+            ("gate_set", ()),
+            ("gate_set", ["mct"]),
+        ],
+        ids=["level-7", "level-3", "level-neg1", "level-str", "level-float",
+             "level-bool", "gates-foo", "gates-empty", "gates-list"],
+    )
+    def test_pass_picking_fields_validated(self, field, value):
+        with pytest.raises(PipelineError) as info:
+            Target(name="bad_target", **{field: value})
+        message = str(info.value)
+        assert "'bad_target'" in message
+        assert field in message
+        assert repr(value) in message
 
     def test_target_synthesis_override(self, paper_pi):
         result = repro.compile(
@@ -252,30 +223,23 @@ class TestFrameworkDispatch:
     def test_qsharp_operation_matches_legacy_flow(self, paper_pi):
         from repro.frameworks.qsharp import permutation_oracle_operation
 
-        legacy = flows.qsharp().run(
-            FlowState(function=paper_pi), pipeline=Pipeline(cache=None)
-        )
         operation = permutation_oracle_operation(
             paper_pi, pipeline=Pipeline(cache=None)
         )
-        assert operation.circuit.gates == legacy.quantum.gates
+        assert operation.circuit.gates == hand_wired.qsharp(paper_pi).gates
 
     def test_projectq_backend_matches_legacy_flow(self):
         from repro.frameworks.projectq import CompilerBackend
-        from repro.mapping.routing import CouplingMap
 
         circuit = QuantumCircuit(3)
         circuit.h(0).ccx(0, 1, 2).h(0)
         coupling = CouplingMap.ibm_qx2()
-        legacy = flows.device(coupling=coupling, optimize=True).run(
-            FlowState(quantum=circuit.copy()),
-            pipeline=Pipeline(cache=None),
-        )
+        legacy = hand_wired.device(circuit.copy(), coupling)
         backend = CompilerBackend(
             coupling=coupling, pipeline=Pipeline(cache=None)
         )
         compiled = backend.compile(circuit.copy())
-        assert compiled.gates == legacy.quantum.gates
+        assert compiled.gates == legacy.circuit.gates
 
     def test_hidden_shift_mm_oracle_unchanged(self, paper_pi):
         from repro.algorithms.hidden_shift import _synthesize_permutation

@@ -2,11 +2,17 @@
 
 import pytest
 
+import repro
 from repro.boolean.bdd import Bdd
 from repro.boolean.cube import Cube
 from repro.boolean.permutation import BitPermutation
 from repro.boolean.truth_table import MultiTruthTable, TruthTable
-from repro.compiler import Workload, as_truth_table, detect_workload
+from repro.compiler import (
+    Workload,
+    WorkloadError,
+    as_truth_table,
+    detect_workload,
+)
 from repro.compiler.frontends import expression_to_truth_table
 from repro.core.circuit import QuantumCircuit
 from repro.pipeline import FlowState
@@ -116,11 +122,6 @@ class TestShapeDetection:
         workload = detect_workload(paper_pi)
         assert detect_workload(workload) is workload
 
-    def test_none_is_empty(self):
-        workload = detect_workload(None)
-        assert workload.kind == "empty"
-        assert not workload.needs_synthesis
-
 
 class TestIntSequences:
     def test_permutation_image(self):
@@ -150,6 +151,24 @@ class TestIntSequences:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "obj",
+        ["x1 &", [0, 0, 1], {"a": 1}, 3.5, "", object(), None],
+        ids=["syntax", "short-list", "no-family", "float", "empty-str",
+             "object", "none"],
+    )
+    def test_malformed_input_raises_workload_error(self, obj):
+        with pytest.raises(WorkloadError) as excinfo:
+            repro.compile(obj, cache=None)
+        assert isinstance(excinfo.value, TypeError)
+        assert f"{type(obj).__name__!r} object" in str(excinfo.value)
+
+    def test_two_generator_families_rejected(self):
+        with pytest.raises(WorkloadError, match="exactly one generator"):
+            detect_workload({"hwb": 4, "adder": 3})
+        with pytest.raises(WorkloadError, match="exactly one generator"):
+            detect_workload("hwb=4,adder=3")
+
     def test_unsupported_type_lists_shapes(self):
         with pytest.raises(TypeError) as excinfo:
             detect_workload(3.14)

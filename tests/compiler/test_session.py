@@ -2,9 +2,11 @@
 
 import pytest
 
+import _hand_wired as hand_wired
 import repro
 from repro.compiler import CompilerSession, targets
-from repro.pipeline import PassCache, Pipeline, PipelineError, flows
+from repro.pipeline import PassCache, PipelineError
+from repro.revkit import generators
 
 
 class TestCompileMany:
@@ -110,12 +112,11 @@ class TestSweep:
         with pytest.raises(PipelineError, match="selects no workload"):
             session.sweep({"synthesis": ["tbs"]})
 
-    def test_sweep_rejects_flow_override(self):
-        # an explicit flow would bypass per-point target resolution,
-        # mislabeling every point with parameters that never applied
-        session = CompilerSession(flow="eq5", cache=None)
-        with pytest.raises(PipelineError, match="flow= override"):
-            session.sweep({"hwb": [3, 4]})
+    def test_sweep_rejects_out_of_range_level(self):
+        # level 3 used to act as level 2, mislabeling the point
+        session = CompilerSession(cache=None)
+        with pytest.raises(PipelineError, match="optimization_level"):
+            session.sweep({"hwb": [3], "optimization_level": [3]})
 
     def test_sweep_target_by_name(self, paper_pi):
         session = CompilerSession(cache=None)
@@ -228,11 +229,11 @@ class TestProcessExecutor:
 
 
 class TestSessionDefaults:
-    def test_session_flow_default(self):
-        session = CompilerSession(flow="eq5", cache=None)
-        result = session.compile(None)
-        direct = flows.EQ5.run(pipeline=Pipeline(cache=None))
-        assert result.circuit.gates == direct.quantum.gates
+    def test_session_target_default(self):
+        session = CompilerSession(target="clifford_t", cache=None)
+        result = session.compile({"hwb": 4})
+        _, _, optimized = hand_wired.eq5(generators.hwb(4))
+        assert result.circuit.gates == optimized.gates
 
     def test_per_call_target_override(self, paper_pi):
         session = CompilerSession(target="toffoli", cache=None)

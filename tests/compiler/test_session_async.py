@@ -6,13 +6,8 @@ import threading
 import pytest
 
 from repro.boolean.permutation import BitPermutation
-from repro.compiler import CompilerSession
-from repro.pipeline import (
-    Flow,
-    PassCache,
-    PipelineError,
-    SynthesisPass,
-)
+from repro.compiler import CompilerSession, Target, targets
+from repro.pipeline import PassCache, PipelineError
 from repro.synthesis.transformation import transformation_based_synthesis
 
 
@@ -67,10 +62,12 @@ class TestCompileManyAsync:
                 with lock:
                     active["now"] -= 1
 
-        flow = Flow(
+        target = Target(
             name="counting",
             description="synthesis with a concurrency probe",
-            passes=(SynthesisPass(counting_synthesis),),
+            gate_set=targets.MCT_GATES,
+            optimization_level=0,
+            synthesis=counting_synthesis,
         )
         session = CompilerSession(cache=None, max_workers=8)
         workloads = [
@@ -78,7 +75,9 @@ class TestCompileManyAsync:
             for i in range(8)
         ]
         asyncio.run(
-            session.compile_many_async(workloads, flow=flow, max_in_flight=2)
+            session.compile_many_async(
+                workloads, target=target, max_in_flight=2
+            )
         )
         assert active["peak"] <= 2
 
@@ -91,9 +90,9 @@ class TestCompileManyAsync:
 
     def test_pipeline_error_propagates_unwrapped(self):
         session = CompilerSession(cache=None)
-        with pytest.raises(PipelineError, match="unknown flow"):
+        with pytest.raises(PipelineError, match="unknown target"):
             asyncio.run(
-                session.compile_many_async([{"hwb": 3}], flow="warp")
+                session.compile_many_async([{"hwb": 3}], target="warp")
             )
 
     def test_failure_cancels_remaining_jobs(self):
@@ -105,10 +104,12 @@ class TestCompileManyAsync:
                 started.append(perm)
             return transformation_based_synthesis(perm)
 
-        flow = Flow(
+        target = Target(
             name="tracking",
             description="records which jobs ever started",
-            passes=(SynthesisPass(tracking_synthesis),),
+            gate_set=targets.MCT_GATES,
+            optimization_level=0,
+            synthesis=tracking_synthesis,
         )
         session = CompilerSession(cache=None)
         workloads = [object()] + [
@@ -117,7 +118,7 @@ class TestCompileManyAsync:
         with pytest.raises(TypeError):
             asyncio.run(
                 session.compile_many_async(
-                    workloads, flow=flow, max_in_flight=1
+                    workloads, target=target, max_in_flight=1
                 )
             )
         # with the bad job first and one-at-a-time flight, the failure
@@ -154,10 +155,12 @@ class TestSweepAsync:
         for a, b in zip(serial, swept):
             assert a.result.circuit.gates == b.result.circuit.gates
 
-    def test_rejects_flow_override(self):
-        session = CompilerSession(flow="eq5", cache=None)
-        with pytest.raises(PipelineError, match="flow= override"):
-            asyncio.run(session.sweep_async({"hwb": [3]}))
+    def test_rejects_out_of_range_level(self):
+        session = CompilerSession(cache=None)
+        with pytest.raises(PipelineError, match="optimization_level"):
+            asyncio.run(
+                session.sweep_async({"hwb": [3], "optimization_level": [3]})
+            )
 
     def test_shares_cache_with_sync_paths(self):
         cache = PassCache()

@@ -4,9 +4,8 @@ import pytest
 
 import repro
 from repro import emit
-from repro.compiler import EmissionError
+from repro.compiler import EmissionError, targets
 from repro.core.circuit import FrozenCircuitError, QuantumCircuit
-from repro.pipeline import flows
 
 
 @pytest.fixture
@@ -72,8 +71,8 @@ class TestDispatch:
         workload = detect_workload(circuit)
         bundle = CompilationResult(
             workload=workload,
-            target=None,
-            flow=flows.QSHARP,
+            target=targets.QSHARP,
+            flow=targets.QSHARP.flow(workload),
             state=workload.state,
             records=[],
         )
@@ -117,18 +116,7 @@ class TestErrorPaths:
             mct.emit("qir")
 
 
-class TestFlowDefaultEmitter:
-    def test_flow_presets_carry_emitters(self):
-        assert flows.EQ5.emitter == "qasm2"
-        assert flows.QSHARP.emitter == "qsharp"
-        assert flows.DEVICE.emitter == "qasm2"
-
-    def test_flow_only_compilation_uses_flow_emitter(self, paper_pi):
-        result = repro.compile(paper_pi, flow=flows.QSHARP, cache=None)
-        # the default target carries no emitter; the flow's kicks in
-        assert result.target.emitter is None
-        assert result.emit() == result.emit("qsharp")
-
-    def test_target_emitter_wins_over_flow(self, paper_pi):
+class TestTargetDefaultEmitter:
+    def test_target_emitter_is_the_default(self, paper_pi):
         result = repro.compile(paper_pi, target="projectq", cache=None)
         assert result.emit() is result.emit("projectq")

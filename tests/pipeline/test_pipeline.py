@@ -13,15 +13,28 @@ from repro.pipeline import (
     Pipeline,
     PipelineError,
     SimplifyPass,
+    StatisticsPass,
     SynthesisPass,
     TparPass,
     VerificationError,
-    flows,
     state_key,
     state_token,
 )
 from repro.revkit import generators
 from repro.synthesis.reversible import ReversibleCircuit
+
+
+def eq5_passes():
+    """The Eq. (5) script as a pass list: revgen; tbs; revsimp; rptm;
+    tpar; ps."""
+    return (
+        GeneratePass("hwb", 4),
+        SynthesisPass("tbs"),
+        SimplifyPass(),
+        MapToCliffordTPass(relative_phase=True),
+        TparPass(pre_cancel=True, post_cancel=True),
+        StatisticsPass(),
+    )
 
 
 class CountingSimplify(SimplifyPass):
@@ -89,7 +102,7 @@ class TestStateFingerprint:
 
 class TestPipelineRecords:
     def test_records_time_and_deltas(self):
-        result = flows.eq5(hwb=4).run(pipeline=Pipeline(cache=None))
+        result = Pipeline(cache=None).run(eq5_passes())
         assert [r.name for r in result.records] == [
             "revgen-hwb", "tbs", "revsimp", "rptm", "tpar", "ps",
         ]
@@ -101,7 +114,7 @@ class TestPipelineRecords:
 
     def test_report_mentions_every_pass(self):
         pipeline = Pipeline(cache=None)
-        flows.eq5(hwb=4).run(pipeline=pipeline)
+        pipeline.run(eq5_passes())
         text = pipeline.report()
         for name in ("revgen-hwb", "tbs", "revsimp", "rptm", "tpar"):
             assert name in text
@@ -269,7 +282,7 @@ class TestVerification:
             pipeline.apply(BrokenTpar(), state)
 
     def test_honest_passes_verify_clean(self):
-        result = flows.eq5(hwb=4).run(pipeline=Pipeline(cache=None, verify=True))
+        result = Pipeline(cache=None, verify=True).run(eq5_passes())
         assert result.quantum.is_clifford_t()
 
     def test_verification_off_lets_broken_pass_through(self):
@@ -379,30 +392,24 @@ class TestVerification:
     def test_flow_error_context_names_flow_and_pass_index(self):
         """A PipelineError mid-flow must say which preset step failed:
         flow name, 1-based pass index, pass name and stage."""
-        flow = flows.Flow(
-            name="demo-flow",
-            description="generate, then simplify nothing",
-            passes=(SimplifyPass(),),  # no reversible store yet
-        )
         with pytest.raises(PipelineError) as info:
-            flow.run(pipeline=Pipeline(cache=None))
+            Pipeline(cache=None).run(
+                [SimplifyPass()],  # no reversible store yet
+                flow_name="demo-flow",
+            )
         message = str(info.value)
         assert "flow 'demo-flow'" in message
         assert "pass 1/1" in message
         assert "'revsimp'" in message
 
     def test_verification_error_context_keeps_type_and_position(self):
-        flow = flows.Flow(
-            name="broken-demo",
-            description="a deliberately wrong simplify mid-flow",
-            passes=(
-                GeneratePass("hwb", 4),
-                SynthesisPass("tbs"),
-                BrokenSimplify(),
-            ),
+        passes = (
+            GeneratePass("hwb", 4), SynthesisPass("tbs"), BrokenSimplify()
         )
         with pytest.raises(VerificationError) as info:
-            flow.run(pipeline=Pipeline(cache=None, verify=True))
+            Pipeline(cache=None, verify=True).run(
+                passes, flow_name="broken-demo"
+            )
         message = str(info.value)
         assert "flow 'broken-demo'" in message
         assert "pass 3/3" in message
@@ -418,14 +425,11 @@ class TestVerification:
             def run(self, state):
                 raise ValueError("wires crossed")
 
-        flow = flows.Flow(
-            name="exploding",
-            description="a pass that raises a foreign error",
-            passes=(GeneratePass("hwb", 3), SynthesisPass("tbs"),
-                    ExplodingPass()),
+        passes = (
+            GeneratePass("hwb", 3), SynthesisPass("tbs"), ExplodingPass()
         )
         with pytest.raises(ValueError, match="wires crossed") as info:
-            flow.run(pipeline=Pipeline(cache=None))
+            Pipeline(cache=None).run(passes, flow_name="exploding")
         notes = getattr(info.value, "__notes__", [])
         assert any(
             "flow 'exploding'" in note and "pass 3/3" in note

@@ -103,9 +103,9 @@ class TestJobTimeoutBackstop:
         # exists only for workers that never come back at all
         chaos([{"site": "pipeline.pass.run.*", "action": "delay",
                 "seconds": 0.3, "times": 1}])
-        # the job function both pools run: (workload, target, flow,
-        # verify, cache spec, job_timeout, retry)
-        task = ({"hwb": 3}, "toffoli", None, None, None, 0.1, None)
+        # the job function both pools run: (workload, target, verify,
+        # cache spec, job_timeout, retry)
+        task = ({"hwb": 3}, "toffoli", None, None, 0.1, None)
         with pytest.raises(DeadlineExceeded) as info:
             _compile_task(task)
         message = str(info.value)

@@ -58,10 +58,6 @@ ENTRY_POINTS = (
     "repro.resilience.Deadline.after",
     "repro.resilience.RetryPolicy.call",
     "repro.resilience.FaultPlan.mutate",
-    "repro.pipeline.Flow.run",
-    "repro.pipeline.eq5",
-    "repro.pipeline.qsharp",
-    "repro.pipeline.device",
     "repro.mapping.map_to_clifford_t",
     "repro.mapping.route_circuit",
     "repro.optimization.simplify_reversible",

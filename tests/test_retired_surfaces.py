@@ -7,12 +7,19 @@ options and environment variables), ``core/qasm.py``,
 and degradation knobs, the pipeline's ``follower_timeout=``, and the
 simulator classes beside the engines (``StatevectorSimulator``,
 ``StabilizerSimulator``, ``NoisyBackend`` with ``repro.simulator.noise``
-and the ``repro.simulator.NoiseModel`` re-export) are gone.  An old spelling must end in an import,
-type or engine error — or, for the environment variables, have no
-effect at all — rather than being silently accepted.
+and the ``repro.simulator.NoiseModel`` re-export), and the flow presets
+beside the targets (``repro.pipeline.flows`` with ``EQ5``/``QSHARP``/
+``DEVICE`` and their builders, ``NAMED_FLOWS``, every ``flow=``
+keyword and the CLI's ``--flow``) are gone.  An old spelling must end
+in an import, type or engine error — or, for the environment
+variables, have no effect at all — rather than being silently
+accepted.
 """
 
+import asyncio
 import importlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -42,6 +49,7 @@ def _bell() -> QuantumCircuit:
         "repro.simulator.backends",
         "repro.simulator.noise",
         "repro.pipeline.verification",
+        "repro.pipeline.flows",
         "repro.algorithms.bernstein_vazirani",
         "repro.algorithms.deutsch_jozsa",
     ],
@@ -145,3 +153,69 @@ def test_simulator_classes_beside_the_engines_are_gone(module, name):
         exec(f"from {module} import {name}", {})
     with pytest.raises(AttributeError):
         getattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.pipeline", "flows"),
+        ("repro.pipeline", "Flow"),
+        ("repro.pipeline", "EQ5"),
+        ("repro.pipeline", "QSHARP"),
+        ("repro.pipeline", "DEVICE"),
+        ("repro.pipeline", "eq5"),
+        ("repro.pipeline", "qsharp"),
+        ("repro.pipeline", "device"),
+        ("repro.compiler", "NAMED_FLOWS"),
+        ("repro.compiler.session", "NAMED_FLOWS"),
+    ],
+)
+def test_flow_presets_beside_the_targets_are_gone(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+    assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda repro, session: repro.compile(
+            {"hwb": 3}, flow="eq5", cache=None
+        ),
+        lambda repro, session: session.CompilerSession(flow="eq5"),
+        lambda repro, session: session.CompilerSession(cache=None).compile(
+            {"hwb": 3}, flow="eq5"
+        ),
+        lambda repro, session: session.CompilerSession(
+            cache=None
+        ).compile_many([{"hwb": 3}], flow="eq5"),
+        lambda repro, session: asyncio.run(
+            session.CompilerSession(cache=None).compile_many_async(
+                [{"hwb": 3}], flow="eq5"
+            )
+        ),
+    ],
+    ids=["compile", "CompilerSession", "session.compile", "compile_many",
+         "compile_many_async"],
+)
+def test_flow_keyword_is_gone(call):
+    import repro
+    from repro.compiler import session
+
+    with pytest.raises(TypeError, match="flow"):
+        call(repro, session)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hwb=3", "--flow", "eq5"], ["-"]],
+    ids=["--flow", "empty-seed"],
+)
+def test_cli_flow_option_and_empty_seed_are_gone(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "compile", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr

@@ -5,7 +5,7 @@ unit — which tier runs for which circuit pair, that rejections name
 the witnessing input, that skipped checks are always explicit (the
 silent-skip regression), strict-mode escalation, and the end-to-end
 ``repro.compile(..., verify=...)`` surface including a 16-qubit
-DEVICE-shaped flow where no dense unitary is feasible.
+Sec. VII device-shaped flow where no dense unitary is feasible.
 """
 
 import dataclasses
@@ -23,7 +23,6 @@ from repro.pipeline import (
     SimplifyPass,
     SynthesisPass,
     VerificationError,
-    flows,
 )
 from repro.revkit import generators
 from repro.synthesis.reversible import ReversibleCircuit
@@ -446,7 +445,7 @@ class TestCompileFacade:
         assert not result.verified
 
     def test_sixteen_qubit_device_flow_verifies_end_to_end(self):
-        """The acceptance bar: a 16-qubit DEVICE-shaped compile under
+        """The acceptance bar: a 16-qubit device-shaped compile under
         verify='auto' where dense unitaries are impossible, with every
         pass record naming the tier that vouched for it."""
         n = 16
@@ -459,9 +458,11 @@ class TestCompileFacade:
         circuit.ccz(5, 6, 7)
         for q in range(n):
             circuit.h(q)
-        flow = flows.device(coupling=CouplingMap.line(n))
+        from repro.compiler import Target
+
+        target = Target(name="line16", coupling=CouplingMap.line(n))
         result = compile_workload(
-            circuit, flow=flow, verify="auto", cache=None
+            circuit, target=target, verify="auto", cache=None
         )
         assert result.verified
         tiers_used = {
