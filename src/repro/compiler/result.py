@@ -7,14 +7,15 @@ gate/T-count deltas, and lazy emission: :meth:`~CompilationResult.emit`
 dispatches any registered :mod:`repro.emit` format (the legacy
 :meth:`~CompilationResult.to_qasm` / :meth:`~CompilationResult.to_qsharp`
 / :meth:`~CompilationResult.to_projectq` are thin wrappers over it),
-rendering the compiled circuit on first use and caching the text.
-The compiled circuit is frozen, so the cached text cannot go stale;
+rendering the compiled circuit on first use.  The text memo lives on
+the frozen compiled circuit itself, not on the result, so it cannot go
+stale and every result replayed from one cache entry shares it;
 ``result.circuit.copy()`` is the editable builder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,9 +66,6 @@ class CompilationResult:
     records: List[PassRecord]
     cache_stats: Optional[Dict[str, int]] = None
     engine: Optional[str] = None
-    _emitted: Dict[str, str] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------
     @property
@@ -222,9 +220,9 @@ class CompilationResult:
 
         Any format registered with :mod:`repro.emit` is accepted;
         when ``format`` is omitted, the target's ``emitter`` is used.
-        The rendered text is cached per ``(format, opts)``, so
-        repeated calls return the same object; the circuit is frozen,
-        so the text always matches it.
+        The rendered text is memoized on the frozen circuit per
+        ``(format, opts)``, so repeated calls — from this result or
+        any other holding the same circuit — return the same object.
 
         Args:
             format: a registered format name or alias (``qasm2``,
@@ -254,21 +252,17 @@ class CompilationResult:
             emitter = get_emitter(format)
         except EmitterError as exc:
             raise EmissionError(str(exc)) from exc
-        key = emitter.name
-        if opts:
-            options = ", ".join(
-                f"{k}={v!r}" for k, v in sorted(opts.items())
+        circuit = self._require_circuit(emitter.name)
+        options = ", ".join(f"{k}={v!r}" for k, v in sorted(opts.items()))
+        try:
+            return circuit.memoized(
+                ("emit", emitter.name, options),
+                lambda: emitter.emit(circuit, **opts),
             )
-            key = f"{key}({options})"
-        if key not in self._emitted:
-            circuit = self._require_circuit(emitter.name)
-            try:
-                self._emitted[key] = emitter.emit(circuit, **opts)
-            except EmissionError:
-                raise
-            except EmitterError as exc:
-                raise EmissionError(str(exc)) from exc
-        return self._emitted[key]
+        except EmissionError:
+            raise
+        except EmitterError as exc:
+            raise EmissionError(str(exc)) from exc
 
     # ------------------------------------------------------------------
     # simulation

@@ -11,12 +11,16 @@ registry).
 
 A circuit is a builder until ``freeze()``; the pass manager freezes
 pass outputs so they can be shared, and ``copy()`` is editable again.
+A frozen circuit computes each derived fact (content digest, T-count,
+emitted text) once and keeps it in a per-instance memo.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -27,16 +31,57 @@ class FrozenCircuitError(TypeError):
     """Raised when a frozen (shared, read-only) circuit is mutated."""
 
 
+class SealedGates(list):
+    """A frozen circuit's gate list: reads as a ``list``, refuses edits."""
+
+    def _refuse(self, *args, **kwargs):
+        raise FrozenCircuitError(
+            "the gate list of a frozen circuit is read-only; call .copy() "
+            "to edit"
+        )
+
+    append = extend = insert = pop = remove = clear = _refuse
+    sort = reverse = __setitem__ = __delitem__ = _refuse
+    __iadd__ = __imul__ = _refuse
+
+    def __reduce__(self):
+        return SealedGates, (list(self),)
+
+
 class Freezable:
-    """Builder-then-read-only lifecycle; mutators call ``_check_mutable``."""
+    """Builder-then-read-only lifecycle; mutators call ``_check_mutable``.
+
+    Freezing seals ``gates`` and enables :meth:`memoized`, which computes
+    a derived fact once per frozen value; builders always recompute.
+    The memo is not part of the value: pickles leave it out.
+    """
 
     #: set by :meth:`freeze`; the class default keeps builders mutable
     frozen = False
 
     def freeze(self):
-        """Make the circuit read-only in O(1), for good, and return it."""
-        self.frozen = True
+        """Make the circuit read-only for good (sealing its gate list
+        costs one pointer copy) and return it."""
+        if not self.frozen:
+            self.gates = SealedGates(self.gates)
+            self.frozen = True
         return self
+
+    def memoized(self, key: Any, compute: Callable[[], Any]) -> Any:
+        """Return ``compute()``, computed once while the value is frozen."""
+        if not self.frozen:
+            return compute()
+        memo = self.__dict__.setdefault("_memo", {})
+        try:
+            return memo[key]
+        except KeyError:
+            # concurrent first calls agree on whichever value lands first
+            return memo.setdefault(key, compute())
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
 
     def _check_mutable(self) -> None:
         if self.frozen:
@@ -370,8 +415,11 @@ class QuantumCircuit(Freezable):
         return depth
 
     def t_count(self) -> int:
-        """Number of T/T' gates."""
-        return sum(1 for g in self.gates if g.name in ("t", "tdg"))
+        """Number of T/T' gates (computed once when frozen)."""
+        return self.memoized(
+            "t_count",
+            lambda: sum(1 for g in self.gates if g.name in ("t", "tdg")),
+        )
 
     def t_depth(self) -> int:
         """Number of T-stages: depth counting only T/T' gates."""

@@ -9,7 +9,8 @@ and the benchmarks can all share one pass-manager substrate.
 
 :func:`state_token` and :func:`state_key` derive deterministic content
 fingerprints from the store, which the pass-result cache uses to key
-results by *what* a pass consumed rather than by object identity.
+results by *what* a pass consumed rather than by object identity.  A
+frozen circuit's fingerprint is a digest computed once per value.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class FlowState:
 def state_token(value: Any) -> str:
     """Return a deterministic content token for one store value.
 
+    A circuit's token is the SHA-256 hex digest of its content text,
+    computed once when the circuit is frozen (a builder recomputes it
+    on every call), so a builder and its frozen twin share a token.
+    A routing result's token embeds its circuit's digest.
+
     Args:
         value: a store field value — ``None``, a specification, a
             circuit, a routing result, or the artifacts dict.
@@ -83,23 +89,8 @@ def state_token(value: Any) -> str:
         return f"perm:{tuple(value.image)!r}"
     if isinstance(value, TruthTable):
         return f"tt:{value.num_vars}:{value.bits}"
-    if isinstance(value, ReversibleCircuit):
-        gates = tuple(
-            (g.target, g.controls, g.polarity) for g in value.gates
-        )
-        # the name participates: replayed outputs carry name-derived
-        # metadata (``..._simp``, QASM headers), which must belong to
-        # the circuit actually looked up.
-        return f"rev:{value.name}:{value.num_lines}:{gates!r}"
-    if isinstance(value, QuantumCircuit):
-        gates = tuple(
-            (g.name, g.targets, g.controls, g.params, g.cbits)
-            for g in value.gates
-        )
-        return (
-            f"qc:{value.name}:{value.num_qubits}:"
-            f"{value.num_clbits}:{gates!r}"
-        )
+    if isinstance(value, (ReversibleCircuit, QuantumCircuit)):
+        return value.memoized("state_token", lambda: _circuit_digest(value))
     if isinstance(value, RoutingResult):
         return (
             f"route:{state_token(value.circuit)}:"
@@ -109,6 +100,28 @@ def state_token(value: Any) -> str:
         items = sorted((str(k), state_token(v)) for k, v in value.items())
         return f"dict:{items!r}"
     return f"obj:{value!r}"
+
+
+def _circuit_digest(circuit: Union[ReversibleCircuit, QuantumCircuit]) -> str:
+    """Hash a circuit's full content text into a hex digest."""
+    if isinstance(circuit, ReversibleCircuit):
+        gates = tuple(
+            (g.target, g.controls, g.polarity) for g in circuit.gates
+        )
+        # the name participates: replayed outputs carry name-derived
+        # metadata (``..._simp``, QASM headers), which must belong to
+        # the circuit actually looked up.
+        text = f"rev:{circuit.name}:{circuit.num_lines}:{gates!r}"
+    else:
+        gates = tuple(
+            (g.name, g.targets, g.controls, g.params, g.cbits)
+            for g in circuit.gates
+        )
+        text = (
+            f"qc:{circuit.name}:{circuit.num_qubits}:"
+            f"{circuit.num_clbits}:{gates!r}"
+        )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def state_key(state: FlowState, fields: Iterable[str]) -> str:

@@ -226,7 +226,11 @@ class ReversibleCircuit(Freezable):
     def quantum_cost(self) -> int:
         """Classical 'quantum cost' heuristic (Maslov-style table):
         NOT/CNOT cost 1, Toffoli 5, k-control MCT ~ 2^(k+1) - 3 for
-        positive controls (standard literature figures)."""
+        positive controls (standard literature figures); computed once
+        when frozen."""
+        return self.memoized("quantum_cost", self._quantum_cost)
+
+    def _quantum_cost(self) -> int:
         cost = 0
         for gate in self.gates:
             k = gate.num_controls

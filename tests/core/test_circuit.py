@@ -1,5 +1,7 @@
 """Unit tests for the QuantumCircuit container."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,87 @@ class TestFrozen:
     def test_frozen_circuit_still_compares_equal(self):
         circ = QuantumCircuit(2).h(0)
         assert circ.copy().freeze() == circ
+
+    def test_sealed_gate_list_still_compares_equal(self):
+        circ = QuantumCircuit(2).h(0).cx(0, 1)
+        gates = list(circ.gates)
+        circ.freeze()
+        assert circ.gates == gates and gates == circ.gates
+        assert list(circ.gates) == gates and circ.gates[1:] == gates[1:]
+
+    def test_gate_list_mutators_raise_on_frozen_circuits(self):
+        """Editing ``circuit.gates`` in place raises, for both kinds."""
+        builders = (
+            lambda: QuantumCircuit(2).h(0).cx(0, 1),
+            lambda: ReversibleCircuit(2).cnot(0, 1).x(1),
+        )
+        for build in builders:
+            circ = build().freeze()
+            gates = list(circ.gates)
+            first = gates[0]
+            for mutate in _GATE_LIST_MUTATORS:
+                with pytest.raises(FrozenCircuitError):
+                    mutate(circ.gates, first)
+            assert circ.gates == gates
+            builder = circ.copy()  # a copy's list is an ordinary list
+            builder.gates.append(first)
+            assert len(builder) == len(gates) + 1 and circ.gates == gates
+
+
+def _iadd(gates, gate):
+    gates += [gate]
+
+
+def _imul(gates, gate):
+    gates *= 2
+
+
+def _setitem(gates, gate):
+    gates[0] = gate
+
+
+def _setslice(gates, gate):
+    gates[:1] = [gate, gate]
+
+
+def _delitem(gates, gate):
+    del gates[0]
+
+
+_GATE_LIST_MUTATORS = (
+    lambda gates, gate: gates.append(gate),
+    lambda gates, gate: gates.extend([gate]),
+    lambda gates, gate: gates.insert(0, gate),
+    lambda gates, gate: gates.pop(),
+    lambda gates, gate: gates.remove(gate),
+    lambda gates, gate: gates.clear(),
+    lambda gates, gate: gates.sort(key=id),
+    lambda gates, gate: gates.reverse(),
+    _setitem, _setslice, _delitem, _iadd, _imul,
+)
+
+
+class TestMemo:
+    def test_frozen_circuit_counts_once(self):
+        circ = QuantumCircuit(2).t(0).tdg(1).h(0)
+        assert circ.t_count() == 2
+        assert "_memo" not in vars(circ)  # builders never memoize
+        circ.freeze()
+        assert circ.t_count() == 2
+        assert vars(circ)["_memo"] == {"t_count": 2}
+        cascade = ReversibleCircuit(3).toffoli(0, 1, 2).freeze()
+        assert cascade.quantum_cost() == 5
+        assert vars(cascade)["_memo"] == {"quantum_cost": 5}
+
+    def test_pickle_keeps_the_value_and_drops_the_memo(self):
+        for circ in (
+            QuantumCircuit(2).t(0).cx(0, 1).freeze(),
+            ReversibleCircuit(2).cnot(0, 1).freeze(),
+        ):
+            circ.memoized("probe", lambda: "derived")
+            clone = pickle.loads(pickle.dumps(circ))
+            assert clone == circ and clone.frozen
+            assert "_memo" not in vars(clone)
+            assert "_memo" not in pickle.dumps(circ).decode("latin-1")
+            with pytest.raises(FrozenCircuitError):
+                clone.gates.append(circ.gates[0])

@@ -1,11 +1,14 @@
 """CompilationResult.emit as a thin registry dispatcher."""
 
+import pickle
+
 import pytest
 
 import repro
 from repro import emit
 from repro.compiler import EmissionError, targets
 from repro.core.circuit import FrozenCircuitError, QuantumCircuit
+from repro.pipeline import PassCache
 
 
 @pytest.fixture
@@ -47,6 +50,36 @@ class TestDispatch:
         assert len(result.circuit) == gates
         assert result.emit("qasm2") is text
         assert text == emit.emit(result.circuit, "qasm2")
+
+    def test_warm_results_of_one_point_share_the_text(self, paper_pi):
+        # the memo lives on the frozen circuit, which every replay of
+        # the cache entry shares, not on the throwaway result
+        cache = PassCache()
+        cold = repro.compile(paper_pi, target="qsharp", cache=cache)
+        warm = repro.compile(paper_pi, target="qsharp", cache=cache)
+        again = repro.compile(paper_pi, target="qsharp", cache=cache)
+        assert warm.cache_hits == len(warm.records)
+        assert warm.emit("qasm2") is again.emit("qasm2")
+        assert cold.emit("qasm2") is warm.emit("qasm2")
+
+    def test_named_qsharp_keeps_its_own_slot(self, result):
+        foo = result.to_qsharp(name="Foo")
+        plain = result.emit("qsharp")
+        assert foo is not plain
+        assert "operation Foo" in foo and "operation Foo" not in plain
+        assert result.to_qsharp(name="Foo") is foo
+        assert result.emit("qsharp", name="Foo") is foo
+        assert result.emit("qsharp") is plain
+
+    def test_pickled_result_carries_no_memo(self, result):
+        text = result.emit("qasm2")
+        data = pickle.dumps(result)
+        assert b"_memo" not in data
+        assert text.encode() not in data
+        clone = pickle.loads(data)
+        assert clone.circuit == result.circuit and clone.circuit.frozen
+        assert "_memo" not in vars(clone.circuit)
+        assert clone.emit("qasm2") == text
 
     def test_caller_circuit_workload_is_never_frozen(self):
         circuit = QuantumCircuit(2).h(0).cx(0, 1)

@@ -121,6 +121,38 @@ class TestGcRecompile:
         assert again.circuit.gates == first.circuit.gates
 
 
+class TestDigestKeys:
+    def test_spilled_entry_replays_from_a_fresh_cache(self, tmp_path):
+        from repro.pipeline import state_token
+
+        cold = repro.compile(
+            {"hwb": 3},
+            target="ibm_qe5",
+            cache=PassCache(path=str(tmp_path)),
+        )
+        cold.emit("qasm2")
+        warm = repro.compile(
+            {"hwb": 3},
+            target="ibm_qe5",
+            cache=PassCache(path=str(tmp_path)),
+        )
+        assert warm.cache_hits == len(warm.records)
+        assert warm.circuit is not cold.circuit  # decoded from disk
+        assert warm.circuit.frozen and warm.circuit == cold.circuit
+        assert state_token(warm.circuit) == state_token(cold.circuit)
+        assert state_token(warm.routing) == state_token(cold.routing)
+        assert warm.emit("qasm2") == cold.emit("qasm2")
+
+    def test_entry_json_holds_no_memo(self, tmp_path):
+        cache = PassCache(path=str(tmp_path))
+        result = repro.compile({"hwb": 3}, target="clifford_t", cache=cache)
+        result.emit("qasm2")
+        result.metrics()
+        for entry in tmp_path.glob("*.json"):
+            text = entry.read_text()
+            assert "_memo" not in text and "OPENQASM" not in text
+
+
 class TestStampsAndStats:
     def test_entries_carry_generation_stamps(self, tmp_path):
         cache = PassCache(path=str(tmp_path))

@@ -187,6 +187,23 @@ class TestCache:
         assert len(edited) == len(original) + 1
         assert replay.quantum.gates == original
 
+    def test_editing_a_returned_gate_list_raises(self):
+        import repro
+
+        cache = PassCache()
+        first = repro.compile({"hwb": 3}, target="clifford_t", cache=cache)
+        gates = list(first.circuit.gates)
+        with pytest.raises(FrozenCircuitError):
+            first.circuit.gates.append(first.circuit.gates[0])
+        with pytest.raises(FrozenCircuitError):
+            first.circuit.gates[0] = first.circuit.gates[-1]
+        with pytest.raises(FrozenCircuitError):
+            first.reversible.gates.pop()
+        replay = repro.compile({"hwb": 3}, target="clifford_t", cache=cache)
+        assert replay.cache_hits == len(replay.records)
+        assert replay.circuit.gates == gates
+        assert replay.emit("qasm2") == first.circuit.copy().emit("qasm2")
+
     def test_memory_hit_returns_the_stored_objects(self):
         circuit = ReversibleCircuit(2).cnot(0, 1).freeze()
         cache = PassCache()
