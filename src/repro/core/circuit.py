@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence,
 )
 
 import numpy as np
@@ -140,9 +141,7 @@ class QuantumCircuit(Freezable):
                     f"gate {gate.name} touches qubit {q} outside "
                     f"range 0..{self.num_qubits - 1}"
                 )
-        for c in gate.cbits:
-            if not 0 <= c < self.num_clbits:
-                raise ValueError(f"classical bit {c} out of range")
+        self._check_cbits(gate)
         self.gates.append(gate)
         return self
 
@@ -151,6 +150,29 @@ class QuantumCircuit(Freezable):
         for gate in gates:
             self.append(gate)
         return self
+
+    def _check_cbits(self, gate: Gate) -> None:
+        for c in gate.cbits:
+            if not 0 <= c < self.num_clbits:
+                raise ValueError(f"classical bit {c} out of range")
+
+    def _check_wire_map(self, mapping: Mapping[int, int]) -> None:
+        """Refuse a wire map that leaves this circuit or merges wires.
+
+        A gate relabelled through a map that passes lands in range with
+        distinct qubits, so :meth:`Gate._relabel` skips both checks.
+        """
+        wires = list(mapping.values())
+        for wire in wires:
+            if not 0 <= wire < self.num_qubits:
+                raise ValueError(
+                    f"wire map {dict(mapping)!r} sends a wire outside "
+                    f"range 0..{self.num_qubits - 1}"
+                )
+        if len(set(wires)) != len(wires):
+            raise ValueError(
+                f"wire map {dict(mapping)!r} sends two wires to one"
+            )
 
     def _add(self, name, targets, controls=(), params=(), cbits=()):
         self.append(
@@ -304,19 +326,31 @@ class QuantumCircuit(Freezable):
         Args:
             other: circuit to append.
             qubits: target wires in ``self`` for each wire of ``other``;
-                defaults to the identity mapping.
+                defaults to the identity mapping.  Must name distinct
+                wires of ``self``.
+
+        Raises:
+            ValueError: ``other`` is wider than ``self``, or ``qubits``
+                has the wrong length, repeats a wire or names one
+                outside ``self``.
         """
         self._check_mutable()
         if qubits is None:
             if other.num_qubits > self.num_qubits:
                 raise ValueError("composed circuit is wider than target")
-            mapping = {q: q for q in range(other.num_qubits)}
+            # gates are immutable and passed range checks on ``other``,
+            # which is no wider: share them
+            moved = other.gates
         else:
             if len(qubits) != other.num_qubits:
                 raise ValueError("qubit mapping length mismatch")
-            mapping = {i: q for i, q in enumerate(qubits)}
-        for gate in other.gates:
-            self.append(gate.remap(mapping))
+            mapping = dict(enumerate(qubits))
+            self._check_wire_map(mapping)
+            moved = [gate._relabel(mapping) for gate in other.gates]
+        if other.num_clbits > self.num_clbits:
+            for gate in moved:
+                self._check_cbits(gate)
+        self.gates.extend(moved)
         return self
 
     def dagger(self) -> "QuantumCircuit":
@@ -337,12 +371,17 @@ class QuantumCircuit(Freezable):
             out.compose(base)
         return out
 
-    def remap(self, mapping: Dict[int, int], num_qubits: Optional[int] = None) -> "QuantumCircuit":
-        """Return a copy acting on relabelled qubits."""
+    def remap(self, mapping: Mapping[int, int], num_qubits: Optional[int] = None) -> "QuantumCircuit":
+        """Return a copy acting on relabelled qubits.
+
+        Raises:
+            ValueError: ``mapping`` sends two wires to one, or a wire
+                outside the copy's ``num_qubits``.
+        """
         width = num_qubits if num_qubits is not None else self.num_qubits
         out = QuantumCircuit(width, self.num_clbits, self.name)
-        for gate in self.gates:
-            out.append(gate.remap(mapping))
+        out._check_wire_map(mapping)
+        out.gates = [gate._relabel(mapping) for gate in self.gates]
         return out
 
     def controlled(self, num_controls: int = 1) -> "QuantumCircuit":

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -161,12 +161,16 @@ def _controlled(matrix: np.ndarray, num_controls: int) -> np.ndarray:
     return out
 
 
+# writes a frozen Gate's slots (in __post_init__, and when restoring a
+# pickle or relabelling through a checked wire map, which skip __init__)
+_set_field = object.__setattr__
+
 _SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One operation in a quantum circuit.
 
@@ -177,6 +181,9 @@ class Gate:
             be |1> for the base operation to apply).
         params: real parameters, e.g. a rotation angle.
         cbits: classical bit indices (measurement results).
+        qubits: all qubits touched by the gate, controls first, then
+            targets.  Derived once at construction; it takes no part in
+            ``repr``, equality, hashing or pickles.
     """
 
     name: str
@@ -184,20 +191,36 @@ class Gate:
     controls: Tuple[int, ...] = ()
     params: Tuple[float, ...] = ()
     cbits: Tuple[int, ...] = field(default=())
+    qubits: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        qubits = self.targets + self.controls
+        qubits = self.controls + self.targets
         if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate qubit in gate {self.name}: {qubits}")
+            raise ValueError(
+                f"duplicate qubit in gate {self.name}: "
+                f"{self.targets + self.controls}"
+            )
+        _set_field(self, "qubits", qubits)
 
-    @property
-    def qubits(self) -> Tuple[int, ...]:
-        """All qubits touched by the gate: controls first, then targets."""
-        return self.controls + self.targets
+    def __getstate__(self) -> Dict[str, Any]:
+        # the same state an unslotted Gate pickled, so pickles of a gate
+        # are byte-identical across the two layouts
+        return {
+            "name": self.name,
+            "targets": self.targets,
+            "controls": self.controls,
+            "params": self.params,
+            "cbits": self.cbits,
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for key, value in state.items():
+            _set_field(self, key, value)
+        _set_field(self, "qubits", self.controls + self.targets)
 
     @property
     def num_qubits(self) -> int:
-        return len(self.targets) + len(self.controls)
+        return len(self.qubits)
 
     @property
     def is_measurement(self) -> bool:
@@ -243,6 +266,19 @@ class Gate:
             self.params,
             tuple(self.cbits),
         )
+
+    def _relabel(self, mapping: Mapping[int, int]) -> "Gate":
+        """:meth:`remap` through a map the caller checked is injective,
+        so the relabelled qubits are distinct without a check."""
+        gate = object.__new__(Gate)
+        gate.__setstate__({
+            "name": self.name,
+            "targets": tuple(mapping[q] for q in self.targets),
+            "controls": tuple(mapping[q] for q in self.controls),
+            "params": self.params,
+            "cbits": self.cbits,
+        })
+        return gate
 
     def matrix(self) -> np.ndarray:
         """Unitary matrix over this gate's own qubits.

@@ -9,14 +9,17 @@ Two levels:
   control polarities.
 * :func:`cancel_adjacent_gates` — on quantum circuits: adjacent
   inverse pairs (h-h, x-x, t-tdg, cx-cx, ...) cancel and adjacent
-  rotations on the same wire merge, iterated to a fixpoint with
-  commutation-aware adjacency (gates on disjoint qubits are
-  transparent).
+  rotations on the same wire merge, with commutation-aware adjacency
+  (gates on disjoint qubits are transparent).  One pass keeps a
+  per-qubit frontier of the latest live gates; a gate's partner is
+  always the frontier gate on every qubit it touches, so removing it
+  exposes nothing new and the single pass is already the fixpoint.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, List, Optional, Sequence
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import ADJOINT_NAME, Gate, SELF_INVERSE
@@ -139,67 +142,74 @@ def _mergeable_rotation(a: Gate, b: Gate) -> Optional[Gate]:
     return None
 
 
-def _gates_commute(a: Gate, b: Gate) -> bool:
-    """Conservative disjointness-based commutation."""
-    return not set(a.qubits) & set(b.qubits)
-
-
-def cancel_adjacent_gates(
-    circuit: QuantumCircuit, max_rounds: int = 10
-) -> QuantumCircuit:
-    """Cancel inverse pairs and merge rotations to a fixpoint.
+def cancel_adjacent_gates(circuit: QuantumCircuit) -> QuantumCircuit:
+    """Cancel inverse pairs and merge rotations in one frontier pass.
 
     Args:
         circuit: the quantum circuit to clean up.
-        max_rounds: fixpoint iteration bound.
 
     Returns:
         A new, unitary-equivalent circuit with at most as many gates
         (identity gates dropped, adjacent inverses removed, adjacent
         same-axis rotations merged).
     """
-    # stack-based pass: each incoming gate scans backwards over
-    # committed gates, skipping qubit-disjoint ones, until it finds an
-    # inverse partner (cancel), a mergeable rotation (merge), or a
-    # blocking gate (commit).  Nested pairs (h x x h) resolve in one
-    # pass; pairs exposed by mid-stack deletions need another round, so
-    # iterate to a fixpoint.
-    gates = [g for g in circuit.gates if g.name != "id"]
-    for _ in range(max_rounds):
-        out: List[Gate] = []
-        changed = False
-        for incoming in gates:
-            if incoming.name == "barrier" or incoming.is_measurement:
-                out.append(incoming)
-                continue
-            placed = False
-            for j in range(len(out) - 1, -1, -1):
-                other = out[j]
-                if other.name == "barrier" or other.is_measurement:
-                    break
-                if _inverse_pair(other, incoming):
-                    del out[j]
-                    placed = True
-                    changed = True
-                    break
+    # A gate slides back past every gate it shares no qubit with, and
+    # nothing crosses a barrier or a measurement (the fence).  So an
+    # incoming gate's only possible partner is the latest live gate on
+    # any of its qubits: the highest top of its qubits' index stacks,
+    # if that lies after the fence.  An inverse pair or a mergeable
+    # rotation acts on exactly the partner's qubits, so the partner is
+    # the top of every stack it is on: deleting or merging it exposes
+    # no gate that a second pass could pair.  One pass is the fixpoint.
+    out: List[Optional[Gate]] = []
+    stacks: Dict[int, List[int]] = defaultdict(list)
+    fence = -1
+    for incoming in circuit.gates:
+        name = incoming.name
+        if name == "id":
+            continue
+        if name == "barrier" or name == "measure":
+            fence = len(out)
+            out.append(incoming)
+            continue
+        qubits = incoming.qubits
+        if qubits:
+            top = -1
+            for q in qubits:
+                stack = stacks[q]
+                if stack and stack[-1] > top:
+                    top = stack[-1]
+            candidates: Sequence[int] = (top,) if top > fence else ()
+        else:
+            # a gate on no qubits slides past every gate: each earlier
+            # qubit-less gate after the fence is a candidate, latest first
+            candidates = [
+                j for j in range(len(out) - 1, fence, -1)
+                if out[j] is not None and not out[j].qubits
+            ]
+        for j in candidates:
+            other = out[j]
+            if _inverse_pair(other, incoming):
+                merged = None
+            else:
                 merged = _mergeable_rotation(other, incoming)
-                if merged is not None:
-                    if merged.name == "id":
-                        del out[j]
-                    else:
-                        out[j] = merged
-                    placed = True
-                    changed = True
-                    break
-                if not _gates_commute(other, incoming):
-                    break
-            if not placed:
-                out.append(incoming)
-        gates = out
-        if not changed:
+                if merged is None:
+                    continue
+            if merged is None or merged.name == "id":
+                out[j] = None
+                for q in qubits:
+                    stacks[q].pop()
+            else:
+                out[j] = merged
             break
-    out = QuantumCircuit(
+        else:
+            for q in qubits:
+                stacks[q].append(len(out))
+            out.append(incoming)
+    result = QuantumCircuit(
         circuit.num_qubits, circuit.num_clbits, circuit.name + "_simp"
     )
-    out.extend(g for g in gates if g.name != "id")
-    return out
+    # every kept gate is an input gate or a merge on an input gate's
+    # wires, so the input's range checks hold for the output
+    result.gates = [g for g in out if g is not None]
+    return result

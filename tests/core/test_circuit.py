@@ -72,6 +72,51 @@ class TestStructure:
         with pytest.raises(ValueError):
             QuantumCircuit(1).compose(QuantumCircuit(2).h(1))
 
+    def test_compose_identity_shares_gates(self):
+        b = QuantumCircuit(2).h(0).cx(0, 1)
+        a = QuantumCircuit(3).compose(b)
+        assert a.gates == b.gates
+        assert all(x is y for x, y in zip(a.gates, b.gates))
+
+    def test_compose_rejects_repeated_wire(self):
+        other = QuantumCircuit(2).h(0).x(1)
+        target = QuantumCircuit(2)
+        with pytest.raises(ValueError, match=r"wire map \{0: 0, 1: 0\}"):
+            target.compose(other, qubits=[0, 0])
+        assert target.gates == []
+
+    def test_compose_rejects_out_of_range_wire(self):
+        other = QuantumCircuit(2).h(0)
+        with pytest.raises(ValueError, match=r"wire map \{0: 0, 1: 3\}"):
+            QuantumCircuit(3).compose(other, qubits=[0, 3])
+        with pytest.raises(ValueError, match="wire map"):
+            QuantumCircuit(3).compose(other, qubits=[-1, 0])
+
+    def test_compose_mapped_clbit_still_checked(self):
+        other = QuantumCircuit(1, 2).measure(0, 1)
+        with pytest.raises(ValueError, match="classical bit 1"):
+            QuantumCircuit(2, 1).compose(other, qubits=[1])
+        with pytest.raises(ValueError, match="classical bit 1"):
+            QuantumCircuit(2, 1).compose(other)
+
+    def test_remap_rejects_merged_wires(self):
+        circ = QuantumCircuit(2).h(0).x(1)
+        with pytest.raises(ValueError, match=r"wire map \{0: 1, 1: 1\}"):
+            circ.remap({0: 1, 1: 1})
+
+    def test_remap_rejects_out_of_range_wire(self):
+        circ = QuantumCircuit(2).h(0)
+        with pytest.raises(ValueError, match=r"wire map \{0: 2, 1: 0\}"):
+            circ.remap({0: 2, 1: 0})
+        assert circ.remap({0: 2, 1: 0}, num_qubits=3).gates[0].qubits == (2,)
+
+    def test_remapped_gates_store_their_qubits(self):
+        circ = QuantumCircuit(3, 1).ccx(0, 1, 2).measure(2, 0)
+        moved = circ.remap({0: 2, 1: 0, 2: 1})
+        assert [g.qubits for g in moved] == [(2, 0, 1), (1,)]
+        assert moved.gates[0] == Gate("ccx", (1,), (2, 0))
+        assert moved.gates[1].cbits == (0,)
+
     def test_dagger_reverses_and_inverts(self):
         circ = QuantumCircuit(2).h(0).t(0).cx(0, 1)
         dag = circ.dagger()

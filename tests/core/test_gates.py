@@ -1,6 +1,7 @@
 """Unit tests for the gate library."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -40,6 +41,60 @@ class TestGateConstruction:
         assert Gate("ccx", (2,), (0, 1)).base_name == "x"
         assert Gate("mcz", (3,), (0, 1, 2)).base_name == "z"
         assert Gate("h", (0,)).base_name == "h"
+
+
+class TestGateContract:
+    """``qubits`` is stored once and stays out of the gate's value."""
+
+    def test_qubits_stored_controls_then_targets(self):
+        gate = Gate("ccx", (4,), (2, 0))
+        assert gate.qubits == (2, 0, 4)
+        assert gate.qubits is gate.qubits
+        assert Gate("swap", (3, 1)).qubits == (3, 1)
+
+    def test_slotted(self):
+        gate = Gate("h", (0,))
+        assert not hasattr(gate, "__dict__")
+        with pytest.raises(AttributeError):
+            gate.qubits = (1,)
+
+    def test_qubits_absent_from_repr(self):
+        assert repr(Gate("cx", (1,), (0,))) == (
+            "Gate(name='cx', targets=(1,), controls=(0,), params=(), "
+            "cbits=())"
+        )
+
+    def test_qubits_absent_from_eq_and_hash(self):
+        gate = Gate("cp", (1,), (0,), (0.5,))
+        twin = Gate("cp", (1,), (0,), (0.5,))
+        assert gate == twin
+        assert hash(gate) == hash(("cp", (1,), (0,), (0.5,), ()))
+        assert Gate("cx", (1,), (0,)) != Gate("cx", (0,), (1,))
+
+    def test_pickle_leaves_qubits_out_and_restores_them(self):
+        gate = Gate("measure", (2,), cbits=(1,))
+        data = pickle.dumps(gate)
+        assert b"qubits" not in data
+        assert pickle.loads(data).__getstate__() == {
+            "name": "measure", "targets": (2,), "controls": (),
+            "params": (), "cbits": (1,),
+        }
+        # the exact bytes an unslotted Gate pickled to
+        assert pickle.dumps(Gate("cx", (1,), (0,)), protocol=4) == (
+            b"\x80\x04\x95a\x00\x00\x00\x00\x00\x00\x00\x8c\x10repro.core"
+            b".gates\x94\x8c\x04Gate\x94\x93\x94)\x81\x94}\x94(\x8c\x04name"
+            b"\x94\x8c\x02cx\x94\x8c\x07targets\x94K\x01\x85\x94\x8c\x08cont"
+            b"rols\x94K\x00\x85\x94\x8c\x06params\x94)\x8c\x05cbits\x94)ub."
+        )
+        clone = pickle.loads(pickle.dumps(Gate("ccx", (2,), (0, 1))))
+        assert clone == Gate("ccx", (2,), (0, 1))
+        assert clone.qubits == (0, 1, 2)
+
+    def test_duplicate_qubit_still_rejected(self):
+        with pytest.raises(ValueError, match="duplicate qubit"):
+            Gate("cx", (1,), (1,))
+        with pytest.raises(ValueError, match="duplicate qubit"):
+            Gate("cx", (1,), (0,)).remap({0: 2, 1: 2})
 
 
 class TestGateMatrices:
