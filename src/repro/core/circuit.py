@@ -135,13 +135,7 @@ class QuantumCircuit(Freezable):
     def append(self, gate: Gate) -> "QuantumCircuit":
         """Append a gate, validating wire indices."""
         self._check_mutable()
-        for q in gate.qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(
-                    f"gate {gate.name} touches qubit {q} outside "
-                    f"range 0..{self.num_qubits - 1}"
-                )
-        self._check_cbits(gate)
+        self._check_wires((gate,))
         self.gates.append(gate)
         return self
 
@@ -151,16 +145,26 @@ class QuantumCircuit(Freezable):
             self.append(gate)
         return self
 
-    def _check_cbits(self, gate: Gate) -> None:
-        for c in gate.cbits:
-            if not 0 <= c < self.num_clbits:
-                raise ValueError(f"classical bit {c} out of range")
+    def _check_wires(self, gates: Iterable[Gate]) -> None:
+        """Refuse gates whose qubits or classical bits leave this circuit."""
+        width = self.num_qubits
+        for gate in gates:
+            for q in gate.qubits:
+                if not 0 <= q < width:
+                    raise ValueError(
+                        f"gate {gate.name} touches qubit {q} outside "
+                        f"range 0..{width - 1}"
+                    )
+            for c in gate.cbits:
+                if not 0 <= c < self.num_clbits:
+                    raise ValueError(f"classical bit {c} out of range")
 
     def _check_wire_map(self, mapping: Mapping[int, int]) -> None:
         """Refuse a wire map that leaves this circuit or merges wires.
 
-        A gate relabelled through a map that passes lands in range with
-        distinct qubits, so :meth:`Gate._relabel` skips both checks.
+        Checked on the map itself, because relabelling through a map
+        that merges two wires still gives a valid gate wherever a gate
+        touches only one of them.
         """
         wires = list(mapping.values())
         for wire in wires:
@@ -338,18 +342,16 @@ class QuantumCircuit(Freezable):
         if qubits is None:
             if other.num_qubits > self.num_qubits:
                 raise ValueError("composed circuit is wider than target")
-            # gates are immutable and passed range checks on ``other``,
-            # which is no wider: share them
+            # gates are immutable: share them (still range-checked
+            # below, as ``other.gates`` may have been assigned directly)
             moved = other.gates
         else:
             if len(qubits) != other.num_qubits:
                 raise ValueError("qubit mapping length mismatch")
             mapping = dict(enumerate(qubits))
             self._check_wire_map(mapping)
-            moved = [gate._relabel(mapping) for gate in other.gates]
-        if other.num_clbits > self.num_clbits:
-            for gate in moved:
-                self._check_cbits(gate)
+            moved = [gate.remap(mapping) for gate in other.gates]
+        self._check_wires(moved)
         self.gates.extend(moved)
         return self
 
@@ -381,7 +383,7 @@ class QuantumCircuit(Freezable):
         width = num_qubits if num_qubits is not None else self.num_qubits
         out = QuantumCircuit(width, self.num_clbits, self.name)
         out._check_wire_map(mapping)
-        out.gates = [gate._relabel(mapping) for gate in self.gates]
+        out.gates = [gate.remap(mapping) for gate in self.gates]
         return out
 
     def controlled(self, num_controls: int = 1) -> "QuantumCircuit":

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -162,7 +162,7 @@ def _controlled(matrix: np.ndarray, num_controls: int) -> np.ndarray:
 
 
 # writes a frozen Gate's slots (in __post_init__, and when restoring a
-# pickle or relabelling through a checked wire map, which skip __init__)
+# pickle, which skips __init__)
 _set_field = object.__setattr__
 
 _SWAP_MATRIX = np.array(
@@ -201,22 +201,6 @@ class Gate:
                 f"{self.targets + self.controls}"
             )
         _set_field(self, "qubits", qubits)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # the same state an unslotted Gate pickled, so pickles of a gate
-        # are byte-identical across the two layouts
-        return {
-            "name": self.name,
-            "targets": self.targets,
-            "controls": self.controls,
-            "params": self.params,
-            "cbits": self.cbits,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for key, value in state.items():
-            _set_field(self, key, value)
-        _set_field(self, "qubits", self.controls + self.targets)
 
     @property
     def num_qubits(self) -> int:
@@ -267,19 +251,6 @@ class Gate:
             tuple(self.cbits),
         )
 
-    def _relabel(self, mapping: Mapping[int, int]) -> "Gate":
-        """:meth:`remap` through a map the caller checked is injective,
-        so the relabelled qubits are distinct without a check."""
-        gate = object.__new__(Gate)
-        gate.__setstate__({
-            "name": self.name,
-            "targets": tuple(mapping[q] for q in self.targets),
-            "controls": tuple(mapping[q] for q in self.controls),
-            "params": self.params,
-            "cbits": self.cbits,
-        })
-        return gate
-
     def matrix(self) -> np.ndarray:
         """Unitary matrix over this gate's own qubits.
 
@@ -297,6 +268,32 @@ class Gate:
             parts.append(" c" + str(list(self.controls)))
         parts.append(" t" + str(list(self.targets)))
         return "".join(parts)
+
+
+def _gate_getstate(gate: Gate) -> Dict[str, Any]:
+    # the same state an unslotted Gate pickled, so pickles of a gate
+    # are byte-identical across the two layouts
+    return {
+        "name": gate.name,
+        "targets": gate.targets,
+        "controls": gate.controls,
+        "params": gate.params,
+        "cbits": gate.cbits,
+    }
+
+
+def _gate_setstate(gate: Gate, state: Dict[str, Any]) -> None:
+    for key, value in state.items():
+        _set_field(gate, key, value)
+    _set_field(gate, "qubits", gate.controls + gate.targets)
+
+
+# Attached after the decorator: early Python 3.11 releases (before the
+# CPython gh-104035 fix) let ``dataclass(frozen=True, slots=True)``
+# replace pickle hooks defined in the class body with its own, which
+# pickle ``qubits`` too and restore state by field position.
+Gate.__getstate__ = _gate_getstate
+Gate.__setstate__ = _gate_setstate
 
 
 @lru_cache(maxsize=4096)

@@ -78,6 +78,17 @@ class TestStructure:
         assert a.gates == b.gates
         assert all(x is y for x, y in zip(a.gates, b.gates))
 
+    def test_compose_identity_checks_assigned_gates(self):
+        other = QuantumCircuit(2)
+        other.gates = [Gate("h", (0,)), Gate("x", (3,))]
+        target = QuantumCircuit(2).h(1)
+        with pytest.raises(ValueError, match="qubit 3 outside"):
+            target.compose(other)
+        other.gates = [Gate("measure", (0,), cbits=(2,))]
+        with pytest.raises(ValueError, match="classical bit 2"):
+            QuantumCircuit(2, 2).compose(other)
+        assert target.gates == [Gate("h", (1,))]
+
     def test_compose_rejects_repeated_wire(self):
         other = QuantumCircuit(2).h(0).x(1)
         target = QuantumCircuit(2)

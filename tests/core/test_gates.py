@@ -1,5 +1,6 @@
 """Unit tests for the gate library."""
 
+import copy
 import math
 import pickle
 
@@ -89,6 +90,18 @@ class TestGateContract:
         clone = pickle.loads(pickle.dumps(Gate("ccx", (2,), (0, 1))))
         assert clone == Gate("ccx", (2,), (0, 1))
         assert clone.qubits == (0, 1, 2)
+
+    def test_pickle_hooks_survive_the_dataclass_decorator(self):
+        # frozen slotted dataclasses may install their own hooks, which
+        # pickle every field (``qubits`` included) by position
+        from repro.core import gates
+
+        assert Gate.__getstate__ is gates._gate_getstate
+        assert Gate.__setstate__ is gates._gate_setstate
+        gate = Gate("cp", (2,), (0,), (0.25,))
+        for clone in (copy.copy(gate), copy.deepcopy(gate)):
+            assert clone == gate
+            assert clone.qubits == (0, 2)
 
     def test_duplicate_qubit_still_rejected(self):
         with pytest.raises(ValueError, match="duplicate qubit"):
