@@ -90,8 +90,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             cache=args.cache_dir if args.cache_dir else "shared",
             deadline=args.deadline,
             retry=args.retry,
-            # --retry is only meaningful if failing passes re-run
-            on_error="retry" if args.retry is not None else None,
             engine=args.engine,
         )
     except (PipelineError, TypeError, ValueError, OSError) as exc:

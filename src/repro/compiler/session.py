@@ -88,7 +88,6 @@ def compile(
     pipeline: Optional[Pipeline] = None,
     deadline: Union[Deadline, float, None] = None,
     retry: Union[RetryPolicy, int, None] = None,
-    on_error: Union[str, Dict[str, str], None] = None,
     engine: Optional[str] = None,
 ) -> CompilationResult:
     """Compile any workload for a target — the one front door.
@@ -124,12 +123,8 @@ def compile(
             :class:`~repro.resilience.DeadlineExceeded` naming the
             flow position.
         retry: :class:`~repro.resilience.RetryPolicy` (or attempt
-            count) re-running transiently failing passes when
-            ``on_error`` selects ``'retry'``.
-        on_error: per-pass failure policy — ``'raise'`` (default),
-            ``'retry'``, ``'fallback'`` (run the pass's declared
-            alternate), or a dict mapping pass names (and ``'*'``) to
-            policies.
+            count) re-running transiently failing passes; without it
+            a failing pass raises.
         engine: default simulation backend for
             :meth:`~.result.CompilationResult.simulate` — any name or
             alias registered with :mod:`repro.engines`, validated
@@ -142,7 +137,7 @@ def compile(
     Raises:
         WorkloadError: when the workload is not a supported shape.
         PipelineError: when ``pipeline=`` is combined with
-            ``deadline``/``retry``/``on_error`` — the explicit runner
+            ``deadline``/``retry`` — the explicit runner
             carries its own resilience configuration; ignoring a
             requested deadline silently would be worse than refusing.
     """
@@ -156,12 +151,10 @@ def compile(
     if verify is None:
         verify = resolved_target.verify
     resolved_flow = resolved_target.flow(normalized)
-    if pipeline is not None and (
-        deadline is not None or retry is not None or on_error is not None
-    ):
+    if pipeline is not None and (deadline is not None or retry is not None):
         raise PipelineError(
-            "compile(pipeline=...) conflicts with deadline=/retry=/"
-            "on_error=; configure them on the Pipeline instead"
+            "compile(pipeline=...) conflicts with deadline=/retry=; "
+            "configure them on the Pipeline instead"
         )
     if pipeline is None:
         pipeline = Pipeline(
@@ -169,7 +162,6 @@ def compile(
             cache=_resolve_cache(cache),
             deadline=deadline,
             retry=retry,
-            on_error=on_error,
         )
     # every circuit of a result is frozen (emission memoizes on it),
     # but never the caller's own builder: freeze a copy of that
@@ -269,13 +261,12 @@ def _compile_task(task: Tuple) -> CompilationResult:
     the job actually begins — and spans every retry attempt, so a
     retried job cannot outlive its ``job_timeout``.
     """
-    workload, target, verify, cache_spec, job_timeout, retry = task
+    workload, target, verify, cache_spec, job_timeout, policy = task
     if isinstance(cache_spec, dict):
         cache_spec = PassCache(**cache_spec)
     deadline = (
         Deadline.after(job_timeout) if job_timeout is not None else None
     )
-    policy = as_retry(retry)
 
     def attempt() -> CompilationResult:
         """Run one (possibly retried) dispatch of the job."""
@@ -337,16 +328,22 @@ class CompilerSession:
             or ``"process"`` (requires picklable workloads; share
             results across processes via a disk-backed ``cache=``
             path).
-        job_timeout: session default per-job wall-clock budget in
-            seconds for batched calls — a cooperative deadline inside
-            each job plus a hard backstop that abandons a worker not
-            returning within it; per-call ``job_timeout=`` overrides.
-        retry: session default per-job retry — a
+        job_timeout: per-job wall-clock budget in seconds for
+            batched calls — a cooperative deadline inside each job
+            plus a hard backstop that abandons a worker not returning
+            within it; a job exceeding it raises
+            :class:`~repro.resilience.DeadlineExceeded` and fails the
+            batch.
+        retry: per-job retry for batched calls — a
             :class:`~repro.resilience.RetryPolicy` or an attempt
             count; transiently failing jobs are re-dispatched within
             their deadline.  (Distinct from per-pass retries, which
-            live on :class:`~repro.pipeline.runner.Pipeline` via
-            ``on_error='retry'``.)
+            live on :class:`~repro.pipeline.runner.Pipeline`.)
+
+    Raises:
+        PipelineError: an unknown ``executor``, or a ``job_timeout``
+            or ``retry`` that is a bool, NaN, not positive or (for
+            ``retry``) not a whole attempt count.
     """
 
     def __init__(
@@ -365,8 +362,17 @@ class CompilerSession:
                 f"unknown executor {executor!r}; expected 'thread' or "
                 "'process'"
             )
-        if job_timeout is not None and job_timeout <= 0:
-            raise PipelineError("job_timeout must be positive or None")
+        if job_timeout is not None and (
+            isinstance(job_timeout, bool) or not float(job_timeout) > 0
+        ):
+            raise PipelineError(
+                "job_timeout must be a positive number of seconds or "
+                f"None, not {job_timeout!r}"
+            )
+        try:
+            self.retry = as_retry(retry)
+        except ValueError as exc:
+            raise PipelineError(str(exc)) from exc
         self.target = get_target(target) if target is not None else None
         self.verify = verify
         self.cache = _resolve_cache(cache)
@@ -375,9 +381,6 @@ class CompilerSession:
         self.job_timeout = (
             float(job_timeout) if job_timeout is not None else None
         )
-        # kept as the raw spec (int or policy): process-pool payloads
-        # ship it to workers, where as_retry() resolves it
-        self.retry = retry
         # what a process-pool task carries to rebuild the cache in the
         # worker: a disk spec (shared tier) or "shared"/None; a purely
         # in-memory PassCache cannot cross the process boundary
@@ -421,9 +424,6 @@ class CompilerSession:
     async def _run_batch_async(
         self,
         tasks: List[Tuple[Any, Union[Target, str, None]]],
-        max_in_flight: Optional[int] = None,
-        job_timeout: Optional[float] = None,
-        retry: Union[RetryPolicy, int, None] = None,
     ) -> List[CompilationResult]:
         """Fan (workload, target) tasks out on the event loop.
 
@@ -437,23 +437,19 @@ class CompilerSession:
         not-yet-started ones and re-raises its exception unwrapped,
         and an outer cancellation propagates to every pending job.
         Already-running jobs finish on their worker in the background;
-        their results are discarded.  A ``job_timeout`` bounds each
-        job cooperatively inside the worker and with an
+        their results are discarded.  The session's ``job_timeout``
+        bounds each job cooperatively inside the worker and with an
         :func:`asyncio.wait_for` hard backstop around it, surfaced as
         :class:`~repro.resilience.DeadlineExceeded`.
         """
         if not tasks:
             return []
-        job_timeout = (
-            job_timeout if job_timeout is not None else self.job_timeout
-        )
-        retry = retry if retry is not None else self.retry
         loop = asyncio.get_running_loop()
-        limit = max_in_flight or self.max_workers or min(len(tasks), 8)
+        limit = self.max_workers or min(len(tasks), 8)
         semaphore = asyncio.Semaphore(limit)
         if self.executor == "process":
             pool: Union[ProcessPoolExecutor, ThreadPoolExecutor]
-            pool = ProcessPoolExecutor(max_workers=self.max_workers or limit)
+            pool = ProcessPoolExecutor(max_workers=limit)
             cache_spec = self._cache_spec
         else:
             # threads share the session's cache object itself
@@ -464,21 +460,21 @@ class CompilerSession:
             """Await one job under the in-flight semaphore."""
             workload, target = task
             payload = (
-                workload, target, self.verify, cache_spec, job_timeout,
-                retry,
+                workload, target, self.verify, cache_spec,
+                self.job_timeout, self.retry,
             )
             async with semaphore:
                 future = loop.run_in_executor(pool, _compile_task, payload)
-                if job_timeout is None:
+                if self.job_timeout is None:
                     return await future
                 try:
                     return await asyncio.wait_for(
-                        future, timeout=job_timeout + _JOB_TIMEOUT_GRACE
+                        future, timeout=self.job_timeout + _JOB_TIMEOUT_GRACE
                     )
                 except asyncio.TimeoutError:
                     raise DeadlineExceeded(
                         f"session.job[{index}]: no result within the "
-                        f"{job_timeout:g}s job timeout (worker "
+                        f"{self.job_timeout:g}s job timeout (worker "
                         "abandoned)",
                         site="session.job",
                     ) from None
@@ -494,7 +490,7 @@ class CompilerSession:
             # not yet handed to the executor and reap the wrappers.
             # Jobs already running on a worker cannot be interrupted —
             # they finish in the background and their results are
-            # discarded (at most max_in_flight of them).
+            # discarded (at most `limit` of them).
             for job in jobs:
                 job.cancel()
             await asyncio.gather(*jobs, return_exceptions=True)
@@ -506,26 +502,16 @@ class CompilerSession:
         self,
         workloads: Sequence[Any],
         target: Union[Target, str, None] = None,
-        job_timeout: Optional[float] = None,
-        retry: Union[RetryPolicy, int, None] = None,
     ) -> List[CompilationResult]:
         """Compile a batch of workloads over the session's pool.
 
         Results are returned in workload order regardless of
-        completion order, so batched runs are deterministic.
+        completion order, so batched runs are deterministic.  Each
+        job runs under the session's ``job_timeout`` and ``retry``.
 
         Args:
             workloads: the workload batch.
             target: per-batch target override.
-            job_timeout: per-job wall-clock budget in seconds
-                (overrides the session default) — a cooperative
-                deadline inside each job plus a hard backstop; a job
-                exceeding it raises
-                :class:`~repro.resilience.DeadlineExceeded` and fails
-                the batch.
-            retry: per-job retry override — a
-                :class:`~repro.resilience.RetryPolicy` or attempt
-                count re-dispatching transiently failing jobs.
 
         Returns:
             One :class:`~.result.CompilationResult` per workload, in
@@ -533,26 +519,20 @@ class CompilerSession:
         """
         target = target if target is not None else self.target
         return _run_sync(
-            self._run_batch_async(
-                [(w, target) for w in workloads],
-                job_timeout=job_timeout,
-                retry=retry,
-            )
+            self._run_batch_async([(w, target) for w in workloads])
         )
 
     async def compile_many_async(
         self,
         workloads: Sequence[Any],
         target: Union[Target, str, None] = None,
-        max_in_flight: Optional[int] = None,
-        job_timeout: Optional[float] = None,
-        retry: Union[RetryPolicy, int, None] = None,
     ) -> List[CompilationResult]:
         """Compile a batch of workloads on the asyncio event loop.
 
         Like :meth:`compile_many`, but awaitable: independent
         compilations overlap (each job is its own future on the
-        running loop) while a semaphore caps how many are in flight.
+        running loop) while a semaphore caps how many are in flight
+        (the session's ``max_workers``, else ``min(len, 8)``).
         Results come back in workload order; the first failing job
         cancels the rest and its exception propagates unwrapped;
         cancelling the returned coroutine cancels every pending job.
@@ -560,23 +540,13 @@ class CompilerSession:
         Args:
             workloads: the workload batch.
             target: per-batch target override.
-            max_in_flight: in-flight concurrency bound (defaults to
-                the session's ``max_workers``, else ``min(len, 8)``).
-            job_timeout: per-job wall-clock budget in seconds (see
-                :meth:`compile_many`).
-            retry: per-job retry override (see :meth:`compile_many`).
 
         Returns:
             One :class:`~.result.CompilationResult` per workload, in
             input order.
         """
         target = target if target is not None else self.target
-        return await self._run_batch_async(
-            [(w, target) for w in workloads],
-            max_in_flight=max_in_flight,
-            job_timeout=job_timeout,
-            retry=retry,
-        )
+        return await self._run_batch_async([(w, target) for w in workloads])
 
     # ------------------------------------------------------------------
     def _sweep_point(
@@ -625,8 +595,6 @@ class CompilerSession:
         self,
         param_grid: Dict[str, Sequence[Any]],
         base: Any = None,
-        job_timeout: Optional[float] = None,
-        retry: Union[RetryPolicy, int, None] = None,
     ) -> SweepResult:
         """Compile the cartesian product of a parameter grid.
 
@@ -646,20 +614,12 @@ class CompilerSession:
                 so results are deterministic.
             base: workload for points that do not select one via
                 generator keys.
-            job_timeout: per-point wall-clock budget in seconds (see
-                :meth:`compile_many`).
-            retry: per-point retry override (see
-                :meth:`compile_many`).
 
         Returns:
             The :class:`SweepResult`, one point per grid assignment.
         """
         assignments, tasks = self._sweep_tasks(param_grid, base)
-        results = _run_sync(
-            self._run_batch_async(
-                tasks, job_timeout=job_timeout, retry=retry
-            )
-        )
+        results = _run_sync(self._run_batch_async(tasks))
         return SweepResult(
             points=[
                 SweepPoint(params=assignment, result=result)
@@ -671,9 +631,6 @@ class CompilerSession:
         self,
         param_grid: Dict[str, Sequence[Any]],
         base: Any = None,
-        max_in_flight: Optional[int] = None,
-        job_timeout: Optional[float] = None,
-        retry: Union[RetryPolicy, int, None] = None,
     ) -> SweepResult:
         """Sweep a parameter grid on the asyncio event loop.
 
@@ -687,23 +644,12 @@ class CompilerSession:
             param_grid: mapping of parameter name to values to sweep.
             base: workload for points not selecting one via generator
                 keys.
-            max_in_flight: in-flight concurrency bound (defaults to
-                the session's ``max_workers``, else ``min(len, 8)``).
-            job_timeout: per-point wall-clock budget in seconds (see
-                :meth:`compile_many`).
-            retry: per-point retry override (see
-                :meth:`compile_many`).
 
         Returns:
             The :class:`SweepResult`, one point per grid assignment.
         """
         assignments, tasks = self._sweep_tasks(param_grid, base)
-        results = await self._run_batch_async(
-            tasks,
-            max_in_flight=max_in_flight,
-            job_timeout=job_timeout,
-            retry=retry,
-        )
+        results = await self._run_batch_async(tasks)
         return SweepResult(
             points=[
                 SweepPoint(params=assignment, result=result)

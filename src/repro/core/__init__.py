@@ -1,7 +1,6 @@
-"""Core quantum circuit IR: gates, circuits, statistics, QASM, DAG."""
+"""Core quantum circuit IR: gates, circuits, statistics, QASM."""
 
 from .circuit import FrozenCircuitError, QuantumCircuit
-from .dag import CircuitDag
 from .drawing import draw_circuit, draw_reversible
 from .gates import Gate, gate_matrix, is_clifford_name, is_clifford_t_name
 from ..emit.qasm2 import QasmError, from_qasm, to_qasm
@@ -16,7 +15,6 @@ from .unitary import (
 __all__ = [
     "FrozenCircuitError",
     "QuantumCircuit",
-    "CircuitDag",
     "draw_circuit",
     "draw_reversible",
     "Gate",

@@ -349,7 +349,7 @@ class PassCache:
     def _disk_io(self, operation, site: str):
         """Run one disk operation under :data:`DISK_RETRY`.
 
-        Transient failures (per the policy's classifier) are retried
+        Transient failures (``RetryPolicy.is_transient``) are retried
         with backoff; the final failure is counted against the tier —
         advancing degradation — and re-raised for the caller to turn
         into its own fallback (skip the spill, miss the load).  Any

@@ -53,9 +53,6 @@ class Pass:
         cacheable: whether ``(name, signature())`` faithfully
             identifies the computation; passes wrapping opaque
             callables must clear this to opt out of result caching.
-        fallback: optional alternate pass the pipeline runs instead
-            when this one fails and the error policy is
-            ``on_error='fallback'`` (see :meth:`with_fallback`).
     """
 
     name: str = "pass"
@@ -63,25 +60,6 @@ class Pass:
     reads: Tuple[str, ...] = ()
     writes: Tuple[str, ...] = ()
     cacheable: bool = True
-    fallback: Optional["Pass"] = None
-
-    def with_fallback(self, alternate: "Pass") -> "Pass":
-        """Declare an alternate pass to run when this one fails.
-
-        The alternate only runs under ``on_error='fallback'`` (a
-        :class:`~.runner.Pipeline` policy); its record carries
-        ``fallback_for=<this pass's name>`` in its details.  The
-        alternate should write the same store fields — the pipeline
-        does not check compatibility beyond normal cache keying.
-
-        Args:
-            alternate: the pass to substitute on failure.
-
-        Returns:
-            ``self`` (chainable at construction sites).
-        """
-        self.fallback = alternate
-        return self
 
     def run(self, state: FlowState) -> FlowState:
         """Execute the pass on a copy of ``state`` and return it.

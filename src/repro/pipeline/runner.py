@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..resilience.errors import DeadlineExceeded
 from ..resilience.faults import fault_point
 from ..resilience.policies import Deadline, RetryPolicy, as_deadline, as_retry
 from ..verify.checker import EquivalenceChecker, as_checker
@@ -35,32 +34,9 @@ from .state import FlowState, PipelineError, state_key
 #: wait time, and further bounded by the flow's deadline).
 SINGLE_FLIGHT_TIMEOUT = 60.0
 
-#: Per-pass error policies ``on_error=`` accepts (or a dict mapping
-#: pass names to one of these).
-ON_ERROR_POLICIES = ("raise", "retry", "fallback")
-
 
 class VerificationError(PipelineError):
     """Raised when a pass breaks the flow's functional semantics."""
-
-
-def _check_on_error(
-    policy: Union[str, Dict[str, str], None]
-) -> Union[str, Dict[str, str], None]:
-    """Validate an ``on_error`` argument (policy name or per-pass dict)."""
-    values = (
-        policy.values() if isinstance(policy, dict)
-        else () if policy is None
-        else (policy,)
-    )
-    for value in values:
-        if value not in ON_ERROR_POLICIES:
-            raise PipelineError(
-                f"unknown on_error policy {value!r}; one of "
-                f"{', '.join(ON_ERROR_POLICIES)} (or a dict mapping "
-                "pass names to one of those)"
-            )
-    return policy
 
 
 def _flow_context(
@@ -266,18 +242,16 @@ class Pipeline:
         cache: a :class:`~.cache.PassCache`, the string ``"shared"``
             for the process-wide cache (default), or ``None`` to
             disable result caching.
-        deadline: default compute budget for :meth:`run`/:meth:`apply`
-            — a :class:`~repro.resilience.Deadline` or seconds from
-            now; checked at cooperative checkpoints (between passes,
-            before waits), raising
-            :class:`~repro.resilience.DeadlineExceeded`.
-        retry: default :class:`~repro.resilience.RetryPolicy` (or an
-            attempt count) used when ``on_error`` selects ``retry``.
-        on_error: per-pass failure policy — ``"raise"`` (default),
-            ``"retry"`` (re-run transiently failing passes per the
-            retry policy), ``"fallback"`` (run the pass's declared
-            :attr:`~.passes.Pass.fallback` instead), or a dict mapping
-            pass names to one of those.
+        deadline: compute budget for every :meth:`run`/:meth:`apply`
+            — a :class:`~repro.resilience.Deadline`, or seconds that
+            start counting here, at construction; checked at
+            cooperative checkpoints (between passes, before waits),
+            raising :class:`~repro.resilience.DeadlineExceeded`.
+        retry: a :class:`~repro.resilience.RetryPolicy` (or an attempt
+            count).  When set, it is the whole per-pass error policy:
+            a pass failing with a transient error is re-run per the
+            policy, bounded by the deadline.  Without it a failing
+            pass raises.
     """
 
     def __init__(
@@ -286,7 +260,6 @@ class Pipeline:
         cache: Union[PassCache, str, None] = "shared",
         deadline: Union[Deadline, float, None] = None,
         retry: Union[RetryPolicy, int, None] = None,
-        on_error: Union[str, Dict[str, str], None] = None,
     ) -> None:
         """Configure verification, caching, and resilience policies."""
         self.checker = as_checker(verify)
@@ -297,26 +270,13 @@ class Pipeline:
             self.cache = cache
         self.deadline = as_deadline(deadline)
         self.retry = as_retry(retry)
-        self.on_error = _check_on_error(on_error)
         self.history: List[PassRecord] = []
-
-    def _policy_for(
-        self, pass_: Pass, on_error: Union[str, Dict[str, str], None]
-    ) -> str:
-        """Resolve the error policy applying to one pass."""
-        policy = on_error if on_error is not None else self.on_error
-        if isinstance(policy, dict):
-            policy = policy.get(pass_.name, policy.get("*", "raise"))
-        return policy or "raise"
 
     # ------------------------------------------------------------------
     def apply(
         self,
         pass_: Pass,
         state: FlowState,
-        deadline: Union[Deadline, float, None] = None,
-        retry: Union[RetryPolicy, int, None] = None,
-        on_error: Union[str, Dict[str, str], None] = None,
     ) -> Tuple[FlowState, PassRecord]:
         """Run one pass on ``state`` and record what happened.
 
@@ -329,20 +289,14 @@ class Pipeline:
         directly instead of deadlocking on itself.  A follower whose
         leader stalls past :data:`SINGLE_FLIGHT_TIMEOUT`, or whose
         leader's entry was evicted before it re-reads, recomputes the
-        pass itself; the wait is additionally bounded by the deadline,
-        so a hung leader can never consume a follower's whole budget.
+        pass itself; the wait is additionally bounded by the
+        pipeline's deadline, so a hung leader can never consume a
+        follower's whole budget.  The deadline is also checked before
+        the pass runs.
 
         Args:
             pass_: the pass to execute.
             state: the incoming store (never mutated).
-            deadline: per-call budget (a
-                :class:`~repro.resilience.Deadline` or seconds)
-                overriding the pipeline default; checked before the
-                pass runs and around single-flight waits.
-            retry: per-call retry policy override (used when the
-                error policy selects ``retry``).
-            on_error: per-call error policy override (``raise`` /
-                ``retry`` / ``fallback`` or a per-pass-name dict).
 
         Returns:
             ``(new_state, record)``; the record is also appended to
@@ -357,9 +311,7 @@ class Pipeline:
             repro.resilience.DeadlineExceeded: the budget ran out at
                 a cooperative checkpoint.
         """
-        deadline = as_deadline(deadline) or self.deadline
-        retry_policy = as_retry(retry) or self.retry
-        on_error = _check_on_error(on_error)
+        deadline = self.deadline
         if deadline is not None:
             deadline.check(site=f"pipeline.apply({pass_.name})")
         cacheable = (
@@ -405,21 +357,13 @@ class Pipeline:
             if role == "leader":
                 try:
                     return self._finish(
-                        self._execute(
-                            pass_, state, key, cacheable,
-                            deadline, retry_policy, on_error,
-                        )
+                        self._execute(pass_, state, key, cacheable)
                     )
                 finally:
                     self.cache.end_compute(key)
             # "reentrant": this thread already leads the key (a nested
             # flow) — fall through and compute without the registry
-        return self._finish(
-            self._execute(
-                pass_, state, key, cacheable,
-                deadline, retry_policy, on_error,
-            )
-        )
+        return self._finish(self._execute(pass_, state, key, cacheable))
 
     def _finish(
         self, outcome: Tuple[FlowState, PassRecord]
@@ -480,51 +424,21 @@ class Pipeline:
         state: FlowState,
         key: str,
         cacheable: bool,
-        deadline: Optional[Deadline] = None,
-        retry: Optional[RetryPolicy] = None,
-        on_error: Union[str, Dict[str, str], None] = None,
     ) -> Tuple[FlowState, PassRecord]:
         """Actually run the pass, verify, cache, and record it.
 
-        The resolved error policy shapes failure handling: ``retry``
-        re-runs the pass on transient errors per the retry policy
-        (bounded by the deadline), ``fallback`` switches to the
-        pass's declared alternate — recorded in the result's details
-        as ``fallback_for`` — and ``raise`` (default) propagates.
+        With a retry policy set, a transient failure re-runs the pass
+        per the policy (bounded by the deadline); otherwise it raises.
         """
-        policy = self._policy_for(pass_, on_error)
         run_started = time.perf_counter()
-        try:
-            if policy == "retry" and retry is not None:
-                result = retry.call(
-                    lambda: self._run_pass(pass_, state),
-                    site=f"pipeline.pass.run.{pass_.name}",
-                    deadline=deadline,
-                )
-            else:
-                result = self._run_pass(pass_, state)
-        except Exception as error:
-            fallback = getattr(pass_, "fallback", None)
-            if policy != "fallback" or fallback is None:
-                raise
-            if isinstance(error, DeadlineExceeded):
-                raise  # no budget left for an alternate either
-            alternate_cacheable = (
-                self.cache is not None
-                and bool(fallback.writes)
-                and fallback.cacheable
+        if self.retry is not None:
+            result = self.retry.call(
+                lambda: self._run_pass(pass_, state),
+                site=f"pipeline.pass.run.{pass_.name}",
+                deadline=self.deadline,
             )
-            alternate_key = (
-                self._cache_key(fallback, state)
-                if alternate_cacheable
-                else ""
-            )
-            outcome = self._execute(
-                fallback, state, alternate_key, alternate_cacheable,
-                deadline, retry, "raise",
-            )
-            outcome[1].details["fallback_for"] = pass_.name
-            return outcome
+        else:
+            result = self._run_pass(pass_, state)
         seconds = time.perf_counter() - run_started
         details = pass_.statistics(state, result)
         verdict: Optional[Verdict] = None
@@ -600,9 +514,6 @@ class Pipeline:
         passes: Union[Iterable[Pass], Any],
         state: Optional[FlowState] = None,
         flow_name: Optional[str] = None,
-        deadline: Union[Deadline, float, None] = None,
-        retry: Union[RetryPolicy, int, None] = None,
-        on_error: Union[str, Dict[str, str], None] = None,
     ) -> PipelineResult:
         """Execute a sequence of passes (or a flow) end to end.
 
@@ -610,8 +521,8 @@ class Pipeline:
         :class:`~.state.PipelineError` subclasses get the flow name
         and ``pass i/n`` prefixed to their message, other exceptions
         keep their type and message and gain a traceback note.  The
-        deadline — per-call or the pipeline default — is checked
-        before every pass (a cooperative checkpoint), so an expired
+        pipeline's deadline is checked before every pass (a
+        cooperative checkpoint), so an expired
         budget surfaces as a
         :class:`~repro.resilience.DeadlineExceeded` naming the flow
         position instead of a runaway flow.
@@ -623,12 +534,6 @@ class Pipeline:
             state: the initial store; a fresh empty one by default.
             flow_name: name used in error context; inferred from
                 ``passes.name`` when a flow object is given.
-            deadline: compute budget for the whole sequence (a
-                :class:`~repro.resilience.Deadline` or seconds);
-                overrides the pipeline default.
-            retry: retry policy override for ``on_error='retry'``.
-            on_error: error policy override (``raise`` / ``retry`` /
-                ``fallback`` or a per-pass-name dict).
 
         Returns:
             A :class:`PipelineResult` with the final store and the
@@ -638,16 +543,12 @@ class Pipeline:
             if flow_name is None:
                 flow_name = getattr(passes, "name", None)
             passes = passes.passes
-        deadline = as_deadline(deadline) or self.deadline
         sequence = list(passes)
         current = state if state is not None else FlowState()
         records: List[PassRecord] = []
         for index, pass_ in enumerate(sequence):
             try:
-                current, record = self.apply(
-                    pass_, current,
-                    deadline=deadline, retry=retry, on_error=on_error,
-                )
+                current, record = self.apply(pass_, current)
             except PipelineError as exc:
                 where = _flow_context(flow_name, index, len(sequence), pass_)
                 try:

@@ -1,12 +1,9 @@
 """The resilience layer: deadlines, retries, faults, degradation.
 
-The ROADMAP's north star is a long-running compilation service; this
-package is the reliability substrate such a service stands on:
-
 * :mod:`~.policies` — :class:`Deadline` (a monotonic budget checked
   at cooperative checkpoints) and :class:`RetryPolicy` (bounded
-  attempts, exponential backoff, deterministic jitter, a transient-
-  error classifier);
+  attempts of transiently failing work, exponential backoff,
+  deterministic jitter);
 * :mod:`~.errors` — the typed failure taxonomy
   (:class:`ResilienceError` → :class:`DeadlineExceeded`,
   :class:`RetriesExhausted`, :class:`DegradedCache`), all under
@@ -18,11 +15,12 @@ package is the reliability substrate such a service stands on:
   proves every degraded path ends in a correct circuit or a typed
   error.
 
-The wiring lives where the work happens: ``Pipeline.run``/``apply``
-accept ``deadline=``/``on_error=``, :class:`~repro.pipeline.PassCache`
+Each setting lives on the constructor of the object that runs the
+work: ``Pipeline(deadline=, retry=)`` bounds and retries passes
+(``repro.compile`` forwards both), :class:`~repro.pipeline.PassCache`
 retries transient disk I/O and degrades to memory-only, and
-``CompilerSession.compile_many``/``sweep`` take ``job_timeout=`` /
-``retry=`` so one poisoned job cannot sink a batch.
+``CompilerSession(job_timeout=, retry=)`` bounds and re-dispatches
+every batched job so one poisoned job cannot sink a batch.
 """
 
 from .errors import (

@@ -79,7 +79,7 @@ class InjectedOSError(OSError):
 
 
 class InjectedTimeout(TimeoutError):
-    """An injected timeout (transient per the default classifier)."""
+    """An injected timeout (transient: every ``TimeoutError`` is)."""
 
 
 _ERRORS = {

@@ -8,8 +8,8 @@ Two plain dataclasses every execution layer threads through:
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   *deterministic* jitter (seeded, so two runs with the same policy
   sleep identically — reproducibility is a feature of this codebase,
-  and its chaos tests depend on it), plus a transient-error
-  classifier deciding what is worth retrying at all.
+  and its chaos tests depend on it); only transient errors are
+  retried.
 
 Both are immutable values: sharing one policy across threads, jobs or
 pickled process-pool tasks is safe by construction.
@@ -18,6 +18,7 @@ pickled process-pool tasks is safe by construction.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
@@ -25,27 +26,12 @@ from typing import Any, Callable, Optional, Union
 from .errors import DeadlineExceeded, RetriesExhausted
 
 
-def _is_transient_default(error: BaseException) -> bool:
-    """Classify an exception as transient (worth retrying).
-
-    Transient: OS-level I/O errors (disk hiccups, the classic
-    serving-system retry case), timeouts, connection resets, and any
-    exception whose class sets a truthy ``transient`` attribute (the
-    fault injector's marker).  Everything else — type errors, broken
-    flows, verification failures — is deterministic and retrying it
-    only wastes the budget.
-    """
-    if getattr(error, "transient", False):
-        return True
-    return isinstance(error, (OSError, TimeoutError, ConnectionError))
-
-
 @dataclass(frozen=True)
 class Deadline:
     """A monotonic compute budget, checked cooperatively.
 
     Create one with :meth:`after`; pass it down through
-    ``repro.compile(deadline=...)`` / ``Pipeline.run(deadline=...)``.
+    ``repro.compile(deadline=...)`` / ``Pipeline(deadline=...)``.
     Checkpoints call :meth:`check`, waits bound themselves by
     :meth:`remaining` — nothing is interrupted preemptively, so a
     deadline can only fire between cooperative steps.
@@ -63,14 +49,21 @@ class Deadline:
         """Return a deadline expiring ``seconds`` from now.
 
         Args:
-            seconds: the budget; must be positive.
+            seconds: the budget; a positive number (not a bool, not
+                NaN).
 
         Returns:
             The new :class:`Deadline`.
+
+        Raises:
+            ValueError: ``seconds`` is a bool, NaN or not positive.
         """
+        if isinstance(seconds, bool) or not float(seconds) > 0:
+            raise ValueError(
+                "deadline budget must be a positive number of seconds, "
+                f"not {seconds!r}"
+            )
         seconds = float(seconds)
-        if seconds <= 0:
-            raise ValueError(f"deadline budget must be positive: {seconds}")
         return cls(expires_at=time.monotonic() + seconds, budget=seconds)
 
     def remaining(self) -> float:
@@ -126,7 +119,7 @@ def as_deadline(
     """
     if value is None or isinstance(value, Deadline):
         return value
-    return Deadline.after(float(value))
+    return Deadline.after(value)
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,7 @@ class RetryPolicy:
 
     Attributes:
         max_attempts: total attempts including the first (1 disables
-            retrying while keeping the classifier/error shaping).
+            retrying while keeping the error shaping); an int.
         base_delay: sleep before the first retry, in seconds.
         multiplier: backoff growth factor per further retry.
         max_delay: cap on any single sleep.
@@ -143,9 +136,6 @@ class RetryPolicy:
             noise (0 disables; 0.25 means the sleep varies ±25%).
         seed: seeds the jitter; two policies with equal fields sleep
             identically, attempt for attempt.
-        classifier: predicate deciding whether an exception is
-            transient; ``None`` selects the default (OS/timeout/
-            connection errors plus ``transient``-marked exceptions).
     """
 
     max_attempts: int = 3
@@ -154,25 +144,41 @@ class RetryPolicy:
     max_delay: float = 1.0
     jitter: float = 0.25
     seed: int = 0
-    classifier: Optional[Callable[[BaseException], bool]] = None
 
     def __post_init__(self) -> None:
         """Validate the attempt and delay parameters."""
-        if self.max_attempts < 1:
+        attempts = self.max_attempts
+        if (
+            isinstance(attempts, bool)
+            or not isinstance(attempts, numbers.Integral)
+            or attempts < 1
+        ):
             raise ValueError(
-                f"max_attempts must be >= 1: {self.max_attempts}"
+                f"max_attempts must be an int >= 1, not {attempts!r}"
             )
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
+        if not (self.base_delay >= 0 and self.max_delay >= 0):
+            raise ValueError(
+                "delays must be non-negative numbers, not "
+                f"base_delay={self.base_delay!r}, "
+                f"max_delay={self.max_delay!r}"
+            )
 
-    def is_transient(self, error: BaseException) -> bool:
+    @staticmethod
+    def is_transient(error: BaseException) -> bool:
         """Return whether ``error`` is worth retrying.
+
+        Transient: OS-level I/O errors, timeouts, connection resets,
+        and any exception whose class sets a truthy ``transient``
+        attribute (the fault injector's marker).  Everything else —
+        type errors, broken flows, verification failures — is
+        deterministic, and retrying it only wastes the budget.
 
         Args:
             error: the exception an attempt raised.
         """
-        classify = self.classifier or _is_transient_default
-        return bool(classify(error))
+        if getattr(error, "transient", False):
+            return True
+        return isinstance(error, (OSError, TimeoutError, ConnectionError))
 
     def backoff(self, attempt: int) -> float:
         """Return the deterministic sleep before retry ``attempt``.
@@ -254,12 +260,24 @@ def as_retry(
     """Coerce a retry argument: attempt count, policy, or ``None``.
 
     Args:
-        value: ``None`` (no retries), an integer total attempt count
+        value: ``None`` (no retries), a whole total attempt count
             (with default backoff), or a full :class:`RetryPolicy`.
 
     Returns:
         The resolved :class:`RetryPolicy` or ``None``.
+
+    Raises:
+        ValueError: ``value`` is a bool, NaN, fractional or below 1.
     """
     if value is None or isinstance(value, RetryPolicy):
         return value
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not float(value).is_integer()
+    ):
+        raise ValueError(
+            f"retry must be a RetryPolicy or a whole attempt count, "
+            f"not {value!r}"
+        )
     return RetryPolicy(max_attempts=int(value))

@@ -69,16 +69,12 @@ class TestCompileManyAsync:
             optimization_level=0,
             synthesis=counting_synthesis,
         )
-        session = CompilerSession(cache=None, max_workers=8)
+        session = CompilerSession(cache=None, max_workers=2)
         workloads = [
             BitPermutation([(j + i) % 8 for j in range(8)])
             for i in range(8)
         ]
-        asyncio.run(
-            session.compile_many_async(
-                workloads, target=target, max_in_flight=2
-            )
-        )
+        asyncio.run(session.compile_many_async(workloads, target=target))
         assert active["peak"] <= 2
 
     def test_exception_propagates_unwrapped(self):
@@ -111,28 +107,26 @@ class TestCompileManyAsync:
             optimization_level=0,
             synthesis=tracking_synthesis,
         )
-        session = CompilerSession(cache=None)
+        session = CompilerSession(cache=None, max_workers=1)
         workloads = [object()] + [
             BitPermutation(list(range(8))) for _ in range(16)
         ]
         with pytest.raises(TypeError):
             asyncio.run(
-                session.compile_many_async(
-                    workloads, target=target, max_in_flight=1
-                )
+                session.compile_many_async(workloads, target=target)
             )
         # with the bad job first and one-at-a-time flight, the failure
         # cancels the queue before most of it ever starts
         assert len(started) < 16
 
     def test_cancellation_propagates(self):
-        session = CompilerSession(target="clifford_t", cache=None)
+        session = CompilerSession(
+            target="clifford_t", cache=None, max_workers=1
+        )
 
         async def cancel_midway():
             batch = asyncio.ensure_future(
-                session.compile_many_async(
-                    [{"hwb": 6}] * 4, max_in_flight=1
-                )
+                session.compile_many_async([{"hwb": 6}] * 4)
             )
             await asyncio.sleep(0.01)
             batch.cancel()

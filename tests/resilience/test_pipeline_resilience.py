@@ -1,4 +1,4 @@
-"""Chaos tests for the pipeline layer: deadlines, retries, fallbacks.
+"""Chaos tests for the pipeline layer: deadlines and retries.
 
 Every scenario must end in either a correct result or a *typed* error
 (`DeadlineExceeded`, `RetriesExhausted`, an injected error) carrying
@@ -76,12 +76,10 @@ class SleepPass(Pass):
 
 class TestDeadlines:
     def test_expired_budget_names_the_flow_position(self):
-        pipeline = Pipeline(cache=None)
+        pipeline = Pipeline(cache=None, deadline=0.02)
         with pytest.raises(DeadlineExceeded) as info:
             pipeline.run(
-                [SleepPass(0.1), SleepPass(0.1)],
-                flow_name="chaos",
-                deadline=0.02,
+                [SleepPass(0.1), SleepPass(0.1)], flow_name="chaos"
             )
         message = str(info.value)
         # the second pass's checkpoint trips: the error carries the
@@ -92,10 +90,8 @@ class TestDeadlines:
 
     def test_deadline_fires_between_passes_never_mid_pass(self):
         flaky = FlakyPass(name="witness")
-        pipeline = Pipeline(cache=None)
-        result = pipeline.run(
-            [SleepPass(0.05), flaky], deadline=60
-        )
+        pipeline = Pipeline(cache=None, deadline=60)
+        result = pipeline.run([SleepPass(0.05), flaky])
         assert flaky.calls == 1  # ample budget: everything ran
         assert result.state.artifacts["witness"] == 1
 
@@ -104,35 +100,31 @@ class TestDeadlines:
         with pytest.raises(DeadlineExceeded):
             pipeline.run([SleepPass(0.05), SleepPass(0.05)])
 
-    def test_per_call_deadline_overrides_pipeline_default(self):
-        pipeline = Pipeline(cache=None, deadline=0.01)
-        result = pipeline.run(
-            [SleepPass(0.05), FlakyPass()], deadline=60
-        )
-        assert len(result.records) == 2
+    def test_numeric_deadline_starts_at_construction(self):
+        pipeline = Pipeline(cache=None, deadline=0.02)
+        time.sleep(0.05)
+        with pytest.raises(DeadlineExceeded):
+            pipeline.run([FlakyPass()])
 
     def test_shared_deadline_object_spans_layers(self):
         deadline = Deadline.after(60)
-        pipeline = Pipeline(cache=None)
-        pipeline.run([FlakyPass()], deadline=deadline)
+        pipeline = Pipeline(cache=None, deadline=deadline)
+        assert pipeline.deadline is deadline
+        pipeline.run([FlakyPass()])
         assert not deadline.expired()  # same budget, not restarted
 
 
 class TestRetryPolicyOnPasses:
     def test_transient_pass_failures_are_retried(self):
         flaky = FlakyPass(failures=2, error=OSError)
-        pipeline = Pipeline(
-            cache=None, on_error="retry", retry=FAST_RETRY
-        )
+        pipeline = Pipeline(cache=None, retry=FAST_RETRY)
         result = pipeline.run([flaky])
         assert flaky.calls == 3
         assert result.state.artifacts["flaky"] == 3
 
     def test_exhausted_retries_raise_typed_error_with_context(self):
         flaky = FlakyPass(failures=99, error=OSError)
-        pipeline = Pipeline(
-            cache=None, on_error="retry", retry=FAST_RETRY
-        )
+        pipeline = Pipeline(cache=None, retry=FAST_RETRY)
         with pytest.raises(RetriesExhausted) as info:
             pipeline.run([flaky], flow_name="chaos")
         assert flaky.calls == FAST_RETRY.max_attempts
@@ -142,68 +134,22 @@ class TestRetryPolicyOnPasses:
 
     def test_non_transient_failures_are_not_retried(self):
         flaky = FlakyPass(failures=99, error=ValueError)
-        pipeline = Pipeline(
-            cache=None, on_error="retry", retry=FAST_RETRY
-        )
+        pipeline = Pipeline(cache=None, retry=FAST_RETRY)
         with pytest.raises(ValueError):
             pipeline.run([flaky])
         assert flaky.calls == 1
 
     def test_retry_count_shorthand(self):
         flaky = FlakyPass(failures=1, error=OSError)
-        pipeline = Pipeline(cache=None, on_error="retry", retry=2)
+        pipeline = Pipeline(cache=None, retry=2)
         pipeline.run([flaky])
         assert flaky.calls == 2
 
-
-class TestFallbacks:
-    def test_failing_pass_switches_to_its_fallback(self):
-        alternate = FlakyPass(name="plan-b")
-        broken = FlakyPass(
-            failures=99, error=RuntimeError, name="plan-a"
-        ).with_fallback(alternate)
-        pipeline = Pipeline(cache=None, on_error="fallback")
-        result = pipeline.run([broken])
-        record = result.records[0]
-        assert record.name == "plan-b"
-        assert record.details["fallback_for"] == "plan-a"
-        assert result.state.artifacts["plan-b"] == 1
-
-    def test_pass_without_fallback_raises_under_fallback_policy(self):
-        broken = FlakyPass(failures=99, error=RuntimeError)
-        pipeline = Pipeline(cache=None, on_error="fallback")
-        with pytest.raises(RuntimeError):
-            pipeline.run([broken])
-
-    def test_deadline_exceeded_never_triggers_a_fallback(self):
-        alternate = FlakyPass(name="plan-b")
-        broken = FlakyPass(
-            failures=99, error=DeadlineExceeded, name="plan-a"
-        ).with_fallback(alternate)
-        pipeline = Pipeline(cache=None, on_error="fallback")
-        with pytest.raises(DeadlineExceeded):
-            pipeline.run([broken])
-        assert alternate.calls == 0  # no budget left for plan B either
-
-    def test_per_pass_policy_dict(self):
-        retried = FlakyPass(failures=1, error=OSError, name="retried")
-        covered = FlakyPass(
-            failures=99, error=RuntimeError, name="covered"
-        ).with_fallback(FlakyPass(name="cover"))
-        pipeline = Pipeline(
-            cache=None,
-            retry=FAST_RETRY,
-            on_error={"retried": "retry", "covered": "fallback"},
-        )
-        result = pipeline.run([retried, covered])
-        assert retried.calls == 2
-        assert result.records[1].details["fallback_for"] == "covered"
-
-    def test_unknown_policy_is_rejected(self):
-        with pytest.raises(PipelineError, match="unknown on_error"):
-            Pipeline(on_error="explode")
-        with pytest.raises(PipelineError, match="unknown on_error"):
-            Pipeline(on_error={"tbs": "explode"})
+    def test_without_a_retry_policy_a_failing_pass_raises(self):
+        flaky = FlakyPass(failures=1, error=OSError)
+        with pytest.raises(OSError):
+            Pipeline(cache=None).run([flaky])
+        assert flaky.calls == 1
 
 
 class TestInjectedPassFaults:
@@ -214,9 +160,7 @@ class TestInjectedPassFaults:
     def test_injected_transient_fault_is_retried_to_success(self, chaos):
         chaos([{"site": "pipeline.pass.run.tbs", "times": 1,
                 "error": "fault"}])
-        pipeline = Pipeline(
-            cache=None, on_error="retry", retry=FAST_RETRY
-        )
+        pipeline = Pipeline(cache=None, retry=FAST_RETRY)
         state, record = pipeline.apply(SynthesisPass("tbs"), self.seed())
         reference = SynthesisPass("tbs").run(self.seed())
         assert state.reversible.gates == reference.reversible.gates
@@ -297,13 +241,13 @@ class TestSingleFlightTimeout:
         seed = self.seed()
         key = self.hung_leader(cache, seed)
         # the deadline, not the 60s follower timeout, must win
-        pipeline = Pipeline(cache=cache)
+        pipeline = Pipeline(cache=cache, deadline=0.1)
         outcome = {}
 
         def follower():
             """Wait on the hung leader under a tiny deadline."""
             try:
-                pipeline.apply(SynthesisPass("tbs"), seed, deadline=0.1)
+                pipeline.apply(SynthesisPass("tbs"), seed)
             except DeadlineExceeded as exc:
                 outcome["error"] = exc
 

@@ -44,6 +44,11 @@ class TestDeadline:
             with pytest.raises(ValueError):
                 Deadline.after(bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), True, False])
+    def test_after_rejects_nan_and_bools_naming_the_value(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            Deadline.after(bad)
+
     def test_fresh_deadline_is_not_expired(self):
         deadline = Deadline.after(60)
         assert not deadline.expired()
@@ -87,6 +92,11 @@ class TestDeadline:
         assert isinstance(made, Deadline)
         assert made.budget == 2.5
 
+    @pytest.mark.parametrize("bad", [True, float("nan")])
+    def test_as_deadline_refuses_bools_and_nan(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            as_deadline(bad)
+
 
 # ----------------------------------------------------------------------
 # RetryPolicy
@@ -97,6 +107,15 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=-0.1)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, float("nan")])
+    def test_rejects_non_int_attempts_naming_the_value(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            RetryPolicy(max_attempts=bad)
+
+    def test_rejects_nan_delays(self):
+        with pytest.raises(ValueError, match="nan"):
+            RetryPolicy(base_delay=float("nan"))
 
     def test_success_needs_no_retry(self):
         flaky = Flaky(failures=0)
@@ -140,15 +159,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=2)
         assert policy.call(flaky, sleep=lambda _s: None) == "ok"
 
-    def test_custom_classifier_overrides_default(self):
-        policy = RetryPolicy(
-            max_attempts=2, classifier=lambda e: isinstance(e, KeyError)
-        )
-        assert policy.call(Flaky(1, error=KeyError),
-                           sleep=lambda _s: None) == "ok"
-        with pytest.raises(OSError):
-            policy.call(Flaky(1, error=OSError), sleep=lambda _s: None)
-
     def test_backoff_is_deterministic_and_capped(self):
         policy = RetryPolicy(base_delay=0.01, multiplier=2.0,
                              max_delay=0.05, jitter=0.25, seed=7)
@@ -190,6 +200,12 @@ class TestRetryPolicy:
         made = as_retry(4)
         assert isinstance(made, RetryPolicy)
         assert made.max_attempts == 4
+        assert as_retry(3.0).max_attempts == 3
+
+    @pytest.mark.parametrize("bad", [True, 2.7, float("nan"), "3"])
+    def test_as_retry_refuses_bools_fractions_and_nan(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            as_retry(bad)
 
     @given(st.integers(min_value=1, max_value=6),
            st.integers(min_value=0, max_value=2 ** 31))

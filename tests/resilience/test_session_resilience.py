@@ -42,11 +42,16 @@ class TestCompileDeadline:
         chaos([{"site": "pipeline.pass.run.tbs", "times": 1,
                 "error": "fault"}])
         result = repro.compile(
-            {"hwb": 3}, target="toffoli", cache=None,
-            retry=2, on_error="retry",
+            {"hwb": 3}, target="toffoli", cache=None, retry=2
         )
         expected = reference(3)
         assert result.reversible.gates == expected.reversible.gates
+
+    def test_retry_alone_recovers_an_injected_os_error(self, chaos):
+        chaos([{"site": "pipeline.pass.run.tbs", "times": 1}])
+        result = repro.compile({"hwb": 3}, cache=None, retry=3)
+        expected = repro.compile({"hwb": 3}, cache=None)
+        assert result.circuit.gates == expected.circuit.gates
 
     def test_explicit_pipeline_conflicts_with_resilience_kwargs(self):
         pipeline = Pipeline(cache=None)
@@ -54,10 +59,6 @@ class TestCompileDeadline:
             repro.compile({"hwb": 3}, pipeline=pipeline, deadline=5)
         with pytest.raises(PipelineError, match="conflicts"):
             repro.compile({"hwb": 3}, pipeline=pipeline, retry=2)
-        with pytest.raises(PipelineError, match="conflicts"):
-            repro.compile(
-                {"hwb": 3}, pipeline=pipeline, on_error="retry"
-            )
 
     def test_session_rejects_non_positive_job_timeout(self):
         with pytest.raises(PipelineError, match="job_timeout"):
@@ -65,19 +66,28 @@ class TestCompileDeadline:
         with pytest.raises(PipelineError, match="job_timeout"):
             CompilerSession(job_timeout=-1)
 
+    @pytest.mark.parametrize("budget", [float("nan"), True])
+    def test_session_rejects_nan_and_bool_job_timeout(self, budget):
+        with pytest.raises(PipelineError, match=repr(budget)):
+            CompilerSession(job_timeout=budget)
+
+    @pytest.mark.parametrize("attempts", [True, 2.7, float("nan"), 0])
+    def test_session_rejects_bad_retry(self, attempts):
+        with pytest.raises(PipelineError, match="retry|max_attempts"):
+            CompilerSession(retry=attempts)
+
 
 class TestJobTimeoutBackstop:
     def test_hung_job_is_abandoned_within_budget(self, chaos):
         chaos([{"site": "session.dispatch", "action": "delay",
                 "seconds": STALL, "times": None}])
         session = CompilerSession(
-            target="toffoli", cache=None, max_workers=2
+            target="toffoli", cache=None, max_workers=2,
+            job_timeout=0.1,
         )
         started = time.monotonic()
         with pytest.raises(DeadlineExceeded) as info:
-            session.compile_many(
-                [{"hwb": 3}, {"hwb": 3}], job_timeout=0.1
-            )
+            session.compile_many([{"hwb": 3}, {"hwb": 3}])
         elapsed = time.monotonic() - started
         message = str(info.value)
         assert "session.job[" in message
@@ -86,16 +96,6 @@ class TestJobTimeoutBackstop:
         # the caller got its typed error promptly — it never waited
         # for the stalled worker's full sleep
         assert elapsed < STALL
-
-    def test_session_default_job_timeout_applies(self, chaos):
-        chaos([{"site": "session.dispatch", "action": "delay",
-                "seconds": STALL, "times": None}])
-        session = CompilerSession(
-            target="toffoli", cache=None, max_workers=2,
-            job_timeout=0.1,
-        )
-        with pytest.raises(DeadlineExceeded, match="job timeout"):
-            session.compile_many([{"hwb": 3}, {"hwb": 3}])
 
     def test_cooperative_deadline_fires_inside_the_worker(self, chaos):
         # the in-worker deadline (exact flow position) must fire at
@@ -116,14 +116,13 @@ class TestJobTimeoutBackstop:
         chaos([{"site": "session.dispatch", "action": "delay",
                 "seconds": STALL, "times": None}])
         session = CompilerSession(
-            target="toffoli", cache=None, max_workers=2
+            target="toffoli", cache=None, max_workers=2,
+            job_timeout=0.1,
         )
         started = time.monotonic()
         with pytest.raises(DeadlineExceeded, match="worker abandoned"):
             asyncio.run(
-                session.compile_many_async(
-                    [{"hwb": 3}, {"hwb": 3}], job_timeout=0.1
-                )
+                session.compile_many_async([{"hwb": 3}, {"hwb": 3}])
             )
         assert time.monotonic() - started < STALL
 
@@ -134,17 +133,17 @@ class TestDispatchRetry:
     ):
         chaos([{"site": "session.dispatch", "times": 1,
                 "error": "fault"}])
-        session = CompilerSession(target="toffoli", cache=None)
-        (result,) = session.compile_many([{"hwb": 3}], retry=2)
+        session = CompilerSession(target="toffoli", cache=None, retry=2)
+        (result,) = session.compile_many([{"hwb": 3}])
         expected = reference(3)
         assert result.reversible.gates == expected.reversible.gates
 
     def test_exhausted_dispatch_retries_raise_typed_error(self, chaos):
         chaos([{"site": "session.dispatch", "times": None,
                 "error": "fault"}])
-        session = CompilerSession(target="toffoli", cache=None)
+        session = CompilerSession(target="toffoli", cache=None, retry=2)
         with pytest.raises(RetriesExhausted) as info:
-            session.compile_many([{"hwb": 3}], retry=2)
+            session.compile_many([{"hwb": 3}])
         assert "session.dispatch" in str(info.value)
         assert "2 attempt(s)" in str(info.value)
 
@@ -154,11 +153,9 @@ class TestDispatchRetry:
         chaos([{"site": "session.dispatch", "times": 2,
                 "error": "fault"}])
         session = CompilerSession(
-            target="toffoli", cache=None, max_workers=2
+            target="toffoli", cache=None, max_workers=2, retry=3
         )
-        results = session.compile_many(
-            [{"hwb": 3}, {"hwb": 4}], retry=3
-        )
+        results = session.compile_many([{"hwb": 3}, {"hwb": 4}])
         for n, result in zip((3, 4), results):
             assert result.reversible.gates == reference(n).reversible.gates
 
@@ -178,8 +175,9 @@ class TestWrappersAreTransparent:
 
     def test_sweep_with_wrappers_matches_plain_sweep(self):
         wrapped = CompilerSession(
-            target="clifford_t", cache=None, max_workers=2
-        ).sweep({"hwb": [3, 4]}, job_timeout=60, retry=2)
+            target="clifford_t", cache=None, max_workers=2,
+            job_timeout=60, retry=2,
+        ).sweep({"hwb": [3, 4]})
         plain = CompilerSession(
             target="clifford_t", cache=None, max_workers=2
         ).sweep({"hwb": [3, 4]})
@@ -190,13 +188,10 @@ class TestWrappersAreTransparent:
 
     def test_async_sweep_with_wrappers_matches(self):
         session = CompilerSession(
-            target="toffoli", cache=None, max_workers=2
+            target="toffoli", cache=None, max_workers=2,
+            job_timeout=60, retry=2,
         )
-        swept = asyncio.run(
-            session.sweep_async(
-                {"hwb": [3, 4]}, job_timeout=60, retry=2
-            )
-        )
+        swept = asyncio.run(session.sweep_async({"hwb": [3, 4]}))
         for point in swept.points:
             n = point.params["hwb"]
             expected = reference(n)

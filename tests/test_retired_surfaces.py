@@ -10,10 +10,15 @@ simulator classes beside the engines (``StatevectorSimulator``,
 and the ``repro.simulator.NoiseModel`` re-export), and the flow presets
 beside the targets (``repro.pipeline.flows`` with ``EQ5``/``QSHARP``/
 ``DEVICE`` and their builders, ``NAMED_FLOWS``, every ``flow=``
-keyword and the CLI's ``--flow``) are gone.  An old spelling must end
-in an import, type or engine error — or, for the environment
-variables, have no effect at all — rather than being silently
-accepted.
+keyword and the CLI's ``--flow``) are gone.  So are the failure
+policies beside ``retry=``: ``on_error=`` on ``repro.compile`` and
+``Pipeline``, the per-call ``deadline=``/``retry=`` of
+``Pipeline.run``/``apply``, pass fallbacks (``Pass.with_fallback``),
+``RetryPolicy(classifier=)``, the per-call ``job_timeout=``/``retry=``
+of the session batch calls and their ``max_in_flight=``, plus the
+unused ``repro.core.dag``.  An old spelling must end in an import,
+attribute, type or engine error — or, for the environment variables,
+have no effect at all — rather than being silently accepted.
 """
 
 import asyncio
@@ -52,6 +57,7 @@ def _bell() -> QuantumCircuit:
         "repro.pipeline.flows",
         "repro.algorithms.bernstein_vazirani",
         "repro.algorithms.deutsch_jozsa",
+        "repro.core.dag",
     ],
 )
 def test_retired_modules_are_gone(module):
@@ -219,3 +225,58 @@ def test_cli_flow_option_and_empty_seed_are_gone(argv):
         timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
+
+
+def test_core_dag_export_is_gone():
+    with pytest.raises(ImportError):
+        exec("from repro.core import CircuitDag", {})
+
+
+def _session():
+    from repro.compiler import CompilerSession
+
+    return CompilerSession(target="toffoli", cache=None)
+
+
+@pytest.mark.parametrize(
+    "call, keyword",
+    [
+        (lambda repro, P: repro.compile(
+            {"hwb": 3}, cache=None, on_error="retry"), "on_error"),
+        (lambda repro, P: P(cache=None, on_error="retry"), "on_error"),
+        (lambda repro, P: P(cache=None).run([], deadline=5), "deadline"),
+        (lambda repro, P: P(cache=None).apply(
+            None, None, retry=2), "retry"),
+        (lambda repro, P: _session().compile_many(
+            [{"hwb": 3}], retry=2), "retry"),
+        (lambda repro, P: _session().sweep(
+            {"hwb": [3]}, job_timeout=60), "job_timeout"),
+        (lambda repro, P: asyncio.run(_session().compile_many_async(
+            [{"hwb": 3}], max_in_flight=2)), "max_in_flight"),
+    ],
+    ids=["compile(on_error=)", "Pipeline(on_error=)",
+         "Pipeline.run(deadline=)", "Pipeline.apply(retry=)",
+         "compile_many(retry=)", "sweep(job_timeout=)",
+         "compile_many_async(max_in_flight=)"],
+)
+def test_failure_policies_beside_retry_are_gone(call, keyword):
+    import repro
+    from repro.pipeline import Pipeline
+
+    with pytest.raises(TypeError, match=keyword):
+        call(repro, Pipeline)
+
+
+def test_pass_fallbacks_are_gone():
+    from repro.pipeline.passes import Pass, SynthesisPass
+
+    with pytest.raises(AttributeError):
+        SynthesisPass("tbs").with_fallback(SynthesisPass("dbs"))
+    assert not hasattr(Pass, "fallback")
+
+
+def test_retry_policy_classifier_is_gone():
+    from repro.resilience import RetryPolicy
+
+    with pytest.raises(TypeError, match="classifier"):
+        RetryPolicy(max_attempts=2, classifier=lambda error: True)
