@@ -1,7 +1,6 @@
 """Reversible arithmetic blocks (the Shor-workload substrate)."""
 
 from .adders import (
-    comparator,
     constant_adder,
     controlled_increment,
     cuccaro_adder,
@@ -9,7 +8,6 @@ from .adders import (
 )
 
 __all__ = [
-    "comparator",
     "constant_adder",
     "controlled_increment",
     "cuccaro_adder",

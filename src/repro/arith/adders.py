@@ -12,7 +12,6 @@ permutation simulation in the tests:
 * :func:`constant_adder` — ``x <- x + c (mod 2^n)`` built from MCTs
   (the carry-ripple construction of Häner et al. [3], simplified);
 * :func:`controlled_increment` — controlled ``+1`` used by both;
-* :func:`comparator` — writes ``a < b`` into a flag qubit;
 * :func:`modular_constant_adder` — ``x <- x + c (mod N)`` via the
   add / compare / conditional-subtract ladder.
 """
@@ -130,56 +129,6 @@ def constant_adder(
                 controlled_increment(num_lines, suffix, controls)
             )
     return circuit
-
-
-def comparator(
-    num_bits: int,
-    a_lines: Optional[Sequence[int]] = None,
-    b_lines: Optional[Sequence[int]] = None,
-    flag: Optional[int] = None,
-    ancilla: Optional[int] = None,
-) -> ReversibleCircuit:
-    """Write ``a < b`` into the flag line (flag must start |0>).
-
-    Implemented by computing the borrow of ``a - b`` through the
-    Cuccaro chain run on the complement — compact and ancilla-light:
-    complement a, add via MAJ chain to extract the carry, uncompute.
-    """
-    n = num_bits
-    if a_lines is None:
-        a_lines = list(range(n))
-    if b_lines is None:
-        b_lines = list(range(n, 2 * n))
-    if ancilla is None:
-        ancilla = 2 * n
-    if flag is None:
-        flag = 2 * n + 1
-    _check_disjoint(a_lines, b_lines, [ancilla], [flag])
-    num_lines = max([*a_lines, *b_lines, ancilla, flag]) + 1
-    circuit = ReversibleCircuit(num_lines, name="cmp")
-    # a < b  <=>  carry-out of (~a) + b is 1
-    for line in a_lines:
-        circuit.x(line)
-    adder = cuccaro_adder(
-        n, a_lines=list(a_lines), b_lines=list(b_lines),
-        ancilla=ancilla, carry_out=flag,
-    )
-    # compute the MAJ chain + carry copy, then uncompute the chain:
-    # cuccaro_adder already computes carry then UMA-restores b to a+b;
-    # for a comparator we must restore b exactly, so run the adder and
-    # then subtract back (adder dagger without the carry copy).
-    circuit.compose(adder)
-    undo = _adder_without_carry(n, list(a_lines), list(b_lines), ancilla)
-    circuit.compose(undo.dagger())
-    for line in a_lines:
-        circuit.x(line)
-    return circuit
-
-
-def _adder_without_carry(n, a_lines, b_lines, ancilla) -> ReversibleCircuit:
-    return cuccaro_adder(
-        n, a_lines=a_lines, b_lines=b_lines, ancilla=ancilla, carry_out=None
-    )
 
 
 def modular_constant_adder(

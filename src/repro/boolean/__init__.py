@@ -2,7 +2,7 @@
 
 from .bdd import ONE, ZERO, Bdd, BddNode
 from .bent import HiddenShiftInstance, MaioranaMcFarland, MaioranaMcFarlandDual
-from .cube import Cube, esop_evaluate, esop_to_truth_table
+from .cube import Cube, esop_to_truth_table
 from .esop import (
     best_fprm,
     exorcism,
@@ -19,15 +19,11 @@ from .expression import (
 from .network import LogicNetwork, Lut, LutNetwork, lut_map
 from .permutation import BitPermutation
 from .spectral import (
-    autocorrelation,
     correlation,
     dual_bent,
     find_shift_classically,
     fwht,
     is_bent,
-    is_perfectly_nonlinear,
-    linear_structure,
-    nonlinearity,
     walsh_spectrum,
 )
 from .truth_table import MultiTruthTable, TruthTable
@@ -41,7 +37,6 @@ __all__ = [
     "MaioranaMcFarland",
     "MaioranaMcFarlandDual",
     "Cube",
-    "esop_evaluate",
     "esop_to_truth_table",
     "best_fprm",
     "exorcism",
@@ -57,15 +52,11 @@ __all__ = [
     "LutNetwork",
     "lut_map",
     "BitPermutation",
-    "autocorrelation",
     "correlation",
     "dual_bent",
     "find_shift_classically",
     "fwht",
     "is_bent",
-    "is_perfectly_nonlinear",
-    "linear_structure",
-    "nonlinearity",
     "walsh_spectrum",
     "MultiTruthTable",
     "TruthTable",

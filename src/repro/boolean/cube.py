@@ -134,11 +134,3 @@ def esop_to_truth_table(cubes: Iterable[Cube], num_vars: int) -> TruthTable:
     for cube in cubes:
         table = table ^ cube.to_truth_table(num_vars)
     return table
-
-
-def esop_evaluate(cubes: Iterable[Cube], x: int) -> int:
-    """Evaluate an ESOP (XOR of cubes) on the input assignment ``x``."""
-    value = 0
-    for cube in cubes:
-        value ^= cube.evaluate(x)
-    return value

@@ -11,7 +11,7 @@ O(n 2^n) using numpy.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,12 +63,6 @@ def dual_bent(table: TruthTable) -> TruthTable:
     return TruthTable(table.num_vars, bits)
 
 
-def nonlinearity(table: TruthTable) -> int:
-    """Hamming distance to the closest affine function."""
-    spectrum = walsh_spectrum(table)
-    return (table.size - int(np.max(np.abs(spectrum)))) // 2
-
-
 def correlation(f: TruthTable, g: TruthTable) -> np.ndarray:
     """Cross-correlation ``C(s) = sum_x (-1)^{f(x) + g(x ^ s)}``.
 
@@ -100,33 +94,3 @@ def find_shift_classically(f: TruthTable, g: TruthTable) -> Optional[int]:
                 return None
         return peak
     return None
-
-
-def linear_structure(table: TruthTable) -> List[int]:
-    """Vectors a with f(x ^ a) + f(x) constant (bent => only a = 0)."""
-    out = []
-    for a in range(table.size):
-        first = table(0) ^ table(a)
-        if all(table(x) ^ table(x ^ a) == first for x in range(table.size)):
-            out.append(a)
-    return out
-
-
-def autocorrelation(table: TruthTable) -> np.ndarray:
-    """Autocorrelation spectrum ``r(a) = sum_x (-1)^{f(x) + f(x ^ a)}``.
-
-    The dual characterization of bentness: f is bent iff ``r(a) = 0``
-    for every ``a != 0`` (perfect nonlinearity) — the property that
-    makes the hidden shift measurable in a single query.
-    """
-    signs = np.array(
-        [1 - 2 * table(x) for x in range(table.size)], dtype=np.int64
-    )
-    spectrum = fwht(signs)
-    return fwht(spectrum * spectrum) // table.size
-
-
-def is_perfectly_nonlinear(table: TruthTable) -> bool:
-    """True iff the autocorrelation vanishes off the origin (= bent)."""
-    r = autocorrelation(table)
-    return bool(r[0] == table.size and np.all(r[1:] == 0))

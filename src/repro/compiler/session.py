@@ -7,10 +7,11 @@ to a concrete flow, execute it on the pass manager, and hand back a
 
 :class:`CompilerSession` amortizes many compilations:
 :meth:`~CompilerSession.compile_many` fans workloads out over a
-thread (or process) pool, and :meth:`~CompilerSession.sweep` expands a
-parameter grid into compilation points — all sharing one
-:class:`~repro.pipeline.cache.PassCache` (optionally disk-backed via
-``cache=<path>``), so repeated sub-flows replay instead of recompute.
+thread pool, and :meth:`~CompilerSession.sweep` expands a parameter
+grid into compilation points — all sharing one
+:class:`~repro.pipeline.cache.PassCache` object (optionally
+disk-backed via ``cache=<path>``, which also lets separate processes
+share results), so repeated sub-flows replay instead of recompute.
 
 Every batch runs on one asyncio core.  The ``*_async`` variants
 (:meth:`~CompilerSession.compile_many_async`,
@@ -21,9 +22,9 @@ private loop.  Every job is its own future, in-flight concurrency is
 bounded by a semaphore, results come back in deterministic input
 order, the first failing job cancels the rest and its exception
 propagates unwrapped, and cancelling the outer coroutine cancels every
-pending job.  Jobs already running on an executor worker when the
-batch fails or is cancelled cannot be interrupted mid-pass; they
-finish in the background and their results are discarded.
+pending job.  Jobs already running on a pool thread when the batch
+fails or is cancelled cannot be interrupted mid-pass; they finish in
+the background and their results are discarded.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -250,40 +251,6 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _compile_task(task: Tuple) -> CompilationResult:
-    """Run one batch job on a pool worker (thread or process).
-
-    A dict cache spec rebuilds a disk-backed :class:`PassCache` in a
-    worker process (same path and memory cap as the parent's); a
-    :class:`PassCache` instance (the thread pool's shared cache),
-    ``None`` and strings pass through :func:`_resolve_cache`
-    unchanged.  The job's deadline starts here — in the worker, when
-    the job actually begins — and spans every retry attempt, so a
-    retried job cannot outlive its ``job_timeout``.
-    """
-    workload, target, verify, cache_spec, job_timeout, policy = task
-    if isinstance(cache_spec, dict):
-        cache_spec = PassCache(**cache_spec)
-    deadline = (
-        Deadline.after(job_timeout) if job_timeout is not None else None
-    )
-
-    def attempt() -> CompilationResult:
-        """Run one (possibly retried) dispatch of the job."""
-        fault_point("session.dispatch")
-        return compile(
-            workload,
-            target=target,
-            verify=verify,
-            cache=cache_spec,
-            deadline=deadline,
-        )
-
-    if policy is None:
-        return attempt()
-    return policy.call(attempt, site="session.dispatch", deadline=deadline)
-
-
 def _run_sync(coro):
     """Run a batch coroutine to completion from synchronous code.
 
@@ -322,16 +289,13 @@ class CompilerSession:
         cache: ``"shared"`` (default), a
             :class:`~repro.pipeline.cache.PassCache`, a directory
             path for a disk-backed cache, or ``None``.
-        max_workers: pool size for batched calls (``None`` lets the
-            executor decide).
-        executor: ``"thread"`` (default; shares the in-memory cache)
-            or ``"process"`` (requires picklable workloads; share
-            results across processes via a disk-backed ``cache=``
-            path).
+        max_workers: thread-pool size, which also bounds the jobs in
+            flight, for batched calls (``None``: one per job, at most
+            8).
         job_timeout: per-job wall-clock budget in seconds for
             batched calls — a cooperative deadline inside each job
-            plus a hard backstop that abandons a worker not returning
-            within it; a job exceeding it raises
+            plus a hard backstop that abandons a pool thread not
+            returning within it; a job exceeding it raises
             :class:`~repro.resilience.DeadlineExceeded` and fails the
             batch.
         retry: per-job retry for batched calls — a
@@ -341,9 +305,9 @@ class CompilerSession:
             live on :class:`~repro.pipeline.runner.Pipeline`.)
 
     Raises:
-        PipelineError: an unknown ``executor``, or a ``job_timeout``
-            or ``retry`` that is a bool, NaN, not positive or (for
-            ``retry``) not a whole attempt count.
+        PipelineError: a ``max_workers`` that is not a positive int,
+            or a ``job_timeout`` or ``retry`` that is a bool, NaN, not
+            positive or (for ``retry``) not a whole attempt count.
     """
 
     def __init__(
@@ -352,15 +316,18 @@ class CompilerSession:
         verify: Union[bool, str, EquivalenceChecker, None] = None,
         cache: Union[PassCache, str, None] = "shared",
         max_workers: Optional[int] = None,
-        executor: str = "thread",
         job_timeout: Optional[float] = None,
         retry: Union[RetryPolicy, int, None] = None,
     ) -> None:
         """Resolve the session defaults and the shared cache."""
-        if executor not in ("thread", "process"):
+        if max_workers is not None and (
+            isinstance(max_workers, bool)
+            or not isinstance(max_workers, int)
+            or max_workers < 1
+        ):
             raise PipelineError(
-                f"unknown executor {executor!r}; expected 'thread' or "
-                "'process'"
+                "max_workers must be a positive int or None, not "
+                f"{max_workers!r}"
             )
         if job_timeout is not None and (
             isinstance(job_timeout, bool) or not float(job_timeout) > 0
@@ -377,27 +344,9 @@ class CompilerSession:
         self.verify = verify
         self.cache = _resolve_cache(cache)
         self.max_workers = max_workers
-        self.executor = executor
         self.job_timeout = (
             float(job_timeout) if job_timeout is not None else None
         )
-        # what a process-pool task carries to rebuild the cache in the
-        # worker: a disk spec (shared tier) or "shared"/None; a purely
-        # in-memory PassCache cannot cross the process boundary
-        if self.cache is not None and self.cache.path is not None:
-            self._cache_spec: Union[Dict[str, Any], PassCache, str, None] = {
-                "path": self.cache.path,
-                "maxsize": self.cache.maxsize,
-            }
-        elif isinstance(cache, PassCache) and executor == "process":
-            raise PipelineError(
-                "executor='process' cannot share an in-memory "
-                "PassCache across workers; pass cache=<directory path> "
-                "for a disk-backed cache (or cache='shared' for "
-                "independent per-worker caches)"
-            )
-        else:
-            self._cache_spec = cache
 
     # ------------------------------------------------------------------
     def compile(
@@ -421,6 +370,38 @@ class CompilerSession:
             cache=self.cache,
         )
 
+    def _compile_task(
+        self, workload: Any, target: Union[Target, str, None]
+    ) -> CompilationResult:
+        """Run one batch job on a pool thread.
+
+        The job's deadline starts here — when the job actually begins —
+        and spans every retry attempt, so a retried job cannot outlive
+        its ``job_timeout``.
+        """
+        deadline = (
+            Deadline.after(self.job_timeout)
+            if self.job_timeout is not None
+            else None
+        )
+
+        def attempt() -> CompilationResult:
+            """Run one (possibly retried) dispatch of the job."""
+            fault_point("session.dispatch")
+            return compile(
+                workload,
+                target=target,
+                verify=self.verify,
+                cache=self.cache,
+                deadline=deadline,
+            )
+
+        if self.retry is None:
+            return attempt()
+        return self.retry.call(
+            attempt, site="session.dispatch", deadline=deadline
+        )
+
     async def _run_batch_async(
         self,
         tasks: List[Tuple[Any, Union[Target, str, None]]],
@@ -430,15 +411,16 @@ class CompilerSession:
         This is the session's only batch executor: the ``*_async``
         entry points await it, and the synchronous ones drive it
         through :func:`_run_sync`.  Each task becomes one future on
-        the running loop, executed on a private thread (or process)
-        pool; an :class:`asyncio.Semaphore` bounds how many are in
+        the running loop, executed on a private thread pool whose
+        threads share the session's cache object; an
+        :class:`asyncio.Semaphore` bounds how many are in
         flight at once.  Results are gathered in task order
         (deterministic), the first failing job cancels the
         not-yet-started ones and re-raises its exception unwrapped,
         and an outer cancellation propagates to every pending job.
-        Already-running jobs finish on their worker in the background;
+        Already-running jobs finish on their thread in the background;
         their results are discarded.  The session's ``job_timeout``
-        bounds each job cooperatively inside the worker and with an
+        bounds each job cooperatively inside the job and with an
         :func:`asyncio.wait_for` hard backstop around it, surfaced as
         :class:`~repro.resilience.DeadlineExceeded`.
         """
@@ -447,24 +429,12 @@ class CompilerSession:
         loop = asyncio.get_running_loop()
         limit = self.max_workers or min(len(tasks), 8)
         semaphore = asyncio.Semaphore(limit)
-        if self.executor == "process":
-            pool: Union[ProcessPoolExecutor, ThreadPoolExecutor]
-            pool = ProcessPoolExecutor(max_workers=limit)
-            cache_spec = self._cache_spec
-        else:
-            # threads share the session's cache object itself
-            pool = ThreadPoolExecutor(max_workers=limit)
-            cache_spec = self.cache
+        pool = ThreadPoolExecutor(max_workers=limit)
 
         async def run_one(index, task):
             """Await one job under the in-flight semaphore."""
-            workload, target = task
-            payload = (
-                workload, target, self.verify, cache_spec,
-                self.job_timeout, self.retry,
-            )
             async with semaphore:
-                future = loop.run_in_executor(pool, _compile_task, payload)
+                future = loop.run_in_executor(pool, self._compile_task, *task)
                 if self.job_timeout is None:
                     return await future
                 try:
@@ -487,8 +457,8 @@ class CompilerSession:
             return await asyncio.gather(*jobs)
         except BaseException:
             # first failure (or outer cancellation): cancel every job
-            # not yet handed to the executor and reap the wrappers.
-            # Jobs already running on a worker cannot be interrupted —
+            # not yet handed to the pool and reap the wrappers.
+            # Jobs already running on a thread cannot be interrupted —
             # they finish in the background and their results are
             # discarded (at most `limit` of them).
             for job in jobs:

@@ -1,22 +1,19 @@
 """Core quantum circuit IR: gates, circuits, statistics, QASM."""
 
 from .circuit import FrozenCircuitError, QuantumCircuit
-from .drawing import draw_circuit, draw_reversible
+from .drawing import draw_circuit
 from .gates import Gate, gate_matrix, is_clifford_name, is_clifford_t_name
 from ..emit.qasm2 import QasmError, from_qasm, to_qasm
 from .statistics import CircuitStatistics, circuit_statistics
 from .unitary import (
     allclose_up_to_global_phase,
     circuit_unitary,
-    circuits_equivalent,
-    unitary_as_permutation,
 )
 
 __all__ = [
     "FrozenCircuitError",
     "QuantumCircuit",
     "draw_circuit",
-    "draw_reversible",
     "Gate",
     "gate_matrix",
     "is_clifford_name",
@@ -28,6 +25,4 @@ __all__ = [
     "circuit_statistics",
     "allclose_up_to_global_phase",
     "circuit_unitary",
-    "circuits_equivalent",
-    "unitary_as_permutation",
 ]

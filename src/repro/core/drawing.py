@@ -2,8 +2,8 @@
 
 The paper typesets its circuits with <q|pic>; RevKit "export[s]
 quantum circuits for rendering" (Sec. II).  This module provides the
-equivalent here: a plain-text drawer for both quantum circuits and
-reversible MCT networks, used by the examples and handy in a REPL.
+equivalent here: a plain-text drawer for quantum circuits, used by the
+examples and handy in a REPL.
 
 Layout: one row per qubit (top row = qubit 0, matching the paper's
 figures where x1 is the top wire); gates pack greedily into columns
@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..synthesis.reversible import ReversibleCircuit
     from .circuit import QuantumCircuit
 
 _SYMBOLS = {
@@ -78,11 +77,11 @@ def _pack(cell_sets: List[Dict[int, str]]) -> List[_Column]:
     return columns
 
 
-def _render(columns: List[_Column], num_wires: int, prefix: str) -> str:
-    label_width = len(f"{prefix}{num_wires - 1}: ")
+def _render(columns: List[_Column], num_wires: int) -> str:
+    label_width = len(f"q{num_wires - 1}: ")
     lines = []
     for wire in range(num_wires):
-        parts = [f"{prefix}{wire}: ".ljust(label_width)]
+        parts = [f"q{wire}: ".ljust(label_width)]
         for column in columns:
             symbol = column.cells.get(wire)
             if symbol is None:
@@ -128,18 +127,4 @@ def _quantum_cells(gate) -> Dict[int, str]:
 def draw_circuit(circuit: "QuantumCircuit") -> str:
     """Render a quantum circuit as ASCII art."""
     columns = _pack([_quantum_cells(g) for g in circuit.gates])
-    return _render(columns, circuit.num_qubits, prefix="q")
-
-
-def draw_reversible(circuit: "ReversibleCircuit") -> str:
-    """Render an MCT network ('*' positive, 'o' negative controls)."""
-    cell_sets = []
-    for gate in circuit.gates:
-        cells = {
-            line: ("*" if positive else "o")
-            for line, positive in zip(gate.controls, gate.polarity)
-        }
-        cells[gate.target] = "(+)"
-        cell_sets.append(cells)
-    columns = _pack(cell_sets)
-    return _render(columns, circuit.num_lines, prefix="x")
+    return _render(columns, circuit.num_qubits)

@@ -78,39 +78,3 @@ def allclose_up_to_global_phase(
     if abs(abs(phase) - 1.0) > 1e-6:
         return False
     return bool(np.allclose(a, phase * b, atol=atol))
-
-
-def circuits_equivalent(
-    circ_a: "QuantumCircuit", circ_b: "QuantumCircuit", up_to_phase: bool = True
-) -> bool:
-    """Check unitary equivalence of two small circuits."""
-    if circ_a.num_qubits != circ_b.num_qubits:
-        return False
-    ua = circuit_unitary(circ_a)
-    ub = circuit_unitary(circ_b)
-    if up_to_phase:
-        return allclose_up_to_global_phase(ua, ub)
-    return bool(np.allclose(ua, ub, atol=1e-9))
-
-
-def unitary_as_permutation(unitary: np.ndarray, atol: float = 1e-9):
-    """If ``unitary`` is a permutation matrix (up to global phase),
-    return the permutation as a list where ``perm[x] = y`` means basis
-    state ``|x>`` maps to ``|y>``; otherwise return ``None``."""
-    dim = unitary.shape[0]
-    perm = [0] * dim
-    seen = set()
-    for col in range(dim):
-        column = unitary[:, col]
-        idx = int(np.argmax(np.abs(column)))
-        val = column[idx]
-        if abs(abs(val) - 1.0) > 1e-6:
-            return None
-        residual = np.abs(column).sum() - abs(val)
-        if residual > atol * dim:
-            return None
-        if idx in seen:
-            return None
-        seen.add(idx)
-        perm[col] = idx
-    return perm

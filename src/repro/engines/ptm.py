@@ -19,15 +19,14 @@ a two-qubit gate on a statevector.
 Channels provided: amplitude damping (T1 relaxation), phase damping
 (T2 dephasing), depolarizing (uniform random Pauli — the
 ``monte_carlo`` engine's convention, so both noisy tiers agree
-channel-for-channel),
-and the PTM of any single-qubit unitary.
+channel-for-channel).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -41,45 +40,6 @@ PAULIS: Tuple[np.ndarray, ...] = (
 
 #: Basis-change matrix: column j is vec(P_j), row-major flattening.
 _PAULI_COLUMNS = np.column_stack([p.reshape(-1) for p in PAULIS])
-
-
-def unitary_ptm(matrix: np.ndarray) -> np.ndarray:
-    """Return the PTM of a single-qubit unitary ``U rho U^dagger``.
-
-    Args:
-        matrix: the 2x2 unitary.
-
-    Returns:
-        The real 4x4 Pauli transfer matrix.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (2, 2):
-        raise ValueError("unitary_ptm expects a 2x2 matrix")
-    out = np.empty((4, 4))
-    for j, p_j in enumerate(PAULIS):
-        image = matrix @ p_j @ matrix.conj().T
-        for i, p_i in enumerate(PAULIS):
-            out[i, j] = np.trace(p_i @ image).real / 2.0
-    return out
-
-
-def kraus_ptm(operators: Sequence[np.ndarray]) -> np.ndarray:
-    """Return the PTM of the channel ``sum_k K_k rho K_k^dagger``.
-
-    Args:
-        operators: the Kraus operators (2x2 each).
-
-    Returns:
-        The real 4x4 Pauli transfer matrix.
-    """
-    out = np.zeros((4, 4))
-    for kraus in operators:
-        kraus = np.asarray(kraus, dtype=complex)
-        for j, p_j in enumerate(PAULIS):
-            image = kraus @ p_j @ kraus.conj().T
-            for i, p_i in enumerate(PAULIS):
-                out[i, j] += np.trace(p_i @ image).real / 2.0
-    return out
 
 
 def amplitude_damping_ptm(gamma: float) -> np.ndarray:
@@ -138,52 +98,6 @@ def depolarizing_ptm(p: float) -> np.ndarray:
     return np.diag([1.0, fidelity, fidelity, fidelity])
 
 
-def compose_ptms(*ptms: np.ndarray) -> np.ndarray:
-    """Compose channels left-to-right (first argument acts first).
-
-    Args:
-        *ptms: the transfer matrices to chain.
-
-    Returns:
-        The PTM of the composite channel.
-    """
-    out = np.eye(4)
-    for ptm in ptms:
-        out = np.asarray(ptm) @ out
-    return out
-
-
-def is_trace_preserving(ptm: np.ndarray, atol: float = 1e-12) -> bool:
-    """Whether the channel preserves trace (first PTM row is e_0).
-
-    Args:
-        ptm: the 4x4 transfer matrix to check.
-        atol: numerical tolerance.
-
-    Returns:
-        True when ``Tr E(rho) = Tr rho`` for every ``rho``.
-    """
-    return bool(
-        np.allclose(np.asarray(ptm)[0], [1.0, 0.0, 0.0, 0.0], atol=atol)
-    )
-
-
-def is_unital(ptm: np.ndarray, atol: float = 1e-12) -> bool:
-    """Whether the channel fixes the identity (first PTM column is e_0).
-
-    Args:
-        ptm: the 4x4 transfer matrix to check.
-        atol: numerical tolerance.
-
-    Returns:
-        True when ``E(I) = I`` (amplitude damping is the non-unital
-        builtin).
-    """
-    return bool(
-        np.allclose(np.asarray(ptm)[:, 0], [1.0, 0.0, 0.0, 0.0], atol=atol)
-    )
-
-
 def ptm_to_superoperator(ptm: np.ndarray) -> np.ndarray:
     """Lower a PTM to the computational-basis superoperator.
 
@@ -203,24 +117,6 @@ def ptm_to_superoperator(ptm: np.ndarray) -> np.ndarray:
     if ptm.shape != (4, 4):
         raise ValueError("ptm_to_superoperator expects a 4x4 matrix")
     return (_PAULI_COLUMNS @ ptm @ _PAULI_COLUMNS.conj().T) / 2.0
-
-
-def superoperator_to_ptm(superop: np.ndarray) -> np.ndarray:
-    """Raise a computational-basis superoperator back to its PTM.
-
-    Args:
-        superop: the complex 4x4 superoperator on ``vec(rho)``.
-
-    Returns:
-        The real 4x4 Pauli transfer matrix (the inverse of
-        :func:`ptm_to_superoperator`).
-    """
-    superop = np.asarray(superop, dtype=complex)
-    if superop.shape != (4, 4):
-        raise ValueError("superoperator_to_ptm expects a 4x4 matrix")
-    return (
-        (_PAULI_COLUMNS.conj().T @ superop @ _PAULI_COLUMNS) / 2.0
-    ).real
 
 
 @lru_cache(maxsize=256)
@@ -248,18 +144,3 @@ def channel_superoperator(kind: str, rate: float) -> np.ndarray:
         The (read-only) complex 4x4 superoperator.
     """
     return _cached_channel_superop(kind, float(rate))
-
-
-def readout_assignment(p_flip: float) -> np.ndarray:
-    """Stochastic readout matrix mixing measured-bit probabilities.
-
-    Args:
-        p_flip: probability a measured bit is reported flipped.
-
-    Returns:
-        The 2x2 column-stochastic assignment matrix
-        ``[[1-p, p], [p, 1-p]]`` acting on ``(p0, p1)`` vectors.
-    """
-    if not 0.0 <= p_flip <= 1.0:
-        raise ValueError(f"readout flip rate {p_flip!r} not in [0, 1]")
-    return np.array([[1.0 - p_flip, p_flip], [p_flip, 1.0 - p_flip]])

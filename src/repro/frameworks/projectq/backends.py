@@ -1,11 +1,9 @@
-"""Engine backends: simulator, noisy chip model, resource counter.
+"""Engine backends: simulator, noisy chip model, circuit collector.
 
 The paper's ProjectQ flow targets "the IBM Quantum Experience or a
 local simulator"; both run on the engine registry (:mod:`repro.engines`):
-the simulator is the ``statevector`` engine, the chip is the
-``monte_carlo`` engine under the QE5 calibration, and a resource
-counter rounds out the set, mirroring ProjectQ's backend portfolio
-(Sec. VI).
+the simulator is the ``statevector`` engine and the chip is the
+``monte_carlo`` engine under the QE5 calibration (Sec. VI).
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from typing import Dict, Optional
 from ... import engines
 from ...core.circuit import QuantumCircuit
 from ...engines.noise import QE5_NOISE, NoiseModel
-from ...simulator.resources import ResourceCounter, ResourceEstimate
 from ...simulator.statevector import Statevector
 
 
@@ -93,17 +90,6 @@ class IBMBackend(Backend):
     def histogram(self) -> Dict[int, float]:
         total = sum(self.last_counts.values()) or 1
         return {k: v / total for k, v in sorted(self.last_counts.items())}
-
-
-class ResourceCounterBackend(Backend):
-    """Counts resources instead of simulating; measurements read as 0."""
-
-    def __init__(self) -> None:
-        self.estimate: Optional[ResourceEstimate] = None
-
-    def execute(self, circuit: QuantumCircuit) -> Optional[int]:
-        self.estimate = ResourceCounter().run(circuit)
-        return 0
 
 
 class CircuitCollector(Backend):

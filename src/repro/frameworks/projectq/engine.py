@@ -2,9 +2,9 @@
 
 Mirrors the programming model of the paper's Figs. 4 and 7: qubits are
 allocated from a :class:`MainEngine`, gate objects are applied with the
-``|`` operator, meta-contexts (Compute/Uncompute/Dagger/Control)
-transform the command stream, and ``flush()`` ships the accumulated
-circuit to a backend (simulator, noisy chip model, resource counter).
+``|`` operator, meta-contexts (Compute/Uncompute/Dagger) transform the
+command stream, and ``flush()`` ships the accumulated circuit to a
+backend (simulator, noisy chip model, circuit collector).
 
 After a flush, measured qubits can be read with ``int(qubit)`` /
 ``bool(qubit)`` exactly as in ProjectQ.
@@ -12,7 +12,7 @@ After a flush, measured qubits can be read with ``int(qubit)`` /
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from ...core.circuit import QuantumCircuit
 from ...core.gates import Gate
@@ -64,7 +64,6 @@ class MainEngine:
         self.qubits: List[Qubit] = []
         self._frames: List[_Frame] = []
         self._last_compute: Optional[List[Gate]] = None
-        self._control_qubits: List[int] = []
         self._measure_order: List[int] = []
         self._flushed = False
 
@@ -84,10 +83,8 @@ class MainEngine:
     # command stream
     # ------------------------------------------------------------------
     def emit(self, gate: Gate) -> None:
-        """Receive a gate, applying active Control context and routing
-        it into the innermost recording frame (or the main circuit)."""
-        if self._control_qubits and gate.is_unitary and gate.name != "barrier":
-            gate = _add_controls(gate, tuple(self._control_qubits))
+        """Route a gate into the innermost recording frame (or the main
+        circuit)."""
         if self._frames:
             self._frames[-1].gates.append(gate)
         else:
@@ -113,13 +110,10 @@ class MainEngine:
             raise EngineError(f"unbalanced meta sections (expected {kind})")
         return self._frames.pop().gates
 
-    def replay(self, gates: Sequence[Gate]) -> None:
+    def replay(self, gates: Iterable[Gate]) -> None:
         """Emit recorded gates into the enclosing context."""
         for gate in gates:
-            if self._frames:
-                self._frames[-1].gates.append(gate)
-            else:
-                self._append(gate)
+            self.emit(gate)
 
     def set_last_compute(self, gates: List[Gate]) -> None:
         self._last_compute = gates
@@ -130,12 +124,6 @@ class MainEngine:
         gates = self._last_compute
         self._last_compute = None
         return gates
-
-    def push_controls(self, qubits: Sequence[int]) -> None:
-        self._control_qubits.extend(qubits)
-
-    def pop_controls(self, count: int) -> None:
-        del self._control_qubits[len(self._control_qubits) - count:]
 
     # ------------------------------------------------------------------
     # execution
@@ -157,18 +145,3 @@ class MainEngine:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None and not self._flushed:
             self.flush()
-
-
-def _add_controls(gate: Gate, new_controls) -> Gate:
-    promote = {
-        "x": "cx", "cx": "ccx", "ccx": "mcx", "mcx": "mcx",
-        "z": "cz", "cz": "ccz", "ccz": "mcz", "mcz": "mcz",
-        "y": "cy", "h": "ch", "rz": "crz", "p": "cp", "cp": "mcp",
-        "mcp": "mcp", "swap": "cswap",
-    }
-    name = gate.name
-    for _ in new_controls:
-        if name not in promote:
-            raise EngineError(f"cannot control gate {gate.name!r}")
-        name = promote[name]
-    return Gate(name, gate.targets, tuple(new_controls) + gate.controls, gate.params)

@@ -1,4 +1,4 @@
-"""Meta-contexts: Compute/Uncompute, Dagger, Control.
+"""Meta-contexts: Compute/Uncompute and Dagger.
 
 The high-level syntactic constructs of the paper's Figs. 4 and 7:
 
@@ -6,16 +6,12 @@ The high-level syntactic constructs of the paper's Figs. 4 and 7:
   appends its adjoint (used for the H / X / oracle sandwich of the
   hidden shift circuits);
 * ``with Dagger(eng): ...`` emits the adjoint of a block (used to
-  realize pi^{-1} from a circuit for pi);
-* ``with Control(eng, qubits): ...`` conditions a block on qubits.
+  realize pi^{-1} from a circuit for pi).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
-
-from ...core.gates import Gate
-from .engine import EngineError, MainEngine, Qubit
+from .engine import MainEngine
 
 
 class Compute:
@@ -36,12 +32,7 @@ class Compute:
 
 
 def Uncompute(engine: MainEngine) -> None:
-    """Append the adjoint of the most recent Compute block.
-
-    Recorded gates already carry any Control-context controls from
-    recording time, so they are replayed verbatim (inverted) rather
-    than re-emitted through the control machinery.
-    """
+    """Append the adjoint of the most recent Compute block."""
     gates = engine.take_last_compute()
     engine.replay([gate.dagger() for gate in reversed(gates)])
 
@@ -59,25 +50,4 @@ class Dagger:
     def __exit__(self, exc_type, exc, tb) -> None:
         gates = self.engine.pop_frame("dagger")
         if exc_type is None:
-            for gate in reversed(gates):
-                if self.engine._frames:
-                    self.engine._frames[-1].gates.append(gate.dagger())
-                else:
-                    self.engine._append(gate.dagger())
-
-
-class Control:
-    """Condition the recorded block on control qubits."""
-
-    def __init__(self, engine: MainEngine, qubits: Union[Qubit, Sequence[Qubit]]):
-        self.engine = engine
-        if isinstance(qubits, Qubit):
-            qubits = [qubits]
-        self.controls = [q.index for q in qubits]
-
-    def __enter__(self) -> "Control":
-        self.engine.push_controls(self.controls)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.engine.pop_controls(len(self.controls))
+            self.engine.replay(gate.dagger() for gate in reversed(gates))

@@ -5,9 +5,8 @@ from .barenco import (
     map_to_clifford_t,
     mcx_clean_ancilla,
     mcx_dirty_ancilla,
-    t_count_of_mapping,
 )
-from .clifford_t import ccx_clifford_t, ccz_clifford_t, cz_from_cx, swap_from_cx
+from .clifford_t import ccx_clifford_t
 from .relative_phase import rccx, rccx_dagger
 from .routing import (
     CouplingMap,
@@ -22,11 +21,7 @@ __all__ = [
     "map_to_clifford_t",
     "mcx_clean_ancilla",
     "mcx_dirty_ancilla",
-    "t_count_of_mapping",
     "ccx_clifford_t",
-    "ccz_clifford_t",
-    "cz_from_cx",
-    "swap_from_cx",
     "rccx",
     "rccx_dagger",
     "CouplingMap",

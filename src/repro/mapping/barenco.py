@@ -221,11 +221,3 @@ def _lower_gate(
         out.append(gate)
         return
     raise MappingError(f"cannot lower gate {name!r} to Clifford+T")
-
-
-def t_count_of_mapping(
-    circuit: Union[ReversibleCircuit, QuantumCircuit],
-    relative_phase: bool = True,
-) -> int:
-    """Convenience: T-count after mapping."""
-    return map_to_clifford_t(circuit, relative_phase=relative_phase).t_count()

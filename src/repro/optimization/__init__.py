@@ -8,10 +8,9 @@ from .phase_polynomial import (
     is_region_gate,
 )
 from .simplify import cancel_adjacent_gates, simplify_reversible
-from .templates import optimization_ladder, template_optimize
+from .templates import template_optimize
 from .tpar import (
     region_statistics,
-    t_count_before_after,
     t_depth_estimate,
     tpar_optimize,
 )
@@ -24,10 +23,8 @@ __all__ = [
     "is_region_gate",
     "cancel_adjacent_gates",
     "simplify_reversible",
-    "optimization_ladder",
     "template_optimize",
     "region_statistics",
-    "t_count_before_after",
     "t_depth_estimate",
     "tpar_optimize",
 ]

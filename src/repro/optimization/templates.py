@@ -20,7 +20,7 @@ the permutation after every pass.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..synthesis.reversible import MctGate, ReversibleCircuit
 from .simplify import _absorb_not, _mct_commute
@@ -124,17 +124,3 @@ def _absorb_pass(gates: List[MctGate]) -> bool:
                 gates[i:i + 3] = [absorbed]
                 return True
     return False
-
-
-def optimization_ladder(
-    circuit: ReversibleCircuit,
-) -> List[Tuple[str, int]]:
-    """Gate counts along simplify -> templates (diagnostic helper)."""
-    from .simplify import simplify_reversible
-
-    stages = [("input", len(circuit))]
-    simplified = simplify_reversible(circuit)
-    stages.append(("revsimp", len(simplified)))
-    templated = template_optimize(simplified)
-    stages.append(("templates", len(templated)))
-    return stages

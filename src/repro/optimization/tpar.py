@@ -92,8 +92,3 @@ def region_statistics(circuit: QuantumCircuit) -> List[Tuple[int, int, int]]:
 def t_depth_estimate(circuit: QuantumCircuit) -> int:
     """Sum of per-region T-layer counts (matroid-partition bound)."""
     return sum(layers for _, _, layers in region_statistics(circuit))
-
-
-def t_count_before_after(circuit: QuantumCircuit) -> Tuple[int, int]:
-    """(original T-count, T-count after tpar_optimize)."""
-    return circuit.t_count(), tpar_optimize(circuit).t_count()

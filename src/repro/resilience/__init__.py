@@ -40,7 +40,6 @@ from .faults import (
     active_plan,
     fault_point,
     install,
-    is_injected,
     mutate_payload,
     plan_from_env,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "active_plan",
     "fault_point",
     "install",
-    "is_injected",
     "mutate_payload",
     "plan_from_env",
 ]

@@ -18,8 +18,8 @@ via the ``REPRO_FAULTS`` environment variable, e.g.::
 
 Each ``;``-separated segment is ``site:action[:times[:seconds[:error]]]``
 (``times`` may be ``*`` for every hit); a ``seed=N`` segment seeds the
-plan.  The environment form reaches process-pool workers too, since
-they inherit the variable.
+plan.  The environment form reaches child processes too, since they
+inherit the variable.
 
 Registered sites (patterns match with :mod:`fnmatch`):
 
@@ -87,17 +87,6 @@ _ERRORS = {
     "fault": InjectedFault,
     "timeout": InjectedTimeout,
 }
-
-
-def is_injected(error: BaseException) -> bool:
-    """Return whether an exception was raised by the fault injector.
-
-    Args:
-        error: any exception.
-    """
-    return isinstance(
-        error, (InjectedFault, InjectedOSError, InjectedTimeout)
-    )
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ Two plain dataclasses every execution layer threads through:
   and its chaos tests depend on it); only transient errors are
   retried.
 
-Both are immutable values: sharing one policy across threads, jobs or
-pickled process-pool tasks is safe by construction.
+Both are immutable values: sharing one policy across threads or jobs
+is safe by construction.
 """
 
 from __future__ import annotations

@@ -3,15 +3,13 @@
 Provides the reversible benchmark functions the RevKit flow is
 demonstrated on, most importantly the hidden-weighted-bit function of
 the paper's Eq. (5) pipeline (``revgen --hwb 4``), plus generators used
-by the benches (random permutations, modular adders, bit rotations,
-Maiorana–McFarland instances).
+by the benches (random permutations, modular adders, bit rotations).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..boolean.bent import MaioranaMcFarland
 from ..boolean.permutation import BitPermutation
 from ..boolean.truth_table import TruthTable
 
@@ -50,13 +48,6 @@ def gray_code(num_bits: int) -> BitPermutation:
 def inner_product_bent(half_vars: int) -> TruthTable:
     """The IP bent function on 2*half_vars variables (self-dual)."""
     return TruthTable.inner_product(half_vars)
-
-
-def maiorana_mcfarland(
-    half_vars: int, seed: Optional[int] = None
-) -> TruthTable:
-    """A random Maiorana–McFarland bent function's truth table."""
-    return MaioranaMcFarland.random(half_vars, seed=seed).truth_table()
 
 
 def random_function(num_vars: int, seed: Optional[int] = None) -> TruthTable:

@@ -2,8 +2,9 @@
 
 Running a circuit is the job of the engines (:mod:`repro.engines`);
 this package holds only the states they evolve.  :class:`Statevector`,
-:func:`evolve_batch` and the density-matrix engine execute gates via the
-shared in-place NumPy kernel layer in :mod:`repro.simulator.kernels`.
+the Monte-Carlo engine's trajectory batches and the density-matrix
+engine execute gates via the shared in-place NumPy kernel layer in
+:mod:`repro.simulator.kernels`.
 """
 
 from . import kernels
@@ -13,12 +14,10 @@ from .statevector import (
     SimulationError,
     SimulationResult,
     Statevector,
-    evolve_batch,
 )
 
 __all__ = [
     "kernels",
-    "evolve_batch",
     "ResourceCounter",
     "ResourceEstimate",
     "StabilizerState",

@@ -242,42 +242,6 @@ def _evolve_gates(
     kernels.apply_ops(state.data, ops, state.num_qubits)
 
 
-def evolve_batch(
-    circuit: QuantumCircuit,
-    states: np.ndarray,
-    fuse: bool = True,
-) -> np.ndarray:
-    """Evolve a batch of states through a unitary circuit in place.
-
-    The batch is one array of shape ``(2**n, b...)`` — column ``i`` of
-    the trailing axes is an independent state — and every gate sweeps
-    the whole batch through the kernels' vectorized batch axis,
-    which is how multi-shot and noise-trajectory simulation amortize
-    gate dispatch across shots.
-
-    Args:
-        circuit: a measurement-free circuit of matching width.
-        states: the complex state batch, modified in place.
-        fuse: run the gate-fusion pre-pass (default).
-
-    Returns:
-        The evolved ``states`` array (the same object).
-
-    Raises:
-        SimulationError: for width mismatches or non-unitary gates.
-    """
-    if kernels.infer_num_qubits(states) != circuit.num_qubits:
-        raise SimulationError("circuit width does not match state batch")
-    for gate in circuit.gates:
-        if gate.is_measurement or gate.name == "reset":
-            raise SimulationError(
-                "evolve_batch() only handles unitary circuits"
-            )
-    ops = kernels.compile_circuit(circuit.gates, fuse=fuse)
-    kernels.apply_ops(states, ops, circuit.num_qubits)
-    return states
-
-
 def _measured_width(circuit: QuantumCircuit) -> int:
     """Histogram bit-width of a circuit's measured classical register.
 

@@ -9,21 +9,13 @@ from .embedding import (
     bennett_embedding,
     explicit_embedding,
     minimum_garbage_bits,
-    verify_embedding,
 )
 from .esop_based import (
     cubes_to_mct,
     esop_synthesis,
-    esop_synthesis_from_cubes,
     verify_esop_circuit,
 )
-from .exact import all_mct_gates, exact_synthesis, minimum_gate_count
-from .linear import (
-    Gf2Matrix,
-    cnot_circuit_to_matrix,
-    gaussian_synthesis,
-    pmh_synthesis,
-)
+from .exact import all_mct_gates, exact_synthesis
 from .lut_based import (
     AncillaBudgetError,
     LutSynthesisResult,
@@ -33,9 +25,7 @@ from .lut_based import (
 )
 from .pebbling import (
     PebbleGameError,
-    bennett_moves,
     checkpoint_moves,
-    optimal_moves,
     pebble_tradeoff_curve,
     validate_moves,
 )
@@ -55,27 +45,18 @@ __all__ = [
     "bennett_embedding",
     "explicit_embedding",
     "minimum_garbage_bits",
-    "verify_embedding",
     "cubes_to_mct",
     "esop_synthesis",
-    "esop_synthesis_from_cubes",
     "verify_esop_circuit",
     "all_mct_gates",
     "exact_synthesis",
-    "minimum_gate_count",
-    "Gf2Matrix",
-    "cnot_circuit_to_matrix",
-    "gaussian_synthesis",
-    "pmh_synthesis",
     "AncillaBudgetError",
     "LutSynthesisResult",
     "lut_synthesis",
     "lut_synthesis_from_mapping",
     "verify_lut_synthesis",
     "PebbleGameError",
-    "bennett_moves",
     "checkpoint_moves",
-    "optimal_moves",
     "pebble_tradeoff_curve",
     "validate_moves",
     "MctGate",

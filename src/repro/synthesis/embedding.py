@@ -103,38 +103,6 @@ def explicit_embedding(
     return BitPermutation(full_image), r
 
 
-def verify_embedding(
-    g: BitPermutation,
-    function: Union[TruthTable, MultiTruthTable],
-    in_place: bool,
-) -> bool:
-    """Check the embedding equations against ``f`` exhaustively."""
-    tables = (
-        [function] if isinstance(function, TruthTable) else list(function.outputs)
-    )
-    n = tables[0].num_vars
-    m = len(tables)
-
-    def evaluate(x: int) -> int:
-        fx = 0
-        for j, table in enumerate(tables):
-            fx |= table(x) << j
-        return fx
-
-    if in_place:
-        for x in range(1 << n):
-            if g(x) & ((1 << m) - 1) != evaluate(x):
-                return False
-        return True
-    for value in range(1 << (n + m)):
-        x = value & ((1 << n) - 1)
-        y = value >> n
-        expected = x | ((y ^ evaluate(x)) << n)
-        if g(value) != expected:
-            return False
-    return True
-
-
 def _output_multiplicities(
     function: Union[TruthTable, MultiTruthTable]
 ) -> Dict[int, int]:

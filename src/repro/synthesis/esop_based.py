@@ -43,18 +43,6 @@ def esop_synthesis(
     return circuit
 
 
-def esop_synthesis_from_cubes(
-    cubes_per_output: Sequence[Sequence[Cube]], num_inputs: int
-) -> ReversibleCircuit:
-    """Build the oracle directly from precomputed ESOP covers."""
-    circuit = ReversibleCircuit(
-        num_inputs + len(cubes_per_output), name="esop"
-    )
-    for j, cubes in enumerate(cubes_per_output):
-        circuit.extend(cubes_to_mct(cubes, target=num_inputs + j))
-    return circuit
-
-
 def cubes_to_mct(cubes: Sequence[Cube], target: int) -> List[MctGate]:
     """One MCT per cube; empty cube = unconditional NOT."""
     gates = []

@@ -101,11 +101,3 @@ def _reconstruct(parents, start, identity, num_lines: int) -> ReversibleCircuit:
     # first in the circuit, so keep this order
     circuit.extend(gates)
     return circuit
-
-
-def minimum_gate_count(
-    permutation: BitPermutation, max_gates: int = 12
-) -> Optional[int]:
-    """Just the optimal size (None if above the bound)."""
-    circuit = exact_synthesis(permutation, max_gates)
-    return None if circuit is None else len(circuit)

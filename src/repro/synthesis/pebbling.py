@@ -11,20 +11,14 @@ chain of ``n`` steps:
 * move ``(-i)`` unpebbles step ``i`` under the same condition —
   circuit-wise: replay the same gates (self-inverse).
 
-Strategies:
-
-* :func:`bennett_moves` — pebble everything, unpebble in reverse;
-  uses ``n`` pebbles and ``2n`` moves.
-* :func:`checkpoint_moves` — Bennett's recursive checkpointing with a
-  pebble budget ``p``; fewer pebbles, super-linear move count.
-* :func:`optimal_moves` — breadth-first search over game states for
-  small chains (exact minimum moves for a given budget).
+The strategy is :func:`checkpoint_moves` — Bennett's recursive
+checkpointing with a pebble budget ``p``; fewer pebbles, super-linear
+move count.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 Move = Tuple[int, bool]  # (step index, pebble? else unpebble)
 
@@ -62,13 +56,6 @@ def validate_moves(
     if require_clean and any(pebbled[:-1]):
         raise PebbleGameError("intermediate steps must end unpebbled")
     return peak
-
-
-def bennett_moves(num_steps: int) -> List[Move]:
-    """Compute all, uncompute all but the last: n pebbles, 2n-1 moves."""
-    moves: List[Move] = [(i, True) for i in range(num_steps)]
-    moves.extend((i, False) for i in reversed(range(num_steps - 1)))
-    return moves
 
 
 def checkpoint_moves(num_steps: int, pebbles: int) -> List[Move]:
@@ -130,44 +117,6 @@ def checkpoint_moves(num_steps: int, pebbles: int) -> List[Move]:
         unsolve(start, mid, budget - 1)
 
     solve(0, num_steps, pebbles)
-    return moves
-
-
-def optimal_moves(num_steps: int, pebbles: int) -> Optional[List[Move]]:
-    """Exact minimum-move solution by BFS over game states.
-
-    State = pebble bitmask.  Practical for chains up to ~16 steps.
-    Returns None if the budget is infeasible.
-    """
-    if num_steps > 20:
-        raise PebbleGameError("chain too long for exact search")
-    start = 0
-    goal = 1 << (num_steps - 1)
-    parents: Dict[int, Tuple[int, Move]] = {start: (start, (-1, True))}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        if state == goal:
-            break
-        for step in range(num_steps):
-            if step > 0 and not (state >> (step - 1)) & 1:
-                continue
-            nxt = state ^ (1 << step)
-            placing = bool((nxt >> step) & 1)
-            if placing and bin(nxt).count("1") > pebbles:
-                continue
-            if nxt not in parents:
-                parents[nxt] = (state, (step, placing))
-                queue.append(nxt)
-    if goal not in parents:
-        return None
-    moves: List[Move] = []
-    state = goal
-    while state != start:
-        prev, move = parents[state]
-        moves.append(move)
-        state = prev
-    moves.reverse()
     return moves
 
 

@@ -9,9 +9,12 @@ families.  It shares no code with :mod:`repro.simulator.kernels`, so
 ``tests/simulator/test_kernels.py`` differences the kernels against
 it and ``benchmarks/bench_simulator_scaling.py`` times them against it.
 
-All functions take and return flat complex state vectors of length
-``2**n`` (qubit 0 is the least-significant index bit) and never modify
-their input.
+The evolution functions take and return flat complex state vectors of
+length ``2**n`` (qubit 0 is the least-significant index bit) and never
+modify their input.  The whole-circuit checks at the end
+(:func:`circuits_equivalent`, :func:`unitary_as_permutation`) compare
+the package's dense unitaries (:func:`repro.core.unitary.circuit_unitary`)
+and are how the tests decide that two small circuits agree.
 """
 
 from typing import Iterable, Sequence
@@ -19,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.gates import Gate
+from repro.core.unitary import allclose_up_to_global_phase, circuit_unitary
 
 
 def apply_matrix(
@@ -80,3 +84,38 @@ def evolve(data: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
     for gate in gates:
         data = apply_gate(data, gate)
     return data
+
+
+def circuits_equivalent(circ_a, circ_b, up_to_phase=True):
+    """Check unitary equivalence of two small circuits."""
+    if circ_a.num_qubits != circ_b.num_qubits:
+        return False
+    ua = circuit_unitary(circ_a)
+    ub = circuit_unitary(circ_b)
+    if up_to_phase:
+        return allclose_up_to_global_phase(ua, ub)
+    return bool(np.allclose(ua, ub, atol=1e-9))
+
+
+def unitary_as_permutation(unitary, atol=1e-9):
+    """The permutation a (phased) permutation matrix realizes, else None.
+
+    ``perm[x] = y`` means basis state ``|x>`` maps to ``|y>``.
+    """
+    dim = unitary.shape[0]
+    perm = [0] * dim
+    seen = set()
+    for col in range(dim):
+        column = unitary[:, col]
+        idx = int(np.argmax(np.abs(column)))
+        val = column[idx]
+        if abs(abs(val) - 1.0) > 1e-6:
+            return None
+        residual = np.abs(column).sum() - abs(val)
+        if residual > atol * dim:
+            return None
+        if idx in seen:
+            return None
+        seen.add(idx)
+        perm[col] = idx
+    return perm

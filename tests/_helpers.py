@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 
+import repro
+from repro.boolean.truth_table import TruthTable
 from repro.core.circuit import QuantumCircuit
 
 
@@ -37,3 +39,43 @@ def assert_states_equal(state_a, state_b, atol=1e-9):
     assert state_a.num_qubits == state_b.num_qubits
     fidelity = abs(np.vdot(state_a.data, state_b.data)) ** 2
     assert fidelity > 1 - atol, f"states differ (fidelity {fidelity})"
+
+
+def verify_embedding(g, function, in_place):
+    """Check the embedding equations of ``g`` against ``f`` exhaustively.
+
+    ``function`` is a ``TruthTable`` or a ``MultiTruthTable``.  In place
+    (Eq. 2), ``g(x, 0...0)`` must carry ``f(x)`` on its low lines; out
+    of place (Eq. 3), ``g(x, y)`` must be ``(x, y ^ f(x))``.
+    """
+    if isinstance(function, TruthTable):
+        tables = [function]
+    else:
+        tables = list(function.outputs)
+    n = tables[0].num_vars
+    m = len(tables)
+
+    def evaluate(x):
+        fx = 0
+        for j, table in enumerate(tables):
+            fx |= table(x) << j
+        return fx
+
+    if in_place:
+        return all(g(x) & ((1 << m) - 1) == evaluate(x) for x in range(1 << n))
+    for value in range(1 << (n + m)):
+        x = value & ((1 << n) - 1)
+        y = value >> n
+        if g(value) != x | ((y ^ evaluate(x)) << n):
+            return False
+    return True
+
+
+def toffoli_gates(n, path):
+    """Compile ``hwb`` n for ``toffoli`` over the disk tier at ``path``.
+
+    The gate list is what a worker process sends back; a module-level
+    function is what a process pool can pickle.
+    """
+    result = repro.compile({"hwb": n}, target="toffoli", cache=path)
+    return list(result.reversible.gates)

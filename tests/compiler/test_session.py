@@ -1,8 +1,13 @@
 """Sessions: batched compilation, sweeps, shared and persistent caches."""
 
+import re
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 import _hand_wired as hand_wired
+from _helpers import toffoli_gates
+
 import repro
 from repro.compiler import CompilerSession, targets
 from repro.pipeline import PassCache, PipelineError
@@ -38,9 +43,10 @@ class TestCompileMany:
     def test_empty_batch(self):
         assert CompilerSession(cache=None).compile_many([]) == []
 
-    def test_invalid_executor(self):
-        with pytest.raises(PipelineError, match="unknown executor"):
-            CompilerSession(executor="fiber")
+    @pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2"])
+    def test_invalid_max_workers_refused_upfront(self, workers):
+        with pytest.raises(PipelineError, match=re.escape(repr(workers))):
+            CompilerSession(max_workers=workers)
 
 
 class TestSweep:
@@ -197,35 +203,17 @@ class TestPersistentCache:
         assert list(tmp_path.glob("*.json")) == [bystander]
 
 
-class TestProcessExecutor:
-    def test_in_memory_cache_rejected_upfront(self):
-        with pytest.raises(PipelineError, match="in-memory PassCache"):
-            CompilerSession(cache=PassCache(), executor="process")
-
-    def test_disk_backed_pass_cache_instance_allowed(self, tmp_path):
-        cache = PassCache(maxsize=32, path=str(tmp_path / "tier"))
-        session = CompilerSession(
-            target="toffoli", cache=cache, executor="process"
+class TestDiskTierAcrossProcesses:
+    def test_worker_processes_feed_a_fresh_session(self, tmp_path):
+        path = str(tmp_path / "procs")
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            gates = list(pool.map(toffoli_gates, [3, 4], [path] * 2))
+        # the disk tier the workers fed serves this process in full
+        replay = CompilerSession(target="toffoli", cache=path).compile(
+            {"hwb": 4}
         )
-        # the worker-side spec rebuilds the disk tier at the same path
-        # with the same memory cap
-        assert session._cache_spec == {"path": cache.path, "maxsize": 32}
-
-    def test_process_pool_compiles_spec_workloads(self, tmp_path):
-        session = CompilerSession(
-            target="toffoli",
-            cache=str(tmp_path / "procs"),
-            executor="process",
-            max_workers=2,
-        )
-        results = session.compile_many([{"hwb": 3}, {"hwb": 4}])
-        assert [r.reversible.num_lines for r in results] == [3, 4]
-        # the disk tier now serves a fresh in-process session
-        local = CompilerSession(
-            target="toffoli", cache=str(tmp_path / "procs")
-        )
-        replay = local.compile({"hwb": 4})
         assert replay.cache_hits == len(replay.records)
+        assert list(replay.reversible.gates) == gates[1]
 
 
 class TestSessionDefaults:

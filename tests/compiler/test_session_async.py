@@ -208,22 +208,3 @@ class TestSyncEntryPointsInsideALoop:
 
         with pytest.raises(TypeError, match="workload"):
             asyncio.run(story())
-
-
-class TestProcessExecutorAsync:
-    def test_process_pool_batch(self, tmp_path):
-        session = CompilerSession(
-            target="toffoli",
-            cache=str(tmp_path / "tier"),
-            executor="process",
-            max_workers=2,
-        )
-        results = asyncio.run(
-            session.compile_many_async([{"hwb": 3}, {"hwb": 4}])
-        )
-        assert [r.reversible.num_lines for r in results] == [3, 4]
-        # the disk tier the workers fed now serves this process
-        replay = CompilerSession(
-            target="toffoli", cache=str(tmp_path / "tier")
-        ).compile({"hwb": 4})
-        assert replay.cache_hits == len(replay.records)

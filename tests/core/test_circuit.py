@@ -5,9 +5,11 @@ import pickle
 import numpy as np
 import pytest
 
+from _dense_reference import circuits_equivalent
+
 from repro.core.circuit import FrozenCircuitError, QuantumCircuit
 from repro.core.gates import Gate
-from repro.core.unitary import circuit_unitary, circuits_equivalent
+from repro.core.unitary import circuit_unitary
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
 
 

@@ -1,8 +1,7 @@
 """Unit tests for the ASCII circuit drawer."""
 
 from repro.core.circuit import QuantumCircuit
-from repro.core.drawing import draw_circuit, draw_reversible
-from repro.synthesis.reversible import ReversibleCircuit
+from repro.core.drawing import draw_circuit
 
 
 class TestDrawCircuit:
@@ -50,21 +49,3 @@ class TestDrawCircuit:
         text = draw_circuit(QuantumCircuit(2))
         assert len(text.splitlines()) == 2
 
-
-class TestDrawReversible:
-    def test_polarity_symbols(self):
-        circ = ReversibleCircuit(3)
-        circ.add_gate(2, (0, 1), (True, False))
-        text = draw_reversible(circ)
-        lines = text.splitlines()
-        assert "*" in lines[0]
-        assert "o" in lines[1]
-        assert "(+)" in lines[2]
-
-    def test_not_gate(self):
-        circ = ReversibleCircuit(1).x(0)
-        assert "(+)" in draw_reversible(circ)
-
-    def test_line_labels(self):
-        circ = ReversibleCircuit(2).cnot(0, 1)
-        assert draw_reversible(circ).splitlines()[0].startswith("x0:")

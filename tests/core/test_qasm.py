@@ -5,9 +5,10 @@ import re
 
 import pytest
 
+from _dense_reference import circuits_equivalent
+
 from repro.core.circuit import QuantumCircuit
 from repro.emit.qasm2 import QasmError, from_qasm, to_qasm
-from repro.core.unitary import circuits_equivalent
 
 
 class TestExport:

@@ -18,7 +18,7 @@ from repro.core.circuit import QuantumCircuit
 from repro.engines import QE5_NOISE, monte_carlo
 from repro.engines.density_matrix import DensityMatrix
 from repro.simulator import kernels
-from repro.simulator.statevector import Statevector, evolve_batch
+from repro.simulator.statevector import Statevector
 
 ATOL = 1e-12
 
@@ -85,7 +85,7 @@ class TestNumpyProperties:
 
     @given(circuits())
     @settings(max_examples=15)
-    def test_evolve_batch_matches_column_loop(self, circ):
+    def test_batched_kernels_match_column_loop(self, circ):
         n = circ.num_qubits
         batch = random_state(n, 13, batch=(4,))
         looped = batch.copy()
@@ -96,7 +96,7 @@ class TestNumpyProperties:
             )
             looped[:, col] = column
         batched = batch.copy()
-        evolve_batch(circ, batched)
+        kernels.apply_ops(batched, kernels.compile_circuit(circ.gates), n)
         np.testing.assert_allclose(batched, looped, atol=ATOL)
 
     def test_sampler_noiseless_matches_exact_distribution(self):
@@ -232,7 +232,7 @@ class TestDenseReferenceDifferential:
         n = circ.num_qubits
         batch = random_state(n, 21, batch=(3,))
         out = batch.copy()
-        evolve_batch(circ, out)
+        kernels.apply_ops(out, kernels.compile_circuit(circ.gates), n)
         for col in range(3):
             np.testing.assert_allclose(
                 out[:, col],

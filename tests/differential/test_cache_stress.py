@@ -1,6 +1,6 @@
 """Concurrency stress tests for the disk-backed pass cache.
 
-Many threads plus a process-pool session hammer one disk-backed
+Many threads plus a pool of worker processes hammer one disk-backed
 :class:`~repro.pipeline.PassCache` while a sweeper thread keeps
 running ``gc()`` down to a deliberately tiny byte budget, so spills
 and eviction sweeps race with lookups the whole time.  The
@@ -14,8 +14,11 @@ import contextlib
 import json
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+
+from _helpers import toffoli_gates
 
 import repro
 from repro.compiler import CompilerSession
@@ -100,18 +103,14 @@ class TestThreadStress:
         thread_session = CompilerSession(
             target="toffoli", cache=thread_cache, max_workers=4
         )
-        process_session = CompilerSession(
-            target="toffoli",
-            cache=PassCache(path=path),
-            executor="process",
-            max_workers=2,
-        )
+        process_sizes = [3, 4] * 2
         outcome = {}
 
         def hammer_processes():
-            outcome["process"] = process_session.compile_many(
-                [{"hwb": 3}, {"hwb": 4}] * 2
-            )
+            with ProcessPoolExecutor(max_workers=2) as pool:
+                outcome["process"] = list(pool.map(
+                    toffoli_gates, process_sizes, [path] * len(process_sizes)
+                ))
 
         with _sweeping(thread_cache):
             worker = threading.Thread(target=hammer_processes)
@@ -122,11 +121,11 @@ class TestThreadStress:
             worker.join(timeout=300)
             assert not worker.is_alive()
 
-        for results in (outcome["thread"], outcome["process"]):
-            for result in results:
-                n = result.reversible.num_lines
-                expected = reference[n]
-                assert result.reversible.gates == expected.reversible.gates
+        for result in outcome["thread"]:
+            expected = reference[result.reversible.num_lines]
+            assert result.reversible.gates == expected.reversible.gates
+        for n, gates in zip(process_sizes, outcome["process"]):
+            assert gates == list(reference[n].reversible.gates)
         for entry in tmp_path.glob("*.json"):
             payload = json.loads(entry.read_text())
             assert payload["format"] == DISK_FORMAT

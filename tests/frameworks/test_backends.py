@@ -13,7 +13,6 @@ from repro.frameworks.projectq import (
 from repro.frameworks.projectq.backends import (
     CircuitCollector,
     IBMBackend,
-    ResourceCounterBackend,
     Simulator,
 )
 from repro.engines import NoiseModel
@@ -59,30 +58,6 @@ class TestIBMBackend:
         Measure | (a, b)
         eng.flush()
         assert set(backend.last_counts) <= {0, 3}
-
-
-class TestResourceCounterBackend:
-    def test_estimate_collected(self):
-        backend = ResourceCounterBackend()
-        eng = MainEngine(backend=backend)
-        qubits = eng.allocate_qureg(3)
-        All(H) | qubits
-        CNOT | (qubits[0], qubits[1])
-        Measure | qubits
-        eng.flush()
-        estimate = backend.estimate
-        assert estimate.num_qubits == 3
-        assert estimate.gate_counts["h"] == 3
-        assert estimate.cnot_count == 1
-        assert estimate.measurement_count == 3
-
-    def test_measured_qubits_read_zero(self):
-        eng = MainEngine(backend=ResourceCounterBackend())
-        q = eng.allocate_qubit()
-        X | q
-        Measure | q
-        eng.flush()
-        assert int(q) == 0  # counts, not simulation
 
 
 class TestCircuitCollector:

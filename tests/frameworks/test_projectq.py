@@ -7,7 +7,6 @@ from repro.frameworks.projectq import (
     CZ,
     All,
     Compute,
-    Control,
     Dagger,
     EngineError,
     H,
@@ -166,28 +165,6 @@ class TestMetaContexts:
             with Dagger(eng):
                 T | q
         assert [g.name for g in eng.circuit] == ["t"]
-
-    def test_control_adds_controls(self):
-        eng = MainEngine()
-        a, b, c = eng.allocate_qureg(3)
-        with Control(eng, a):
-            X | b
-            CNOT | (b, c)
-        names = [g.name for g in eng.circuit]
-        assert names == ["cx", "ccx"]
-        assert eng.circuit.gates[0].controls == (a.index,)
-
-    def test_control_with_compute(self):
-        eng = MainEngine(seed=0)
-        a, b = eng.allocate_qureg(2)
-        X | a
-        with Compute(eng):
-            with Control(eng, a):
-                X | b
-        Uncompute(eng)
-        Measure | (a, b)
-        eng.flush()
-        assert int(b) == 0  # computed then uncomputed
 
     def test_flush_inside_open_frame_rejected(self):
         eng = MainEngine()

@@ -4,9 +4,11 @@ import warnings
 
 import pytest
 
+from _dense_reference import circuits_equivalent
+
 from repro.boolean.permutation import BitPermutation
 from repro.core.circuit import QuantumCircuit
-from repro.core.unitary import circuit_unitary, circuits_equivalent
+from repro.core.unitary import circuit_unitary
 from repro.frameworks.qsharp import (
     QSharpError,
     _operation_from_circuit as operation_from_circuit,

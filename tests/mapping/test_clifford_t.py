@@ -1,16 +1,8 @@
-"""Unit tests for the Clifford+T building blocks."""
-
-import numpy as np
-import pytest
+"""Unit tests for the Clifford+T CCX decomposition."""
 
 from repro.core.circuit import QuantumCircuit
 from repro.core.unitary import allclose_up_to_global_phase, circuit_unitary
-from repro.mapping.clifford_t import (
-    ccx_clifford_t,
-    ccz_clifford_t,
-    cz_from_cx,
-    swap_from_cx,
-)
+from repro.mapping.clifford_t import ccx_clifford_t
 
 
 class TestCcx:
@@ -33,30 +25,3 @@ class TestCcx:
         decomposed = circuit_unitary(ccx_clifford_t(3, 0, 2, 4))
         assert allclose_up_to_global_phase(decomposed, reference)
 
-
-class TestCcz:
-    def test_unitary_exact(self):
-        reference = circuit_unitary(QuantumCircuit(3).ccz(0, 1, 2))
-        decomposed = circuit_unitary(ccz_clifford_t(0, 1, 2, 3))
-        assert allclose_up_to_global_phase(decomposed, reference)
-
-    def test_symmetric_in_all_three_qubits(self):
-        """CCZ is invariant under any qubit role exchange."""
-        base = circuit_unitary(ccz_clifford_t(0, 1, 2, 3))
-        for roles in [(1, 0, 2), (2, 1, 0), (0, 2, 1)]:
-            other = circuit_unitary(ccz_clifford_t(*roles, 3))
-            assert allclose_up_to_global_phase(base, other)
-
-
-class TestHelpers:
-    def test_cz_from_cx(self):
-        reference = circuit_unitary(QuantumCircuit(2).cz(0, 1))
-        assert allclose_up_to_global_phase(
-            circuit_unitary(cz_from_cx(0, 1, 2)), reference
-        )
-
-    def test_swap_from_cx(self):
-        reference = circuit_unitary(QuantumCircuit(2).swap(0, 1))
-        assert allclose_up_to_global_phase(
-            circuit_unitary(swap_from_cx(0, 1, 2)), reference
-        )

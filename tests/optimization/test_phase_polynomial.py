@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from _dense_reference import circuits_equivalent
+
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
-from repro.core.unitary import circuits_equivalent
 from repro.optimization.phase_polynomial import (
     PhaseRegion,
     fold_region,

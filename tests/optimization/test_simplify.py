@@ -6,7 +6,6 @@ import pytest
 
 from repro.boolean.permutation import BitPermutation
 from repro.core.circuit import QuantumCircuit
-from repro.core.unitary import circuits_equivalent
 from repro.optimization.simplify import (
     cancel_adjacent_gates,
     simplify_reversible,
@@ -14,6 +13,7 @@ from repro.optimization.simplify import (
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
 from repro.synthesis.transformation import transformation_based_synthesis
 
+from _dense_reference import circuits_equivalent
 from _helpers import random_clifford_t_circuit
 
 

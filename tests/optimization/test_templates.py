@@ -7,7 +7,6 @@ import pytest
 from repro.boolean.permutation import BitPermutation
 from repro.optimization.templates import (
     _merge_pair,
-    optimization_ladder,
     template_optimize,
 )
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
@@ -121,13 +120,3 @@ class TestTemplateOptimize:
         out = template_optimize(circ)
         assert out.permutation() == perm
         assert len(out) <= len(circ)
-
-    def test_ladder_reports_monotone_counts(self):
-        perm = BitPermutation.hidden_weighted_bit(4)
-        circ = transformation_based_synthesis(perm)
-        # pad with a cancellable pair to exercise every stage
-        circ.toffoli(0, 1, 2)
-        circ.toffoli(0, 1, 2)
-        stages = optimization_ladder(circ)
-        counts = [count for _name, count in stages]
-        assert counts[0] >= counts[1] >= counts[2]

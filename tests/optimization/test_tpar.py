@@ -6,17 +6,16 @@ import pytest
 
 from repro.boolean.permutation import BitPermutation
 from repro.core.circuit import QuantumCircuit
-from repro.core.unitary import circuits_equivalent
 from repro.mapping.barenco import map_to_clifford_t
 from repro.optimization.simplify import cancel_adjacent_gates
 from repro.optimization.tpar import (
     region_statistics,
-    t_count_before_after,
     t_depth_estimate,
     tpar_optimize,
 )
 from repro.synthesis.transformation import transformation_based_synthesis
 
+from _dense_reference import circuits_equivalent
 from _helpers import random_clifford_t_circuit
 
 
@@ -66,12 +65,6 @@ class TestTparOptimize:
 
 
 class TestDiagnostics:
-    def test_before_after_helper(self):
-        circ = QuantumCircuit(1).t(0).t(0)
-        before, after = t_count_before_after(circ)
-        assert before == 2
-        assert after == 0  # merged to S
-
     def test_region_statistics_shape(self):
         circ = QuantumCircuit(2).t(0).h(0).t(1).cx(0, 1).t(1)
         stats = region_statistics(circ)

@@ -1,6 +1,5 @@
-"""Property-based tests for routing, linear synthesis, templates, arith."""
+"""Property-based tests for routing, templates and arithmetic."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,34 +7,7 @@ from repro.arith import constant_adder, cuccaro_adder, modular_constant_adder
 from repro.core.circuit import QuantumCircuit
 from repro.mapping.routing import CouplingMap, route_circuit, verify_routing
 from repro.optimization.templates import template_optimize
-from repro.synthesis.linear import (
-    Gf2Matrix,
-    cnot_circuit_to_matrix,
-    gaussian_synthesis,
-    pmh_synthesis,
-)
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
-
-
-# ----------------------------------------------------------------------
-# linear synthesis: round trip over random invertible matrices
-# ----------------------------------------------------------------------
-@given(st.integers(1, 7), st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_linear_synthesis_round_trip(size, seed):
-    matrix = Gf2Matrix.random_invertible(size, seed=seed)
-    for synthesize in (gaussian_synthesis, pmh_synthesis):
-        circuit = synthesize(matrix)
-        assert cnot_circuit_to_matrix(circuit) == matrix
-
-
-@given(st.integers(1, 6), st.integers(0, 10_000))
-@settings(max_examples=30, deadline=None)
-def test_linear_inverse_is_matrix_inverse(size, seed):
-    matrix = Gf2Matrix.random_invertible(size, seed=seed)
-    circuit = gaussian_synthesis(matrix)
-    inverse_matrix = cnot_circuit_to_matrix(circuit.dagger())
-    assert matrix.multiply(inverse_matrix).is_identity()
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _dense_reference import circuits_equivalent
+
 from repro.boolean.bent import HiddenShiftInstance, MaioranaMcFarland
 from repro.boolean.cube import esop_to_truth_table
 from repro.boolean.esop import exorcism, minimize_esop, minterm_cover, pprm
@@ -17,7 +19,7 @@ from repro.boolean.permutation import BitPermutation
 from repro.boolean.spectral import dual_bent, is_bent, walsh_spectrum
 from repro.boolean.truth_table import TruthTable
 from repro.core.circuit import QuantumCircuit
-from repro.core.unitary import circuit_unitary, circuits_equivalent
+from repro.core.unitary import circuit_unitary
 from repro.optimization.simplify import (
     cancel_adjacent_gates,
     simplify_reversible,

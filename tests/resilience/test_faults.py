@@ -15,7 +15,6 @@ from repro.resilience import (
     active_plan,
     fault_point,
     install,
-    is_injected,
     mutate_payload,
     plan_from_env,
 )
@@ -68,7 +67,7 @@ class TestFaultPlan:
             with pytest.raises(InjectedTimeout):
                 fault_point("session.dispatch")
 
-    def test_error_kinds_and_is_injected(self, chaos):
+    def test_error_kinds(self, chaos):
         chaos([
             {"site": "a", "error": "oserror"},
             {"site": "b", "error": "fault"},
@@ -80,12 +79,9 @@ class TestFaultPlan:
             fault_point("b")
         with pytest.raises(InjectedTimeout) as timeout_info:
             fault_point("c")
-        for info in (os_info, fault_info, timeout_info):
-            assert is_injected(info.value)
         assert isinstance(os_info.value, OSError)
         assert fault_info.value.transient
         assert isinstance(timeout_info.value, TimeoutError)
-        assert not is_injected(OSError("real"))
 
     def test_delay_blocks_for_roughly_seconds(self, chaos):
         chaos([{"site": "pipeline.apply.wait", "action": "delay",

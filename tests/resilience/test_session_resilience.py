@@ -14,7 +14,6 @@ import pytest
 
 import repro
 from repro.compiler import CompilerSession
-from repro.compiler.session import _compile_task
 from repro.pipeline import Pipeline, PipelineError
 from repro.resilience import DeadlineExceeded, RetriesExhausted
 
@@ -103,11 +102,10 @@ class TestJobTimeoutBackstop:
         # exists only for workers that never come back at all
         chaos([{"site": "pipeline.pass.run.*", "action": "delay",
                 "seconds": 0.3, "times": 1}])
-        # the job function both pools run: (workload, target, verify,
-        # cache spec, job_timeout, retry)
-        task = ({"hwb": 3}, "toffoli", None, None, 0.1, None)
+        # the job function the pool threads run, called directly
+        session = CompilerSession(cache=None, job_timeout=0.1)
         with pytest.raises(DeadlineExceeded) as info:
-            _compile_task(task)
+            session._compile_task({"hwb": 3}, "toffoli")
         message = str(info.value)
         assert "deadline of 0.1s exceeded" in message
         assert "pass " in message  # cooperative: flow position known

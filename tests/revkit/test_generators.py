@@ -47,9 +47,6 @@ class TestGenerators:
     def test_inner_product_bent(self):
         assert is_bent(generators.inner_product_bent(2))
 
-    def test_maiorana_mcfarland_bent(self):
-        assert is_bent(generators.maiorana_mcfarland(2, seed=3))
-
     def test_random_function_seeded(self):
         assert generators.random_function(4, seed=1) == \
             generators.random_function(4, seed=1)

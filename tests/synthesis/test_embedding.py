@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+from _helpers import verify_embedding
+
 from repro.boolean.truth_table import MultiTruthTable, TruthTable
 from repro.synthesis.embedding import (
     bennett_embedding,
     explicit_embedding,
     minimum_garbage_bits,
-    verify_embedding,
 )
 
 

@@ -1,15 +1,65 @@
-"""Unit tests for reversible pebble games."""
+"""Unit tests for reversible pebble games.
+
+Two reference strategies live here as oracles for
+:func:`~repro.synthesis.pebbling.checkpoint_moves`: Bennett's
+pebble-everything sequence and an exact breadth-first search.
+"""
+
+from collections import deque
 
 import pytest
 
 from repro.synthesis.pebbling import (
     PebbleGameError,
-    bennett_moves,
     checkpoint_moves,
-    optimal_moves,
     pebble_tradeoff_curve,
     validate_moves,
 )
+
+
+def bennett_moves(num_steps):
+    """Compute all, uncompute all but the last: n pebbles, 2n-1 moves."""
+    moves = [(i, True) for i in range(num_steps)]
+    moves.extend((i, False) for i in reversed(range(num_steps - 1)))
+    return moves
+
+
+def optimal_moves(num_steps, pebbles):
+    """Exact minimum-move solution by BFS over game states.
+
+    State = pebble bitmask.  Practical for chains up to ~16 steps.
+    Returns None if the budget is infeasible.
+    """
+    if num_steps > 20:
+        raise PebbleGameError("chain too long for exact search")
+    start = 0
+    goal = 1 << (num_steps - 1)
+    parents = {start: (start, (-1, True))}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        if state == goal:
+            break
+        for step in range(num_steps):
+            if step > 0 and not (state >> (step - 1)) & 1:
+                continue
+            nxt = state ^ (1 << step)
+            placing = bool((nxt >> step) & 1)
+            if placing and bin(nxt).count("1") > pebbles:
+                continue
+            if nxt not in parents:
+                parents[nxt] = (state, (step, placing))
+                queue.append(nxt)
+    if goal not in parents:
+        return None
+    moves = []
+    state = goal
+    while state != start:
+        prev, move = parents[state]
+        moves.append(move)
+        state = prev
+    moves.reverse()
+    return moves
 
 
 class TestValidation:

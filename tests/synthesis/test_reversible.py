@@ -2,8 +2,10 @@
 
 import pytest
 
+from _dense_reference import unitary_as_permutation
+
 from repro.boolean.permutation import BitPermutation
-from repro.core.unitary import circuit_unitary, unitary_as_permutation
+from repro.core.unitary import circuit_unitary
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
 
 

@@ -16,9 +16,15 @@ policies beside ``retry=``: ``on_error=`` on ``repro.compile`` and
 ``Pipeline.run``/``apply``, pass fallbacks (``Pass.with_fallback``),
 ``RetryPolicy(classifier=)``, the per-call ``job_timeout=``/``retry=``
 of the session batch calls and their ``max_in_flight=``, plus the
-unused ``repro.core.dag``.  An old spelling must end in an import,
-attribute, type or engine error — or, for the environment variables,
-have no effect at all — rather than being silently accepted.
+unused ``repro.core.dag``.  So is code only tests reached: the
+linear-synthesis module ``repro.synthesis.linear``, the public helpers
+nothing outside the tests called (deleted, or moved into ``tests/`` as
+oracles such as ``circuits_equivalent`` and the PTM algebra), ProjectQ's
+``Control`` context with the engine's control stack, and the session's
+``executor=`` with its process pool.  An old spelling must end in an
+import, attribute, type or engine error — or, for the environment
+variables, have no effect at all — rather than being silently
+accepted.
 """
 
 import asyncio
@@ -58,6 +64,7 @@ def _bell() -> QuantumCircuit:
         "repro.algorithms.bernstein_vazirani",
         "repro.algorithms.deutsch_jozsa",
         "repro.core.dag",
+        "repro.synthesis.linear",
     ],
 )
 def test_retired_modules_are_gone(module):
@@ -280,3 +287,73 @@ def test_retry_policy_classifier_is_gone():
 
     with pytest.raises(TypeError, match="classifier"):
         RetryPolicy(max_attempts=2, classifier=lambda error: True)
+
+
+#: Public names only tests reached, by the module that defined them.
+TEST_ONLY_NAMES = {
+    "repro.arith.adders": ["comparator"],
+    "repro.boolean.cube": ["esop_evaluate"],
+    "repro.boolean.spectral": [
+        "autocorrelation", "is_perfectly_nonlinear", "linear_structure",
+        "nonlinearity",
+    ],
+    "repro.core.drawing": ["draw_reversible"],
+    "repro.core.unitary": ["circuits_equivalent", "unitary_as_permutation"],
+    "repro.engines.ptm": [
+        "compose_ptms", "is_trace_preserving", "is_unital", "kraus_ptm",
+        "readout_assignment", "superoperator_to_ptm", "unitary_ptm",
+    ],
+    "repro.frameworks.projectq.backends": ["ResourceCounterBackend"],
+    "repro.frameworks.projectq.meta": ["Control"],
+    "repro.mapping.barenco": ["t_count_of_mapping"],
+    "repro.mapping.clifford_t": [
+        "ccz_clifford_t", "cz_from_cx", "swap_from_cx",
+    ],
+    "repro.optimization.templates": ["optimization_ladder"],
+    "repro.optimization.tpar": ["t_count_before_after"],
+    "repro.resilience.faults": ["is_injected"],
+    "repro.revkit.generators": ["maiorana_mcfarland"],
+    "repro.simulator.statevector": ["evolve_batch"],
+    "repro.synthesis.embedding": ["verify_embedding"],
+    "repro.synthesis.esop_based": ["esop_synthesis_from_cubes"],
+    "repro.synthesis.exact": ["minimum_gate_count"],
+    "repro.synthesis.pebbling": ["bennett_moves", "optimal_moves"],
+}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (module, name)
+        for defining, names in TEST_ONLY_NAMES.items()
+        for module in (defining, defining.rsplit(".", 1)[0])
+        for name in names
+    ]
+    + [
+        ("repro.synthesis", name)
+        for name in ("Gf2Matrix", "cnot_circuit_to_matrix",
+                     "gaussian_synthesis", "pmh_synthesis")
+    ],
+)
+def test_test_only_names_are_gone(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_projectq_control_stack_is_gone():
+    from repro.frameworks.projectq.engine import MainEngine
+
+    assert not hasattr(MainEngine, "push_controls")
+    assert not hasattr(MainEngine, "pop_controls")
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_session_executor_keyword_is_gone(executor):
+    from repro.compiler import CompilerSession
+
+    with pytest.raises(TypeError, match="executor"):
+        CompilerSession(executor=executor)
+    session = CompilerSession(cache=None)
+    assert not hasattr(session, "executor")
+    assert not hasattr(session, "_cache_spec")

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _dense_reference import circuits_equivalent
+
 from repro.core.circuit import QuantumCircuit
-from repro.core.unitary import circuits_equivalent
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
 from repro.verify import EquivalenceChecker
 
