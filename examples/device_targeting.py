@@ -78,13 +78,11 @@ def main():
     print("  first QASM lines: "
           + " / ".join(result.to_qasm().splitlines()[:4]))
 
-    # the same compiled circuit renders in every registered format
-    # (see examples/emitter_tour.py for the full registry tour)
+    # the same compiled circuit renders in every format
+    # (see examples/emitter_tour.py for the full tour)
     print("  emitters: " + ", ".join(repro.emit.formats()))
     print("  first QASM 3 lines: "
           + " / ".join(result.emit("qasm3").splitlines()[:4]))
-    print("  first QIR lines: "
-          + " / ".join(result.emit("qir").splitlines()[:2]))
 
 
 if __name__ == "__main__":

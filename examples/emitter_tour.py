@@ -2,12 +2,10 @@
 
 The paper's thesis (Sec. I) is that a single design-automation flow
 retargets reversible logic onto many frameworks.  This tour compiles
-the paper's running permutation oracle once and renders it through
-every backend of the ``repro.emit`` registry — OpenQASM 2.0/3.0, Q#,
-ProjectQ, cirq and textual QIR — then closes the loop by re-importing
-the OpenQASM 2.0 text and showing emit -> parse -> emit is a fixed
-point.  Finally it registers a tiny custom backend to show the
-registry is open.
+the paper's running permutation oracle once and renders it in every
+``repro.emit`` format — OpenQASM 2.0/3.0, Q# and ProjectQ — then
+closes the loop by re-importing the OpenQASM 2.0 text (emit -> parse
+-> emit is a fixed point) and the Q# text (the same gates).
 
 Run:  python examples/emitter_tour.py
 """
@@ -31,7 +29,7 @@ def main():
     result = repro.compile(pi, target="ibm_qe5")
     print("compiled:", result.summary(), "\n")
 
-    print("registered formats:", ", ".join(emit.formats()), "\n")
+    print("formats:", ", ".join(emit.formats()), "\n")
     for name in emit.formats():
         emitter = emit.get(name)
         preview(
@@ -47,29 +45,14 @@ def main():
     print("qasm2 emit -> parse -> emit: fixed point "
           f"({len(reimported.gates)} gates round-tripped)\n")
 
-    # the registry is open: one register() call adds a format
-    class GateCountEmitter:
-        name = "gatecount"
-        description = "toy backend: one line per gate name count"
-        file_extension = ".txt"
-        aliases = ()
-
-        def emit(self, circuit, **opts):
-            counts = {}
-            for gate in circuit.gates:
-                counts[gate.name] = counts.get(gate.name, 0) + 1
-            body = "\n".join(
-                f"{name} {count}" for name, count in sorted(counts.items())
-            )
-            return body + "\n"
-
-    emit.register(GateCountEmitter())
-    try:
-        preview("custom 'gatecount' backend", result.emit("gatecount"))
-        print("shell command for free: write_gatecount <path>")
-    finally:
-        emit.unregister("gatecount")
-
+    # the Q# text re-imports too (its signature carries no width)
+    parsed = emit.parse(
+        result.emit("qsharp"), "qsharp",
+        num_qubits=result.circuit.num_qubits,
+    )
+    assert parsed.gates == reimported.gates
+    print("qsharp emit -> parse: the same "
+          f"{len(parsed.gates)} gates as the qasm2 re-import")
 
 if __name__ == "__main__":
     main()

@@ -6,14 +6,14 @@ Subpackages
 ``repro.core``
     Quantum circuit IR: gates, circuits, statistics, DAG.
 ``repro.emit``
-    The unified emission registry: pluggable backends rendering
-    compiled circuits as OpenQASM 2/3, Q#, ProjectQ, cirq or textual
-    QIR, with round-trip import for OpenQASM 2.
+    The fixed table of emission formats rendering compiled circuits
+    as OpenQASM 2/3, Q# or ProjectQ, with round-trip import for
+    OpenQASM 2 and Q#.
 ``repro.simulator``
     The states the engines evolve (statevector, CHP stabilizer
     tableau), the shared gate kernels and the resource counter.
 ``repro.engines``
-    The simulation-engine registry: statevector, stabilizer,
+    The simulation-engine table: statevector, stabilizer,
     Monte-Carlo and exact density-matrix backends behind one
     ``repro.engines.run(engine, circuit, ...)`` front door, with the
     shared ``NoiseModel`` and its IBM-QE calibration preset.

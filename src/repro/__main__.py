@@ -9,7 +9,7 @@ Runs the paper's Eq. (5) story from the shell without the REPL:
     $ python -m repro compile '(a and b) ^ (c and d)' --emit qasm2
     $ python -m repro compile perm:0,2,3,5,7,1,4,6 --target qsharp \
           --emit qsharp
-    $ python -m repro compile oracle.qasm --target ibm_qe5 --emit qir
+    $ python -m repro compile oracle.qasm --target ibm_qe5 --emit qasm3
     $ python -m repro compile hwb=4 --target ibm_qe5 --simulate \
           --shots 4096 --seed 7
     $ python -m repro targets
@@ -25,14 +25,12 @@ Workload argument forms:
 * a Boolean expression — ``'(a and b) ^ (c and d)'``;
 * ``perm:0,2,3,...`` — a permutation image;
 * ``tt:<nvars>:<hexbits>`` — an explicit truth table;
-* a path to a circuit file importable through the :mod:`repro.emit`
-  registry (``.qasm``), or a ``.json`` workload file.
+* a path to a circuit file importable through :mod:`repro.emit`
+  (``.qasm``), or a ``.json`` workload file.
 
-``--emit`` and the ``formats`` subcommand enumerate the emitter
-registry dynamically, so backends registered at runtime (or added in
-future releases) show up without CLI changes; ``--engine`` and the
-``engines`` subcommand do the same for the simulation-engine
-registry (:mod:`repro.engines`).
+``--emit`` and the ``formats`` subcommand list the :mod:`repro.emit`
+format table; ``--engine`` and the ``engines`` subcommand list the
+:mod:`repro.engines` table.
 """
 
 from __future__ import annotations
@@ -236,7 +234,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_targets(_args: argparse.Namespace) -> int:
-    """Run the ``targets`` subcommand (list registered presets)."""
+    """Run the ``targets`` subcommand (list the target presets)."""
     names = list_targets()
     width = max(len(name) for name in names)
     for name in names:
@@ -254,7 +252,7 @@ def _cmd_targets(_args: argparse.Namespace) -> int:
 
 
 def _cmd_formats(args: argparse.Namespace) -> int:
-    """Run the ``formats`` subcommand (list registered emitters)."""
+    """Run the ``formats`` subcommand (list the emission formats)."""
     names = emit_registry.formats()
     if args.names:
         for name in names:
@@ -347,16 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FORMAT",
         help="print the compiled circuit in this format on stdout "
-        f"({', '.join(emit_registry.formats())}, or any format "
-        "registered with repro.emit)",
+        f"({', '.join(emit_registry.formats())}, or an alias)",
     )
     cmd.add_argument(
         "--engine",
         default=None,
         metavar="NAME",
         help="simulation backend for --simulate "
-        f"({', '.join(engine_registry.engines())}, or any engine "
-        "registered with repro.engines); default follows the target",
+        f"({', '.join(engine_registry.engines())}, or an alias); "
+        "default follows the target",
     )
     cmd.add_argument(
         "--simulate",
@@ -409,12 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.set_defaults(func=_cmd_compile)
 
-    lst = sub.add_parser("targets", help="list registered target presets")
+    lst = sub.add_parser("targets", help="list the target presets")
     lst.set_defaults(func=_cmd_targets)
 
     fmts = sub.add_parser(
         "formats",
-        help="list the emission formats registered with repro.emit",
+        help="list the emission formats of repro.emit",
     )
     fmts.add_argument(
         "--names",
@@ -425,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     engs = sub.add_parser(
         "engines",
-        help="list the simulation engines registered with repro.engines",
+        help="list the simulation engines of repro.engines",
     )
     engs.add_argument(
         "--names",

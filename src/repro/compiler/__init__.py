@@ -10,7 +10,7 @@ This package is that front door, in four layers:
   :class:`~.frontends.Workload`;
 * :mod:`~.target` (aliased as ``targets``) — the immutable
   :class:`~.target.Target` (gate set, coupling map, optimization
-  level, emitter) with registered presets ``targets.TOFFOLI``,
+  level, emitter) with the fixed presets ``targets.TOFFOLI``,
   ``targets.CLIFFORD_T``, ``targets.IBM_QE5``, ``targets.QSHARP``,
   ``targets.PROJECTQ``, resolved to pass sequences
   (:meth:`~.target.Target.flow`) — the only named recipes for the
@@ -52,7 +52,6 @@ from .target import (
     Target,
     get_target,
     list_targets,
-    register_target,
 )
 
 __all__ = [
@@ -77,5 +76,4 @@ __all__ = [
     "Target",
     "get_target",
     "list_targets",
-    "register_target",
 ]

@@ -4,7 +4,7 @@
 final :class:`~repro.pipeline.state.FlowState`, the per-pass
 :class:`~repro.pipeline.runner.PassRecord` list with timing and
 gate/T-count deltas, and lazy emission: :meth:`~CompilationResult.emit`
-dispatches any registered :mod:`repro.emit` format (the legacy
+dispatches any :mod:`repro.emit` format (the legacy
 :meth:`~CompilationResult.to_qasm` / :meth:`~CompilationResult.to_qsharp`
 / :meth:`~CompilationResult.to_projectq` are thin wrappers over it),
 rendering the compiled circuit on first use.  The text memo lives on
@@ -218,16 +218,16 @@ class CompilationResult:
     def emit(self, format: Optional[str] = None, **opts) -> str:
         """Render in the given (or the default) format, memoized.
 
-        Any format registered with :mod:`repro.emit` is accepted;
+        Any :mod:`repro.emit` format is accepted;
         when ``format`` is omitted, the target's ``emitter`` is used.
         The rendered text is memoized on the frozen circuit per
         ``(format, opts)``, so repeated calls — from this result or
         any other holding the same circuit — return the same object.
 
         Args:
-            format: a registered format name or alias (``qasm2``,
-                ``qasm3``, ``qsharp``, ``projectq``, ``cirq``,
-                ``qir``, ...); ``None`` selects the default emitter.
+            format: a format name or alias (``qasm2``, ``qasm3``,
+                ``qsharp``, ``projectq``); ``None`` selects the
+                default emitter.
             **opts: backend-specific options (e.g. the Q# backend's
                 ``name=``).
 
@@ -237,7 +237,7 @@ class CompilationResult:
         Raises:
             EmissionError: when no format is given and the target has
                 no default emitter, when the format is unknown (both
-                messages list the registered formats), or when the
+                messages list the formats), or when the
                 circuit has gates the backend cannot express.
         """
         if format is None:
@@ -275,7 +275,7 @@ class CompilationResult:
         seed: Optional[int] = None,
         **opts,
     ) -> "SimulationResult":
-        """Run the compiled circuit on a registered simulation engine.
+        """Run the compiled circuit on a simulation engine.
 
         Backend precedence: the explicit ``engine`` argument, then the
         ``engine=`` recorded at compile time, then the target's
@@ -288,9 +288,9 @@ class CompilationResult:
         returns counts.
 
         Args:
-            engine: registered engine name or alias (``statevector``,
-                ``stabilizer``, ``density_matrix``, ``monte_carlo``,
-                ...); ``None`` follows the precedence above.
+            engine: engine name or alias (``statevector``,
+                ``stabilizer``, ``density_matrix``, ``monte_carlo``);
+                ``None`` follows the precedence above.
             shots: measurement repetitions to report.
             noise: a :class:`~repro.engines.noise.NoiseModel`, a
                 preset name (``"qe5"``), a ``"p1=0.001"`` rate list,

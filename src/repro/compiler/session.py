@@ -102,7 +102,7 @@ def compile(
         workload: anything :func:`~.frontends.detect_workload`
             accepts — specification, predicate, expression string,
             generator spec or circuit.
-        target: a :class:`~.target.Target`, a registered target name,
+        target: a :class:`~.target.Target`, a preset target name,
             or ``None`` for the default (``clifford_t``).
         verify: fail-fast functional verification of every pass —
             ``"auto"``/``True`` runs the tiered
@@ -127,9 +127,8 @@ def compile(
             count) re-running transiently failing passes; without it
             a failing pass raises.
         engine: default simulation backend for
-            :meth:`~.result.CompilationResult.simulate` — any name or
-            alias registered with :mod:`repro.engines`, validated
-            here; ``None`` defers to the target's ``engine`` field.
+            :meth:`~.result.CompilationResult.simulate` — any
+            :mod:`repro.engines` name or alias, validated here; ``None`` defers to the target's ``engine`` field.
 
     Returns:
         The :class:`~.result.CompilationResult` with the final
@@ -573,7 +572,7 @@ class CompilerSession:
         the workload per point, any :class:`~.target.Target` field
         (``synthesis``, ``optimization_level``, ``relative_phase``,
         ``coupling``, ...) deriving a per-point target, or ``target``
-        naming a registered target.  Points run over the session pool
+        naming a preset target.  Points run over the session pool
         with the shared cache, so sub-flows repeated across points
         (e.g. the same generated specification under two synthesis
         methods) replay as cache hits.

@@ -27,10 +27,11 @@ Resolution rules (also documented in docs/ARCHITECTURE.md):
    shape instead (cancel, on-need lowering, T-par at level >= 2,
    routing).
 
-The module also keeps a registry of named presets —
+The module also holds the fixed table of named presets —
 :data:`TOFFOLI`, :data:`CLIFFORD_T`, :data:`IBM_QE5`, :data:`QSHARP`
 and :data:`PROJECTQ` — addressable by name everywhere a target is
-accepted (``repro.compile(pi, target="ibm_qe5")``).
+accepted (``repro.compile(pi, target="ibm_qe5")``); any other target
+is a :class:`Target` instance (e.g. ``CLIFFORD_T.with_(...)``).
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class Target:
     """An immutable compilation target.
 
     Attributes:
-        name: registry identifier (lowercase).
+        name: identifier (lowercase) shown in flow names and listings.
         description: one-line summary shown by ``list_targets``.
         gate_set: the output basis — :data:`MCT_GATES` keeps the flow
             at the reversible level, :data:`CLIFFORD_T_GATES` lowers
@@ -99,11 +100,10 @@ class Target:
             cancellation, 2 = additionally T-par phase folding; any
             other value is refused.
         emitter: default emission format of
-            :meth:`~.result.CompilationResult.emit` — any name or
-            alias registered with :mod:`repro.emit` (``qasm2``,
-            ``qasm3``, ``qsharp``, ``projectq``, ``cirq``, ``qir``,
-            ...), canonicalized at construction; unknown names raise
-            with the registered list.
+            :meth:`~.result.CompilationResult.emit` — any
+            :mod:`repro.emit` format name or alias (``qasm2``,
+            ``qasm3``, ``qsharp``, ``projectq``), canonicalized at
+            construction; unknown names raise with the format list.
         synthesis: synthesis method override (name or callable); the
             frontend recommendation is used when ``None``.
         relative_phase: use relative-phase Toffolis in the mapping.
@@ -114,11 +114,11 @@ class Target:
             also fails), or ``True``/``False``; an explicit
             ``repro.compile(verify=...)`` argument overrides it.
         engine: default simulation backend of
-            :meth:`~.result.CompilationResult.simulate` — any name or
-            alias registered with :mod:`repro.engines`
-            (``statevector``, ``stabilizer``, ``density_matrix``,
-            ``monte_carlo``, ...), canonicalized at construction;
-            unknown names raise with the registered list.  An
+            :meth:`~.result.CompilationResult.simulate` — any
+            :mod:`repro.engines` name or alias (``statevector``,
+            ``stabilizer``, ``density_matrix``, ``monte_carlo``),
+            canonicalized at construction; unknown names raise with
+            the engine list.  An
             explicit ``simulate(engine=...)`` argument overrides it.
         noise: default :class:`~repro.engines.noise.NoiseModel` for
             simulations against this target (also accepts a preset
@@ -141,14 +141,14 @@ class Target:
     noise: Union[NoiseModel, str, None] = None
 
     def __post_init__(self) -> None:
-        """Vet the pass-picking fields, canonicalize the registry names.
+        """Vet the pass-picking fields, canonicalize the backend names.
 
         Raises:
             PipelineError: for an ``optimization_level`` outside
                 {0, 1, 2} or a ``gate_set`` other than the two bases,
-                for emission formats, engines or noise specs the
-                registries do not know (the message lists the
-                registered ones), or an unknown verification mode.
+                for emission formats, engines or noise specs that do
+                not exist (the message lists the known ones), or an
+                unknown verification mode.
         """
         level = self.optimization_level
         if type(level) is not int or level not in (0, 1, 2):
@@ -198,7 +198,7 @@ class Target:
             **changes: field name/value pairs to override.
 
         Returns:
-            The derived :class:`Target` (not registered).
+            The derived :class:`Target`.
         """
         return replace(self, **changes)
 
@@ -296,55 +296,76 @@ class Target:
         return tuple(passes)
 
 
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-_REGISTRY: Dict[str, Target] = {}
+#: Reversible MCT level: synthesis plus cascade simplification.
+TOFFOLI = Target(
+    name="toffoli",
+    description="reversible MCT cascade (synthesis + revsimp)",
+    gate_set=MCT_GATES,
+    optimization_level=1,
+)
 
+#: The Eq. (5) shape: Clifford+T with T-par and final statistics.
+CLIFFORD_T = Target(
+    name="clifford_t",
+    description="Clifford+T with T-par optimization (Eq. 5 shape)",
+    optimization_level=2,
+    collect_statistics=True,
+)
 
-def register_target(target: Target, overwrite: bool = False) -> Target:
-    """Register a target under its (lowercased) name.
+#: The paper's 5-qubit IBM QE bowtie chip, with routing, QASM out, and
+#: the exact noisy simulation tier at the device's calibration rates.
+IBM_QE5 = Target(
+    name="ibm_qe5",
+    description="IBM QE 5-qubit bowtie chip (routed, QASM emitter)",
+    coupling=CouplingMap.ibm_qx2(),
+    optimization_level=2,
+    emitter="qasm2",
+    engine="density_matrix",
+    noise="qe5",
+)
 
-    Args:
-        target: the target to register.
-        overwrite: replace an existing registration of the same name.
+#: The Fig. 10 Q# preprocessing shape with the Q# emitter.
+QSHARP = Target(
+    name="qsharp",
+    description="Q# oracle preprocessing (Fig. 10 shape, Q# emitter)",
+    optimization_level=1,
+    emitter="qsharp",
+)
 
-    Returns:
-        The registered target (for chaining).
+#: The ProjectQ compiler-chain shape (all-to-all) with eDSL emission.
+PROJECTQ = Target(
+    name="projectq",
+    description="ProjectQ compiler chain (all-to-all, eDSL emitter)",
+    optimization_level=2,
+    emitter="projectq",
+)
 
-    Raises:
-        PipelineError: when the name is taken and ``overwrite`` is
-            false.
-    """
-    key = target.name.lower()
-    if key in _REGISTRY and not overwrite:
-        raise PipelineError(
-            f"target {target.name!r} is already registered; pass "
-            "overwrite=True to replace it"
-        )
-    _REGISTRY[key] = target
-    return target
+#: The presets by name, in listing order; the set is closed.
+_PRESETS: Dict[str, Target] = {
+    preset.name: preset
+    for preset in (TOFFOLI, CLIFFORD_T, IBM_QE5, QSHARP, PROJECTQ)
+}
 
 
 def get_target(spec: Union[Target, str, None]) -> Target:
     """Resolve a target argument to a :class:`Target` instance.
 
     Args:
-        spec: a target, a registered name (case-insensitive), or
-            ``None`` for the default (:data:`CLIFFORD_T`).
+        spec: a target, a preset name (case-insensitive), or ``None``
+            for the default (:data:`CLIFFORD_T`).
 
     Returns:
         The resolved target.
 
     Raises:
         PipelineError: for unknown names (the message lists the
-            registered ones).
+            presets).
     """
     if spec is None:
         return CLIFFORD_T
     if isinstance(spec, Target):
         return spec
-    target = _REGISTRY.get(str(spec).lower())
+    target = _PRESETS.get(str(spec).lower())
     if target is None:
         raise PipelineError(
             f"unknown target {spec!r}; registered targets: "
@@ -354,60 +375,5 @@ def get_target(spec: Union[Target, str, None]) -> Target:
 
 
 def list_targets() -> Tuple[str, ...]:
-    """Return the registered target names in registration order."""
-    return tuple(_REGISTRY)
-
-
-#: Reversible MCT level: synthesis plus cascade simplification.
-TOFFOLI = register_target(
-    Target(
-        name="toffoli",
-        description="reversible MCT cascade (synthesis + revsimp)",
-        gate_set=MCT_GATES,
-        optimization_level=1,
-    )
-)
-
-#: The Eq. (5) shape: Clifford+T with T-par and final statistics.
-CLIFFORD_T = register_target(
-    Target(
-        name="clifford_t",
-        description="Clifford+T with T-par optimization (Eq. 5 shape)",
-        optimization_level=2,
-        collect_statistics=True,
-    )
-)
-
-#: The paper's 5-qubit IBM QE bowtie chip, with routing, QASM out, and
-#: the exact noisy simulation tier at the device's calibration rates.
-IBM_QE5 = register_target(
-    Target(
-        name="ibm_qe5",
-        description="IBM QE 5-qubit bowtie chip (routed, QASM emitter)",
-        coupling=CouplingMap.ibm_qx2(),
-        optimization_level=2,
-        emitter="qasm2",
-        engine="density_matrix",
-        noise="qe5",
-    )
-)
-
-#: The Fig. 10 Q# preprocessing shape with the Q# emitter.
-QSHARP = register_target(
-    Target(
-        name="qsharp",
-        description="Q# oracle preprocessing (Fig. 10 shape, Q# emitter)",
-        optimization_level=1,
-        emitter="qsharp",
-    )
-)
-
-#: The ProjectQ compiler-chain shape (all-to-all) with eDSL emission.
-PROJECTQ = register_target(
-    Target(
-        name="projectq",
-        description="ProjectQ compiler chain (all-to-all, eDSL emitter)",
-        optimization_level=2,
-        emitter="projectq",
-    )
-)
+    """Return the preset target names in listing order."""
+    return tuple(_PRESETS)

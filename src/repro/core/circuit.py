@@ -6,8 +6,7 @@ qubit wires and ``num_clbits`` classical wires.  It offers the gate
 vocabulary as builder methods (``circ.h(0)``, ``circ.mcx([0, 1], 2)``),
 structural operations (composition, inversion, power, remapping), and
 conversion helpers (unitary matrix via :mod:`repro.core.unitary`,
-OpenQASM and every other output format via the :mod:`repro.emit`
-registry).
+OpenQASM and every other output format via :mod:`repro.emit`).
 
 A circuit is a builder until ``freeze()``; the pass manager freezes
 pass outputs so they can be shared, and ``copy()`` is editable again.
@@ -511,12 +510,11 @@ class QuantumCircuit(Freezable):
         return to_qasm(self)
 
     def emit(self, format: str, **opts) -> str:
-        """Render this circuit in any registered emission format.
+        """Render this circuit in any :mod:`repro.emit` format.
 
         Args:
             format: a :func:`repro.emit.formats` name or alias
-                (``qasm2``, ``qasm3``, ``qsharp``, ``projectq``,
-                ``cirq``, ``qir``, ...).
+                (``qasm2``, ``qasm3``, ``qsharp``, ``projectq``).
             **opts: backend-specific options.
 
         Returns:

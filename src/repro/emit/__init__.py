@@ -1,10 +1,10 @@
-"""Unified emission subsystem: one registry for every output format.
+"""Unified emission subsystem: one table of every output format.
 
 The paper's central claim (Sec. I) is that one design-automation flow
 retargets reversible logic onto many quantum programming frameworks —
 Q#, ProjectQ, device-level gate sets.  This package is that claim's
 emission half: every output format is an :class:`~.base.Emitter`
-behind one registry, so ``Target.emitter``,
+behind one fixed table, so ``Target.emitter``,
 ``CompilationResult.emit``, ``python -m repro compile --emit``, the
 RevKit shell's ``write_*`` commands and path-based workload import all
 resolve formats the same way.
@@ -14,13 +14,10 @@ Built-in backends (``formats()`` order):
 * ``qasm2`` — OpenQASM 2.0, with round-trip ``parse``;
 * ``qasm3`` — OpenQASM 3.0 (stdgates.inc, ``ctrl @`` modifiers);
 * ``qsharp`` — the Fig. 10 Q# operation, with ``parse``;
-* ``projectq`` — ProjectQ eDSL replay script;
-* ``cirq`` — cirq circuit-building Python script;
-* ``qir`` — textual LLVM IR against the base-profile QIS.
+* ``projectq`` — ProjectQ eDSL replay script.
 
-Adding a backend is one :func:`register` call with any object carrying
-``name`` / ``description`` / ``file_extension`` / ``emit`` (and an
-optional ``parse``); it immediately shows up in every listing above.
+The set is closed: these are the outputs of the paper's two tool
+flows (OpenQASM for the IBM QE via ProjectQ, Sec. VII; Q#, Fig. 10).
 """
 
 from .base import Emitter, EmitterError, can_parse
@@ -32,8 +29,6 @@ from .registry import (
     get,
     parse,
     parseable_formats,
-    register,
-    unregister,
 )
 
 __all__ = [
@@ -47,6 +42,4 @@ __all__ = [
     "get",
     "parse",
     "parseable_formats",
-    "register",
-    "unregister",
 ]

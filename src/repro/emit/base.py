@@ -3,7 +3,7 @@
 An emitter renders a compiled :class:`~repro.core.circuit.QuantumCircuit`
 as source text for one quantum programming framework (the paper's
 Sec. II "assembly languages": OpenQASM, Q#, ProjectQ, ...).  Backends
-are plain objects satisfying the protocol; the registry in
+are plain objects satisfying the protocol; the fixed table in
 :mod:`repro.emit.registry` makes them addressable by name everywhere a
 format is accepted (``Target.emitter``, ``CompilationResult.emit``,
 ``python -m repro compile --emit``, the RevKit shell's ``write_*``

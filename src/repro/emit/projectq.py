@@ -107,5 +107,5 @@ class ProjectQEmitter:
         return to_projectq(circuit)
 
 
-#: The registry instance (loaded by :mod:`repro.emit.registry`).
+#: The backend instance listed in :mod:`repro.emit.registry`.
 EMITTER = ProjectQEmitter()

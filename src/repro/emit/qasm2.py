@@ -299,5 +299,5 @@ class Qasm2Emitter:
         return from_qasm(text)
 
 
-#: The registry instance (loaded by :mod:`repro.emit.registry`).
+#: The backend instance listed in :mod:`repro.emit.registry`.
 EMITTER = Qasm2Emitter()

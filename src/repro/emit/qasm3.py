@@ -121,5 +121,5 @@ class Qasm3Emitter:
         return to_qasm3(circuit)
 
 
-#: The registry instance (loaded by :mod:`repro.emit.registry`).
+#: The backend instance listed in :mod:`repro.emit.registry`.
 EMITTER = Qasm3Emitter()

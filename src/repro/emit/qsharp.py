@@ -97,5 +97,5 @@ class QSharpEmitter:
         return parse_operation_body(text, num_qubits)
 
 
-#: The registry instance (loaded by :mod:`repro.emit.registry`).
+#: The backend instance listed in :mod:`repro.emit.registry`.
 EMITTER = QSharpEmitter()

@@ -1,58 +1,49 @@
-"""The emitter registry: name → backend resolution for every format.
+"""The format table: name → backend resolution for every output format.
 
-One :class:`~repro.registry.Registry` instance holds the formats;
-:func:`register`, :func:`unregister`, :func:`get`, :func:`formats`
-and :func:`describe_formats` are its bound methods.  Built-in backends
-load lazily on first registry use — importing :mod:`repro.emit` alone
-pays for none of them (in a full ``import repro`` the compiler's
-target presets resolve their ``emitter`` fields, which does load the
-builtins; each backend module is kept import-light for exactly that
-reason).  Resolution is case-insensitive and alias-aware (``"qasm"``
-is the historical alias of ``"qasm2"``).  The format-specific helpers
-(parse support, dispatch, extension lookup) live here.
+The four built-in backends form one fixed
+:class:`~repro.registry.BackendTable`; :func:`get`, :func:`formats`
+and :func:`describe_formats` are its bound methods.  Resolution is
+case-insensitive and alias-aware (``"qasm"`` is the historical alias
+of ``"qasm2"``).  The format-specific helpers (parse support,
+dispatch, extension lookup) live here.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Tuple
 
-from ..registry import Registry
+from ..registry import BackendTable
+from . import projectq, qasm2, qasm3, qsharp
 from .base import Emitter, EmitterError, can_parse
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.circuit import QuantumCircuit
 
-#: The format registry; built-in backend modules are listed in
-#: canonical order and each exposes its backend instance as ``EMITTER``.
-_REGISTRY = Registry(
+_TABLE = BackendTable(
     kind="emission format",
     plural="formats",
     protocol="Emitter",
     error=EmitterError,
-    required=("name", "description", "file_extension", "emit"),
-    package=__package__,
-    modules=("qasm2", "qasm3", "qsharp", "projectq", "cirq", "qir"),
-    attribute="EMITTER",
+    entry_point="emit",
+    backends=(qasm2.EMITTER, qasm3.EMITTER, qsharp.EMITTER, projectq.EMITTER),
 )
 
-register = _REGISTRY.register
-unregister = _REGISTRY.unregister
-get = _REGISTRY.get
-formats = _REGISTRY.names
-describe_formats = _REGISTRY.describe
+get = _TABLE.get
+formats = _TABLE.names
+describe_formats = _TABLE.describe
 
 
 def parseable_formats() -> Tuple[str, ...]:
-    """Return the registered formats whose backend can ``parse``."""
+    """Return the formats whose backend can ``parse``."""
     return tuple(name for name in formats() if can_parse(get(name)))
 
 
 def emit(circuit: "QuantumCircuit", format: str, **opts) -> str:
-    """Render a circuit in the named format (registry dispatch).
+    """Render a circuit in the named format.
 
     Args:
         circuit: the circuit to render.
-        format: registered format name or alias.
+        format: format name or alias.
         **opts: backend-specific options.
 
     Returns:
@@ -65,11 +56,11 @@ def emit(circuit: "QuantumCircuit", format: str, **opts) -> str:
 
 
 def parse(text: str, format: str = "qasm2", **opts) -> "QuantumCircuit":
-    """Parse source text back into a circuit (registry dispatch).
+    """Parse source text back into a circuit.
 
     Args:
         text: the source text to import.
-        format: registered format name or alias; the backend must
+        format: format name or alias; the backend must
             implement the optional ``parse`` hook.
         **opts: backend-specific import options (e.g. the Q#
             backend's ``num_qubits=`` register-width override).
@@ -99,8 +90,7 @@ def emitter_for_path(path: str) -> Emitter:
             ``oracle.qasm`` → ``qasm2``).
 
     Returns:
-        The first registered backend (in listing order) claiming the
-        suffix.
+        The backend claiming the suffix (each format has its own).
 
     Raises:
         EmitterError: when no backend claims the suffix; the message

@@ -4,7 +4,7 @@ An engine executes a compiled :class:`~repro.core.circuit.QuantumCircuit`
 on one simulation model (pure statevector, stabilizer tableau, exact
 density matrix, Monte-Carlo trajectories, ...) and returns a
 :class:`~repro.simulator.statevector.SimulationResult`.  Backends are
-plain objects satisfying the protocol; the registry in
+plain objects satisfying the protocol; the fixed table in
 :mod:`repro.engines.registry` makes them addressable by name everywhere
 an engine is accepted (``Target.engine``,
 ``CompilationResult.simulate``, ``python -m repro compile --engine``,

@@ -437,5 +437,5 @@ def _sample_counts(
     return {int(i): int(c) for i, c in enumerate(draws) if c}
 
 
-#: the registry's lazy-loading hook (mirrors ``emit``'s ``EMITTER``).
+#: The backend instance listed in :mod:`repro.engines.registry`.
 ENGINE = DensityMatrixEngine()

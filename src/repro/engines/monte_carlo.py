@@ -241,5 +241,5 @@ def _reset_batch(
         tm[1][..., cols] = 0.0
 
 
-#: the registry's lazy-loading hook (mirrors ``emit``'s ``EMITTER``).
+#: The backend instance listed in :mod:`repro.engines.registry`.
 ENGINE = MonteCarloEngine()

@@ -1,11 +1,9 @@
-"""The engine registry: name → backend resolution for every simulator.
+"""The engine table: name → backend resolution for every simulator.
 
-The same :class:`~repro.registry.Registry` class as
-:mod:`repro.emit.registry`, configured for engines: :func:`register`,
-:func:`unregister`, :func:`get`, :func:`engines` and
-:func:`describe_engines` are bound methods of one instance.  Built-in
-engines load lazily on first registry use — importing
-:mod:`repro.engines` alone pays for none of them.  Resolution is
+The four built-in engines form one fixed
+:class:`~repro.registry.BackendTable` (the same class as
+:mod:`repro.emit.registry`); :func:`get`, :func:`engines` and
+:func:`describe_engines` are its bound methods.  Resolution is
 case-insensitive and alias-aware (``"sv"`` resolves to
 ``"statevector"``, ``"dm"`` to ``"density_matrix"``).
 """
@@ -14,7 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Union
 
-from ..registry import Registry
+from ..registry import BackendTable
+from . import density_matrix, monte_carlo, stabilizer, statevector
 from .base import Engine, EngineError
 from .noise import NoiseModel, as_noise_model
 
@@ -22,24 +21,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.circuit import QuantumCircuit
     from ..simulator.statevector import SimulationResult
 
-#: The engine registry; built-in engine modules are listed in canonical
-#: order and each exposes its backend instance as ``ENGINE``.
-_REGISTRY = Registry(
+_TABLE = BackendTable(
     kind="engine",
     plural="engines",
     protocol="Engine",
     error=EngineError,
-    required=("name", "description", "capabilities", "run"),
-    package=__package__,
-    modules=("statevector", "stabilizer", "density_matrix", "monte_carlo"),
-    attribute="ENGINE",
+    entry_point="run",
+    backends=(
+        statevector.ENGINE,
+        stabilizer.ENGINE,
+        density_matrix.ENGINE,
+        monte_carlo.ENGINE,
+    ),
 )
 
-register = _REGISTRY.register
-unregister = _REGISTRY.unregister
-get = _REGISTRY.get
-engines = _REGISTRY.names
-describe_engines = _REGISTRY.describe
+get = _TABLE.get
+engines = _TABLE.names
+describe_engines = _TABLE.describe
 
 
 def run(
@@ -51,10 +49,10 @@ def run(
     seed: Optional[int] = None,
     **opts,
 ) -> "SimulationResult":
-    """Execute a circuit on a named engine (registry dispatch).
+    """Execute a circuit on a named engine.
 
     Args:
-        engine: registered engine name or alias, or an engine instance.
+        engine: engine name or alias, or an engine instance.
         circuit: the circuit to execute.
         shots: measurement repetitions to report.
         noise: a :class:`NoiseModel`, a preset name (``"qe5"``), a

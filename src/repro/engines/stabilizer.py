@@ -86,5 +86,5 @@ class StabilizerEngine:
         return SimulationResult(counts, None, shots, _measured_width(circuit))
 
 
-#: the registry's lazy-loading hook (mirrors ``emit``'s ``EMITTER``).
+#: The backend instance listed in :mod:`repro.engines.registry`.
 ENGINE = StabilizerEngine()

@@ -127,5 +127,5 @@ class StatevectorEngine:
         )
 
 
-#: the registry's lazy-loading hook (mirrors ``emit``'s ``EMITTER``).
+#: The backend instance listed in :mod:`repro.engines.registry`.
 ENGINE = StatevectorEngine()

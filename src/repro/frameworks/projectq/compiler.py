@@ -61,7 +61,7 @@ class CompilerBackend(Backend):
         pipeline: pass-manager runner shared across flushes (fresh one
             with the shared cache by default).
         compile_target: a :class:`repro.compiler.Target` (or
-            registered name) selecting the compilation chain; defaults
+            preset name) selecting the compilation chain; defaults
             to the ``projectq`` preset, with ``coupling`` overlaid.
     """
 

@@ -110,7 +110,7 @@ def permutation_oracle_operation(
         name: Q# operation name to emit.
         pipeline: pass-manager runner to execute on (fresh one with
             the shared cache by default).
-        target: a :class:`repro.compiler.Target` (or registered name)
+        target: a :class:`repro.compiler.Target` (or preset name)
             selecting synthesis and optimization; defaults to the
             ``qsharp`` preset.
 
@@ -193,11 +193,20 @@ def hidden_shift_program(
 # ----------------------------------------------------------------------
 # structural validation / re-parsing
 # ----------------------------------------------------------------------
+#: Every frame line :func:`repro.emit.qsharp.operation_code` writes.
+_FRAME_RE = re.compile(
+    r"^(?:|\}|namespace [\w.]+ \{|open [\w.]+;|operation \w+"
+    r"|\(qubits : Qubit\[\]\) :|\(\) \{|body \{"
+    r"|adjoint auto|controlled auto|controlled adjoint auto)$"
+)
+#: One :func:`gate_to_qsharp` statement.
 _STMT_RE = re.compile(
-    r"^(?:\(Adjoint\s+(?P<adj>\w+)\)|(?P<name>\w+))"
-    r"\((?P<args>[^)]*)\);$"
+    r"^(?:\(Adjoint (?P<adj>[ST])\)|(?P<name>[A-Z]+))"
+    r"\((?P<args>qubits\[\d+\](?:, qubits\[\d+\])*)\);$"
 )
 _INDEX_RE = re.compile(r"qubits\[(\d+)\]")
+#: Qubit count of each multi-qubit primitive (the rest take one).
+_ARITY = {"cx": 2, "cz": 2, "ccx": 3, "swap": 2}
 
 
 def validate_program(code: str) -> bool:
@@ -210,32 +219,55 @@ def validate_program(code: str) -> bool:
 
 
 def parse_operation_body(code: str, num_qubits: int) -> QuantumCircuit:
-    """Parse the gate statements of a generated operation back into a
-    circuit (supports the primitive set :func:`gate_to_qsharp` emits)."""
+    """Parse a generated operation back into a circuit.
+
+    Strict: accepts exactly the lines
+    :func:`repro.emit.qsharp.operation_code` writes — its frame
+    (namespace, ``open``, ``operation``, signature, ``body``, the
+    ``adjoint``/``controlled`` lines and braces) and one
+    :func:`gate_to_qsharp` statement per line.
+
+    Args:
+        code: the operation source text.
+        num_qubits: width of the ``qubits`` register.
+
+    Returns:
+        The circuit of the operation's gate statements.
+
+    Raises:
+        QSharpError: for any other line, a gate with the wrong number
+            of qubits, or a repeated or out-of-range qubit index; the
+            message names the 1-based line number and its text.
+    """
     inverse_names = {v: k for k, v in _QSHARP_NAMES.items()}
     circuit = QuantumCircuit(num_qubits)
-    for raw in code.splitlines():
+    for number, raw in enumerate(code.splitlines(), 1):
         line = raw.strip()
+        if _FRAME_RE.match(line):
+            continue
         match = _STMT_RE.match(line)
-        if not match:
-            continue
-        qubits = [int(i) for i in _INDEX_RE.findall(match.group("args"))]
-        if match.group("adj"):
-            base = match.group("adj")
-            name = {"S": "sdg", "T": "tdg"}.get(base)
-            if name is None:
-                raise QSharpError(f"unsupported adjoint {base!r}")
-            circuit._add(name, (qubits[0],))
-            continue
-        name = inverse_names.get(match.group("name"))
-        if name is None:
-            continue  # non-gate statement (Message, set, ...)
-        if name in ("cx", "cz"):
-            circuit._add(name, (qubits[1],), (qubits[0],))
-        elif name == "ccx":
-            circuit._add(name, (qubits[2],), (qubits[0], qubits[1]))
-        elif name == "swap":
-            circuit._add(name, tuple(qubits))
+        if match is None:
+            name = None
+        elif match.group("adj"):
+            name = {"S": "sdg", "T": "tdg"}[match.group("adj")]
         else:
-            circuit._add(name, (qubits[0],))
+            name = inverse_names.get(match.group("name"))
+        if name is None:
+            raise QSharpError(
+                f"line {number}: not a generated Q# line: {line!r}"
+            )
+        qubits = [int(i) for i in _INDEX_RE.findall(match.group("args"))]
+        arity = _ARITY.get(name, 1)
+        if len(qubits) != arity:
+            raise QSharpError(
+                f"line {number}: {match.group('name') or name} takes "
+                f"{arity} qubit(s), got {len(qubits)}: {line!r}"
+            )
+        try:
+            if name in ("cx", "cz", "ccx"):
+                circuit._add(name, qubits[-1:], qubits[:-1])
+            else:
+                circuit._add(name, qubits)
+        except ValueError as exc:
+            raise QSharpError(f"line {number}: {exc}: {line!r}") from exc
     return circuit

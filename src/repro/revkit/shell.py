@@ -21,14 +21,13 @@ optimization / mapping command dispatches one
 delta records and content-keyed result cache.  ``shell.report()``
 prints the accumulated per-pass statistics.
 
-Since PR 5 the ``write_<format>`` commands resolve through the
-:mod:`repro.emit` registry: next to the historical ``write_qasm``,
-every registered format gets a command for free (``write_qasm3``,
-``write_qsharp``, ``write_projectq``, ``write_cirq``, ``write_qir``,
-and any backend registered at runtime).
+The ``write_<format>`` commands resolve through the :mod:`repro.emit`
+format table: next to the historical ``write_qasm``, every format has
+a command (``write_qasm3``, ``write_qsharp``, ``write_projectq`` and
+alias forms like ``write_qs``).
 
 Since PR 8 the ``sim_<engine>`` commands resolve the same way through
-the :mod:`repro.engines` registry: ``sim_statevector``,
+the :mod:`repro.engines` table: ``sim_statevector``,
 ``sim_stabilizer``, ``sim_density_matrix``, ``sim_monte_carlo`` (and
 their aliases, e.g. ``sim_dm``) run the current quantum circuit and
 print its outcome histogram; ``--shots``, ``--noise`` and ``--seed``
@@ -374,12 +373,12 @@ class RevKitShell:
         return self._cmd_verify()
 
     def _cmd_write(self, format: str, *args: str) -> str:
-        """Write the quantum circuit in any registered emit format.
+        """Write the quantum circuit in any :mod:`repro.emit` format.
 
         Backs every ``write_<format>`` shell command (``write_qasm``,
-        ``write_qasm3``, ``write_qsharp``, ``write_projectq``,
-        ``write_cirq``, ``write_qir``, ...): the format name resolves
-        through the :mod:`repro.emit` registry.
+        ``write_qasm3``, ``write_qsharp``, ``write_projectq`` and the
+        alias forms): the format name resolves through the
+        :mod:`repro.emit` format table.
         """
         from .. import emit
 
@@ -402,13 +401,13 @@ class RevKitShell:
         return self._cmd_write("qasm", path)
 
     def _cmd_sim(self, engine: str, *args: str) -> str:
-        """Run the quantum circuit on a registered simulation engine.
+        """Run the quantum circuit on a simulation engine.
 
         Backs every ``sim_<engine>`` shell command
         (``sim_statevector``, ``sim_stabilizer``,
         ``sim_density_matrix``, ``sim_monte_carlo``, alias forms like
-        ``sim_dm``, and any engine registered at runtime): the engine
-        name resolves through the :mod:`repro.engines` registry.
+        ``sim_dm``): the engine name resolves through the
+        :mod:`repro.engines` table.
         Options: ``--shots N`` (default 1024), ``--noise MODEL`` (a
         preset like ``qe5`` or a ``p1=...`` rate list), ``--seed N``.
         A circuit without measurements is run on a terminal

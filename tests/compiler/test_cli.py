@@ -285,8 +285,6 @@ class TestEmitMatrix:
             ("qasm3", "OPENQASM 3.0;"),
             ("qsharp", "operation CompiledOperation"),
             ("projectq", "MainEngine()"),
-            ("cirq", "cirq.Circuit"),
-            ("qir", "__quantum__qis__"),
         ],
     )
     def test_every_builtin_format_emits(self, run_cli, fmt, marker):

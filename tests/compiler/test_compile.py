@@ -10,7 +10,6 @@ from repro.compiler import (
     Target,
     get_target,
     list_targets,
-    register_target,
     targets,
 )
 from repro.core.circuit import QuantumCircuit
@@ -65,11 +64,9 @@ class TestPresetEquivalence:
 
 class TestTargets:
     def test_presets_registered(self):
-        names = list_targets()
-        for expected in (
+        assert list_targets() == (
             "toffoli", "clifford_t", "ibm_qe5", "qsharp", "projectq"
-        ):
-            assert expected in names
+        )
 
     def test_get_target_by_name_case_insensitive(self):
         assert get_target("CLIFFORD_T") is targets.CLIFFORD_T
@@ -79,23 +76,6 @@ class TestTargets:
     def test_unknown_target_lists_registered(self):
         with pytest.raises(PipelineError, match="registered targets"):
             get_target("warp_drive")
-
-    def test_register_conflict(self):
-        with pytest.raises(PipelineError, match="already registered"):
-            register_target(Target(name="toffoli"))
-
-    def test_register_and_resolve_custom(self, paper_pi):
-        custom = register_target(
-            Target(
-                name="test_custom_ll",
-                optimization_level=1,
-                synthesis="dbs",
-            ),
-            overwrite=True,
-        )
-        result = repro.compile(paper_pi, target="test_custom_ll", cache=None)
-        assert result.record("dbs")
-        assert result.target is custom
 
     def test_with_derives_without_registering(self):
         derived = targets.CLIFFORD_T.with_(optimization_level=0)

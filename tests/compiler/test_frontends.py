@@ -304,8 +304,8 @@ class TestQasmWorkloads:
         assert "circ.qasm" in workload.description
 
     def test_path_without_importer_lists_parseable(self, tmp_path):
-        path = tmp_path / "circ.ll"
-        path.write_text("; not importable\n")
+        path = tmp_path / "circ.py"
+        path.write_text("# not importable\n")
         with pytest.raises(TypeError, match="no importer"):
             detect_workload(path)
 

@@ -63,51 +63,6 @@ class TestQasm3:
             emit.emit(circ, "qasm3")
 
 
-class TestCirq:
-    def test_script_is_valid_python(self, clifford_t_circuit):
-        text = emit.emit(clifford_t_circuit, "cirq")
-        compile(text, "<generated cirq>", "exec")
-
-    def test_gate_vocabulary(self, clifford_t_circuit):
-        text = emit.emit(clifford_t_circuit, "cirq")
-        assert "q = cirq.LineQubit.range(3)" in text
-        assert "cirq.H(q[0])," in text
-        assert "cirq.CNOT(q[0], q[1])," in text
-        assert "cirq.T(q[1]) ** -1," in text
-        assert "cirq.measure(q[0], key='c0')," in text
-
-    def test_rotations_use_math_pi(self):
-        circ = QuantumCircuit(1).rz(math.pi / 2, 0)
-        text = emit.emit(circ, "cirq")
-        assert "import math" in text
-        assert "cirq.rz(math.pi/2)(q[0])," in text
-        compile(text, "<generated cirq>", "exec")
-
-    def test_mcx_controlled_by(self):
-        circ = QuantumCircuit(4).mcx([0, 1, 2], 3)
-        text = emit.emit(circ, "cirq")
-        assert "cirq.X(q[3]).controlled_by(q[0], q[1], q[2])," in text
-
-    def test_barrier_dropped(self):
-        circ = QuantumCircuit(2).h(0).barrier(0, 1).h(1)
-        text = emit.emit(circ, "cirq")
-        assert "barrier" not in text
-        assert text.count("cirq.H") == 2
-
-    def test_unexpected_controls_raise_not_dropped(self):
-        from repro.core.gates import Gate
-
-        for name in ("sdg", "sx", "s", "h"):
-            circ = QuantumCircuit(2)
-            circ.append(Gate(name, (1,), (0,)))
-            with pytest.raises(emit.EmitterError, match="controls"):
-                emit.emit(circ, "cirq")
-        circ = QuantumCircuit(2)
-        circ.append(Gate("p", (1,), (0,), (0.5,)))
-        with pytest.raises(emit.EmitterError, match="controls"):
-            emit.emit(circ, "cirq")
-
-
 class TestQasm2ExternalFiles:
     def test_named_register_imports(self):
         from repro.emit.qasm2 import from_qasm
@@ -173,57 +128,6 @@ class TestQasm2ExternalFiles:
         assert from_qasm is qasm2.from_qasm
 
 
-class TestQir:
-    def test_structure(self, clifford_t_circuit):
-        text = emit.emit(clifford_t_circuit, "qir")
-        assert "%Qubit = type opaque" in text
-        assert "define void @main() #0 {" in text
-        assert text.rstrip().endswith("}")
-        assert '"num_required_qubits"="3"' in text
-        assert '"num_required_results"="2"' in text
-
-    def test_intrinsic_calls_and_declares(self, clifford_t_circuit):
-        text = emit.emit(clifford_t_circuit, "qir")
-        call = (
-            "call void @__quantum__qis__cnot__body("
-            "%Qubit* inttoptr (i64 0 to %Qubit*), "
-            "%Qubit* inttoptr (i64 1 to %Qubit*))"
-        )
-        assert call in text
-        assert "declare void @__quantum__qis__cnot__body(%Qubit*, %Qubit*)" in text
-        assert "call void @__quantum__qis__t__adj" in text
-        assert "declare void @__quantum__qis__mz__body(%Qubit*, %Result*)" in text
-
-    def test_each_intrinsic_declared_once(self):
-        circ = QuantumCircuit(2).h(0).h(1).h(0)
-        text = emit.emit(circ, "qir")
-        assert text.count("declare void @__quantum__qis__h__body") == 1
-        assert text.count("call void @__quantum__qis__h__body") == 3
-
-    def test_rotations_carry_double_argument(self):
-        circ = QuantumCircuit(1).rz(0.5, 0).p(0.25, 0)
-        text = emit.emit(circ, "qir")
-        assert "call void @__quantum__qis__rz__body(double 0.5, " in text
-        assert "call void @__quantum__qis__r1__body(double 0.25, " in text
-
-    def test_unmapped_gate_rejected(self):
-        circ = QuantumCircuit(4).mcx([0, 1, 2], 3)
-        with pytest.raises(emit.EmitterError, match="map to"):
-            emit.emit(circ, "qir")
-
-    def test_unexpected_controls_raise_not_dropped(self):
-        from repro.core.gates import Gate
-
-        circ = QuantumCircuit(2)
-        circ.append(Gate("x", (1,), (0,)))
-        with pytest.raises(emit.EmitterError, match="controls"):
-            emit.emit(circ, "qir")
-        circ = QuantumCircuit(2)
-        circ.append(Gate("rz", (1,), (0,), (0.5,)))
-        with pytest.raises(emit.EmitterError, match="controls"):
-            emit.emit(circ, "qir")
-
-
 class TestQsharpBackend:
     def test_matches_legacy_generator(self, clifford_t_circuit):
         from repro.frameworks.qsharp import _operation_from_circuit
@@ -267,7 +171,7 @@ class TestProjectQBackend:
 
 
 class TestOptionsValidation:
-    @pytest.mark.parametrize("fmt", ["qasm2", "qasm3", "projectq", "cirq", "qir"])
+    @pytest.mark.parametrize("fmt", ["qasm2", "qasm3", "projectq"])
     def test_unexpected_options_rejected(self, fmt):
         with pytest.raises(emit.EmitterError, match="no options"):
             emit.emit(QuantumCircuit(1), fmt, bogus=1)

@@ -1,52 +1,47 @@
-"""Unit tests for the repro.emit registry."""
+"""Unit tests for the repro.emit format table."""
+
+import importlib
 
 import pytest
 
 from repro import emit
 from repro.compiler import Target
-from repro.core.circuit import QuantumCircuit
 from repro.pipeline.state import PipelineError
 
-#: The six formats the ISSUE's acceptance criteria require.
-EXPECTED_FORMATS = ("qasm2", "qasm3", "qsharp", "projectq", "cirq", "qir")
+#: The four built-in formats, in canonical listing order.
+EXPECTED_FORMATS = ("qasm2", "qasm3", "qsharp", "projectq")
 
-
-class DummyEmitter:
-    """Minimal protocol-satisfying backend used by registration tests."""
-
-    name = "dummy"
-    description = "test backend"
-    file_extension = ".dummy"
-    aliases = ("dmy",)
-
-    def emit(self, circuit, **opts):
-        return f"dummy({circuit.num_qubits})"
-
-
-@pytest.fixture
-def dummy():
-    emitter = emit.register(DummyEmitter())
-    try:
-        yield emitter
-    finally:
-        emit.unregister("dummy")
+#: Every declared alias and the format it names.
+ALIASES = {
+    "qasm": "qasm2",
+    "openqasm2": "qasm2",
+    "openqasm3": "qasm3",
+    "qs": "qsharp",
+    "q#": "qsharp",
+}
 
 
 class TestFormats:
     def test_builtin_formats_registered(self):
-        formats = emit.formats()
-        assert len(formats) >= 6
-        for name in EXPECTED_FORMATS:
-            assert name in formats
+        assert emit.formats() == EXPECTED_FORMATS
 
-    def test_get_resolves_aliases_case_insensitively(self):
-        assert emit.get("qasm").name == "qasm2"
-        assert emit.get("QASM2").name == "qasm2"
-        assert emit.get("qs").name == "qsharp"
-        assert emit.get("openqasm3").name == "qasm3"
+    @pytest.mark.parametrize("alias", sorted(ALIASES))
+    def test_every_alias_resolves_case_insensitively(self, alias):
+        backend = emit.get(ALIASES[alias])
+        assert emit.get(alias) is backend
+        assert emit.get(alias.upper()) is backend
+        assert alias in backend.aliases
+
+    @pytest.mark.parametrize("name", EXPECTED_FORMATS)
+    def test_get_returns_the_module_backend_instance(self, name):
+        # perfbench's tracer patches type(emit.get(name)).emit, so the
+        # table must hand out each backend module's own EMITTER
+        module = importlib.import_module(f"repro.emit.{name}")
+        assert emit.get(name) is module.EMITTER
+        assert emit.get(name.upper()) is module.EMITTER
 
     def test_get_passes_emitter_instances_through(self):
-        emitter = emit.get("qir")
+        emitter = emit.get("qasm3")
         assert emit.get(emitter) is emitter
 
     def test_unknown_format_lists_registered(self):
@@ -61,165 +56,11 @@ class TestFormats:
 
     def test_parseable_formats(self):
         parseable = emit.parseable_formats()
-        assert "qasm2" in parseable
-        assert "qir" not in parseable
+        assert parseable == ("qasm2", "qsharp")
 
     def test_parse_rejects_emit_only_formats(self):
         with pytest.raises(emit.EmitterError, match="no importer"):
-            emit.parse("anything", "qir")
-
-
-class TestRegistration:
-    def test_register_and_dispatch(self, dummy):
-        assert "dummy" in emit.formats()
-        circuit = QuantumCircuit(3)
-        assert emit.emit(circuit, "dummy") == "dummy(3)"
-        assert emit.get("dmy") is dummy
-
-    def test_collision_requires_overwrite(self, dummy):
-        with pytest.raises(emit.EmitterError, match="already registered"):
-            emit.register(DummyEmitter())
-        replacement = DummyEmitter()
-        assert emit.register(replacement, overwrite=True) is replacement
-        assert emit.get("dummy") is replacement
-
-    def test_alias_collision_detected(self, dummy):
-        class Clash(DummyEmitter):
-            name = "clash"
-            aliases = ("dummy",)
-
-        with pytest.raises(emit.EmitterError, match="already registered"):
-            emit.register(Clash())
-
-    def test_incomplete_backend_rejected(self):
-        class NotAnEmitter:
-            name = "nope"
-
-        with pytest.raises(emit.EmitterError, match="missing"):
-            emit.register(NotAnEmitter())
-
-    def test_backend_without_aliases_registers_and_resolves(self):
-        class Minimal:
-            name = "minimal"
-            description = "no aliases attribute at all"
-            file_extension = ".min"
-
-            def emit(self, circuit, **opts):
-                return "minimal"
-
-        instance = Minimal()
-        emit.register(instance)
-        try:
-            assert emit.get("minimal") is instance
-            # instances pass through get() like named lookups do
-            assert emit.get(instance) is instance
-        finally:
-            emit.unregister("minimal")
-
-    def test_overwrite_with_builtin_alias_takes_the_name_over(self):
-        """overwrite=True on an alias name must not leave a stale alias."""
-        qasm2 = emit.get("qasm2")
-
-        class Usurper(DummyEmitter):
-            name = "qasm"
-            aliases = ()
-
-        usurper = emit.register(Usurper(), overwrite=True)
-        try:
-            assert emit.get("qasm") is usurper
-            assert emit.get("qasm2") is qasm2
-        finally:
-            emit.unregister("qasm")
-            # restore the historical alias for the rest of the suite
-            emit.register(qasm2, overwrite=True)
-        assert emit.get("qasm") is qasm2
-
-    def test_overwrite_shadowing_alias_evicts_shadowed_backend(self):
-        """An alias capturing an existing canonical name evicts it."""
-        victim = emit.register(DummyEmitter())
-
-        class Shadow(DummyEmitter):
-            name = "shadow"
-            aliases = ("dummy",)
-
-        shadow = emit.register(Shadow(), overwrite=True)
-        try:
-            assert emit.get("dummy") is shadow
-            assert "dummy" not in emit.formats()
-            assert victim.name not in emit.formats()
-        finally:
-            emit.unregister("shadow")
-
-    def test_describe_formats_reflects_live_aliases(self):
-        """After an overwrite steals an alias, listings follow suit."""
-        qasm2 = emit.get("qasm2")
-
-        class Thief(DummyEmitter):
-            name = "thief"
-            aliases = ("qasm",)
-
-        emit.register(Thief(), overwrite=True)
-        try:
-            described = emit.describe_formats()
-            assert "thief (aka qasm)" in described
-            assert "qasm2 (aka openqasm2)" in described
-        finally:
-            emit.unregister("thief")
-            emit.register(qasm2, overwrite=True)
-        assert "qasm2 (aka qasm, openqasm2)" in emit.describe_formats()
-
-    def test_overwrite_keeps_position_when_alias_evicts_earlier_entry(self):
-        """Re-inserting must account for entries the eviction removed."""
-        qasm2 = emit.get("qasm2")
-        qsharp = emit.get("qsharp")
-        before = emit.formats()
-        assert before.index("qsharp") < before.index("projectq")
-
-        class Usurper(DummyEmitter):
-            name = "qsharp"
-            aliases = ("qasm2",)
-
-        emit.register(Usurper(), overwrite=True)
-        try:
-            order = emit.formats()
-            assert order.index("qsharp") < order.index("projectq")
-            assert "qasm2" not in order
-        finally:
-            emit.unregister("qsharp")
-            emit.register(qasm2, overwrite=True)
-            emit.register(qsharp, overwrite=True)
-        assert set(emit.formats()) == set(before)
-
-    def test_overwrite_keeps_formats_position(self):
-        order = emit.formats()
-
-        class Qasm2Replacement(DummyEmitter):
-            name = "qasm2"
-            aliases = ("qasm", "openqasm2")
-            file_extension = ".qasm"
-
-        original = emit.get("qasm2")
-        emit.register(Qasm2Replacement(), overwrite=True)
-        try:
-            assert emit.formats() == order
-        finally:
-            emit.register(original, overwrite=True)
-        assert emit.formats() == order
-        assert emit.get("qasm") is original
-
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(emit.EmitterError, match="unknown emission"):
-            emit.unregister("never-registered")
-
-    def test_custom_format_resolves_in_target(self, dummy):
-        target = Target(name="custom", emitter="dmy")
-        assert target.emitter == "dummy"
-
-    def test_custom_format_emits_from_result(self, dummy, paper_pi):
-        import repro
-
-        result = repro.compile(paper_pi, target="qsharp", cache=None)
-        assert result.emit("dummy") == f"dummy({result.circuit.num_qubits})"
+            emit.parse("anything", "projectq")
 
 
 class TestTargetEmitterResolution:
@@ -252,7 +93,12 @@ class TestPathResolution:
         assert emit.emitter_for_path("x.qasm").name == "qasm2"
         assert emit.emitter_for_path("x.qasm3").name == "qasm3"
         assert emit.emitter_for_path("x.qs").name == "qsharp"
-        assert emit.emitter_for_path("x.ll").name == "qir"
+        assert emit.emitter_for_path("x.py").name == "projectq"
+
+    @pytest.mark.parametrize("name", emit.formats())
+    def test_one_extension_per_format(self, name):
+        path = "f" + emit.get(name).file_extension
+        assert emit.emitter_for_path(path).name == name
 
     def test_unknown_extension_lists_known(self):
         with pytest.raises(emit.EmitterError, match="known\\s+extensions"):

@@ -23,8 +23,8 @@ class TestDispatch:
             assert isinstance(text, str) and text
 
     def test_memoized_per_format_and_opts(self, result):
-        assert result.emit("cirq") is result.emit("cirq")
-        assert result.emit("qir") is result.emit("qir")
+        assert result.emit("qasm3") is result.emit("qasm3")
+        assert result.emit("projectq") is result.emit("projectq")
         named = result.emit("qsharp", name="A")
         assert named is result.emit("qsharp", name="A")
         assert named != result.emit("qsharp", name="B")
@@ -123,7 +123,7 @@ class TestErrorPaths:
             result.emit("verilog")
         with pytest.raises(EmissionError, match="qasm2 \\(aka qasm"):
             result.emit("verilog")
-        with pytest.raises(EmissionError, match="qir"):
+        with pytest.raises(EmissionError, match="projectq"):
             result.emit("verilog")
 
     def test_no_default_emitter_lists_registered(self, paper_pi):
@@ -146,7 +146,7 @@ class TestErrorPaths:
     def test_backend_failure_translated(self, paper_pi):
         mct = repro.compile(paper_pi, target="toffoli", cache=None)
         with pytest.raises(EmissionError, match="no\\s+quantum circuit"):
-            mct.emit("qir")
+            mct.emit("qasm3")
 
 
 class TestTargetDefaultEmitter:

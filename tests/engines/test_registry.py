@@ -1,4 +1,6 @@
-"""Unit tests for the repro.engines registry."""
+"""Unit tests for the repro.engines table."""
+
+import importlib
 
 import pytest
 
@@ -10,48 +12,63 @@ from repro.simulator.statevector import SimulationResult
 EXPECTED_ENGINES = (
     "statevector", "stabilizer", "density_matrix", "monte_carlo",
 )
+
+#: Every declared alias and the engine it names.
+ALIASES = {
+    "sv": "statevector",
+    "pure": "statevector",
+    "chp": "stabilizer",
+    "tableau": "stabilizer",
+    "dm": "density_matrix",
+    "rho": "density_matrix",
+    "mc": "monte_carlo",
+    "noisy": "monte_carlo",
+}
 CAPPED_ENGINES = [
     name for name in EXPECTED_ENGINES
     if engines.get(name).capabilities.max_qubits is not None
 ]
 
 
-class DummyEngine:
-    """Minimal protocol-satisfying backend used by registration tests."""
-
-    name = "dummy"
-    description = "test engine"
-    aliases = ("dmy",)
-    capabilities = engines.EngineCapabilities(max_qubits=4)
-
-    def run(self, circuit, *, shots=1024, noise=None, seed=None, **opts):
-        return SimulationResult({0: shots}, None, shots, circuit.num_qubits)
-
-
-@pytest.fixture
-def dummy():
-    engine = engines.register(DummyEngine())
-    try:
-        yield engine
-    finally:
-        engines.unregister("dummy")
-
-
 class TestBuiltins:
     def test_builtin_engines_registered(self):
         assert engines.engines() == EXPECTED_ENGINES
 
-    def test_get_resolves_aliases_case_insensitively(self):
-        assert engines.get("sv").name == "statevector"
-        assert engines.get("SV").name == "statevector"
-        assert engines.get("DM").name == "density_matrix"
-        assert engines.get("rho").name == "density_matrix"
-        assert engines.get("chp").name == "stabilizer"
-        assert engines.get("noisy").name == "monte_carlo"
+    @pytest.mark.parametrize("alias", sorted(ALIASES))
+    def test_every_alias_resolves_case_insensitively(self, alias):
+        backend = engines.get(ALIASES[alias])
+        assert engines.get(alias) is backend
+        assert engines.get(alias.upper()) is backend
+        assert alias in backend.aliases
+
+    @pytest.mark.parametrize("name", EXPECTED_ENGINES)
+    def test_get_returns_the_module_backend_instance(self, name):
+        # perfbench's tracer patches type(engines.get(name)).run, so the
+        # table must hand out each engine module's own ENGINE
+        module = importlib.import_module(f"repro.engines.{name}")
+        assert engines.get(name) is module.ENGINE
+        assert engines.get(name.upper()) is module.ENGINE
 
     def test_get_passes_engine_instances_through(self):
         engine = engines.get("density_matrix")
         assert engines.get(engine) is engine
+
+    def test_run_resolves_noise_specs(self):
+        captured = {}
+
+        class Probe:
+            name = "probe"
+            capabilities = engines.EngineCapabilities()
+
+            def run(self, circuit, *, shots=1024, noise=None, seed=None,
+                    **opts):
+                captured["noise"] = noise
+                return SimulationResult({}, None, shots)
+
+        engines.run(Probe(), QuantumCircuit(1), noise="qe5")
+        assert captured["noise"] == engines.QE5_NOISE
+        engines.run(Probe(), QuantumCircuit(1), noise="p1=0.5")
+        assert captured["noise"].p1 == 0.5
 
     def test_unknown_engine_lists_registered(self):
         with pytest.raises(engines.EngineError, match="unknown engine"):
@@ -78,110 +95,6 @@ class TestBuiltins:
         described = engines.describe_engines()
         assert "density_matrix (aka dm, rho)" in described
         assert "monte_carlo (aka mc, noisy)" in described
-
-
-class TestRegistration:
-    def test_register_and_dispatch(self, dummy):
-        assert "dummy" in engines.engines()
-        circuit = QuantumCircuit(3)
-        result = engines.run("dummy", circuit, shots=16)
-        assert result.counts == {0: 16}
-        assert engines.get("dmy") is dummy
-
-    def test_collision_requires_overwrite(self, dummy):
-        with pytest.raises(engines.EngineError, match="already registered"):
-            engines.register(DummyEngine())
-        replacement = DummyEngine()
-        assert engines.register(replacement, overwrite=True) is replacement
-        assert engines.get("dummy") is replacement
-
-    def test_alias_collision_detected(self, dummy):
-        class Clash(DummyEngine):
-            name = "clash"
-            aliases = ("dummy",)
-
-        with pytest.raises(engines.EngineError, match="already registered"):
-            engines.register(Clash())
-
-    def test_incomplete_backend_rejected(self):
-        class NotAnEngine:
-            name = "nope"
-
-        with pytest.raises(engines.EngineError, match="missing"):
-            engines.register(NotAnEngine())
-
-    def test_backend_without_aliases_registers_and_resolves(self):
-        class Minimal:
-            name = "minimal"
-            description = "no aliases attribute at all"
-            capabilities = engines.EngineCapabilities()
-
-            def run(self, circuit, *, shots=1024, noise=None, seed=None,
-                    **opts):
-                return SimulationResult({}, None, shots)
-
-        instance = Minimal()
-        engines.register(instance)
-        try:
-            assert engines.get("minimal") is instance
-            assert engines.get(instance) is instance
-        finally:
-            engines.unregister("minimal")
-
-    def test_overwrite_keeps_listing_position(self):
-        order = engines.engines()
-
-        class Replacement(DummyEngine):
-            name = "stabilizer"
-            aliases = ("chp", "tableau")
-
-        original = engines.get("stabilizer")
-        engines.register(Replacement(), overwrite=True)
-        try:
-            assert engines.engines() == order
-        finally:
-            engines.register(original, overwrite=True)
-        assert engines.engines() == order
-        assert engines.get("chp") is original
-
-    def test_overwrite_shadowing_alias_evicts_shadowed_backend(self, dummy):
-        class Shadow(DummyEngine):
-            name = "shadow"
-            aliases = ("dummy",)
-
-        shadow = engines.register(Shadow(), overwrite=True)
-        try:
-            assert engines.get("dummy") is shadow
-            assert "dummy" not in engines.engines()
-        finally:
-            engines.unregister("shadow")
-            # the fixture's unregister("dummy") must still find a body
-            engines.register(DummyEngine())
-
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(engines.EngineError, match="unknown engine"):
-            engines.unregister("never-registered")
-
-    def test_run_resolves_noise_specs(self, dummy):
-        captured = {}
-
-        class Probe(DummyEngine):
-            name = "probe"
-            aliases = ()
-
-            def run(self, circuit, *, shots=1024, noise=None, seed=None,
-                    **opts):
-                captured["noise"] = noise
-                return SimulationResult({}, None, shots)
-
-        engines.register(Probe())
-        try:
-            engines.run("probe", QuantumCircuit(1), noise="qe5")
-            assert captured["noise"] == engines.QE5_NOISE
-            engines.run("probe", QuantumCircuit(1), noise="p1=0.5")
-            assert captured["noise"].p1 == 0.5
-        finally:
-            engines.unregister("probe")
 
 
 class TestDeclaredCapacity:

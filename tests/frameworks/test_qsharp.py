@@ -62,6 +62,46 @@ class TestOperationGeneration:
         assert circuits_equivalent(parsed, circ)
 
 
+class TestStrictImport:
+    """The importer accepts exactly the lines the Q# emitter writes."""
+
+    @pytest.mark.parametrize(
+        "code, line",
+        [
+            ("}{", 1),
+            ("H(q[0]); FOO(q[1]);", 1),
+            ("H(qubits[0]); FOO(qubits[1]);", 1),
+            ("H(q[0]);", 1),
+            ("FOO(qubits[0]);", 1),
+            ('Message("x");', 1),
+            ("(Adjoint H)(qubits[0]);", 1),
+            ("H(qubits[0]);\nX(qubits[1])", 2),
+            ("CNOT(qubits[0]);", 1),
+            ("H(qubits[0], qubits[1]);", 1),
+            ("X(qubits[0]);\nH(qubits[7]);", 2),
+            ("CNOT(qubits[1], qubits[1]);", 1),
+        ],
+        ids=[
+            "stray-braces", "two-statements-foreign-register",
+            "two-statements-unknown-gate", "foreign-register",
+            "unknown-gate", "non-gate-statement", "unknown-adjoint",
+            "missing-semicolon", "too-few-qubits", "too-many-qubits",
+            "index-out-of-range", "repeated-qubit",
+        ],
+    )
+    def test_rejects_what_the_emitter_never_writes(self, code, line):
+        text = code.splitlines()[line - 1].strip()
+        with pytest.raises(QSharpError) as info:
+            parse_operation_body(code, 2)
+        message = str(info.value)
+        assert message.startswith(f"line {line}: ")
+        assert message.endswith(repr(text))
+
+    def test_empty_generated_operation_parses(self):
+        op = operation_from_circuit("Empty", QuantumCircuit(2))
+        assert parse_operation_body(op.code, 2).gates == []
+
+
 class TestPermutationOracleGeneration:
     @pytest.mark.parametrize("seed", range(5))
     def test_generated_code_is_semantically_correct(self, seed):

@@ -140,8 +140,6 @@ class TestCommands:
             ("write_qasm3", "OPENQASM 3.0;"),
             ("write_qsharp", "operation CompiledOperation"),
             ("write_projectq", "MainEngine()"),
-            ("write_cirq", "cirq.Circuit"),
-            ("write_qir", "__quantum__qis__"),
         ],
     )
     def test_write_every_registered_format(self, tmp_path, command, marker):
@@ -160,9 +158,9 @@ class TestCommands:
     def test_write_python_method(self, tmp_path):
         shell = RevKitShell()
         shell.run("revgen --hwb 3; tbs; rptm")
-        path = tmp_path / "out.ll"
-        shell.write("qir", str(path))
-        assert "entry_point" in path.read_text()
+        path = tmp_path / "out.qs"
+        shell.write("qs", str(path))
+        assert "operation CompiledOperation" in path.read_text()
 
     def test_python_api_mirror(self):
         shell = RevKitShell()

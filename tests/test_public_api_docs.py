@@ -37,16 +37,12 @@ ENTRY_POINTS = (
     "repro.compiler.Target.flow",
     "repro.compiler.CompilerSession.compile_many",
     "repro.compiler.CompilerSession.sweep",
-    "repro.emit.register",
-    "repro.emit.unregister",
     "repro.emit.get",
     "repro.emit.emit",
     "repro.emit.parse",
     "repro.emit.emitter_for_path",
     "repro.compiler.CompilationResult.emit",
     "repro.compiler.CompilationResult.simulate",
-    "repro.engines.register",
-    "repro.engines.unregister",
     "repro.engines.get",
     "repro.engines.run",
     "repro.engines.as_noise_model",

@@ -21,7 +21,12 @@ linear-synthesis module ``repro.synthesis.linear``, the public helpers
 nothing outside the tests called (deleted, or moved into ``tests/`` as
 oracles such as ``circuits_equivalent`` and the PTM algebra), ProjectQ's
 ``Control`` context with the engine's control stack, and the session's
-``executor=`` with its process pool.  An old spelling must end in an
+``executor=`` with its process pool.  So is the open backend
+registry: the generic ``Registry`` class with runtime
+``register``/``unregister`` (and ``overwrite=``) on ``repro.emit``
+and ``repro.engines``, ``repro.compiler.register_target``, and the
+``cirq`` and ``qir`` emitters — formats, engines and targets are
+fixed tables of the built-ins.  An old spelling must end in an
 import, attribute, type or engine error — or, for the environment
 variables, have no effect at all — rather than being silently
 accepted.
@@ -65,6 +70,8 @@ def _bell() -> QuantumCircuit:
         "repro.algorithms.deutsch_jozsa",
         "repro.core.dag",
         "repro.synthesis.linear",
+        "repro.emit.cirq",
+        "repro.emit.qir",
     ],
 )
 def test_retired_modules_are_gone(module):
@@ -357,3 +364,32 @@ def test_session_executor_keyword_is_gone(executor):
     session = CompilerSession(cache=None)
     assert not hasattr(session, "executor")
     assert not hasattr(session, "_cache_spec")
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.emit", "register"),
+        ("repro.emit", "unregister"),
+        ("repro.engines", "register"),
+        ("repro.engines", "unregister"),
+        ("repro.compiler", "register_target"),
+        ("repro.registry", "Registry"),
+    ],
+)
+def test_runtime_registration_is_gone(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+    assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("fmt", ["cirq", "qir"])
+def test_cirq_and_qir_formats_are_gone(fmt):
+    from repro import emit
+
+    with pytest.raises(emit.EmitterError, match="unknown emission") as info:
+        emit.get(fmt)
+    assert info.value.args[0].endswith(
+        "registered formats: qasm2 (aka qasm, openqasm2), qasm3 (aka "
+        "openqasm3), qsharp (aka qs, q#), projectq"
+    )
