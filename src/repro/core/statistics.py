@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict
 
+from .gates import NON_UNITARY, is_clifford_name
+
 if TYPE_CHECKING:  # pragma: no cover
     from .circuit import QuantumCircuit
 
@@ -50,22 +52,54 @@ class CircuitStatistics:
 
 
 def circuit_statistics(circuit: "QuantumCircuit") -> CircuitStatistics:
-    """Compute the full statistics bundle for ``circuit``."""
-    from .gates import is_clifford_name
+    """Compute the full statistics bundle for ``circuit`` in one scan.
 
-    unitary_gates = [
-        g for g in circuit.gates if g.is_unitary and g.name != "barrier"
-    ]
-    clifford = sum(
-        1 for g in unitary_gates if is_clifford_name(g.name, g.params)
-    )
+    Every figure equals its :class:`QuantumCircuit` method's
+    (``depth``, ``t_depth``, ``t_count``, ``two_qubit_count``,
+    ``count_ops``); barriers count in the histogram only, measurements
+    and resets in the histogram and both depths.
+    """
+    histogram: Dict[str, int] = {}
+    level: Dict[int, int] = {}  # depth reached on each wire
+    t_level: Dict[int, int] = {}  # T-depth reached on each wire
+    depth = t_depth = t_count = num_gates = two_qubit = clifford = 0
+    for gate in circuit.gates:
+        name = gate.name
+        histogram[name] = histogram.get(name, 0) + 1
+        if name == "barrier":
+            continue
+        qubits = gate.qubits
+        start = t_start = 0
+        for q in qubits:
+            if level.get(q, 0) > start:
+                start = level[q]
+            if t_level.get(q, 0) > t_start:
+                t_start = t_level[q]
+        start += 1
+        if name == "t" or name == "tdg":
+            t_count += 1
+            t_start += 1
+        for q in qubits:
+            level[q] = start
+            t_level[q] = t_start
+        if start > depth:
+            depth = start
+        if t_start > t_depth:
+            t_depth = t_start
+        if name in NON_UNITARY:
+            continue
+        num_gates += 1
+        if len(qubits) == 2:
+            two_qubit += 1
+        if is_clifford_name(name, gate.params):
+            clifford += 1
     return CircuitStatistics(
         num_qubits=circuit.num_qubits,
-        num_gates=len(unitary_gates),
-        depth=circuit.depth(),
-        t_count=circuit.t_count(),
-        t_depth=circuit.t_depth(),
-        two_qubit_count=circuit.two_qubit_count(),
+        num_gates=num_gates,
+        depth=depth,
+        t_count=t_count,
+        t_depth=t_depth,
+        two_qubit_count=two_qubit,
         clifford_count=clifford,
-        histogram=circuit.count_ops(),
+        histogram=histogram,
     )

@@ -193,9 +193,11 @@ def from_qasm(text: str) -> "QuantumCircuit":
     Externally produced files are welcome too: named and multiple
     ``qreg``/``creg`` declarations flatten onto one register in
     declaration order, and operands referencing undeclared registers
-    raise :class:`QasmError` instead of being dropped.  A gate line with
-    the wrong operand or parameter count, or a register broadcast,
-    raises :class:`QasmError` naming the line.
+    raise :class:`QasmError` instead of being dropped.  Any statement
+    that does not read — an unsupported gate, the wrong operand or
+    parameter count, a register broadcast, an index outside its
+    register — raises :class:`QasmError` naming the 1-based line number
+    and its text.
     """
     from ..core.circuit import QuantumCircuit
 
@@ -203,16 +205,16 @@ def from_qasm(text: str) -> "QuantumCircuit":
     cregs = {}
     num_qubits = 0
     num_clbits = 0
-    body: List[str] = []
-    for raw in text.splitlines():
+    body: List[Tuple[int, str]] = []
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("//")[0].strip()
         if not line:
             continue
         if line.startswith("OPENQASM"):
             if not re.match(r"^OPENQASM\s+2(\.\d+)?\s*;", line):
                 raise QasmError(
-                    f"{line.rstrip(';')}: OpenQASM 3 import is not "
-                    "supported; only the OpenQASM 2.0 subset parses"
+                    f"line {number}: OpenQASM 3 import is not supported; "
+                    f"only the OpenQASM 2.0 subset parses: {line!r}"
                 )
             continue
         if line.startswith("include"):
@@ -227,55 +229,59 @@ def from_qasm(text: str) -> "QuantumCircuit":
             cregs[match.group(1)] = (num_clbits, int(match.group(2)))
             num_clbits += int(match.group(2))
             continue
-        body.append(line)
+        body.append((number, line))
 
     qubit_of = _wire_lookup(qregs, "quantum")
     clbit_of = _wire_lookup(cregs, "classical")
     circuit = QuantumCircuit(num_qubits, num_clbits)
-    for line in body:
-        match = _MEASURE_RE.match(line)
-        if match:
-            circuit.measure(
-                qubit_of(match.group(1), int(match.group(2))),
-                clbit_of(match.group(3), int(match.group(4))),
-            )
-            continue
-        match = _GATE_RE.match(line)
-        if not match:
-            raise QasmError(f"cannot parse line {line!r}")
-        qasm_name = match.group("name")
-        args = match.group("args").strip()
-        if not _OPERANDS_RE.fullmatch(args):
-            raise QasmError(
-                f"line {line!r}: operands must be indexed wires like "
-                "q[0], separated by commas"
-            )
-        qubits = [
-            qubit_of(reg, int(idx)) for reg, idx in _OPERAND_RE.findall(args)
-        ]
-        if qasm_name == "barrier":
-            circuit.barrier(*qubits)
-            continue
-        name = _IMPORT_NAMES.get(qasm_name)
-        if name is None:
-            raise QasmError(f"unsupported gate {qasm_name!r}")
-        texts = match.group("params")
-        texts = texts.split(",") if texts is not None else []
-        n_ctl = _NUM_CONTROLS.get(name, 0)
-        arity = n_ctl + (2 if name in ("swap", "cswap") else 1)
-        n_params = 1 if name in ROTATION_GATES else 0
-        if len(qubits) != arity or len(texts) != n_params:
-            raise QasmError(
-                f"line {line!r}: {qasm_name} takes {arity} operand(s) "
-                f"and {n_params} parameter(s)"
-            )
-        params = tuple(_parse_angle(p) for p in texts)
-        targets, controls = tuple(qubits[n_ctl:]), tuple(qubits[:n_ctl])
+    for number, line in body:
         try:
-            circuit.append(Gate(name, targets, controls, params))
-        except ValueError as exc:
-            raise QasmError(f"line {line!r}: {exc}") from exc
+            _read_statement(circuit, line, qubit_of, clbit_of)
+        except ValueError as exc:  # QasmError, or a gate the IR refuses
+            raise QasmError(f"line {number}: {exc}: {line!r}") from exc
     return circuit
+
+
+def _read_statement(circuit, line, qubit_of, clbit_of) -> None:
+    """Append the gate or measurement of one body statement."""
+    match = _MEASURE_RE.match(line)
+    if match:
+        circuit.measure(
+            qubit_of(match.group(1), int(match.group(2))),
+            clbit_of(match.group(3), int(match.group(4))),
+        )
+        return
+    match = _GATE_RE.match(line)
+    if not match:
+        raise QasmError("not a gate or measure statement")
+    qasm_name = match.group("name")
+    args = match.group("args").strip()
+    if not _OPERANDS_RE.fullmatch(args):
+        raise QasmError(
+            "operands must be indexed wires like q[0], separated by commas"
+        )
+    qubits = [
+        qubit_of(reg, int(idx)) for reg, idx in _OPERAND_RE.findall(args)
+    ]
+    if qasm_name == "barrier":
+        circuit.barrier(*qubits)
+        return
+    name = _IMPORT_NAMES.get(qasm_name)
+    if name is None:
+        raise QasmError(f"unsupported gate {qasm_name!r}")
+    texts = match.group("params")
+    texts = texts.split(",") if texts is not None else []
+    n_ctl = _NUM_CONTROLS.get(name, 0)
+    arity = n_ctl + (2 if name in ("swap", "cswap") else 1)
+    n_params = 1 if name in ROTATION_GATES else 0
+    if len(qubits) != arity or len(texts) != n_params:
+        raise QasmError(
+            f"{qasm_name} takes {arity} operand(s) and {n_params} "
+            "parameter(s)"
+        )
+    params = tuple(_parse_angle(p) for p in texts)
+    targets, controls = tuple(qubits[n_ctl:]), tuple(qubits[:n_ctl])
+    circuit.append(Gate(name, targets, controls, params))
 
 
 class Qasm2Emitter:

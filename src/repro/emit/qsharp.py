@@ -10,15 +10,12 @@ dialect.
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING, Tuple
 
 from .base import EmitterError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.circuit import QuantumCircuit
-
-_INDEX_RE = re.compile(r"qubits\[(\d+)\]")
 
 
 def operation_code(
@@ -89,7 +86,7 @@ class QSharpEmitter:
         wires are idle.  Pass ``num_qubits=`` when the true width is
         known (``repro.emit.parse(text, "qsharp", num_qubits=5)``).
         """
-        from ..frameworks.qsharp import parse_operation_body
+        from ..frameworks.qsharp import _INDEX_RE, parse_operation_body
 
         if num_qubits is None:
             indices = [int(i) for i in _INDEX_RE.findall(text)]

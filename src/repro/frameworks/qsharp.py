@@ -204,18 +204,29 @@ _STMT_RE = re.compile(
     r"^(?:\(Adjoint (?P<adj>[ST])\)|(?P<name>[A-Z]+))"
     r"\((?P<args>qubits\[\d+\](?:, qubits\[\d+\])*)\);$"
 )
+#: One ``qubits[i]`` operand; :mod:`repro.emit.qsharp` reads widths with it.
 _INDEX_RE = re.compile(r"qubits\[(\d+)\]")
 #: Qubit count of each multi-qubit primitive (the rest take one).
 _ARITY = {"cx": 2, "cz": 2, "ccx": 3, "swap": 2}
 
 
 def validate_program(code: str) -> bool:
-    """Structural checks: balanced braces and namespace/operation heads."""
-    if code.count("{") != code.count("}"):
+    """Structural checks: braces nest and a namespace opens first.
+
+    No ``}`` closes below depth 0, every ``{`` is closed by the end,
+    and the first ``namespace`` comes before the first ``operation``.
+    """
+    depth = 0
+    for char in code:
+        if char == "{":
+            depth += 1
+        elif char == "}":
+            depth -= 1
+            if depth < 0:
+                return False
+    if depth:
         return False
-    if "namespace" not in code or "operation" not in code:
-        return False
-    return True
+    return 0 <= code.find("namespace") < code.find("operation")
 
 
 def parse_operation_body(code: str, num_qubits: int) -> QuantumCircuit:

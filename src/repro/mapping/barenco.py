@@ -15,12 +15,16 @@ Lowers multiple-controlled Toffoli/Z gates to the Clifford+T set:
 
 :func:`map_to_clifford_t` maps a whole :class:`ReversibleCircuit` (or
 quantum circuit with mcx/mcz gates), borrowing idle lines as dirty
-ancillae before widening the register with clean ones.
+ancillae before widening the register with clean ones.  Each lowering
+shape is built once on local wires by the builders below; every
+placement of it on concrete wires is memoized and its immutable gates
+are shared by all the circuits it lands in.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import List, Sequence, Tuple, Union
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import Gate
@@ -169,6 +173,43 @@ def map_to_clifford_t(
     return out
 
 
+#: placed lowerings kept (~9 kB each); Eq. (5) workloads need a few hundred
+_PLACED_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=256)
+def _template(shape: Tuple[str, int, bool, bool]) -> Tuple[Gate, ...]:
+    """The Clifford+T lowering of one MCT shape on local wires.
+
+    ``shape`` is ``("mcx" | "mcz", k, clean, relative_phase)``; the
+    wires are the controls ``0..k-1``, the target ``k``, then the
+    ``k-2`` ancillae.  Built lazily, once per shape, by the builders.
+    """
+    kind, k, clean, relative_phase = shape
+    controls = list(range(k))
+    ancillae = list(range(k + 1, 2 * k - 1))
+    width = k + 1 + len(ancillae)
+    if k == 2:
+        sub = ccx_clifford_t(0, 1, k, width)
+    elif clean:
+        sub = mcx_clean_ancilla(
+            controls, k, ancillae, width, relative_phase=relative_phase
+        )
+    else:
+        sub = mcx_dirty_ancilla(controls, k, ancillae, width)
+    if kind == "mcz":
+        return (Gate("h", (k,)),) + tuple(sub.gates) + (Gate("h", (k,)),)
+    return tuple(sub.gates)
+
+
+@lru_cache(maxsize=_PLACED_CACHE_SIZE)
+def _placed(
+    shape: Tuple[str, int, bool, bool], wires: Tuple[int, ...]
+) -> Tuple[Gate, ...]:
+    """:func:`_template` of ``shape`` moved onto the concrete ``wires``."""
+    return tuple(gate.remap(wires) for gate in _template(shape))
+
+
 def _lower_gate(
     gate: Gate,
     out: QuantumCircuit,
@@ -178,36 +219,31 @@ def _lower_gate(
 ) -> None:
     name = gate.name
     if name in ("mcx", "mcz", "ccx", "ccz"):
-        controls = list(gate.controls)
+        controls = gate.controls
         target = gate.targets[0]
-        is_z = name.endswith("z")
-        if is_z:
-            out.h(target)
+        kind = "mcz" if name.endswith("z") else "mcx"
         k = len(controls)
         if k == 2:
-            out.compose(
-                ccx_clifford_t(controls[0], controls[1], target, out.num_qubits)
-            )
+            shape = (kind, 2, True, False)
+            ancillae: Sequence[int] = ()
         else:
-            busy = set(controls) | {target}
-            dirty = [q for q in range(width) if q not in busy]
             need = k - 2
             if len(clean) >= need:
-                sub = mcx_clean_ancilla(
-                    controls, target, clean[:need], out.num_qubits,
-                    relative_phase=relative_phase,
-                )
-            elif len(dirty) >= need:
-                sub = mcx_dirty_ancilla(
-                    controls, target, dirty[:need], out.num_qubits
-                )
+                ancillae = clean[:need]
+                shape = (kind, k, True, relative_phase)
             else:
-                raise MappingError(
-                    f"no ancillae available for {k}-control gate"
-                )
-            out.compose(sub)
-        if is_z:
-            out.h(target)
+                busy = set(controls) | {target}
+                dirty = [q for q in range(width) if q not in busy]
+                if len(dirty) < need:
+                    raise MappingError(
+                        f"no ancillae available for {k}-control gate"
+                    )
+                ancillae = dirty[:need]
+                shape = (kind, k, False, False)
+        wires = controls + (target,) + tuple(ancillae)
+        out._check_wire_map(dict(enumerate(wires)))
+        # gates are immutable, so every placement shares one tuple
+        out.gates.extend(_placed(shape, wires))
         return
     if name == "cz":
         out.h(gate.targets[0])

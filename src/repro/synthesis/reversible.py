@@ -47,6 +47,27 @@ class MctGate:
             raise ValueError("target cannot also be a control")
         if len(set(self.controls)) != len(self.controls):
             raise ValueError("duplicate control line")
+        self._set_masks()
+
+    def _set_masks(self) -> None:
+        # ``(control_mask, polarity_mask)``, computed once per gate: a
+        # plain attribute, not a field, so eq, hash and repr ignore it
+        control_mask = polarity_mask = 0
+        for line, positive in zip(self.controls, self.polarity):
+            control_mask |= 1 << line
+            if positive:
+                polarity_mask |= 1 << line
+        object.__setattr__(self, "_masks", (control_mask, polarity_mask))
+
+    def __getstate__(self) -> Dict[str, object]:
+        # the fields alone: the masks are derived, so pickles leave them out
+        state = dict(self.__dict__)
+        del state["_masks"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._set_masks()
 
     @classmethod
     def from_masks(cls, target: int, control_mask: int, polarity_mask: int) -> "MctGate":
@@ -66,24 +87,19 @@ class MctGate:
         return len(self.controls)
 
     def control_mask(self) -> int:
-        mask = 0
-        for line in self.controls:
-            mask |= 1 << line
-        return mask
+        return self._masks[0]
 
     def polarity_mask(self) -> int:
-        mask = 0
-        for line, positive in zip(self.controls, self.polarity):
-            if positive:
-                mask |= 1 << line
-        return mask
+        return self._masks[1]
 
     def fires(self, value: int) -> bool:
         """True if all controls are satisfied by ``value``."""
-        return (value & self.control_mask()) == self.polarity_mask()
+        control_mask, polarity_mask = self._masks
+        return (value & control_mask) == polarity_mask
 
     def apply(self, value: int) -> int:
-        if self.fires(value):
+        control_mask, polarity_mask = self._masks
+        if (value & control_mask) == polarity_mask:
             return value ^ (1 << self.target)
         return value
 

@@ -71,8 +71,7 @@ def transformation_based_synthesis(
         gates, _ = _fix_value(y, x)
         # each gate acts on the *output* side: perm <- g o perm
         for gate in gates:
-            for row in range(1 << n):
-                perm[row] = gate.apply(perm[row])
+            perm = [gate.apply(value) for value in perm]
             output_gates.append(gate)
     assert perm == list(range(1 << n))
     # perm_final = G_k o ... o G_1 o f = I  =>  f = G_1 o ... o G_k,
@@ -103,8 +102,7 @@ def bidirectional_synthesis(permutation: BitPermutation) -> ReversibleCircuit:
         in_candidate, in_cost = _fix_value(x, z)
         if out_cost <= in_cost:
             for gate in out_candidate:
-                for row in range(1 << n):
-                    perm[row] = gate.apply(perm[row])
+                perm = [gate.apply(value) for value in perm]
                 output_gates.append(gate)
         else:
             # input-side composite m maps x -> z (gates applied in

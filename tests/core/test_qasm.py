@@ -111,11 +111,25 @@ x q[0]; // trailing comment
             "reset q;",  # used to escape as IndexError
             "cx q[0],q[0];",  # used to escape as ValueError
             "cswap q[0],q[1];",  # two-wire target needs both wires
+            "barrier q[0],q[0];",  # used to escape as ValueError
         ],
     )
     def test_malformed_gate_line_raises_naming_it(self, line):
         with pytest.raises(QasmError, match=re.escape(repr(line))):
             from_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("foo q[0];", "unsupported gate 'foo'"),
+            ("x q[5];", "quantum index q[5] outside the register's size 2"),
+        ],
+    )
+    def test_errors_name_the_line_number_and_text(self, line, message):
+        text = f"OPENQASM 2.0;\nqreg q[2];\n{line}\n"
+        expected = f"line 3: {message}: {line!r}"
+        with pytest.raises(QasmError, match=f"^{re.escape(expected)}$"):
+            from_qasm(text)
 
     def test_barrier_round_trip(self):
         circ = QuantumCircuit(2).h(0).barrier(0, 1).h(1)

@@ -164,3 +164,14 @@ class TestFullProgram:
 
     def test_brace_balance_detector(self):
         assert not validate_program("namespace X { operation Y {")
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "} namespace { operation",  # closes below depth 0
+            "operation Y { } namespace X { }",  # operation first
+            "namespace X { }",  # no operation
+        ],
+    )
+    def test_malformed_structure_rejected(self, code):
+        assert not validate_program(code)

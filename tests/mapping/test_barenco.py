@@ -14,6 +14,7 @@ from repro.mapping.barenco import (
     mcx_clean_ancilla,
     mcx_dirty_ancilla,
 )
+from repro.mapping.clifford_t import ccx_clifford_t
 from repro.synthesis.reversible import ReversibleCircuit
 from repro.synthesis.transformation import transformation_based_synthesis
 
@@ -152,3 +153,83 @@ class TestFullMappingPass:
         cheap = map_to_clifford_t(reversible, relative_phase=True)
         full = map_to_clifford_t(reversible, relative_phase=False)
         assert cheap.t_count() < full.t_count()
+
+
+def _compose_builders(source, relative_phase, clean):
+    """The lowering of ``source`` built gate by gate from the builders.
+
+    The reference for the placed templates: each MCT gate composes its
+    builder directly on its concrete wires, with clean ancillae after
+    the data lines or, with ``clean=False``, the first idle lines.
+    """
+    width = source.num_qubits
+    max_k = max(len(g.controls) for g in source.gates)
+    total = width + (max_k - 2 if clean and max_k >= 3 else 0)
+    out = QuantumCircuit(total)
+    for gate in source.gates:
+        controls, target = list(gate.controls), gate.targets[0]
+        k = len(controls)
+        if gate.name.endswith("z"):
+            out.h(target)
+        if k == 2:
+            out.compose(ccx_clifford_t(*controls, target, total))
+        elif clean:
+            out.compose(mcx_clean_ancilla(
+                controls, target, list(range(width, width + k - 2)), total,
+                relative_phase=relative_phase,
+            ))
+        else:
+            busy = set(controls) | {target}
+            idle = [q for q in range(width) if q not in busy]
+            out.compose(mcx_dirty_ancilla(controls, target, idle[:k - 2], total))
+        if gate.name.endswith("z"):
+            out.h(target)
+    return out
+
+
+class TestPlacedTemplates:
+    """``rptm`` places cached templates; the gates must not change."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["mcx", "mcz"])
+    @pytest.mark.parametrize("clean", [True, False])
+    @pytest.mark.parametrize("relative_phase", [True, False])
+    def test_equals_builders_on_concrete_wires(
+        self, k, kind, clean, relative_phase
+    ):
+        rng = random.Random(f"{k}:{kind}:{clean}:{relative_phase}")
+        width = 2 * k + 2  # room for k - 2 idle lines at any placement
+        for _ in range(4):
+            source = QuantumCircuit(width)
+            for _ in range(3):
+                wires = rng.sample(range(width), k + 1)
+                getattr(source, kind)(wires[:k], wires[k])
+            mapped = map_to_clifford_t(
+                source, relative_phase=relative_phase, prefer_clean=clean,
+                allow_extra_lines=clean,
+            )
+            expected = _compose_builders(source, relative_phase, clean)
+            assert mapped.num_qubits == expected.num_qubits
+            assert mapped.gates == expected.gates
+
+    def test_mixed_shapes_in_one_circuit(self):
+        rng = random.Random(7)
+        width = 10
+        source = QuantumCircuit(width)
+        for _ in range(40):
+            k = rng.randint(2, 6)
+            wires = rng.sample(range(width), k + 1)
+            getattr(source, rng.choice(["mcx", "mcz"]))(wires[:k], wires[k])
+        for relative_phase in (True, False):
+            first = map_to_clifford_t(source, relative_phase=relative_phase)
+            again = map_to_clifford_t(source, relative_phase=relative_phase)
+            expected = _compose_builders(source, relative_phase, True)
+            assert first.gates == again.gates == expected.gates
+
+    def test_out_of_range_wire_still_refused(self):
+        from repro.core.gates import Gate
+
+        source = QuantumCircuit(5)
+        source.gates.append(Gate("mcx", (7,), (0, 1, 2)))
+        with pytest.raises(ValueError, match="outside"):
+            map_to_clifford_t(source)

@@ -1,5 +1,8 @@
 """Unit tests for MCT gates and reversible circuits."""
 
+import pickle
+import random
+
 import pytest
 
 from _dense_reference import unitary_as_permutation
@@ -44,6 +47,41 @@ class TestMctGate:
             3, gate.control_mask(), gate.polarity_mask()
         )
         assert rebuilt == gate
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_stored_masks_match_controls_and_polarity(self, seed):
+        rng = random.Random(seed)
+        lines = rng.sample(range(8), rng.randint(1, 8))
+        target, controls = lines[0], tuple(lines[1:])
+        polarity = tuple(rng.random() < 0.5 for _ in controls)
+        gate = MctGate(target, controls, polarity)
+        control_mask = sum(1 << line for line in controls)
+        polarity_mask = sum(
+            1 << line for line, positive in zip(controls, polarity) if positive
+        )
+        assert gate.control_mask() == control_mask
+        assert gate.polarity_mask() == polarity_mask
+        for value in range(1 << 8):
+            fires = all(
+                bool(value >> line & 1) == positive
+                for line, positive in zip(controls, polarity)
+            )
+            assert gate.fires(value) == fires
+            assert gate.apply(value) == value ^ (fires << target)
+
+    def test_masks_take_no_part_in_the_value(self):
+        gate = MctGate(3, (0, 2), (True, False))
+        assert repr(gate) == (
+            "MctGate(target=3, controls=(0, 2), polarity=(True, False))"
+        )
+        assert gate == MctGate(3, (0, 2), (True, False))
+        assert hash(gate) == hash((3, (0, 2), (True, False)))
+        data = pickle.dumps(gate)
+        assert b"_masks" not in data
+        restored = pickle.loads(data)
+        assert restored == gate
+        assert restored.control_mask() == 0b101
+        assert restored.polarity_mask() == 0b001
 
     def test_remap(self):
         gate = MctGate(2, (0, 1), (True, False))
