@@ -7,13 +7,13 @@ ccx) before export.  The importer supports the subset the exporter
 emits, which is enough for round-trip tests (emit → parse → emit is a
 fixed point) and for feeding external tools.
 
-This module is the implementation behind the ``qasm2`` registry entry;
-``repro.core.qasm`` forwards here as a deprecation shim.
+This module is the implementation behind the ``qasm2`` registry entry.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import TYPE_CHECKING, List, Tuple
 
@@ -52,8 +52,6 @@ _EXPORT_NAMES = {
 }
 
 _IMPORT_NAMES = {v: k for k, v in _EXPORT_NAMES.items()}
-_IMPORT_NAMES["u1"] = "p"
-_IMPORT_NAMES["cu1"] = "cp"
 _IMPORT_NAMES["reset"] = "reset"
 
 #: number of control qubits per exported name
@@ -83,8 +81,17 @@ def to_qasm(circuit: "QuantumCircuit") -> str:
     ]
     if circuit.num_clbits:
         lines.append(f"creg c[{circuit.num_clbits}];")
+    # a params- and cbit-free line depends on the shape alone (1 == 1.0)
+    rendered = {}
     for gate in circuit.gates:
-        lines.append(_gate_to_qasm(gate))
+        if gate.params or gate.cbits:
+            lines.append(_gate_to_qasm(gate))
+            continue
+        key = (gate.name, gate.controls, gate.targets)
+        line = rendered.get(key)
+        if line is None:
+            line = rendered[key] = _gate_to_qasm(gate)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -118,9 +125,12 @@ def _gate_to_qasm(gate: Gate) -> str:
 
 def _format_angle(value: float) -> str:
     """Render an angle, using pi fractions when exact."""
-    for denom in (1, 2, 3, 4, 6, 8, 16):
-        for num in range(-16 * denom, 16 * denom + 1):
-            if num == 0:
+    # multiples of pi/denom lie at least pi/16 apart, so only the
+    # nearest one can lie within 1e-12
+    if abs(value) < 17 * math.pi:
+        for denom in (1, 2, 3, 4, 6, 8, 16):
+            num = round(value * denom / math.pi)
+            if not 0 < abs(num) <= 16 * denom:
                 continue
             if abs(value - num * math.pi / denom) < 1e-12:
                 sign = "-" if num < 0 else ""
@@ -148,16 +158,60 @@ _OPERAND_RE = re.compile(r"(\w+)\[(\d+)\]")
 _OPERANDS_RE = re.compile(r"\w+\[\d+\](?:\s*,\s*\w+\[\d+\])*")
 
 
+#: angle tokens: a float literal, ``pi``, an operator, or a bad character
+_ANGLE_TOKEN_RE = re.compile(
+    r"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(pi\b)|([-+*/()])|(\S))"
+)
+#: binary operators by binding level, loosest first
+_ANGLE_LEVELS = (
+    {"+": operator.add, "-": operator.sub},
+    {"*": operator.mul, "/": operator.truediv},
+)
+
+
 def _parse_angle(text: str) -> float:
-    """Evaluate a restricted ``pi``-fraction angle expression."""
-    text = text.strip().replace("pi", repr(math.pi))
-    # restrict eval to arithmetic characters
-    if not re.fullmatch(r"[0-9eE+\-*/. ()]*", text):
-        raise QasmError(f"bad angle expression {text!r}")
+    """Evaluate an angle expression over floats, ``pi`` and ``+ - * /``.
+
+    Binary operators associate to the left and unary signs bind
+    tightest, as in Python, so the value is the float Python's own
+    arithmetic gives.  Anything else (``**`` included) raises
+    :class:`QasmError`.
+    """
+    bad = QasmError(f"bad angle expression {text.strip()!r}")
+    tokens = ["end"]  # read by popping from the end
+    for number, pi, op, other in reversed(_ANGLE_TOKEN_RE.findall(text)):
+        if other:
+            raise bad
+        tokens.append(float(number) if number else math.pi if pi else op)
+
+    def expression(level=0):
+        if level == len(_ANGLE_LEVELS):
+            return factor()
+        value = expression(level + 1)
+        while tokens[-1] in _ANGLE_LEVELS[level]:
+            op = _ANGLE_LEVELS[level][tokens.pop()]
+            value = op(value, expression(level + 1))
+        return value
+
+    def factor():
+        token = tokens.pop()
+        if token in ("+", "-"):
+            return factor() if token == "+" else -factor()
+        if token == "(":
+            value = expression()
+            if tokens.pop() == ")":
+                return value
+        elif isinstance(token, float):
+            return token
+        raise bad
+
     try:
-        return float(eval(text, {"__builtins__": {}}))  # noqa: S307
-    except (SyntaxError, ArithmeticError) as exc:
-        raise QasmError(f"bad angle expression {text!r}") from exc
+        value = expression()
+    except (ZeroDivisionError, RecursionError) as exc:
+        raise bad from exc
+    if tokens != ["end"]:
+        raise bad
+    return value
 
 
 def _wire_lookup(registers, kind):

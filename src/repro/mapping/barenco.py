@@ -186,10 +186,14 @@ def _template(shape: Tuple[str, int, bool, bool]) -> Tuple[Gate, ...]:
     ``k-2`` ancillae.  Built lazily, once per shape, by the builders.
     """
     kind, k, clean, relative_phase = shape
+    if k == 0:
+        return (Gate("z" if kind == "mcz" else "x", (0,)),)
     controls = list(range(k))
     ancillae = list(range(k + 1, 2 * k - 1))
     width = k + 1 + len(ancillae)
-    if k == 2:
+    if k == 1:
+        sub = QuantumCircuit(2).cx(0, 1)
+    elif k == 2:
         sub = ccx_clifford_t(0, 1, k, width)
     elif clean:
         sub = mcx_clean_ancilla(
@@ -223,8 +227,8 @@ def _lower_gate(
         target = gate.targets[0]
         kind = "mcz" if name.endswith("z") else "mcx"
         k = len(controls)
-        if k == 2:
-            shape = (kind, 2, True, False)
+        if k <= 2:
+            shape = (kind, k, True, False)
             ancillae: Sequence[int] = ()
         else:
             need = k - 2

@@ -1,12 +1,6 @@
 """Optimization passes: revsimp (cancellation) and tpar (phase folding)."""
 
-from .phase_polynomial import (
-    PhaseRegion,
-    PhaseTerm,
-    fold_region,
-    greedy_t_layers,
-    is_region_gate,
-)
+from .phase_polynomial import greedy_t_layers, is_region_gate
 from .simplify import cancel_adjacent_gates, simplify_reversible
 from .templates import template_optimize
 from .tpar import (
@@ -16,9 +10,6 @@ from .tpar import (
 )
 
 __all__ = [
-    "PhaseRegion",
-    "PhaseTerm",
-    "fold_region",
     "greedy_t_layers",
     "is_region_gate",
     "cancel_adjacent_gates",

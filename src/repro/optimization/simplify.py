@@ -113,19 +113,12 @@ def simplify_reversible(
 # quantum gate cancellation
 # ----------------------------------------------------------------------
 def _inverse_pair(a: Gate, b: Gate) -> bool:
-    if a.qubits != b.qubits or a.cbits or b.cbits:
+    # equal qubits and targets imply equal controls; zero-sum rotations merge
+    if a.qubits != b.qubits or a.targets != b.targets or a.cbits or b.cbits:
         return False
-    if a.name == b.name and a.name in SELF_INVERSE and not a.params:
-        return a.targets == b.targets and a.controls == b.controls
-    if ADJOINT_NAME.get(a.name) == b.name:
-        return a.targets == b.targets and a.controls == b.controls
-    if (
-        a.name == b.name
-        and a.base_name in ("rx", "ry", "rz", "p")
-        and abs(a.params[0] + b.params[0]) < 1e-12
-    ):
-        return True
-    return False
+    return ADJOINT_NAME.get(a.name) == b.name or (
+        a.name == b.name and a.name in SELF_INVERSE and not a.params
+    )
 
 
 def _mergeable_rotation(a: Gate, b: Gate) -> Optional[Gate]:
@@ -189,6 +182,9 @@ def cancel_adjacent_gates(circuit: QuantumCircuit) -> QuantumCircuit:
             ]
         for j in candidates:
             other = out[j]
+            # both predicates need equal or adjoint names (most fail here)
+            if other.name != name and ADJOINT_NAME.get(other.name) != name:
+                continue
             if _inverse_pair(other, incoming):
                 merged = None
             else:

@@ -15,16 +15,31 @@ layers (greedy matroid partitioning).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import Gate
 from .phase_polynomial import (
-    PhaseRegion,
-    fold_region,
+    _fold_into,
+    _phase_terms,
     greedy_t_layers,
     is_region_gate,
 )
+
+
+def _regions(
+    circuit: QuantumCircuit,
+) -> Iterator[Tuple[List[Gate], Optional[Gate]]]:
+    """Yield each maximal (maybe empty) phase region with the gate that
+    ends it, ``None`` after the last."""
+    region: List[Gate] = []
+    for gate in circuit.gates:
+        if is_region_gate(gate):
+            region.append(gate)
+        else:
+            yield region, gate
+            region = []
+    yield region, None
 
 
 def tpar_optimize(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -39,53 +54,31 @@ def tpar_optimize(circuit: QuantumCircuit) -> QuantumCircuit:
         A new circuit, unitary-equivalent up to global phase, whose
         T-count never exceeds the input's.
     """
+    gates: List[Gate] = []
+    for region, separator in _regions(circuit):
+        if region:
+            _fold_into(gates, circuit.num_qubits, region)
+        if separator is not None:
+            gates.append(separator)
     out = QuantumCircuit(
         circuit.num_qubits, circuit.num_clbits, circuit.name + "_tpar"
     )
-    region: List[Gate] = []
-
-    def flush() -> None:
-        if not region:
-            return
-        folded = fold_region(circuit.num_qubits, region)
-        out.extend(folded)
-        region.clear()
-
-    for gate in circuit.gates:
-        if is_region_gate(gate):
-            region.append(gate)
-        else:
-            flush()
-            out.append(gate)
-    flush()
+    out._check_wires(gates)
+    out.gates = gates
     return out
 
 
 def region_statistics(circuit: QuantumCircuit) -> List[Tuple[int, int, int]]:
     """Per-region (input T gates, folded T gates, T layers)."""
     stats: List[Tuple[int, int, int]] = []
-    region: List[Gate] = []
-
-    def flush() -> None:
+    for region, _ in _regions(circuit):
         if not region:
-            return
-        before = sum(1 for g in region if g.name in ("t", "tdg"))
-        analysis = PhaseRegion(circuit.num_qubits, list(region))
-        odd_masks = [
-            term.mask
-            for term in analysis.terms.values()
-            if term.steps % 2 == 1
-        ]
+            continue
+        terms = _phase_terms(circuit.num_qubits, region)
+        odd_masks = [mask for mask, (steps, _) in terms.items() if steps % 2]
         layers = greedy_t_layers(odd_masks, circuit.num_qubits)
+        before = sum(1 for g in region if g.name in ("t", "tdg"))
         stats.append((before, len(odd_masks), len(layers)))
-        region.clear()
-
-    for gate in circuit.gates:
-        if is_region_gate(gate):
-            region.append(gate)
-        else:
-            flush()
-    flush()
     return stats
 
 

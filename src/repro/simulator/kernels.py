@@ -70,6 +70,11 @@ import numpy as np
 
 from ..core.gates import Gate, base_matrix
 
+# Freeing a 1 MB block raises glibc's dynamic mmap/trim thresholds, so
+# per-gate temporaries of 7-8 wire dense unitaries reuse heap pages, not
+# fresh ones (on some heap layouts: 2x fig10-verified job time).
+np.empty(1 << 17)
+
 #: base names whose matrix is diagonal in the computational basis.
 DIAGONAL_BASES = frozenset({"z", "s", "sdg", "t", "tdg", "rz", "p"})
 

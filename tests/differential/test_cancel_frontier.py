@@ -4,10 +4,13 @@
 gate's only possible partner on a per-qubit frontier and makes a single
 pass.  ``tests/_cancel_reference.py`` keeps the original backward scan,
 iterated round by round to its fixpoint.  The two must agree gate for
-gate on every circuit ``cancel`` sees in the Eq. (5) flows, and on
-seeded random circuits that also carry barriers, measurements, resets,
-classical bits, controlled and plain rotations, swaps and gates on no
-qubit at all.
+gate on every circuit ``cancel`` sees in the Eq. (5) flows and in the
+Fig. 6 flows (the Fig. 4 program for ``ibm_qe5``, Maiorana-McFarland
+hidden shifts for ``clifford_t``), and on seeded random circuits that
+also carry barriers, measurements, resets, classical bits, controlled
+and plain rotations, swaps and gates on no qubit at all.  Every circuit
+those flows hand to ``tpar`` must likewise fold exactly as the
+object-per-region reference (``tests/_tpar_reference.py``) folds it.
 """
 
 import math
@@ -16,10 +19,18 @@ import random
 import pytest
 
 import _cancel_reference as reference
+import _tpar_reference
 import repro
+from repro.algorithms import hidden_shift_circuit
+from repro.boolean.bent import HiddenShiftInstance
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
+from repro.frameworks.projectq import (
+    All, CircuitCollector, Compute, H, MainEngine, Measure, PhaseOracle,
+    Uncompute, X,
+)
 from repro.optimization.simplify import cancel_adjacent_gates
+from repro.optimization.tpar import tpar_optimize
 from repro.pipeline import passes
 
 SPECS = (
@@ -41,16 +52,24 @@ FLOWS = [
 ]
 
 
-def _cancel_inputs(spec, target, monkeypatch):
-    """Every circuit the flow hands to ``cancel``, in order."""
-    seen = []
+def _flow_inputs(source, target, monkeypatch):
+    """Every circuit the flow hands to ``cancel`` and to ``tpar``."""
+    seen = {"cancel": [], "tpar": []}
 
-    def recording(circuit):
-        seen.append(circuit)
-        return cancel_adjacent_gates(circuit)
+    def recorder(kind, function):
+        def recording(circuit):
+            seen[kind].append(circuit)
+            return function(circuit)
+        return recording
 
-    monkeypatch.setattr(passes, "cancel_adjacent_gates", recording)
-    repro.compile(spec, target=target, cache=None, verify="off")
+    monkeypatch.setattr(
+        passes, "cancel_adjacent_gates",
+        recorder("cancel", cancel_adjacent_gates),
+    )
+    monkeypatch.setattr(
+        passes, "tpar_optimize", recorder("tpar", tpar_optimize)
+    )
+    repro.compile(source, target=target, cache=None, verify="off")
     return seen
 
 
@@ -64,6 +83,25 @@ def assert_same_as_reference(circuit):
     return out
 
 
+def assert_folds_as_reference(circuit):
+    out = tpar_optimize(circuit)
+    expected = _tpar_reference.tpar_optimize(circuit)
+    assert out.gates == expected.gates
+    assert (out.num_qubits, out.num_clbits, out.name) == (
+        expected.num_qubits, expected.num_clbits, expected.name,
+    )
+
+
+def assert_flow_matches_references(source, target, monkeypatch):
+    inputs = _flow_inputs(source, target, monkeypatch)
+    assert inputs["cancel"], "the flow never ran cancel"
+    for circuit in inputs["cancel"]:
+        assert_same_as_reference(circuit)
+    for circuit in inputs["tpar"]:
+        assert_folds_as_reference(circuit)
+    return inputs
+
+
 @pytest.mark.parametrize(
     "spec, target",
     FLOWS,
@@ -73,10 +111,45 @@ def assert_same_as_reference(circuit):
     ],
 )
 def test_flow_inputs_match_reference(spec, target, monkeypatch):
-    inputs = _cancel_inputs(spec, target, monkeypatch)
-    assert inputs, "the flow never ran cancel"
-    for circuit in inputs:
-        assert_same_as_reference(circuit)
+    inputs = assert_flow_matches_references(spec, target, monkeypatch)
+    # the qsharp flow stops at MCT gates and never folds phases
+    assert bool(inputs["tpar"]) == (target != "qsharp")
+
+
+def fig4_circuit(shift):
+    """The paper's Fig. 4 ProjectQ program with a planted ``shift``."""
+    eng = MainEngine(backend=CircuitCollector())
+    qubits = eng.allocate_qureg(4)
+    with Compute(eng):
+        All(H) | qubits
+        for i, qubit in enumerate(qubits):
+            if (shift >> i) & 1:
+                X | qubit
+    PhaseOracle(lambda a, b, c, d: (a and b) ^ (c and d)) | qubits
+    Uncompute(eng)
+    PhaseOracle(lambda a, b, c, d: (a and b) ^ (c and d)) | qubits
+    All(H) | qubits
+    Measure | qubits
+    eng.flush()
+    return eng.circuit
+
+
+@pytest.mark.parametrize("shift", (0, 1, 6, 15))
+def test_fig4_flow_inputs_match_reference(shift, monkeypatch):
+    inputs = assert_flow_matches_references(
+        fig4_circuit(shift), "ibm_qe5", monkeypatch
+    )
+    assert inputs["tpar"], "the flow never ran tpar"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hidden_shift_flow_inputs_match_reference(seed, monkeypatch):
+    instance = HiddenShiftInstance.random(3, seed=seed)
+    circuit = hidden_shift_circuit(instance, method="mm").circuit
+    inputs = assert_flow_matches_references(
+        circuit, "clifford_t", monkeypatch
+    )
+    assert inputs["tpar"], "the flow never ran tpar"
 
 
 # ----------------------------------------------------------------------

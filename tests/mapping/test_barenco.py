@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from repro.boolean.permutation import BitPermutation
+from _dense_reference import evolve
+
 from repro.core.circuit import QuantumCircuit
+from repro.core.gates import Gate
 from repro.core.unitary import allclose_up_to_global_phase, circuit_unitary
 from repro.mapping.barenco import (
     MappingError,
@@ -233,3 +236,26 @@ class TestPlacedTemplates:
         source.gates.append(Gate("mcx", (7,), (0, 1, 2)))
         with pytest.raises(ValueError, match="outside"):
             map_to_clifford_t(source)
+
+
+@pytest.mark.parametrize("name", ["mcx", "mcz"])
+@pytest.mark.parametrize("controls", [(), (1,), (2,)])
+def test_short_mct_gates_lower_directly(name, controls):
+    """An mcx/mcz Gate with 0 or 1 controls lowers to x/cx or z/h-cx-h
+    (as the builders and the cz branch do), keeping every clean line."""
+    source = QuantumCircuit(3)
+    source.append(Gate(name, (0,), controls))
+    mapped = map_to_clifford_t(source)
+    assert mapped.num_qubits == 3 and mapped.is_clifford_t()
+    expected = {
+        ("mcx", 0): ["x"], ("mcz", 0): ["z"],
+        ("mcx", 1): ["cx"], ("mcz", 1): ["h", "cx", "h"],
+    }[name, len(controls)]
+    assert [g.name for g in mapped] == expected
+    for x in range(8):
+        basis = np.zeros(8, dtype=complex)
+        basis[x] = 1.0
+        assert np.allclose(
+            evolve(basis, mapped.gates), evolve(basis, source.gates),
+            atol=1e-12,
+        )

@@ -1,4 +1,9 @@
-"""Unit tests for phase-polynomial analysis and folding."""
+"""Unit tests for phase-polynomial analysis and folding.
+
+The analysis and region-fold tests run on the object-per-region
+reference (``tests/_tpar_reference.py``), the oracle the package's
+one-pass fold is differenced against.
+"""
 
 import math
 import random
@@ -6,12 +11,11 @@ import random
 import pytest
 
 from _dense_reference import circuits_equivalent
+from _tpar_reference import PhaseRegion, fold_region
 
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
 from repro.optimization.phase_polynomial import (
-    PhaseRegion,
-    fold_region,
     greedy_t_layers,
     is_region_gate,
 )

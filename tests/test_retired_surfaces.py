@@ -20,7 +20,9 @@ unused ``repro.core.dag``.  So is code only tests reached: the
 linear-synthesis module ``repro.synthesis.linear``, the public helpers
 nothing outside the tests called (deleted, or moved into ``tests/`` as
 oracles such as ``circuits_equivalent`` and the PTM algebra), ProjectQ's
-``Control`` context with the engine's control stack, and the session's
+``Control`` context with the engine's control stack, the
+object-per-region phase folding (``PhaseRegion``, ``PhaseTerm``,
+``fold_region``; now ``tests/_tpar_reference.py``), and the session's
 ``executor=`` with its process pool.  So is the open backend
 registry: the generic ``Registry`` class with runtime
 ``register``/``unregister`` (and ``overwrite=``) on ``repro.emit``
@@ -315,6 +317,9 @@ TEST_ONLY_NAMES = {
     "repro.mapping.barenco": ["t_count_of_mapping"],
     "repro.mapping.clifford_t": [
         "ccz_clifford_t", "cz_from_cx", "swap_from_cx",
+    ],
+    "repro.optimization.phase_polynomial": [
+        "PhaseRegion", "PhaseTerm", "fold_region",
     ],
     "repro.optimization.templates": ["optimization_ladder"],
     "repro.optimization.tpar": ["t_count_before_after"],
