@@ -81,8 +81,9 @@ def main():
     # the same compiled circuit renders in every format
     # (see examples/emitter_tour.py for the full tour)
     print("  emitters: " + ", ".join(repro.emit.formats()))
-    print("  first QASM 3 lines: "
-          + " / ".join(result.emit("qasm3").splitlines()[:4]))
+    reimported = repro.emit.parse(result.emit("qasm2"))
+    print("  qasm2 re-import is gate-for-gate equal: "
+          f"{reimported.gates == result.circuit.gates}")
 
 
 if __name__ == "__main__":

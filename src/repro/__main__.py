@@ -9,7 +9,7 @@ Runs the paper's Eq. (5) story from the shell without the REPL:
     $ python -m repro compile '(a and b) ^ (c and d)' --emit qasm2
     $ python -m repro compile perm:0,2,3,5,7,1,4,6 --target qsharp \
           --emit qsharp
-    $ python -m repro compile oracle.qasm --target ibm_qe5 --emit qasm3
+    $ python -m repro compile oracle.qasm --target ibm_qe5 --emit qasm2
     $ python -m repro compile hwb=4 --target ibm_qe5 --simulate \
           --shots 4096 --seed 7
     $ python -m repro targets

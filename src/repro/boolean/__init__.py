@@ -18,14 +18,7 @@ from .expression import (
 )
 from .network import LogicNetwork, Lut, LutNetwork, lut_map
 from .permutation import BitPermutation
-from .spectral import (
-    correlation,
-    dual_bent,
-    find_shift_classically,
-    fwht,
-    is_bent,
-    walsh_spectrum,
-)
+from .spectral import correlation, find_shift_classically, fwht
 from .truth_table import MultiTruthTable, TruthTable
 
 __all__ = [
@@ -53,11 +46,8 @@ __all__ = [
     "lut_map",
     "BitPermutation",
     "correlation",
-    "dual_bent",
     "find_shift_classically",
     "fwht",
-    "is_bent",
-    "walsh_spectrum",
     "MultiTruthTable",
     "TruthTable",
 ]

@@ -3,9 +3,9 @@
 The symbolic function representation cited throughout Sec. V for
 scaling synthesis beyond explicit truth tables ([45], [46], [51]).
 This is a classical shared-node BDD package: a unique table keyed by
-``(var, low, high)``, an ITE-based apply with memoization, and the
-queries the BDD-based synthesis pass needs (node listing in topological
-order, cofactors, satisfiability counting).
+``(var, low, high)``, Shannon construction from a truth table, and the
+query the BDD-based synthesis pass needs (node listing in topological
+order).
 
 Terminals are the integers ``0`` and ``1``; internal nodes are indices
 into the package's node array.  Variable 0 is the *top* of the order.
@@ -40,7 +40,6 @@ class Bdd:
         # nodes[0], nodes[1] are placeholders for terminals
         self.nodes: List[Optional[BddNode]] = [None, None]
         self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
 
     # ------------------------------------------------------------------
     # node construction
@@ -71,58 +70,6 @@ class Bdd:
         if data is None:
             raise ValueError("terminal node has no structure")
         return data
-
-    def top_var(self, node: int) -> int:
-        """Variable index of a node; terminals sort below all variables."""
-        if self.is_terminal(node):
-            return self.num_vars
-        return self.node(node).var
-
-    def cofactors(self, node: int, var: int) -> Tuple[int, int]:
-        """(low, high) cofactors with respect to ``var``."""
-        if self.is_terminal(node) or self.node(node).var != var:
-            return node, node
-        data = self.node(node)
-        return data.low, data.high
-
-    # ------------------------------------------------------------------
-    # boolean operations via ITE
-    # ------------------------------------------------------------------
-    def ite(self, f: int, g: int, h: int) -> int:
-        """If-then-else: f ? g : h."""
-        if f == ONE:
-            return g
-        if f == ZERO:
-            return h
-        if g == h:
-            return g
-        if g == ONE and h == ZERO:
-            return f
-        key = (f, g, h)
-        cached = self._ite_cache.get(key)
-        if cached is not None:
-            return cached
-        var = min(self.top_var(f), self.top_var(g), self.top_var(h))
-        f0, f1 = self.cofactors(f, var)
-        g0, g1 = self.cofactors(g, var)
-        h0, h1 = self.cofactors(h, var)
-        low = self.ite(f0, g0, h0)
-        high = self.ite(f1, g1, h1)
-        result = self.make_node(var, low, high)
-        self._ite_cache[key] = result
-        return result
-
-    def apply_not(self, f: int) -> int:
-        return self.ite(f, ZERO, ONE)
-
-    def apply_and(self, f: int, g: int) -> int:
-        return self.ite(f, g, ZERO)
-
-    def apply_or(self, f: int, g: int) -> int:
-        return self.ite(f, ONE, g)
-
-    def apply_xor(self, f: int, g: int) -> int:
-        return self.ite(f, self.apply_not(g), g)
 
     # ------------------------------------------------------------------
     # conversions
@@ -202,29 +149,3 @@ class Bdd:
         for root in roots:
             visit(root)
         return order
-
-    def count_nodes(self, roots: Iterable[int]) -> int:
-        return len(self.reachable_nodes(roots))
-
-    def count_satisfying(self, node: int) -> int:
-        """Number of satisfying assignments over all num_vars inputs."""
-        memo: Dict[int, int] = {}
-
-        def count(n: int, var: int) -> int:
-            # number of solutions over variables var..num_vars-1
-            if n == ZERO:
-                return 0
-            level = self.top_var(n)
-            if n == ONE:
-                return 1 << (self.num_vars - var)
-            key = n
-            if key in memo:
-                cached_level = self.node(n).var
-                return memo[key] << (cached_level - var)
-            data = self.node(n)
-            low = count(data.low, level + 1)
-            high = count(data.high, level + 1)
-            memo[key] = low + high
-            return (low + high) << (level - var)
-
-        return count(node, 0)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .permutation import BitPermutation
-from .spectral import dual_bent, is_bent
 from .truth_table import TruthTable
 
 
@@ -84,10 +83,6 @@ class MaioranaMcFarland:
         """g(x) = f(x ^ shift) — the oracle the algorithm queries."""
         return self.truth_table().shift(shift)
 
-    def verify_bent(self) -> bool:
-        """Spectral sanity check (always true by construction)."""
-        return is_bent(self.truth_table())
-
 
 @dataclass(frozen=True)
 class MaioranaMcFarlandDual:
@@ -150,9 +145,6 @@ class HiddenShiftInstance:
     def dual_table(self) -> TruthTable:
         """Dual from the MM structure; equals the spectral dual."""
         return self.function.dual().truth_table()
-
-    def spectral_dual_table(self) -> TruthTable:
-        return dual_bent(self.f_table())
 
     @classmethod
     def random(

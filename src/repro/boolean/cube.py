@@ -9,7 +9,7 @@ synthesis (Sec. V) and PhaseOracle compilation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from .truth_table import TruthTable
 
@@ -24,24 +24,6 @@ class Cube:
             raise ValueError("polarity bit set for a variable not in mask")
         self.mask = mask
         self.polarity = polarity
-
-    @classmethod
-    def from_literals(cls, literals: Iterable[Tuple[int, bool]]) -> "Cube":
-        """Build from (variable, positive?) pairs."""
-        mask = polarity = 0
-        for var, positive in literals:
-            bit = 1 << var
-            if mask & bit:
-                raise ValueError(f"variable {var} appears twice")
-            mask |= bit
-            if positive:
-                polarity |= bit
-        return cls(mask, polarity)
-
-    @classmethod
-    def tautology(cls) -> "Cube":
-        """The empty cube (constant 1)."""
-        return cls(0, 0)
 
     @classmethod
     def minterm(cls, num_vars: int, x: int) -> "Cube":
@@ -61,12 +43,6 @@ class Cube:
 
     def num_literals(self) -> int:
         return bin(self.mask).count("1")
-
-    def positive_vars(self) -> List[int]:
-        return [v for v, pos in self.literals() if pos]
-
-    def negative_vars(self) -> List[int]:
-        return [v for v, pos in self.literals() if not pos]
 
     def evaluate(self, x: int) -> int:
         """1 if input ``x`` satisfies all literals."""
@@ -90,21 +66,6 @@ class Cube:
         shared = self.mask & other.mask
         diff_pol = (self.polarity ^ other.polarity) & shared
         return bin(diff_mask).count("1") + bin(diff_pol).count("1")
-
-    def restrict(self, var: int, value: bool) -> Optional["Cube"]:
-        """Cofactor the cube by ``x_var = value``.
-
-        Returns None if the cube requires the opposite value (i.e. the
-        restricted cube is constant 0); otherwise the cube without the
-        variable.
-        """
-        bit = 1 << var
-        if not self.mask & bit:
-            return self
-        needs = bool(self.polarity & bit)
-        if needs != value:
-            return None
-        return Cube(self.mask & ~bit, self.polarity & ~bit)
 
     def __eq__(self, other) -> bool:
         return (

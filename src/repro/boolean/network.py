@@ -95,9 +95,6 @@ class LogicNetwork:
             return self.constant(False)
         return self._create("and", a, b)
 
-    def create_or(self, a: Signal, b: Signal) -> Signal:
-        return self.create_not(self.create_and(self.create_not(a), self.create_not(b)))
-
     def create_xor(self, a: Signal, b: Signal) -> Signal:
         if a == self.constant(False):
             return b
@@ -204,15 +201,6 @@ class LogicNetwork:
                 b = ~b
             values.append(a & b if node.kind == "and" else a ^ b)
         return values
-
-    def fanout_counts(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for node_id in self.gate_nodes():
-            for fanin in self.nodes[node_id].fanin:
-                counts[signal_node(fanin)] = counts.get(signal_node(fanin), 0) + 1
-        for signal in self.outputs:
-            counts[signal_node(signal)] = counts.get(signal_node(signal), 0) + 1
-        return counts
 
     def depth(self) -> int:
         levels: Dict[int, int] = {0: 0}

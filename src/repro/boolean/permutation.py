@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
-from .truth_table import MultiTruthTable, TruthTable
+from .truth_table import MultiTruthTable
 
 
 class BitPermutation:
@@ -93,9 +93,6 @@ class BitPermutation:
             raise ValueError("permutation width mismatch")
         return BitPermutation([self(other(x)) for x in range(len(self.image))])
 
-    def is_identity(self) -> bool:
-        return all(self(x) == x for x in range(len(self.image)))
-
     def cycles(self) -> List[List[int]]:
         """Disjoint cycles (length > 1 only)."""
         seen = set()
@@ -116,26 +113,6 @@ class BitPermutation:
     def parity(self) -> int:
         """0 for even permutations, 1 for odd."""
         return sum(len(c) - 1 for c in self.cycles()) % 2
-
-    def output_table(self, bit: int) -> TruthTable:
-        """Truth table of output bit ``bit``."""
-        table = TruthTable(self.num_bits)
-        for x, y in enumerate(self.image):
-            if (y >> bit) & 1:
-                table.bits |= 1 << x
-        return table
-
-    def to_truth_tables(self) -> MultiTruthTable:
-        return MultiTruthTable(
-            [self.output_table(bit) for bit in range(self.num_bits)]
-        )
-
-    def hamming_complexity(self) -> int:
-        """Total Hamming distance sum(d(x, pi(x))) — a synthesis-cost
-        heuristic used by transformation-based methods."""
-        return sum(
-            bin(x ^ y).count("1") for x, y in enumerate(self.image)
-        )
 
     def __repr__(self) -> str:
         return f"BitPermutation({self.image})"

@@ -1,12 +1,9 @@
-"""Walsh–Hadamard spectral analysis of Boolean functions.
+"""Walsh–Hadamard correlation of Boolean functions.
 
-Bent functions — the heart of the hidden shift problem (Sec. VI.A) —
-are exactly the functions with a perfectly flat Walsh spectrum:
-``|W_f(w)| = 2^{n/2}`` for all ``w``.  The *dual* bent function f~ is
-read off the spectrum signs: ``W_f(w) = 2^{n/2} (-1)^{f~(w)}``.
-
-The transform is computed with the fast Walsh–Hadamard butterfly in
-O(n 2^n) using numpy.
+The classical baseline of the hidden shift problem (Sec. VI.A): the
+cross-correlation of ``f`` and ``g`` peaks at the shift.  The transform
+is computed with the fast Walsh–Hadamard butterfly in O(n 2^n) using
+numpy.
 """
 
 from __future__ import annotations
@@ -16,14 +13,6 @@ from typing import Optional
 import numpy as np
 
 from .truth_table import TruthTable
-
-
-def walsh_spectrum(table: TruthTable) -> np.ndarray:
-    """Walsh spectrum ``W_f(w) = sum_x (-1)^{f(x) + w.x}`` for all w."""
-    signs = np.array(
-        [1 - 2 * table(x) for x in range(table.size)], dtype=np.int64
-    )
-    return fwht(signs)
 
 
 def fwht(vector: np.ndarray) -> np.ndarray:
@@ -39,28 +28,6 @@ def fwht(vector: np.ndarray) -> np.ndarray:
             out[start + h:start + 2 * h] = a - b
         h *= 2
     return out
-
-
-def is_bent(table: TruthTable) -> bool:
-    """True iff the function has a flat spectrum (requires even n)."""
-    n = table.num_vars
-    if n % 2 != 0 or n == 0:
-        return False
-    spectrum = walsh_spectrum(table)
-    flat = 1 << (n // 2)
-    return bool(np.all(np.abs(spectrum) == flat))
-
-
-def dual_bent(table: TruthTable) -> TruthTable:
-    """Dual bent function f~ with ``W_f(w) = 2^{n/2} (-1)^{f~(w)}``."""
-    if not is_bent(table):
-        raise ValueError("dual is only defined for bent functions")
-    spectrum = walsh_spectrum(table)
-    bits = 0
-    for w, value in enumerate(spectrum):
-        if value < 0:
-            bits |= 1 << w
-    return TruthTable(table.num_vars, bits)
 
 
 def correlation(f: TruthTable, g: TruthTable) -> np.ndarray:

@@ -136,12 +136,6 @@ class TruthTable:
     def count_ones(self) -> int:
         return bin(self.bits).count("1")
 
-    def is_constant(self) -> bool:
-        return self.bits == 0 or self.bits == (1 << self.size) - 1
-
-    def is_balanced(self) -> bool:
-        return self.count_ones() == self.size // 2
-
     def support(self) -> List[int]:
         """Variables the function actually depends on."""
         return [

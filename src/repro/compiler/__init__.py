@@ -17,7 +17,7 @@ This package is that front door, in four layers:
   paper's flows;
 * :mod:`~.result` — :class:`~.result.CompilationResult`: final
   circuit, per-pass records, statistics, and lazy
-  ``to_qasm``/``to_qsharp``/``to_projectq`` emission;
+  ``emit``/``to_qasm``/``to_projectq`` emission;
 * :mod:`~.session` — :func:`compile` itself plus
   :class:`~.session.CompilerSession` for batched compilation and
   parameter sweeps over a shared (optionally disk-backed) pass cache.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
@@ -88,17 +88,6 @@ class Workload:
     prelude: Tuple[Pass, ...] = ()
     synthesis: Optional[Union[str, Callable]] = None
     needs_synthesis: bool = True
-
-    def with_synthesis(self, method: Union[str, Callable]) -> "Workload":
-        """Return a copy recommending ``method`` for synthesis.
-
-        Args:
-            method: synthesis method name or callable.
-
-        Returns:
-            A new :class:`Workload` with the recommendation replaced.
-        """
-        return replace(self, synthesis=method)
 
 
 def _unsupported(obj: Any, hint: str = "") -> WorkloadError:

@@ -5,8 +5,8 @@ final :class:`~repro.pipeline.state.FlowState`, the per-pass
 :class:`~repro.pipeline.runner.PassRecord` list with timing and
 gate/T-count deltas, and lazy emission: :meth:`~CompilationResult.emit`
 dispatches any :mod:`repro.emit` format (the legacy
-:meth:`~CompilationResult.to_qasm` / :meth:`~CompilationResult.to_qsharp`
-/ :meth:`~CompilationResult.to_projectq` are thin wrappers over it),
+:meth:`~CompilationResult.to_qasm` and
+:meth:`~CompilationResult.to_projectq` are thin wrappers over it),
 rendering the compiled circuit on first use.  The text memo lives on
 the frozen compiled circuit itself, not on the result, so it cannot go
 stale and every result replayed from one cache entry shares it;
@@ -192,20 +192,6 @@ class CompilationResult:
         """
         return self.emit("qasm2")
 
-    def to_qsharp(self, name: str = "CompiledOperation") -> str:
-        """Render the compiled circuit as a Q# operation (cached).
-
-        Args:
-            name: the Q# operation name to emit.
-
-        Returns:
-            The Q# source text (Fig. 10 shape).
-        """
-        if name == "CompiledOperation":
-            # the backend's default: share emit("qsharp")'s memo slot
-            return self.emit("qsharp")
-        return self.emit("qsharp", name=name)
-
     def to_projectq(self) -> str:
         """Render the compiled circuit as a ProjectQ eDSL script (cached).
 
@@ -225,9 +211,8 @@ class CompilationResult:
         any other holding the same circuit — return the same object.
 
         Args:
-            format: a format name or alias (``qasm2``, ``qasm3``,
-                ``qsharp``, ``projectq``); ``None`` selects the
-                default emitter.
+            format: a format name or alias (``qasm2``, ``qsharp``,
+                ``projectq``); ``None`` selects the default emitter.
             **opts: backend-specific options (e.g. the Q# backend's
                 ``name=``).
 

@@ -6,25 +6,22 @@ to a concrete flow, execute it on the pass manager, and hand back a
 :class:`~.result.CompilationResult`.
 
 :class:`CompilerSession` amortizes many compilations:
-:meth:`~CompilerSession.compile_many` fans workloads out over a
-thread pool, and :meth:`~CompilerSession.sweep` expands a parameter
-grid into compilation points — all sharing one
-:class:`~repro.pipeline.cache.PassCache` object (optionally
+:meth:`~CompilerSession.sweep` expands a parameter grid into
+compilation points and fans them out over a thread pool, all sharing
+one :class:`~repro.pipeline.cache.PassCache` object (optionally
 disk-backed via ``cache=<path>``, which also lets separate processes
 share results), so repeated sub-flows replay instead of recompute.
 
-Every batch runs on one asyncio core.  The ``*_async`` variants
-(:meth:`~CompilerSession.compile_many_async`,
-:meth:`~CompilerSession.sweep_async`) await it on the caller's event
-loop; the synchronous :meth:`~CompilerSession.compile_many` and
-:meth:`~CompilerSession.sweep` drive the same core to completion on a
-private loop.  Every job is its own future, in-flight concurrency is
-bounded by a semaphore, results come back in deterministic input
-order, the first failing job cancels the rest and its exception
-propagates unwrapped, and cancelling the outer coroutine cancels every
-pending job.  Jobs already running on a pool thread when the batch
-fails or is cancelled cannot be interrupted mid-pass; they finish in
-the background and their results are discarded.
+Every sweep runs on one asyncio core.
+:meth:`~CompilerSession.sweep_async` awaits it on the caller's event
+loop; the synchronous :meth:`~CompilerSession.sweep` drives the same
+core to completion on a private loop.  Every job is its own future,
+in-flight concurrency is bounded by a semaphore, results come back in
+deterministic input order, the first failing job cancels the rest and
+its exception propagates unwrapped, and cancelling the outer coroutine
+cancels every pending job.  Jobs already running on a pool thread when
+the batch fails or is cancelled cannot be interrupted mid-pass; they
+finish in the background and their results are discarded.
 """
 
 from __future__ import annotations
@@ -407,8 +404,8 @@ class CompilerSession:
     ) -> List[CompilationResult]:
         """Fan (workload, target) tasks out on the event loop.
 
-        This is the session's only batch executor: the ``*_async``
-        entry points await it, and the synchronous ones drive it
+        This is the session's only batch executor:
+        :meth:`sweep_async` awaits it, and :meth:`sweep` drives it
         through :func:`_run_sync`.  Each task becomes one future on
         the running loop, executed on a private thread pool whose
         threads share the session's cache object; an
@@ -466,56 +463,6 @@ class CompilerSession:
             raise
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-
-    def compile_many(
-        self,
-        workloads: Sequence[Any],
-        target: Union[Target, str, None] = None,
-    ) -> List[CompilationResult]:
-        """Compile a batch of workloads over the session's pool.
-
-        Results are returned in workload order regardless of
-        completion order, so batched runs are deterministic.  Each
-        job runs under the session's ``job_timeout`` and ``retry``.
-
-        Args:
-            workloads: the workload batch.
-            target: per-batch target override.
-
-        Returns:
-            One :class:`~.result.CompilationResult` per workload, in
-            input order.
-        """
-        target = target if target is not None else self.target
-        return _run_sync(
-            self._run_batch_async([(w, target) for w in workloads])
-        )
-
-    async def compile_many_async(
-        self,
-        workloads: Sequence[Any],
-        target: Union[Target, str, None] = None,
-    ) -> List[CompilationResult]:
-        """Compile a batch of workloads on the asyncio event loop.
-
-        Like :meth:`compile_many`, but awaitable: independent
-        compilations overlap (each job is its own future on the
-        running loop) while a semaphore caps how many are in flight
-        (the session's ``max_workers``, else ``min(len, 8)``).
-        Results come back in workload order; the first failing job
-        cancels the rest and its exception propagates unwrapped;
-        cancelling the returned coroutine cancels every pending job.
-
-        Args:
-            workloads: the workload batch.
-            target: per-batch target override.
-
-        Returns:
-            One :class:`~.result.CompilationResult` per workload, in
-            input order.
-        """
-        target = target if target is not None else self.target
-        return await self._run_batch_async([(w, target) for w in workloads])
 
     # ------------------------------------------------------------------
     def _sweep_point(
@@ -587,14 +534,7 @@ class CompilerSession:
         Returns:
             The :class:`SweepResult`, one point per grid assignment.
         """
-        assignments, tasks = self._sweep_tasks(param_grid, base)
-        results = _run_sync(self._run_batch_async(tasks))
-        return SweepResult(
-            points=[
-                SweepPoint(params=assignment, result=result)
-                for assignment, result in zip(assignments, results)
-            ]
-        )
+        return _run_sync(self.sweep_async(param_grid, base))
 
     async def sweep_async(
         self,
@@ -604,10 +544,12 @@ class CompilerSession:
         """Sweep a parameter grid on the asyncio event loop.
 
         Same grid semantics and deterministic point order as
-        :meth:`sweep`, executed like
-        :meth:`compile_many_async` — overlapped futures under a
-        bounded semaphore, fail-fast exception propagation, and
-        cooperative cancellation.
+        :meth:`sweep`, awaitable: independent points overlap (each
+        job is its own future on the running loop) while a semaphore
+        caps how many are in flight (the session's ``max_workers``,
+        else ``min(len, 8)``).  The first failing job cancels the
+        rest and its exception propagates unwrapped; cancelling the
+        returned coroutine cancels every pending job.
 
         Args:
             param_grid: mapping of parameter name to values to sweep.
@@ -617,7 +559,15 @@ class CompilerSession:
         Returns:
             The :class:`SweepResult`, one point per grid assignment.
         """
-        assignments, tasks = self._sweep_tasks(param_grid, base)
+        keys = sorted(param_grid)
+        assignments = [
+            dict(zip(keys, combo))
+            for combo in itertools.product(*(param_grid[k] for k in keys))
+        ]
+        tasks = [
+            self._sweep_point(assignment, base)
+            for assignment in assignments
+        ]
         results = await self._run_batch_async(tasks)
         return SweepResult(
             points=[
@@ -625,21 +575,6 @@ class CompilerSession:
                 for assignment, result in zip(assignments, results)
             ]
         )
-
-    def _sweep_tasks(
-        self, param_grid: Dict[str, Sequence[Any]], base: Any
-    ) -> Tuple[List[Dict[str, Any]], List[Tuple]]:
-        """Expand a grid into (assignments, batch tasks), in order."""
-        keys = sorted(param_grid)
-        combos = list(
-            itertools.product(*(list(param_grid[k]) for k in keys))
-        )
-        assignments = [dict(zip(keys, combo)) for combo in combos]
-        tasks = [
-            self._sweep_point(assignment, base)
-            for assignment in assignments
-        ]
-        return assignments, tasks
 
     def cache_stats(self) -> Dict[str, int]:
         """Return the shared cache's entry/hit/miss/eviction counters."""

@@ -102,7 +102,7 @@ class Target:
         emitter: default emission format of
             :meth:`~.result.CompilationResult.emit` — any
             :mod:`repro.emit` format name or alias (``qasm2``,
-            ``qasm3``, ``qsharp``, ``projectq``), canonicalized at
+            ``qsharp``, ``projectq``), canonicalized at
             construction; unknown names raise with the format list.
         synthesis: synthesis method override (name or callable); the
             frontend recommendation is used when ``None``.

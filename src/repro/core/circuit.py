@@ -5,8 +5,8 @@ list of :class:`~repro.core.gates.Gate` objects over ``num_qubits``
 qubit wires and ``num_clbits`` classical wires.  It offers the gate
 vocabulary as builder methods (``circ.h(0)``, ``circ.mcx([0, 1], 2)``),
 structural operations (composition, inversion, power, remapping), and
-conversion helpers (unitary matrix via :mod:`repro.core.unitary`,
-OpenQASM and every other output format via :mod:`repro.emit`).
+emission (OpenQASM and every other output format via :mod:`repro.emit`;
+the unitary matrix is :func:`repro.core.unitary.circuit_unitary`).
 
 A circuit is a builder until ``freeze()``; the pass manager freezes
 pass outputs so they can be shared, and ``copy()`` is editable again.
@@ -22,9 +22,7 @@ from typing import (
     Sequence,
 )
 
-import numpy as np
-
-from .gates import Gate, is_clifford_name, is_clifford_t_name
+from .gates import Gate, is_clifford_t_name
 
 
 class FrozenCircuitError(TypeError):
@@ -483,11 +481,6 @@ class QuantumCircuit(Freezable):
             is_clifford_t_name(g.name) for g in self.gates if g.is_unitary
         )
 
-    def is_clifford(self) -> bool:
-        return all(
-            is_clifford_name(g.name, g.params) for g in self.gates if g.is_unitary
-        )
-
     def has_measurements(self) -> bool:
         return any(g.is_measurement for g in self.gates)
 
@@ -497,13 +490,6 @@ class QuantumCircuit(Freezable):
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
-    def to_matrix(self) -> np.ndarray:
-        """Full 2^n x 2^n unitary (for small circuits).  Qubit 0 is the
-        least-significant bit of the state index."""
-        from .unitary import circuit_unitary
-
-        return circuit_unitary(self)
-
     def to_qasm(self) -> str:
         from ..emit.qasm2 import to_qasm
 
@@ -514,7 +500,7 @@ class QuantumCircuit(Freezable):
 
         Args:
             format: a :func:`repro.emit.formats` name or alias
-                (``qasm2``, ``qasm3``, ``qsharp``, ``projectq``).
+                (``qasm2``, ``qsharp``, ``projectq``).
             **opts: backend-specific options.
 
         Returns:

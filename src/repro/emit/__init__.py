@@ -12,7 +12,6 @@ resolve formats the same way.
 Built-in backends (``formats()`` order):
 
 * ``qasm2`` — OpenQASM 2.0, with round-trip ``parse``;
-* ``qasm3`` — OpenQASM 3.0 (stdgates.inc, ``ctrl @`` modifiers);
 * ``qsharp`` — the Fig. 10 Q# operation, with ``parse``;
 * ``projectq`` — ProjectQ eDSL replay script.
 
@@ -20,7 +19,7 @@ The set is closed: these are the outputs of the paper's two tool
 flows (OpenQASM for the IBM QE via ProjectQ, Sec. VII; Q#, Fig. 10).
 """
 
-from .base import Emitter, EmitterError, can_parse
+from .base import Emitter, EmitterError, NonFiniteAngleError, can_parse
 from .registry import (
     describe_formats,
     emit,
@@ -34,6 +33,7 @@ from .registry import (
 __all__ = [
     "Emitter",
     "EmitterError",
+    "NonFiniteAngleError",
     "can_parse",
     "describe_formats",
     "emit",

@@ -22,6 +22,22 @@ class EmitterError(ValueError):
     """Raised for unknown formats or backends that cannot comply."""
 
 
+class NonFiniteAngleError(EmitterError):
+    """Raised when a gate angle is inf or nan: no output format can say it.
+
+    Args:
+        gate: the gate's name.
+        value: the offending angle.
+    """
+
+    def __init__(self, gate: str, value: float) -> None:
+        """Name the gate and the angle in the message."""
+        super().__init__(
+            f"gate {gate!r} has the non-finite angle {value!r}, which "
+            "no output format can express"
+        )
+
+
 @runtime_checkable
 class Emitter(Protocol):
     """What an emission backend must provide.

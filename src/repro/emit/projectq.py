@@ -9,9 +9,10 @@ script that replays the circuit through
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Tuple
 
-from .base import EmitterError
+from .base import EmitterError, NonFiniteAngleError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.circuit import QuantumCircuit
@@ -43,8 +44,10 @@ def _gate_to_projectq(gate) -> str:
     if name in _PROJECTQ_OPS and not controls:
         return f"{_PROJECTQ_OPS[name]} | q[{targets[0]}]"
     if name in _PROJECTQ_ROTATIONS and not controls:
-        op = _PROJECTQ_ROTATIONS[name]
-        return f"{op}({gate.params[0]!r}) | q[{targets[0]}]"
+        op, angle = _PROJECTQ_ROTATIONS[name], gate.params[0]
+        if not math.isfinite(angle):
+            raise NonFiniteAngleError(name, angle)
+        return f"{op}({angle!r}) | q[{targets[0]}]"
     if name == "cx":
         return f"CNOT | (q[{controls[0]}], q[{targets[0]}])"
     if name == "cz":

@@ -18,7 +18,7 @@ import re
 from typing import TYPE_CHECKING, List, Tuple
 
 from ..core.gates import ROTATION_GATES, Gate
-from .base import EmitterError
+from .base import EmitterError, NonFiniteAngleError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.circuit import QuantumCircuit
@@ -118,13 +118,18 @@ def _gate_to_qasm(gate: Gate) -> str:
         )
     params = ""
     if gate.params:
-        params = "(" + ", ".join(_format_angle(p) for p in gate.params) + ")"
+        params = ", ".join(_format_angle(p, gate.name) for p in gate.params)
+        params = f"({params})"
     wires = ", ".join(f"q[{q}]" for q in gate.qubits)
     return f"{name}{params} {wires};"
 
 
-def _format_angle(value: float) -> str:
-    """Render an angle, using pi fractions when exact."""
+def _format_angle(value: float, gate: str) -> str:
+    """Render an angle of ``gate``, using pi fractions when exact.
+
+    Raises:
+        NonFiniteAngleError: for an inf or nan angle.
+    """
     # multiples of pi/denom lie at least pi/16 apart, so only the
     # nearest one can lie within 1e-12
     if abs(value) < 17 * math.pi:
@@ -144,6 +149,8 @@ def _format_angle(value: float) -> str:
                 return f"{sign}{num}*pi/{denom}"
     if abs(value) < 1e-12:
         return "0"
+    if not math.isfinite(value):
+        raise NonFiniteAngleError(gate, value)
     return repr(value)
 
 

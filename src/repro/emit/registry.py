@@ -1,6 +1,6 @@
 """The format table: name → backend resolution for every output format.
 
-The four built-in backends form one fixed
+The three built-in backends form one fixed
 :class:`~repro.registry.BackendTable`; :func:`get`, :func:`formats`
 and :func:`describe_formats` are its bound methods.  Resolution is
 case-insensitive and alias-aware (``"qasm"`` is the historical alias
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Tuple
 
 from ..registry import BackendTable
-from . import projectq, qasm2, qasm3, qsharp
+from . import projectq, qasm2, qsharp
 from .base import Emitter, EmitterError, can_parse
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,7 +25,7 @@ _TABLE = BackendTable(
     protocol="Emitter",
     error=EmitterError,
     entry_point="emit",
-    backends=(qasm2.EMITTER, qasm3.EMITTER, qsharp.EMITTER, projectq.EMITTER),
+    backends=(qasm2.EMITTER, qsharp.EMITTER, projectq.EMITTER),
 )
 
 get = _TABLE.get

@@ -34,7 +34,7 @@ same dense kernel, and ``reset`` is amplitude damping at ``gamma = 1``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from ..core.gates import ADJOINT_NAME, Gate
 from ..simulator import kernels
 from ..simulator.statevector import (
     SimulationResult,
-    Statevector,
     _measured_width,
     _measurements_terminal,
 )
@@ -136,18 +135,6 @@ class DensityMatrix:
                 raise ValueError(f"density matrix must have {dim * dim} entries")
             self.data = data
 
-    @classmethod
-    def from_statevector(cls, state: Statevector) -> "DensityMatrix":
-        """Build the pure-state density matrix |psi><psi|.
-
-        Args:
-            state: the pure state to lift.
-
-        Returns:
-            The rank-one :class:`DensityMatrix`.
-        """
-        return cls(state.num_qubits, np.outer(state.data, state.data.conj()))
-
     def copy(self) -> "DensityMatrix":
         """Return an independent copy."""
         return DensityMatrix(self.num_qubits, self.data)
@@ -188,18 +175,6 @@ class DensityMatrix:
                 self.data, np.conj(gate.matrix()), gate.qubits, total
             )
 
-    def apply_unitary(self, matrix: np.ndarray, qubits: List[int]) -> None:
-        """Apply an arbitrary ``2^k x 2^k`` unitary to ``qubits``.
-
-        Args:
-            matrix: the unitary (``qubits[0]`` is its local MSB).
-            qubits: the qubits acted on.
-        """
-        n = self.num_qubits
-        matrix = np.asarray(matrix, dtype=complex)
-        kernels.apply_matrix(self.data, matrix, [q + n for q in qubits], 2 * n)
-        kernels.apply_matrix(self.data, np.conj(matrix), qubits, 2 * n)
-
     def apply_channel(self, kind: str, rate: float, qubit: int) -> None:
         """Apply a builtin single-qubit channel exactly.
 
@@ -239,10 +214,6 @@ class DensityMatrix:
     def trace(self) -> float:
         """Tr(rho) — 1.0 up to float round-off for any channel chain."""
         return float(self.matrix().diagonal().real.sum())
-
-    def purity(self) -> float:
-        """Tr(rho^2): 1.0 for pure states, 1/2^n for maximal mixing."""
-        return float(np.sum(np.abs(self.data) ** 2))
 
 
 class DensityMatrixResult(SimulationResult):

@@ -589,12 +589,6 @@ class MapToCliffordTPass(Pass):
             )
         return checker.no_check("mapping had no source circuit to compare")
 
-    def statistics(self, before: FlowState, after: FlowState) -> Dict[str, Any]:
-        """Report whether the output is pure Clifford+T."""
-        if after.quantum is None:
-            return {}
-        return {"clifford_t": after.quantum.is_clifford_t()}
-
 
 # ----------------------------------------------------------------------
 # quantum-circuit optimization (cancel / tpar)

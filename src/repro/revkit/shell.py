@@ -22,9 +22,9 @@ delta records and content-keyed result cache.  ``shell.report()``
 prints the accumulated per-pass statistics.
 
 The ``write_<format>`` commands resolve through the :mod:`repro.emit`
-format table: next to the historical ``write_qasm``, every format has
-a command (``write_qasm3``, ``write_qsharp``, ``write_projectq`` and
-alias forms like ``write_qs``).
+format table: every format has a command (``write_qasm2``,
+``write_qsharp``, ``write_projectq``) and so does every alias
+(``write_qasm``, ``write_qs``).
 
 Since PR 8 the ``sim_<engine>`` commands resolve the same way through
 the :mod:`repro.engines` table: ``sim_statevector``,
@@ -375,9 +375,9 @@ class RevKitShell:
     def _cmd_write(self, format: str, *args: str) -> str:
         """Write the quantum circuit in any :mod:`repro.emit` format.
 
-        Backs every ``write_<format>`` shell command (``write_qasm``,
-        ``write_qasm3``, ``write_qsharp``, ``write_projectq`` and the
-        alias forms): the format name resolves through the
+        Backs every ``write_<format>`` shell command (``write_qasm2``,
+        ``write_qsharp``, ``write_projectq`` and the alias forms such
+        as ``write_qasm``): the format name resolves through the
         :mod:`repro.emit` format table.
         """
         from .. import emit
@@ -396,9 +396,6 @@ class RevKitShell:
     def write(self, format: str, path: str) -> str:
         """Python form of the ``write_<format>`` commands."""
         return self._cmd_write(format, path)
-
-    def write_qasm(self, path: str) -> str:
-        return self._cmd_write("qasm", path)
 
     def _cmd_sim(self, engine: str, *args: str) -> str:
         """Run the quantum circuit on a simulation engine.

@@ -28,7 +28,7 @@ differential testing; the packed layout itself is documented in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from ..core.gates import Gate
 
 _ONE = np.uint64(1)
 _ZERO = np.uint64(0)
-
-#: Pauli letter for each (x + 2z) code, indexable by a uint8 array.
-_PAULI_LETTERS = np.array(["I", "X", "Z", "Y"])
 
 
 class StabilizerError(RuntimeError):
@@ -296,25 +293,6 @@ class StabilizerState:
         self.zs[scratch] = z2[-1] ^ z1[-1]
         self.r[scratch] = outcome
         return outcome
-
-    def expectation_z(self, q: int) -> Optional[int]:
-        """Deterministic Z_q value (0 or 1) or None if random."""
-        n = self.num_qubits
-        if np.any(self._col(self.xs, q)[n : 2 * n]):
-            return None
-        probe = self.copy()
-        return probe.measure(q, np.random.default_rng(0))
-
-    def stabilizer_strings(self) -> List[str]:
-        """Human-readable stabilizer generators, e.g. ``+XZI``."""
-        n = self.num_qubits
-        xbits = self._unpack(self.xs[n : 2 * n])
-        zbits = self._unpack(self.zs[n : 2 * n])
-        letters = _PAULI_LETTERS[xbits + 2 * zbits]
-        return [
-            ("-" if self.r[n + i] else "+") + "".join(letters[i])
-            for i in range(n)
-        ]
 
 
 def _dispatch_table() -> Dict[str, object]:

@@ -80,29 +80,6 @@ class Statevector:
         state.data[basis] = 1.0
         return state
 
-    @classmethod
-    def from_label(cls, label: str) -> "Statevector":
-        """Build a product state from a label like ``'01+'``.
-
-        Character i of the label describes qubit ``n-1-i`` (big-endian,
-        as states are conventionally written), from {0, 1, +, -}.
-        """
-        num_qubits = len(label)
-        state = cls(0)
-        state.data = np.array([1.0], dtype=complex)
-        vectors = {
-            "0": np.array([1.0, 0.0], dtype=complex),
-            "1": np.array([0.0, 1.0], dtype=complex),
-            "+": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),
-            "-": np.array([1.0, -1.0], dtype=complex) / math.sqrt(2),
-        }
-        for char in label:
-            if char not in vectors:
-                raise ValueError(f"unknown state label character {char!r}")
-            state.data = np.kron(state.data, vectors[char])
-        state.num_qubits = num_qubits
-        return state
-
     def copy(self) -> "Statevector":
         return Statevector(self.num_qubits, self.data)
 
@@ -160,15 +137,8 @@ class Statevector:
     def amplitude(self, basis: int) -> complex:
         return complex(self.data[basis])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
     def fidelity(self, other: "Statevector") -> float:
         return float(abs(np.vdot(self.data, other.data)) ** 2)
-
-    def equiv(self, other: "Statevector", atol: float = 1e-9) -> bool:
-        """Equality up to global phase."""
-        return self.fidelity(other) > 1.0 - atol
 
     def measure_qubit(
         self, qubit: int, rng: np.random.Generator
@@ -188,25 +158,6 @@ class Statevector:
         """Measure and, if 1, flip back to |0>."""
         if self.measure_qubit(qubit, rng) == 1:
             kernels.apply_pauli(self.data, "x", qubit, self.num_qubits)
-
-    def sample_counts(
-        self,
-        shots: int,
-        rng: np.random.Generator,
-        qubits: Optional[Sequence[int]] = None,
-    ) -> Dict[int, int]:
-        """Sample measurement outcomes without collapsing the state.
-
-        Returns a histogram mapping the integer outcome (bit i of the
-        key = measured value of ``qubits[i]``) to its frequency.  The
-        histogram is produced by a vectorized bit-gather over the
-        sampled outcomes rather than a per-shot loop.
-        """
-        probs = self.probabilities()
-        outcomes = rng.choice(probs.size, size=shots, p=probs / probs.sum())
-        if qubits is None:
-            qubits = range(self.num_qubits)
-        return _bit_gather_counts(outcomes, list(enumerate(qubits)))
 
     def __str__(self) -> str:
         terms = []

@@ -92,11 +92,6 @@ class MctGate:
     def polarity_mask(self) -> int:
         return self._masks[1]
 
-    def fires(self, value: int) -> bool:
-        """True if all controls are satisfied by ``value``."""
-        control_mask, polarity_mask = self._masks
-        return (value & control_mask) == polarity_mask
-
     def apply(self, value: int) -> int:
         control_mask, polarity_mask = self._masks
         if (value & control_mask) == polarity_mask:
@@ -233,12 +228,6 @@ class ReversibleCircuit(Freezable):
     def gate_count(self) -> int:
         return len(self.gates)
 
-    def control_histogram(self) -> Dict[int, int]:
-        hist: Dict[int, int] = {}
-        for gate in self.gates:
-            hist[gate.num_controls] = hist.get(gate.num_controls, 0) + 1
-        return hist
-
     def quantum_cost(self) -> int:
         """Classical 'quantum cost' heuristic (Maslov-style table):
         NOT/CNOT cost 1, Toffoli 5, k-control MCT ~ 2^(k+1) - 3 for
@@ -257,20 +246,6 @@ class ReversibleCircuit(Freezable):
             else:
                 cost += (1 << (k + 1)) - 3
         return cost
-
-    def t_count_estimate(self) -> int:
-        """T gates after naive Clifford+T mapping: 7 per Toffoli,
-        ~8(k-2)+7 for a k-control MCT decomposed into Toffolis."""
-        total = 0
-        for gate in self.gates:
-            k = gate.num_controls
-            if k <= 1:
-                continue
-            if k == 2:
-                total += 7
-            else:
-                total += 7 * (2 * (k - 2) + 1)
-        return total
 
     # ------------------------------------------------------------------
     # conversion

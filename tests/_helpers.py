@@ -12,8 +12,10 @@ import random
 import numpy as np
 
 import repro
+from repro.boolean.cube import Cube
 from repro.boolean.truth_table import TruthTable
 from repro.core.circuit import QuantumCircuit
+from repro.engines.density_matrix import DensityMatrix
 
 
 def random_clifford_t_circuit(num_qubits, num_gates, seed=0):
@@ -35,10 +37,31 @@ def random_clifford_t_circuit(num_qubits, num_gates, seed=0):
     return circuit
 
 
+def cube_from_literals(literals):
+    """The cube of ``(variable, positive?)`` pairs."""
+    mask = polarity = 0
+    for var, positive in literals:
+        mask |= 1 << var
+        polarity |= int(positive) << var
+    return Cube(mask, polarity)
+
+
 def assert_states_equal(state_a, state_b, atol=1e-9):
     assert state_a.num_qubits == state_b.num_qubits
     fidelity = abs(np.vdot(state_a.data, state_b.data)) ** 2
     assert fidelity > 1 - atol, f"states differ (fidelity {fidelity})"
+
+
+def density_from_statevector(state):
+    """The pure-state density matrix ``|psi><psi|`` of a ``Statevector``."""
+    return DensityMatrix(
+        state.num_qubits, np.outer(state.data, state.data.conj())
+    )
+
+
+def purity(rho):
+    """``Tr(rho^2)``: 1 for pure states, ``1/2^n`` for maximal mixing."""
+    return float(np.sum(np.abs(rho.data) ** 2))
 
 
 def verify_embedding(g, function, in_place):

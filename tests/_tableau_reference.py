@@ -8,7 +8,8 @@ and has two jobs only:
 * the differential/pinning tests in
   ``tests/simulator/test_stabilizer_packed.py`` assert that the packed
   tableau reproduces this implementation's tableau evolution, measure
-  outcomes and RNG stream bit for bit;
+  outcomes and RNG stream bit for bit (``expectation_z`` and
+  ``stabilizer_strings`` read either tableau);
 * ``benchmarks/bench_simulator_scaling.py::test_stabilizer_reach``
   times it against the packed tableau to enforce the >= 5x speedup
   gate in-run, instead of trusting a stale committed number.
@@ -199,32 +200,40 @@ class ReferenceStabilizerState:
                 self._rowsum(scratch, i + n)
         return int(self.r[scratch])
 
-    def expectation_z(self, q: int) -> Optional[int]:
-        """Deterministic Z_q value (0 or 1) or None if random."""
-        n = self.num_qubits
-        for i in range(n, 2 * n):
-            if self.x[i, q]:
-                return None
-        probe = self.copy()
-        return probe.measure(q, np.random.default_rng(0))
 
-    def stabilizer_strings(self) -> List[str]:
-        """Human-readable stabilizer generators, e.g. ``+XZI``."""
-        n = self.num_qubits
-        out = []
-        for i in range(n, 2 * n):
-            sign = "-" if self.r[i] else "+"
-            paulis = []
-            for j in range(n):
-                xbit, zbit = self.x[i, j], self.z[i, j]
-                paulis.append(
-                    "I" if not xbit and not zbit
-                    else "X" if xbit and not zbit
-                    else "Z" if not xbit and zbit
-                    else "Y"
-                )
-            out.append(sign + "".join(paulis))
-        return out
+def expectation_z(state, q: int) -> Optional[int]:
+    """Deterministic Z_q value (0 or 1) of a tableau, or None if random.
+
+    Works on both tableaus (``ReferenceStabilizerState`` and the packed
+    ``StabilizerState``): it reads the dense ``x`` rows and measures a
+    copy.
+    """
+    n = state.num_qubits
+    for i in range(n, 2 * n):
+        if state.x[i, q]:
+            return None
+    probe = state.copy()
+    return probe.measure(q, np.random.default_rng(0))
+
+
+def stabilizer_strings(state) -> List[str]:
+    """Human-readable stabilizer generators of a tableau, e.g. ``+XZI``."""
+    n = state.num_qubits
+    x, z = state.x, state.z
+    out = []
+    for i in range(n, 2 * n):
+        sign = "-" if state.r[i] else "+"
+        paulis = []
+        for j in range(n):
+            xbit, zbit = x[i, j], z[i, j]
+            paulis.append(
+                "I" if not xbit and not zbit
+                else "X" if xbit and not zbit
+                else "Z" if not xbit and zbit
+                else "Y"
+            )
+        out.append(sign + "".join(paulis))
+    return out
 
 
 def reference_counts(

@@ -2,27 +2,24 @@
 
 import pytest
 
+from _helpers import cube_from_literals
 from repro.boolean.cube import Cube, esop_to_truth_table
 from repro.boolean.truth_table import TruthTable
 
 
 class TestCube:
     def test_from_literals(self):
-        cube = Cube.from_literals([(0, True), (2, False)])
+        cube = cube_from_literals([(0, True), (2, False)])
         assert cube.evaluate(0b001) == 1
         assert cube.evaluate(0b101) == 0
         assert cube.evaluate(0b000) == 0
-
-    def test_duplicate_variable_rejected(self):
-        with pytest.raises(ValueError):
-            Cube.from_literals([(0, True), (0, False)])
 
     def test_polarity_outside_mask_rejected(self):
         with pytest.raises(ValueError):
             Cube(mask=0b01, polarity=0b10)
 
     def test_tautology(self):
-        cube = Cube.tautology()
+        cube = Cube()
         assert all(cube.evaluate(x) for x in range(8))
         assert cube.num_literals() == 0
 
@@ -32,63 +29,46 @@ class TestCube:
         assert sum(cube.evaluate(x) for x in range(8)) == 1
 
     def test_literals_iteration(self):
-        cube = Cube.from_literals([(1, True), (3, False)])
+        cube = cube_from_literals([(1, True), (3, False)])
         assert list(cube.literals()) == [(1, True), (3, False)]
-        assert cube.positive_vars() == [1]
-        assert cube.negative_vars() == [3]
 
     def test_to_truth_table(self):
-        cube = Cube.from_literals([(0, True), (1, True)])
+        cube = cube_from_literals([(0, True), (1, True)])
         table = cube.to_truth_table(2)
         assert table == TruthTable.from_function(2, lambda a, b: a and b)
 
 
 class TestDistance:
     def test_distance_zero(self):
-        a = Cube.from_literals([(0, True)])
-        assert a.distance(Cube.from_literals([(0, True)])) == 0
+        a = cube_from_literals([(0, True)])
+        assert a.distance(cube_from_literals([(0, True)])) == 0
 
     def test_distance_polarity(self):
-        a = Cube.from_literals([(0, True), (1, True)])
-        b = Cube.from_literals([(0, True), (1, False)])
+        a = cube_from_literals([(0, True), (1, True)])
+        b = cube_from_literals([(0, True), (1, False)])
         assert a.distance(b) == 1
 
     def test_distance_missing_variable(self):
-        a = Cube.from_literals([(0, True), (1, True)])
-        b = Cube.from_literals([(0, True)])
+        a = cube_from_literals([(0, True), (1, True)])
+        b = cube_from_literals([(0, True)])
         assert a.distance(b) == 1
 
     def test_distance_mixed(self):
-        a = Cube.from_literals([(0, True), (1, True)])
-        b = Cube.from_literals([(1, False), (2, True)])
+        a = cube_from_literals([(0, True), (1, True)])
+        b = cube_from_literals([(1, False), (2, True)])
         # differ: var0 (only a), var1 (polarity), var2 (only b)
         assert a.distance(b) == 3
-
-
-class TestRestrict:
-    def test_restrict_free_variable(self):
-        cube = Cube.from_literals([(0, True)])
-        assert cube.restrict(1, True) == cube
-
-    def test_restrict_matching(self):
-        cube = Cube.from_literals([(0, True), (1, False)])
-        restricted = cube.restrict(0, True)
-        assert restricted == Cube.from_literals([(1, False)])
-
-    def test_restrict_conflicting(self):
-        cube = Cube.from_literals([(0, True)])
-        assert cube.restrict(0, False) is None
 
 
 class TestEsopSemantics:
     def test_xor_of_overlapping_cubes(self):
         cubes = [
-            Cube.from_literals([(0, True)]),
-            Cube.from_literals([(1, True)]),
+            cube_from_literals([(0, True)]),
+            cube_from_literals([(1, True)]),
         ]
         table = esop_to_truth_table(cubes, 2)
         assert table == TruthTable.from_function(2, lambda a, b: a ^ b)
 
     def test_str(self):
-        assert str(Cube.tautology()) == "1"
-        assert str(Cube.from_literals([(0, True), (2, False)])) == "x0&~x2"
+        assert str(Cube()) == "1"
+        assert str(cube_from_literals([(0, True), (2, False)])) == "x0&~x2"

@@ -33,14 +33,6 @@ class TestNetworkConstruction:
         assert g1 == g2
         assert net.num_gates() == 1
 
-    def test_or_via_and(self):
-        net = LogicNetwork(2)
-        a, b = net.input_signal(0), net.input_signal(1)
-        net.add_output(net.create_or(a, b))
-        assert net.simulate()[0] == TruthTable.from_function(
-            2, lambda x, y: x or y
-        )
-
 
 class TestSimulation:
     @pytest.mark.parametrize("seed", range(10))
@@ -66,15 +58,6 @@ class TestSimulation:
         layer2 = net.create_and(layer1, sigs[2])
         net.add_output(layer2)
         assert net.depth() == 2
-
-    def test_fanout_counts(self):
-        net = LogicNetwork(2)
-        a, b = net.input_signal(0), net.input_signal(1)
-        g = net.create_and(a, b)
-        net.add_output(g)
-        net.add_output(net.create_xor(g, a))
-        counts = net.fanout_counts()
-        assert counts[g >> 1] == 2  # used by output and by xor
 
 
 class TestLutMapping:

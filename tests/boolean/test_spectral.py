@@ -5,14 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.boolean.spectral import (
-    correlation,
-    dual_bent,
-    find_shift_classically,
-    fwht,
-    is_bent,
-    walsh_spectrum,
-)
+from _spectral_reference import dual_bent, is_bent, walsh_spectrum
+from repro.boolean.spectral import correlation, find_shift_classically, fwht
 from repro.boolean.truth_table import TruthTable
 
 

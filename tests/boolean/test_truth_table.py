@@ -50,10 +50,6 @@ class TestQueries:
         assert table.evaluate([1, 0, 1]) == 1
         assert table.evaluate([1, 1, 1]) == 0
 
-    def test_balanced(self):
-        assert TruthTable.projection(3, 0).is_balanced()
-        assert not TruthTable.constant(3, True).is_balanced()
-
     def test_support(self):
         table = TruthTable.from_function(3, lambda a, b, c: a ^ c)
         assert table.support() == [0, 2]

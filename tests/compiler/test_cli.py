@@ -282,7 +282,6 @@ class TestEmitMatrix:
         "fmt, marker",
         [
             ("qasm2", "OPENQASM 2.0;"),
-            ("qasm3", "OPENQASM 3.0;"),
             ("qsharp", "operation CompiledOperation"),
             ("projectq", "MainEngine()"),
         ],

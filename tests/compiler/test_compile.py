@@ -161,7 +161,7 @@ class TestCompilationResult:
         assert result.to_qasm() is result.to_qasm()
 
     def test_to_qsharp_round_trips(self, result, paper_pi):
-        code = result.to_qsharp(name="Oracle")
+        code = result.emit("qsharp", name="Oracle")
         assert "operation Oracle" in code
         parsed = parse_operation_body(code, result.circuit.num_qubits)
         assert parsed.gates == result.circuit.gates
@@ -174,7 +174,7 @@ class TestCompilationResult:
         assert replayed.gates == result.circuit.gates
 
     def test_emit_uses_target_default(self, result):
-        assert result.emit() == result.to_qsharp()
+        assert result.emit() == result.emit("qsharp")
 
     def test_emit_without_format_raises(self, paper_pi):
         bare = repro.compile(paper_pi, target="clifford_t", cache=None)

@@ -2,13 +2,13 @@
 
 import pytest
 
+from _helpers import cube_from_literals
+
 import repro
 from repro.boolean.bdd import Bdd
-from repro.boolean.cube import Cube
 from repro.boolean.permutation import BitPermutation
 from repro.boolean.truth_table import MultiTruthTable, TruthTable
 from repro.compiler import (
-    Workload,
     WorkloadError,
     as_truth_table,
     detect_workload,
@@ -79,8 +79,8 @@ class TestShapeDetection:
 
     def test_esop_cube_list(self):
         cubes = [
-            Cube.from_literals([(0, True), (1, True)]),
-            Cube.from_literals([(2, True), (3, True)]),
+            cube_from_literals([(0, True), (1, True)]),
+            cube_from_literals([(2, True), (3, True)]),
         ]
         workload = detect_workload(cubes)
         assert workload.kind == "truth_table"
@@ -241,7 +241,7 @@ class TestHelpers:
             3, lambda a, b, _c: a and b
         )
         assert table.bits == expected.bits
-        cubes = [Cube.from_literals([(0, True)])]
+        cubes = [cube_from_literals([(0, True)])]
         assert as_truth_table(cubes, num_vars=2).num_vars == 2
 
     def test_as_truth_table_num_vars_mismatch_raises(self, paper_f4):
@@ -256,13 +256,6 @@ class TestHelpers:
         result = solve_grover("a and b", num_vars=3, seed=3)
         assert result.circuit.num_qubits == 3
         assert result.is_solution
-
-    def test_with_synthesis(self, paper_pi):
-        workload = detect_workload(paper_pi)
-        derived = workload.with_synthesis("dbs")
-        assert derived.synthesis == "dbs"
-        assert workload.synthesis == "tbs"
-        assert isinstance(derived, Workload)
 
 
 class TestQasmWorkloads:

@@ -14,13 +14,14 @@ from repro.pipeline import PassCache, PipelineError
 from repro.revkit import generators
 
 
-class TestCompileMany:
+class TestBatch:
     def test_order_preserved(self):
         session = CompilerSession(
             target="toffoli", cache=PassCache(), max_workers=4
         )
-        workloads = [{"hwb": n} for n in (3, 4, 5)] * 2
-        results = session.compile_many(workloads)
+        results = [
+            point.result for point in session.sweep({"hwb": [3, 4, 5] * 2})
+        ]
         assert len(results) == 6
         sizes = [r.reversible.num_lines for r in results]
         assert sizes == [3, 4, 5, 3, 4, 5]
@@ -31,17 +32,17 @@ class TestCompileMany:
     def test_batch_shares_cache(self):
         cache = PassCache()
         session = CompilerSession(target="toffoli", cache=cache)
-        session.compile_many([{"hwb": 4}] * 4)
+        session.sweep({"hwb": [4] * 4})
         stats = session.cache_stats()
         assert stats["hits"] > 0
         # a repeated batch replays everything
-        results = session.compile_many([{"hwb": 4}] * 2)
+        swept = session.sweep({"hwb": [4] * 2})
         assert all(
-            r.cache_hits == len(r.records) for r in results
+            p.result.cache_hits == len(p.result.records) for p in swept
         )
 
     def test_empty_batch(self):
-        assert CompilerSession(cache=None).compile_many([]) == []
+        assert len(CompilerSession(cache=None).sweep({"hwb": []})) == 0
 
     @pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2"])
     def test_invalid_max_workers_refused_upfront(self, workers):

@@ -11,28 +11,18 @@ from repro.pipeline import PassCache, PipelineError
 from repro.synthesis.transformation import transformation_based_synthesis
 
 
-class TestCompileManyAsync:
+class TestBatchAsync:
     def test_results_follow_input_order(self):
         session = CompilerSession(
             target="toffoli", cache=PassCache(), max_workers=4
         )
-        workloads = [{"hwb": n} for n in (3, 4, 5)] * 2
-        results = asyncio.run(session.compile_many_async(workloads))
-        assert [r.reversible.num_lines for r in results] == [3, 4, 5, 3, 4, 5]
-
-    def test_matches_sync_batch(self):
-        workloads = [{"hwb": n} for n in (3, 4)]
-        sync = CompilerSession(target="clifford_t", cache=None).compile_many(
-            workloads
-        )
-        session = CompilerSession(target="clifford_t", cache=None)
-        batched = asyncio.run(session.compile_many_async(workloads))
-        for a, b in zip(sync, batched):
-            assert a.circuit.gates == b.circuit.gates
+        swept = asyncio.run(session.sweep_async({"hwb": [3, 4, 5] * 2}))
+        sizes = [p.result.reversible.num_lines for p in swept]
+        assert sizes == [3, 4, 5, 3, 4, 5]
 
     def test_empty_batch(self):
         session = CompilerSession(cache=None)
-        assert asyncio.run(session.compile_many_async([])) == []
+        assert len(asyncio.run(session.sweep_async({"hwb": []}))) == 0
 
     def test_usable_from_a_running_loop(self):
         session = CompilerSession(target="toffoli", cache=PassCache())
@@ -40,10 +30,10 @@ class TestCompileManyAsync:
         async def story():
             # two overlapping batches on one loop, one shared cache
             first, second = await asyncio.gather(
-                session.compile_many_async([{"hwb": 3}]),
-                session.compile_many_async([{"hwb": 3}]),
+                session.sweep_async({"hwb": [3]}),
+                session.sweep_async({"hwb": [3]}),
             )
-            return first[0], second[0]
+            return first.points[0].result, second.points[0].result
 
         one, other = asyncio.run(story())
         assert one.reversible.gates == other.reversible.gates
@@ -69,26 +59,25 @@ class TestCompileManyAsync:
             optimization_level=0,
             synthesis=counting_synthesis,
         )
-        session = CompilerSession(cache=None, max_workers=2)
-        workloads = [
-            BitPermutation([(j + i) % 8 for j in range(8)])
-            for i in range(8)
-        ]
-        asyncio.run(session.compile_many_async(workloads, target=target))
+        session = CompilerSession(target=target, cache=None, max_workers=2)
+        swept = asyncio.run(session.sweep_async({"random": [3] * 8}))
+        assert len(swept) == 8
         assert active["peak"] <= 2
 
     def test_exception_propagates_unwrapped(self):
         session = CompilerSession(target="toffoli", cache=None)
         with pytest.raises(TypeError, match="workload"):
             asyncio.run(
-                session.compile_many_async([{"hwb": 3}, object()])
+                session.sweep_async(
+                    {"optimization_level": [0, 1]}, base=object()
+                )
             )
 
     def test_pipeline_error_propagates_unwrapped(self):
         session = CompilerSession(cache=None)
         with pytest.raises(PipelineError, match="unknown target"):
             asyncio.run(
-                session.compile_many_async([{"hwb": 3}], target="warp")
+                session.sweep_async({"hwb": [3], "target": ["warp"]})
             )
 
     def test_failure_cancels_remaining_jobs(self):
@@ -100,6 +89,9 @@ class TestCompileManyAsync:
                 started.append(perm)
             return transformation_based_synthesis(perm)
 
+        def failing_synthesis(perm):
+            raise TypeError("synthesis refused")
+
         target = Target(
             name="tracking",
             description="records which jobs ever started",
@@ -107,13 +99,11 @@ class TestCompileManyAsync:
             optimization_level=0,
             synthesis=tracking_synthesis,
         )
-        session = CompilerSession(cache=None, max_workers=1)
-        workloads = [object()] + [
-            BitPermutation(list(range(8))) for _ in range(16)
-        ]
-        with pytest.raises(TypeError):
+        session = CompilerSession(target=target, cache=None, max_workers=1)
+        grid = {"synthesis": [failing_synthesis] + [tracking_synthesis] * 16}
+        with pytest.raises(TypeError, match="synthesis refused"):
             asyncio.run(
-                session.compile_many_async(workloads, target=target)
+                session.sweep_async(grid, base=BitPermutation(range(8)))
             )
         # with the bad job first and one-at-a-time flight, the failure
         # cancels the queue before most of it ever starts
@@ -126,7 +116,7 @@ class TestCompileManyAsync:
 
         async def cancel_midway():
             batch = asyncio.ensure_future(
-                session.compile_many_async([{"hwb": 6}] * 4)
+                session.sweep_async({"hwb": [6] * 4})
             )
             await asyncio.sleep(0.01)
             batch.cancel()
@@ -172,28 +162,25 @@ class TestSyncEntryPointsInsideALoop:
     which cannot start inside a running one; there they must still
     block and return (on a helper thread)."""
 
-    def test_compile_many_and_sweep_from_a_running_loop(self):
+    def test_sweep_from_a_running_loop(self):
         session = CompilerSession(
             target="toffoli", cache=PassCache(), max_workers=2
         )
 
         async def story():
-            compiled = session.compile_many([{"hwb": 3}, {"hwb": 4}])
-            swept = session.sweep({"hwb": [3, 4]})
-            return compiled, swept
+            return session.sweep({"hwb": [3, 4]})
 
-        compiled, swept = asyncio.run(story())
-        assert [r.reversible.num_lines for r in compiled] == [3, 4]
+        swept = asyncio.run(story())
         assert [p.params for p in swept] == [{"hwb": 3}, {"hwb": 4}]
-        for result, point in zip(compiled, swept):
-            assert point.result.reversible.gates == result.reversible.gates
+        for n, point in zip((3, 4), swept):
+            alone = session.compile({"hwb": n})
+            assert point.result.reversible.gates == alone.reversible.gates
 
     def test_sync_calls_leave_the_thread_event_loop_alone(self):
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         try:
             session = CompilerSession(target="toffoli", cache=None)
-            session.compile_many([{"hwb": 3}])
             session.sweep({"hwb": [3]})
             assert asyncio.get_event_loop_policy().get_event_loop() is loop
         finally:
@@ -204,7 +191,7 @@ class TestSyncEntryPointsInsideALoop:
         session = CompilerSession(target="toffoli", cache=None)
 
         async def story():
-            session.compile_many([{"hwb": 3}, object()])
+            session.sweep({"optimization_level": [0, 1]}, base=object())
 
         with pytest.raises(TypeError, match="workload"):
             asyncio.run(story())

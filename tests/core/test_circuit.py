@@ -211,10 +211,6 @@ class TestMetrics:
         assert QuantumCircuit(2).h(0).t(0).cx(0, 1).is_clifford_t()
         assert not QuantumCircuit(3).ccx(0, 1, 2).is_clifford_t()
 
-    def test_is_clifford(self):
-        assert QuantumCircuit(2).h(0).s(0).cx(0, 1).is_clifford()
-        assert not QuantumCircuit(1).t(0).is_clifford()
-
     def test_has_measurements(self):
         circ = QuantumCircuit(1, 1)
         assert not circ.has_measurements()

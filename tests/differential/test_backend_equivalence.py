@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _dense_reference as dense
+from _helpers import density_from_statevector
 
 from repro import engines
 from repro.core.circuit import QuantumCircuit
 from repro.engines import QE5_NOISE, monte_carlo
-from repro.engines.density_matrix import DensityMatrix
 from repro.simulator import kernels
 from repro.simulator.statevector import Statevector
 
@@ -246,7 +246,7 @@ class TestDenseReferenceDifferential:
         # the two kernel passes of DensityMatrix.apply_gate must give
         # U rho U^+ for a pure rho = |psi><psi|
         psi = random_state(circ.num_qubits, 31)
-        rho = DensityMatrix.from_statevector(Statevector(circ.num_qubits, psi))
+        rho = density_from_statevector(Statevector(circ.num_qubits, psi))
         for gate in _unitary_gates(circ):
             rho.apply_gate(gate)
         out = dense.evolve(psi, _unitary_gates(circ))
@@ -260,7 +260,7 @@ class TestDenseReferenceDifferential:
         # and rows by the reference's tensordot path
         n, qubit = 3, 1
         psi = random_state(n, 37)
-        rho = DensityMatrix.from_statevector(Statevector(n, psi))
+        rho = density_from_statevector(Statevector(n, psi))
         rho.apply_channel("amplitude_damping", gamma, qubit)
         kraus = [
             np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),

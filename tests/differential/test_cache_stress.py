@@ -66,12 +66,11 @@ class TestThreadStress:
             target="clifford_t", cache=cache, max_workers=8
         )
         reference = {n: _reference(n) for n in (3, 4)}
-        workloads = [{"hwb": n} for n in (3, 4)] * 8
         with _sweeping(cache):
-            results = session.compile_many(workloads)
-        for workload, result in zip(workloads, results):
-            expected = reference[workload["hwb"]]
-            assert result.circuit.gates == expected.circuit.gates
+            swept = session.sweep({"hwb": [3, 4] * 8})
+        for point in swept:
+            expected = reference[point.params["hwb"]]
+            assert point.result.circuit.gates == expected.circuit.gates
 
         # no corrupted entries: every surviving file is a complete,
         # generation-stamped entry (atomic replace ⇒ no torn reads)
@@ -115,9 +114,10 @@ class TestThreadStress:
         with _sweeping(thread_cache):
             worker = threading.Thread(target=hammer_processes)
             worker.start()
-            outcome["thread"] = thread_session.compile_many(
-                [{"hwb": n} for n in (3, 4)] * 4
-            )
+            outcome["thread"] = [
+                point.result
+                for point in thread_session.sweep({"hwb": [3, 4] * 4})
+            ]
             worker.join(timeout=300)
             assert not worker.is_alive()
 

@@ -61,10 +61,10 @@ def assert_paths_agree(workload, target):
         target=target, cache=PassCache(), max_workers=4
     )
     first, second = asyncio.run(
-        session.compile_many_async([workload, workload])
+        session.sweep_async({"target": [target, target]}, base=workload)
     )
-    assert _gates(first) == reference
-    assert _gates(second) == reference
+    assert _gates(first.result) == reference
+    assert _gates(second.result) == reference
 
     tmp = tempfile.mkdtemp(prefix="repro-differential-")
     try:
@@ -103,12 +103,18 @@ def test_truth_tables_to_clifford_t(table):
     assert_paths_agree(table, "clifford_t")
 
 
-@given(st.lists(permutations(), min_size=1, max_size=4))
-def test_async_batch_order_is_deterministic(perms):
+@given(
+    st.integers(2, 3),
+    st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+)
+def test_async_batch_order_is_deterministic(width, seeds):
     """Async results must follow input order, not completion order."""
     session = CompilerSession(
         target="clifford_t", cache=PassCache(), max_workers=4
     )
-    sync = [session.compile(perm) for perm in perms]
-    batched = asyncio.run(session.compile_many_async(perms))
-    assert [_gates(r) for r in batched] == [_gates(r) for r in sync]
+    swept = asyncio.run(
+        session.sweep_async({"random": [width], "seed": seeds})
+    )
+    assert [p.params["seed"] for p in swept] == seeds
+    sync = [session.compile(point.params) for point in swept]
+    assert [_gates(p.result) for p in swept] == [_gates(r) for r in sync]

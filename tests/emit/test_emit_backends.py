@@ -16,53 +16,6 @@ def clifford_t_circuit():
     return circ
 
 
-class TestQasm3:
-    def test_header_and_registers(self, clifford_t_circuit):
-        text = emit.emit(clifford_t_circuit, "qasm3")
-        lines = text.splitlines()
-        assert lines[0] == "OPENQASM 3.0;"
-        assert lines[1] == 'include "stdgates.inc";'
-        assert "qubit[3] q;" in lines
-        assert "bit[2] c;" in lines
-
-    def test_measure_assignment_syntax(self, clifford_t_circuit):
-        text = emit.emit(clifford_t_circuit, "qasm3")
-        assert "c[0] = measure q[0];" in text
-        assert "c[1] = measure q[1];" in text
-
-    def test_p_gate_is_native_not_u1(self):
-        circ = QuantumCircuit(1).p(math.pi / 4, 0)
-        text = emit.emit(circ, "qasm3")
-        assert "p(pi/4) q[0];" in text
-        assert "u1" not in text
-
-    def test_mct_uses_ctrl_modifier(self):
-        circ = QuantumCircuit(4).mcx([0, 1, 2], 3)
-        text = emit.emit(circ, "qasm3")
-        assert "ctrl(3) @ x q[0], q[1], q[2], q[3];" in text
-
-    def test_ccz_and_sxdg_modifier_forms(self):
-        circ = QuantumCircuit(3).ccz(0, 1, 2).sxdg(0)
-        text = emit.emit(circ, "qasm3")
-        assert "ctrl(2) @ z q[0], q[1], q[2];" in text
-        assert "inv @ sx q[0];" in text
-
-    def test_empty_circuit_keeps_one_qubit_register(self):
-        assert "qubit[1] q;" in emit.emit(QuantumCircuit(0), "qasm3")
-
-    def test_unexpected_controls_raise_not_dropped(self):
-        from repro.core.gates import Gate
-
-        circ = QuantumCircuit(2)
-        circ.append(Gate("x", (1,), (0,)))
-        with pytest.raises(emit.EmitterError, match="controls"):
-            emit.emit(circ, "qasm3")
-        circ = QuantumCircuit(3)
-        circ.append(Gate("cx", (2,), (0, 1)))
-        with pytest.raises(emit.EmitterError, match="controls"):
-            emit.emit(circ, "qasm3")
-
-
 class TestQasm2ExternalFiles:
     def test_named_register_imports(self):
         from repro.emit.qasm2 import from_qasm
@@ -170,8 +123,23 @@ class TestProjectQBackend:
         assert replayed.gates == expected
 
 
+class TestNonFiniteAngles:
+    """inf/nan angles have no text form any importer reads back."""
+
+    @pytest.mark.parametrize("fmt", ["qasm2", "projectq"])
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_refused_naming_the_gate_and_the_value(self, fmt, angle):
+        circ = QuantumCircuit(2).h(0).rz(angle, 1)
+        with pytest.raises(emit.NonFiniteAngleError) as info:
+            emit.emit(circ, fmt)
+        assert isinstance(info.value, emit.EmitterError)
+        assert f"gate 'rz' has the non-finite angle {angle!r}" in str(
+            info.value
+        )
+
+
 class TestOptionsValidation:
-    @pytest.mark.parametrize("fmt", ["qasm2", "qasm3", "projectq"])
+    @pytest.mark.parametrize("fmt", ["qasm2", "projectq"])
     def test_unexpected_options_rejected(self, fmt):
         with pytest.raises(emit.EmitterError, match="no options"):
             emit.emit(QuantumCircuit(1), fmt, bogus=1)

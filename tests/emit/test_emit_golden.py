@@ -5,7 +5,7 @@ pre-refactor code (PR 4 state), where QASM lived in ``core/qasm.py``,
 Q# generation in ``frameworks/qsharp.py`` and the ProjectQ line
 assembly inline in ``CompilationResult.to_projectq``.  The refactor
 onto the ``repro.emit`` registry must not change a single byte of
-what ``to_qasm`` / ``to_qsharp`` / ``to_projectq`` produce.
+what ``to_qasm`` / ``emit("qsharp")`` / ``to_projectq`` produce.
 """
 
 import pathlib
@@ -39,11 +39,11 @@ class TestByteIdentical:
 
     def test_qsharp_default_name(self, perm):
         result = repro.compile(perm, target="qsharp", cache=None)
-        assert result.to_qsharp() == _golden("perm8_qsharp.qs")
+        assert result.emit("qsharp") == _golden("perm8_qsharp.qs")
 
     def test_qsharp_custom_name(self, perm):
         result = repro.compile(perm, target="qsharp", cache=None)
-        assert result.to_qsharp(name="GoldenOracle") == _golden(
+        assert result.emit("qsharp", name="GoldenOracle") == _golden(
             "perm8_qsharp_named.qs"
         )
 

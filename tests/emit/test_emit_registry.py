@@ -8,14 +8,13 @@ from repro import emit
 from repro.compiler import Target
 from repro.pipeline.state import PipelineError
 
-#: The four built-in formats, in canonical listing order.
-EXPECTED_FORMATS = ("qasm2", "qasm3", "qsharp", "projectq")
+#: The three built-in formats, in canonical listing order.
+EXPECTED_FORMATS = ("qasm2", "qsharp", "projectq")
 
 #: Every declared alias and the format it names.
 ALIASES = {
     "qasm": "qasm2",
     "openqasm2": "qasm2",
-    "openqasm3": "qasm3",
     "qs": "qsharp",
     "q#": "qsharp",
 }
@@ -41,7 +40,7 @@ class TestFormats:
         assert emit.get(name.upper()) is module.EMITTER
 
     def test_get_passes_emitter_instances_through(self):
-        emitter = emit.get("qasm3")
+        emitter = emit.get("qsharp")
         assert emit.get(emitter) is emitter
 
     def test_unknown_format_lists_registered(self):
@@ -91,7 +90,6 @@ class TestTargetEmitterResolution:
 class TestPathResolution:
     def test_extension_lookup(self):
         assert emit.emitter_for_path("x.qasm").name == "qasm2"
-        assert emit.emitter_for_path("x.qasm3").name == "qasm3"
         assert emit.emitter_for_path("x.qs").name == "qsharp"
         assert emit.emitter_for_path("x.py").name == "projectq"
 

@@ -23,7 +23,7 @@ class TestDispatch:
             assert isinstance(text, str) and text
 
     def test_memoized_per_format_and_opts(self, result):
-        assert result.emit("qasm3") is result.emit("qasm3")
+        assert result.emit("qasm2") is result.emit("qasm2")
         assert result.emit("projectq") is result.emit("projectq")
         named = result.emit("qsharp", name="A")
         assert named is result.emit("qsharp", name="A")
@@ -32,12 +32,6 @@ class TestDispatch:
     def test_alias_hits_the_same_memo_entry(self, result):
         assert result.emit("qasm") is result.emit("qasm2")
         assert result.to_qasm() is result.emit("qasm")
-
-    def test_default_name_shares_emit_memo_slot(self, result):
-        # to_qsharp() with the default name must not duplicate the
-        # text emit("qsharp") already cached
-        assert result.to_qsharp() is result.emit("qsharp")
-        assert result.emit() is result.to_qsharp()
 
     def test_memoized_text_cannot_go_stale(self, result):
         # the memo keys on the circuit never changing: the compiled
@@ -63,11 +57,10 @@ class TestDispatch:
         assert cold.emit("qasm2") is warm.emit("qasm2")
 
     def test_named_qsharp_keeps_its_own_slot(self, result):
-        foo = result.to_qsharp(name="Foo")
+        foo = result.emit("qsharp", name="Foo")
         plain = result.emit("qsharp")
         assert foo is not plain
         assert "operation Foo" in foo and "operation Foo" not in plain
-        assert result.to_qsharp(name="Foo") is foo
         assert result.emit("qsharp", name="Foo") is foo
         assert result.emit("qsharp") is plain
 
@@ -146,7 +139,7 @@ class TestErrorPaths:
     def test_backend_failure_translated(self, paper_pi):
         mct = repro.compile(paper_pi, target="toffoli", cache=None)
         with pytest.raises(EmissionError, match="no\\s+quantum circuit"):
-            mct.emit("qasm3")
+            mct.emit("projectq")
 
 
 class TestTargetDefaultEmitter:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import _ptm_reference as reference
+from _helpers import purity
 
 from repro import engines
 from repro.core.circuit import QuantumCircuit
@@ -153,7 +154,7 @@ class TestDensityMatrix:
         rho = DensityMatrix(2)
         assert np.allclose(rho.matrix(), np.diag([1.0, 0, 0, 0]))
         assert rho.trace() == pytest.approx(1.0)
-        assert rho.purity() == pytest.approx(1.0)
+        assert purity(rho) == pytest.approx(1.0)
 
     def test_width_cap(self):
         with pytest.raises(engines.EngineError, match="caps at"):
@@ -179,28 +180,14 @@ class TestDensityMatrix:
             rho.apply_gate(gate)
         expected = np.outer(state.data, state.data.conj())
         assert np.max(np.abs(rho.matrix() - expected)) < 1e-10
-        assert rho.purity() == pytest.approx(1.0)
-
-    def test_apply_unitary_dense_path(self):
-        theta = 0.8
-        matrix = np.array(
-            [
-                [math.cos(theta / 2), -1j * math.sin(theta / 2)],
-                [-1j * math.sin(theta / 2), math.cos(theta / 2)],
-            ]
-        )
-        direct = DensityMatrix(2)
-        direct.apply_gate(Gate("rx", (1,), params=(theta,)))
-        dense = DensityMatrix(2)
-        dense.apply_unitary(matrix, [1])
-        assert np.allclose(direct.matrix(), dense.matrix())
+        assert purity(rho) == pytest.approx(1.0)
 
     def test_depolarizing_mixes_toward_identity(self):
         rho = DensityMatrix(1)
         rho.apply_gate(Gate("h", (0,)))
         rho.apply_channel("depolarizing", 0.75, 0)  # fidelity 0
         assert np.allclose(rho.matrix(), np.eye(2) / 2)
-        assert rho.purity() == pytest.approx(0.5)
+        assert purity(rho) == pytest.approx(0.5)
 
     def test_amplitude_damping_relaxes_to_ground(self):
         rho = DensityMatrix(1)
@@ -226,17 +213,6 @@ class TestDensityMatrix:
         assert probs[1] == pytest.approx(0.5)
         assert probs[2] == pytest.approx(0.0)
         assert probs[3] == pytest.approx(0.0)
-
-    def test_from_statevector(self):
-        circuit = QuantumCircuit(2)
-        circuit.h(0)
-        circuit.cx(0, 1)
-        state = Statevector(circuit.num_qubits).evolve(circuit)
-        rho = DensityMatrix.from_statevector(state)
-        assert rho.purity() == pytest.approx(1.0)
-        assert np.allclose(
-            rho.probabilities(), state.probabilities()
-        )
 
 
 class TestDensityMatrixEngine:

@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _helpers import purity
+
 from repro import engines
 from repro.core.circuit import QuantumCircuit
 from repro.engines import NoiseModel, QE5_NOISE
@@ -145,4 +147,4 @@ class TestFig6Recovery:
             "density_matrix", fig6_circuit, noise="qe5", shots=0
         )
         assert result.density.trace() == pytest.approx(1.0, abs=1e-9)
-        assert result.density.purity() < 1.0
+        assert purity(result.density) < 1.0

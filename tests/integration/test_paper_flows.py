@@ -81,7 +81,7 @@ class TestFig4Flow:
 
     def test_f_equals_its_dual(self):
         """Sec. VII: 'It can be shown that f = f~'."""
-        from repro.boolean.spectral import dual_bent
+        from _spectral_reference import dual_bent
 
         table = TruthTable.from_function(4, paper_f)
         assert dual_bent(table) == table

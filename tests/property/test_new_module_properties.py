@@ -97,7 +97,7 @@ def test_constant_adder_group_law(num_bits, constant):
     size = 1 << num_bits
     forward = constant_adder(num_bits, constant % size).permutation()
     backward = constant_adder(num_bits, (-constant) % size).permutation()
-    assert forward.compose(backward).is_identity()
+    assert forward.compose(backward).cycles() == []
 
 
 @given(st.integers(2, 4), st.integers(1, 15), st.integers(0, 20))

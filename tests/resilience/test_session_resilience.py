@@ -86,7 +86,7 @@ class TestJobTimeoutBackstop:
         )
         started = time.monotonic()
         with pytest.raises(DeadlineExceeded) as info:
-            session.compile_many([{"hwb": 3}, {"hwb": 3}])
+            session.sweep({"hwb": [3, 3]})
         elapsed = time.monotonic() - started
         message = str(info.value)
         assert "session.job[" in message
@@ -120,7 +120,7 @@ class TestJobTimeoutBackstop:
         started = time.monotonic()
         with pytest.raises(DeadlineExceeded, match="worker abandoned"):
             asyncio.run(
-                session.compile_many_async([{"hwb": 3}, {"hwb": 3}])
+                session.sweep_async({"hwb": [3, 3]})
             )
         assert time.monotonic() - started < STALL
 
@@ -132,16 +132,16 @@ class TestDispatchRetry:
         chaos([{"site": "session.dispatch", "times": 1,
                 "error": "fault"}])
         session = CompilerSession(target="toffoli", cache=None, retry=2)
-        (result,) = session.compile_many([{"hwb": 3}])
+        (point,) = session.sweep({"hwb": [3]})
         expected = reference(3)
-        assert result.reversible.gates == expected.reversible.gates
+        assert point.result.reversible.gates == expected.reversible.gates
 
     def test_exhausted_dispatch_retries_raise_typed_error(self, chaos):
         chaos([{"site": "session.dispatch", "times": None,
                 "error": "fault"}])
         session = CompilerSession(target="toffoli", cache=None, retry=2)
         with pytest.raises(RetriesExhausted) as info:
-            session.compile_many([{"hwb": 3}])
+            session.sweep({"hwb": [3]})
         assert "session.dispatch" in str(info.value)
         assert "2 attempt(s)" in str(info.value)
 
@@ -153,9 +153,10 @@ class TestDispatchRetry:
         session = CompilerSession(
             target="toffoli", cache=None, max_workers=2, retry=3
         )
-        results = session.compile_many([{"hwb": 3}, {"hwb": 4}])
-        for n, result in zip((3, 4), results):
-            assert result.reversible.gates == reference(n).reversible.gates
+        swept = session.sweep({"hwb": [3, 4]})
+        for n, point in zip((3, 4), swept):
+            gates = point.result.reversible.gates
+            assert gates == reference(n).reversible.gates
 
 
 class TestWrappersAreTransparent:
@@ -167,9 +168,10 @@ class TestWrappersAreTransparent:
             target="toffoli", cache=None, max_workers=2,
             job_timeout=60, retry=2,
         )
-        results = session.compile_many([{"hwb": 3}, {"hwb": 4}])
-        for n, result in zip((3, 4), results):
-            assert result.reversible.gates == reference(n).reversible.gates
+        swept = session.sweep({"hwb": [3, 4]})
+        for n, point in zip((3, 4), swept):
+            gates = point.result.reversible.gates
+            assert gates == reference(n).reversible.gates
 
     def test_sweep_with_wrappers_matches_plain_sweep(self):
         wrapped = CompilerSession(

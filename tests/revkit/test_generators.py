@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.boolean.spectral import is_bent
+from _spectral_reference import is_bent
+
 from repro.revkit import generators
 
 
@@ -37,7 +38,7 @@ class TestGenerators:
         result = perm
         for _ in range(3):
             result = result.compose(perm)
-        assert result.is_identity()
+        assert result.cycles() == []
 
     def test_gray_code(self):
         perm = generators.gray_code(3)

@@ -137,7 +137,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "command, marker",
         [
-            ("write_qasm3", "OPENQASM 3.0;"),
+            ("write_qasm2", "OPENQASM 2.0;"),
             ("write_qsharp", "operation CompiledOperation"),
             ("write_projectq", "MainEngine()"),
         ],

@@ -20,7 +20,7 @@ class TestBddSynthesis:
     def test_ancilla_count_equals_bdd_nodes(self):
         table = TruthTable.inner_product(2)
         bdd = Bdd(4)
-        nodes = bdd.count_nodes([bdd.from_truth_table(table)])
+        nodes = len(bdd.reachable_nodes([bdd.from_truth_table(table)]))
         result = bdd_synthesis(table)
         assert result.num_ancillae == nodes
         assert result.total_lines == 4 + 1 + nodes

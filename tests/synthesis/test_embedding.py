@@ -25,7 +25,7 @@ class TestBennettEmbedding:
         """g(x, y) = (x, y ^ f(x)) is an involution."""
         table = TruthTable.from_function(3, lambda a, b, c: a ^ (b and c))
         g = bennett_embedding(table)
-        assert g.compose(g).is_identity()
+        assert g.compose(g).cycles() == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_multi_output(self, seed):

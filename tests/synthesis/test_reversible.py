@@ -19,8 +19,8 @@ class TestMctGate:
 
     def test_fires(self):
         gate = MctGate(2, (0, 1), (True, False))
-        assert gate.fires(0b001)       # c0=1, c1=0
-        assert not gate.fires(0b011)
+        assert gate.apply(0b001) == 0b101  # c0=1, c1=0
+        assert gate.apply(0b011) == 0b011
 
     def test_apply(self):
         gate = MctGate(2, (0, 1))
@@ -66,7 +66,6 @@ class TestMctGate:
                 bool(value >> line & 1) == positive
                 for line, positive in zip(controls, polarity)
             )
-            assert gate.fires(value) == fires
             assert gate.apply(value) == value ^ (fires << target)
 
     def test_masks_take_no_part_in_the_value(self):
@@ -93,7 +92,7 @@ class TestMctGate:
 
 class TestReversibleCircuit:
     def test_identity_permutation(self):
-        assert ReversibleCircuit(3).permutation().is_identity()
+        assert ReversibleCircuit(3).permutation().cycles() == []
 
     def test_builders(self):
         circ = ReversibleCircuit(3)
@@ -110,7 +109,7 @@ class TestReversibleCircuit:
         circ.x(0).toffoli(0, 1, 2).cnot(0, 1)
         perm = circ.permutation()
         inv = circ.dagger().permutation()
-        assert perm.compose(inv).is_identity()
+        assert perm.compose(inv).cycles() == []
 
     def test_negative_controls_semantics(self):
         circ = ReversibleCircuit(2)
@@ -133,16 +132,6 @@ class TestReversibleCircuit:
         assert circ.quantum_cost() == 6
         circ.add_gate(4, (0, 1, 2))
         assert circ.quantum_cost() == 6 + (1 << 4) - 3
-
-    def test_control_histogram(self):
-        circ = ReversibleCircuit(3).x(0).cnot(0, 1).toffoli(0, 1, 2)
-        assert circ.control_histogram() == {0: 1, 1: 1, 2: 1}
-
-    def test_t_count_estimate(self):
-        circ = ReversibleCircuit(3).toffoli(0, 1, 2)
-        assert circ.t_count_estimate() == 7
-        circ2 = ReversibleCircuit(4).add_gate(3, (0, 1, 2))
-        assert circ2.t_count_estimate() == 7 * 3
 
 
 class TestQuantumConversion:

@@ -35,7 +35,6 @@ ENTRY_POINTS = (
     "repro.compiler.detect_workload",
     "repro.compiler.as_truth_table",
     "repro.compiler.Target.flow",
-    "repro.compiler.CompilerSession.compile_many",
     "repro.compiler.CompilerSession.sweep",
     "repro.emit.get",
     "repro.emit.emit",
@@ -47,7 +46,6 @@ ENTRY_POINTS = (
     "repro.engines.run",
     "repro.engines.as_noise_model",
     "repro.engines.NoiseModel.gate_error",
-    "repro.engines.DensityMatrix.from_statevector",
     "repro.pipeline.Pipeline.apply",
     "repro.pipeline.Pipeline.run",
     "repro.pipeline.PassCache.probe",

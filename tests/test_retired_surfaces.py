@@ -27,8 +27,11 @@ object-per-region phase folding (``PhaseRegion``, ``PhaseTerm``,
 registry: the generic ``Registry`` class with runtime
 ``register``/``unregister`` (and ``overwrite=``) on ``repro.emit``
 and ``repro.engines``, ``repro.compiler.register_target``, and the
-``cirq`` and ``qir`` emitters — formats, engines and targets are
-fixed tables of the built-ins.  An old spelling must end in an
+``cirq``, ``qir`` and ``qasm3`` emitters — formats, engines and
+targets are fixed tables of the built-ins.  So are the class members
+only tests reached (``CompilerSession.compile_many`` among them:
+``sweep`` is the batch call), and the spectral bent-function oracles,
+now ``tests/_spectral_reference.py``.  An old spelling must end in an
 import, attribute, type or engine error — or, for the environment
 variables, have no effect at all — rather than being silently
 accepted.
@@ -74,6 +77,7 @@ def _bell() -> QuantumCircuit:
         "repro.synthesis.linear",
         "repro.emit.cirq",
         "repro.emit.qir",
+        "repro.emit.qasm3",
     ],
 )
 def test_retired_modules_are_gone(module):
@@ -210,15 +214,15 @@ def test_flow_presets_beside_the_targets_are_gone(module, name):
         ),
         lambda repro, session: session.CompilerSession(
             cache=None
-        ).compile_many([{"hwb": 3}], flow="eq5"),
+        ).sweep({"hwb": [3]}, flow="eq5"),
         lambda repro, session: asyncio.run(
-            session.CompilerSession(cache=None).compile_many_async(
-                [{"hwb": 3}], flow="eq5"
+            session.CompilerSession(cache=None).sweep_async(
+                {"hwb": [3]}, flow="eq5"
             )
         ),
     ],
-    ids=["compile", "CompilerSession", "session.compile", "compile_many",
-         "compile_many_async"],
+    ids=["compile", "CompilerSession", "session.compile", "sweep",
+         "sweep_async"],
 )
 def test_flow_keyword_is_gone(call):
     import repro
@@ -263,17 +267,17 @@ def _session():
         (lambda repro, P: P(cache=None).run([], deadline=5), "deadline"),
         (lambda repro, P: P(cache=None).apply(
             None, None, retry=2), "retry"),
-        (lambda repro, P: _session().compile_many(
-            [{"hwb": 3}], retry=2), "retry"),
+        (lambda repro, P: _session().sweep(
+            {"hwb": [3]}, retry=2), "retry"),
         (lambda repro, P: _session().sweep(
             {"hwb": [3]}, job_timeout=60), "job_timeout"),
-        (lambda repro, P: asyncio.run(_session().compile_many_async(
-            [{"hwb": 3}], max_in_flight=2)), "max_in_flight"),
+        (lambda repro, P: asyncio.run(_session().sweep_async(
+            {"hwb": [3]}, max_in_flight=2)), "max_in_flight"),
     ],
     ids=["compile(on_error=)", "Pipeline(on_error=)",
          "Pipeline.run(deadline=)", "Pipeline.apply(retry=)",
-         "compile_many(retry=)", "sweep(job_timeout=)",
-         "compile_many_async(max_in_flight=)"],
+         "sweep(retry=)", "sweep(job_timeout=)",
+         "sweep_async(max_in_flight=)"],
 )
 def test_failure_policies_beside_retry_are_gone(call, keyword):
     import repro
@@ -303,8 +307,9 @@ TEST_ONLY_NAMES = {
     "repro.arith.adders": ["comparator"],
     "repro.boolean.cube": ["esop_evaluate"],
     "repro.boolean.spectral": [
-        "autocorrelation", "is_perfectly_nonlinear", "linear_structure",
-        "nonlinearity",
+        "autocorrelation", "dual_bent", "is_bent",
+        "is_perfectly_nonlinear", "linear_structure", "nonlinearity",
+        "walsh_spectrum",
     ],
     "repro.core.drawing": ["draw_reversible"],
     "repro.core.unitary": ["circuits_equivalent", "unitary_as_permutation"],
@@ -388,13 +393,78 @@ def test_runtime_registration_is_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
-@pytest.mark.parametrize("fmt", ["cirq", "qir"])
-def test_cirq_and_qir_formats_are_gone(fmt):
+@pytest.mark.parametrize("fmt", ["cirq", "qir", "qasm3", "openqasm3"])
+def test_retired_formats_are_gone(fmt):
     from repro import emit
 
     with pytest.raises(emit.EmitterError, match="unknown emission") as info:
         emit.get(fmt)
     assert info.value.args[0].endswith(
-        "registered formats: qasm2 (aka qasm, openqasm2), qasm3 (aka "
-        "openqasm3), qsharp (aka qs, q#), projectq"
+        "registered formats: qasm2 (aka qasm, openqasm2), qsharp (aka "
+        "qs, q#), projectq"
     )
+
+
+#: Public class members only tests reached, by their class.
+TEST_ONLY_MEMBERS = {
+    "repro.boolean.bdd.Bdd": [
+        "top_var", "cofactors", "ite", "apply_not", "apply_and",
+        "apply_or", "apply_xor", "count_nodes", "count_satisfying",
+    ],
+    "repro.boolean.bent.MaioranaMcFarland": ["verify_bent"],
+    "repro.boolean.bent.HiddenShiftInstance": ["spectral_dual_table"],
+    "repro.boolean.cube.Cube": [
+        "from_literals", "tautology", "positive_vars", "negative_vars",
+        "restrict",
+    ],
+    "repro.boolean.network.LogicNetwork": ["create_or", "fanout_counts"],
+    "repro.boolean.permutation.BitPermutation": [
+        "is_identity", "output_table", "to_truth_tables",
+        "hamming_complexity",
+    ],
+    "repro.boolean.truth_table.TruthTable": ["is_constant", "is_balanced"],
+    "repro.compiler.frontends.Workload": ["with_synthesis"],
+    "repro.compiler.result.CompilationResult": ["to_qsharp"],
+    "repro.compiler.session.CompilerSession": [
+        "compile_many", "compile_many_async",
+    ],
+    "repro.core.circuit.QuantumCircuit": ["is_clifford", "to_matrix"],
+    "repro.engines.density_matrix.DensityMatrix": [
+        "from_statevector", "apply_unitary", "purity",
+    ],
+    "repro.revkit.shell.RevKitShell": ["write_qasm"],
+    "repro.simulator.stabilizer.StabilizerState": [
+        "expectation_z", "stabilizer_strings",
+    ],
+    "repro.simulator.statevector.Statevector": [
+        "from_label", "norm", "equiv", "sample_counts",
+    ],
+    "repro.synthesis.reversible.MctGate": ["fires"],
+    "repro.synthesis.reversible.ReversibleCircuit": [
+        "control_histogram", "t_count_estimate",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "owner, member",
+    [
+        (owner, member)
+        for owner, members in TEST_ONLY_MEMBERS.items()
+        for member in members
+    ],
+)
+def test_test_only_members_are_gone(owner, member):
+    module, _, name = owner.rpartition(".")
+    cls = getattr(importlib.import_module(module), name)
+    with pytest.raises(AttributeError):
+        getattr(cls, member)
+
+
+def test_rptm_record_no_longer_rescans_its_output():
+    import repro
+    from repro.pipeline.passes import MapToCliffordTPass, Pass
+
+    assert MapToCliffordTPass.statistics is Pass.statistics
+    result = repro.compile({"hwb": 3}, target="clifford_t", cache=None)
+    assert "clifford_t" not in result.record("rptm").details

@@ -16,6 +16,7 @@ verification in progress.
 import numpy as np
 import pytest
 
+from _tableau_reference import stabilizer_strings
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
 from repro.simulator.stabilizer import StabilizerError, StabilizerState
@@ -67,7 +68,7 @@ def _pauli_operator(string, n):
 def _assert_tableau_matches_dense(tableau, dense):
     """The tableau's generators must stabilize the dense state."""
     psi = dense.data
-    for string in tableau.stabilizer_strings():
+    for string in stabilizer_strings(tableau):
         op = _pauli_operator(string, tableau.num_qubits)
         assert np.allclose(op @ psi, psi, atol=1e-9), (
             f"dense state is not stabilized by {string}"
