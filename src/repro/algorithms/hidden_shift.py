@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from .. import engines
-from ..boolean.bent import HiddenShiftInstance, MaioranaMcFarland
+from ..boolean.bent import HiddenShiftInstance
 from ..boolean.esop import minimize_esop
 from ..boolean.permutation import BitPermutation
 from ..boolean.truth_table import TruthTable

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .. import engines
-from ..boolean.truth_table import MultiTruthTable, TruthTable
+from ..boolean.truth_table import MultiTruthTable
 from ..core.circuit import QuantumCircuit
 from ..synthesis.esop_based import esop_synthesis
 

@@ -18,9 +18,9 @@ permutation simulation in the tests:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..synthesis.reversible import MctGate, ReversibleCircuit
+from ..synthesis.reversible import ReversibleCircuit
 
 
 def _check_disjoint(*groups: Sequence[int]) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .cube import Cube, esop_to_truth_table
+from .cube import Cube
 from .truth_table import TruthTable
 
 

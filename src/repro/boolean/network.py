@@ -15,7 +15,7 @@ logic network of the function to compile.  This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cube import Cube

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from typing import Callable, Iterable, List, Sequence
+from typing import Callable, List, Sequence
 
 
 class TruthTable:

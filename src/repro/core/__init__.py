@@ -5,10 +5,7 @@ from .drawing import draw_circuit
 from .gates import Gate, gate_matrix, is_clifford_name, is_clifford_t_name
 from ..emit.qasm2 import QasmError, from_qasm, to_qasm
 from .statistics import CircuitStatistics, circuit_statistics
-from .unitary import (
-    allclose_up_to_global_phase,
-    circuit_unitary,
-)
+from .unitary import circuit_unitary
 
 __all__ = [
     "FrozenCircuitError",
@@ -23,6 +20,5 @@ __all__ = [
     "to_qasm",
     "CircuitStatistics",
     "circuit_statistics",
-    "allclose_up_to_global_phase",
     "circuit_unitary",
 ]

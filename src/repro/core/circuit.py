@@ -16,7 +16,6 @@ emitted text) once and keeps it in a per-instance memo.
 
 from __future__ import annotations
 
-import math
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
     Sequence,

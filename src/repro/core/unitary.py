@@ -1,4 +1,4 @@
-"""Dense unitary construction and equivalence checks.
+"""Dense unitary construction.
 
 Used by the test-suite and the verification step of the compilation
 flow (Sec. IX of the paper discusses verification of synthesized
@@ -60,21 +60,3 @@ def circuit_unitary(circuit: "QuantumCircuit") -> np.ndarray:
             raise ValueError(f"circuit contains non-unitary gate {gate.name!r}")
         _apply_gate_inplace(unitary, gate, circuit.num_qubits)
     return unitary
-
-
-def allclose_up_to_global_phase(
-    a: np.ndarray, b: np.ndarray, atol: float = 1e-9
-) -> bool:
-    """True if ``a == e^{i phi} b`` for some real phi."""
-    if a.shape != b.shape:
-        return False
-    # find the first non-negligible entry of b to fix the phase
-    flat_b = b.ravel()
-    flat_a = a.ravel()
-    idx = np.argmax(np.abs(flat_b))
-    if abs(flat_b[idx]) < atol:
-        return bool(np.allclose(a, b, atol=atol))
-    phase = flat_a[idx] / flat_b[idx]
-    if abs(abs(phase) - 1.0) > 1e-6:
-        return False
-    return bool(np.allclose(a, phase * b, atol=atol))

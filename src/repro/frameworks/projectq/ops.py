@@ -7,7 +7,7 @@ Clifford+T set and rotations.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ...core.gates import Gate
 from .engine import EngineError, MainEngine, Qubit

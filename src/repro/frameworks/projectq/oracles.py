@@ -25,7 +25,7 @@ from ...boolean.truth_table import TruthTable
 from ...core.gates import Gate
 from ...synthesis.reversible import ReversibleCircuit
 from ...synthesis.transformation import transformation_based_synthesis
-from .engine import EngineError, MainEngine, Qubit
+from .engine import EngineError
 from .ops import _engine_of, _qubit_list
 
 FunctionSpec = Union[Callable, TruthTable]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ..boolean.permutation import BitPermutation
 from ..core.circuit import QuantumCircuit

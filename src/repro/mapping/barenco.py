@@ -18,7 +18,9 @@ quantum circuit with mcx/mcz gates), borrowing idle lines as dirty
 ancillae before widening the register with clean ones.  Each lowering
 shape is built once on local wires by the builders below; every
 placement of it on concrete wires is memoized and its immutable gates
-are shared by all the circuits it lands in.
+are shared by all the circuits it lands in.  :func:`block_lengths`
+reports how many output gates each input gate became, the certificate
+the ``rptm`` verifier checks block by block.
 """
 
 from __future__ import annotations
@@ -145,6 +147,42 @@ def map_to_clifford_t(
         A pure Clifford+T circuit acting as ``|x>|0> ->
         e^{i phi(x)}|P(x)>|0>`` on the original lines.
     """
+    return _lower(circuit, relative_phase, allow_extra_lines, prefer_clean)[0]
+
+
+def block_lengths(
+    circuit: Union[ReversibleCircuit, QuantumCircuit],
+    relative_phase: bool = True,
+    prefer_clean: bool = True,
+) -> Tuple[int, ...]:
+    """How many output gates :func:`map_to_clifford_t` spends per input gate.
+
+    The lowering's certificate for block-wise verification: the output
+    is the concatenation of one contiguous block per input gate, of
+    these lengths.  A cascade gets one length per :class:`MctGate`,
+    counting the X conjugation of its negative controls; a quantum
+    circuit gets one length per gate.  The arguments are those of
+    :func:`map_to_clifford_t` (extra lines allowed), whose lowering
+    this re-runs.
+    """
+    lengths = _lower(circuit, relative_phase, True, prefer_clean)[1]
+    if not isinstance(circuit, ReversibleCircuit):
+        return tuple(lengths)
+    # to_quantum_circuit emits each MctGate as its 2 * negatives + 1 gates
+    spent = iter(lengths)
+    return tuple(
+        sum(next(spent) for _ in range(2 * gate.polarity.count(False) + 1))
+        for gate in circuit.gates
+    )
+
+
+def _lower(
+    circuit: Union[ReversibleCircuit, QuantumCircuit],
+    relative_phase: bool,
+    allow_extra_lines: bool,
+    prefer_clean: bool,
+) -> Tuple[QuantumCircuit, List[int]]:
+    """The lowered circuit and the output gate count of each input gate."""
     if isinstance(circuit, ReversibleCircuit):
         source = circuit.to_quantum_circuit()
     else:
@@ -168,9 +206,12 @@ def map_to_clifford_t(
     total = width + extra_needed
     out = QuantumCircuit(total, source.num_clbits, source.name + "_ct")
     clean = list(range(width, total))  # kept clean between gates
+    lengths = []
     for gate in source.gates:
+        start = len(out.gates)
         _lower_gate(gate, out, width, clean, relative_phase)
-    return out
+        lengths.append(len(out.gates) - start)
+    return out, lengths
 
 
 #: placed lowerings kept (~9 kB each); Eq. (5) workloads need a few hundred

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.circuit import QuantumCircuit
-from ..core.gates import Gate
 
 
 class RoutingError(RuntimeError):
@@ -251,42 +250,12 @@ def verify_routing(
 ) -> bool:
     """Check routed == permute(final_layout) . original . permute(init).
 
-    Practical for small widths only (dense unitaries).
+    The :class:`~repro.verify.EquivalenceChecker`'s dense routing check
+    at the device's width: practical for small widths only.
     """
-    import numpy as np
+    from ..verify.checker import EquivalenceChecker
 
-    from ..core.unitary import allclose_up_to_global_phase, circuit_unitary
-
-    n = result.circuit.num_qubits
-    # lift the original onto the device width using the initial layout
-    lifted = QuantumCircuit(n)
-    mapping = {q: result.initial_layout[q] for q in range(original.num_qubits)}
-    for gate in original.gates:
-        if gate.is_measurement or gate.name == "barrier":
-            continue
-        lifted.append(gate.remap(mapping))
-    routed_unitary = circuit_unitary(
-        _strip_measurements(result.circuit)
+    checker = EquivalenceChecker(
+        max_dense_qubits=result.circuit.num_qubits, atol=atol
     )
-    original_unitary = circuit_unitary(lifted)
-    # output permutation: the content of every device wire moved from
-    # its initial position to position_of (logical wires included)
-    perm = np.zeros((1 << n, 1 << n))
-    for basis in range(1 << n):
-        target = 0
-        for bit in range(n):
-            value = (basis >> bit) & 1
-            target |= value << result.position_of[bit]
-        perm[target, basis] = 1.0
-    return allclose_up_to_global_phase(
-        routed_unitary, perm @ original_unitary, atol=atol
-    )
-
-
-def _strip_measurements(circuit: QuantumCircuit) -> QuantumCircuit:
-    out = QuantumCircuit(circuit.num_qubits)
-    for gate in circuit.gates:
-        if gate.is_measurement or gate.name == "barrier":
-            continue
-        out.append(gate)
-    return out
+    return checker.check_routing(original, result).passed

@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..boolean.permutation import BitPermutation
 from ..boolean.truth_table import TruthTable
 from ..core.statistics import circuit_statistics
-from ..mapping.barenco import map_to_clifford_t
+from ..mapping.barenco import block_lengths, map_to_clifford_t
 from ..mapping.routing import CouplingMap, route_circuit
 from ..optimization.simplify import cancel_adjacent_gates, simplify_reversible
 from ..optimization.templates import template_optimize
@@ -566,15 +566,18 @@ class MapToCliffordTPass(Pass):
 
         Cascade lowering uses the ancilla-aware basis-state tiers;
         quantum-circuit lowering uses the extended-unitary tiers,
-        which also cover register widening by clean ancillae.  An
-        untouched circuit (on-need lowering found nothing to lower)
-        passes syntactically without any simulation.
+        which also cover register widening by clean ancillae.  Both
+        get the lowering's block lengths as a certificate, which the
+        checker validates block by block before any whole-circuit
+        tier.  An untouched circuit (on-need lowering found nothing
+        to lower) passes syntactically without any simulation.
         """
         if after.quantum is None:
             return checker.no_check("mapping produced no quantum circuit")
         if not self._uses_quantum_source(before):
             return checker.check_mapped_circuit(
-                after.quantum, before.reversible
+                after.quantum, before.reversible,
+                blocks=self._block_lengths(before.reversible),
             )
         if before.quantum is not None:
             if (
@@ -585,9 +588,18 @@ class MapToCliffordTPass(Pass):
                     "syntactic", detail="circuit unchanged"
                 )
             return checker.check_extended_unitary(
-                before.quantum, after.quantum
+                before.quantum, after.quantum,
+                blocks=self._block_lengths(before.quantum),
             )
         return checker.no_check("mapping had no source circuit to compare")
+
+    def _block_lengths(self, source) -> Tuple[int, ...]:
+        """The block-length certificate of this pass's lowering."""
+        return block_lengths(
+            source,
+            relative_phase=self.relative_phase,
+            prefer_clean=self.prefer_clean,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ import fnmatch
 import hashlib
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Every injection site planted in the stack (``<name>`` expands per

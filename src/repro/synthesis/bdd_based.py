@@ -19,7 +19,7 @@ an open challenge; :func:`bdd_synthesis` therefore reports it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
 from ..boolean.bdd import ONE, ZERO, Bdd
 from ..boolean.truth_table import MultiTruthTable, TruthTable

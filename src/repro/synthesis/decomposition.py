@@ -21,7 +21,7 @@ exists for a bijection.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..boolean.permutation import BitPermutation
 from ..boolean.truth_table import TruthTable

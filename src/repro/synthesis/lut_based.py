@@ -21,7 +21,7 @@ the "take k as an input parameter" challenge highlighted in Sec. IX.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from ..boolean.network import LogicNetwork, LutNetwork, lut_map
 from ..boolean.truth_table import MultiTruthTable, TruthTable

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..boolean.cube import Cube
 from ..boolean.esop import minimize_esop
 from ..boolean.truth_table import TruthTable
 from .reversible import MctGate, ReversibleCircuit

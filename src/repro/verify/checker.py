@@ -12,8 +12,9 @@ and wraps the outcome in a :class:`~.verdict.Verdict`:
    circuits, applied after stripping the common gate prefix/suffix
    (exact at any width, polynomial);
 4. **dense** — full-unitary comparison, used as the small-width
-   oracle and for non-Clifford remainders whose joint support is
-   narrow enough to compact;
+   oracle, for non-Clifford remainders whose joint support is
+   narrow enough to compact, and block by block for a lowering that
+   certifies which output gates stand for each input gate;
 5. **probes** — seeded random product-state fidelity probes, the
    any-width fallback (sound rejection, probabilistic acceptance).
 
@@ -25,13 +26,15 @@ skips to hard failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..boolean.permutation import BitPermutation
 from ..core.circuit import QuantumCircuit
-from ..synthesis.reversible import ReversibleCircuit
+from ..core.gates import NON_UNITARY
+from ..synthesis.reversible import MctGate, ReversibleCircuit
 from . import tiers
 from .verdict import Verdict, timed
 
@@ -52,6 +55,10 @@ DEFAULT_SEED = 2018
 
 #: Verification modes ``as_checker`` accepts as strings.
 MODES = ("auto", "strict", "off")
+
+#: Distinct local blocks whose dense verdicts are kept; a lowering has
+#: a handful of block shapes (the Fig. 10 pool has five in all).
+_BLOCK_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -305,26 +312,39 @@ class EquivalenceChecker:
 
     @timed
     def check_extended_unitary(
-        self, before: QuantumCircuit, after: QuantumCircuit
+        self,
+        before: QuantumCircuit,
+        after: QuantumCircuit,
+        blocks: Optional[Sequence[int]] = None,
     ) -> Verdict:
         """Check a lowering that may have appended clean ancillae.
 
         The widened circuit must act as ``|psi>|0> -> (U|psi>)|0>``
         up to one global phase, with no leakage into the ancilla
-        subspace.  Equal widths delegate to
-        :meth:`check_same_unitary`; wider circuits use the dense
-        block check at small widths and ancilla-aware fidelity probes
-        otherwise.
+        subspace.  A ``blocks`` certificate that validates settles the
+        check block by block (see :meth:`_block_verdict`); otherwise
+        equal widths delegate to :meth:`check_same_unitary`, and wider
+        circuits use the dense block check at small widths and
+        ancilla-aware fidelity probes otherwise.
 
         Args:
             before: the original circuit on ``n`` qubits.
             after: the lowered circuit on ``n`` or more qubits.
+            blocks: optional certificate, the number of ``after``
+                gates each ``before`` gate became.
 
         Returns:
             The tier :class:`~.verdict.Verdict`.
         """
         if after.num_qubits < before.num_qubits:
             return Verdict.reject("dense", "pass narrowed the circuit")
+        if blocks is not None:
+            verdict = self._block_verdict(
+                after.gates, blocks, before.gates, before.num_qubits,
+                "extended",
+            )
+            if verdict is not None:
+                return verdict
         if after.num_qubits == before.num_qubits:
             return self.check_same_unitary(before, after)
         if before.has_measurements() or after.has_measurements():
@@ -372,6 +392,7 @@ class EquivalenceChecker:
         reversible: ReversibleCircuit,
         in_map: Optional[Sequence[int]] = None,
         out_map: Optional[Sequence[int]] = None,
+        blocks: Optional[Sequence[int]] = None,
     ) -> Verdict:
         """Check a mapped circuit against its reversible specification.
 
@@ -379,8 +400,10 @@ class EquivalenceChecker:
         obligation is ``|x>|0> -> e^{i phi(x)}|P(x)>|0>`` for every
         data input ``x``, with ``P`` the cascade's permutation.
         Classical (Toffoli-level) circuits are checked exactly by the
-        permutation tier at any wire count; Clifford+T mappings use
-        the dense column check at small widths and seeded basis-input
+        permutation tier at any wire count.  Clifford+T mappings
+        with a ``blocks`` certificate that validates are settled block
+        by block (see :meth:`_block_verdict`); otherwise they use the
+        dense column check at small widths and seeded basis-input
         probes up to ``max_probe_qubits``.
 
         Args:
@@ -391,6 +414,8 @@ class EquivalenceChecker:
                 their initial layout here.
             out_map: wire of data bit ``i`` at the circuit output
                 (defaults to ``in_map``).
+            blocks: optional certificate, the number of ``quantum``
+                gates each cascade gate became (identity maps only).
 
         Returns:
             The tier :class:`~.verdict.Verdict`.
@@ -411,6 +436,20 @@ class EquivalenceChecker:
                 "permutation",
                 "mapped circuit is narrower than the cascade",
             )
+        if n <= self.max_table_lines and tiers.is_classical(quantum):
+            for x in range(1 << n):
+                failure = self._classical_column_failure(
+                    quantum, reversible, x, in_map, out_map
+                )
+                if failure is not None:
+                    return Verdict.reject("permutation", failure, checks=x + 1)
+            return Verdict.accept("permutation", checks=1 << n)
+        if blocks is not None and in_map == out_map == tuple(range(n)):
+            verdict = self._block_verdict(
+                quantum.gates, blocks, reversible.gates, n, "mapped"
+            )
+            if verdict is not None:
+                return verdict
         if quantum.has_measurements():
             return Verdict.skip(
                 "none",
@@ -422,14 +461,6 @@ class EquivalenceChecker:
                 f"{n} data lines exceed the {self.max_table_lines}-line "
                 "exhaustive-table limit",
             )
-        if tiers.is_classical(quantum):
-            for x in range(1 << n):
-                failure = self._classical_column_failure(
-                    quantum, reversible, x, in_map, out_map
-                )
-                if failure is not None:
-                    return Verdict.reject("permutation", failure, checks=x + 1)
-            return Verdict.accept("permutation", checks=1 << n)
         if w <= self.max_dense_qubits + 1:
             failure = self._dense_mapped_failure(
                 quantum, reversible, in_map, out_map
@@ -483,20 +514,10 @@ class EquivalenceChecker:
         Returns:
             The tier :class:`~.verdict.Verdict`.
         """
-        from ..mapping.routing import verify_routing
-
         if routing is None:
             return Verdict.reject("dense", "routing produced no result")
         w = routing.circuit.num_qubits
-        if w <= self.max_dense_qubits:
-            ok = verify_routing(original, routing, atol=self.atol)
-            if not ok:
-                return Verdict.reject(
-                    "dense",
-                    "routed circuit is not equivalent under its layout",
-                )
-            return Verdict.accept("dense")
-        if w > self.max_probe_qubits:
+        if w > max(self.max_dense_qubits, self.max_probe_qubits):
             return Verdict.skip(
                 "probes",
                 f"width {w} exceeds the {self.max_probe_qubits}-qubit "
@@ -511,6 +532,23 @@ class EquivalenceChecker:
                 continue
             lifted.append(gate.remap(mapping))
         routed = _strip_measurements(routing.circuit)
+        if w <= self.max_dense_qubits:
+            from ..core.unitary import circuit_unitary
+
+            # the routed unitary is the lifted one with its rows moved
+            # by the wire permutation the SWAPs accumulated
+            expected = np.empty((1 << w, 1 << w), dtype=complex)
+            expected[tiers.wire_permutation(w, routing.position_of)] = (
+                circuit_unitary(lifted)
+            )
+            if _phase_compare_failure(
+                expected, circuit_unitary(routed), self.atol
+            ) is not None:
+                return Verdict.reject(
+                    "dense",
+                    "routed circuit is not equivalent under its layout",
+                )
+            return Verdict.accept("dense")
         rng = np.random.default_rng(self.seed)
         count = max(1, self.probes)
         for i in range(count):
@@ -543,6 +581,89 @@ class EquivalenceChecker:
             A ``skipped`` :class:`~.verdict.Verdict` of tier ``none``.
         """
         return Verdict.skip("none", reason)
+
+    # ------------------------------------------------------------------
+    # block tier
+    # ------------------------------------------------------------------
+    def _block_verdict(
+        self,
+        gates: Sequence,
+        blocks: Sequence[int],
+        sources: Sequence,
+        num_data: int,
+        obligation: str,
+    ) -> Optional[Verdict]:
+        """Validate a lowering's block certificate, block by block.
+
+        ``blocks[i]`` consecutive ``gates`` claim to stand for
+        ``sources[i]``: a cascade :class:`MctGate` under the
+        per-input-phase obligation (``"mapped"``) or a circuit gate
+        under the one-global-phase, no-leakage one (``"extended"``).
+        The blocks must tile ``gates``; each is relabelled onto its
+        local wires (:func:`~.tiers.relabel_block`) and checked densely
+        against a reference built here from its source gate, once per
+        distinct local block (:func:`_local_block_failure`).  Borrowed
+        data wires are checked for every value; wires at or above
+        ``num_data`` must start and end at ``|0>``, so they are clean
+        between blocks by induction.  A one-gate block equal to its
+        circuit source gate (pass-through gates, measurements, resets,
+        barriers) needs no simulation.
+
+        Returns:
+            A ``passed`` verdict, or ``None`` — the caller falls
+            through to the whole-circuit tiers — when the tiling is
+            wrong, a block is wider than ``max_dense_qubits`` or holds
+            a non-unitary gate, or a block fails.  The tier never
+            rejects on its own.
+        """
+        if (
+            len(blocks) != len(sources)
+            or any(type(length) is not int or length < 1 for length in blocks)
+            or sum(blocks) != len(gates)
+        ):
+            return None
+        mapped = obligation == "mapped"
+        keys = set()
+        widest = 0
+        start = 0
+        for source, length in zip(sources, blocks):
+            block = gates[start:start + length]
+            start += length
+            if mapped:
+                own = source.controls + (source.target,)
+            elif length == 1 and block[0] == source:
+                continue
+            elif not source.is_unitary:
+                return None
+            else:
+                own = source.qubits
+            if any(wire >= num_data for wire in own):
+                return None
+            local, dirty, clean = tiers.relabel_block(block, own, num_data)
+            width = len(own) + dirty + clean
+            if width > self.max_dense_qubits:
+                return None
+            if mapped:
+                reference = source.polarity
+            else:
+                reference = tiers.relabel_block((source,), own, num_data)[0][0]
+            key = (local, reference, dirty, clean, obligation, self.atol)
+            if _local_block_failure(*key) is not None:
+                return None
+            keys.add(key)
+            widest = max(widest, width)
+        if not keys:
+            return Verdict.accept(
+                "syntactic",
+                detail=f"{len(blocks)} blocks, each its source gate",
+            )
+        return Verdict.accept(
+            "dense",
+            detail=(
+                f"{len(blocks)} blocks, {len(keys)} distinct, "
+                f"<= {widest} wires"
+            ),
+        )
 
     # ------------------------------------------------------------------
     # dense primitives
@@ -627,6 +748,46 @@ def _phase_compare_failure(u_before, u_after, atol: float) -> Optional[str]:
     if not np.allclose(u_before, phase * u_after, atol=atol):
         return "pass changed the circuit unitary"
     return None
+
+
+@lru_cache(maxsize=_BLOCK_MEMO_SIZE)
+def _local_block_failure(
+    local: Tuple[tiers.LocalGate, ...],
+    reference,
+    dirty: int,
+    clean: int,
+    obligation: str,
+    atol: float,
+) -> Optional[str]:
+    """Dense check of one relabelled block against its local reference.
+
+    The local wires are the reference's own wires, then ``dirty``
+    extra data wires, then ``clean`` ancillae.  ``reference`` is the
+    polarity of a cascade gate whose controls are the first wires and
+    whose target follows them (``obligation="mapped"``), or a
+    relabelled circuit gate (``"extended"``).
+
+    Returns:
+        ``None`` when the block meets the obligation, else why not.
+    """
+    if any(name in NON_UNITARY for name, _, _, _ in local):
+        return "block holds a non-unitary gate"
+    checker = EquivalenceChecker(atol=atol)
+    if obligation == "mapped":
+        k = len(reference)
+        data = k + 1 + dirty
+        cascade = ReversibleCircuit(data)
+        cascade.append(MctGate(k, tuple(range(k)), reference))
+        identity = tuple(range(data))
+        return checker._dense_mapped_failure(
+            tiers.local_circuit(local, data + clean), cascade,
+            identity, identity,
+        )
+    data = len(reference[1]) + dirty
+    return checker._dense_extended_failure(
+        tiers.local_circuit((reference,), data),
+        tiers.local_circuit(local, data + clean),
+    )
 
 
 def _strip_measurements(circuit: QuantumCircuit) -> QuantumCircuit:

@@ -23,6 +23,7 @@ Soundness notes (also in docs/ARCHITECTURE.md):
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,6 +137,59 @@ def compact_circuit(
             )
         )
     return compact
+
+
+# ----------------------------------------------------------------------
+# block tier
+# ----------------------------------------------------------------------
+#: A gate relabelled onto a block's local wires, as plain hashable
+#: data: ``(name, qubits, number of controls, params)``, with the
+#: qubits controls first as in :attr:`Gate.qubits`.
+LocalGate = Tuple[str, Tuple[int, ...], int, Tuple[float, ...]]
+
+
+def relabel_block(
+    gates: Sequence[Gate], own: Sequence[int], num_data: int
+) -> Tuple[Tuple[LocalGate, ...], int, int]:
+    """Relabel one block of gates onto its local wires.
+
+    The local wires are ``own`` in order, then the other data wires
+    (below ``num_data``) the block touches, then the wires at or above
+    ``num_data`` it touches, each group in increasing order.  Two
+    blocks that are the same lowering on different wires relabel to
+    the same local gates, which is what lets a verdict be memoized.
+
+    Args:
+        gates: the block's gates.
+        own: the wires of the gate the block stands for.
+        num_data: width of the data register; wires at or above it
+            are ancillae.
+
+    Returns:
+        ``(local gates, dirty, clean)``: the relabelled gates and the
+        counts of extra data wires and of ancilla wires.
+    """
+    touched = set(chain.from_iterable(gate.qubits for gate in gates))
+    touched.difference_update(own)
+    extra = sorted(touched)
+    dirty = sum(1 for wire in extra if wire < num_data)
+    index = {wire: i for i, wire in enumerate((*own, *extra))}.__getitem__
+    local = tuple([
+        (gate.name, tuple(map(index, gate.qubits)), len(gate.controls),
+         gate.params)
+        for gate in gates
+    ])
+    return local, dirty, len(extra) - dirty
+
+
+def local_circuit(gates: Sequence[LocalGate], width: int) -> QuantumCircuit:
+    """Build a ``width``-qubit circuit from relabelled block gates."""
+    circuit = QuantumCircuit(width)
+    for name, qubits, num_controls, params in gates:
+        circuit.append(
+            Gate(name, qubits[num_controls:], qubits[:num_controls], params)
+        )
+    return circuit
 
 
 # ----------------------------------------------------------------------
@@ -410,10 +464,23 @@ def permute_wires(state: Statevector, position_of: Sequence[int]) -> Statevector
         The permuted state.
     """
     n = state.num_qubits
-    indices = np.arange(1 << n)
-    permuted_index = np.zeros_like(indices)
-    for p in range(n):
-        permuted_index |= ((indices >> p) & 1) << position_of[p]
     data = np.zeros_like(state.data)
-    data[permuted_index] = state.data
+    data[wire_permutation(n, position_of)] = state.data
     return Statevector(n, data)
+
+
+def wire_permutation(num_qubits: int, position_of: Sequence[int]) -> np.ndarray:
+    """Where each basis index goes when wire ``p`` moves to ``position_of[p]``.
+
+    Args:
+        num_qubits: the register width.
+        position_of: destination wire for each source wire.
+
+    Returns:
+        An index array: basis state ``b`` becomes ``result[b]``.
+    """
+    indices = np.arange(1 << num_qubits)
+    moved = np.zeros_like(indices)
+    for p in range(num_qubits):
+        moved |= ((indices >> p) & 1) << position_of[p]
+    return moved

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.gates import Gate
-from repro.core.unitary import allclose_up_to_global_phase, circuit_unitary
+from repro.core.unitary import circuit_unitary
 
 
 def apply_matrix(
@@ -84,6 +84,24 @@ def evolve(data: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
     for gate in gates:
         data = apply_gate(data, gate)
     return data
+
+
+def allclose_up_to_global_phase(
+    a: np.ndarray, b: np.ndarray, atol: float = 1e-9
+) -> bool:
+    """True if ``a == e^{i phi} b`` for some real phi."""
+    if a.shape != b.shape:
+        return False
+    # find the first non-negligible entry of b to fix the phase
+    flat_b = b.ravel()
+    flat_a = a.ravel()
+    idx = np.argmax(np.abs(flat_b))
+    if abs(flat_b[idx]) < atol:
+        return bool(np.allclose(a, b, atol=atol))
+    phase = flat_a[idx] / flat_b[idx]
+    if abs(abs(phase) - 1.0) > 1e-6:
+        return False
+    return bool(np.allclose(a, phase * b, atol=atol))
 
 
 def circuits_equivalent(circ_a, circ_b, up_to_phase=True):

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from _dense_reference import circuits_equivalent, unitary_as_permutation
+from _dense_reference import (
+    allclose_up_to_global_phase,
+    circuits_equivalent,
+    unitary_as_permutation,
+)
 
 from repro.core.circuit import QuantumCircuit
-from repro.core.unitary import allclose_up_to_global_phase, circuit_unitary
+from repro.core.unitary import circuit_unitary
 
 
 class TestCircuitUnitary:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.boolean.permutation import BitPermutation
-from _dense_reference import evolve
+from _dense_reference import allclose_up_to_global_phase, evolve
 
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
-from repro.core.unitary import allclose_up_to_global_phase, circuit_unitary
+from repro.core.unitary import circuit_unitary
 from repro.mapping.barenco import (
     MappingError,
     map_to_clifford_t,

@@ -1,7 +1,9 @@
 """Unit tests for the Clifford+T CCX decomposition."""
 
+from _dense_reference import allclose_up_to_global_phase
+
 from repro.core.circuit import QuantumCircuit
-from repro.core.unitary import allclose_up_to_global_phase, circuit_unitary
+from repro.core.unitary import circuit_unitary
 from repro.mapping.clifford_t import ccx_clifford_t
 
 

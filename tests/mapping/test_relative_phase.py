@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from _dense_reference import allclose_up_to_global_phase
+
 from repro.core.circuit import QuantumCircuit
-from repro.core.unitary import allclose_up_to_global_phase, circuit_unitary
+from repro.core.unitary import circuit_unitary
 from repro.mapping.relative_phase import rccx, rccx_dagger
 
 
