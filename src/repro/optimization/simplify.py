@@ -14,12 +14,15 @@ Two levels:
   per-qubit frontier of the latest live gates; a gate's partner is
   always the frontier gate on every qubit it touches, so removing it
   exposes nothing new and the single pass is already the fixpoint.
+  :func:`cancellation_groups` re-runs that pass and lists which input
+  gates it fused, the certificate the rewrite tier of the checker
+  validates.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import ADJOINT_NAME, Gate, SELF_INVERSE
@@ -146,6 +149,63 @@ def cancel_adjacent_gates(circuit: QuantumCircuit) -> QuantumCircuit:
         (identity gates dropped, adjacent inverses removed, adjacent
         same-axis rotations merged).
     """
+    result = QuantumCircuit(
+        circuit.num_qubits, circuit.num_clbits, circuit.name + "_simp"
+    )
+    # every kept gate is an input gate or a merge on an input gate's
+    # wires, so the input's range checks hold for the output
+    result.gates = [g for g in _frontier(circuit.gates, None) if g is not None]
+    return result
+
+
+def cancellation_groups(
+    circuit: QuantumCircuit,
+) -> Tuple[Tuple[Tuple[int, ...], Optional[int]], ...]:
+    """Which input gates :func:`cancel_adjacent_gates` fuses.
+
+    The pass's certificate for rewrite-wise verification: one
+    ``(members, slot)`` per group of input gates fused together, with
+    the members' input indices in increasing order and ``slot`` the
+    index of the output gate the group became (a merged rotation), or
+    ``None`` when it became nothing (an inverse pair, a zero-sum
+    rotation chain).  Every other input gate is kept in order, except
+    ``id`` gates, which are dropped.  This re-runs the pass's loop.
+    """
+    trail: List[Tuple[int, int]] = []
+    out = _frontier(circuit.gates, trail)
+    # the t-th fusion consumed the non-id input gate that came after
+    # the len(out) gates kept by then and the t fused before it
+    fused = {kept + t: j for t, (kept, j) in enumerate(trail)}
+    members: List[List[int]] = []  # input indices per output slot
+    ordinal = 0
+    for i, gate in enumerate(circuit.gates):
+        if gate.name == "id":
+            continue
+        j = fused.get(ordinal)
+        ordinal += 1
+        if j is None:
+            members.append([i])
+        else:
+            members[j].append(i)
+    groups = []
+    slot = 0
+    for j, gate in enumerate(out):
+        if len(members[j]) > 1:
+            groups.append((tuple(members[j]), None if gate is None else slot))
+        if gate is not None:
+            slot += 1
+    return tuple(groups)
+
+
+def _frontier(
+    gates: Sequence[Gate], trail: Optional[List[Tuple[int, int]]]
+) -> List[Optional[Gate]]:
+    """The cancellation loop: output slots, ``None`` where a gate went.
+
+    When ``trail`` is a list, each fusion appends ``(slots, j)``: the
+    number of output slots at that moment and the slot ``j`` the
+    incoming gate fused into.
+    """
     # A gate slides back past every gate it shares no qubit with, and
     # nothing crosses a barrier or a measurement (the fence).  So an
     # incoming gate's only possible partner is the latest live gate on
@@ -157,7 +217,7 @@ def cancel_adjacent_gates(circuit: QuantumCircuit) -> QuantumCircuit:
     out: List[Optional[Gate]] = []
     stacks: Dict[int, List[int]] = defaultdict(list)
     fence = -1
-    for incoming in circuit.gates:
+    for incoming in gates:
         name = incoming.name
         if name == "id":
             continue
@@ -197,15 +257,11 @@ def cancel_adjacent_gates(circuit: QuantumCircuit) -> QuantumCircuit:
                     stacks[q].pop()
             else:
                 out[j] = merged
+            if trail is not None:
+                trail.append((len(out), j))
             break
         else:
             for q in qubits:
                 stacks[q].append(len(out))
             out.append(incoming)
-    result = QuantumCircuit(
-        circuit.num_qubits, circuit.num_clbits, circuit.name + "_simp"
-    )
-    # every kept gate is an input gate or a merge on an input gate's
-    # wires, so the input's range checks hold for the output
-    result.gates = [g for g in out if g is not None]
-    return result
+    return out

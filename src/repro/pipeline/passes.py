@@ -20,7 +20,11 @@ from ..boolean.truth_table import TruthTable
 from ..core.statistics import circuit_statistics
 from ..mapping.barenco import block_lengths, map_to_clifford_t
 from ..mapping.routing import CouplingMap, route_circuit
-from ..optimization.simplify import cancel_adjacent_gates, simplify_reversible
+from ..optimization.simplify import (
+    cancel_adjacent_gates,
+    cancellation_groups,
+    simplify_reversible,
+)
 from ..optimization.templates import template_optimize
 from ..optimization.tpar import tpar_optimize
 from ..synthesis.bdd_based import bdd_synthesis, verify_bdd_synthesis
@@ -627,8 +631,16 @@ class CancelPass(Pass):
         before: FlowState,
         after: FlowState,
     ) -> Verdict:
-        """Check unitary equivalence up to global phase."""
-        return checker.check_same_unitary(before.quantum, after.quantum)
+        """Check unitary equivalence up to global phase.
+
+        The checker gets the groups of input gates the pass fused as a
+        certificate, which it validates group by group before any
+        whole-circuit tier.
+        """
+        return checker.check_same_unitary(
+            before.quantum, after.quantum,
+            groups=cancellation_groups(before.quantum),
+        )
 
 
 class TparPass(Pass):

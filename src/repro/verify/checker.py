@@ -13,8 +13,10 @@ and wraps the outcome in a :class:`~.verdict.Verdict`:
    (exact at any width, polynomial);
 4. **dense** — full-unitary comparison, used as the small-width
    oracle, for non-Clifford remainders whose joint support is
-   narrow enough to compact, and block by block for a lowering that
-   certifies which output gates stand for each input gate;
+   narrow enough to compact, block by block for a lowering that
+   certifies which output gates stand for each input gate, and group
+   by group for a gate cancellation that certifies which input gates
+   it fused;
 5. **probes** — seeded random product-state fidelity probes, the
    any-width fallback (sound rejection, probabilistic acceptance).
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -57,7 +60,8 @@ DEFAULT_SEED = 2018
 MODES = ("auto", "strict", "off")
 
 #: Distinct local blocks whose dense verdicts are kept; a lowering has
-#: a handful of block shapes (the Fig. 10 pool has five in all).
+#: a handful of block shapes (the Fig. 10 pool has five in all), and a
+#: gate cancellation a handful of group shapes (four on that pool).
 _BLOCK_MEMO_SIZE = 1024
 
 
@@ -216,19 +220,26 @@ class EquivalenceChecker:
     # ------------------------------------------------------------------
     @timed
     def check_same_unitary(
-        self, before: QuantumCircuit, after: QuantumCircuit
+        self,
+        before: QuantumCircuit,
+        after: QuantumCircuit,
+        groups: Optional[Sequence] = None,
     ) -> Verdict:
         """Check two circuits for unitary equivalence up to phase.
 
-        Tier order: syntactic identity, stabilizer tableau on the
-        stripped remainders (exact, any width), dense comparison on
-        the remainders' joint support or the full register (exact,
-        small widths), randomized fidelity probes (any width up to
-        ``max_probe_qubits``), else an explicit skip.
+        Tier order: syntactic identity, a ``groups`` certificate checked
+        group by group (see :meth:`_rewrite_verdict`), stabilizer
+        tableau on the stripped remainders (exact, any width), dense
+        comparison on the remainders' joint support or the full
+        register (exact, small widths), randomized fidelity probes (any
+        width up to ``max_probe_qubits``), else an explicit skip.
 
         Args:
             before: the circuit entering the pass.
             after: the circuit the pass produced.
+            groups: optional certificate of a gate cancellation, one
+                ``(members, slot)`` per group of ``before`` gates fused
+                into ``after[slot]`` (``None``: into nothing).
 
         Returns:
             The tier :class:`~.verdict.Verdict`.
@@ -240,10 +251,18 @@ class EquivalenceChecker:
         gates_after = tiers.semantic_gates(after)
         if gates_before == gates_after:
             return Verdict.accept("syntactic", detail="gate lists identical")
+        if groups is not None:
+            verdict = self._rewrite_verdict(before, after, groups)
+            if verdict is not None:
+                return verdict
         if before.has_measurements() or after.has_measurements():
             return Verdict.skip(
                 "none",
                 "measurement circuits have no unitary check",
+            )
+        if not all(gate.qubits for gate in chain(gates_before, gates_after)):
+            return Verdict.skip(
+                "none", "a gate on no qubits has no unitary check"
             )
         rest_before, rest_after = tiers.strip_common_gates(
             gates_before, gates_after
@@ -516,6 +535,15 @@ class EquivalenceChecker:
         """
         if routing is None:
             return Verdict.reject("dense", "routing produced no result")
+        if any(
+            gate.name == "reset"
+            for gate in chain(original.gates, routing.circuit.gates)
+        ):
+            # the dense and probe tiers compare unitaries, and a reset
+            # is not one (nor may it be dropped from either side)
+            return Verdict.skip(
+                "none", "circuits with a reset have no routing check"
+            )
         w = routing.circuit.num_qubits
         if w > max(self.max_dense_qubits, self.max_probe_qubits):
             return Verdict.skip(
@@ -666,6 +694,50 @@ class EquivalenceChecker:
         )
 
     # ------------------------------------------------------------------
+    # rewrite tier
+    # ------------------------------------------------------------------
+    def _rewrite_verdict(
+        self, before: QuantumCircuit, after: QuantumCircuit, groups: Sequence
+    ) -> Optional[Verdict]:
+        """Validate a gate-cancellation certificate, group by group.
+
+        :func:`~.tiers.rewrite_groups` checks the certificate's claims
+        on the gate lists (members, fences, nesting, the output); each
+        group is then relabelled onto its own wires and checked densely
+        against its fused gate, or the identity for a group fused into
+        nothing, once per distinct local group
+        (:func:`_local_block_failure`).
+
+        Returns:
+            A ``passed`` verdict, or ``None`` — the caller falls
+            through to the whole-circuit tiers — when a claim fails, a
+            group is wider than ``max_dense_qubits``, or a group does
+            not multiply to its reference.  The tier never rejects on
+            its own.
+        """
+        blocks = tiers.rewrite_groups(before.gates, after.gates, groups)
+        if blocks is None:
+            return None
+        n = before.num_qubits
+        keys = set()
+        for members, reference in blocks:
+            own = reference.qubits
+            if len(own) > self.max_dense_qubits:
+                return None
+            key = (
+                tiers.relabel_block(members, own, n)[0],
+                tiers.relabel_block((reference,), own, n)[0][0],
+                0, 0, "extended", self.atol,
+            )
+            if _local_block_failure(*key) is not None:
+                return None
+            keys.add(key)
+        return Verdict.accept(
+            "dense",
+            detail=f"rewrite: {len(blocks)} groups, {len(keys)} distinct",
+        )
+
+    # ------------------------------------------------------------------
     # dense primitives
     # ------------------------------------------------------------------
     def _dense_failure(
@@ -791,10 +863,10 @@ def _local_block_failure(
 
 
 def _strip_measurements(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Return the circuit's unitary gates (measurements/barriers removed)."""
+    """Return the circuit's gates without measurements and barriers."""
     out = QuantumCircuit(circuit.num_qubits)
     for gate in circuit.gates:
-        if gate.is_measurement or gate.name in ("reset", "barrier"):
+        if gate.is_measurement or gate.name == "barrier":
             continue
         out.append(gate)
     return out

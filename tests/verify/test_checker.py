@@ -15,7 +15,12 @@ import pytest
 from repro.boolean.permutation import BitPermutation
 from repro.compiler import compile as compile_workload
 from repro.core.circuit import QuantumCircuit
-from repro.mapping.routing import CouplingMap
+from repro.mapping.routing import (
+    CouplingMap,
+    RoutingResult,
+    route_circuit,
+    verify_routing,
+)
 from repro.pipeline import (
     FlowState,
     Pipeline,
@@ -500,3 +505,43 @@ class TestCompileFacade:
             match=r"'broken-simp'.*tier permutation",
         ):
             Pipeline(verify="auto", cache=None).apply(Broken(), state)
+
+
+class TestRoutingWithReset:
+    """A reset has no unitary: the routing check skips, never crashes."""
+
+    @staticmethod
+    def measured_reset_circuit():
+        circuit = QuantumCircuit(2, 2)
+        circuit.h(0).reset(1).cx(0, 1).measure(0, 0).measure(1, 1)
+        return circuit
+
+    def test_compile_skips_the_route_check(self):
+        result = compile_workload(
+            self.measured_reset_circuit(), target="ibm_qe5",
+            verify="auto", cache=None,
+        )
+        verdicts = {r.name: r.verification for r in result.records}
+        route = verdicts["route"]
+        assert (route.status, route.tier) == ("skipped", "none")
+        assert "reset" in route.detail
+        assert not result.verified
+
+    def test_verify_routing_reports_no_pass(self):
+        circuit = self.measured_reset_circuit()
+        routed = route_circuit(circuit, CouplingMap.line(3))
+        assert verify_routing(circuit, routed) is False
+        verdict = EquivalenceChecker().check_routing(circuit, routed)
+        assert (verdict.status, verdict.tier) == ("skipped", "none")
+
+    def test_reset_added_by_the_router_is_not_passed(self):
+        circuit = QuantumCircuit(2).h(0).cx(0, 1)
+        routed = route_circuit(circuit, CouplingMap.line(2))
+        tampered = routed.circuit.copy().reset(1)
+        forged = RoutingResult(
+            tampered, routed.initial_layout, routed.final_layout,
+            routed.swap_count, routed.position_of,
+        )
+        assert verify_routing(circuit, routed)
+        assert not verify_routing(circuit, forged)
+
