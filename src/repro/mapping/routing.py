@@ -250,12 +250,10 @@ def verify_routing(
 ) -> bool:
     """Check routed == permute(final_layout) . original . permute(init).
 
-    The :class:`~repro.verify.EquivalenceChecker`'s dense routing check
-    at the device's width: practical for small widths only.
+    The :class:`~repro.verify.EquivalenceChecker`'s routing check at
+    tolerance ``atol``: dense up to the checker's default dense width,
+    seeded fidelity probes on wider devices.
     """
     from ..verify.checker import EquivalenceChecker
 
-    checker = EquivalenceChecker(
-        max_dense_qubits=result.circuit.num_qubits, atol=atol
-    )
-    return checker.check_routing(original, result).passed
+    return EquivalenceChecker(atol=atol).check_routing(original, result).passed

@@ -131,8 +131,8 @@ class Pass:
                 continue
             if old is not None and new is not None and old == new:
                 continue
-            return checker.no_check(
-                f"pass {self.name!r} declares no functional check"
+            return Verdict.skip(
+                "none", f"pass {self.name!r} declares no functional check"
             )
         return Verdict.accept(
             "syntactic", detail="semantic store fields unchanged"
@@ -577,7 +577,7 @@ class MapToCliffordTPass(Pass):
         to lower) passes syntactically without any simulation.
         """
         if after.quantum is None:
-            return checker.no_check("mapping produced no quantum circuit")
+            return Verdict.skip("none", "mapping produced no quantum circuit")
         if not self._uses_quantum_source(before):
             return checker.check_mapped_circuit(
                 after.quantum, before.reversible,
@@ -595,7 +595,7 @@ class MapToCliffordTPass(Pass):
                 before.quantum, after.quantum,
                 blocks=self._block_lengths(before.quantum),
             )
-        return checker.no_check("mapping had no source circuit to compare")
+        return Verdict.skip("none", "mapping had no source circuit to compare")
 
     def _block_lengths(self, source) -> Tuple[int, ...]:
         """The block-length certificate of this pass's lowering."""

@@ -10,9 +10,7 @@ the design-automation flow.  This subsystem discharges it with a
   width, polynomial), dense unitaries as the small-width oracle, and
   seeded random state-fidelity probes as the any-width fallback;
 * :class:`~.verdict.Verdict` records which tier ran, its cost and its
-  outcome — a skipped check is always explicit, never a silent pass;
-* :class:`~.passes.VerifyPass` exposes end-to-end verification as an
-  ordinary pipeline stage that composes with caching and resilience.
+  outcome — a skipped check is always explicit, never a silent pass.
 
 Surfaced through ``Pipeline(verify=...)``,
 ``repro.compile(verify="auto"|"strict"|"off")``, ``Target.verify``
@@ -45,20 +43,5 @@ __all__ = [
     "as_checker",
     "default_checker",
     "Verdict",
-    "VerifyPass",
 ]
 
-
-def __getattr__(name: str):
-    """Resolve :class:`VerifyPass` lazily to avoid an import cycle.
-
-    The pass subclasses :class:`repro.pipeline.passes.Pass`, while the
-    pipeline's runner imports this package for checker resolution —
-    deferring the pass import until first attribute access breaks the
-    cycle without hiding the symbol from ``repro.verify.VerifyPass``.
-    """
-    if name == "VerifyPass":
-        from .passes import VerifyPass
-
-        return VerifyPass
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..boolean.permutation import BitPermutation
 from ..core.circuit import QuantumCircuit
 from ..core.gates import NON_UNITARY
+from ..simulator.statevector import Statevector
 from ..synthesis.reversible import MctGate, ReversibleCircuit
 from . import tiers
 from .verdict import Verdict, timed
@@ -67,29 +68,21 @@ _BLOCK_MEMO_SIZE = 1024
 
 @dataclass(frozen=True)
 class EquivalenceChecker:
-    """Tier-selection policy plus the width/probe/seed configuration.
+    """Tier-selection policy plus the dense width and tolerance.
+
+    The exhaustive-table width, the probe width, the probe count and
+    the probe seed are the module's ``DEFAULT_*`` constants.
 
     Attributes:
         mode: ``"auto"`` (skips are reported but tolerated) or
             ``"strict"`` (the pipeline escalates skipped checks to
             :class:`~repro.pipeline.runner.VerificationError`).
         max_dense_qubits: widest register for the dense-unitary tier.
-        max_probe_qubits: widest register for the randomized
-            statevector-probe tier.
-        max_table_lines: widest *data* register enumerated
-            exhaustively by the permutation tier (``2^n`` inputs).
-        probes: number of random probes of the randomized tier.
-        seed: seed deriving the probe states (fixed by default, so
-            verification is reproducible run to run).
         atol: numeric tolerance of the dense and probe tiers.
     """
 
     mode: str = "auto"
     max_dense_qubits: int = DEFAULT_MAX_DENSE_QUBITS
-    max_probe_qubits: int = DEFAULT_MAX_PROBE_QUBITS
-    max_table_lines: int = DEFAULT_MAX_TABLE_LINES
-    probes: int = DEFAULT_PROBES
-    seed: int = DEFAULT_SEED
     atol: float = 1e-7
 
     def __post_init__(self) -> None:
@@ -109,22 +102,6 @@ class EquivalenceChecker:
         """Whether skipped checks should fail the compilation."""
         return self.mode == "strict"
 
-    def signature(self) -> Tuple:
-        """Return the configuration tuple for cache keying.
-
-        Returns:
-            A tuple identifying every field that affects verdicts.
-        """
-        return (
-            self.mode,
-            self.max_dense_qubits,
-            self.max_probe_qubits,
-            self.max_table_lines,
-            self.probes,
-            self.seed,
-            self.atol,
-        )
-
     # ------------------------------------------------------------------
     # cascade-level checks
     # ------------------------------------------------------------------
@@ -134,8 +111,8 @@ class EquivalenceChecker:
     ) -> Verdict:
         """Check that a cascade rewrite preserved the permutation.
 
-        Enumerates every basis input up to ``max_table_lines`` data
-        lines (exact), and falls back to seeded random basis-input
+        Enumerates every basis input up to ``DEFAULT_MAX_TABLE_LINES``
+        data lines (exact), and falls back to seeded random basis-input
         probes at larger widths.
 
         Args:
@@ -148,7 +125,7 @@ class EquivalenceChecker:
         if before.num_lines != after.num_lines:
             return Verdict.reject("permutation", "pass changed the line count")
         n = before.num_lines
-        if n <= self.max_table_lines:
+        if n <= DEFAULT_MAX_TABLE_LINES:
             for x in range(1 << n):
                 if before.apply(x) != after.apply(x):
                     return Verdict.reject(
@@ -158,9 +135,8 @@ class EquivalenceChecker:
                         checks=x + 1,
                     )
             return Verdict.accept("permutation", checks=1 << n)
-        rng = np.random.default_rng(self.seed)
-        count = max(1, self.probes)
-        for i in range(count):
+        rng = np.random.default_rng(DEFAULT_SEED)
+        for i in range(DEFAULT_PROBES):
             x = int(rng.integers(0, 1 << n))
             if before.apply(x) != after.apply(x):
                 return Verdict.reject(
@@ -171,8 +147,8 @@ class EquivalenceChecker:
                 )
         return Verdict.accept(
             "probes",
-            detail=f"{count} random basis inputs agree",
-            checks=count,
+            detail=f"{DEFAULT_PROBES} random basis inputs agree",
+            checks=DEFAULT_PROBES,
         )
 
     @timed
@@ -199,10 +175,10 @@ class EquivalenceChecker:
                 "synthesis-specific embedding; no generic check applies",
             )
         n = reversible.num_lines
-        if n > self.max_table_lines:
+        if n > DEFAULT_MAX_TABLE_LINES:
             return Verdict.skip(
                 "permutation",
-                f"{n} lines exceed the {self.max_table_lines}-line "
+                f"{n} lines exceed the {DEFAULT_MAX_TABLE_LINES}-line "
                 "exhaustive-table limit",
             )
         for x in range(1 << n):
@@ -232,7 +208,7 @@ class EquivalenceChecker:
         tableau on the stripped remainders (exact, any width), dense
         comparison on the remainders' joint support or the full
         register (exact, small widths), randomized fidelity probes (any
-        width up to ``max_probe_qubits``), else an explicit skip.
+        width up to ``DEFAULT_MAX_PROBE_QUBITS``), else an explicit skip.
 
         Args:
             before: the circuit entering the pass.
@@ -296,37 +272,11 @@ class EquivalenceChecker:
             if failure is not None:
                 return Verdict.reject("dense", failure)
             return Verdict.accept("dense")
-        return self._probe_same_unitary(before, after)
-
-    def _probe_same_unitary(
-        self, before: QuantumCircuit, after: QuantumCircuit
-    ) -> Verdict:
-        """Run the randomized fidelity-probe tier for equal widths."""
-        n = before.num_qubits
-        if n > self.max_probe_qubits:
-            return Verdict.skip(
-                "probes",
-                f"width {n} exceeds the {self.max_probe_qubits}-qubit "
-                "probe limit",
-            )
-        rng = np.random.default_rng(self.seed)
-        count = max(1, self.probes)
-        for i in range(count):
-            probe = tiers.random_product_state(n, rng)
-            out_before = probe.copy().evolve(before)
-            out_after = probe.copy().evolve(after)
-            overlap = tiers.overlap_magnitude(out_before, out_after)
-            if abs(overlap - 1.0) > self.atol:
-                return Verdict.reject(
-                    "probes",
-                    f"probe {i} distinguishes the circuits "
-                    f"(|overlap| = {overlap:.6f})",
-                    checks=i + 1,
-                )
-        return Verdict.accept(
-            "probes",
-            detail=f"{count} random product states agree",
-            checks=count,
+        return self._probe_verdict(
+            n, n,
+            lambda probe: (probe.copy().evolve(before),
+                           probe.copy().evolve(after)),
+            "the circuits ({})", "random product states",
         )
 
     @timed
@@ -377,31 +327,15 @@ class EquivalenceChecker:
             if failure is not None:
                 return Verdict.reject("dense", failure)
             return Verdict.accept("dense")
-        if w > self.max_probe_qubits:
-            return Verdict.skip(
-                "probes",
-                f"width {w} exceeds the {self.max_probe_qubits}-qubit "
-                "probe limit",
-            )
-        rng = np.random.default_rng(self.seed)
-        count = max(1, self.probes)
-        for i in range(count):
-            probe = tiers.random_product_state(before.num_qubits, rng)
-            expected = tiers.widen_state(probe.copy().evolve(before), w)
-            actual = tiers.widen_state(probe, w).evolve(after)
-            overlap = tiers.overlap_magnitude(expected, actual)
-            if abs(overlap - 1.0) > self.atol:
-                return Verdict.reject(
-                    "probes",
-                    f"probe {i} distinguishes the lowered circuit "
-                    f"(|overlap| = {overlap:.6f}; a low overlap also "
-                    "witnesses ancilla leakage)",
-                    checks=i + 1,
-                )
-        return Verdict.accept(
-            "probes",
-            detail=f"{count} ancilla-aware probes agree",
-            checks=count,
+        return self._probe_verdict(
+            w, before.num_qubits,
+            lambda probe: (
+                tiers.widen_state(probe.copy().evolve(before), w),
+                tiers.widen_state(probe, w).evolve(after),
+            ),
+            "the lowered circuit ({}; a low overlap also witnesses "
+            "ancilla leakage)",
+            "ancilla-aware probes",
         )
 
     @timed
@@ -409,61 +343,46 @@ class EquivalenceChecker:
         self,
         quantum: QuantumCircuit,
         reversible: ReversibleCircuit,
-        in_map: Optional[Sequence[int]] = None,
-        out_map: Optional[Sequence[int]] = None,
         blocks: Optional[Sequence[int]] = None,
     ) -> Verdict:
         """Check a mapped circuit against its reversible specification.
 
-        The mapped circuit may use extra (clean) ancilla wires; the
-        obligation is ``|x>|0> -> e^{i phi(x)}|P(x)>|0>`` for every
-        data input ``x``, with ``P`` the cascade's permutation.
-        Classical (Toffoli-level) circuits are checked exactly by the
-        permutation tier at any wire count.  Clifford+T mappings
-        with a ``blocks`` certificate that validates are settled block
-        by block (see :meth:`_block_verdict`); otherwise they use the
-        dense column check at small widths and seeded basis-input
-        probes up to ``max_probe_qubits``.
+        The mapped circuit may use extra (clean) ancilla wires above
+        the data wires; the obligation is
+        ``|x>|0> -> e^{i phi(x)}|P(x)>|0>`` for every data input ``x``,
+        with ``P`` the cascade's permutation.  Classical
+        (Toffoli-level) circuits are checked exactly by the permutation
+        tier at any wire count.  Clifford+T mappings with a ``blocks``
+        certificate that validates are settled block by block (see
+        :meth:`_block_verdict`); otherwise they use the dense column
+        check at small widths and seeded basis-input probes up to
+        ``DEFAULT_MAX_PROBE_QUBITS``.
 
         Args:
             quantum: the mapped (possibly Clifford+T) circuit.
             reversible: the MCT cascade it must implement.
-            in_map: wire of data bit ``i`` at the circuit input
-                (identity when ``None``) — routing layouts thread
-                their initial layout here.
-            out_map: wire of data bit ``i`` at the circuit output
-                (defaults to ``in_map``).
             blocks: optional certificate, the number of ``quantum``
-                gates each cascade gate became (identity maps only).
+                gates each cascade gate became.
 
         Returns:
             The tier :class:`~.verdict.Verdict`.
         """
         n = reversible.num_lines
         w = quantum.num_qubits
-        in_map = tuple(in_map) if in_map is not None else tuple(range(n))
-        out_map = tuple(out_map) if out_map is not None else in_map
-        if len(in_map) != n or len(out_map) != n:
-            return Verdict.reject(
-                "permutation",
-                "layout maps do not cover the data register",
-            )
-        if w < n or any(p >= w for p in in_map) or any(
-            p >= w for p in out_map
-        ):
+        if w < n:
             return Verdict.reject(
                 "permutation",
                 "mapped circuit is narrower than the cascade",
             )
-        if n <= self.max_table_lines and tiers.is_classical(quantum):
+        if n <= DEFAULT_MAX_TABLE_LINES and tiers.is_classical(quantum):
+            apply = reversible.apply
             for x in range(1 << n):
-                failure = self._classical_column_failure(
-                    quantum, reversible, x, in_map, out_map
-                )
-                if failure is not None:
-                    return Verdict.reject("permutation", failure, checks=x + 1)
+                if tiers.apply_classical_gates(quantum, x) != apply(x):
+                    return Verdict.reject(
+                        "permutation", f"mismatch at input {x}", checks=x + 1
+                    )
             return Verdict.accept("permutation", checks=1 << n)
-        if blocks is not None and in_map == out_map == tuple(range(n)):
+        if blocks is not None:
             verdict = self._block_verdict(
                 quantum.gates, blocks, reversible.gates, n, "mapped"
             )
@@ -474,38 +393,33 @@ class EquivalenceChecker:
                 "none",
                 "measurement circuits have no unitary check",
             )
-        if n > self.max_table_lines:
+        if n > DEFAULT_MAX_TABLE_LINES:
             return Verdict.skip(
                 "permutation",
-                f"{n} data lines exceed the {self.max_table_lines}-line "
+                f"{n} data lines exceed the {DEFAULT_MAX_TABLE_LINES}-line "
                 "exhaustive-table limit",
             )
         if w <= self.max_dense_qubits + 1:
-            failure = self._dense_mapped_failure(
-                quantum, reversible, in_map, out_map
-            )
+            failure = self._dense_mapped_failure(quantum, reversible)
             if failure is not None:
                 return Verdict.reject("dense", failure)
             return Verdict.accept("dense", checks=1 << n)
-        if w > self.max_probe_qubits:
+        if w > DEFAULT_MAX_PROBE_QUBITS:
             return Verdict.skip(
                 "probes",
-                f"width {w} exceeds the {self.max_probe_qubits}-qubit "
+                f"width {w} exceeds the {DEFAULT_MAX_PROBE_QUBITS}-qubit "
                 "probe limit",
             )
-        rng = np.random.default_rng(self.seed)
-        count = min(max(1, self.probes), 1 << n)
+        rng = np.random.default_rng(DEFAULT_SEED)
+        count = min(DEFAULT_PROBES, 1 << n)
         inputs = sorted(
             int(x)
             for x in rng.choice(1 << n, size=count, replace=False)
         )
-        from ..simulator.statevector import Statevector
-
         for i, x in enumerate(inputs):
-            state = Statevector.from_basis_state(w, self._embed(x, in_map))
+            state = Statevector.from_basis_state(w, x)
             state.evolve(quantum)
-            expected = self._embed(reversible.apply(x), out_map)
-            prob = float(abs(state.data[expected]) ** 2)
+            prob = float(abs(state.data[reversible.apply(x)]) ** 2)
             if abs(prob - 1.0) > self.atol:
                 return Verdict.reject(
                     "probes",
@@ -545,12 +459,6 @@ class EquivalenceChecker:
                 "none", "circuits with a reset have no routing check"
             )
         w = routing.circuit.num_qubits
-        if w > max(self.max_dense_qubits, self.max_probe_qubits):
-            return Verdict.skip(
-                "probes",
-                f"width {w} exceeds the {self.max_probe_qubits}-qubit "
-                "probe limit",
-            )
         mapping = {
             q: routing.initial_layout[q] for q in range(original.num_qubits)
         }
@@ -577,38 +485,72 @@ class EquivalenceChecker:
                     "routed circuit is not equivalent under its layout",
                 )
             return Verdict.accept("dense")
-        rng = np.random.default_rng(self.seed)
-        count = max(1, self.probes)
-        for i in range(count):
-            probe = tiers.random_product_state(w, rng)
-            expected = tiers.permute_wires(
-                probe.copy().evolve(lifted), routing.position_of
+        return self._probe_verdict(
+            w, w,
+            lambda probe: (
+                tiers.permute_wires(
+                    probe.copy().evolve(lifted), routing.position_of
+                ),
+                probe.copy().evolve(routed),
+            ),
+            "the routed circuit under its layout ({})",
+            "layout-aware probes",
+        )
+
+    # ------------------------------------------------------------------
+    # probe tier
+    # ------------------------------------------------------------------
+    def _probe_verdict(
+        self,
+        width: int,
+        probe_width: int,
+        outputs: Callable[[Statevector], Tuple[Statevector, Statevector]],
+        subject: str,
+        agreeing: str,
+    ) -> Verdict:
+        """Run the randomized fidelity-probe tier.
+
+        Draws ``DEFAULT_PROBES`` seeded random product states on
+        ``probe_width`` qubits; ``outputs`` maps each to the expected
+        and the actual output state, and every pair must agree up to a
+        global phase.
+
+        Args:
+            width: register width the tier simulates; wider than
+                ``DEFAULT_MAX_PROBE_QUBITS`` is an explicit skip.
+            probe_width: width of the drawn probe states.
+            outputs: the expected and actual state of one probe.
+            subject: what a failing probe distinguishes, with ``{}``
+                where the overlap goes.
+            agreeing: what the accepting detail calls the probes.
+
+        Returns:
+            The ``probes`` tier :class:`~.verdict.Verdict`.
+        """
+        if width > DEFAULT_MAX_PROBE_QUBITS:
+            return Verdict.skip(
+                "probes",
+                f"width {width} exceeds the {DEFAULT_MAX_PROBE_QUBITS}-qubit "
+                "probe limit",
             )
-            actual = probe.copy().evolve(routed)
+        rng = np.random.default_rng(DEFAULT_SEED)
+        for i in range(DEFAULT_PROBES):
+            expected, actual = outputs(
+                tiers.random_product_state(probe_width, rng)
+            )
             overlap = tiers.overlap_magnitude(expected, actual)
             if abs(overlap - 1.0) > self.atol:
                 return Verdict.reject(
                     "probes",
-                    f"probe {i} distinguishes the routed circuit under "
-                    f"its layout (|overlap| = {overlap:.6f})",
+                    f"probe {i} distinguishes "
+                    + subject.format(f"|overlap| = {overlap:.6f}"),
                     checks=i + 1,
                 )
         return Verdict.accept(
             "probes",
-            detail=f"{count} layout-aware probes agree",
-            checks=count,
+            detail=f"{DEFAULT_PROBES} {agreeing} agree",
+            checks=DEFAULT_PROBES,
         )
-
-    def no_check(self, reason: str) -> Verdict:
-        """Return an explicit skipped verdict for an uncheckable pass.
-
-        Args:
-            reason: why no tier applies to this pass.
-
-        Returns:
-            A ``skipped`` :class:`~.verdict.Verdict` of tier ``none``.
-        """
-        return Verdict.skip("none", reason)
 
     # ------------------------------------------------------------------
     # block tier
@@ -702,11 +644,12 @@ class EquivalenceChecker:
         """Validate a gate-cancellation certificate, group by group.
 
         :func:`~.tiers.rewrite_groups` checks the certificate's claims
-        on the gate lists (members, fences, nesting, the output); each
-        group is then relabelled onto its own wires and checked densely
-        against its fused gate, or the identity for a group fused into
-        nothing, once per distinct local group
-        (:func:`_local_block_failure`).
+        on the gate lists (members, fences, nesting, the output).  Every
+        member and the reference then sit on exactly the reference's
+        ``k`` qubits, so the local gates of a group are its gates on
+        wires ``0..k-1``; each is checked densely against its fused
+        gate, or the identity for a group fused into nothing, once per
+        distinct local group (:func:`_local_block_failure`).
 
         Returns:
             A ``passed`` verdict, or ``None`` — the caller falls
@@ -718,15 +661,19 @@ class EquivalenceChecker:
         blocks = tiers.rewrite_groups(before.gates, after.gates, groups)
         if blocks is None:
             return None
-        n = before.num_qubits
         keys = set()
         for members, reference in blocks:
-            own = reference.qubits
-            if len(own) > self.max_dense_qubits:
+            k = len(reference.qubits)
+            if k > self.max_dense_qubits:
                 return None
+            wires = tuple(range(k))
             key = (
-                tiers.relabel_block(members, own, n)[0],
-                tiers.relabel_block((reference,), own, n)[0][0],
+                tuple([
+                    (gate.name, wires, len(gate.controls), gate.params)
+                    for gate in members
+                ]),
+                (reference.name, wires, len(reference.controls),
+                 reference.params),
                 0, 0, "extended", self.atol,
             )
             if _local_block_failure(*key) is not None:
@@ -766,49 +713,22 @@ class EquivalenceChecker:
         )
 
     def _dense_mapped_failure(
-        self,
-        quantum: QuantumCircuit,
-        reversible: ReversibleCircuit,
-        in_map: Tuple[int, ...],
-        out_map: Tuple[int, ...],
+        self, quantum: QuantumCircuit, reversible: ReversibleCircuit
     ) -> Optional[str]:
         """Dense per-column check of a mapped circuit."""
         from ..core.unitary import circuit_unitary
 
         unitary = circuit_unitary(quantum)
-        n = reversible.num_lines
-        for x in range(1 << n):
-            column = unitary[:, self._embed(x, in_map)]
+        for x in range(1 << reversible.num_lines):
+            column = unitary[:, x]
             index = int(np.argmax(np.abs(column)))
             if (
                 abs(abs(column[index]) - 1.0) > self.atol
                 or np.abs(column).sum() - abs(column[index]) > self.atol
-                or index != self._embed(reversible.apply(x), out_map)
+                or index != reversible.apply(x)
             ):
                 return f"mismatch at input {x}"
         return None
-
-    def _classical_column_failure(
-        self,
-        quantum: QuantumCircuit,
-        reversible: ReversibleCircuit,
-        x: int,
-        in_map: Tuple[int, ...],
-        out_map: Tuple[int, ...],
-    ) -> Optional[str]:
-        """Bit-simulate one basis input through a classical circuit."""
-        result = tiers.apply_classical_gates(quantum, self._embed(x, in_map))
-        if result != self._embed(reversible.apply(x), out_map):
-            return f"mismatch at input {x}"
-        return None
-
-    @staticmethod
-    def _embed(value: int, wire_map: Tuple[int, ...]) -> int:
-        """Scatter data bits of ``value`` onto their mapped wires."""
-        out = 0
-        for bit, wire in enumerate(wire_map):
-            out |= ((value >> bit) & 1) << wire
-        return out
 
 
 def _phase_compare_failure(u_before, u_after, atol: float) -> Optional[str]:
@@ -850,10 +770,8 @@ def _local_block_failure(
         data = k + 1 + dirty
         cascade = ReversibleCircuit(data)
         cascade.append(MctGate(k, tuple(range(k)), reference))
-        identity = tuple(range(data))
         return checker._dense_mapped_failure(
-            tiers.local_circuit(local, data + clean), cascade,
-            identity, identity,
+            tiers.local_circuit(local, data + clean), cascade
         )
     data = len(reference[1]) + dirty
     return checker._dense_extended_failure(

@@ -43,6 +43,8 @@ def _mergeable_rotation(a: Gate, b: Gate) -> Optional[Gate]:
         and a.base_name in ("rx", "ry", "rz", "p")
         and a.targets == b.targets
         and a.controls == b.controls
+        and not a.cbits
+        and not b.cbits
     ):
         angle = a.params[0] + b.params[0]
         if abs(angle) < 1e-12:

@@ -188,8 +188,7 @@ def random_circuit(rng: random.Random) -> QuantumCircuit:
         elif kind < 0.9:
             circuit.reset(a)
         elif kind < 0.95:
-            # a gate carrying classical bits never cancels, but a
-            # rotation still merges
+            # a gate carrying classical bits never cancels or merges
             name = rng.choice(("x", "rz"))
             params = (rng.choice(ANGLES),) if name == "rz" else ()
             circuit.append(Gate(name, (a,), params=params,

@@ -6,8 +6,10 @@ import pytest
 
 from repro.boolean.permutation import BitPermutation
 from repro.core.circuit import QuantumCircuit
+from repro.core.gates import Gate
 from repro.optimization.simplify import (
     cancel_adjacent_gates,
+    cancellation_groups,
     simplify_reversible,
 )
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
@@ -98,6 +100,24 @@ class TestQuantumCancellation:
         out = cancel_adjacent_gates(circ)
         assert len(out) == 1
         assert out.gates[0].params[0] == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("cbits_on", ("first", "second"))
+    @pytest.mark.parametrize("second", (0.2, -0.3))
+    def test_rotation_with_cbits_neither_merges_nor_vanishes(
+        self, cbits_on, second
+    ):
+        # like an inverse pair, a rotation carrying classical bits is
+        # kept whole: merging would drop the bits
+        first = Gate("rz", (0,), params=(0.3,),
+                     cbits=(0,) if cbits_on == "first" else ())
+        last = Gate("rz", (0,), params=(second,),
+                    cbits=(0,) if cbits_on == "second" else ())
+        circ = QuantumCircuit(1, 1)
+        circ.append(first)
+        circ.append(last)
+        out = cancel_adjacent_gates(circ)
+        assert out.gates == [first, last]
+        assert cancellation_groups(circ) == ()
 
     def test_opposite_rotations_vanish(self):
         circ = QuantumCircuit(1).rz(0.3, 0).rz(-0.3, 0)

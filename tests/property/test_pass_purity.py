@@ -42,7 +42,6 @@ from repro.pipeline.passes import GENERATOR_KINDS
 from repro.pipeline.state import FIELDS
 from repro.synthesis.reversible import ReversibleCircuit
 from repro.synthesis.transformation import transformation_based_synthesis
-from repro.verify import VerifyPass
 
 SYNTHESIS_METHODS = ("tbs", "tbs-bidir", "dbs", "exact", "esop", "bdd")
 
@@ -156,7 +155,6 @@ REWRITE_PASSES = [
     CancelPass(),
     RoutePass(CouplingMap.ring(8)),
     StatisticsPass(),
-    VerifyPass(),
 ]
 
 

@@ -78,6 +78,7 @@ def _bell() -> QuantumCircuit:
         "repro.emit.cirq",
         "repro.emit.qir",
         "repro.emit.qasm3",
+        "repro.verify.passes",
     ],
 )
 def test_retired_modules_are_gone(module):
@@ -428,6 +429,7 @@ TEST_ONLY_MEMBERS = {
     "repro.compiler.session.CompilerSession": [
         "compile_many", "compile_many_async",
     ],
+    "repro.verify.checker.EquivalenceChecker": ["signature", "no_check"],
     "repro.core.circuit.QuantumCircuit": ["is_clifford", "to_matrix"],
     "repro.engines.density_matrix.DensityMatrix": [
         "from_statevector", "apply_unitary", "purity",
@@ -468,3 +470,32 @@ def test_rptm_record_no_longer_rescans_its_output():
     assert MapToCliffordTPass.statistics is Pass.statistics
     result = repro.compile({"hwb": 3}, target="clifford_t", cache=None)
     assert "clifford_t" not in result.record("rptm").details
+
+
+def test_verify_pass_is_gone():
+    import repro.verify
+
+    with pytest.raises(ImportError):
+        exec("from repro.verify import VerifyPass", {})
+    assert not hasattr(repro.verify, "VerifyPass")
+
+
+@pytest.mark.parametrize(
+    "keyword", ["probes", "max_probe_qubits", "max_table_lines", "seed"]
+)
+def test_checker_probe_and_table_knobs_are_gone(keyword):
+    from repro.verify import EquivalenceChecker
+
+    with pytest.raises(TypeError, match=keyword):
+        EquivalenceChecker(**{keyword: 3})
+
+
+@pytest.mark.parametrize("keyword", ["in_map", "out_map"])
+def test_mapped_check_layout_maps_are_gone(keyword):
+    from repro.synthesis.reversible import ReversibleCircuit
+    from repro.verify import EquivalenceChecker
+
+    with pytest.raises(TypeError, match=keyword):
+        EquivalenceChecker().check_mapped_circuit(
+            QuantumCircuit(2), ReversibleCircuit(2), **{keyword: (1, 0)}
+        )

@@ -6,8 +6,9 @@ in the library.  This is a mark-and-sweep over names:
 * **Roots** are every reference in ``examples/``, ``benchmarks/`` and
   ``perfbench/``, and every reference in a ``src/repro`` module (its
   ``__main__`` included) that lies outside a public top-level
-  ``def``/``class``.  A package ``__init__``'s import statements and
-  its ``__all__`` are re-exports, not callers, and are skipped.
+  ``def``/``class``.  A package ``__init__``'s import statements, its
+  ``__all__`` and a module-level ``__getattr__`` (a lazy export) are
+  re-exports, not callers, and are skipped.
 * A public top-level definition is **live** once a live reference names
   it; its own body then contributes references.  A recursive call does
   not keep a function alive, and neither does a cluster of names that
@@ -66,6 +67,8 @@ def _references(*nodes):
 
 def _is_reexport(node: ast.stmt) -> bool:
     if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return True
+    if isinstance(node, FUNCTIONS) and node.name == "__getattr__":
         return True
     targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)

@@ -1,4 +1,4 @@
-"""Tier selection, explicit skips, strict mode, and the VerifyPass.
+"""Tier selection, explicit skips, strict mode, and the checker settings.
 
 Covers the tiered :class:`repro.verify.EquivalenceChecker` unit by
 unit — which tier runs for which circuit pair, that rejections name
@@ -31,7 +31,12 @@ from repro.pipeline import (
 )
 from repro.revkit import generators
 from repro.synthesis.reversible import ReversibleCircuit
-from repro.verify import EquivalenceChecker, Verdict, VerifyPass, as_checker
+from repro.verify import (
+    DEFAULT_PROBES,
+    EquivalenceChecker,
+    Verdict,
+    as_checker,
+)
 
 
 def clifford_pair(n=14):
@@ -141,7 +146,7 @@ class TestTierSelection:
         checker = dataclasses.replace(EquivalenceChecker(), max_dense_qubits=4)
         verdict = checker.check_same_unitary(a, b)
         assert verdict.passed and verdict.tier == "probes"
-        assert verdict.checks == checker.probes
+        assert verdict.checks == DEFAULT_PROBES
 
     def test_probes_are_seeded_and_reproducible(self):
         n = 12
@@ -345,7 +350,7 @@ class TestCheckerResolution:
         assert as_checker(True).mode == "auto"
         assert as_checker("auto").mode == "auto"
         assert as_checker("strict").strict
-        custom = EquivalenceChecker(probes=3)
+        custom = EquivalenceChecker(max_dense_qubits=4, atol=1e-9)
         assert as_checker(custom) is custom
 
     def test_as_checker_rejects_unknown_modes(self):
@@ -365,51 +370,35 @@ class TestCheckerResolution:
             Target(name="t", verify="bogus")
         assert Target(name="t", verify="strict").verify == "strict"
 
-    def test_signature_covers_every_field(self):
-        checker = EquivalenceChecker()
-        fields = {f.name for f in dataclasses.fields(EquivalenceChecker)}
-        assert len(checker.signature()) == len(fields)
-        assert checker.signature() != dataclasses.replace(
-            checker, probes=checker.probes + 1
-        ).signature()
+    def test_checker_has_three_settings(self):
+        fields = [f.name for f in dataclasses.fields(EquivalenceChecker)]
+        assert fields == ["mode", "max_dense_qubits", "atol"]
 
 
-class TestVerifyPass:
-    def test_verifies_specification_and_records_tier(self):
-        perm = generators.hwb(4)
-        state = SynthesisPass("tbs").run(FlowState(function=perm))
-        out = VerifyPass().run(state)
-        verdict = out.artifacts["verification"]
-        assert verdict.passed and verdict.tier == "permutation"
+class TestSpecificationCheck:
+    """A synthesized cascade is checked against its permutation."""
 
-    def test_rejects_broken_cascade(self):
-        perm = generators.hwb(4)
-        state = SynthesisPass("tbs").run(FlowState(function=perm))
-        broken = ReversibleCircuit(state.reversible.num_lines)
-        broken.extend(state.reversible.gates[:-1])
-        state.reversible = broken
-        with pytest.raises(VerificationError, match="tier permutation"):
-            VerifyPass().run(state)
-
-    def test_empty_store_is_an_explicit_skip(self):
-        out = VerifyPass().run(FlowState())
-        assert out.artifacts["verification"].skipped
-
-    def test_strict_checker_raises_on_empty_store(self):
-        with pytest.raises(VerificationError, match="strict"):
-            VerifyPass("strict").run(FlowState())
-
-    def test_composes_with_pipeline_and_cache_key(self):
-        perm = generators.hwb(4)
-        state = SynthesisPass("tbs").run(FlowState(function=perm))
-        pipeline = Pipeline(cache=None)
-        _, record = pipeline.apply(VerifyPass(), state)
-        assert record.name == "verify"
-        assert record.details["tier"] == "permutation"
-        assert (
-            VerifyPass().signature()
-            != VerifyPass(EquivalenceChecker(probes=3)).signature()
+    def test_records_the_permutation_tier(self):
+        _, record = Pipeline(verify="auto", cache=None).apply(
+            SynthesisPass("tbs"), FlowState(function=generators.hwb(4))
         )
+        verdict = record.verification
+        assert verdict.passed and verdict.tier == "permutation"
+        assert verdict.checks == 16
+
+    def test_rejects_a_broken_cascade(self):
+        class Broken(SynthesisPass):
+            def run(self, state):
+                out = super().run(state)
+                pruned = ReversibleCircuit(out.reversible.num_lines)
+                pruned.extend(out.reversible.gates[:-1])
+                out.reversible = pruned
+                return out
+
+        with pytest.raises(VerificationError, match="tier permutation"):
+            Pipeline(verify="auto", cache=None).apply(
+                Broken("tbs"), FlowState(function=generators.hwb(4))
+            )
 
 
 class TestCompileFacade:
@@ -545,3 +534,39 @@ class TestRoutingWithReset:
         assert verify_routing(circuit, routed)
         assert not verify_routing(circuit, forged)
 
+
+class TestVerifyRoutingWidths:
+    """``verify_routing`` is dense up to the default width, probes beyond."""
+
+    @staticmethod
+    def spread_circuit(n):
+        circuit = QuantumCircuit(n)
+        for q in range(n):
+            circuit.h(q).t(q)
+        circuit.cx(0, n - 1).cx(n // 2, 1).t(1).cx(n - 1, n // 2)
+        return circuit
+
+    def test_thirteen_qubit_line_verifies_by_probes(self):
+        circuit = self.spread_circuit(13)
+        routed = route_circuit(circuit, CouplingMap.line(13))
+        assert routed.swap_count > 0
+        assert verify_routing(circuit, routed) is True
+        verdict = EquivalenceChecker(atol=1e-9).check_routing(circuit, routed)
+        assert (verdict.status, verdict.tier) == ("passed", "probes")
+
+    def test_corrupted_thirteen_qubit_routing_is_refused(self):
+        circuit = self.spread_circuit(13)
+        routed = route_circuit(circuit, CouplingMap.line(13))
+        forged = RoutingResult(
+            routed.circuit.copy().t(0), routed.initial_layout,
+            routed.final_layout, routed.swap_count, routed.position_of,
+        )
+        assert verify_routing(circuit, forged) is False
+
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_small_devices_stay_dense(self, n):
+        circuit = self.spread_circuit(n)
+        routed = route_circuit(circuit, CouplingMap.line(n))
+        assert verify_routing(circuit, routed) is True
+        verdict = EquivalenceChecker(atol=1e-9).check_routing(circuit, routed)
+        assert (verdict.status, verdict.tier) == ("passed", "dense")

@@ -32,7 +32,7 @@ from repro.optimization.simplify import (
     cancellation_groups,
 )
 from repro.pipeline import passes
-from repro.verify import EquivalenceChecker
+from repro.verify import EquivalenceChecker, checker, tiers
 from test_block_tier import EQ5_CORE, fig10_pool
 
 CHECKER = EquivalenceChecker()
@@ -122,6 +122,38 @@ class TestAgreesWithWholeCircuit:
         assert record.verification.status == "passed"
         assert record.verification.tier == "dense"
         assert rewrite_ran(record.verification)
+
+    def test_memo_keys_are_the_relabelled_groups(self):
+        # every member and the reference of a validated group sit on
+        # exactly the reference's qubits, so a group's gates on wires
+        # 0..k-1 are what relabelling it onto those wires gives
+        memo = checker._local_block_failure
+        keys = []
+
+        def recording(*key):
+            keys.append(key)
+            return memo(*key)
+
+        expected = []
+        for spec in fig10_pool():
+            (circuit,) = cancel_inputs(list(spec), "qsharp")
+            out = cancel_adjacent_gates(circuit)
+            groups = cancellation_groups(circuit)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(checker, "_local_block_failure", recording)
+                CHECKER.check_same_unitary(circuit, out, groups=groups)
+            n = circuit.num_qubits
+            for members, reference in tiers.rewrite_groups(
+                circuit.gates, out.gates, groups
+            ):
+                own = reference.qubits
+                expected.append((
+                    tiers.relabel_block(members, own, n)[0],
+                    tiers.relabel_block((reference,), own, n)[0][0],
+                    0, 0, "extended", CHECKER.atol,
+                ))
+        assert len(expected) > 1000
+        assert keys == expected
 
 
 # ----------------------------------------------------------------------
