@@ -21,6 +21,9 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .circuit import QuantumCircuit
 
+#: Widest circuit :func:`circuit_unitary` builds a matrix for.
+MAX_UNITARY_QUBITS = 12
+
 
 def _apply_gate_inplace(unitary: np.ndarray, gate, num_qubits: int) -> None:
     """Left-multiply ``unitary`` by ``gate`` in place via the kernels."""
@@ -47,7 +50,7 @@ def circuit_unitary(circuit: "QuantumCircuit") -> np.ndarray:
     The unitary is evolved as a ``2**n``-column batch through the
     kernels' batch axis.
     """
-    if circuit.num_qubits > 12:
+    if circuit.num_qubits > MAX_UNITARY_QUBITS:
         raise ValueError(
             f"refusing to build a dense unitary on {circuit.num_qubits} qubits"
         )

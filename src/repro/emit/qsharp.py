@@ -35,7 +35,15 @@ def operation_code(
     """
     from ..frameworks.qsharp import gate_to_qsharp
 
-    body_lines = [f"            {gate_to_qsharp(g)}" for g in circuit.gates]
+    # a Q# statement depends on the gate's name and qubits alone
+    rendered = {}
+    body_lines = []
+    for gate in circuit.gates:
+        key = (gate.name, gate.qubits)
+        line = rendered.get(key)
+        if line is None:
+            line = rendered[key] = f"            {gate_to_qsharp(gate)}"
+        body_lines.append(line)
     body = "\n".join(body_lines)
     return f"""namespace {namespace} {{
     open Microsoft.Quantum.Primitive;

@@ -18,9 +18,11 @@ quantum circuit with mcx/mcz gates), borrowing idle lines as dirty
 ancillae before widening the register with clean ones.  Each lowering
 shape is built once on local wires by the builders below; every
 placement of it on concrete wires is memoized and its immutable gates
-are shared by all the circuits it lands in.  :func:`block_lengths`
-reports how many output gates each input gate became, the certificate
-the ``rptm`` verifier checks block by block.
+are shared by all the circuits it lands in.
+:func:`map_with_block_lengths` is the same lowering that also reports
+how many output gates each input gate became, counted by the loop that
+emitted them: the certificate the ``rptm`` verifier checks block by
+block.
 """
 
 from __future__ import annotations
@@ -150,27 +152,27 @@ def map_to_clifford_t(
     return _lower(circuit, relative_phase, allow_extra_lines, prefer_clean)[0]
 
 
-def block_lengths(
+def map_with_block_lengths(
     circuit: Union[ReversibleCircuit, QuantumCircuit],
     relative_phase: bool = True,
     prefer_clean: bool = True,
-) -> Tuple[int, ...]:
-    """How many output gates :func:`map_to_clifford_t` spends per input gate.
+) -> Tuple[QuantumCircuit, Tuple[int, ...]]:
+    """:func:`map_to_clifford_t` plus each input gate's output block length.
 
-    The lowering's certificate for block-wise verification: the output
-    is the concatenation of one contiguous block per input gate, of
-    these lengths.  A cascade gets one length per :class:`MctGate`,
+    The second item is the lowering's certificate for block-wise
+    verification, counted by the same loop that built the output: the
+    output is the concatenation of one contiguous block per input gate,
+    of these lengths.  A cascade gets one length per :class:`MctGate`,
     counting the X conjugation of its negative controls; a quantum
     circuit gets one length per gate.  The arguments are those of
-    :func:`map_to_clifford_t` (extra lines allowed), whose lowering
-    this re-runs.
+    :func:`map_to_clifford_t` (extra lines allowed).
     """
-    lengths = _lower(circuit, relative_phase, True, prefer_clean)[1]
+    out, lengths = _lower(circuit, relative_phase, True, prefer_clean)
     if not isinstance(circuit, ReversibleCircuit):
-        return tuple(lengths)
+        return out, tuple(lengths)
     # to_quantum_circuit emits each MctGate as its 2 * negatives + 1 gates
     spent = iter(lengths)
-    return tuple(
+    return out, tuple(
         sum(next(spent) for _ in range(2 * gate.polarity.count(False) + 1))
         for gate in circuit.gates
     )

@@ -14,9 +14,9 @@ Two levels:
   per-qubit frontier of the latest live gates; a gate's partner is
   always the frontier gate on every qubit it touches, so removing it
   exposes nothing new and the single pass is already the fixpoint.
-  :func:`cancellation_groups` re-runs that pass and lists which input
-  gates it fused, the certificate the rewrite tier of the checker
-  validates.
+  :func:`cancel_with_groups` is the same pass that also lists which
+  input gates it fused, from that run's own trail: the certificate the
+  rewrite tier of the checker validates.
 """
 
 from __future__ import annotations
@@ -151,27 +151,35 @@ def cancel_adjacent_gates(circuit: QuantumCircuit) -> QuantumCircuit:
         (identity gates dropped, adjacent inverses removed, adjacent
         same-axis rotations merged).
     """
+    return _kept(circuit, _frontier(circuit.gates, None))
+
+
+def _kept(
+    circuit: QuantumCircuit, out: List[Optional[Gate]]
+) -> QuantumCircuit:
+    """The output circuit of ``circuit``'s frontier slots ``out``."""
     result = QuantumCircuit(
         circuit.num_qubits, circuit.num_clbits, circuit.name + "_simp"
     )
     # every kept gate is an input gate or a merge on an input gate's
     # wires, so the input's range checks hold for the output
-    result.gates = [g for g in _frontier(circuit.gates, None) if g is not None]
+    result.gates = [g for g in out if g is not None]
     return result
 
 
-def cancellation_groups(
+def cancel_with_groups(
     circuit: QuantumCircuit,
-) -> Tuple[Tuple[Tuple[int, ...], Optional[int]], ...]:
-    """Which input gates :func:`cancel_adjacent_gates` fuses.
+) -> Tuple[QuantumCircuit, Tuple[Tuple[Tuple[int, ...], Optional[int]], ...]]:
+    """:func:`cancel_adjacent_gates` plus which input gates it fused.
 
-    The pass's certificate for rewrite-wise verification: one
+    The second item is the pass's certificate for rewrite-wise
+    verification, taken from the same loop that built the output: one
     ``(members, slot)`` per group of input gates fused together, with
     the members' input indices in increasing order and ``slot`` the
     index of the output gate the group became (a merged rotation), or
     ``None`` when it became nothing (an inverse pair, a zero-sum
     rotation chain).  Every other input gate is kept in order, except
-    ``id`` gates, which are dropped.  This re-runs the pass's loop.
+    ``id`` gates, which are dropped.
     """
     trail: List[Tuple[int, int]] = []
     out = _frontier(circuit.gates, trail)
@@ -196,7 +204,7 @@ def cancellation_groups(
             groups.append((tuple(members[j]), None if gate is None else slot))
         if gate is not None:
             slot += 1
-    return tuple(groups)
+    return _kept(circuit, out), tuple(groups)
 
 
 def _frontier(

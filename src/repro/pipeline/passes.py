@@ -9,20 +9,26 @@ routing, and statistics — to the uniform :class:`Pass` interface the
 objects: constructor arguments select the algorithm variant, and
 :meth:`Pass.signature` exposes them so cached results can be keyed by
 (pass, parameters, input content).
+
+A verifying pipeline runs a pass through :meth:`Pass.run_certified`,
+which returns the output together with a certificate from that same
+run (``cancel``'s fused groups, ``rptm``'s block lengths) for the
+pass's check to validate.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from contextvars import ContextVar
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..boolean.permutation import BitPermutation
 from ..boolean.truth_table import TruthTable
 from ..core.statistics import circuit_statistics
-from ..mapping.barenco import block_lengths, map_to_clifford_t
+from ..mapping.barenco import map_to_clifford_t, map_with_block_lengths
 from ..mapping.routing import CouplingMap, route_circuit
 from ..optimization.simplify import (
     cancel_adjacent_gates,
-    cancellation_groups,
+    cancel_with_groups,
     simplify_reversible,
 )
 from ..optimization.templates import template_optimize
@@ -38,6 +44,39 @@ from ..synthesis.transformation import (
 from ..verify.checker import EquivalenceChecker
 from ..verify.verdict import Verdict, timed
 from .state import FlowState, PipelineError
+
+#: The list a certified run collects its certificate in, or ``None``
+#: outside one.  A context variable, not an argument of :meth:`Pass.run`:
+#: a subclass that overrides ``run`` and calls ``super().run`` still
+#: hands over the certificate of the run it made.
+_CERTIFICATES: ContextVar[Optional[List[Any]]] = ContextVar(
+    "certificates", default=None
+)
+
+
+def _certified_run(pass_: "Pass", state: FlowState) -> Tuple[FlowState, Any]:
+    """Run ``pass_`` and return its output with that run's certificate."""
+    sink: List[Any] = []
+    token = _CERTIFICATES.set(sink)
+    try:
+        out = pass_.run(state)
+    finally:
+        _CERTIFICATES.reset(token)
+    return out, sink[-1] if sink else None
+
+
+def _produce(plain: Callable, certified: Callable, *args, **kwargs) -> Any:
+    """Call ``plain``; inside a certified run, ``certified`` instead.
+
+    ``certified`` takes the same arguments and returns ``(output,
+    certificate)``; the certificate goes to the run's collecting list.
+    """
+    sink = _CERTIFICATES.get()
+    if sink is None:
+        return plain(*args, **kwargs)
+    output, certificate = certified(*args, **kwargs)
+    sink.append(certificate)
+    return output
 
 
 class Pass:
@@ -75,6 +114,24 @@ class Pass:
             A new :class:`~.state.FlowState` with ``writes`` updated.
         """
         raise NotImplementedError
+
+    def run_certified(self, state: FlowState) -> Tuple[FlowState, Any]:
+        """Run the pass; return its output and that run's certificate.
+
+        A verifying pipeline calls this instead of :meth:`run` and puts
+        the certificate on the output's
+        :attr:`~.state.FlowState.certificate` slot for :meth:`check`.
+        A certificate is only a claim about the run's own rewrite: the
+        checker validates it and falls through when it does not hold.
+        This base version makes none.
+
+        Args:
+            state: the incoming flow store (never mutated).
+
+        Returns:
+            ``(new state, certificate or None)``.
+        """
+        return self.run(state), None
 
     def signature(self) -> Tuple[Any, ...]:
         """Return the parameter tuple that identifies this variant.
@@ -137,6 +194,18 @@ class Pass:
         return Verdict.accept(
             "syntactic", detail="semantic store fields unchanged"
         )
+
+    def _certificate(self, before: FlowState, after: FlowState) -> Any:
+        """The certificate of the run that made ``after``.
+
+        A store without one (a replayed cache entry that was never
+        verified, or a direct :meth:`check` call) gets the one a fresh
+        certified run on ``before`` makes, so such a check keeps its
+        certificate tier.
+        """
+        if after.certificate is not None:
+            return after.certificate
+        return self.run_certified(before)[1]
 
     def statistics(self, before: FlowState, after: FlowState) -> Dict[str, Any]:
         """Report pass-specific statistics for the flow record.
@@ -538,27 +607,29 @@ class MapToCliffordTPass(Pass):
         multi-controlled gates.
         """
         if not self._uses_quantum_source(state):
-            out = state.copy()
-            out.quantum = map_to_clifford_t(
-                state.reversible,
-                relative_phase=self.relative_phase,
-                prefer_clean=self.prefer_clean,
-            )
-            return out
-        if state.quantum is None:
+            source = state.reversible
+        elif state.quantum is None:
             raise PipelineError("rptm: no circuit in store")
-        lowerable = ("ccx", "ccz", "mcx", "mcz", "cz")
-        if self.only_if_needed and not any(
-            g.name in lowerable for g in state.quantum.gates
+        elif self.only_if_needed and not any(
+            g.name in ("ccx", "ccz", "mcx", "mcz", "cz")
+            for g in state.quantum.gates
         ):
             return state.copy()
+        else:
+            source = state.quantum
         out = state.copy()
-        out.quantum = map_to_clifford_t(
-            state.quantum,
+        out.quantum = _produce(
+            map_to_clifford_t,
+            map_with_block_lengths,
+            source,
             relative_phase=self.relative_phase,
             prefer_clean=self.prefer_clean,
         )
         return out
+
+    def run_certified(self, state: FlowState) -> Tuple[FlowState, Any]:
+        """Run the pass; the certificate is the lowering's block lengths."""
+        return _certified_run(self, state)
 
     def _tiered_check(
         self,
@@ -571,17 +642,18 @@ class MapToCliffordTPass(Pass):
         Cascade lowering uses the ancilla-aware basis-state tiers;
         quantum-circuit lowering uses the extended-unitary tiers,
         which also cover register widening by clean ancillae.  Both
-        get the lowering's block lengths as a certificate, which the
-        checker validates block by block before any whole-circuit
-        tier.  An untouched circuit (on-need lowering found nothing
-        to lower) passes syntactically without any simulation.
+        get the block lengths the lowering counted as a certificate,
+        which the checker validates block by block before any
+        whole-circuit tier.  An untouched circuit (on-need lowering
+        found nothing to lower) passes syntactically without any
+        simulation.
         """
         if after.quantum is None:
             return Verdict.skip("none", "mapping produced no quantum circuit")
         if not self._uses_quantum_source(before):
             return checker.check_mapped_circuit(
                 after.quantum, before.reversible,
-                blocks=self._block_lengths(before.reversible),
+                blocks=self._certificate(before, after),
             )
         if before.quantum is not None:
             if (
@@ -593,17 +665,9 @@ class MapToCliffordTPass(Pass):
                 )
             return checker.check_extended_unitary(
                 before.quantum, after.quantum,
-                blocks=self._block_lengths(before.quantum),
+                blocks=self._certificate(before, after),
             )
         return Verdict.skip("none", "mapping had no source circuit to compare")
-
-    def _block_lengths(self, source) -> Tuple[int, ...]:
-        """The block-length certificate of this pass's lowering."""
-        return block_lengths(
-            source,
-            relative_phase=self.relative_phase,
-            prefer_clean=self.prefer_clean,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -622,8 +686,14 @@ class CancelPass(Pass):
         if state.quantum is None:
             raise PipelineError("cancel: no quantum circuit in store")
         out = state.copy()
-        out.quantum = cancel_adjacent_gates(state.quantum)
+        out.quantum = _produce(
+            cancel_adjacent_gates, cancel_with_groups, state.quantum
+        )
         return out
+
+    def run_certified(self, state: FlowState) -> Tuple[FlowState, Any]:
+        """Run the pass; the certificate is the groups of gates it fused."""
+        return _certified_run(self, state)
 
     def _tiered_check(
         self,
@@ -639,7 +709,7 @@ class CancelPass(Pass):
         """
         return checker.check_same_unitary(
             before.quantum, after.quantum,
-            groups=cancellation_groups(before.quantum),
+            groups=self._certificate(before, after),
         )
 
 

@@ -407,10 +407,16 @@ class Pipeline:
     def _run_pass(self, pass_: Pass, state: FlowState) -> FlowState:
         """Run one pass and freeze every field it wrote.
 
-        This is the one place pass outputs become read-only values.
+        This is the one place pass outputs become read-only values.  A
+        verifying pipeline runs the pass certified and leaves that
+        run's certificate on the output for :meth:`_check`.
         """
         fault_point(f"pipeline.pass.run.{pass_.name}")
-        result = pass_.run(state)
+        if self.verify:
+            result, certificate = pass_.run_certified(state)
+            result.certificate = certificate
+        else:
+            result = pass_.run(state)
         for name in pass_.writes:
             out = getattr(result, name)
             for value in out.values() if name == "artifacts" else (out,):
@@ -491,7 +497,12 @@ class Pipeline:
             VerificationError: the check rejected, or it was skipped
                 while the checker runs in strict mode.
         """
-        verdict = pass_.check(self.checker, state, result)
+        try:
+            verdict = pass_.check(self.checker, state, result)
+        finally:
+            # the certificate speaks to this check only: no record,
+            # cache entry or later pass sees it
+            result.certificate = None
         if verdict.failed:
             if key is not None:
                 # never replay a broken entry again

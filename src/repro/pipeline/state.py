@@ -44,6 +44,13 @@ class FlowState:
         routing: layout bookkeeping of the last routing pass.
         artifacts: free-form side products (emitted code, synthesis
             result objects with ancilla bookkeeping, ...).
+        certificate: what a verified run of the pass that produced
+            this store claims about its own rewrite (``cancel``'s fused
+            groups, ``rptm``'s block lengths), for that pass's check
+            only.  The runner sets it and clears it after the check;
+            it is ``None`` otherwise, is not one of :data:`FIELDS` (so
+            it never reaches a cache key or entry), takes no part in
+            ``==`` and is dropped by :meth:`copy`.
     """
 
     function: Optional[Union[BitPermutation, TruthTable]] = None
@@ -51,12 +58,14 @@ class FlowState:
     quantum: Optional[QuantumCircuit] = None
     routing: Optional[RoutingResult] = None
     artifacts: Dict[str, Any] = field(default_factory=dict)
+    certificate: Any = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "FlowState":
         """Return a shallow copy of the store with a fresh artifacts dict.
 
         Field values are shared: pass outputs are frozen at the pass
-        boundary, so sharing them is safe.
+        boundary, so sharing them is safe.  The certificate is not
+        copied: it speaks for the run that made this store only.
         """
         return FlowState(
             function=self.function,

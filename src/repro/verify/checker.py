@@ -27,6 +27,7 @@ skips to hard failures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
@@ -37,6 +38,7 @@ import numpy as np
 from ..boolean.permutation import BitPermutation
 from ..core.circuit import QuantumCircuit
 from ..core.gates import NON_UNITARY
+from ..core.unitary import MAX_UNITARY_QUBITS
 from ..simulator.statevector import Statevector
 from ..synthesis.reversible import MctGate, ReversibleCircuit
 from . import tiers
@@ -86,15 +88,38 @@ class EquivalenceChecker:
     atol: float = 1e-7
 
     def __post_init__(self) -> None:
-        """Validate the mode name.
+        """Validate the mode name, the dense width and the tolerance.
 
         Raises:
-            ValueError: for modes other than ``auto``/``strict``.
+            ValueError: for modes other than ``auto``/``strict``, a
+                ``max_dense_qubits`` that is not an int (bools
+                included) in ``0..MAX_UNITARY_QUBITS``, or an ``atol``
+                that is not a finite, non-negative number.
         """
         if self.mode not in ("auto", "strict"):
             raise ValueError(
                 f"unknown verification mode {self.mode!r}; use 'auto' "
                 "or 'strict' (or 'off' via as_checker)"
+            )
+        width = self.max_dense_qubits
+        if (
+            isinstance(width, bool)
+            or not isinstance(width, int)
+            or not 0 <= width <= MAX_UNITARY_QUBITS
+        ):
+            raise ValueError(
+                f"max_dense_qubits must be an int in 0..{MAX_UNITARY_QUBITS}, "
+                f"not {width!r}"
+            )
+        atol = self.atol
+        if (
+            isinstance(atol, bool)
+            or not isinstance(atol, (int, float))
+            or not math.isfinite(atol)
+            or atol < 0
+        ):
+            raise ValueError(
+                f"atol must be a finite number >= 0, not {atol!r}"
             )
 
     @property
@@ -322,7 +347,9 @@ class EquivalenceChecker:
                 "measurement circuits have no unitary check",
             )
         w = after.num_qubits
-        if w <= self.max_dense_qubits + 1:
+        # one more wire than the limit for the widening ancilla, but
+        # never past what circuit_unitary builds
+        if w <= min(self.max_dense_qubits + 1, MAX_UNITARY_QUBITS):
             failure = self._dense_extended_failure(before, after)
             if failure is not None:
                 return Verdict.reject("dense", failure)
@@ -399,7 +426,7 @@ class EquivalenceChecker:
                 f"{n} data lines exceed the {DEFAULT_MAX_TABLE_LINES}-line "
                 "exhaustive-table limit",
             )
-        if w <= self.max_dense_qubits + 1:
+        if w <= min(self.max_dense_qubits + 1, MAX_UNITARY_QUBITS):
             failure = self._dense_mapped_failure(quantum, reversible)
             if failure is not None:
                 return Verdict.reject("dense", failure)

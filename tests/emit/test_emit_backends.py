@@ -1,6 +1,7 @@
 """Unit tests for the individual emission backends."""
 
 import math
+import random
 
 import pytest
 
@@ -105,6 +106,47 @@ class TestQsharpBackend:
         parsed = emit.parse(code, "qsharp", num_qubits=3)
         assert parsed.num_qubits == 3
         assert parsed.gates == circ.gates
+
+
+def _fig10_pool():
+    """The 57 specs of the ``fig10-verified`` benchmark pool: ``pi``,
+    then 8 rounds of seeded permutations of widths 3, 3, 4, 4, 4, 5, 5."""
+    pool = [[0, 2, 3, 5, 7, 1, 4, 6]]
+    for pool_round in range(8):
+        for slot, width in enumerate((3, 3, 4, 4, 4, 5, 5)):
+            image = list(range(1 << width))
+            random.Random(f"fig10-pool:{pool_round}:{slot}").shuffle(image)
+            pool.append(image)
+    return pool
+
+
+def _qsharp_per_gate(circuit):
+    """The operation text with every gate rendered on its own."""
+    from repro.emit.qsharp import operation_code
+    from repro.frameworks.qsharp import gate_to_qsharp
+
+    body = "\n".join(f"            {gate_to_qsharp(g)}" for g in circuit.gates)
+    empty = operation_code(QuantumCircuit(circuit.num_qubits))
+    return empty.replace("body {\n\n", "body {\n" + body + "\n", 1)
+
+
+class TestQsharpRendersEachShapeOnce:
+    def test_fig10_pool_text_is_the_per_gate_rendering(self):
+        import repro
+
+        pool = _fig10_pool()
+        assert len(pool) == 57
+        for spec in pool:
+            result = repro.compile(spec, target="qsharp", cache=None)
+            text = result.emit("qsharp")
+            assert text == _qsharp_per_gate(result.circuit), spec
+
+    def test_repeated_shapes_and_distinct_wires(self):
+        circ = QuantumCircuit(3).h(0).h(0).h(1).cx(0, 1).cx(1, 0).cx(0, 1)
+        circ.t(2).tdg(2).t(2)
+        text = emit.emit(circ, "qsharp")
+        assert text == _qsharp_per_gate(circ)
+        assert "CNOT(qubits[1], qubits[0]);" in text
 
 
 class TestProjectQBackend:

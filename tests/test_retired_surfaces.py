@@ -31,7 +31,9 @@ and ``repro.engines``, ``repro.compiler.register_target``, and the
 targets are fixed tables of the built-ins.  So are the class members
 only tests reached (``CompilerSession.compile_many`` among them:
 ``sweep`` is the batch call), and the spectral bent-function oracles,
-now ``tests/_spectral_reference.py``.  An old spelling must end in an
+now ``tests/_spectral_reference.py``, and the certificate re-runs
+``cancellation_groups`` and ``block_lengths`` (a verified pass hands
+over the certificate of its own run).  An old spelling must end in an
 import, attribute, type or engine error — or, for the environment
 variables, have no effect at all — rather than being silently
 accepted.
@@ -499,3 +501,16 @@ def test_mapped_check_layout_maps_are_gone(keyword):
         EquivalenceChecker().check_mapped_circuit(
             QuantumCircuit(2), ReversibleCircuit(2), **{keyword: (1, 0)}
         )
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.optimization.simplify", "cancellation_groups"),
+        ("repro.mapping.barenco", "block_lengths"),
+    ],
+)
+def test_certificate_re_runs_are_gone(module, name):
+    # the certificates come from the run that made the output
+    # (cancel_with_groups, map_with_block_lengths)
+    assert not hasattr(importlib.import_module(module), name)

@@ -1,9 +1,11 @@
 """The block tier: ``rptm`` checked block by block against its certificate.
 
-``rptm`` hands the checker one block length per source gate
-(:func:`repro.mapping.barenco.block_lengths`).  The checker validates
-the tiling, checks each distinct local block densely once, and falls
-through to the whole-circuit tiers when anything does not validate.
+``rptm`` hands the checker one block length per source gate, counted
+by the lowering that made the output
+(:func:`repro.mapping.barenco.map_with_block_lengths`).  The checker
+validates the tiling, checks each distinct local block densely once,
+and falls through to the whole-circuit tiers when anything does not
+validate.
 These tests hold it to three promises:
 
 * on correct lowerings it agrees with the whole-circuit check — the
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import ADJOINT_NAME, Gate
-from repro.mapping.barenco import block_lengths, map_to_clifford_t
+from repro.mapping.barenco import map_to_clifford_t, map_with_block_lengths
 from repro.pipeline import FlowState, MapToCliffordTPass, Pipeline
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
 from repro.verify import EquivalenceChecker
@@ -91,7 +93,7 @@ def both_checks(reversible, options, blocks=None):
     """``(whole-circuit verdict, block-tier verdict)`` of one lowering."""
     mapped = map_to_clifford_t(reversible, **options)
     if blocks is None:
-        blocks = block_lengths(reversible, **options)
+        blocks = map_with_block_lengths(reversible, **options)[1]
     return (
         CHECKER.check_mapped_circuit(mapped, reversible),
         CHECKER.check_mapped_circuit(mapped, reversible, blocks=blocks),
@@ -206,7 +208,7 @@ def test_random_cascades_and_in_block_mutants_agree(
     length, so the certificate still tiles the mutated output.
     """
     mapped = map_to_clifford_t(reversible, **options)
-    lengths = list(block_lengths(reversible, **options))
+    lengths = list(map_with_block_lengths(reversible, **options)[1])
     gates = list(mapped.gates)
     i = where % len(gates)
     block = next(
@@ -255,9 +257,9 @@ FORGERIES = {
     "permuted": lambda lengths: list(reversed(lengths)),
     "wrong-total": _with_extra_gate,
     "one-short": lambda lengths: list(lengths)[:-1],
-    "from-another-cascade": lambda lengths: block_lengths(
+    "from-another-cascade": lambda lengths: map_with_block_lengths(
         cascade({"hwb": 4})
-    ),
+    )[1],
     "not-ints": lambda lengths: [float(length) for length in lengths],
 }
 
@@ -266,7 +268,7 @@ class TestForgedCertificates:
     @pytest.fixture(scope="class")
     def lowering(self):
         reversible = cascade(PAPER_PI)
-        lengths = block_lengths(reversible)
+        lengths = map_with_block_lengths(reversible)[1]
         assert list(reversed(lengths)) != list(lengths)
         return reversible, map_to_clifford_t(reversible), lengths
 
@@ -298,9 +300,13 @@ class TestForgedCertificates:
         ours.append(MctGate(2, (0, 1)))
         theirs = ReversibleCircuit(3)
         theirs.append(MctGate(0, (1, 2)))
-        assert block_lengths(ours) == block_lengths(theirs)
+        assert (
+            map_with_block_lengths(ours)[1]
+            == map_with_block_lengths(theirs)[1]
+        )
         verdict = CHECKER.check_mapped_circuit(
-            map_to_clifford_t(theirs), ours, blocks=block_lengths(theirs)
+            map_to_clifford_t(theirs), ours,
+            blocks=map_with_block_lengths(theirs)[1],
         )
         assert verdict.status == "failed"
 
@@ -333,7 +339,11 @@ class TestInBlockMutants:
             reversible if request.param == "cascade"
             else reversible.to_quantum_circuit()
         )
-        return source, map_to_clifford_t(source), list(block_lengths(source))
+        return (
+            source,
+            map_to_clifford_t(source),
+            list(map_with_block_lengths(source)[1]),
+        )
 
     @staticmethod
     def _check(source, gates, width, lengths):
@@ -417,7 +427,7 @@ class TestShortGatesAndMeasurements:
         wrong = QuantumCircuit(lowered.num_qubits)
         wrong.gates = [Gate("z", (1,))] + list(lowered.gates[1:])
         verdict = CHECKER.check_extended_unitary(
-            source, wrong, blocks=block_lengths(source)
+            source, wrong, blocks=map_with_block_lengths(source)[1]
         )
         assert verdict.status == "failed"
 
@@ -442,11 +452,11 @@ class TestShortGatesAndMeasurements:
         lowered = map_to_clifford_t(source)
         swapped = QuantumCircuit(2, 2).h(0).measure(1, 1).measure(0, 0)
         verdict = CHECKER.check_extended_unitary(
-            source, swapped, blocks=block_lengths(source)
+            source, swapped, blocks=map_with_block_lengths(source)[1]
         )
         assert verdict.status == "skipped"
         assert CHECKER.check_extended_unitary(
-            source, lowered, blocks=block_lengths(source)
+            source, lowered, blocks=map_with_block_lengths(source)[1]
         ).tier == "syntactic"
 
     def test_wide_register_gets_an_exact_verdict(self):
@@ -459,7 +469,7 @@ class TestShortGatesAndMeasurements:
         whole = CHECKER.check_extended_unitary(source, lowered)
         assert (whole.status, whole.tier) == ("passed", "probes")
         verdict = CHECKER.check_extended_unitary(
-            source, lowered, blocks=block_lengths(source)
+            source, lowered, blocks=map_with_block_lengths(source)[1]
         )
         assert (verdict.status, verdict.tier) == ("passed", "dense")
         assert BLOCK_DETAIL.match(verdict.detail)
@@ -469,7 +479,7 @@ class TestShortGatesAndMeasurements:
         reversible = cascade({"hwb": 4})
         mapped = map_to_clifford_t(reversible)
         verdict = narrow.check_mapped_circuit(
-            mapped, reversible, blocks=block_lengths(reversible)
+            mapped, reversible, blocks=map_with_block_lengths(reversible)[1]
         )
         assert verdict.status == "passed"
         assert not BLOCK_DETAIL.match(verdict.detail or "")

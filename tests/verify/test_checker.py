@@ -363,6 +363,46 @@ class TestCheckerResolution:
         with pytest.raises(ValueError):
             EquivalenceChecker(mode="bogus")
 
+    @pytest.mark.parametrize(
+        "width", [-1, 13, 64, True, False, 4.0, "10", None], ids=repr
+    )
+    def test_checker_refuses_a_bad_dense_width(self, width):
+        with pytest.raises(ValueError, match=f"max_dense_qubits.*{width!r}"):
+            EquivalenceChecker(max_dense_qubits=width)
+
+    @pytest.mark.parametrize(
+        "atol",
+        [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True,
+         "1e-7", None],
+        ids=repr,
+    )
+    def test_checker_refuses_a_bad_tolerance(self, atol):
+        # a NaN or negative atol made every dense comparison fail, so
+        # equivalent circuits were rejected
+        with pytest.raises(ValueError, match="atol"):
+            EquivalenceChecker(atol=atol)
+
+    def test_dense_width_and_tolerance_at_their_limits(self):
+        for width in (0, 12):
+            assert EquivalenceChecker(max_dense_qubits=width)
+        assert EquivalenceChecker(atol=0).atol == 0
+        # dataclasses.replace re-runs the validation
+        with pytest.raises(ValueError, match="max_dense_qubits"):
+            dataclasses.replace(EquivalenceChecker(), max_dense_qubits=13)
+
+    def test_widest_dense_setting_never_builds_a_13_qubit_unitary(self):
+        # the ancilla-widened rungs allow one wire past the setting,
+        # but not past the 12-qubit cap of circuit_unitary
+        from repro.mapping.barenco import map_to_clifford_t
+
+        source = QuantumCircuit(12).h(0).mcx([0, 1, 2], 11)
+        lowered = map_to_clifford_t(source)
+        assert lowered.num_qubits == 13
+        verdict = EquivalenceChecker(
+            max_dense_qubits=12
+        ).check_extended_unitary(source, lowered)
+        assert (verdict.status, verdict.tier) == ("passed", "probes")
+
     def test_target_validates_verify_field(self):
         from repro.compiler import Target
 

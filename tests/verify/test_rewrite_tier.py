@@ -1,7 +1,7 @@
 """The rewrite tier: ``cancel`` checked group by group against its certificate.
 
 ``cancel`` hands the checker the groups of input gates it fused
-(:func:`repro.optimization.simplify.cancellation_groups`).  The checker
+(:func:`repro.optimization.simplify.cancel_with_groups`).  The checker
 validates the claims on both gate lists, checks each distinct group
 densely once, and falls through to the whole-circuit tiers when
 anything does not validate.  These tests hold it to three promises:
@@ -29,7 +29,7 @@ from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
 from repro.optimization.simplify import (
     cancel_adjacent_gates,
-    cancellation_groups,
+    cancel_with_groups,
 )
 from repro.pipeline import passes
 from repro.verify import EquivalenceChecker, checker, tiers
@@ -67,7 +67,7 @@ def assert_agree_through_groups(circuit):
     out = cancel_adjacent_gates(circuit)
     whole = CHECKER.check_same_unitary(circuit, out)
     rewrite = CHECKER.check_same_unitary(
-        circuit, out, groups=cancellation_groups(circuit)
+        circuit, out, groups=cancel_with_groups(circuit)[1]
     )
     assert whole.status == rewrite.status == "passed"
     if whole.tier == "syntactic":
@@ -138,7 +138,7 @@ class TestAgreesWithWholeCircuit:
         for spec in fig10_pool():
             (circuit,) = cancel_inputs(list(spec), "qsharp")
             out = cancel_adjacent_gates(circuit)
-            groups = cancellation_groups(circuit)
+            groups = cancel_with_groups(circuit)[1]
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(checker, "_local_block_failure", recording)
                 CHECKER.check_same_unitary(circuit, out, groups=groups)
@@ -271,7 +271,7 @@ def _mutant(gates, groups, mutation, where):
 )
 def test_random_circuits_and_their_mutants(circuit, mutation, where):
     out = cancel_adjacent_gates(circuit)
-    groups = cancellation_groups(circuit)
+    groups = cancel_with_groups(circuit)[1]
     assert oracle_agrees(circuit, out)
     verdict = CHECKER.check_same_unitary(circuit, out, groups=groups)
     assert verdict.status == "passed"
@@ -291,14 +291,14 @@ def test_groups_are_the_fused_input_gates():
     circuit = QuantumCircuit(2, 1)
     circuit.h(0).h(0).t(1).rz(0.3, 0).cx(0, 1).h(1).h(1).cx(0, 1)
     circuit.rz(0.2, 0).rz(-0.5, 0).tdg(1).measure(0, 0).p(0.1, 1).p(0.2, 1)
-    assert cancellation_groups(circuit) == (
+    assert cancel_with_groups(circuit)[1] == (
         ((0, 1), None), ((2, 10), None), ((3, 8, 9), None),
         ((4, 7), None), ((5, 6), None), ((12, 13), 1),
     )
     out = cancel_adjacent_gates(circuit)
     assert [gate.name for gate in out.gates] == ["measure", "p"]
     verdict = CHECKER.check_same_unitary(
-        circuit, out, groups=cancellation_groups(circuit)
+        circuit, out, groups=cancel_with_groups(circuit)[1]
     )
     # the two h pairs relabel to the same local group
     assert verdict.detail == "rewrite: 6 groups, 5 distinct"
@@ -473,7 +473,7 @@ class TestFences:
     def test_group_on_no_qubits_falls_through(self):
         before = circuit_of(1, [g("x"), g("h", 0), g("x")])
         after = cancel_adjacent_gates(before)
-        groups = cancellation_groups(before)
+        groups = cancel_with_groups(before)[1]
         assert groups == (((0, 2), None),)
         verdict = CHECKER.check_same_unitary(before, after, groups=groups)
         assert (verdict.status, verdict.tier) == ("skipped", "none")
