@@ -27,7 +27,7 @@ from ..emit import EmitterError, describe_formats
 from ..emit import get as get_emitter
 from ..engines import NoiseModel, as_noise_model
 from ..engines import get as get_engine
-from ..pipeline.runner import PassRecord, format_records, state_metrics
+from ..pipeline.runner import PassRecord, RecordedRun, state_metrics
 from ..pipeline.state import FlowState, PipelineError
 from .frontends import Workload
 from .target import Flow, Target
@@ -38,7 +38,7 @@ class EmissionError(PipelineError, EmitterError):
 
 
 @dataclass
-class CompilationResult:
+class CompilationResult(RecordedRun):
     """What one :func:`repro.compile` call produced.
 
     Attributes:
@@ -74,42 +74,14 @@ class CompilationResult:
         return self.state.quantum
 
     @property
-    def reversible(self):
-        """Return the final reversible cascade (or ``None``)."""
-        return self.state.reversible
-
-    @property
-    def routing(self):
-        """Return the routing bookkeeping (or ``None``)."""
-        return self.state.routing
-
-    @property
     def statistics(self) -> Optional[CircuitStatistics]:
         """Return the ``ps`` statistics bundle when collected."""
         return self.state.artifacts.get("statistics")
 
     @property
-    def total_seconds(self) -> float:
-        """Return the summed wall-clock time of all passes."""
-        return sum(record.seconds for record in self.records)
-
-    @property
     def cache_hits(self) -> int:
         """Return how many passes replayed cached results."""
         return sum(1 for record in self.records if record.cache_hit)
-
-    @property
-    def verified(self) -> bool:
-        """Whether every pass carries a *passed* verification verdict.
-
-        ``False`` for unverified compilations and whenever any pass's
-        check was skipped — an unchecked pass is never reported as
-        verified (skips are explicit in :meth:`verification_report`).
-        """
-        return bool(self.records) and all(
-            record.verification is not None and record.verification.passed
-            for record in self.records
-        )
 
     def verification_report(self) -> str:
         """Format each pass's verification verdict, one per line.
@@ -136,27 +108,6 @@ class CompilationResult:
             the final state (``gates``, ``t_count``, ...).
         """
         return state_metrics(self.state)
-
-    def record(self, name: str) -> PassRecord:
-        """Return the first record of the pass called ``name``.
-
-        Args:
-            name: the pass name to look up.
-
-        Returns:
-            The matching :class:`~repro.pipeline.runner.PassRecord`.
-
-        Raises:
-            KeyError: if no pass of that name ran.
-        """
-        for record in self.records:
-            if record.name == name:
-                return record
-        raise KeyError(name)
-
-    def report(self) -> str:
-        """Format the per-pass records as an aligned text table."""
-        return format_records(self.records)
 
     def summary(self) -> str:
         """Return a one-line workload/target/cost summary."""

@@ -137,22 +137,19 @@ def reject_noise(engine: Engine, noise: Optional["NoiseModel"]) -> None:
     )
 
 
-def reject_opts(engine: Engine, opts: dict, allowed: Tuple[str, ...] = ()) -> None:
-    """Raise for backend options the engine does not understand.
+def reject_opts(engine: Engine, opts: dict) -> None:
+    """Raise for backend options: no engine takes any.
 
     Args:
         engine: the backend the options were passed to.
         opts: the keyword options to vet.
-        allowed: option names the caller already consumed.
 
     Raises:
         EngineError: naming the first unknown option.
     """
-    unknown = [key for key in opts if key not in allowed]
-    if unknown:
+    if opts:
         raise EngineError(
-            f"engine {engine.name!r} got unknown option {unknown[0]!r}"
-            + (f"; supported options: {', '.join(allowed)}" if allowed else "")
+            f"engine {engine.name!r} got unknown option {next(iter(opts))!r}"
         )
 
 

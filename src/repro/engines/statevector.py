@@ -66,8 +66,7 @@ class StatevectorEngine:
             noise: must be ``None`` or all-zero (this backend is
                 noiseless; the error names the noisy alternatives).
             seed: RNG seed for measurement sampling.
-            **opts: ``fusion=False`` disables the gate-fusion pre-pass;
-                any other option raises.
+            **opts: none are supported; any option raises.
 
         Returns:
             The run's :class:`SimulationResult` with the final state
@@ -76,12 +75,11 @@ class StatevectorEngine:
         reject_shots(self, shots)
         reject_width(self, circuit)
         reject_noise(self, noise)
-        reject_opts(self, opts, allowed=("fusion",))
-        fusion = opts.get("fusion", True)
+        reject_opts(self, opts)
         rng = np.random.default_rng(seed)
         state = Statevector(circuit.num_qubits)
         if not circuit.has_measurements():
-            state.evolve(circuit, fuse=fusion)
+            state.evolve(circuit)
             return SimulationResult({}, state, shots)
 
         num_clbits = _measured_width(circuit)
@@ -95,7 +93,7 @@ class StatevectorEngine:
                     raise SimulationError("reset after measurement unsupported")
                 else:
                     prefix.append(gate)
-            _evolve_gates(state, prefix, fusion)
+            _evolve_gates(state, prefix)
             probs = state.probabilities()
             outcomes = rng.choice(probs.size, size=shots, p=probs / probs.sum())
             counts = _bit_gather_counts(outcomes, measure_map)
@@ -105,7 +103,7 @@ class StatevectorEngine:
             i for i, gate in enumerate(circuit.gates)
             if gate.is_measurement or gate.name == "reset"
         )
-        _evolve_gates(state, circuit.gates[:split], fusion)
+        _evolve_gates(state, circuit.gates[:split])
         suffix = circuit.gates[split:]
         base = state
         counts: Dict[int, int] = {}

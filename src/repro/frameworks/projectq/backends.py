@@ -26,20 +26,17 @@ class Backend:
 class Simulator(Backend):
     """Noiseless statevector backend (the 'local simulator').
 
-    Runs one shot on the ``statevector`` engine; ``fusion`` toggles its
-    gate-fusion pre-pass (single-qubit run folding + diagonal merging).
+    Runs one shot on the ``statevector`` engine.
     """
 
-    def __init__(self, seed: Optional[int] = None, fusion: bool = True):
+    def __init__(self, seed: Optional[int] = None):
         self._seed = seed
-        self._fusion = fusion
         self.final_state: Optional[Statevector] = None
         self.last_counts: Dict[int, int] = {}
 
     def execute(self, circuit: QuantumCircuit) -> Optional[int]:
         result = engines.run(
-            "statevector", circuit, shots=1, seed=self._seed,
-            fusion=self._fusion,
+            "statevector", circuit, shots=1, seed=self._seed
         )
         self.final_state = result.final_state
         self.last_counts = result.counts

@@ -4,7 +4,6 @@ from .barenco import (
     MappingError,
     map_to_clifford_t,
     mcx_clean_ancilla,
-    mcx_dirty_ancilla,
 )
 from .clifford_t import ccx_clifford_t
 from .relative_phase import rccx, rccx_dagger
@@ -20,7 +19,6 @@ __all__ = [
     "MappingError",
     "map_to_clifford_t",
     "mcx_clean_ancilla",
-    "mcx_dirty_ancilla",
     "ccx_clifford_t",
     "rccx",
     "rccx_dagger",

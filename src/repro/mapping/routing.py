@@ -156,22 +156,19 @@ class RoutingResult:
 
 
 def route_circuit(
-    circuit: QuantumCircuit,
-    coupling: CouplingMap,
-    initial_layout: Optional[Sequence[int]] = None,
+    circuit: QuantumCircuit, coupling: CouplingMap
 ) -> RoutingResult:
     """Map ``circuit`` onto ``coupling`` by greedy SWAP insertion.
 
     Only 1- and 2-qubit gates (plus measurements/barriers) are
     routable; run the Clifford+T mapping first.  When a two-qubit gate
     spans non-adjacent physical qubits, SWAPs walk one operand along a
-    shortest path until they meet.
+    shortest path until they meet.  Routing starts from the identity
+    layout (logical qubit ``q`` on physical qubit ``q``).
 
     Args:
         circuit: the (already lowered) circuit to place.
         coupling: the device connectivity graph.
-        initial_layout: optional logical-to-physical starting layout;
-            identity by default.
 
     Returns:
         A :class:`RoutingResult` with the legal circuit, the SWAP
@@ -182,13 +179,7 @@ def route_circuit(
             f"circuit needs {circuit.num_qubits} qubits, device has "
             f"{coupling.num_qubits}"
         )
-    if initial_layout is None:
-        layout = list(range(circuit.num_qubits))
-    else:
-        layout = list(initial_layout)
-        if sorted(layout) != sorted(set(layout)) or len(layout) != circuit.num_qubits:
-            raise RoutingError("initial layout must be injective")
-    physical_of = list(layout)  # logical -> physical
+    physical_of = list(range(circuit.num_qubits))  # logical -> physical
 
     routed = QuantumCircuit(
         coupling.num_qubits, circuit.num_clbits, circuit.name + "_routed"
@@ -236,7 +227,7 @@ def route_circuit(
         routed.append(gate.remap(mapping))
     return RoutingResult(
         circuit=routed,
-        initial_layout=tuple(layout),
+        initial_layout=tuple(range(circuit.num_qubits)),
         final_layout=tuple(physical_of),
         swap_count=swap_count,
         position_of=tuple(position_of),

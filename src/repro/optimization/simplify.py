@@ -15,8 +15,8 @@ Two levels:
   always the frontier gate on every qubit it touches, so removing it
   exposes nothing new and the single pass is already the fixpoint.
   :func:`cancel_with_groups` is the same pass that also lists which
-  input gates it fused, from that run's own trail: the certificate the
-  rewrite tier of the checker validates.
+  input gates it fused, recorded by that run's own loop: the
+  certificate the rewrite tier of the checker validates.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from ..synthesis.reversible import MctGate, ReversibleCircuit
 # ----------------------------------------------------------------------
 # reversible (MCT) simplification
 # ----------------------------------------------------------------------
+#: fixpoint iteration bound of :func:`simplify_reversible`
+MAX_ROUNDS = 10
+
+
 def _mct_commute(a: MctGate, b: MctGate) -> bool:
     """Sufficient commutation condition for two MCT gates.
 
@@ -58,18 +62,16 @@ def _absorb_not(not_gate: MctGate, gate: MctGate) -> Optional[MctGate]:
     return MctGate(gate.target, gate.controls, polarity)
 
 
-def simplify_reversible(
-    circuit: ReversibleCircuit, max_rounds: int = 10
-) -> ReversibleCircuit:
+def simplify_reversible(circuit: ReversibleCircuit) -> ReversibleCircuit:
     """Cancel/merge MCT gates; preserves the circuit's permutation.
 
     This is the shell's ``revsimp`` command: equal gates that can
     reach each other through commuting neighbors cancel pairwise, and
-    X-g-X sandwiches absorb into a polarity flip of g.
+    X-g-X sandwiches absorb into a polarity flip of g, for at most
+    :data:`MAX_ROUNDS` rounds.
 
     Args:
         circuit: the MCT cascade to simplify.
-        max_rounds: fixpoint iteration bound.
 
     Returns:
         A new cascade realizing the same permutation with at most as
@@ -99,7 +101,7 @@ def simplify_reversible(
                     return True
         return False
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         changed = False
         while cancel_once():
             changed = True
@@ -181,40 +183,26 @@ def cancel_with_groups(
     rotation chain).  Every other input gate is kept in order, except
     ``id`` gates, which are dropped.
     """
-    trail: List[Tuple[int, int]] = []
-    out = _frontier(circuit.gates, trail)
-    # the t-th fusion consumed the non-id input gate that came after
-    # the len(out) gates kept by then and the t fused before it
-    fused = {kept + t: j for t, (kept, j) in enumerate(trail)}
-    members: List[List[int]] = []  # input indices per output slot
-    ordinal = 0
-    for i, gate in enumerate(circuit.gates):
-        if gate.name == "id":
-            continue
-        j = fused.get(ordinal)
-        ordinal += 1
-        if j is None:
-            members.append([i])
-        else:
-            members[j].append(i)
+    members: List[List[int]] = []
+    out = _frontier(circuit.gates, members)
     groups = []
     slot = 0
-    for j, gate in enumerate(out):
-        if len(members[j]) > 1:
-            groups.append((tuple(members[j]), None if gate is None else slot))
+    for gate, group in zip(out, members):
+        if len(group) > 1:
+            groups.append((tuple(group), None if gate is None else slot))
         if gate is not None:
             slot += 1
     return _kept(circuit, out), tuple(groups)
 
 
 def _frontier(
-    gates: Sequence[Gate], trail: Optional[List[Tuple[int, int]]]
+    gates: Sequence[Gate], members: Optional[List[List[int]]]
 ) -> List[Optional[Gate]]:
     """The cancellation loop: output slots, ``None`` where a gate went.
 
-    When ``trail`` is a list, each fusion appends ``(slots, j)``: the
-    number of output slots at that moment and the slot ``j`` the
-    incoming gate fused into.
+    When ``members`` is a list, it gets one entry per output slot: the
+    input indices of the gates that slot holds or fused, in increasing
+    order.
     """
     # A gate slides back past every gate it shares no qubit with, and
     # nothing crosses a barrier or a measurement (the fence).  So an
@@ -227,13 +215,15 @@ def _frontier(
     out: List[Optional[Gate]] = []
     stacks: Dict[int, List[int]] = defaultdict(list)
     fence = -1
-    for incoming in gates:
+    for i, incoming in enumerate(gates):
         name = incoming.name
         if name == "id":
             continue
         if name == "barrier" or name == "measure":
             fence = len(out)
             out.append(incoming)
+            if members is not None:
+                members.append([i])
             continue
         qubits = incoming.qubits
         if qubits:
@@ -267,11 +257,13 @@ def _frontier(
                     stacks[q].pop()
             else:
                 out[j] = merged
-            if trail is not None:
-                trail.append((len(out), j))
+            if members is not None:
+                members[j].append(i)
             break
         else:
             for q in qubits:
                 stacks[q].append(len(out))
             out.append(incoming)
+            if members is not None:
+                members.append([i])
     return out

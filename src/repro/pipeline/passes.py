@@ -480,9 +480,7 @@ class SynthesisPass(Pass):
 class SimplifyPass(Pass):
     """Cancel and merge MCT gates — the ``revsimp`` command.
 
-    Args:
-        max_rounds: fixpoint iteration bound passed to
-            :func:`~repro.optimization.simplify.simplify_reversible`.
+    Wraps :func:`~repro.optimization.simplify.simplify_reversible`.
     """
 
     name = "revsimp"
@@ -490,22 +488,12 @@ class SimplifyPass(Pass):
     reads = ("reversible",)
     writes = ("reversible",)
 
-    def __init__(self, max_rounds: int = 10) -> None:
-        """Store the fixpoint iteration bound."""
-        self.max_rounds = max_rounds
-
-    def signature(self) -> Tuple[Any, ...]:
-        """Return (max_rounds,)."""
-        return (self.max_rounds,)
-
     def run(self, state: FlowState) -> FlowState:
         """Rewrite ``reversible`` with the simplified cascade."""
         if state.reversible is None:
             raise PipelineError("revsimp: no reversible circuit in store")
         out = state.copy()
-        out.reversible = simplify_reversible(
-            state.reversible, max_rounds=self.max_rounds
-        )
+        out.reversible = simplify_reversible(state.reversible)
         return out
 
     def _tiered_check(
@@ -562,8 +550,6 @@ class MapToCliffordTPass(Pass):
         relative_phase: use RCCX ladders (cheaper T-count).
         only_if_needed: when reading a quantum circuit, skip mapping
             if it contains no multi-controlled gates.
-        prefer_clean: widen the register with clean ancillae instead
-            of borrowing dirty idle lines.
     """
 
     stage = "mapping"
@@ -574,17 +560,15 @@ class MapToCliffordTPass(Pass):
         self,
         relative_phase: bool = True,
         only_if_needed: bool = False,
-        prefer_clean: bool = True,
     ) -> None:
         """Store the mapping options."""
         self.name = "rptm" if relative_phase else "ctmap"
         self.relative_phase = relative_phase
         self.only_if_needed = only_if_needed
-        self.prefer_clean = prefer_clean
 
     def signature(self) -> Tuple[Any, ...]:
-        """Return the mapping option triple."""
-        return (self.relative_phase, self.only_if_needed, self.prefer_clean)
+        """Return the mapping option pair."""
+        return (self.relative_phase, self.only_if_needed)
 
     def _uses_quantum_source(self, state: FlowState) -> bool:
         """Decide whether the pass lowers ``quantum`` or the cascade.
@@ -623,7 +607,6 @@ class MapToCliffordTPass(Pass):
             map_with_block_lengths,
             source,
             relative_phase=self.relative_phase,
-            prefer_clean=self.prefer_clean,
         )
         return out
 
@@ -771,7 +754,6 @@ class RoutePass(Pass):
 
     Args:
         coupling: target device topology.
-        initial_layout: optional logical-to-physical seed layout.
     """
 
     name = "route"
@@ -779,30 +761,21 @@ class RoutePass(Pass):
     reads = ("quantum",)
     writes = ("quantum", "routing")
 
-    def __init__(
-        self,
-        coupling: CouplingMap,
-        initial_layout: Optional[Tuple[int, ...]] = None,
-    ) -> None:
-        """Store the device topology and optional seed layout."""
+    def __init__(self, coupling: CouplingMap) -> None:
+        """Store the device topology."""
         self.coupling = coupling
-        self.initial_layout = (
-            tuple(initial_layout) if initial_layout is not None else None
-        )
 
     def signature(self) -> Tuple[Any, ...]:
-        """Return (num_qubits, sorted edges, initial layout)."""
+        """Return (num_qubits, sorted edges)."""
         edges = tuple(sorted(tuple(sorted(e)) for e in self.coupling.edges))
-        return (self.coupling.num_qubits, edges, self.initial_layout)
+        return (self.coupling.num_qubits, edges)
 
     def run(self, state: FlowState) -> FlowState:
         """Write the routed circuit and layout bookkeeping."""
         if state.quantum is None:
             raise PipelineError("route: no quantum circuit in store")
         out = state.copy()
-        result = route_circuit(
-            state.quantum, self.coupling, initial_layout=self.initial_layout
-        )
+        result = route_circuit(state.quantum, self.coupling)
         out.quantum = result.circuit
         out.routing = result
         return out

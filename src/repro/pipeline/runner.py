@@ -142,17 +142,16 @@ class PassRecord:
         return "  ".join(parts)
 
 
-@dataclass
-class PipelineResult:
-    """Final store plus the per-pass records of one flow execution."""
+class RecordedRun:
+    """Accessors over a run's final ``state`` and its per-pass ``records``.
+
+    The base of :class:`PipelineResult` and of
+    :class:`~repro.compiler.result.CompilationResult`, which both
+    declare those two fields.
+    """
 
     state: FlowState
-    records: List[PassRecord] = field(default_factory=list)
-
-    @property
-    def quantum(self):
-        """Return the final quantum circuit (or ``None``)."""
-        return self.state.quantum
+    records: List[PassRecord]
 
     @property
     def reversible(self):
@@ -201,6 +200,19 @@ class PipelineResult:
     def report(self) -> str:
         """Format the records as an aligned per-pass table."""
         return format_records(self.records)
+
+
+@dataclass
+class PipelineResult(RecordedRun):
+    """Final store plus the per-pass records of one flow execution."""
+
+    state: FlowState
+    records: List[PassRecord] = field(default_factory=list)
+
+    @property
+    def quantum(self):
+        """Return the final quantum circuit (or ``None``)."""
+        return self.state.quantum
 
 
 def format_records(records: Iterable[PassRecord]) -> str:

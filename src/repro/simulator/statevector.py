@@ -186,7 +186,7 @@ def _bit_gather_counts(
 
 
 def _evolve_gates(
-    state: Statevector, gates: Sequence[Gate], fusion: bool
+    state: Statevector, gates: Sequence[Gate], fusion: bool = True
 ) -> None:
     """Apply a unitary gate list in place (fused when enabled)."""
     ops = kernels.compile_circuit(gates, fuse=fusion)

@@ -599,19 +599,19 @@ class EquivalenceChecker:
         The blocks must tile ``gates``; each is relabelled onto its
         local wires (:func:`~.tiers.relabel_block`) and checked densely
         against a reference built here from its source gate, once per
-        distinct local block (:func:`_local_block_failure`).  Borrowed
-        data wires are checked for every value; wires at or above
-        ``num_data`` must start and end at ``|0>``, so they are clean
-        between blocks by induction.  A one-gate block equal to its
-        circuit source gate (pass-through gates, measurements, resets,
-        barriers) needs no simulation.
+        distinct local block (:func:`_local_block_failure`).  A block
+        may touch its source gate's wires and ancilla wires at or above
+        ``num_data``; the ancillae must start and end at ``|0>``, so
+        they are clean between blocks by induction.  A one-gate block
+        equal to its circuit source gate (pass-through gates,
+        measurements, resets, barriers) needs no simulation.
 
         Returns:
             A ``passed`` verdict, or ``None`` — the caller falls
             through to the whole-circuit tiers — when the tiling is
-            wrong, a block is wider than ``max_dense_qubits`` or holds
-            a non-unitary gate, or a block fails.  The tier never
-            rejects on its own.
+            wrong, a block touches another data wire, is wider than
+            ``max_dense_qubits`` or holds a non-unitary gate, or a
+            block fails.  The tier never rejects on its own.
         """
         if (
             len(blocks) != len(sources)
@@ -636,15 +636,18 @@ class EquivalenceChecker:
                 own = source.qubits
             if any(wire >= num_data for wire in own):
                 return None
-            local, dirty, clean = tiers.relabel_block(block, own, num_data)
-            width = len(own) + dirty + clean
+            relabelled = tiers.relabel_block(block, own, num_data)
+            if relabelled is None:
+                return None
+            local, clean = relabelled
+            width = len(own) + clean
             if width > self.max_dense_qubits:
                 return None
             if mapped:
                 reference = source.polarity
             else:
                 reference = tiers.relabel_block((source,), own, num_data)[0][0]
-            key = (local, reference, dirty, clean, obligation, self.atol)
+            key = (local, reference, clean, obligation, self.atol)
             if _local_block_failure(*key) is not None:
                 return None
             keys.add(key)
@@ -701,7 +704,7 @@ class EquivalenceChecker:
                 ]),
                 (reference.name, wires, len(reference.controls),
                  reference.params),
-                0, 0, "extended", self.atol,
+                0, "extended", self.atol,
             )
             if _local_block_failure(*key) is not None:
                 return None
@@ -773,15 +776,14 @@ def _phase_compare_failure(u_before, u_after, atol: float) -> Optional[str]:
 def _local_block_failure(
     local: Tuple[tiers.LocalGate, ...],
     reference,
-    dirty: int,
     clean: int,
     obligation: str,
     atol: float,
 ) -> Optional[str]:
     """Dense check of one relabelled block against its local reference.
 
-    The local wires are the reference's own wires, then ``dirty``
-    extra data wires, then ``clean`` ancillae.  ``reference`` is the
+    The local wires are the reference's own wires, then ``clean``
+    ancillae.  ``reference`` is the
     polarity of a cascade gate whose controls are the first wires and
     whose target follows them (``obligation="mapped"``), or a
     relabelled circuit gate (``"extended"``).
@@ -794,13 +796,13 @@ def _local_block_failure(
     checker = EquivalenceChecker(atol=atol)
     if obligation == "mapped":
         k = len(reference)
-        data = k + 1 + dirty
+        data = k + 1
         cascade = ReversibleCircuit(data)
         cascade.append(MctGate(k, tuple(range(k)), reference))
         return checker._dense_mapped_failure(
             tiers.local_circuit(local, data + clean), cascade
         )
-    data = len(reference[1]) + dirty
+    data = len(reference[1])
     return checker._dense_extended_failure(
         tiers.local_circuit((reference,), data),
         tiers.local_circuit(local, data + clean),

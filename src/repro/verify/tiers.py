@@ -155,12 +155,11 @@ LocalGate = Tuple[str, Tuple[int, ...], int, Tuple[float, ...]]
 
 def relabel_block(
     gates: Sequence[Gate], own: Sequence[int], num_data: int
-) -> Tuple[Tuple[LocalGate, ...], int, int]:
+) -> Optional[Tuple[Tuple[LocalGate, ...], int]]:
     """Relabel one block of gates onto its local wires.
 
-    The local wires are ``own`` in order, then the other data wires
-    (below ``num_data``) the block touches, then the wires at or above
-    ``num_data`` it touches, each group in increasing order.  Two
+    The local wires are ``own`` in order, then the ancilla wires (at or
+    above ``num_data``) the block touches, in increasing order.  Two
     blocks that are the same lowering on different wires relabel to
     the same local gates, which is what lets a verdict be memoized.
 
@@ -171,20 +170,23 @@ def relabel_block(
             are ancillae.
 
     Returns:
-        ``(local gates, dirty, clean)``: the relabelled gates and the
-        counts of extra data wires and of ancilla wires.
+        ``(local gates, clean)``: the relabelled gates and the count of
+        ancilla wires; ``None`` when the block touches a data wire
+        outside ``own`` (a borrowed wire, which the tier leaves to the
+        whole-circuit check).
     """
     touched = set(chain.from_iterable(gate.qubits for gate in gates))
     touched.difference_update(own)
     extra = sorted(touched)
-    dirty = sum(1 for wire in extra if wire < num_data)
+    if extra and extra[0] < num_data:
+        return None
     index = {wire: i for i, wire in enumerate((*own, *extra))}.__getitem__
     local = tuple([
         (gate.name, tuple(map(index, gate.qubits)), len(gate.controls),
          gate.params)
         for gate in gates
     ])
-    return local, dirty, len(extra) - dirty
+    return local, len(extra)
 
 
 def local_circuit(gates: Sequence[LocalGate], width: int) -> QuantumCircuit:

@@ -77,52 +77,47 @@ class Verdict:
 
     @classmethod
     def accept(
-        cls, tier: str, seconds: float = 0.0, detail: str = "", checks: int = 0
+        cls, tier: str, detail: str = "", checks: int = 0
     ) -> "Verdict":
         """Build a passing verdict.
 
         Args:
             tier: the tier that established equivalence.
-            seconds: wall-clock cost of the check.
             detail: optional note on what the tier established.
             checks: inputs exercised (basis inputs / probes).
 
         Returns:
             A ``passed`` :class:`Verdict`.
         """
-        return cls(PASSED, tier, detail, seconds, checks)
+        return cls(PASSED, tier, detail, checks=checks)
 
     @classmethod
-    def reject(
-        cls, tier: str, detail: str, seconds: float = 0.0, checks: int = 0
-    ) -> "Verdict":
+    def reject(cls, tier: str, detail: str, checks: int = 0) -> "Verdict":
         """Build a failing verdict.
 
         Args:
             tier: the tier that found the difference.
             detail: human-readable description of the mismatch.
-            seconds: wall-clock cost of the check.
             checks: inputs exercised before the mismatch.
 
         Returns:
             A ``failed`` :class:`Verdict`.
         """
-        return cls(FAILED, tier, detail, seconds, checks)
+        return cls(FAILED, tier, detail, checks=checks)
 
     @classmethod
-    def skip(cls, tier: str, reason: str, seconds: float = 0.0) -> "Verdict":
+    def skip(cls, tier: str, reason: str) -> "Verdict":
         """Build an explicitly-skipped verdict.
 
         Args:
             tier: the tier that would have been needed (``none`` when
                 no tier applies).
             reason: why no applicable tier could run.
-            seconds: wall-clock cost of deciding to skip.
 
         Returns:
             A ``skipped`` :class:`Verdict`.
         """
-        return cls(SKIPPED, tier, reason, seconds)
+        return cls(SKIPPED, tier, reason)
 
     def describe(self) -> str:
         """Return a one-line human-readable summary of the verdict."""

@@ -102,18 +102,8 @@ class TestStatevectorStream:
         assert result.num_clbits == 3
         assert result.shots == 256
 
-    def test_terminal_unfused(self):
-        result = engines.run(
-            "statevector", _universal_circuit(), shots=64, seed=3,
-            fusion=False,
-        )
-        assert result.counts == {0: 31, 7: 33}
-
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_mid_circuit(self, fusion):
-        result = engines.run(
-            "statevector", _mid_circuit(), shots=64, seed=5, fusion=fusion
-        )
+    def test_mid_circuit(self):
+        result = engines.run("statevector", _mid_circuit(), shots=64, seed=5)
         assert result.counts == {
             0: 12, 1: 5, 2: 16, 3: 2, 4: 2, 5: 11, 6: 3, 7: 13,
         }
@@ -267,12 +257,9 @@ class TestProjectQBackends:
         assert backend.last_counts == direct.counts
         assert len(direct.counts) > 1  # the noise really was applied
 
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_simulator_is_one_statevector_shot(self, fusion):
-        backend = Simulator(seed=3, fusion=fusion)
+    def test_simulator_is_one_statevector_shot(self):
+        backend = Simulator(seed=3)
         circuit = _hidden_shift_program(backend)
-        direct = engines.run(
-            "statevector", circuit, shots=1, seed=3, fusion=fusion
-        )
+        direct = engines.run("statevector", circuit, shots=1, seed=3)
         assert backend.last_counts == direct.counts
         assert (backend.final_state.data == direct.final_state.data).all()

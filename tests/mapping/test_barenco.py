@@ -15,7 +15,6 @@ from repro.mapping.barenco import (
     MappingError,
     map_to_clifford_t,
     mcx_clean_ancilla,
-    mcx_dirty_ancilla,
 )
 from repro.mapping.clifford_t import ccx_clifford_t
 from repro.synthesis.reversible import ReversibleCircuit
@@ -71,26 +70,6 @@ class TestCleanLadder:
             mcx_clean_ancilla([0, 1], 2, [3], 4)
 
 
-class TestDirtyChain:
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_full_unitary_equivalence(self, k):
-        """Dirty chains are correct for *any* ancilla state."""
-        n = k + 1 + (k - 2)
-        circ = mcx_dirty_ancilla(
-            list(range(k)), k, list(range(k + 1, n)), n
-        )
-        reference = QuantumCircuit(n).mcx(list(range(k)), k)
-        assert allclose_up_to_global_phase(
-            circuit_unitary(circ), circuit_unitary(reference)
-        )
-
-    def test_toffoli_count(self):
-        k = 4
-        n = 2 * k - 1
-        circ = mcx_dirty_ancilla(list(range(k)), k, list(range(k + 1, n)), n)
-        assert circ.t_count() == 7 * 4 * (k - 2)
-
-
 class TestFullMappingPass:
     @pytest.mark.parametrize("seed", range(8))
     def test_synthesized_circuits_map_correctly(self, seed):
@@ -102,25 +81,31 @@ class TestFullMappingPass:
         assert mapped.is_clifford_t()
         assert_action_on_clean_ancillae(mapped, n, perm)
 
-    def test_dirty_path_used_when_clean_disallowed(self):
-        circ = ReversibleCircuit(6)
-        circ.add_gate(5, (0, 1, 2))  # 3 controls; lines 3,4 idle
-        mapped = map_to_clifford_t(
-            circ, prefer_clean=False, allow_extra_lines=False
-        )
-        assert mapped.num_qubits == 6
-        reference = QuantumCircuit(6).mcx([0, 1, 2], 5)
-        assert allclose_up_to_global_phase(
-            circuit_unitary(mapped), circuit_unitary(reference)
-        )
-
-    def test_extra_lines_needed_and_forbidden(self):
-        circ = ReversibleCircuit(4)
-        circ.add_gate(3, (0, 1, 2))  # no idle lines at all
-        with pytest.raises(MappingError):
-            map_to_clifford_t(
-                circ, prefer_clean=False, allow_extra_lines=False
-            )
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["mcx", "mcz"])
+    def test_widens_by_clean_ancillae_for_the_widest_gate(self, kind, k):
+        # k - 2 clean lines after the data lines, even where idle data
+        # lines could have been borrowed; each comes back to |0>
+        width = k + 3
+        source = QuantumCircuit(width)
+        getattr(source, kind)(list(range(k)), k)
+        source.cx(0, k + 1)
+        mapped = map_to_clifford_t(source)
+        assert mapped.num_qubits == width + max(0, k - 2)
+        assert mapped.is_clifford_t()
+        ancillae = set(range(width, mapped.num_qubits))
+        touched = {q for gate in mapped.gates for q in gate.qubits}
+        assert ancillae <= touched
+        assert touched.isdisjoint({k + 2})  # the idle line stays idle
+        rng = np.random.default_rng(k)
+        data = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+        data /= np.linalg.norm(data)
+        state = np.zeros(1 << mapped.num_qubits, dtype=complex)
+        state[:1 << width] = data  # ancillae are the high bits
+        out = evolve(state, mapped.gates)
+        expected = evolve(data, source.gates)
+        assert np.linalg.norm(out[1 << width:]) < 1e-9
+        assert allclose_up_to_global_phase(out[:1 << width], expected)
 
     def test_mcz_lowered_via_h_conjugation(self):
         qc = QuantumCircuit(4).mcz([0, 1, 2], 3)
@@ -158,16 +143,16 @@ class TestFullMappingPass:
         assert cheap.t_count() < full.t_count()
 
 
-def _compose_builders(source, relative_phase, clean):
+def _compose_builders(source, relative_phase):
     """The lowering of ``source`` built gate by gate from the builders.
 
     The reference for the placed templates: each MCT gate composes its
     builder directly on its concrete wires, with clean ancillae after
-    the data lines or, with ``clean=False``, the first idle lines.
+    the data lines.
     """
     width = source.num_qubits
     max_k = max(len(g.controls) for g in source.gates)
-    total = width + (max_k - 2 if clean and max_k >= 3 else 0)
+    total = width + max(0, max_k - 2)
     out = QuantumCircuit(total)
     for gate in source.gates:
         controls, target = list(gate.controls), gate.targets[0]
@@ -176,15 +161,11 @@ def _compose_builders(source, relative_phase, clean):
             out.h(target)
         if k == 2:
             out.compose(ccx_clifford_t(*controls, target, total))
-        elif clean:
+        else:
             out.compose(mcx_clean_ancilla(
                 controls, target, list(range(width, width + k - 2)), total,
                 relative_phase=relative_phase,
             ))
-        else:
-            busy = set(controls) | {target}
-            idle = [q for q in range(width) if q not in busy]
-            out.compose(mcx_dirty_ancilla(controls, target, idle[:k - 2], total))
         if gate.name.endswith("z"):
             out.h(target)
     return out
@@ -195,23 +176,17 @@ class TestPlacedTemplates:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("kind", ["mcx", "mcz"])
-    @pytest.mark.parametrize("clean", [True, False])
     @pytest.mark.parametrize("relative_phase", [True, False])
-    def test_equals_builders_on_concrete_wires(
-        self, k, kind, clean, relative_phase
-    ):
-        rng = random.Random(f"{k}:{kind}:{clean}:{relative_phase}")
-        width = 2 * k + 2  # room for k - 2 idle lines at any placement
+    def test_equals_builders_on_concrete_wires(self, k, kind, relative_phase):
+        rng = random.Random(f"{k}:{kind}:True:{relative_phase}")
+        width = 2 * k + 2
         for _ in range(4):
             source = QuantumCircuit(width)
             for _ in range(3):
                 wires = rng.sample(range(width), k + 1)
                 getattr(source, kind)(wires[:k], wires[k])
-            mapped = map_to_clifford_t(
-                source, relative_phase=relative_phase, prefer_clean=clean,
-                allow_extra_lines=clean,
-            )
-            expected = _compose_builders(source, relative_phase, clean)
+            mapped = map_to_clifford_t(source, relative_phase=relative_phase)
+            expected = _compose_builders(source, relative_phase)
             assert mapped.num_qubits == expected.num_qubits
             assert mapped.gates == expected.gates
 
@@ -226,7 +201,7 @@ class TestPlacedTemplates:
         for relative_phase in (True, False):
             first = map_to_clifford_t(source, relative_phase=relative_phase)
             again = map_to_clifford_t(source, relative_phase=relative_phase)
-            expected = _compose_builders(source, relative_phase, True)
+            expected = _compose_builders(source, relative_phase)
             assert first.gates == again.gates == expected.gates
 
     def test_out_of_range_wire_still_refused(self):

@@ -108,19 +108,26 @@ class TestRouting:
                 assert cmap.connected(*gate.qubits)
         assert verify_routing(circ, result)
 
-    def test_custom_initial_layout(self):
-        circ = QuantumCircuit(2).cx(0, 1)
-        result = route_circuit(
-            circ, CouplingMap.line(4), initial_layout=[3, 2]
-        )
-        gate = result.circuit.gates[0]
-        assert set(gate.qubits) == {2, 3}
+    @pytest.mark.parametrize(
+        "factory, pair",
+        [
+            (lambda: CouplingMap.line(4), (3, 2)),
+            (CouplingMap.ibm_qx2, (2, 4)),
+            (CouplingMap.ibm_qx4, (1, 0)),
+        ],
+        ids=["line", "qx2", "qx4"],
+    )
+    def test_starts_from_the_identity_layout(self, factory, pair):
+        # logical q sits on physical q, so an edge of the device needs
+        # no SWAP and keeps its wires
+        cmap = factory()
+        circ = QuantumCircuit(cmap.num_qubits).cx(*pair)
+        result = route_circuit(circ, cmap)
+        assert result.initial_layout == tuple(range(cmap.num_qubits))
+        assert result.final_layout == result.initial_layout
+        assert result.swap_count == 0
+        assert result.circuit.gates[0].qubits == pair
         assert verify_routing(circ, result)
-
-    def test_bad_layout_rejected(self):
-        circ = QuantumCircuit(2).cx(0, 1)
-        with pytest.raises(RoutingError):
-            route_circuit(circ, CouplingMap.line(4), initial_layout=[1, 1])
 
     def test_too_wide_rejected(self):
         with pytest.raises(RoutingError):

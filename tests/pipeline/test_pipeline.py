@@ -167,8 +167,12 @@ class TestCache:
     def test_cache_key_sees_pass_parameters(self):
         pipeline = Pipeline(cache=PassCache())
         state = hwb4_state()
-        pipeline.apply(SimplifyPass(max_rounds=10), state)
-        _, record = pipeline.apply(SimplifyPass(max_rounds=1), state)
+        rptm, ctmap = (
+            MapToCliffordTPass(relative_phase=flag) for flag in (True, False)
+        )
+        assert rptm.signature() != ctmap.signature()
+        pipeline.apply(rptm, state)
+        _, record = pipeline.apply(ctmap, state)
         assert not record.cache_hit
 
     def test_mutating_result_does_not_corrupt_cache(self):

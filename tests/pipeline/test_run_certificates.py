@@ -135,7 +135,7 @@ class TestUnverifiedRun:
             "cfe88d448adf82668dfef565e9f4373f8aae61b39f4a4bb4fceaf144332cb279"
         )
         assert pipeline._cache_key(MapToCliffordTPass(), rptm_state) == (
-            "('rptm', 'MapToCliffordTPass', (True, False, True))/"
+            "('rptm', 'MapToCliffordTPass', (True, False))/"
             "7a6d8b78bb2418982ee24161533aeac15c43fc041585405c6333298e5c1ccc99"
         )
         # nor does a certificate in the slot change them

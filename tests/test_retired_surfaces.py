@@ -33,10 +33,15 @@ only tests reached (``CompilerSession.compile_many`` among them:
 ``sweep`` is the batch call), and the spectral bent-function oracles,
 now ``tests/_spectral_reference.py``, and the certificate re-runs
 ``cancellation_groups`` and ``block_lengths`` (a verified pass hands
-over the certificate of its own run).  An old spelling must end in an
-import, attribute, type or engine error — or, for the environment
-variables, have no effect at all — rather than being silently
-accepted.
+over the certificate of its own run).  So are the options only tests
+set: ``rptm``'s dirty-ancilla lowering (``prefer_clean=``,
+``allow_extra_lines=`` and ``mcx_dirty_ancilla``), ``revsimp``'s
+``max_rounds=``, routing's ``initial_layout=``, the statevector
+engine's and ProjectQ ``Simulator``'s ``fusion=``, and the
+``seconds=`` of the ``Verdict`` constructors.  An old spelling must
+end in an import, attribute, type or engine error — or, for the
+environment variables, have no effect at all — rather than being
+silently accepted.
 """
 
 import asyncio
@@ -514,3 +519,77 @@ def test_certificate_re_runs_are_gone(module, name):
     # the certificates come from the run that made the output
     # (cancel_with_groups, map_with_block_lengths)
     assert not hasattr(importlib.import_module(module), name)
+
+
+
+def _name(module, name):
+    return getattr(importlib.import_module(module), name)
+
+
+def _hwb3_cascade():
+    from repro.revkit import generators
+    from repro.synthesis.transformation import transformation_based_synthesis
+
+    return transformation_based_synthesis(generators.hwb(3))
+
+
+def _line(n):
+    from repro.mapping import CouplingMap
+
+    return CouplingMap.line(n)
+
+
+@pytest.mark.parametrize(
+    "module, name, args, keyword",
+    [
+        ("repro.pipeline", "MapToCliffordTPass", (), "prefer_clean"),
+        ("repro.mapping.barenco", "map_to_clifford_t", (_hwb3_cascade,),
+         "prefer_clean"),
+        ("repro.mapping.barenco", "map_to_clifford_t", (_hwb3_cascade,),
+         "allow_extra_lines"),
+        ("repro.mapping.barenco", "map_with_block_lengths",
+         (_hwb3_cascade,), "prefer_clean"),
+        ("repro.pipeline", "SimplifyPass", (), "max_rounds"),
+        ("repro.optimization.simplify", "simplify_reversible",
+         (_hwb3_cascade,), "max_rounds"),
+        ("repro.pipeline", "RoutePass", (lambda: _line(3),),
+         "initial_layout"),
+        ("repro.mapping.routing", "route_circuit",
+         (lambda: QuantumCircuit(2).cx(0, 1), lambda: _line(3)),
+         "initial_layout"),
+        ("repro.frameworks.projectq.backends", "Simulator", (), "fusion"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_test_only_options_are_gone(module, name, args, keyword):
+    # every caller outside the tests passed one value; it is a constant now
+    with pytest.raises(TypeError, match=f"{keyword}|takes no arguments"):
+        _name(module, name)(*(make() for make in args), **{keyword: 0})
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [("accept", ("dense",)), ("reject", ("dense", "why")),
+     ("skip", ("none", "why"))],
+)
+def test_verdict_constructors_take_no_seconds(build, args):
+    # the timed decorator stamps the field
+    from repro.verify import Verdict
+
+    with pytest.raises(TypeError, match="seconds"):
+        getattr(Verdict, build)(*args, seconds=1.0)
+
+
+def test_statevector_engine_fusion_option_is_gone():
+    with pytest.raises(engines.EngineError, match="unknown option 'fusion'"):
+        engines.run("statevector", _bell(), shots=8, seed=1, fusion=False)
+
+
+def test_dirty_v_chain_is_gone():
+    import repro.mapping
+    from repro.mapping import barenco
+
+    with pytest.raises(ImportError):
+        exec("from repro.mapping import mcx_dirty_ancilla", {})
+    assert not hasattr(repro.mapping, "mcx_dirty_ancilla")
+    assert not hasattr(barenco, "mcx_dirty_ancilla")

@@ -9,8 +9,9 @@ validate.
 These tests hold it to three promises:
 
 * on correct lowerings it agrees with the whole-circuit check — the
-  Fig. 10 benchmark pool, the Eq. (5) core specs, both ladder kinds
-  and the dirty V-chain — and its detail shows the block tier ran;
+  Fig. 10 benchmark pool, the Eq. (5) core specs and both ladder
+  kinds — and its detail shows the block tier ran; a block that
+  borrows a data wire is left to the whole-circuit tiers;
 * a forged certificate falls through and never passes a wrong
   circuit, and a mutant inside a block is rejected even when the
   certificate is adjusted to tile it;
@@ -35,7 +36,7 @@ from repro.core.gates import ADJOINT_NAME, Gate
 from repro.mapping.barenco import map_to_clifford_t, map_with_block_lengths
 from repro.pipeline import FlowState, MapToCliffordTPass, Pipeline
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
-from repro.verify import EquivalenceChecker
+from repro.verify import EquivalenceChecker, tiers
 
 CHECKER = EquivalenceChecker()
 
@@ -52,11 +53,9 @@ EQ5_CORE = (
     {"random": 5, "seed": 2018},
 )
 
-#: mapping options: the paper's rptm, full-Toffoli ladders, and
-#: borrowing idle lines as dirty ancillae
-RPTM = {"relative_phase": True, "prefer_clean": True}
-FULL_TOFFOLI = {"relative_phase": False, "prefer_clean": True}
-DIRTY = {"relative_phase": True, "prefer_clean": False}
+#: mapping options: the paper's rptm and full-Toffoli ladders
+RPTM = {"relative_phase": True}
+FULL_TOFFOLI = {"relative_phase": False}
 
 
 def fig10_pool(rounds=8):
@@ -80,13 +79,6 @@ def cascade(spec):
     if isinstance(spec, tuple):
         spec = list(spec)
     return repro.compile(spec, target="toffoli", cache=None).reversible
-
-
-def widened(reversible, extra):
-    """The same cascade on a register with ``extra`` idle lines."""
-    out = ReversibleCircuit(reversible.num_lines + extra)
-    out.extend(reversible.gates)
-    return out
 
 
 def both_checks(reversible, options, blocks=None):
@@ -132,17 +124,8 @@ class TestAgreesWithWholeCircuit:
             )
 
     @pytest.mark.parametrize(
-        "spec", [*fig10_pool(rounds=1)[3:], {"hwb": 4}, {"hwb": 5}], ids=str
+        "options", [RPTM, FULL_TOFFOLI], ids=["rptm", "full-toffoli"]
     )
-    def test_dirty_v_chain(self, spec):
-        # two idle lines give the widest gate its borrowed ancillae
-        reversible = widened(cascade(spec), 2)
-        assert max(g.num_controls for g in reversible.gates) >= 3
-        mapped = map_to_clifford_t(reversible, **DIRTY)
-        assert mapped.num_qubits == reversible.num_lines  # nothing clean
-        assert_agree_through_blocks(*both_checks(reversible, DIRTY))
-
-    @pytest.mark.parametrize("options", [RPTM, DIRTY], ids=["rptm", "dirty"])
     def test_negative_controls(self, options):
         reversible = ReversibleCircuit(6)
         reversible.append(MctGate(3, (0, 1, 2), (True, False, True)))
@@ -195,7 +178,7 @@ def _corrupted(gate):
 
 @given(
     reversible=cascades(),
-    options=st.sampled_from([RPTM, FULL_TOFFOLI, DIRTY]),
+    options=st.sampled_from([RPTM, FULL_TOFFOLI]),
     mutation=st.sampled_from(["none", "replace", "drop", "insert"]),
     where=st.integers(min_value=0),
 )
@@ -318,12 +301,110 @@ def test_clean_ladder_on_borrowed_wires_is_rejected():
 
     reversible = ReversibleCircuit(5)
     reversible.append(MctGate(3, (0, 1, 2)))
-    mapped = map_to_clifford_t(reversible, **DIRTY)
-    assert mapped.num_qubits == 5
     ladder = mcx_clean_ancilla((0, 1, 2), 3, (4,), 5)
     verdict = CHECKER.check_mapped_circuit(
         ladder, reversible, blocks=[len(ladder.gates)]
     )
+    assert verdict.status == "failed"
+
+
+@pytest.mark.parametrize("source", ["cascade", "circuit"])
+def test_correct_v_chain_on_a_borrowed_wire_goes_to_the_whole_circuit(source):
+    # the dirty-ancilla V-chain of a 3-control gate borrows data wire 4
+    # and is right for either value on it; the block tier leaves a
+    # block that touches another data wire to the whole-circuit tiers
+    reversible = ReversibleCircuit(5)
+    reversible.append(MctGate(3, (0, 1, 2)))
+    chain = QuantumCircuit(5)
+    for _ in range(2):
+        chain.ccx(2, 4, 3).ccx(0, 1, 4)
+    assert tiers.relabel_block(chain.gates, (0, 1, 2, 3), 5) is None
+    if source == "cascade":
+        verdict = CHECKER.check_mapped_circuit(chain, reversible, blocks=[4])
+    else:
+        verdict = CHECKER.check_extended_unitary(
+            reversible.to_quantum_circuit(), chain, blocks=[4]
+        )
+    assert verdict.status == "passed"
+    assert not BLOCK_DETAIL.match(verdict.detail)
+
+
+def v_chain_lowering(reversible, drop=None):
+    """A lowering that borrows idle data wires, with its block lengths.
+
+    Every gate of three or more controls gets the dirty-ancilla V-chain
+    of Barenco et al. (PRA 52, 1995) on the first idle lines: the
+    zig-zag of ``4(k-2)`` ``ccx`` gates that is right for any value on
+    the borrowed wires.  ``rptm`` no longer makes it, so it stands for
+    a lowering the block tier must leave to the whole-circuit tiers.
+    ``drop=i`` leaves out the chain's ``i``-th ``ccx`` in the widest
+    gate (a broken lowering whose certificate still tiles it).
+    """
+    n = reversible.num_lines
+    widest = max(range(len(reversible.gates)),
+                 key=lambda i: reversible.gates[i].num_controls)
+    out = QuantumCircuit(n)
+    blocks = []
+    for index, gate in enumerate(reversible.gates):
+        start = len(out.gates)
+        controls, target = list(gate.controls), gate.target
+        negative = [c for c, on in zip(controls, gate.polarity) if not on]
+        for c in negative:
+            out.x(c)
+        k = len(controls)
+        if k == 0:
+            out.x(target)
+        elif k == 1:
+            out.cx(controls[0], target)
+        elif k == 2:
+            out.ccx(controls[0], controls[1], target)
+        else:
+            busy = set(controls) | {target}
+            borrowed = [q for q in range(n) if q not in busy][:k - 2]
+
+            def step(i):
+                if i == 2:
+                    return controls[0], controls[1], borrowed[0]
+                if i == k:
+                    return controls[k - 1], borrowed[k - 3], target
+                return controls[i - 1], borrowed[i - 3], borrowed[i - 2]
+
+            zigzag = [step(i) for i in range(k, 1, -1)]
+            zigzag += [step(i) for i in range(3, k)]
+            for position, wires in enumerate(zigzag + zigzag):
+                if index == widest and position == drop:
+                    continue
+                out.ccx(*wires)
+        for c in negative:
+            out.x(c)
+        blocks.append(len(out.gates) - start)
+    return out, blocks
+
+
+#: the specs the V-chain tests widen by two idle lines
+BORROWING_SPECS = [*fig10_pool(rounds=1)[3:], {"hwb": 4}, {"hwb": 5}]
+
+
+@pytest.mark.parametrize("spec", BORROWING_SPECS, ids=str)
+def test_v_chain_lowering_goes_to_the_whole_circuit(spec):
+    reversible = ReversibleCircuit(cascade(spec).num_lines + 2)
+    reversible.extend(cascade(spec).gates)
+    assert max(g.num_controls for g in reversible.gates) >= 3
+    mapped, blocks = v_chain_lowering(reversible)
+    assert mapped.num_qubits == reversible.num_lines  # nothing clean
+    whole = CHECKER.check_mapped_circuit(mapped, reversible)
+    verdict = CHECKER.check_mapped_circuit(mapped, reversible, blocks=blocks)
+    assert (whole.status, verdict.status) == ("passed", "passed")
+    assert not BLOCK_DETAIL.match(verdict.detail), verdict.detail
+
+
+@pytest.mark.parametrize("spec", BORROWING_SPECS, ids=str)
+def test_broken_v_chain_lowering_is_rejected(spec):
+    reversible = ReversibleCircuit(cascade(spec).num_lines + 2)
+    reversible.extend(cascade(spec).gates)
+    mapped, blocks = v_chain_lowering(reversible, drop=1)
+    assert sum(blocks) == len(mapped.gates)  # the certificate still tiles
+    verdict = CHECKER.check_mapped_circuit(mapped, reversible, blocks=blocks)
     assert verdict.status == "failed"
 
 

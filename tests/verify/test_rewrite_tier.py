@@ -150,7 +150,7 @@ class TestAgreesWithWholeCircuit:
                 expected.append((
                     tiers.relabel_block(members, own, n)[0],
                     tiers.relabel_block((reference,), own, n)[0][0],
-                    0, 0, "extended", CHECKER.atol,
+                    0, "extended", CHECKER.atol,
                 ))
         assert len(expected) > 1000
         assert keys == expected
