@@ -248,7 +248,7 @@ class Target:
                 MapToCliffordTPass(relative_phase=True, only_if_needed=True)
             )
             if level >= 2:
-                passes.append(TparPass(pre_cancel=False, post_cancel=True))
+                passes.append(TparPass(pre_cancel=False))
             if self.coupling is not None:
                 passes.append(RoutePass(self.coupling))
             if self.collect_statistics:
@@ -288,7 +288,7 @@ class Target:
         if level == 1:
             passes.append(CancelPass())
         elif level >= 2:
-            passes.append(TparPass(pre_cancel=True, post_cancel=True))
+            passes.append(TparPass(pre_cancel=True))
         if self.coupling is not None:
             passes.append(RoutePass(self.coupling))
         if self.collect_statistics:

@@ -12,8 +12,9 @@ This module provides that substrate:
 * :func:`route_circuit` — a greedy SWAP router: gates execute when
   their qubits are adjacent under the current logical->physical layout,
   otherwise SWAPs move them together along a shortest path;
-* :func:`verify_routing` — semantic check: the routed circuit equals
-  the original up to the final layout permutation.
+* :func:`verify_routing` — semantic check: the routed circuit is the
+  original's gates on moving wires, with SWAPs between them, ending at
+  the recorded layout.
 """
 
 from __future__ import annotations
@@ -142,12 +143,17 @@ class RoutingResult:
     tuples, and :meth:`freeze` freezes the circuit too)."""
 
     circuit: QuantumCircuit
-    initial_layout: Tuple[int, ...]    # logical -> physical at the start
     final_layout: Tuple[int, ...]      # logical -> physical at the end
     swap_count: int
     #: full device-wire permutation: content initially at physical wire
     #: c ends the routed circuit at wire position_of[c]
     position_of: Tuple[int, ...] = ()
+
+    @property
+    def initial_layout(self) -> Tuple[int, ...]:
+        """Logical -> physical at the start: routing starts from the
+        identity layout, so logical qubit ``q`` is on wire ``q``."""
+        return tuple(range(len(self.final_layout)))
 
     def freeze(self) -> "RoutingResult":
         """Freeze the routed circuit and return ``self``."""
@@ -171,80 +177,58 @@ def route_circuit(
         coupling: the device connectivity graph.
 
     Returns:
-        A :class:`RoutingResult` with the legal circuit, the SWAP
-        count and the initial/final layouts.
+        A :class:`RoutingResult` with the legal circuit, the final
+        layout, the SWAP count and the full wire permutation: every
+        routed gate is an input gate on its qubits' current wires or
+        an inserted ``swap``, the form :func:`verify_routing` checks.
     """
     if circuit.num_qubits > coupling.num_qubits:
         raise RoutingError(
             f"circuit needs {circuit.num_qubits} qubits, device has "
             f"{coupling.num_qubits}"
         )
-    physical_of = list(range(circuit.num_qubits))  # logical -> physical
-
     routed = QuantumCircuit(
         coupling.num_qubits, circuit.num_clbits, circuit.name + "_routed"
     )
     swap_count = 0
+    # content initially on wire c (logical qubit c for c < n) is on wire
+    # position_of[c]; its first n entries are the logical->physical layout
     position_of = list(range(coupling.num_qubits))
-
-    def swap_physical(a: int, b: int) -> None:
-        nonlocal swap_count
-        routed.swap(a, b)
-        swap_count += 1
-        # update the logical->physical map and the full wire permutation
-        for logical, phys in enumerate(physical_of):
-            if phys == a:
-                physical_of[logical] = b
-            elif phys == b:
-                physical_of[logical] = a
-        for content, position in enumerate(position_of):
-            if position == a:
-                position_of[content] = b
-            elif position == b:
-                position_of[content] = a
-
     for gate in circuit.gates:
-        if gate.name == "barrier":
-            routed.barrier(*(physical_of[q] for q in gate.targets))
-            continue
         qubits = gate.qubits
-        if len(qubits) == 1:
-            routed.append(gate.remap({qubits[0]: physical_of[qubits[0]]}))
-            continue
-        if len(qubits) != 2:
-            raise RoutingError(
-                f"gate {gate.name!r} spans {len(qubits)} qubits; map to "
-                "1/2-qubit gates before routing"
-            )
-        a, b = physical_of[qubits[0]], physical_of[qubits[1]]
-        if not coupling.connected(a, b):
-            path = coupling.shortest_path(a, b)
-            # walk `a` down the path until adjacent to b
-            for step in path[1:-1]:
-                swap_physical(a, step)
-                a = step
-        mapping = {qubits[0]: a, qubits[1]: physical_of[qubits[1]]}
-        routed.append(gate.remap(mapping))
+        if gate.name != "barrier" and len(qubits) != 1:
+            if len(qubits) != 2:
+                raise RoutingError(
+                    f"gate {gate.name!r} spans {len(qubits)} qubits; map "
+                    "to 1/2-qubit gates before routing"
+                )
+            a, b = position_of[qubits[0]], position_of[qubits[1]]
+            if not coupling.connected(a, b):
+                # walk `a` down a shortest path until adjacent to b
+                for step in coupling.shortest_path(a, b)[1:-1]:
+                    routed.swap(a, step)
+                    swap_count += 1
+                    moved = position_of.index(step)
+                    position_of[qubits[0]], position_of[moved] = step, a
+                    a = step
+        routed.append(gate.remap(position_of))
     return RoutingResult(
         circuit=routed,
-        initial_layout=tuple(range(circuit.num_qubits)),
-        final_layout=tuple(physical_of),
+        final_layout=tuple(position_of[:circuit.num_qubits]),
         swap_count=swap_count,
         position_of=tuple(position_of),
     )
 
 
-def verify_routing(
-    original: QuantumCircuit,
-    result: RoutingResult,
-    atol: float = 1e-9,
-) -> bool:
-    """Check routed == permute(final_layout) . original . permute(init).
+def verify_routing(original: QuantumCircuit, result: RoutingResult) -> bool:
+    """Check that ``result`` is an exact routing of ``original``.
 
-    The :class:`~repro.verify.EquivalenceChecker`'s routing check at
-    tolerance ``atol``: dense up to the checker's default dense width,
-    seeded fidelity probes on wider devices.
+    The :class:`~repro.verify.EquivalenceChecker`'s routing check
+    (tier ``swap``): the routed gates are the original ones,
+    measurements, barriers and resets included, on wires the SWAPs
+    relabel, ending at ``result.position_of`` and ``final_layout``.
+    Exact at any device width.
     """
-    from ..verify.checker import EquivalenceChecker
+    from ..verify.checker import default_checker
 
-    return EquivalenceChecker(atol=atol).check_routing(original, result).passed
+    return default_checker().check_routing(original, result).passed

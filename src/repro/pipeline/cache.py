@@ -93,8 +93,10 @@ QUARANTINE_DIR = "quarantine"
 
 #: On-disk entry format version; bumped when the schema changes.
 #: Version 2 added the generation stamp (``gen``) written by every
-#: spill, so readers can tell two atomic rewrites of one key apart.
-DISK_FORMAT = 2
+#: spill, so readers can tell two atomic rewrites of one key apart;
+#: version 3 dropped a routing result's ``initial_layout`` (always the
+#: identity, now derived from the final layout).
+DISK_FORMAT = 3
 
 #: Names of the entry files the disk tier owns (sha256 hex + .json);
 #: ``clear(disk=True)`` and :meth:`PassCache.gc` touch only these.
@@ -154,7 +156,6 @@ def _encode(value: Any) -> Any:
         return {
             "__t__": "route",
             "circuit": _encode(value.circuit),
-            "initial_layout": list(value.initial_layout),
             "final_layout": list(value.final_layout),
             "swap_count": value.swap_count,
             "position_of": list(value.position_of),
@@ -206,7 +207,6 @@ def _decode(value: Any) -> Any:
     if tag == "route":
         return RoutingResult(
             circuit=_decode(value["circuit"]),
-            initial_layout=tuple(value["initial_layout"]),
             final_layout=tuple(value["final_layout"]),
             swap_count=value["swap_count"],
             position_of=tuple(value["position_of"]),

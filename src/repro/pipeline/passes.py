@@ -699,10 +699,11 @@ class CancelPass(Pass):
 class TparPass(Pass):
     """Fold the phase polynomial to cut T-count — the ``tpar`` command.
 
+    Gate cancellation always runs after the folding.
+
     Args:
-        pre_cancel: run gate cancellation before folding (the shell's
-            ``tpar`` does, exposing more parity collisions).
-        post_cancel: run gate cancellation after folding.
+        pre_cancel: run gate cancellation before folding too (the
+            shell's ``tpar`` does, exposing more parity collisions).
     """
 
     name = "tpar"
@@ -710,14 +711,13 @@ class TparPass(Pass):
     reads = ("quantum",)
     writes = ("quantum",)
 
-    def __init__(self, pre_cancel: bool = True, post_cancel: bool = True) -> None:
-        """Store the cancellation bracketing options."""
+    def __init__(self, pre_cancel: bool = True) -> None:
+        """Store whether gate cancellation also runs before folding."""
         self.pre_cancel = pre_cancel
-        self.post_cancel = post_cancel
 
     def signature(self) -> Tuple[Any, ...]:
-        """Return (pre_cancel, post_cancel)."""
-        return (self.pre_cancel, self.post_cancel)
+        """Return (pre_cancel,)."""
+        return (self.pre_cancel,)
 
     def run(self, state: FlowState) -> FlowState:
         """Rewrite ``quantum`` with merged phase rotations."""
@@ -727,10 +727,7 @@ class TparPass(Pass):
         work = state.quantum
         if self.pre_cancel:
             work = cancel_adjacent_gates(work)
-        work = tpar_optimize(work)
-        if self.post_cancel:
-            work = cancel_adjacent_gates(work)
-        out.quantum = work
+        out.quantum = cancel_adjacent_gates(tpar_optimize(work))
         return out
 
     def _tiered_check(
@@ -786,13 +783,20 @@ class RoutePass(Pass):
         before: FlowState,
         after: FlowState,
     ) -> Verdict:
-        """Check the routed circuit under its layout.
+        """Check the routed circuit exactly, at any device width.
 
-        The dense check builds unitaries at the *routed* (device)
-        width, so tier selection uses that width, not the logical one;
-        wider circuits fall back to seeded layout-aware probes.
+        :meth:`~repro.verify.EquivalenceChecker.check_routing` replays
+        ``after.routing`` as the input circuit with SWAPs relabelling
+        wires (tier ``swap``).  The flow carries on with
+        ``after.quantum``, which results and emitters read, so that
+        must be the routed circuit gate for gate as well.
         """
-        return checker.check_routing(before.quantum, after.routing)
+        routing = after.routing
+        if routing is not None and after.quantum != routing.circuit:
+            return Verdict.reject(
+                "swap", "the flow's circuit is not the routed circuit"
+            )
+        return checker.check_routing(before.quantum, routing)
 
     def statistics(self, before: FlowState, after: FlowState) -> Dict[str, Any]:
         """Report the SWAP count of the routing result."""

@@ -102,8 +102,7 @@ def state_token(value: Any) -> str:
         return value.memoized("state_token", lambda: _circuit_digest(value))
     if isinstance(value, RoutingResult):
         return (
-            f"route:{state_token(value.circuit)}:"
-            f"{value.initial_layout!r}:{value.final_layout!r}"
+            f"route:{state_token(value.circuit)}:{value.final_layout!r}"
         )
     if isinstance(value, dict):
         items = sorted((str(k), state_token(v)) for k, v in value.items())

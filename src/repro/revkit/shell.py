@@ -294,7 +294,7 @@ class RevKitShell:
 
     def _cmd_tpar(self, *args: str) -> str:
         self._need_quantum()
-        record = self._apply(TparPass(pre_cancel=True, post_cancel=True))
+        record = self._apply(TparPass(pre_cancel=True))
         return (
             f"T: {record.before['t_count']} -> {record.after['t_count']}"
         )

@@ -7,7 +7,8 @@ the design-automation flow.  This subsystem discharges it with a
 * :class:`~.checker.EquivalenceChecker` picks the cheapest sound
   check per pass — permutation tables for reversible cascades,
   the stabilizer-tableau identity test for Clifford circuits (any
-  width, polynomial), dense unitaries as the small-width oracle, and
+  width, polynomial), an exact SWAP-relabelling replay of a routing
+  (any width, linear), dense unitaries as the small-width oracle, and
   seeded random state-fidelity probes as the any-width fallback;
 * :class:`~.verdict.Verdict` records which tier ran, its cost and its
   outcome — a skipped check is always explicit, never a silent pass.

@@ -18,7 +18,10 @@ and wraps the outcome in a :class:`~.verdict.Verdict`:
    by group for a gate cancellation that certifies which input gates
    it fused;
 5. **probes** — seeded random product-state fidelity probes, the
-   any-width fallback (sound rejection, probabilistic acceptance).
+   any-width fallback (sound rejection, probabilistic acceptance);
+6. **swap** — the routing check: the routed circuit replayed as the
+   original's gates on wires its SWAPs relabel (exact, linear, any
+   width, measurements and resets included).
 
 Checks that no tier can run return an explicitly *skipped* verdict —
 never a silent pass — and ``mode="strict"`` lets callers escalate
@@ -464,65 +467,46 @@ class EquivalenceChecker:
     def check_routing(self, original: QuantumCircuit, routing) -> Verdict:
         """Check a routed circuit against the pre-routing original.
 
+        Exact at any width (tier ``swap``): the routed gates must be
+        the original ones, measurements and resets included, on wires
+        plain ``swap`` gates relabel (:func:`~.tiers.swap_relabel_failure`),
+        ending at ``routing.position_of`` with ``final_layout`` its
+        first ``n`` entries, over the original's classical register.
+        Anything else is rejected, with no other tier to fall back on:
+        the router emits only this form.
+
         Args:
             original: the circuit entering the routing pass.
-            routing: the
-                :class:`~repro.mapping.routing.RoutingResult` —
-                routed circuit, initial layout and the wire
-                permutation its SWAPs accumulated.
+            routing: the :class:`~repro.mapping.routing.RoutingResult`.
 
         Returns:
             The tier :class:`~.verdict.Verdict`.
         """
         if routing is None:
-            return Verdict.reject("dense", "routing produced no result")
-        if any(
-            gate.name == "reset"
-            for gate in chain(original.gates, routing.circuit.gates)
+            return Verdict.reject("swap", "routing produced no result")
+        routed = routing.circuit
+        n = original.num_qubits
+        if (
+            routed.num_qubits < n
+            or len(routing.position_of) != routed.num_qubits
+            or routed.num_clbits != original.num_clbits
         ):
-            # the dense and probe tiers compare unitaries, and a reset
-            # is not one (nor may it be dropped from either side)
-            return Verdict.skip(
-                "none", "circuits with a reset have no routing check"
+            return Verdict.reject(
+                "swap", "routed circuit does not fit the original's registers"
             )
-        w = routing.circuit.num_qubits
-        mapping = {
-            q: routing.initial_layout[q] for q in range(original.num_qubits)
-        }
-        lifted = QuantumCircuit(w)
-        for gate in original.gates:
-            if gate.is_measurement or gate.name == "barrier":
-                continue
-            lifted.append(gate.remap(mapping))
-        routed = _strip_measurements(routing.circuit)
-        if w <= self.max_dense_qubits:
-            from ..core.unitary import circuit_unitary
-
-            # the routed unitary is the lifted one with its rows moved
-            # by the wire permutation the SWAPs accumulated
-            expected = np.empty((1 << w, 1 << w), dtype=complex)
-            expected[tiers.wire_permutation(w, routing.position_of)] = (
-                circuit_unitary(lifted)
-            )
-            if _phase_compare_failure(
-                expected, circuit_unitary(routed), self.atol
-            ) is not None:
-                return Verdict.reject(
-                    "dense",
-                    "routed circuit is not equivalent under its layout",
-                )
-            return Verdict.accept("dense")
-        return self._probe_verdict(
-            w, w,
-            lambda probe: (
-                tiers.permute_wires(
-                    probe.copy().evolve(lifted), routing.position_of
-                ),
-                probe.copy().evolve(routed),
-            ),
-            "the routed circuit under its layout ({})",
-            "layout-aware probes",
+        failure = tiers.swap_relabel_failure(
+            original.gates, routed.gates, routing.position_of
         )
+        if failure is None and (
+            tuple(routing.final_layout) != tuple(routing.position_of[:n])
+        ):
+            failure = (
+                f"final layout {routing.final_layout} is not where the "
+                "swaps leave the logical qubits"
+            )
+        if failure is not None:
+            return Verdict.reject("swap", failure)
+        return Verdict.accept("swap", detail=f"{len(routed)} gates replayed")
 
     # ------------------------------------------------------------------
     # probe tier
@@ -807,16 +791,6 @@ def _local_block_failure(
         tiers.local_circuit((reference,), data),
         tiers.local_circuit(local, data + clean),
     )
-
-
-def _strip_measurements(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Return the circuit's gates without measurements and barriers."""
-    out = QuantumCircuit(circuit.num_qubits)
-    for gate in circuit.gates:
-        if gate.is_measurement or gate.name == "barrier":
-            continue
-        out.append(gate)
-    return out
 
 
 # ----------------------------------------------------------------------

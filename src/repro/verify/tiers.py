@@ -2,10 +2,11 @@
 
 Each helper here implements one *mechanism* — gate-list stripping,
 classical bit-level simulation of permutation circuits, the composed
-stabilizer-tableau identity test, random product-state probes — and
-stays policy-free: the :class:`~.checker.EquivalenceChecker` decides
-which mechanism is the cheapest sound one for a given pair of
-circuits and wraps the outcome in a :class:`~.verdict.Verdict`.
+stabilizer-tableau identity test, the SWAP-relabelling replay of a
+routing, random product-state probes — and stays policy-free: the
+:class:`~.checker.EquivalenceChecker` decides which mechanism is the
+cheapest sound one for a given pair of circuits and wraps the outcome
+in a :class:`~.verdict.Verdict`.
 
 Soundness notes (also in docs/ARCHITECTURE.md):
 
@@ -19,6 +20,9 @@ Soundness notes (also in docs/ARCHITECTURE.md):
   wires but groups fused into nothing nested inside the gap, and
   multiplies to its fused gate (or the identity) up to a phase:
   removing the innermost groups first makes every group adjacent;
+* a routed circuit whose gates are the original ones on their
+  contents' current wires, with ``swap`` gates between them, is the
+  original followed by the wire permutation those swaps make;
 * a randomized probe rejecting is always sound (a fidelity below one
   witnesses a semantic difference); a probe *accepting* is
   probabilistic, with escape probability falling exponentially in the
@@ -576,37 +580,57 @@ def widen_state(state: Statevector, num_qubits: int) -> Statevector:
     return Statevector(num_qubits, data)
 
 
-def permute_wires(state: Statevector, position_of: Sequence[int]) -> Statevector:
-    """Move the content of wire ``p`` to wire ``position_of[p]``.
+# ----------------------------------------------------------------------
+# swap tier
+# ----------------------------------------------------------------------
+def swap_relabel_failure(
+    original: Sequence[Gate],
+    routed: Sequence[Gate],
+    position_of: Sequence[int],
+) -> Optional[str]:
+    """Replay ``routed`` as ``original`` on wires its swaps relabel.
 
-    Used by the routing probe tier: a routed circuit equals the lifted
-    original followed by the wire permutation its SWAPs accumulated.
-
-    Args:
-        state: the state to permute.
-        position_of: destination wire for each source wire.
-
-    Returns:
-        The permuted state.
-    """
-    n = state.num_qubits
-    data = np.zeros_like(state.data)
-    data[wire_permutation(n, position_of)] = state.data
-    return Statevector(n, data)
-
-
-def wire_permutation(num_qubits: int, position_of: Sequence[int]) -> np.ndarray:
-    """Where each basis index goes when wire ``p`` moves to ``position_of[p]``.
-
-    Args:
-        num_qubits: the register width.
-        position_of: destination wire for each source wire.
+    Content ``c`` starts on wire ``c``.  Each routed gate must equal
+    (``Gate`` equality, so ``cbits`` and params too) the next original
+    gate remapped onto its contents' current wires, which is tried
+    first; else it must be a plain two-wire ``swap``, which exchanges
+    its wires' contents.  Every original gate must be matched, and the
+    swaps must leave content ``c`` on wire ``position_of[c]``.
 
     Returns:
-        An index array: basis state ``b`` becomes ``result[b]``.
+        ``None``, or why not, naming the first routed gate that fails.
     """
-    indices = np.arange(1 << num_qubits)
-    moved = np.zeros_like(indices)
-    for p in range(num_qubits):
-        moved |= ((indices >> p) & 1) << position_of[p]
-    return moved
+    width = len(position_of)
+    wire_of, content_at = list(range(width)), list(range(width))
+    matched = 0
+    for index, gate in enumerate(routed):
+        expected = (
+            original[matched].remap(wire_of)
+            if matched < len(original) else None
+        )
+        if gate == expected:
+            matched += 1
+        elif (
+            len(gate.targets) == 2
+            and gate == Gate("swap", gate.targets)
+            and all(0 <= wire < width for wire in gate.targets)
+        ):
+            a, b = gate.targets
+            content_at[a], content_at[b] = content_at[b], content_at[a]
+            wire_of[content_at[a]], wire_of[content_at[b]] = a, b
+        else:
+            wanted = "a further original gate" if expected is None else (
+                f"original gate {matched} ({expected!r})"
+            )
+            return (
+                f"routed gate {index} ({gate!r}) is neither {wanted} "
+                "nor a swap"
+            )
+    if matched < len(original):
+        return (
+            f"routed circuit ends after {len(routed)} gates, before "
+            f"original gate {matched} ({original[matched]!r})"
+        )
+    if wire_of != list(position_of):
+        return f"the swaps leave the contents on wires {tuple(wire_of)}"
+    return None

@@ -30,6 +30,7 @@ TIERS = (
     "permutation",
     "specification",
     "stabilizer",
+    "swap",
     "dense",
     "probes",
     "cache",

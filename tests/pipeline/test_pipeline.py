@@ -32,7 +32,7 @@ def eq5_passes():
         SynthesisPass("tbs"),
         SimplifyPass(),
         MapToCliffordTPass(relative_phase=True),
-        TparPass(pre_cancel=True, post_cancel=True),
+        TparPass(pre_cancel=True),
         StatisticsPass(),
     )
 

@@ -37,8 +37,12 @@ over the certificate of its own run).  So are the options only tests
 set: ``rptm``'s dirty-ancilla lowering (``prefer_clean=``,
 ``allow_extra_lines=`` and ``mcx_dirty_ancilla``), ``revsimp``'s
 ``max_rounds=``, routing's ``initial_layout=``, the statevector
-engine's and ProjectQ ``Simulator``'s ``fusion=``, and the
-``seconds=`` of the ``Verdict`` constructors.  An old spelling must
+engine's and ProjectQ ``Simulator``'s ``fusion=``, the
+``seconds=`` of the ``Verdict`` constructors, ``tpar``'s
+``post_cancel=`` and ``verify_routing``'s ``atol=``.  So is the
+routing check's ladder beside its exact SWAP-relabelling tier (the
+wire-permuting probe helpers and the measurement stripping), and a
+stored ``RoutingResult.initial_layout``.  An old spelling must
 end in an import, attribute, type or engine error — or, for the
 environment variables, have no effect at all — rather than being
 silently accepted.
@@ -539,6 +543,12 @@ def _line(n):
     return CouplingMap.line(n)
 
 
+def _routed_cx():
+    from repro.mapping import route_circuit
+
+    return route_circuit(QuantumCircuit(2).cx(0, 1), _line(3))
+
+
 @pytest.mark.parametrize(
     "module, name, args, keyword",
     [
@@ -558,6 +568,12 @@ def _line(n):
          (lambda: QuantumCircuit(2).cx(0, 1), lambda: _line(3)),
          "initial_layout"),
         ("repro.frameworks.projectq.backends", "Simulator", (), "fusion"),
+        ("repro.pipeline", "TparPass", (), "post_cancel"),
+        ("repro.mapping.routing", "verify_routing",
+         (lambda: QuantumCircuit(2).cx(0, 1), _routed_cx), "atol"),
+        ("repro.mapping.routing", "RoutingResult",
+         (lambda: QuantumCircuit(2), lambda: (0, 1), lambda: 0),
+         "initial_layout"),
     ],
     ids=lambda value: value if isinstance(value, str) else "",
 )
@@ -583,6 +599,18 @@ def test_verdict_constructors_take_no_seconds(build, args):
 def test_statevector_engine_fusion_option_is_gone():
     with pytest.raises(engines.EngineError, match="unknown option 'fusion'"):
         engines.run("statevector", _bell(), shots=8, seed=1, fusion=False)
+
+
+def test_routing_check_ladder_is_gone():
+    # the routing check is one exact SWAP-relabelling walk
+    from repro.verify import checker, tiers
+
+    for module, name in (
+        (tiers, "permute_wires"),
+        (tiers, "wire_permutation"),
+        (checker, "_strip_measurements"),
+    ):
+        assert not hasattr(module, name), name
 
 
 def test_dirty_v_chain_is_gone():

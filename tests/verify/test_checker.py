@@ -25,6 +25,7 @@ from repro.pipeline import (
     FlowState,
     Pipeline,
     PipelineError,
+    RoutePass,
     SimplifyPass,
     SynthesisPass,
     VerificationError,
@@ -506,11 +507,12 @@ class TestCompileFacade:
         assert set(tiers_used) == {"cancel", "rptm", "tpar", "route"}
         for name, tier in tiers_used.items():
             assert tier in (
-                "syntactic", "permutation", "stabilizer", "dense", "probes"
+                "syntactic", "permutation", "stabilizer", "swap", "dense",
+                "probes",
             ), f"pass {name} has no tier"
-        # no dense-unitary oracle exists at this width: the wide
-        # passes must have been vouched for by a scalable tier
-        assert tiers_used["route"] == "probes"
+        # no dense-unitary oracle exists at this width: routing is
+        # vouched for by the exact SWAP-relabelling tier
+        assert tiers_used["route"] == "swap"
         report = result.verification_report()
         for name in tiers_used:
             assert name in report
@@ -537,7 +539,7 @@ class TestCompileFacade:
 
 
 class TestRoutingWithReset:
-    """A reset has no unitary: the routing check skips, never crashes."""
+    """A reset is a gate like any other to the SWAP-relabelling check."""
 
     @staticmethod
     def measured_reset_circuit():
@@ -545,38 +547,127 @@ class TestRoutingWithReset:
         circuit.h(0).reset(1).cx(0, 1).measure(0, 0).measure(1, 1)
         return circuit
 
-    def test_compile_skips_the_route_check(self):
+    def test_compile_verifies_the_route_check(self):
         result = compile_workload(
             self.measured_reset_circuit(), target="ibm_qe5",
             verify="auto", cache=None,
         )
         verdicts = {r.name: r.verification for r in result.records}
         route = verdicts["route"]
-        assert (route.status, route.tier) == ("skipped", "none")
-        assert "reset" in route.detail
-        assert not result.verified
+        assert (route.status, route.tier) == ("passed", "swap")
+        assert result.verified
 
-    def test_verify_routing_reports_no_pass(self):
+    def test_verify_routing_passes(self):
         circuit = self.measured_reset_circuit()
         routed = route_circuit(circuit, CouplingMap.line(3))
-        assert verify_routing(circuit, routed) is False
+        assert verify_routing(circuit, routed) is True
         verdict = EquivalenceChecker().check_routing(circuit, routed)
-        assert (verdict.status, verdict.tier) == ("skipped", "none")
+        assert (verdict.status, verdict.tier) == ("passed", "swap")
 
     def test_reset_added_by_the_router_is_not_passed(self):
         circuit = QuantumCircuit(2).h(0).cx(0, 1)
         routed = route_circuit(circuit, CouplingMap.line(2))
         tampered = routed.circuit.copy().reset(1)
         forged = RoutingResult(
-            tampered, routed.initial_layout, routed.final_layout,
-            routed.swap_count, routed.position_of,
+            tampered, routed.final_layout, routed.swap_count,
+            routed.position_of,
         )
         assert verify_routing(circuit, routed)
         assert not verify_routing(circuit, forged)
+        verdict = EquivalenceChecker().check_routing(circuit, forged)
+        assert (verdict.status, verdict.tier) == ("failed", "swap")
+        assert verdict.detail.startswith("routed gate 2 (Gate(name='reset'")
+
+
+class TestRoutingMeasurements:
+    """The routing check compares measurements, cbits included."""
+
+    @staticmethod
+    def measured_circuit():
+        circuit = QuantumCircuit(3, 3)
+        circuit.h(0).cx(0, 2).x(1)
+        for q in range(3):
+            circuit.measure(q, q)
+        return circuit
+
+    @staticmethod
+    def forge(routed, gates):
+        circuit = routed.circuit.copy()
+        circuit.gates = gates
+        return dataclasses.replace(routed, circuit=circuit)
+
+    def routed(self):
+        circuit = self.measured_circuit()
+        routed = route_circuit(circuit, CouplingMap.line(3))
+        assert routed.swap_count > 0
+        return circuit, routed
+
+    def test_unforged_routing_passes(self):
+        circuit, routed = self.routed()
+        assert verify_routing(circuit, routed)
+        verdict = EquivalenceChecker().check_routing(circuit, routed)
+        assert (verdict.status, verdict.tier) == ("passed", "swap")
+
+    def test_swapped_cbits_are_refused(self):
+        circuit, routed = self.routed()
+        gates = list(routed.circuit.gates)
+        first, second = [
+            i for i, gate in enumerate(gates) if gate.is_measurement
+        ][:2]
+        gates[first], gates[second] = (
+            dataclasses.replace(gates[first], cbits=gates[second].cbits),
+            dataclasses.replace(gates[second], cbits=gates[first].cbits),
+        )
+        forged = self.forge(routed, gates)
+        assert not verify_routing(circuit, forged)
+        verdict = EquivalenceChecker().check_routing(circuit, forged)
+        assert (verdict.status, verdict.tier) == ("failed", "swap")
+        assert verdict.detail.startswith(f"routed gate {first} ")
+
+    def test_dropped_measurements_are_refused(self):
+        circuit, routed = self.routed()
+        gates = [g for g in routed.circuit.gates if not g.is_measurement]
+        forged = self.forge(routed, gates)
+        assert not verify_routing(circuit, forged)
+        verdict = EquivalenceChecker().check_routing(circuit, forged)
+        assert (verdict.status, verdict.tier) == ("failed", "swap")
+        assert "ends after" in verdict.detail
+
+    def test_forged_layouts_are_refused(self):
+        circuit, routed = self.routed()
+        moved = tuple(reversed(routed.position_of))
+        for forged in (
+            dataclasses.replace(routed, position_of=moved),
+            dataclasses.replace(routed, final_layout=(0, 1, 2)),
+            dataclasses.replace(routed, position_of=()),
+        ):
+            verdict = EquivalenceChecker().check_routing(circuit, forged)
+            assert (verdict.status, verdict.tier) == ("failed", "swap")
+
+    def test_original_swap_stays_a_gate(self):
+        circuit = QuantumCircuit(3).swap(0, 2).cx(0, 1)
+        routed = route_circuit(circuit, CouplingMap.line(3))
+        assert routed.swap_count == 1
+        assert verify_routing(circuit, routed)
+
+    def test_quantum_skewed_route_pass_is_refused(self):
+        class Skewed(RoutePass):
+            def run(self, state):
+                out = super().run(state)
+                out.quantum = out.quantum.copy().x(0)
+                return out
+
+        state = FlowState(quantum=self.measured_circuit())
+        with pytest.raises(
+            VerificationError, match=r"'route'.*tier swap"
+        ):
+            Pipeline(verify="auto", cache=None).apply(
+                Skewed(CouplingMap.line(3)), state
+            )
 
 
 class TestVerifyRoutingWidths:
-    """``verify_routing`` is dense up to the default width, probes beyond."""
+    """``verify_routing`` is exact at any device width."""
 
     @staticmethod
     def spread_circuit(n):
@@ -586,27 +677,21 @@ class TestVerifyRoutingWidths:
         circuit.cx(0, n - 1).cx(n // 2, 1).t(1).cx(n - 1, n // 2)
         return circuit
 
-    def test_thirteen_qubit_line_verifies_by_probes(self):
-        circuit = self.spread_circuit(13)
-        routed = route_circuit(circuit, CouplingMap.line(13))
-        assert routed.swap_count > 0
-        assert verify_routing(circuit, routed) is True
-        verdict = EquivalenceChecker(atol=1e-9).check_routing(circuit, routed)
-        assert (verdict.status, verdict.tier) == ("passed", "probes")
-
-    def test_corrupted_thirteen_qubit_routing_is_refused(self):
-        circuit = self.spread_circuit(13)
-        routed = route_circuit(circuit, CouplingMap.line(13))
-        forged = RoutingResult(
-            routed.circuit.copy().t(0), routed.initial_layout,
-            routed.final_layout, routed.swap_count, routed.position_of,
-        )
-        assert verify_routing(circuit, forged) is False
-
-    @pytest.mark.parametrize("n", (5, 6))
-    def test_small_devices_stay_dense(self, n):
+    @pytest.mark.parametrize("n", (5, 6, 13, 24))
+    def test_line_devices_verify_exactly(self, n):
         circuit = self.spread_circuit(n)
         routed = route_circuit(circuit, CouplingMap.line(n))
+        assert routed.swap_count > 0
         assert verify_routing(circuit, routed) is True
-        verdict = EquivalenceChecker(atol=1e-9).check_routing(circuit, routed)
-        assert (verdict.status, verdict.tier) == ("passed", "dense")
+        verdict = EquivalenceChecker().check_routing(circuit, routed)
+        assert (verdict.status, verdict.tier) == ("passed", "swap")
+
+    @pytest.mark.parametrize("n", (13, 24))
+    def test_corrupted_wide_routing_is_refused(self, n):
+        circuit = self.spread_circuit(n)
+        routed = route_circuit(circuit, CouplingMap.line(n))
+        forged = RoutingResult(
+            routed.circuit.copy().t(0), routed.final_layout,
+            routed.swap_count, routed.position_of,
+        )
+        assert verify_routing(circuit, forged) is False

@@ -2,11 +2,12 @@
 
 Each mutant wraps a real library pass, runs it for real, then corrupts
 its output the way a buggy pass would: a dropped gate, a swapped
-control/target, a stray X, a phase flip, an off-by-one rewiring.  A
-verifying pipeline must fail the mutated pass, and the error must name
-both the pass and the tier that caught it — the point of the harness
-is that every tier claiming coverage of a pass kind catches every
-mutation in its corpus.
+control/target, a stray X, a phase flip, an off-by-one rewiring, and
+for a routed measured circuit two measurements' classical bits swapped
+or every measurement dropped.  A verifying pipeline must fail the
+mutated pass, and the error must name both the pass and the tier that
+caught it — the point of the harness is that every tier claiming
+coverage of a pass kind catches every mutation in its corpus.
 
 Corpus boundaries are part of the contract and tested too: the
 permutation tier checks classical cascades, where a phase flip does
@@ -243,16 +244,6 @@ class TestDenseTierCatches:
             "dense",
         )
 
-    @pytest.mark.parametrize("mutation", QUANTUM_MUTATIONS)
-    def test_route_mutations(self, mutation):
-        circuit = QuantumCircuit(3).h(0).cx(0, 2).t(1).cx(1, 2)
-        mutate = MUTATIONS[mutation][0]
-        assert_caught(
-            mutant(RoutePass, "routing", mutate, CouplingMap.line(3)),
-            FlowState(quantum=circuit),
-            "dense",
-        )
-
     @pytest.mark.parametrize(
         "mutation",
         sorted(set(QUANTUM_MUTATIONS) - {"phase-flip"}),
@@ -274,6 +265,61 @@ class TestDenseTierCatches:
         )
         assert record.verification.passed
         assert record.verification.tier == "dense"
+
+
+# ----------------------------------------------------------------------
+# swap tier: routing, measurements included
+# ----------------------------------------------------------------------
+def m_cbits_swapped(circuit):
+    """Exchange the classical bits of the first two measurements."""
+    out = circuit.copy()
+    first, second = [
+        i for i, gate in enumerate(out.gates) if gate.is_measurement
+    ][:2]
+    a, b = out.gates[first], out.gates[second]
+    out.gates[first] = dataclasses.replace(a, cbits=b.cbits)
+    out.gates[second] = dataclasses.replace(b, cbits=a.cbits)
+    return out
+
+
+def m_dropped(circuit):
+    """Lose every measurement."""
+    out = circuit.copy()
+    out.gates = [gate for gate in out.gates if not gate.is_measurement]
+    return out
+
+
+#: Mutations of a measured circuit's readout.
+MEASURE_MUTATIONS = {
+    "measure-cbits-swapped": m_cbits_swapped,
+    "measure-dropped": m_dropped,
+}
+
+
+class TestSwapTierCatches:
+    @pytest.mark.parametrize("mutation", QUANTUM_MUTATIONS)
+    def test_route_mutations(self, mutation):
+        circuit = QuantumCircuit(3).h(0).cx(0, 2).t(1).cx(1, 2)
+        mutate = MUTATIONS[mutation][0]
+        assert_caught(
+            mutant(RoutePass, "routing", mutate, CouplingMap.line(3)),
+            FlowState(quantum=circuit),
+            "swap",
+        )
+
+    @pytest.mark.parametrize("mutation", sorted(MEASURE_MUTATIONS))
+    def test_route_measurement_mutations(self, mutation):
+        circuit = QuantumCircuit(3, 3).h(0).cx(0, 2).x(1)
+        for q in range(3):
+            circuit.measure(q, q)
+        assert_caught(
+            mutant(
+                RoutePass, "routing", MEASURE_MUTATIONS[mutation],
+                CouplingMap.line(3),
+            ),
+            FlowState(quantum=circuit),
+            "swap",
+        )
 
 
 # ----------------------------------------------------------------------
