@@ -25,8 +25,8 @@ Obligations of the `repro.compile()` front door:
   qasm2 output must parse back gate-for-gate (the round-trip
   obligation of the registry refactor).
 * **Resilience overhead (PR 6)** — running the same warm eq5 sweep
-  with the deadline + retry wrappers enabled (a second session built
-  with `job_timeout=` and `retry=` on the same `PassCache`) costs
+  with the job-deadline wrapper enabled (a second session built
+  with `job_timeout=` on the same `PassCache`) costs
   < 2% wall-clock over the plain warm sweep, and the
   results stay gate-identical; the measured overhead lands in
   `extra_info` (`resilience_overhead`).
@@ -242,10 +242,10 @@ def test_async_sweep_and_bounded_cache(benchmark, tmp_path):
 
 
 def test_resilience_overhead(benchmark):
-    """Deadline + retry wrappers must be nearly free on the hot path.
+    """The job-deadline wrapper must be nearly free on the hot path.
 
-    Obligations (PR 6): a warm eq5 sweep run by a session built with
-    `job_timeout=` and `retry=` over the same `PassCache` stays
+    Obligations: a warm eq5 sweep run by a session built with
+    `job_timeout=` over the same `PassCache` stays
     gate-identical to the plain session's warm sweep and
     costs < 2% extra wall-clock; the measured numbers land in the
     committed `BENCH_compiler.json` (`extra_info["resilience_overhead"]`
@@ -254,7 +254,7 @@ def test_resilience_overhead(benchmark):
     cache = PassCache()
     session = CompilerSession(cache=cache, max_workers=1)
     wrapped_session = CompilerSession(
-        cache=cache, max_workers=1, job_timeout=60, retry=2
+        cache=cache, max_workers=1, job_timeout=60
     )
     plain = session.sweep(SWEEP_GRID)  # warm the cache
     assert len(plain) == 8
@@ -292,7 +292,7 @@ def test_resilience_overhead(benchmark):
     benchmark.extra_info["resilience_overhead"] = overhead
 
     report(
-        "resilience wrappers on a warm eq5 sweep (deadline + retry)",
+        "resilience wrapper on a warm eq5 sweep (job deadline)",
         [
             ("warm plain best", f"{plain_s * 1e3:.2f}ms"),
             ("warm wrapped best", f"{wrapped_s * 1e3:.2f}ms"),

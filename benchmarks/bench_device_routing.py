@@ -73,7 +73,7 @@ def test_fig4_circuit_needs_no_routing(benchmark):
             rows.append((name, f"SWAPs = {result.swap_count}"))
             assert record.details["swaps"] == 0
             assert result.swap_count == 0
-            assert verify_routing(unitary_part, result)
+            assert verify_routing(unitary_part, result, cmap.edges)
         report("EXT-ROUTE: Fig. 4 circuit routes SWAP-free", rows)
 
 
@@ -94,7 +94,7 @@ def test_mm_routing_overhead(benchmark):
         ("line-6", CouplingMap.line(6)),
     ):
         result, record = route_on(circuit, cmap)
-        ok = verify_routing(circuit, result)
+        ok = verify_routing(circuit, result, cmap.edges)
         rows.append(
             (
                 name,

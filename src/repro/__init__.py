@@ -34,10 +34,8 @@ Subpackages
     statistics, result caching and verification, running any pass
     list (``Pipeline.run``).
 ``repro.resilience``
-    The resilience layer: cooperative deadlines, retry policies with
-    deterministic backoff, a fault-injection harness for chaos
-    testing, and the typed failure taxonomy behind graceful cache
-    degradation.
+    The resilience layer: cooperative deadlines, a fault-injection
+    harness for chaos testing, and the typed deadline error.
 ``repro.verify``
     Tiered equivalence checking: the ``EquivalenceChecker`` picks the
     cheapest sound tier per pass (permutation tables, stabilizer

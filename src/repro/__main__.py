@@ -5,7 +5,7 @@ Runs the paper's Eq. (5) story from the shell without the REPL:
 .. code-block:: console
 
     $ python -m repro compile hwb=4 --target clifford_t --stats --report
-    $ python -m repro compile hwb=4 --deadline 5 --retry 2
+    $ python -m repro compile hwb=4 --deadline 5
     $ python -m repro compile '(a and b) ^ (c and d)' --emit qasm2
     $ python -m repro compile perm:0,2,3,5,7,1,4,6 --target qsharp \
           --emit qsharp
@@ -87,11 +87,13 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             verify=args.verify,
             cache=args.cache_dir if args.cache_dir else "shared",
             deadline=args.deadline,
-            retry=args.retry,
             engine=args.engine,
         )
     except (PipelineError, TypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # a pass's own error carries its flow position as a note
+        for note in getattr(exc, "__notes__", ()):
+            print(f"  {note}", file=sys.stderr)
         return 2
     out = sys.stdout
     try:
@@ -198,19 +200,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     cache = PassCache(path=path)
     if args.action == "stats":
         entries, size = cache.disk_usage()
-        stats = cache.stats()
         payload = {
             "path": path,
             "entries": entries,
             "bytes": size,
-            # per-instance I/O health counters (zero for this fresh
-            # maintenance instance unless the scan itself failed) and
-            # the durable quarantine count read from the directory
-            "io_errors": stats["io_errors"],
-            "memory_io_errors": stats["memory_io_errors"],
-            "disk_io_errors": stats["disk_io_errors"],
-            "retries": stats["retries"],
-            "degraded": stats["degraded"],
             "quarantined": _quarantined_entries(path),
         }
     elif args.action == "gc":
@@ -396,14 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         "budget fails with a typed deadline error naming the flow "
         "position",
     )
-    cmd.add_argument(
-        "--retry",
-        type=int,
-        default=None,
-        metavar="ATTEMPTS",
-        help="re-run transiently failing passes up to this many "
-        "attempts (exponential backoff)",
-    )
     cmd.set_defaults(func=_cmd_compile)
 
     lst = sub.add_parser("targets", help="list the target presets")
@@ -438,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "action",
         choices=("stats", "gc", "clear"),
-        help="stats: entry/byte totals and I/O health counters; gc: "
+        help="stats: entry/byte totals and the quarantined count; gc: "
         "LRU sweep down to the given budgets (also moves corrupt "
         "entries into quarantine/ and drops stale spill temp files); "
         "clear: delete every cache entry (quarantine/ is kept)",

@@ -41,7 +41,7 @@ from ..pipeline.runner import Pipeline
 from ..pipeline.state import PipelineError
 from ..resilience.errors import DeadlineExceeded
 from ..resilience.faults import fault_point
-from ..resilience.policies import Deadline, RetryPolicy, as_retry
+from ..resilience.policies import Deadline
 from ..verify.checker import EquivalenceChecker
 from .frontends import detect_workload
 from .result import CompilationResult
@@ -85,7 +85,6 @@ def compile(
     cache: Union[PassCache, str, None] = "shared",
     pipeline: Optional[Pipeline] = None,
     deadline: Union[Deadline, float, None] = None,
-    retry: Union[RetryPolicy, int, None] = None,
     engine: Optional[str] = None,
 ) -> CompilationResult:
     """Compile any workload for a target — the one front door.
@@ -120,9 +119,6 @@ def compile(
             expired budget raises
             :class:`~repro.resilience.DeadlineExceeded` naming the
             flow position.
-        retry: :class:`~repro.resilience.RetryPolicy` (or attempt
-            count) re-running transiently failing passes; without it
-            a failing pass raises.
         engine: default simulation backend for
             :meth:`~.result.CompilationResult.simulate` — any
             :mod:`repro.engines` name or alias, validated here; ``None`` defers to the target's ``engine`` field.
@@ -134,9 +130,9 @@ def compile(
     Raises:
         WorkloadError: when the workload is not a supported shape.
         PipelineError: when ``pipeline=`` is combined with
-            ``deadline``/``retry`` — the explicit runner
-            carries its own resilience configuration; ignoring a
-            requested deadline silently would be worse than refusing.
+            ``deadline`` — the explicit runner carries its own
+            deadline; ignoring a requested one silently would be
+            worse than refusing.
     """
     normalized = detect_workload(workload)
     resolved_target = get_target(target)
@@ -148,17 +144,16 @@ def compile(
     if verify is None:
         verify = resolved_target.verify
     resolved_flow = resolved_target.flow(normalized)
-    if pipeline is not None and (deadline is not None or retry is not None):
+    if pipeline is not None and deadline is not None:
         raise PipelineError(
-            "compile(pipeline=...) conflicts with deadline=/retry=; "
-            "configure them on the Pipeline instead"
+            "compile(pipeline=...) conflicts with deadline=; "
+            "configure it on the Pipeline instead"
         )
     if pipeline is None:
         pipeline = Pipeline(
             verify=verify,
             cache=_resolve_cache(cache),
             deadline=deadline,
-            retry=retry,
         )
     # every circuit of a result is frozen (emission memoizes on it),
     # but never the caller's own builder: freeze a copy of that
@@ -294,16 +289,10 @@ class CompilerSession:
             returning within it; a job exceeding it raises
             :class:`~repro.resilience.DeadlineExceeded` and fails the
             batch.
-        retry: per-job retry for batched calls — a
-            :class:`~repro.resilience.RetryPolicy` or an attempt
-            count; transiently failing jobs are re-dispatched within
-            their deadline.  (Distinct from per-pass retries, which
-            live on :class:`~repro.pipeline.runner.Pipeline`.)
 
     Raises:
         PipelineError: a ``max_workers`` that is not a positive int,
-            or a ``job_timeout`` or ``retry`` that is a bool, NaN, not
-            positive or (for ``retry``) not a whole attempt count.
+            or a ``job_timeout`` that is a bool, NaN or not positive.
     """
 
     def __init__(
@@ -313,7 +302,6 @@ class CompilerSession:
         cache: Union[PassCache, str, None] = "shared",
         max_workers: Optional[int] = None,
         job_timeout: Optional[float] = None,
-        retry: Union[RetryPolicy, int, None] = None,
     ) -> None:
         """Resolve the session defaults and the shared cache."""
         if max_workers is not None and (
@@ -332,10 +320,6 @@ class CompilerSession:
                 "job_timeout must be a positive number of seconds or "
                 f"None, not {job_timeout!r}"
             )
-        try:
-            self.retry = as_retry(retry)
-        except ValueError as exc:
-            raise PipelineError(str(exc)) from exc
         self.target = get_target(target) if target is not None else None
         self.verify = verify
         self.cache = _resolve_cache(cache)
@@ -371,31 +355,20 @@ class CompilerSession:
     ) -> CompilationResult:
         """Run one batch job on a pool thread.
 
-        The job's deadline starts here — when the job actually begins —
-        and spans every retry attempt, so a retried job cannot outlive
-        its ``job_timeout``.
+        The job's deadline starts here, when the job actually begins.
         """
         deadline = (
             Deadline.after(self.job_timeout)
             if self.job_timeout is not None
             else None
         )
-
-        def attempt() -> CompilationResult:
-            """Run one (possibly retried) dispatch of the job."""
-            fault_point("session.dispatch")
-            return compile(
-                workload,
-                target=target,
-                verify=self.verify,
-                cache=self.cache,
-                deadline=deadline,
-            )
-
-        if self.retry is None:
-            return attempt()
-        return self.retry.call(
-            attempt, site="session.dispatch", deadline=deadline
+        fault_point("session.dispatch")
+        return compile(
+            workload,
+            target=target,
+            verify=self.verify,
+            cache=self.cache,
+            deadline=deadline,
         )
 
     async def _run_batch_async(

@@ -13,15 +13,17 @@ This module provides that substrate:
   their qubits are adjacent under the current logical->physical layout,
   otherwise SWAPs move them together along a shortest path;
 * :func:`verify_routing` — semantic check: the routed circuit is the
-  original's gates on moving wires, with SWAPs between them, ending at
-  the recorded layout.
+  original's gates on moving wires, with SWAPs between them, every
+  two-qubit gate on a coupled pair, ending at the recorded layout.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+)
 
 from ..core.circuit import QuantumCircuit
 
@@ -220,15 +222,21 @@ def route_circuit(
     )
 
 
-def verify_routing(original: QuantumCircuit, result: RoutingResult) -> bool:
+def verify_routing(
+    original: QuantumCircuit,
+    result: RoutingResult,
+    edges: Iterable[Iterable[int]],
+) -> bool:
     """Check that ``result`` is an exact routing of ``original``.
 
     The :class:`~repro.verify.EquivalenceChecker`'s routing check
     (tier ``swap``): the routed gates are the original ones,
     measurements, barriers and resets included, on wires the SWAPs
-    relabel, ending at ``result.position_of`` and ``final_layout``.
-    Exact at any device width.
+    relabel, ending at ``result.position_of`` and ``final_layout``;
+    every routed two-wire gate sits on one of the device's ``edges``
+    (a :class:`CouplingMap`'s ``edges``), and ``result.swap_count``
+    counts the SWAPs.  Exact at any device width.
     """
     from ..verify.checker import default_checker
 
-    return default_checker().check_routing(original, result).passed
+    return default_checker().check_routing(original, result, edges).passed

@@ -33,16 +33,18 @@ Entries are generation-stamped and written atomically
 read.  A sweep may evict an entry another flow is about to read; that
 flow misses and recomputes, never reads a corrupt entry.
 
-The disk tier is also *resilient* (PR 6): transient I/O errors are
-retried per :data:`DISK_RETRY` and counted (``io_errors`` with a
-memory/disk split in :meth:`PassCache.stats`) instead of silently
-swallowed; corrupt or foreign-format entry files are moved into
+The disk tier is also *resilient*: a disk operation failing with an
+``OSError`` is retried after each of the :data:`DISK_RETRY_DELAYS`
+and, once out of attempts, counted (``io_errors`` with a memory/disk
+split in :meth:`PassCache.stats`) instead of silently swallowed;
+corrupt or foreign-format entry files are moved into
 ``<dir>/quarantine/`` under their original names, never re-read and
 never silently deleted; and after :data:`DEFAULT_DEGRADE_AFTER`
 *consecutive* disk failures the tier trips into memory-only degraded
-mode — compiles keep working off the memory tier, the flag shows up
-in ``stats()``, and :meth:`PassCache.probe` recovers the tier once
-the disk heals.
+mode for the rest of the instance's life (or until :meth:`clear`) —
+compiles keep working off the memory tier and the flag shows up in
+``stats()``.  Disk I/O is the only work in the stack that is retried:
+a pass is deterministic, so re-running a failed one fails again.
 """
 
 from __future__ import annotations
@@ -63,26 +65,17 @@ from ..boolean.truth_table import TruthTable
 from ..core.circuit import QuantumCircuit
 from ..core.statistics import CircuitStatistics
 from ..mapping.routing import RoutingResult
-from ..resilience.errors import DegradedCache
 from ..resilience.faults import fault_point, mutate_payload
-from ..resilience.policies import RetryPolicy
 from ..synthesis.reversible import MctGate, ReversibleCircuit
 
 #: Default number of entries a cache retains (LRU eviction).
 DEFAULT_MAXSIZE = 512
 
-#: Retry policy for transient disk I/O, read at each operation: three
-#: quick attempts with millisecond backoff — enough to ride out a
-#: transient EIO or a busy file, cheap enough that a genuinely dead
-#: disk fails fast.
-DISK_RETRY = RetryPolicy(
-    max_attempts=3,
-    base_delay=0.002,
-    multiplier=4.0,
-    max_delay=0.05,
-    jitter=0.25,
-    seed=0,
-)
+#: Seconds slept before each retry of a disk operation that raised
+#: an ``OSError`` (read at each operation): three attempts with
+#: millisecond backoff — enough to ride out a transient EIO or a busy
+#: file, cheap enough that a genuinely dead disk fails fast.
+DISK_RETRY_DELAYS: Tuple[float, ...] = (0.002, 0.01)
 
 #: Consecutive disk failures before a tier trips into memory-only
 #: degraded mode (read when each failure is counted).
@@ -347,31 +340,26 @@ class PassCache:
                 self._degraded = True
 
     def _disk_io(self, operation, site: str):
-        """Run one disk operation under :data:`DISK_RETRY`.
+        """Run one disk operation, retrying it on ``OSError``.
 
-        Transient failures (``RetryPolicy.is_transient``) are retried
-        with backoff; the final failure is counted against the tier —
-        advancing degradation — and re-raised for the caller to turn
-        into its own fallback (skip the spill, miss the load).  Any
-        success resets the consecutive-failure streak.
+        Each failure but the last sleeps the next of
+        :data:`DISK_RETRY_DELAYS` and tries again; the final failure
+        is counted against the tier — advancing degradation — and
+        re-raised for the caller to turn into its own fallback (skip
+        the spill, miss the load).  Any success resets the
+        consecutive-failure streak.
         """
-        policy = DISK_RETRY
-        attempt = 0
-        while True:
+        for pause in DISK_RETRY_DELAYS + (None,):
             try:
                 result = operation()
-            except OSError as exc:
-                if (
-                    attempt + 1 < policy.max_attempts
-                    and policy.is_transient(exc)
-                ):
-                    with self._lock:
-                        self.retries += 1
-                    time.sleep(policy.backoff(attempt))
-                    attempt += 1
-                    continue
-                self._record_disk_error(site)
-                raise
+            except OSError:
+                if pause is None:
+                    self._record_disk_error(site)
+                    raise
+                with self._lock:
+                    self.retries += 1
+                time.sleep(pause)
+                continue
             with self._lock:
                 self._consecutive_io_errors = 0
             return result
@@ -416,52 +404,6 @@ class PassCache:
                 self._spilled.discard(key)
             return True
 
-    def probe(self, strict: bool = False) -> bool:
-        """Test the disk tier; recover from degraded mode on success.
-
-        Writes, reads back, and removes one probe file under the cache
-        path.  A full round trip clears the degraded flag and the
-        consecutive-failure streak, so spills and loads resume.
-
-        Args:
-            strict: raise :class:`~repro.resilience.DegradedCache`
-                on failure instead of returning ``False``.
-
-        Returns:
-            ``True`` when the disk tier is usable (memory-only caches
-            trivially are), ``False`` otherwise.
-
-        Raises:
-            DegradedCache: on failure when ``strict`` is set.
-        """
-        if self.path is None:
-            return True
-        probe_path = os.path.join(
-            self.path,
-            f".probe.{os.getpid()}.{threading.get_ident()}",
-        )
-        try:
-            with open(probe_path, "w") as stream:
-                stream.write("probe")
-            with open(probe_path) as stream:
-                echoed = stream.read()
-            os.unlink(probe_path)
-            if echoed != "probe":
-                raise OSError(f"probe read back {echoed!r}")
-        except OSError as exc:
-            self._record_disk_error("cache.probe")
-            if strict:
-                raise DegradedCache(
-                    f"cache.probe: disk tier at {self.path!r} "
-                    f"unusable: {exc}",
-                    site="cache.probe",
-                ) from exc
-            return False
-        with self._lock:
-            self._degraded = False
-            self._consecutive_io_errors = 0
-        return True
-
     # ------------------------------------------------------------------
     # disk tier
     # ------------------------------------------------------------------
@@ -477,7 +419,7 @@ class PassCache:
     ) -> None:
         """Write one entry to the disk tier (best effort)."""
         if self._degraded:
-            return  # memory-only mode: skip the disk until probe()
+            return  # memory-only mode: skip the disk
         outputs, details, verified = entry
         try:
             payload = json.dumps(
@@ -637,13 +579,7 @@ class PassCache:
                     self.disk_hits += 1
                     self.hits += 1
                     self._spilled.add(key)
-                    try:
-                        self._store(key, entry)
-                    except OSError:
-                        # injected memory-tier failure: the caller
-                        # still gets the entry, it just is not cached
-                        self.io_errors += 1
-                        self.memory_io_errors += 1
+                    self._store(key, entry)
         if entry is None:
             if count_miss:
                 with self._lock:
@@ -665,7 +601,6 @@ class PassCache:
         entry: Tuple[Dict[str, Any], Dict[str, Any], bool],
     ) -> None:
         """Insert an entry into the memory tier and apply the LRU cap."""
-        fault_point("cache.store")
         self._entries[key] = entry
         self._entries.move_to_end(key)
         if self.maxsize is not None:
@@ -691,16 +626,8 @@ class PassCache:
                 verification before being stored.
         """
         entry = (dict(outputs), dict(details), verified)
-        try:
-            with self._lock:
-                self._store(key, entry)
-        except OSError:
-            # injected memory-tier failure: the insert is best effort,
-            # the computed result the caller holds is unaffected
-            with self._lock:
-                self.io_errors += 1
-                self.memory_io_errors += 1
-            return
+        with self._lock:
+            self._store(key, entry)
         if self.path is not None:
             # the spill encodes from this call's private entry tuple,
             # so serializing outside the lock races with nothing
@@ -763,14 +690,21 @@ class PassCache:
     # ------------------------------------------------------------------
     # disk-tier lifecycle
     # ------------------------------------------------------------------
-    def _scan_disk(self) -> List[Tuple[str, str, float, int]]:
-        """List disk entries as ``(name, path, atime_stamp, size)``."""
+    def _scan_disk(self) -> Optional[List[Tuple[str, str, float, int]]]:
+        """List disk entries as ``(name, path, atime_stamp, size)``.
+
+        Returns ``None`` for a memory-only cache and when the
+        directory scan itself fails; the failure is counted against
+        the tier.
+        """
         if self.path is None:
-            return []
+            return None
         try:
+            fault_point("cache.gc.scan")
             names = os.listdir(self.path)
         except OSError:
-            return []
+            self._record_disk_error("cache.gc.scan")
+            return None
         entries = []
         for name in names:
             if not _ENTRY_FILE_RE.fullmatch(name):
@@ -792,7 +726,7 @@ class PassCache:
         so call it for maintenance (the CLI's ``cache stats``), not
         per compilation — :meth:`stats` never touches the disk.
         """
-        entries = self._scan_disk()
+        entries = self._scan_disk() or []
         return len(entries), sum(item[3] for item in entries)
 
     def gc(
@@ -830,20 +764,10 @@ class PassCache:
         ):
             if budget is not None and budget < 0:
                 raise ValueError(f"{flag} must be >= 0, not {budget!r}")
-        if self.path is None:
-            return {
-                "scanned": 0,
-                "evicted": 0,
-                "quarantined": 0,
-                "entries": 0,
-                "bytes": 0,
-            }
-        try:
-            fault_point("cache.gc.scan")
-        except OSError:
-            # a failed directory scan aborts the sweep (exactly as a
-            # failing os.listdir does): nothing evicted, tier intact
-            self._record_disk_error("cache.gc.scan")
+        entries = self._scan_disk()
+        if entries is None:
+            # a memory-only cache, or a failed directory scan, which
+            # aborts the sweep: nothing evicted, tier intact
             return {
                 "scanned": 0,
                 "evicted": 0,
@@ -864,7 +788,6 @@ class PassCache:
                     pass
         except OSError:
             pass
-        entries = self._scan_disk()
         scanned = len(entries)
         evicted = 0
         quarantined = 0

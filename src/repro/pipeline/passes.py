@@ -787,7 +787,8 @@ class RoutePass(Pass):
 
         :meth:`~repro.verify.EquivalenceChecker.check_routing` replays
         ``after.routing`` as the input circuit with SWAPs relabelling
-        wires (tier ``swap``).  The flow carries on with
+        wires, every two-wire gate on one of this pass's coupled pairs
+        (tier ``swap``).  The flow carries on with
         ``after.quantum``, which results and emitters read, so that
         must be the routed circuit gate for gate as well.
         """
@@ -796,7 +797,9 @@ class RoutePass(Pass):
             return Verdict.reject(
                 "swap", "the flow's circuit is not the routed circuit"
             )
-        return checker.check_routing(before.quantum, routing)
+        return checker.check_routing(
+            before.quantum, routing, self.coupling.edges
+        )
 
     def statistics(self, before: FlowState, after: FlowState) -> Dict[str, Any]:
         """Report the SWAP count of the routing result."""

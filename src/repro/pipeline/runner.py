@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..resilience.faults import fault_point
-from ..resilience.policies import Deadline, RetryPolicy, as_deadline, as_retry
+from ..resilience.policies import Deadline, as_deadline
 from ..verify.checker import EquivalenceChecker, as_checker
 from ..verify.verdict import Verdict
 from .cache import PassCache, shared_cache
@@ -242,6 +242,9 @@ def format_records(records: Iterable[PassRecord]) -> str:
 class Pipeline:
     """Execute passes with timing, caching and optional verification.
 
+    A failing pass raises; passes are deterministic, so nothing here
+    re-runs one.
+
     Args:
         verify: functionally verify every pass (fail-fast — the first
             failing pass raises :class:`VerificationError`).  Accepts
@@ -259,11 +262,6 @@ class Pipeline:
             start counting here, at construction; checked at
             cooperative checkpoints (between passes, before waits),
             raising :class:`~repro.resilience.DeadlineExceeded`.
-        retry: a :class:`~repro.resilience.RetryPolicy` (or an attempt
-            count).  When set, it is the whole per-pass error policy:
-            a pass failing with a transient error is re-run per the
-            policy, bounded by the deadline.  Without it a failing
-            pass raises.
     """
 
     def __init__(
@@ -271,9 +269,8 @@ class Pipeline:
         verify: Union[bool, str, EquivalenceChecker, None] = False,
         cache: Union[PassCache, str, None] = "shared",
         deadline: Union[Deadline, float, None] = None,
-        retry: Union[RetryPolicy, int, None] = None,
     ) -> None:
-        """Configure verification, caching, and resilience policies."""
+        """Configure verification, caching and the deadline."""
         self.checker = as_checker(verify)
         self.verify = self.checker is not None
         if cache == "shared":
@@ -281,7 +278,6 @@ class Pipeline:
         else:
             self.cache = cache
         self.deadline = as_deadline(deadline)
-        self.retry = as_retry(retry)
         self.history: List[PassRecord] = []
 
     # ------------------------------------------------------------------
@@ -443,20 +439,9 @@ class Pipeline:
         key: str,
         cacheable: bool,
     ) -> Tuple[FlowState, PassRecord]:
-        """Actually run the pass, verify, cache, and record it.
-
-        With a retry policy set, a transient failure re-runs the pass
-        per the policy (bounded by the deadline); otherwise it raises.
-        """
+        """Actually run the pass, verify, cache, and record it."""
         run_started = time.perf_counter()
-        if self.retry is not None:
-            result = self.retry.call(
-                lambda: self._run_pass(pass_, state),
-                site=f"pipeline.pass.run.{pass_.name}",
-                deadline=self.deadline,
-            )
-        else:
-            result = self._run_pass(pass_, state)
+        result = self._run_pass(pass_, state)
         seconds = time.perf_counter() - run_started
         details = pass_.statistics(state, result)
         verdict: Optional[Verdict] = None

@@ -1,12 +1,9 @@
-"""The resilience layer: deadlines, retries, faults, degradation.
+"""The resilience layer: deadlines, faults, degradation.
 
-* :mod:`~.policies` — :class:`Deadline` (a monotonic budget checked
-  at cooperative checkpoints) and :class:`RetryPolicy` (bounded
-  attempts of transiently failing work, exponential backoff,
-  deterministic jitter);
+* :mod:`~.policies` — :class:`Deadline`, a monotonic budget checked
+  at cooperative checkpoints;
 * :mod:`~.errors` — the typed failure taxonomy
-  (:class:`ResilienceError` → :class:`DeadlineExceeded`,
-  :class:`RetriesExhausted`, :class:`DegradedCache`), all under
+  (:class:`ResilienceError` → :class:`DeadlineExceeded`), under
   :class:`~repro.pipeline.state.PipelineError` so flow-context
   wrapping applies;
 * :mod:`~.faults` — named injection sites planted along the stack's
@@ -16,19 +13,14 @@
   error.
 
 Each setting lives on the constructor of the object that runs the
-work: ``Pipeline(deadline=, retry=)`` bounds and retries passes
-(``repro.compile`` forwards both), :class:`~repro.pipeline.PassCache`
-retries transient disk I/O and degrades to memory-only, and
-``CompilerSession(job_timeout=, retry=)`` bounds and re-dispatches
-every batched job so one poisoned job cannot sink a batch.
+work: ``Pipeline(deadline=)`` bounds a flow (``repro.compile``
+forwards it), ``CompilerSession(job_timeout=)`` bounds every batched
+job, and :class:`~repro.pipeline.PassCache` retries failing disk I/O
+and degrades to memory-only.  The disk tier is the only place that
+retries: passes are deterministic, so a failed pass or job raises.
 """
 
-from .errors import (
-    DeadlineExceeded,
-    DegradedCache,
-    ResilienceError,
-    RetriesExhausted,
-)
+from .errors import DeadlineExceeded, ResilienceError
 from .faults import (
     ACTIONS,
     KNOWN_SITES,
@@ -43,17 +35,13 @@ from .faults import (
     mutate_payload,
     plan_from_env,
 )
-from .policies import Deadline, RetryPolicy, as_deadline, as_retry
+from .policies import Deadline, as_deadline
 
 __all__ = [
     "ResilienceError",
     "DeadlineExceeded",
-    "RetriesExhausted",
-    "DegradedCache",
     "Deadline",
-    "RetryPolicy",
     "as_deadline",
-    "as_retry",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",

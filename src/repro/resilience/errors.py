@@ -6,12 +6,9 @@ swallow into a typed signal lives here, under one base class:
 * :class:`ResilienceError` — the common base, a
   :class:`~repro.pipeline.state.PipelineError` so flow-context
   prefixing (``flow 'eq5' pass 3/6 ...``) applies unchanged;
-* :class:`DeadlineExceeded` — a cooperative deadline ran out;
-* :class:`RetriesExhausted` — a retry policy gave up on a transiently
-  failing operation;
-* :class:`DegradedCache` — a disk cache tier is (still) unusable.
+* :class:`DeadlineExceeded` — a cooperative deadline ran out.
 
-Each error *names its site* inside the message (``cache.spill.write``,
+Each error *names its site* inside the message (``pipeline.run``,
 ``session.job[3]``, ...), so the site survives the pipeline's
 re-raise-with-context wrapping, which rebuilds exceptions from their
 message alone.
@@ -31,8 +28,8 @@ class ResilienceError(PipelineError):
         message: human-readable description; by convention it starts
             with the failing site name so context-wrapping re-raises
             preserve it.
-        site: optional machine-readable site name (``cache.load.read``,
-            ``pipeline.pass.run.tbs``, ...); informational — the
+        site: optional machine-readable site name (``session.job``,
+            ``pipeline.apply(tbs)``, ...); informational — the
             message is the durable carrier.
     """
 
@@ -46,24 +43,6 @@ class DeadlineExceeded(ResilienceError):
     """Raised when a cooperative :class:`~.policies.Deadline` expires.
 
     Deadlines are checked at cooperative checkpoints (between passes,
-    before single-flight waits, around retry sleeps), so the error
-    surfaces at the next checkpoint after the budget runs out — never
-    mid-pass.
-    """
-
-
-class RetriesExhausted(ResilienceError):
-    """Raised when a :class:`~.policies.RetryPolicy` gives up.
-
-    The original (last) exception is chained as ``__cause__``; the
-    message records the site and the attempt count.
-    """
-
-
-class DegradedCache(ResilienceError):
-    """Raised when a disk cache tier is required but unusable.
-
-    :meth:`repro.pipeline.PassCache.probe` raises this in strict mode
-    when the tier is still failing; degraded-mode operation itself is
-    silent (memory-only) and only recorded in the cache's counters.
+    before single-flight waits), so the error surfaces at the next
+    checkpoint after the budget runs out — never mid-pass.
     """

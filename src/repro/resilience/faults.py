@@ -26,8 +26,7 @@ Registered sites (patterns match with :mod:`fnmatch`):
 =============================  =======================================
 ``cache.spill.write``          disk-tier entry write (spill)
 ``cache.load.read``            disk-tier entry read
-``cache.store``                memory-tier insert
-``cache.gc.scan``              gc directory scan
+``cache.gc.scan``              disk-tier directory scan (gc, usage)
 ``cache.gc.unlink``            gc entry eviction
 ``pipeline.apply.claim``       single-flight key claim
 ``pipeline.apply.wait``        single-flight follower wait
@@ -50,7 +49,6 @@ from typing import Any, Dict, List, Optional, Tuple
 KNOWN_SITES: Tuple[str, ...] = (
     "cache.spill.write",
     "cache.load.read",
-    "cache.store",
     "cache.gc.scan",
     "cache.gc.unlink",
     "pipeline.apply.claim",
@@ -69,9 +67,7 @@ HANG_SECONDS = 30.0
 
 
 class InjectedFault(RuntimeError):
-    """A generic injected failure (marked transient for retry tests)."""
-
-    transient = True
+    """A generic injected failure (not an I/O error: nothing retries it)."""
 
 
 class InjectedOSError(OSError):
@@ -79,7 +75,7 @@ class InjectedOSError(OSError):
 
 
 class InjectedTimeout(TimeoutError):
-    """An injected timeout (transient: every ``TimeoutError`` is)."""
+    """An injected timeout."""
 
 
 _ERRORS = {

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -464,7 +464,12 @@ class EquivalenceChecker:
         )
 
     @timed
-    def check_routing(self, original: QuantumCircuit, routing) -> Verdict:
+    def check_routing(
+        self,
+        original: QuantumCircuit,
+        routing,
+        edges: Iterable[Iterable[int]],
+    ) -> Verdict:
         """Check a routed circuit against the pre-routing original.
 
         Exact at any width (tier ``swap``): the routed gates must be
@@ -472,12 +477,17 @@ class EquivalenceChecker:
         plain ``swap`` gates relabel (:func:`~.tiers.swap_relabel_failure`),
         ending at ``routing.position_of`` with ``final_layout`` its
         first ``n`` entries, over the original's classical register.
+        Every routed gate on more than one wire (barriers aside, swaps
+        included) must sit on a coupled pair of ``edges``, and
+        ``routing.swap_count`` must count the relabelling swaps.
         Anything else is rejected, with no other tier to fall back on:
         the router emits only this form.
 
         Args:
             original: the circuit entering the routing pass.
             routing: the :class:`~repro.mapping.routing.RoutingResult`.
+            edges: the device's coupled wire pairs (a coupling map's
+                ``edges``).
 
         Returns:
             The tier :class:`~.verdict.Verdict`.
@@ -495,7 +505,11 @@ class EquivalenceChecker:
                 "swap", "routed circuit does not fit the original's registers"
             )
         failure = tiers.swap_relabel_failure(
-            original.gates, routed.gates, routing.position_of
+            original.gates,
+            routed.gates,
+            routing.position_of,
+            routing.swap_count,
+            edges,
         )
         if failure is None and (
             tuple(routing.final_layout) != tuple(routing.position_of[:n])

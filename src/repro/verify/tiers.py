@@ -587,23 +587,38 @@ def swap_relabel_failure(
     original: Sequence[Gate],
     routed: Sequence[Gate],
     position_of: Sequence[int],
+    swap_count: int,
+    edges: Iterable[Iterable[int]],
 ) -> Optional[str]:
     """Replay ``routed`` as ``original`` on wires its swaps relabel.
 
-    Content ``c`` starts on wire ``c``.  Each routed gate must equal
-    (``Gate`` equality, so ``cbits`` and params too) the next original
-    gate remapped onto its contents' current wires, which is tried
-    first; else it must be a plain two-wire ``swap``, which exchanges
-    its wires' contents.  Every original gate must be matched, and the
-    swaps must leave content ``c`` on wire ``position_of[c]``.
+    Content ``c`` starts on wire ``c``.  Every routed gate on more
+    than one wire, barriers aside and swaps included, must act on the
+    two wires of one of the device's ``edges``.  Each routed gate must
+    equal (``Gate`` equality, so ``cbits`` and params too) the next
+    original gate remapped onto its contents' current wires, which is
+    tried first; else it must be a plain two-wire ``swap``, which
+    exchanges its wires' contents.  Every original gate must be
+    matched, the swaps must leave content ``c`` on wire
+    ``position_of[c]``, and there must be ``swap_count`` of them.
 
     Returns:
         ``None``, or why not, naming the first routed gate that fails.
     """
+    coupled = {frozenset(edge) for edge in edges}
     width = len(position_of)
     wire_of, content_at = list(range(width)), list(range(width))
-    matched = 0
+    matched = swaps = 0
     for index, gate in enumerate(routed):
+        if (
+            gate.name != "barrier"
+            and len(gate.qubits) > 1
+            and frozenset(gate.qubits) not in coupled
+        ):
+            return (
+                f"routed gate {index} ({gate!r}) acts on wires "
+                f"{gate.qubits}, which are not a coupled pair"
+            )
         expected = (
             original[matched].remap(wire_of)
             if matched < len(original) else None
@@ -618,6 +633,7 @@ def swap_relabel_failure(
             a, b = gate.targets
             content_at[a], content_at[b] = content_at[b], content_at[a]
             wire_of[content_at[a]], wire_of[content_at[b]] = a, b
+            swaps += 1
         else:
             wanted = "a further original gate" if expected is None else (
                 f"original gate {matched} ({expected!r})"
@@ -633,4 +649,6 @@ def swap_relabel_failure(
         )
     if wire_of != list(position_of):
         return f"the swaps leave the contents on wires {tuple(wire_of)}"
+    if swaps != swap_count:
+        return f"swap count {swap_count} but the routed circuit has {swaps}"
     return None

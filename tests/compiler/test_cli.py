@@ -114,6 +114,21 @@ class TestCompileCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_failing_pass_exits_naming_its_flow_position(
+        self, run_cli, tmp_path
+    ):
+        from repro.resilience import FaultPlan
+
+        plan = FaultPlan([{"site": "pipeline.pass.run.tbs"}])
+        with plan.active():
+            # an empty cache directory: the shared cache may hold tbs
+            code, _out, err = run_cli(
+                "compile", "hwb=3", "--cache-dir", str(tmp_path)
+            )
+        assert code == 2
+        assert err.startswith("error: injected fault at pipeline.pass.run.tbs")
+        assert "flow 'clifford_t[generator]' pass 2/6 ('tbs'" in err
+
     def test_emission_error_exits_cleanly(self, run_cli):
         # a reversible-level target has no quantum circuit to emit
         code, _out, err = run_cli(
@@ -141,6 +156,9 @@ class TestCacheCommand:
         assert payload["path"] == cache_dir
         assert payload["entries"] > 0
         assert payload["bytes"] > 0
+        # only what the directory itself records; a fresh maintenance
+        # instance's I/O counters could only ever read zero
+        assert set(payload) == {"path", "entries", "bytes", "quarantined"}
 
     def test_stats_text(self, run_cli, tmp_path):
         cache_dir = str(tmp_path / "tier")

@@ -106,7 +106,7 @@ class TestRouting:
         for gate in result.circuit.gates:
             if gate.is_unitary and gate.num_qubits == 2:
                 assert cmap.connected(*gate.qubits)
-        assert verify_routing(circ, result)
+        assert verify_routing(circ, result, cmap.edges)
 
     @pytest.mark.parametrize(
         "factory, pair",
@@ -127,7 +127,7 @@ class TestRouting:
         assert result.final_layout == result.initial_layout
         assert result.swap_count == 0
         assert result.circuit.gates[0].qubits == pair
-        assert verify_routing(circ, result)
+        assert verify_routing(circ, result, cmap.edges)
 
     def test_too_wide_rejected(self):
         with pytest.raises(RoutingError):
@@ -162,5 +162,6 @@ class TestRouting:
         circ.x(0)
         for q in range(4):
             circ.h(q)
-        result = route_circuit(circ, CouplingMap.ibm_qx2())
-        assert verify_routing(circ, result)
+        cmap = CouplingMap.ibm_qx2()
+        result = route_circuit(circ, cmap)
+        assert verify_routing(circ, result, cmap.edges)

@@ -48,7 +48,7 @@ def test_routing_properties(plan, topology):
     for gate in result.circuit.gates:
         if gate.is_unitary and gate.num_qubits == 2:
             assert coupling.connected(*gate.qubits)
-    assert verify_routing(circuit, result)
+    assert verify_routing(circuit, result, coupling.edges)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Chaos tests for the disk cache tier: retries, quarantine, degradation.
+"""Chaos tests for the disk cache tier: I/O retries, quarantine, degradation.
 
 Every scenario injects faults at the cache's named sites and asserts
 the tier ends in a *typed* state: counted errors, quarantined files,
@@ -14,13 +14,15 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.pipeline import cache as cache_module
 from repro.pipeline.cache import (
-    DISK_RETRY,
+    DISK_RETRY_DELAYS,
     QUARANTINE_DIR,
     PassCache,
 )
-from repro.resilience import DegradedCache, RetryPolicy
 
 KEY = "pass=tbs|sig=chaos|state=deadbeef"
+
+#: Attempts one disk operation gets: the first plus one per delay.
+DISK_ATTEMPTS = len(DISK_RETRY_DELAYS) + 1
 
 
 def entry_files(path):
@@ -45,6 +47,109 @@ def put_one(cache, key=KEY, value=42):
     return outputs
 
 
+class FlakyOperation:
+    """A disk operation that raises ``error`` for its first ``failures``."""
+
+    def __init__(self, failures, error=OSError):
+        self.failures = failures
+        self.error = error
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise self.error(f"attempt {self.calls} failed")
+        return "done"
+
+
+class TestDiskRetryLoop:
+    """``PassCache._disk_io``: the one retry loop, with fixed pauses."""
+
+    def cache_and_pauses(self, tmp_path, monkeypatch):
+        """Return a disk cache and the list its retry sleeps land in."""
+        pauses = []
+        monkeypatch.setattr(cache_module.time, "sleep", pauses.append)
+        return PassCache(path=str(tmp_path)), pauses
+
+    @pytest.mark.parametrize("failures", [0, 1, 2])
+    def test_failures_before_success_sleep_the_fixed_pauses(
+        self, tmp_path, monkeypatch, failures
+    ):
+        cache, pauses = self.cache_and_pauses(tmp_path, monkeypatch)
+        operation = FlakyOperation(failures)
+        assert cache._disk_io(operation, "test.site") == "done"
+        assert operation.calls == failures + 1
+        assert pauses == list(DISK_RETRY_DELAYS[:failures])
+        stats = cache.stats()
+        assert stats["retries"] == failures
+        assert stats["disk_io_errors"] == 0
+        assert stats["io_errors"] == 0
+
+    def test_exhausted_attempts_count_one_error_and_reraise(
+        self, tmp_path, monkeypatch
+    ):
+        cache, pauses = self.cache_and_pauses(tmp_path, monkeypatch)
+        operation = FlakyOperation(DISK_ATTEMPTS)
+        with pytest.raises(OSError, match=f"attempt {DISK_ATTEMPTS} failed"):
+            cache._disk_io(operation, "test.site")
+        assert operation.calls == DISK_ATTEMPTS
+        assert pauses == list(DISK_RETRY_DELAYS)
+        stats = cache.stats()
+        assert stats["retries"] == DISK_ATTEMPTS - 1
+        assert stats["disk_io_errors"] == 1
+        assert stats["memory_io_errors"] == 0
+
+    @pytest.mark.parametrize(
+        "error", [PermissionError, TimeoutError, BlockingIOError]
+    )
+    def test_every_os_error_is_retried(
+        self, tmp_path, monkeypatch, error
+    ):
+        cache, pauses = self.cache_and_pauses(tmp_path, monkeypatch)
+        operation = FlakyOperation(1, error)
+        assert cache._disk_io(operation, "test.site") == "done"
+        assert operation.calls == 2
+        assert pauses == [DISK_RETRY_DELAYS[0]]
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError, RuntimeError])
+    def test_non_os_errors_propagate_after_one_attempt(
+        self, tmp_path, monkeypatch, error
+    ):
+        cache, pauses = self.cache_and_pauses(tmp_path, monkeypatch)
+        operation = FlakyOperation(1, error)
+        with pytest.raises(error):
+            cache._disk_io(operation, "test.site")
+        assert operation.calls == 1
+        assert pauses == []
+        stats = cache.stats()
+        assert stats["retries"] == 0
+        assert stats["io_errors"] == 0
+
+    def test_empty_delays_make_one_attempt(self, tmp_path, monkeypatch):
+        cache, pauses = self.cache_and_pauses(tmp_path, monkeypatch)
+        monkeypatch.setattr(cache_module, "DISK_RETRY_DELAYS", ())
+        operation = FlakyOperation(1)
+        with pytest.raises(OSError):
+            cache._disk_io(operation, "test.site")
+        assert operation.calls == 1
+        assert pauses == []
+        assert cache.stats()["disk_io_errors"] == 1
+
+    def test_a_success_resets_the_failure_streak(
+        self, tmp_path, monkeypatch
+    ):
+        cache, _pauses = self.cache_and_pauses(tmp_path, monkeypatch)
+        no_retry_degrade_after(monkeypatch, 2)
+        with pytest.raises(OSError):
+            cache._disk_io(FlakyOperation(1), "test.site")
+        cache._disk_io(FlakyOperation(0), "test.site")
+        with pytest.raises(OSError):
+            cache._disk_io(FlakyOperation(1), "test.site")
+        # two failures, but never two in a row
+        assert cache.stats()["disk_io_errors"] == 2
+        assert not cache.degraded
+
+
 class TestSpillRetry:
     def test_transient_write_failures_are_retried(self, tmp_path, chaos):
         chaos([{"site": "cache.spill.write", "times": 2}])
@@ -66,21 +171,21 @@ class TestSpillRetry:
         self, tmp_path, chaos
     ):
         chaos([{"site": "cache.spill.write",
-                "times": DISK_RETRY.max_attempts}])
+                "times": DISK_ATTEMPTS}])
         cache = PassCache(path=str(tmp_path))
         put_one(cache)  # must not raise — spill is best effort
         assert entry_files(tmp_path) == []
         stats = cache.stats()
         assert stats["disk_io_errors"] == 1
         assert stats["io_errors"] == 1
-        assert stats["retries"] == DISK_RETRY.max_attempts - 1
+        assert stats["retries"] == DISK_ATTEMPTS - 1
         # the memory tier is untouched
         outputs, _details, _verified = cache.get(KEY)
         assert outputs["value"] == 42
 
     def test_no_leaked_tmp_files_after_failed_spill(self, tmp_path, chaos):
         chaos([{"site": "cache.spill.write",
-                "times": DISK_RETRY.max_attempts}])
+                "times": DISK_ATTEMPTS}])
         cache = PassCache(path=str(tmp_path))
         put_one(cache)
         leftovers = [
@@ -153,9 +258,7 @@ class TestTornWriteQuarantine:
 
 def no_retry_degrade_after(monkeypatch, failures):
     """Disable disk retries and degrade after ``failures`` in a row."""
-    monkeypatch.setattr(
-        cache_module, "DISK_RETRY", RetryPolicy(max_attempts=1)
-    )
+    monkeypatch.setattr(cache_module, "DISK_RETRY_DELAYS", ())
     monkeypatch.setattr(cache_module, "DEFAULT_DEGRADE_AFTER", failures)
 
 
@@ -192,33 +295,40 @@ class TestDegradedMode:
         assert cache.get(f"{KEY}:missing-on-purpose") is None
         assert cache.stats()["disk_io_errors"] == errors_before
 
-    def test_probe_recovers_the_tier_once_the_disk_heals(
+    @pytest.mark.parametrize("threshold", [1, 2, 4])
+    def test_trips_on_exactly_the_threshold_failure(
+        self, tmp_path, chaos, monkeypatch, threshold
+    ):
+        chaos([{"site": "cache.spill.write", "times": None}])
+        no_retry_degrade_after(monkeypatch, threshold)
+        cache = PassCache(path=str(tmp_path))
+        for index in range(threshold):
+            assert not cache.degraded
+            put_one(cache, key=f"{KEY}:{index}", value=index)
+        assert cache.degraded
+        assert cache.stats()["disk_io_errors"] == threshold
+
+    def test_clear_leaves_degraded_mode(
         self, tmp_path, chaos, monkeypatch
     ):
         cache = self.degraded_cache(tmp_path, chaos, monkeypatch)
-        # the plan is exhausted-per-site only for spills; the real
-        # disk is fine, so a probe round-trips and un-degrades
-        chaos([])  # install a no-fault plan over the failing one
-        assert cache.probe() is True
+        chaos([])  # the disk heals
+        cache.clear()
         assert not cache.degraded
-        assert cache.stats()["degraded"] == 0
-        put_one(cache, key=f"{KEY}:after", value=1)
-        assert len(entry_files(tmp_path)) == 1  # spills resumed
+        put_one(cache)
+        assert len(entry_files(tmp_path)) == 1  # spills again
 
-    def test_probe_strict_raises_typed_error_while_broken(self, tmp_path):
-        cache = PassCache(path=str(tmp_path))
-        # break the tier for real: replace the directory with a file
-        os.rmdir(tmp_path)
-        with open(tmp_path, "w") as stream:
-            stream.write("not a directory")
-        try:
-            assert cache.probe() is False
-            with pytest.raises(DegradedCache) as info:
-                cache.probe(strict=True)
-            assert "cache.probe" in str(info.value)
-            assert info.value.site == "cache.probe"
-        finally:
-            os.unlink(tmp_path)
+    def test_a_fresh_instance_uses_the_healed_disk(
+        self, tmp_path, chaos, monkeypatch
+    ):
+        cache = self.degraded_cache(tmp_path, chaos, monkeypatch)
+        assert cache.degraded
+        chaos([])  # the disk heals
+        fresh = PassCache(path=str(tmp_path))
+        assert not fresh.degraded
+        put_one(fresh)
+        outputs, _details, _verified = PassCache(path=str(tmp_path)).get(KEY)
+        assert outputs["value"] == 42
 
     def test_advisory_touch_failures_never_trip_degradation(
         self, tmp_path, chaos, monkeypatch
@@ -234,19 +344,6 @@ class TestDegradedMode:
             assert outputs["value"] == 42  # memory hit keeps serving
         assert not cache.degraded
         assert cache.stats()["disk_io_errors"] == 0
-
-
-class TestStoreFaults:
-    def test_memory_insert_fault_is_tolerated(self, tmp_path, chaos):
-        chaos([{"site": "cache.store", "times": 1}])
-        cache = PassCache(path=str(tmp_path))
-        put_one(cache)  # must not raise
-        stats = cache.stats()
-        assert stats["memory_io_errors"] == 1
-        assert stats["io_errors"] == 1
-        assert len(cache) == 0  # the insert was dropped...
-        put_one(cache)  # ...but the next one lands
-        assert len(cache) == 1
 
 
 class TestGcChaos:
@@ -289,6 +386,24 @@ class TestGcChaos:
         # and the next sweep (fault spent) works normally
         assert cache.gc(max_entries=1)["evicted"] == 2
 
+    def test_real_scan_failure_aborts_sweep_and_counts(
+        self, tmp_path, monkeypatch
+    ):
+        cache = self.fill(tmp_path, count=3)
+
+        def broken_listdir(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cache_module.os, "listdir", broken_listdir)
+        swept = cache.gc(max_entries=1)
+        monkeypatch.undo()
+        assert swept["scanned"] == 0
+        assert swept["evicted"] == 0
+        assert len(entry_files(tmp_path)) == 3  # tier intact
+        stats = cache.stats()
+        assert stats["disk_io_errors"] == 1
+        assert stats["io_errors"] == 1
+
     def test_gc_unlink_fault_skips_entry_and_counts(
         self, tmp_path, chaos
     ):
@@ -320,7 +435,7 @@ class TestCacheCli:
         code = cli_main(list(argv))
         return code, capsys.readouterr().out
 
-    def test_stats_reports_resilience_counters(self, tmp_path, capsys):
+    def test_stats_reports_only_durable_counters(self, tmp_path, capsys):
         cache = PassCache(path=str(tmp_path))
         put_one(cache)
         code, out = self.run_cli(
@@ -329,11 +444,14 @@ class TestCacheCli:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["entries"] == 1
-        for counter in ("io_errors", "memory_io_errors",
-                        "disk_io_errors", "retries", "degraded"):
-            assert payload[counter] == 0
-        assert payload["quarantined"] == 0
+        # a fresh maintenance instance's I/O counters could only read 0
+        assert payload == {
+            "path": str(tmp_path),
+            "entries": 1,
+            "bytes": payload["bytes"],
+            "quarantined": 0,
+        }
+        assert payload["bytes"] > 0
 
     def test_stats_counts_quarantined_files(
         self, tmp_path, capsys, chaos

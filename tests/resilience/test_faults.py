@@ -44,13 +44,13 @@ class TestFaultSpec:
 
 class TestFaultPlan:
     def test_raise_fires_exactly_times_then_goes_dormant(self, chaos):
-        chaos([{"site": "cache.store", "times": 2}])
+        chaos([{"site": "cache.gc.unlink", "times": 2}])
         with pytest.raises(InjectedOSError):
-            fault_point("cache.store")
+            fault_point("cache.gc.unlink")
         with pytest.raises(InjectedOSError):
-            fault_point("cache.store")
-        fault_point("cache.store")  # dormant now
-        fault_point("cache.store")
+            fault_point("cache.gc.unlink")
+        fault_point("cache.gc.unlink")  # dormant now
+        fault_point("cache.gc.unlink")
 
     def test_skip_lets_early_hits_through(self, chaos):
         chaos([{"site": "cache.load.read", "skip": 2, "times": 1}])
@@ -80,7 +80,8 @@ class TestFaultPlan:
         with pytest.raises(InjectedTimeout) as timeout_info:
             fault_point("c")
         assert isinstance(os_info.value, OSError)
-        assert fault_info.value.transient
+        # a generic fault is no I/O error: nothing in the stack retries it
+        assert not isinstance(fault_info.value, OSError)
         assert isinstance(timeout_info.value, TimeoutError)
 
     def test_delay_blocks_for_roughly_seconds(self, chaos):
@@ -121,22 +122,24 @@ class TestFaultPlan:
         assert mutate_payload("cache.spill.write", "payload") == "payload"
 
     def test_report_accounts_hits_and_outcomes(self, chaos):
-        plan = chaos([{"site": "cache.store", "times": 1}])
+        plan = chaos([{"site": "cache.gc.unlink", "times": 1}])
         with pytest.raises(InjectedOSError):
-            fault_point("cache.store")
-        fault_point("cache.store")
+            fault_point("cache.gc.unlink")
+        fault_point("cache.gc.unlink")
         fault_point("cache.load.read")  # unmatched site still counted
         report = plan.report()
         assert report["seed"] == 1701
-        assert report["sites"] == {"cache.store": 2, "cache.load.read": 1}
-        assert report["outcomes"] == {"cache.store": {"raise": 1}}
+        assert report["sites"] == {
+            "cache.gc.unlink": 2, "cache.load.read": 1
+        }
+        assert report["outcomes"] == {"cache.gc.unlink": {"raise": 1}}
         assert report["specs"][0]["triggered"] == 1
 
     def test_active_context_manager_restores_previous_plan(self):
         outer = FaultPlan([], name="outer")
         previous = install(outer)
         try:
-            inner = FaultPlan([{"site": "cache.store"}], name="inner")
+            inner = FaultPlan([{"site": "cache.gc.unlink"}], name="inner")
             with inner.active() as active:
                 assert active is inner
                 assert active_plan() is inner

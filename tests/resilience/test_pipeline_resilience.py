@@ -1,8 +1,9 @@
-"""Chaos tests for the pipeline layer: deadlines and retries.
+"""Chaos tests for the pipeline layer: deadlines and failing passes.
 
 Every scenario must end in either a correct result or a *typed* error
-(`DeadlineExceeded`, `RetriesExhausted`, an injected error) carrying
-its flow position — never a hang and never a silently wrong circuit.
+(`DeadlineExceeded`, an injected error) carrying its flow position —
+never a hang and never a silently wrong circuit.  Nothing re-runs a
+failed pass: passes are deterministic, so the first error propagates.
 """
 
 import threading
@@ -22,14 +23,10 @@ from repro.pipeline.passes import Pass
 from repro.resilience import (
     Deadline,
     DeadlineExceeded,
+    InjectedFault,
     InjectedOSError,
-    RetriesExhausted,
-    RetryPolicy,
 )
 from repro.revkit import generators
-
-#: A retry policy that never sleeps — chaos tests should be fast.
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
 class FlakyPass(Pass):
@@ -114,42 +111,15 @@ class TestDeadlines:
         assert not deadline.expired()  # same budget, not restarted
 
 
-class TestRetryPolicyOnPasses:
-    def test_transient_pass_failures_are_retried(self):
-        flaky = FlakyPass(failures=2, error=OSError)
-        pipeline = Pipeline(cache=None, retry=FAST_RETRY)
-        result = pipeline.run([flaky])
-        assert flaky.calls == 3
-        assert result.state.artifacts["flaky"] == 3
-
-    def test_exhausted_retries_raise_typed_error_with_context(self):
-        flaky = FlakyPass(failures=99, error=OSError)
-        pipeline = Pipeline(cache=None, retry=FAST_RETRY)
-        with pytest.raises(RetriesExhausted) as info:
-            pipeline.run([flaky], flow_name="chaos")
-        assert flaky.calls == FAST_RETRY.max_attempts
-        message = str(info.value)
-        assert "flow 'chaos'" in message
-        assert "pipeline.pass.run.flaky" in message
-
-    def test_non_transient_failures_are_not_retried(self):
-        flaky = FlakyPass(failures=99, error=ValueError)
-        pipeline = Pipeline(cache=None, retry=FAST_RETRY)
-        with pytest.raises(ValueError):
-            pipeline.run([flaky])
-        assert flaky.calls == 1
-
-    def test_retry_count_shorthand(self):
+class TestPassFailures:
+    def test_a_failing_pass_raises_after_one_run(self):
         flaky = FlakyPass(failures=1, error=OSError)
-        pipeline = Pipeline(cache=None, retry=2)
-        pipeline.run([flaky])
-        assert flaky.calls == 2
-
-    def test_without_a_retry_policy_a_failing_pass_raises(self):
-        flaky = FlakyPass(failures=1, error=OSError)
-        with pytest.raises(OSError):
-            Pipeline(cache=None).run([flaky])
+        with pytest.raises(OSError) as info:
+            Pipeline(cache=None).run([flaky], flow_name="chaos")
         assert flaky.calls == 1
+        assert "while running flow 'chaos' pass 1/1" in "".join(
+            info.value.__notes__
+        )
 
 
 class TestInjectedPassFaults:
@@ -157,10 +127,13 @@ class TestInjectedPassFaults:
         """Return a flow store carrying an hwb specification."""
         return FlowState(function=generators.hwb(n))
 
-    def test_injected_transient_fault_is_retried_to_success(self, chaos):
+    def test_injected_pass_fault_propagates_then_reruns_clean(self, chaos):
         chaos([{"site": "pipeline.pass.run.tbs", "times": 1,
                 "error": "fault"}])
-        pipeline = Pipeline(cache=None, retry=FAST_RETRY)
+        pipeline = Pipeline(cache=None)
+        with pytest.raises(InjectedFault):
+            pipeline.apply(SynthesisPass("tbs"), self.seed())
+        # the fault is spent: a clean re-run is gate-identical
         state, record = pipeline.apply(SynthesisPass("tbs"), self.seed())
         reference = SynthesisPass("tbs").run(self.seed())
         assert state.reversible.gates == reference.reversible.gates

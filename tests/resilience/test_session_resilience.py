@@ -1,10 +1,10 @@
-"""Chaos tests for the session layer: job timeouts, dispatch retries.
+"""Chaos tests for the session layer: job timeouts and failing jobs.
 
-The obligations, per ISSUE 6: a hung or failing job surfaces as a
-typed error within its budget (the worker is abandoned, never joined),
-transient dispatch failures are retried to success, and a batch run
-with all resilience wrappers enabled produces gate-identical circuits
-to a plain run.
+The obligations: a hung job surfaces as a typed error within its
+budget (the worker is abandoned, never joined), a failing job's first
+error propagates out of the batch (nothing re-dispatches it; a clean
+re-run is gate-identical to a plain one), and a batch run with a job
+timeout produces gate-identical circuits to a plain run.
 """
 
 import asyncio
@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.compiler import CompilerSession
 from repro.pipeline import Pipeline, PipelineError
-from repro.resilience import DeadlineExceeded, RetriesExhausted
+from repro.resilience import DeadlineExceeded, InjectedFault, InjectedOSError
 
 #: How long a deliberately stalled worker sleeps — must comfortably
 #: exceed every job_timeout+grace used below.
@@ -37,27 +37,31 @@ class TestCompileDeadline:
         assert "deadline of 0.05s exceeded" in message
         assert "pass " in message  # flow position survived wrapping
 
-    def test_retry_recovers_an_injected_pass_fault(self, chaos):
+    @pytest.mark.parametrize(
+        "error, raised",
+        [("fault", InjectedFault), ("oserror", InjectedOSError)],
+    )
+    def test_injected_pass_fault_propagates(self, chaos, error, raised):
         chaos([{"site": "pipeline.pass.run.tbs", "times": 1,
-                "error": "fault"}])
-        result = repro.compile(
-            {"hwb": 3}, target="toffoli", cache=None, retry=2
+                "error": error}])
+        with pytest.raises(raised) as info:
+            repro.compile({"hwb": 3}, target="toffoli", cache=None)
+        assert "flow 'toffoli[generator]' pass 2/3 ('tbs'" in "".join(
+            info.value.__notes__
         )
-        expected = reference(3)
-        assert result.reversible.gates == expected.reversible.gates
-
-    def test_retry_alone_recovers_an_injected_os_error(self, chaos):
-        chaos([{"site": "pipeline.pass.run.tbs", "times": 1}])
-        result = repro.compile({"hwb": 3}, cache=None, retry=3)
-        expected = repro.compile({"hwb": 3}, cache=None)
-        assert result.circuit.gates == expected.circuit.gates
+        # the fault is spent: a clean re-run is gate-identical
+        result = repro.compile({"hwb": 3}, target="toffoli", cache=None)
+        assert result.reversible.gates == reference(3).reversible.gates
 
     def test_explicit_pipeline_conflicts_with_resilience_kwargs(self):
         pipeline = Pipeline(cache=None)
-        with pytest.raises(PipelineError, match="conflicts"):
+        with pytest.raises(PipelineError, match="conflicts with deadline="):
             repro.compile({"hwb": 3}, pipeline=pipeline, deadline=5)
-        with pytest.raises(PipelineError, match="conflicts"):
-            repro.compile({"hwb": 3}, pipeline=pipeline, retry=2)
+
+    @pytest.mark.parametrize("budget", [0, -1, float("nan"), True])
+    def test_compile_rejects_bad_deadline_naming_it(self, budget):
+        with pytest.raises(ValueError, match=f"not {budget!r}"):
+            repro.compile({"hwb": 3}, cache=None, deadline=budget)
 
     def test_session_rejects_non_positive_job_timeout(self):
         with pytest.raises(PipelineError, match="job_timeout"):
@@ -69,11 +73,6 @@ class TestCompileDeadline:
     def test_session_rejects_nan_and_bool_job_timeout(self, budget):
         with pytest.raises(PipelineError, match=repr(budget)):
             CompilerSession(job_timeout=budget)
-
-    @pytest.mark.parametrize("attempts", [True, 2.7, float("nan"), 0])
-    def test_session_rejects_bad_retry(self, attempts):
-        with pytest.raises(PipelineError, match="retry|max_attempts"):
-            CompilerSession(retry=attempts)
 
 
 class TestJobTimeoutBackstop:
@@ -125,34 +124,30 @@ class TestJobTimeoutBackstop:
         assert time.monotonic() - started < STALL
 
 
-class TestDispatchRetry:
-    def test_transient_dispatch_fault_is_retried_to_success(
-        self, chaos
-    ):
+class TestDispatchFaults:
+    def test_dispatch_fault_propagates_then_reruns_clean(self, chaos):
         chaos([{"site": "session.dispatch", "times": 1,
                 "error": "fault"}])
-        session = CompilerSession(target="toffoli", cache=None, retry=2)
+        session = CompilerSession(target="toffoli", cache=None)
+        with pytest.raises(InjectedFault, match="session.dispatch"):
+            session.sweep({"hwb": [3]})
         (point,) = session.sweep({"hwb": [3]})
         expected = reference(3)
         assert point.result.reversible.gates == expected.reversible.gates
 
-    def test_exhausted_dispatch_retries_raise_typed_error(self, chaos):
-        chaos([{"site": "session.dispatch", "times": None,
-                "error": "fault"}])
-        session = CompilerSession(target="toffoli", cache=None, retry=2)
-        with pytest.raises(RetriesExhausted) as info:
-            session.sweep({"hwb": [3]})
-        assert "session.dispatch" in str(info.value)
-        assert "2 attempt(s)" in str(info.value)
-
-    def test_batch_under_faults_stays_gate_identical(self, chaos):
-        # one injected fault per task, everything retried: the batch
-        # must still produce exactly the fault-free circuits
+    def test_batch_under_faults_fails_then_reruns_gate_identical(
+        self, chaos
+    ):
+        # the first injected failure sinks the batch; once the plan is
+        # spent, the same batch produces exactly the fault-free circuits
         chaos([{"site": "session.dispatch", "times": 2,
                 "error": "fault"}])
         session = CompilerSession(
-            target="toffoli", cache=None, max_workers=2, retry=3
+            target="toffoli", cache=None, max_workers=2
         )
+        with pytest.raises(InjectedFault):
+            session.sweep({"hwb": [3, 4]})
+        chaos([])
         swept = session.sweep({"hwb": [3, 4]})
         for n, point in zip((3, 4), swept):
             gates = point.result.reversible.gates
@@ -161,12 +156,12 @@ class TestDispatchRetry:
 
 class TestWrappersAreTransparent:
     def test_batch_with_all_wrappers_matches_plain_run(self):
-        # no faults installed: deadline+retry wrappers on a healthy
-        # run must be behaviorally invisible (the <2% bench obligation
-        # is the perf half of this same contract)
+        # no faults installed: the job deadline on a healthy run must
+        # be behaviorally invisible (the <2% bench obligation is the
+        # perf half of this same contract)
         session = CompilerSession(
             target="toffoli", cache=None, max_workers=2,
-            job_timeout=60, retry=2,
+            job_timeout=60,
         )
         swept = session.sweep({"hwb": [3, 4]})
         for n, point in zip((3, 4), swept):
@@ -176,7 +171,7 @@ class TestWrappersAreTransparent:
     def test_sweep_with_wrappers_matches_plain_sweep(self):
         wrapped = CompilerSession(
             target="clifford_t", cache=None, max_workers=2,
-            job_timeout=60, retry=2,
+            job_timeout=60,
         ).sweep({"hwb": [3, 4]})
         plain = CompilerSession(
             target="clifford_t", cache=None, max_workers=2
@@ -189,7 +184,7 @@ class TestWrappersAreTransparent:
     def test_async_sweep_with_wrappers_matches(self):
         session = CompilerSession(
             target="toffoli", cache=None, max_workers=2,
-            job_timeout=60, retry=2,
+            job_timeout=60,
         )
         swept = asyncio.run(session.sweep_async({"hwb": [3, 4]}))
         for point in swept.points:

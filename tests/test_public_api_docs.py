@@ -48,9 +48,8 @@ ENTRY_POINTS = (
     "repro.engines.NoiseModel.gate_error",
     "repro.pipeline.Pipeline.apply",
     "repro.pipeline.Pipeline.run",
-    "repro.pipeline.PassCache.probe",
+    "repro.pipeline.PassCache.gc",
     "repro.resilience.Deadline.after",
-    "repro.resilience.RetryPolicy.call",
     "repro.resilience.FaultPlan.mutate",
     "repro.mapping.map_to_clifford_t",
     "repro.mapping.route_circuit",

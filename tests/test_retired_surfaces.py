@@ -16,7 +16,11 @@ policies beside ``retry=``: ``on_error=`` on ``repro.compile`` and
 ``Pipeline.run``/``apply``, pass fallbacks (``Pass.with_fallback``),
 ``RetryPolicy(classifier=)``, the per-call ``job_timeout=``/``retry=``
 of the session batch calls and their ``max_in_flight=``, plus the
-unused ``repro.core.dag``.  So is code only tests reached: the
+unused ``repro.core.dag``.  Then ``retry=`` itself went: on
+``Pipeline``, ``repro.compile`` and ``CompilerSession``, the CLI's
+``--retry``, ``RetryPolicy`` with ``as_retry`` and
+``RetriesExhausted``, ``PassCache.probe`` with ``DegradedCache``, and
+the ``cache.store`` fault site (disk I/O is the only work retried).  So is code only tests reached: the
 linear-synthesis module ``repro.synthesis.linear``, the public helpers
 nothing outside the tests called (deleted, or moved into ``tests/`` as
 oracles such as ``circuits_equivalent`` and the PTM algebra), ProjectQ's
@@ -307,11 +311,57 @@ def test_pass_fallbacks_are_gone():
     assert not hasattr(Pass, "fallback")
 
 
-def test_retry_policy_classifier_is_gone():
-    from repro.resilience import RetryPolicy
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda repro, P, S: P(cache=None, retry=1),
+        lambda repro, P, S: repro.compile({"hwb": 3}, cache=None, retry=1),
+        lambda repro, P, S: S(cache=None, retry=1),
+    ],
+    ids=["Pipeline(retry=)", "compile(retry=)", "CompilerSession(retry=)"],
+)
+def test_pass_and_job_retries_are_gone(call):
+    import repro
+    from repro.compiler import CompilerSession
+    from repro.pipeline import Pipeline
 
-    with pytest.raises(TypeError, match="classifier"):
-        RetryPolicy(max_attempts=2, classifier=lambda error: True)
+    with pytest.raises(TypeError, match="retry"):
+        call(repro, Pipeline, CompilerSession)
+
+
+def test_cli_retry_option_is_gone():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "compile", "hwb=3", "--retry", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "unrecognized arguments: --retry 3" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name", ["RetryPolicy", "RetriesExhausted", "DegradedCache", "as_retry"]
+)
+def test_retry_vocabulary_is_gone(name):
+    # the retry vocabulary left with the per-pass and per-job retries:
+    # the disk tier's own loop is the only retry left
+    import repro.resilience
+    from repro.resilience import errors, policies
+
+    for module in (repro.resilience, errors, policies):
+        assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_cache_probe_and_store_fault_site_are_gone():
+    from repro.pipeline import PassCache
+    from repro.pipeline import cache as cache_module
+    from repro.resilience import KNOWN_SITES, InjectedFault
+
+    assert not hasattr(PassCache, "probe")
+    assert not hasattr(cache_module, "DISK_RETRY")
+    assert "cache.store" not in KNOWN_SITES
+    assert not hasattr(InjectedFault, "transient")
 
 
 #: Public names only tests reached, by the module that defined them.

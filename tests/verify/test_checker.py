@@ -538,6 +538,11 @@ class TestCompileFacade:
             Pipeline(verify="auto", cache=None).apply(Broken(), state)
 
 
+#: Coupled pairs of the 2- and 3-wire line devices the routing tests use.
+LINE2 = CouplingMap.line(2).edges
+LINE3 = CouplingMap.line(3).edges
+
+
 class TestRoutingWithReset:
     """A reset is a gate like any other to the SWAP-relabelling check."""
 
@@ -560,8 +565,8 @@ class TestRoutingWithReset:
     def test_verify_routing_passes(self):
         circuit = self.measured_reset_circuit()
         routed = route_circuit(circuit, CouplingMap.line(3))
-        assert verify_routing(circuit, routed) is True
-        verdict = EquivalenceChecker().check_routing(circuit, routed)
+        assert verify_routing(circuit, routed, LINE3) is True
+        verdict = EquivalenceChecker().check_routing(circuit, routed, LINE3)
         assert (verdict.status, verdict.tier) == ("passed", "swap")
 
     def test_reset_added_by_the_router_is_not_passed(self):
@@ -572,9 +577,9 @@ class TestRoutingWithReset:
             tampered, routed.final_layout, routed.swap_count,
             routed.position_of,
         )
-        assert verify_routing(circuit, routed)
-        assert not verify_routing(circuit, forged)
-        verdict = EquivalenceChecker().check_routing(circuit, forged)
+        assert verify_routing(circuit, routed, LINE2)
+        assert not verify_routing(circuit, forged, LINE2)
+        verdict = EquivalenceChecker().check_routing(circuit, forged, LINE2)
         assert (verdict.status, verdict.tier) == ("failed", "swap")
         assert verdict.detail.startswith("routed gate 2 (Gate(name='reset'")
 
@@ -604,8 +609,8 @@ class TestRoutingMeasurements:
 
     def test_unforged_routing_passes(self):
         circuit, routed = self.routed()
-        assert verify_routing(circuit, routed)
-        verdict = EquivalenceChecker().check_routing(circuit, routed)
+        assert verify_routing(circuit, routed, LINE3)
+        verdict = EquivalenceChecker().check_routing(circuit, routed, LINE3)
         assert (verdict.status, verdict.tier) == ("passed", "swap")
 
     def test_swapped_cbits_are_refused(self):
@@ -619,8 +624,8 @@ class TestRoutingMeasurements:
             dataclasses.replace(gates[second], cbits=gates[first].cbits),
         )
         forged = self.forge(routed, gates)
-        assert not verify_routing(circuit, forged)
-        verdict = EquivalenceChecker().check_routing(circuit, forged)
+        assert not verify_routing(circuit, forged, LINE3)
+        verdict = EquivalenceChecker().check_routing(circuit, forged, LINE3)
         assert (verdict.status, verdict.tier) == ("failed", "swap")
         assert verdict.detail.startswith(f"routed gate {first} ")
 
@@ -628,8 +633,8 @@ class TestRoutingMeasurements:
         circuit, routed = self.routed()
         gates = [g for g in routed.circuit.gates if not g.is_measurement]
         forged = self.forge(routed, gates)
-        assert not verify_routing(circuit, forged)
-        verdict = EquivalenceChecker().check_routing(circuit, forged)
+        assert not verify_routing(circuit, forged, LINE3)
+        verdict = EquivalenceChecker().check_routing(circuit, forged, LINE3)
         assert (verdict.status, verdict.tier) == ("failed", "swap")
         assert "ends after" in verdict.detail
 
@@ -641,14 +646,16 @@ class TestRoutingMeasurements:
             dataclasses.replace(routed, final_layout=(0, 1, 2)),
             dataclasses.replace(routed, position_of=()),
         ):
-            verdict = EquivalenceChecker().check_routing(circuit, forged)
+            verdict = EquivalenceChecker().check_routing(
+                circuit, forged, LINE3
+            )
             assert (verdict.status, verdict.tier) == ("failed", "swap")
 
     def test_original_swap_stays_a_gate(self):
         circuit = QuantumCircuit(3).swap(0, 2).cx(0, 1)
         routed = route_circuit(circuit, CouplingMap.line(3))
         assert routed.swap_count == 1
-        assert verify_routing(circuit, routed)
+        assert verify_routing(circuit, routed, LINE3)
 
     def test_quantum_skewed_route_pass_is_refused(self):
         class Skewed(RoutePass):
@@ -666,6 +673,78 @@ class TestRoutingMeasurements:
             )
 
 
+class TestRoutingDeviceFacts:
+    """The swap count and the coupling are part of the routing check."""
+
+    @staticmethod
+    def refused(circuit, forged, edges):
+        assert not verify_routing(circuit, forged, edges)
+        verdict = EquivalenceChecker().check_routing(circuit, forged, edges)
+        assert (verdict.status, verdict.tier) == ("failed", "swap")
+        return verdict.detail
+
+    def test_forged_swap_count_is_refused(self):
+        circuit = QuantumCircuit(3).cx(0, 2)
+        routed = route_circuit(circuit, CouplingMap.line(3))
+        assert routed.swap_count == 1
+        assert verify_routing(circuit, routed, LINE3)
+        forged = dataclasses.replace(routed, swap_count=7)
+        detail = self.refused(circuit, forged, LINE3)
+        assert detail == "swap count 7 but the routed circuit has 1"
+
+    def test_off_coupling_gate_is_refused(self):
+        circuit = QuantumCircuit(3).cx(0, 2)
+        unrouted = RoutingResult(
+            circuit.copy(), (0, 1, 2), 0, (0, 1, 2)
+        )
+        # exact on the all-to-all device, illegal on the line
+        assert verify_routing(circuit, unrouted, CouplingMap.full(3).edges)
+        detail = self.refused(circuit, unrouted, LINE3)
+        assert detail.startswith("routed gate 0 (Gate(name='cx'")
+        assert "not a coupled pair" in detail
+
+    def test_off_coupling_swap_is_refused(self):
+        circuit = QuantumCircuit(3).cx(0, 1)
+        gates = QuantumCircuit(3).swap(0, 2).cx(2, 1).swap(0, 2).gates
+        forged = RoutingResult(QuantumCircuit(3), (0, 1, 2), 2, (0, 1, 2))
+        forged.circuit.gates = gates
+        assert verify_routing(circuit, forged, CouplingMap.full(3).edges)
+        detail = self.refused(circuit, forged, LINE3)
+        assert detail.startswith("routed gate 0 (Gate(name='swap'")
+
+    def test_barriers_span_uncoupled_wires(self):
+        circuit = QuantumCircuit(3).barrier(0, 1, 2).cx(0, 1)
+        routed = route_circuit(circuit, CouplingMap.line(3))
+        assert verify_routing(circuit, routed, LINE3)
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda real, circ, coupling: dataclasses.replace(
+                real(circ, coupling), swap_count=7
+            ),
+            lambda real, circ, coupling: real(
+                circ, CouplingMap.full(coupling.num_qubits)
+            ),
+        ],
+        ids=["swap_count", "off-coupling-cx"],
+    )
+    def test_compile_refuses_the_forgeries(self, monkeypatch, forge):
+        from repro.pipeline import passes
+
+        real = passes.route_circuit
+        monkeypatch.setattr(
+            passes, "route_circuit",
+            lambda circ, coupling: forge(real, circ, coupling),
+        )
+        # cx 0,3 and cx 1,4 are both off the QE5 bowtie's edges
+        circuit = QuantumCircuit(5).h(0).cx(0, 3).cx(1, 4)
+        with pytest.raises(VerificationError, match=r"'route'.*tier swap"):
+            compile_workload(
+                circuit, target="ibm_qe5", verify="auto", cache=None
+            )
+
+
 class TestVerifyRoutingWidths:
     """``verify_routing`` is exact at any device width."""
 
@@ -680,18 +759,20 @@ class TestVerifyRoutingWidths:
     @pytest.mark.parametrize("n", (5, 6, 13, 24))
     def test_line_devices_verify_exactly(self, n):
         circuit = self.spread_circuit(n)
+        edges = CouplingMap.line(n).edges
         routed = route_circuit(circuit, CouplingMap.line(n))
         assert routed.swap_count > 0
-        assert verify_routing(circuit, routed) is True
-        verdict = EquivalenceChecker().check_routing(circuit, routed)
+        assert verify_routing(circuit, routed, edges) is True
+        verdict = EquivalenceChecker().check_routing(circuit, routed, edges)
         assert (verdict.status, verdict.tier) == ("passed", "swap")
 
     @pytest.mark.parametrize("n", (13, 24))
     def test_corrupted_wide_routing_is_refused(self, n):
         circuit = self.spread_circuit(n)
+        edges = CouplingMap.line(n).edges
         routed = route_circuit(circuit, CouplingMap.line(n))
         forged = RoutingResult(
             routed.circuit.copy().t(0), routed.final_layout,
             routed.swap_count, routed.position_of,
         )
-        assert verify_routing(circuit, forged) is False
+        assert verify_routing(circuit, forged, edges) is False

@@ -4,7 +4,8 @@ Each mutant wraps a real library pass, runs it for real, then corrupts
 its output the way a buggy pass would: a dropped gate, a swapped
 control/target, a stray X, a phase flip, an off-by-one rewiring, and
 for a routed measured circuit two measurements' classical bits swapped
-or every measurement dropped.  A verifying pipeline must fail the
+or every measurement dropped, and a router routing for the all-to-all
+device instead of the one it holds.  A verifying pipeline must fail the
 mutated pass, and the error must name both the pass and the tier that
 caught it — the point of the harness is that every tier claiming
 coverage of a pass kind catches every mutation in its corpus.
@@ -22,7 +23,7 @@ import re
 import pytest
 
 from repro.core.circuit import QuantumCircuit
-from repro.mapping.routing import CouplingMap
+from repro.mapping.routing import CouplingMap, route_circuit
 from repro.pipeline import (
     CancelPass,
     FlowState,
@@ -317,6 +318,26 @@ class TestSwapTierCatches:
                 RoutePass, "routing", MEASURE_MUTATIONS[mutation],
                 CouplingMap.line(3),
             ),
+            FlowState(quantum=circuit),
+            "swap",
+        )
+
+    @pytest.mark.parametrize("n", (3, 5))
+    def test_route_for_the_wrong_device(self, n):
+        """A router that ignores its coupling map: exact, but illegal."""
+
+        class FullDeviceRoute(RoutePass):
+            def run(self, state):
+                out = state.copy()
+                out.routing = route_circuit(
+                    state.quantum, CouplingMap.full(self.coupling.num_qubits)
+                )
+                out.quantum = out.routing.circuit
+                return out
+
+        circuit = QuantumCircuit(n).h(0).cx(0, n - 1).t(1)
+        assert_caught(
+            FullDeviceRoute(CouplingMap.line(n)),
             FlowState(quantum=circuit),
             "swap",
         )

@@ -131,7 +131,7 @@ ROUTABLE_NAMES = CLIFFORD_T_NAMES + ("rz",)
 
 @st.composite
 def routings(draw):
-    """Draw ``(original, routing, is_router_output)``.
+    """Draw ``(original, routing, edges, is_router_output)``.
 
     A 3–6 qubit unitary circuit is routed onto a line or a ring one
     wire wider or as wide; the routing is kept, or mutated the way a
@@ -154,13 +154,14 @@ def routings(draw):
             getattr(original, name)(q1)
     width = n + draw(st.integers(min_value=0, max_value=1))
     topology = draw(st.sampled_from((CouplingMap.line, CouplingMap.ring)))
-    routing = route_circuit(original, topology(width))
+    coupling = topology(width)
+    routing = route_circuit(original, coupling)
     kind = draw(st.sampled_from(
         ("none", "drop", "extra", "rewire", "swap", "end-swap", "pair",
          "layout")
     ))
     if kind == "none":
-        return original, routing, True
+        return original, routing, coupling.edges, True
     gates = list(routing.circuit.gates)
     position_of = list(routing.position_of)
     at = draw(st.integers(min_value=0, max_value=len(gates) - 1))
@@ -193,7 +194,7 @@ def routings(draw):
         final_layout=tuple(position_of[:n]),
         position_of=tuple(position_of),
     )
-    return original, mutant, False
+    return original, mutant, coupling.edges, False
 
 
 def _routing_oracle(original, routing):
@@ -218,8 +219,8 @@ class TestSwapTierAgrees:
     @given(case=routings())
     @settings(max_examples=60)
     def test_never_passes_what_the_oracle_rejects(self, case):
-        original, routing, is_router_output = case
-        verdict = EquivalenceChecker().check_routing(original, routing)
+        original, routing, edges, is_router_output = case
+        verdict = EquivalenceChecker().check_routing(original, routing, edges)
         oracle = _routing_oracle(original, routing)
         assert verdict.tier == "swap"
         if is_router_output:
