@@ -147,7 +147,7 @@ def facade_demo():
     result = repro.compile(perm, target="qsharp", cache=None)
     print(f"  repro.compile(pi, target='qsharp'): {result.summary()}")
 
-    session = repro.CompilerSession(cache=PassCache(), max_workers=1)
+    session = repro.CompilerSession(cache=PassCache())
     sweep = session.sweep(
         {"synthesis": ["tbs", "tbs-bidir", "dbs"],
          "optimization_level": [1, 2]},

@@ -169,7 +169,7 @@ def _quarantined_entries(path: str) -> int:
 
     try:
         return len(os.listdir(os.path.join(path, QUARANTINE_DIR)))
-    except OSError:
+    except FileNotFoundError:
         return 0
 
 
@@ -198,25 +198,33 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         )
         return 2
     cache = PassCache(path=path)
-    if args.action == "stats":
-        entries, size = cache.disk_usage()
-        payload = {
-            "path": path,
-            "entries": entries,
-            "bytes": size,
-            "quarantined": _quarantined_entries(path),
-        }
-    elif args.action == "gc":
-        swept = cache.gc(
-            max_entries=args.max_entries,
-            max_bytes=args.max_bytes,
-            validate=True,
+    try:
+        if args.action == "stats":
+            entries, size = cache.disk_usage()
+            payload = {
+                "path": path,
+                "entries": entries,
+                "bytes": size,
+                "quarantined": _quarantined_entries(path),
+            }
+        elif args.action == "gc":
+            swept = cache.gc(
+                max_entries=args.max_entries,
+                max_bytes=args.max_bytes,
+                validate=True,
+            )
+            payload = {"path": path, **swept}
+        else:  # clear
+            entries, size = cache.disk_usage()
+            cache.clear(disk=True)
+            payload = {"path": path, "cleared": entries, "bytes_freed": size}
+    except OSError as exc:
+        print(
+            f"error: cannot list cache directory {path!r}: "
+            f"{exc.strerror or exc}",
+            file=sys.stderr,
         )
-        payload = {"path": path, **swept}
-    else:  # clear
-        entries, size = cache.disk_usage()
-        cache.clear(disk=True)
-        payload = {"path": path, "cleared": entries, "bytes_freed": size}
+        return 2
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:

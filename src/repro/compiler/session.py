@@ -7,29 +7,18 @@ to a concrete flow, execute it on the pass manager, and hand back a
 
 :class:`CompilerSession` amortizes many compilations:
 :meth:`~CompilerSession.sweep` expands a parameter grid into
-compilation points and fans them out over a thread pool, all sharing
-one :class:`~repro.pipeline.cache.PassCache` object (optionally
+compilation points and compiles them one after another in the calling
+thread, in grid order, all sharing one
+:class:`~repro.pipeline.cache.PassCache` object (optionally
 disk-backed via ``cache=<path>``, which also lets separate processes
 share results), so repeated sub-flows replay instead of recompute.
-
-Every sweep runs on one asyncio core.
-:meth:`~CompilerSession.sweep_async` awaits it on the caller's event
-loop; the synchronous :meth:`~CompilerSession.sweep` drives the same
-core to completion on a private loop.  Every job is its own future,
-in-flight concurrency is bounded by a semaphore, results come back in
-deterministic input order, the first failing job cancels the rest and
-its exception propagates unwrapped, and cancelling the outer coroutine
-cancels every pending job.  Jobs already running on a pool thread when
-the batch fails or is cancelled cannot be interrupted mid-pass; they
-finish in the background and their results are discarded.
+The first failing point's exception propagates unwrapped.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,20 +28,11 @@ from ..pipeline.cache import PassCache, shared_cache
 from ..pipeline.passes import GENERATOR_KINDS
 from ..pipeline.runner import Pipeline
 from ..pipeline.state import PipelineError
-from ..resilience.errors import DeadlineExceeded
-from ..resilience.faults import fault_point
 from ..resilience.policies import Deadline
 from ..verify.checker import EquivalenceChecker
 from .frontends import detect_workload
 from .result import CompilationResult
 from .target import Target, get_target
-
-#: Extra seconds the hard per-job backstop grants beyond
-#: ``job_timeout`` before abandoning a worker: the cooperative
-#: deadline inside the job should fire first and carry the precise
-#: flow position; the backstop exists for jobs wedged in
-#: non-cooperative code.
-_JOB_TIMEOUT_GRACE = 0.1
 
 #: Sweep parameter keys that derive a per-point target override.
 _TARGET_FIELDS = tuple(
@@ -242,29 +222,6 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _run_sync(coro):
-    """Run a batch coroutine to completion from synchronous code.
-
-    Runs it like :func:`asyncio.run` on a private loop, leaving the
-    calling thread's current event loop untouched; when the calling
-    thread already runs an event loop (where a second one cannot
-    start), the coroutine runs on a one-shot helper thread instead,
-    blocking the caller just as a synchronous call must.
-    """
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return _run_private(coro)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        return helper.submit(_run_private, coro).result()
-
-
-def _run_private(coro):
-    """Run a coroutine on a fresh loop, never installed as current."""
-    with asyncio.Runner(loop_factory=asyncio.new_event_loop) as runner:
-        return runner.run(coro)
-
-
 class CompilerSession:
     """Batched compilations over a shared pass cache.
 
@@ -280,19 +237,6 @@ class CompilerSession:
         cache: ``"shared"`` (default), a
             :class:`~repro.pipeline.cache.PassCache`, a directory
             path for a disk-backed cache, or ``None``.
-        max_workers: thread-pool size, which also bounds the jobs in
-            flight, for batched calls (``None``: one per job, at most
-            8).
-        job_timeout: per-job wall-clock budget in seconds for
-            batched calls — a cooperative deadline inside each job
-            plus a hard backstop that abandons a pool thread not
-            returning within it; a job exceeding it raises
-            :class:`~repro.resilience.DeadlineExceeded` and fails the
-            batch.
-
-    Raises:
-        PipelineError: a ``max_workers`` that is not a positive int,
-            or a ``job_timeout`` that is a bool, NaN or not positive.
     """
 
     def __init__(
@@ -300,33 +244,11 @@ class CompilerSession:
         target: Union[Target, str, None] = None,
         verify: Union[bool, str, EquivalenceChecker, None] = None,
         cache: Union[PassCache, str, None] = "shared",
-        max_workers: Optional[int] = None,
-        job_timeout: Optional[float] = None,
     ) -> None:
         """Resolve the session defaults and the shared cache."""
-        if max_workers is not None and (
-            isinstance(max_workers, bool)
-            or not isinstance(max_workers, int)
-            or max_workers < 1
-        ):
-            raise PipelineError(
-                "max_workers must be a positive int or None, not "
-                f"{max_workers!r}"
-            )
-        if job_timeout is not None and (
-            isinstance(job_timeout, bool) or not float(job_timeout) > 0
-        ):
-            raise PipelineError(
-                "job_timeout must be a positive number of seconds or "
-                f"None, not {job_timeout!r}"
-            )
         self.target = get_target(target) if target is not None else None
         self.verify = verify
         self.cache = _resolve_cache(cache)
-        self.max_workers = max_workers
-        self.job_timeout = (
-            float(job_timeout) if job_timeout is not None else None
-        )
 
     # ------------------------------------------------------------------
     def compile(
@@ -349,93 +271,6 @@ class CompilerSession:
             verify=self.verify,
             cache=self.cache,
         )
-
-    def _compile_task(
-        self, workload: Any, target: Union[Target, str, None]
-    ) -> CompilationResult:
-        """Run one batch job on a pool thread.
-
-        The job's deadline starts here, when the job actually begins.
-        """
-        deadline = (
-            Deadline.after(self.job_timeout)
-            if self.job_timeout is not None
-            else None
-        )
-        fault_point("session.dispatch")
-        return compile(
-            workload,
-            target=target,
-            verify=self.verify,
-            cache=self.cache,
-            deadline=deadline,
-        )
-
-    async def _run_batch_async(
-        self,
-        tasks: List[Tuple[Any, Union[Target, str, None]]],
-    ) -> List[CompilationResult]:
-        """Fan (workload, target) tasks out on the event loop.
-
-        This is the session's only batch executor:
-        :meth:`sweep_async` awaits it, and :meth:`sweep` drives it
-        through :func:`_run_sync`.  Each task becomes one future on
-        the running loop, executed on a private thread pool whose
-        threads share the session's cache object; an
-        :class:`asyncio.Semaphore` bounds how many are in
-        flight at once.  Results are gathered in task order
-        (deterministic), the first failing job cancels the
-        not-yet-started ones and re-raises its exception unwrapped,
-        and an outer cancellation propagates to every pending job.
-        Already-running jobs finish on their thread in the background;
-        their results are discarded.  The session's ``job_timeout``
-        bounds each job cooperatively inside the job and with an
-        :func:`asyncio.wait_for` hard backstop around it, surfaced as
-        :class:`~repro.resilience.DeadlineExceeded`.
-        """
-        if not tasks:
-            return []
-        loop = asyncio.get_running_loop()
-        limit = self.max_workers or min(len(tasks), 8)
-        semaphore = asyncio.Semaphore(limit)
-        pool = ThreadPoolExecutor(max_workers=limit)
-
-        async def run_one(index, task):
-            """Await one job under the in-flight semaphore."""
-            async with semaphore:
-                future = loop.run_in_executor(pool, self._compile_task, *task)
-                if self.job_timeout is None:
-                    return await future
-                try:
-                    return await asyncio.wait_for(
-                        future, timeout=self.job_timeout + _JOB_TIMEOUT_GRACE
-                    )
-                except asyncio.TimeoutError:
-                    raise DeadlineExceeded(
-                        f"session.job[{index}]: no result within the "
-                        f"{self.job_timeout:g}s job timeout (worker "
-                        "abandoned)",
-                        site="session.job",
-                    ) from None
-
-        jobs = [
-            asyncio.ensure_future(run_one(index, task))
-            for index, task in enumerate(tasks)
-        ]
-        try:
-            return await asyncio.gather(*jobs)
-        except BaseException:
-            # first failure (or outer cancellation): cancel every job
-            # not yet handed to the pool and reap the wrappers.
-            # Jobs already running on a thread cannot be interrupted —
-            # they finish in the background and their results are
-            # discarded (at most `limit` of them).
-            for job in jobs:
-                job.cancel()
-            await asyncio.gather(*jobs, return_exceptions=True)
-            raise
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
     def _sweep_point(
@@ -492,10 +327,11 @@ class CompilerSession:
         the workload per point, any :class:`~.target.Target` field
         (``synthesis``, ``optimization_level``, ``relative_phase``,
         ``coupling``, ...) deriving a per-point target, or ``target``
-        naming a preset target.  Points run over the session pool
-        with the shared cache, so sub-flows repeated across points
-        (e.g. the same generated specification under two synthesis
-        methods) replay as cache hits.
+        naming a preset target.  Points compile one after another in
+        the calling thread, in grid order, over the shared cache, so
+        sub-flows repeated across points (e.g. the same generated
+        specification under two synthesis methods) replay as cache
+        hits.  The first failing point's exception propagates as is.
 
         Args:
             param_grid: mapping of parameter name to the values to
@@ -507,45 +343,20 @@ class CompilerSession:
         Returns:
             The :class:`SweepResult`, one point per grid assignment.
         """
-        return _run_sync(self.sweep_async(param_grid, base))
-
-    async def sweep_async(
-        self,
-        param_grid: Dict[str, Sequence[Any]],
-        base: Any = None,
-    ) -> SweepResult:
-        """Sweep a parameter grid on the asyncio event loop.
-
-        Same grid semantics and deterministic point order as
-        :meth:`sweep`, awaitable: independent points overlap (each
-        job is its own future on the running loop) while a semaphore
-        caps how many are in flight (the session's ``max_workers``,
-        else ``min(len, 8)``).  The first failing job cancels the
-        rest and its exception propagates unwrapped; cancelling the
-        returned coroutine cancels every pending job.
-
-        Args:
-            param_grid: mapping of parameter name to values to sweep.
-            base: workload for points not selecting one via generator
-                keys.
-
-        Returns:
-            The :class:`SweepResult`, one point per grid assignment.
-        """
         keys = sorted(param_grid)
         assignments = [
             dict(zip(keys, combo))
             for combo in itertools.product(*(param_grid[k] for k in keys))
         ]
+        # every point is translated (and validated) before any compiles
         tasks = [
             self._sweep_point(assignment, base)
             for assignment in assignments
         ]
-        results = await self._run_batch_async(tasks)
         return SweepResult(
             points=[
-                SweepPoint(params=assignment, result=result)
-                for assignment, result in zip(assignments, results)
+                SweepPoint(params=assignment, result=self.compile(*task))
+                for assignment, task in zip(assignments, tasks)
             ]
         )
 

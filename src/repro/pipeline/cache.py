@@ -14,8 +14,7 @@ a caller receives raises
 corrupting the entry (``copy()`` gives an editable builder), and
 routing results and statistics are frozen dataclasses.  Entries
 decoded from disk come back frozen too.  All operations take an
-internal lock, so one cache may back the batched compilations of a
-:class:`~repro.compiler.session.CompilerSession` thread pool.
+internal lock, so threads may share one cache.
 
 With ``PassCache(path=...)`` entries are additionally written to disk
 as content-named JSON files and reloaded on a memory miss, so a cache
@@ -30,8 +29,12 @@ LRU sweep down to the budgets passed to that call, ordered by each
 entry file's access stamp (its mtime, touched on every disk hit).
 Entries are generation-stamped and written atomically
 (``os.replace``), so concurrent writers can never produce a torn
-read.  A sweep may evict an entry another flow is about to read; that
-flow misses and recomputes, never reads a corrupt entry.
+read.  A sweep may evict an entry another process is about to read;
+that reader misses and recomputes, never reads a corrupt entry.  A
+directory the tier cannot list makes :meth:`PassCache.disk_usage`,
+:meth:`PassCache.gc` and ``clear(disk=True)`` raise the scan's
+``OSError`` (counted like any disk failure) rather than report an
+empty tier.
 
 The disk tier is also *resilient*: a disk operation failing with an
 ``OSError`` is retried after each of the :data:`DISK_RETRY_DELAYS`
@@ -260,10 +263,6 @@ class PassCache:
             "OrderedDict[str, Tuple[Dict[str, Any], Dict[str, Any], bool]]"
         )
         self._entries = OrderedDict()
-        # key -> (completion event, owning thread ident): the
-        # single-flight registry Pipeline.apply uses so concurrent
-        # flows computing the same key run it once
-        self._inflight: Dict[str, Tuple[threading.Event, int]] = {}
         # keys this process knows to have an entry file (spilled or
         # loaded): gates the LRU access stamp so memory hits on
         # never-spilled entries skip a guaranteed-failing utime
@@ -273,45 +272,6 @@ class PassCache:
         """Return the number of in-memory entries."""
         with self._lock:
             return len(self._entries)
-
-    # ------------------------------------------------------------------
-    # single-flight (in-flight entry lifecycle)
-    # ------------------------------------------------------------------
-    def begin_compute(
-        self, key: str
-    ) -> Tuple[str, Optional[threading.Event]]:
-        """Claim (or observe) the in-flight computation of ``key``.
-
-        The caller must pair a ``"leader"`` claim with
-        :meth:`end_compute` (use ``try/finally``).  A follower that
-        finds the entry evicted when it re-reads recomputes it.
-
-        Returns:
-            ``("leader", event)`` — this caller should compute and
-            store the entry; ``("follower", event)`` — another thread
-            is computing it, wait on the event and re-read the cache;
-            ``("reentrant", None)`` — this thread is already the
-            leader for the key (a nested flow), compute directly
-            without waiting to avoid self-deadlock.
-        """
-        me = threading.get_ident()
-        with self._lock:
-            inflight = self._inflight.get(key)
-            if inflight is None:
-                event = threading.Event()
-                self._inflight[key] = (event, me)
-                return "leader", event
-            event, owner = inflight
-            if owner == me:
-                return "reentrant", None
-            return "follower", event
-
-    def end_compute(self, key: str) -> None:
-        """Release a ``"leader"`` claim and wake the key's followers."""
-        with self._lock:
-            inflight = self._inflight.pop(key, None)
-        if inflight is not None:
-            inflight[0].set()
 
     # ------------------------------------------------------------------
     # disk-tier resilience
@@ -522,18 +482,12 @@ class PassCache:
 
     # ------------------------------------------------------------------
     def get(
-        self, key: str, count_miss: bool = True
+        self, key: str
     ) -> Optional[Tuple[Dict[str, Any], Dict[str, Any], bool]]:
         """Look up ``key`` and return ``(outputs, details, verified)``.
 
         Args:
             key: content key built by the pipeline.
-            count_miss: whether a miss bumps the ``misses`` counter.
-                The pipeline's first probe passes ``False`` and
-                accounts the miss itself once it knows whether the
-                lookup ends in a computation or in a single-flight
-                replay — otherwise every replayed follower would log
-                one spurious miss per wait.
 
         Returns:
             The stored output values themselves (frozen and shared by
@@ -581,19 +535,13 @@ class PassCache:
                     self._spilled.add(key)
                     self._store(key, entry)
         if entry is None:
-            if count_miss:
-                with self._lock:
-                    self.misses += 1
+            with self._lock:
+                self.misses += 1
             return None
         # entry tuples are replaced wholesale, never mutated in place;
         # the stored values are frozen, so they are handed out shared
         outputs, details, verified = entry
         return dict(outputs), dict(details), verified
-
-    def count_miss(self) -> None:
-        """Record one cache miss (see ``get(count_miss=False)``)."""
-        with self._lock:
-            self.misses += 1
 
     def _store(
         self,
@@ -663,8 +611,15 @@ class PassCache:
             disk: also delete the persistent tier's entry files (only
                 content-named ``<sha256>.json`` files this cache
                 owns — other files in the directory are untouched).
+
+        Raises:
+            OSError: ``disk`` is set and the directory cannot be
+                listed; nothing is cleared.
         """
         with self._lock:
+            doomed = (
+                self._scan_disk() if disk and self.path is not None else []
+            )
             self._entries.clear()
             self.hits = 0
             self.misses = 0
@@ -678,33 +633,30 @@ class PassCache:
             self.quarantined = 0
             self._consecutive_io_errors = 0
             self._degraded = False
-            if disk and self.path is not None:
-                for name in os.listdir(self.path):
-                    if _ENTRY_FILE_RE.fullmatch(name):
-                        try:
-                            os.unlink(os.path.join(self.path, name))
-                        except OSError:
-                            pass
+            for _name, entry_path, _stamp, _size in doomed:
+                try:
+                    os.unlink(entry_path)
+                except OSError:
+                    pass
+            if disk:
                 self._spilled.clear()
 
     # ------------------------------------------------------------------
     # disk-tier lifecycle
     # ------------------------------------------------------------------
-    def _scan_disk(self) -> Optional[List[Tuple[str, str, float, int]]]:
+    def _scan_disk(self) -> List[Tuple[str, str, float, int]]:
         """List disk entries as ``(name, path, atime_stamp, size)``.
 
-        Returns ``None`` for a memory-only cache and when the
-        directory scan itself fails; the failure is counted against
-        the tier.
+        Raises:
+            OSError: the directory scan itself failed; the failure is
+                counted against the tier before it propagates.
         """
-        if self.path is None:
-            return None
         try:
             fault_point("cache.gc.scan")
             names = os.listdir(self.path)
         except OSError:
             self._record_disk_error("cache.gc.scan")
-            return None
+            raise
         entries = []
         for name in names:
             if not _ENTRY_FILE_RE.fullmatch(name):
@@ -725,8 +677,14 @@ class PassCache:
         ``(0, 0)`` for a memory-only cache.  This walks the directory,
         so call it for maintenance (the CLI's ``cache stats``), not
         per compilation — :meth:`stats` never touches the disk.
+
+        Raises:
+            OSError: the directory cannot be listed (counted in
+                ``disk_io_errors``).
         """
-        entries = self._scan_disk() or []
+        if self.path is None:
+            return 0, 0
+        entries = self._scan_disk()
         return len(entries), sum(item[3] for item in entries)
 
     def gc(
@@ -740,9 +698,10 @@ class PassCache:
         The only path that evicts entry files.  Entries are evicted
         oldest-access-stamp first until both the entry and the byte
         budget hold; ``None`` leaves that dimension unbounded.  An
-        entry another flow is computing or about to re-read may go
-        too: that flow misses and recomputes.  Leaked spill temp
-        files older than five minutes are removed as well.
+        entry another process is about to read may go too: that
+        reader misses and recomputes.  Leaked spill temp files older
+        than five minutes are removed as well.  A memory-only cache
+        reports an empty sweep.
 
         Args:
             max_entries: entry budget (``>= 0``) for this sweep.
@@ -758,16 +717,15 @@ class PassCache:
 
         Raises:
             ValueError: a budget is negative.
+            OSError: the directory cannot be listed (counted in
+                ``disk_io_errors``); nothing is evicted.
         """
         for flag, budget in (
             ("max_entries", max_entries), ("max_bytes", max_bytes)
         ):
             if budget is not None and budget < 0:
                 raise ValueError(f"{flag} must be >= 0, not {budget!r}")
-        entries = self._scan_disk()
-        if entries is None:
-            # a memory-only cache, or a failed directory scan, which
-            # aborts the sweep: nothing evicted, tier intact
+        if self.path is None:
             return {
                 "scanned": 0,
                 "evicted": 0,
@@ -775,6 +733,7 @@ class PassCache:
                 "entries": 0,
                 "bytes": 0,
             }
+        entries = self._scan_disk()
         now = time.time()
         try:
             for name in os.listdir(self.path):

@@ -29,11 +29,6 @@ from .cache import PassCache, shared_cache
 from .passes import Pass
 from .state import FlowState, PipelineError, state_key
 
-#: How long a follower waits for another thread computing the same
-#: cache key before giving up and computing the pass itself (read at
-#: wait time, and further bounded by the flow's deadline).
-SINGLE_FLIGHT_TIMEOUT = 60.0
-
 
 class VerificationError(PipelineError):
     """Raised when a pass breaks the flow's functional semantics."""
@@ -259,9 +254,8 @@ class Pipeline:
             disable result caching.
         deadline: compute budget for every :meth:`run`/:meth:`apply`
             — a :class:`~repro.resilience.Deadline`, or seconds that
-            start counting here, at construction; checked at
-            cooperative checkpoints (between passes, before waits),
-            raising :class:`~repro.resilience.DeadlineExceeded`.
+            start counting here, at construction; checked before
+            every pass, raising :class:`~repro.resilience.DeadlineExceeded`.
     """
 
     def __init__(
@@ -288,19 +282,8 @@ class Pipeline:
     ) -> Tuple[FlowState, PassRecord]:
         """Run one pass on ``state`` and record what happened.
 
-        Concurrent flows sharing one :class:`~.cache.PassCache` are
-        safe here: a cache miss claims the key in the cache's
-        single-flight registry, so a second thread arriving at the
-        same key waits for the first result and replays it instead of
-        recomputing.  No lock is held while a pass runs, and a nested
-        flow that re-enters the same key on the same thread computes
-        directly instead of deadlocking on itself.  A follower whose
-        leader stalls past :data:`SINGLE_FLIGHT_TIMEOUT`, or whose
-        leader's entry was evicted before it re-reads, recomputes the
-        pass itself; the wait is additionally bounded by the
-        pipeline's deadline, so a hung leader can never consume a
-        follower's whole budget.  The deadline is also checked before
-        the pass runs.
+        The deadline is checked first; then a cache hit replays the
+        stored outputs and a miss runs the pass (and stores it).
 
         Args:
             pass_: the pass to execute.
@@ -329,48 +312,11 @@ class Pipeline:
         started = time.perf_counter()
         if cacheable:
             key = self._cache_key(pass_, state)
-            # the first probe does not count a miss: a follower that
-            # ends up replaying the leader's result was one logical
-            # hit, not a miss-then-hit
-            cached = self.cache.get(key, count_miss=False)
+            cached = self.cache.get(key)
             if cached is not None:
                 return self._finish(
                     self._replay(pass_, state, key, cached, started)
                 )
-            fault_point("pipeline.apply.claim")
-            role, event = self.cache.begin_compute(key)
-            if role == "follower":
-                # another thread is computing this key — wait for it
-                # and replay; on timeout or eviction, compute anyway
-                timeout = SINGLE_FLIGHT_TIMEOUT
-                if deadline is not None:
-                    timeout = deadline.bound(timeout)
-                fault_point("pipeline.apply.wait")
-                event.wait(timeout)
-                if deadline is not None:
-                    deadline.check(
-                        site=f"pipeline.apply.wait({pass_.name})"
-                    )
-                # restart the clock: the wait is the leader's compute
-                # time and must not be billed to this replay record
-                started = time.perf_counter()
-                cached = self.cache.get(key)
-                if cached is not None:
-                    return self._finish(
-                        self._replay(pass_, state, key, cached, started)
-                    )
-                role, event = self.cache.begin_compute(key)
-            else:
-                self.cache.count_miss()
-            if role == "leader":
-                try:
-                    return self._finish(
-                        self._execute(pass_, state, key, cacheable)
-                    )
-                finally:
-                    self.cache.end_compute(key)
-            # "reentrant": this thread already leads the key (a nested
-            # flow) — fall through and compute without the registry
         return self._finish(self._execute(pass_, state, key, cacheable))
 
     def _finish(

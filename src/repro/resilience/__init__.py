@@ -7,17 +7,18 @@
   :class:`~repro.pipeline.state.PipelineError` so flow-context
   wrapping applies;
 * :mod:`~.faults` — named injection sites planted along the stack's
-  I/O and concurrency edges, activated by a :class:`FaultPlan` (per
+  disk I/O and pass runs, activated by a :class:`FaultPlan` (per
   test or via ``REPRO_FAULTS``) — the chaos-testing harness that
   proves every degraded path ends in a correct circuit or a typed
   error.
 
 Each setting lives on the constructor of the object that runs the
 work: ``Pipeline(deadline=)`` bounds a flow (``repro.compile``
-forwards it), ``CompilerSession(job_timeout=)`` bounds every batched
-job, and :class:`~repro.pipeline.PassCache` retries failing disk I/O
-and degrades to memory-only.  The disk tier is the only place that
-retries: passes are deterministic, so a failed pass or job raises.
+forwards it; a :class:`~repro.compiler.CompilerSession` sweep is a
+plain loop of such compiles), and :class:`~repro.pipeline.PassCache`
+retries failing disk I/O and degrades to memory-only.  The disk tier
+is the only place that retries: passes are deterministic, so a failed
+pass raises.
 """
 
 from .errors import DeadlineExceeded, ResilienceError

@@ -8,8 +8,8 @@ swallow into a typed signal lives here, under one base class:
   prefixing (``flow 'eq5' pass 3/6 ...``) applies unchanged;
 * :class:`DeadlineExceeded` — a cooperative deadline ran out.
 
-Each error *names its site* inside the message (``pipeline.run``,
-``session.job[3]``, ...), so the site survives the pipeline's
+Each error *names its site* inside the message
+(``pipeline.apply(tbs)``, ...), so the site survives the pipeline's
 re-raise-with-context wrapping, which rebuilds exceptions from their
 message alone.
 """
@@ -28,8 +28,8 @@ class ResilienceError(PipelineError):
         message: human-readable description; by convention it starts
             with the failing site name so context-wrapping re-raises
             preserve it.
-        site: optional machine-readable site name (``session.job``,
-            ``pipeline.apply(tbs)``, ...); informational — the
+        site: optional machine-readable site name
+            (``pipeline.apply(tbs)``, ...); informational — the
             message is the durable carrier.
     """
 
@@ -42,7 +42,7 @@ class ResilienceError(PipelineError):
 class DeadlineExceeded(ResilienceError):
     """Raised when a cooperative :class:`~.policies.Deadline` expires.
 
-    Deadlines are checked at cooperative checkpoints (between passes,
-    before single-flight waits), so the error surfaces at the next
-    checkpoint after the budget runs out — never mid-pass.
+    Deadlines are checked at cooperative checkpoints (before every
+    pass), so the error surfaces at the next checkpoint after the
+    budget runs out — never mid-pass.
     """

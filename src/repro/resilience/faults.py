@@ -2,8 +2,8 @@
 
 A serving system's degraded paths are only as real as the tests that
 exercise them.  This module plants *named injection points* along the
-stack's I/O and concurrency edges; a :class:`FaultPlan` activates
-faults at those sites — raise an error, delay, hang, or tear a write —
+stack's I/O edges and pass runs; a :class:`FaultPlan` activates
+faults at those sites — raise an error, delay, or tear a write —
 with per-spec trigger counts and a seed, so every chaos scenario is
 deterministic and every exercised site is accounted for in
 :meth:`FaultPlan.report`.
@@ -21,17 +21,16 @@ Each ``;``-separated segment is ``site:action[:times[:seconds[:error]]]``
 plan.  The environment form reaches child processes too, since they
 inherit the variable.
 
-Registered sites (patterns match with :mod:`fnmatch`):
+Registered sites (patterns match with :mod:`fnmatch`; a spec whose
+site can match none of them is refused):
 
 =============================  =======================================
 ``cache.spill.write``          disk-tier entry write (spill)
 ``cache.load.read``            disk-tier entry read
-``cache.gc.scan``              disk-tier directory scan (gc, usage)
+``cache.gc.scan``              disk-tier directory scan (gc, usage,
+                               clear)
 ``cache.gc.unlink``            gc entry eviction
-``pipeline.apply.claim``       single-flight key claim
-``pipeline.apply.wait``        single-flight follower wait
 ``pipeline.pass.run.<name>``   pass execution (per pass name)
-``session.dispatch``           session worker job dispatch
 =============================  =======================================
 """
 
@@ -51,19 +50,11 @@ KNOWN_SITES: Tuple[str, ...] = (
     "cache.load.read",
     "cache.gc.scan",
     "cache.gc.unlink",
-    "pipeline.apply.claim",
-    "pipeline.apply.wait",
     "pipeline.pass.run.<name>",
-    "session.dispatch",
 )
 
 #: Actions a :class:`FaultSpec` may take at its site.
-ACTIONS: Tuple[str, ...] = ("raise", "delay", "hang", "torn")
-
-#: How long a ``hang`` action blocks at most (a *bounded* hang: long
-#: enough to trip any reasonable deadline or follower timeout, short
-#: enough that a leaked plan cannot wedge a test session forever).
-HANG_SECONDS = 30.0
+ACTIONS: Tuple[str, ...] = ("raise", "delay", "torn")
 
 
 class InjectedFault(RuntimeError):
@@ -85,23 +76,38 @@ _ERRORS = {
 }
 
 
+def _registered(site: str) -> bool:
+    """Return whether a site name or pattern can match a known site.
+
+    ``<name>`` in a registered site stands for any non-empty pass
+    name, so ``pipeline.pass.run.tbs`` and ``pipeline.pass.run.*``
+    both match ``pipeline.pass.run.<name>``.
+    """
+    for known in KNOWN_SITES:
+        prefix, placeholder, _ = known.partition("<name>")
+        if fnmatch.fnmatchcase(known, site) or (
+            placeholder and site.startswith(prefix) and site != prefix
+        ):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault: where, what, how often.
 
     Attributes:
         site: exact site name or :mod:`fnmatch` pattern
-            (``pipeline.pass.run.*``).
+            (``pipeline.pass.run.*``) that can match a registered
+            site (:data:`KNOWN_SITES`).
         action: ``raise`` (throw ``error``), ``delay`` (sleep
-            ``seconds``), ``hang`` (block until released, at most
-            :data:`HANG_SECONDS`), or ``torn`` (truncate the payload
-            at a torn-write site).
+            ``seconds`` unless released), or ``torn`` (truncate the
+            payload at a torn-write site).
         times: how many matching hits trigger before the spec goes
             dormant; ``None`` triggers on every hit.
         skip: let the first ``skip`` matching hits through untouched
             (fail the *second* write, not the first).
-        seconds: sleep length for ``delay``; cap override for
-            ``hang``.
+        seconds: sleep length for ``delay``.
         error: which exception ``raise`` throws — ``oserror``
             (default), ``fault``, or ``timeout``.
     """
@@ -114,7 +120,7 @@ class FaultSpec:
     error: str = "oserror"
 
     def __post_init__(self) -> None:
-        """Validate the action and error names."""
+        """Validate the action, error and site names."""
         if self.action not in ACTIONS:
             raise ValueError(
                 f"unknown fault action {self.action!r}; one of "
@@ -124,6 +130,11 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault error {self.error!r}; one of "
                 f"{', '.join(_ERRORS)}"
+            )
+        if not _registered(self.site):
+            raise ValueError(
+                f"unknown fault site {self.site!r}; it matches none of "
+                f"{', '.join(KNOWN_SITES)}"
             )
 
     def matches(self, site: str) -> bool:
@@ -209,9 +220,6 @@ class FaultPlan:
             raise _ERRORS[spec.error](f"injected fault at {site}")
         if spec.action == "delay":
             self._release.wait(spec.seconds)
-        elif spec.action == "hang":
-            self._release.wait(min(spec.seconds or HANG_SECONDS,
-                                   HANG_SECONDS))
         # "torn" only acts at payload sites via mutate()
 
     def mutate(self, site: str, payload: str) -> str:
@@ -240,7 +248,7 @@ class FaultPlan:
         return payload[:cut]
 
     def release(self) -> None:
-        """Unblock every pending ``delay``/``hang`` immediately."""
+        """Unblock every pending ``delay`` immediately."""
         self._release.set()
 
     # ------------------------------------------------------------------
@@ -277,7 +285,7 @@ class FaultPlan:
 
         Returns:
             A context manager; on exit the previous plan is restored
-            and any pending hangs are released.
+            and any pending delays are released.
         """
         return _PlanActivation(self)
 

@@ -1,9 +1,8 @@
 """Deadlines — the resilience layer's budget vocabulary.
 
 :class:`Deadline` is a monotonic wall-clock budget, checked at
-cooperative checkpoints (:meth:`Deadline.check`) and used to bound
-waits (:meth:`Deadline.remaining`).  It is an immutable value:
-sharing one deadline across threads or layers is safe by
+cooperative checkpoints (:meth:`Deadline.check`).  It is an immutable
+value: sharing one deadline across threads or layers is safe by
 construction.
 """
 
@@ -22,9 +21,9 @@ class Deadline:
 
     Create one with :meth:`after`; pass it down through
     ``repro.compile(deadline=...)`` / ``Pipeline(deadline=...)``.
-    Checkpoints call :meth:`check`, waits bound themselves by
-    :meth:`remaining` — nothing is interrupted preemptively, so a
-    deadline can only fire between cooperative steps.
+    Checkpoints call :meth:`check` — nothing is interrupted
+    preemptively, so a deadline can only fire between cooperative
+    steps.
 
     Attributes:
         expires_at: absolute :func:`time.monotonic` expiry instant.
@@ -69,7 +68,7 @@ class Deadline:
 
         Args:
             site: checkpoint name baked into the error message
-                (``pipeline.run``, ``session.job[2]``, ...).
+                (``pipeline.apply(tbs)``, ...).
         """
         if self.expired():
             where = site or "deadline"
@@ -78,20 +77,6 @@ class Deadline:
                 f"(over by {-self.remaining():.3f}s)",
                 site=site or None,
             )
-
-    def bound(self, timeout: Optional[float]) -> Optional[float]:
-        """Clamp a wait ``timeout`` so it cannot outlive the deadline.
-
-        Args:
-            timeout: the wait's own timeout; ``None`` means unbounded.
-
-        Returns:
-            ``min(timeout, remaining)`` floored at zero.
-        """
-        remaining = max(self.remaining(), 0.0)
-        if timeout is None:
-            return remaining
-        return min(timeout, remaining)
 
 
 def as_deadline(

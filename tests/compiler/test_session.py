@@ -1,6 +1,7 @@
 """Sessions: batched compilation, sweeps, shared and persistent caches."""
 
-import re
+import asyncio
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -9,16 +10,16 @@ import _hand_wired as hand_wired
 from _helpers import toffoli_gates
 
 import repro
-from repro.compiler import CompilerSession, targets
+from repro.boolean.permutation import BitPermutation
+from repro.compiler import CompilerSession, Target, targets
 from repro.pipeline import PassCache, PipelineError
 from repro.revkit import generators
+from repro.synthesis.transformation import transformation_based_synthesis
 
 
 class TestBatch:
     def test_order_preserved(self):
-        session = CompilerSession(
-            target="toffoli", cache=PassCache(), max_workers=4
-        )
+        session = CompilerSession(target="toffoli", cache=PassCache())
         results = [
             point.result for point in session.sweep({"hwb": [3, 4, 5] * 2})
         ]
@@ -44,10 +45,59 @@ class TestBatch:
     def test_empty_batch(self):
         assert len(CompilerSession(cache=None).sweep({"hwb": []})) == 0
 
-    @pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2"])
-    def test_invalid_max_workers_refused_upfront(self, workers):
-        with pytest.raises(PipelineError, match=re.escape(repr(workers))):
-            CompilerSession(max_workers=workers)
+    def test_point_error_propagates_unwrapped(self):
+        session = CompilerSession(target="toffoli", cache=None)
+        with pytest.raises(TypeError, match="workload"):
+            session.sweep({"optimization_level": [0, 1]}, base=object())
+
+    def test_unknown_target_propagates_unwrapped(self):
+        session = CompilerSession(cache=None)
+        with pytest.raises(PipelineError, match="unknown target"):
+            session.sweep({"hwb": [3], "target": ["warp"]})
+
+    def test_points_run_in_order_on_the_calling_thread(self):
+        seen = []
+
+        def recording_synthesis(perm):
+            seen.append((perm.num_bits, threading.current_thread()))
+            return transformation_based_synthesis(perm)
+
+        target = Target(
+            name="recording",
+            description="records where each point's synthesis runs",
+            gate_set=targets.MCT_GATES,
+            optimization_level=0,
+            synthesis=recording_synthesis,
+        )
+        session = CompilerSession(target=target, cache=None)
+        session.sweep({"hwb": [4, 3, 5]})
+        caller = threading.current_thread()
+        assert seen == [(4, caller), (3, caller), (5, caller)]
+
+    def test_first_failing_point_stops_the_sweep(self):
+        started = []
+
+        def tracking_synthesis(perm):
+            started.append(perm)
+            return transformation_based_synthesis(perm)
+
+        def failing_synthesis(perm):
+            raise TypeError("synthesis refused")
+
+        target = Target(
+            name="tracking",
+            description="records which points ever started",
+            gate_set=targets.MCT_GATES,
+            optimization_level=0,
+            synthesis=tracking_synthesis,
+        )
+        session = CompilerSession(target=target, cache=None)
+        grid = {"synthesis": [tracking_synthesis, failing_synthesis]
+                + [tracking_synthesis] * 4}
+        with pytest.raises(TypeError, match="synthesis refused"):
+            session.sweep(grid, base=BitPermutation(range(8)))
+        # the points after the failing one never start
+        assert len(started) == 1
 
 
 class TestSweep:
@@ -57,8 +107,9 @@ class TestSweep:
             "synthesis": ["tbs", "tbs-bidir"],
             "optimization_level": [1, 2],
         }
-        # serial execution makes the within-sweep hit pattern exact
-        session = CompilerSession(cache=PassCache(), max_workers=1)
+        # points run one after another: the within-sweep hit pattern
+        # is exact
+        session = CompilerSession(cache=PassCache())
         first = session.sweep(grid)
         assert len(first) == 8
         # every repeated sub-flow replays: after the first point of
@@ -82,14 +133,31 @@ class TestSweep:
             assert a.result.circuit.gates == b.result.circuit.gates
 
     def test_threaded_sweep_matches_serial(self):
+        # the library runs no threads of its own, but callers may: the
+        # cache's lock lets sweeps on several threads share one cache
         grid = {"hwb": [3, 4], "synthesis": ["tbs", "tbs-bidir"]}
-        serial = CompilerSession(cache=PassCache(), max_workers=1).sweep(grid)
-        threaded = CompilerSession(cache=PassCache(), max_workers=4).sweep(
-            grid
-        )
-        assert [p.params for p in serial] == [p.params for p in threaded]
-        for a, b in zip(serial, threaded):
-            assert a.result.circuit.gates == b.result.circuit.gates
+        serial = CompilerSession(cache=PassCache()).sweep(grid)
+        session = CompilerSession(cache=PassCache())
+        swept, errors = [None] * 4, []
+
+        def run(slot):
+            try:
+                swept[slot] = session.sweep(grid)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(slot,)) for slot in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        for threaded in swept:
+            assert [p.params for p in serial] == [p.params for p in threaded]
+            for a, b in zip(serial, threaded):
+                assert a.result.circuit.gates == b.result.circuit.gates
 
     def test_sweep_point_translation(self, paper_pi):
         session = CompilerSession(cache=None)
@@ -132,6 +200,44 @@ class TestSweep:
         )
         assert result.points[0].result.circuit is None
         assert result.points[1].result.circuit is not None
+
+
+class TestSweepInsideARunningLoop:
+    """A sweep is a plain call: it blocks and returns even when the
+    calling thread is already running an event loop (a notebook, an
+    async server), and it never touches that thread's loop."""
+
+    def test_sweep_from_a_running_loop(self):
+        session = CompilerSession(target="toffoli", cache=PassCache())
+
+        async def story():
+            return session.sweep({"hwb": [3, 4]})
+
+        swept = asyncio.run(story())
+        assert [p.params for p in swept] == [{"hwb": 3}, {"hwb": 4}]
+        for n, point in zip((3, 4), swept):
+            alone = session.compile({"hwb": n})
+            assert point.result.reversible.gates == alone.reversible.gates
+
+    def test_sweep_leaves_the_thread_event_loop_alone(self):
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        try:
+            session = CompilerSession(target="toffoli", cache=None)
+            session.sweep({"hwb": [3]})
+            assert asyncio.get_event_loop_policy().get_event_loop() is loop
+        finally:
+            asyncio.set_event_loop(None)
+            loop.close()
+
+    def test_errors_inside_a_running_loop_propagate_unwrapped(self):
+        session = CompilerSession(target="toffoli", cache=None)
+
+        async def story():
+            session.sweep({"optimization_level": [0, 1]}, base=object())
+
+        with pytest.raises(TypeError, match="workload"):
+            asyncio.run(story())
 
 
 class TestPersistentCache:

@@ -13,7 +13,6 @@ flow whose entry is evicted under it recomputes the same result.
 import contextlib
 import json
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -22,7 +21,7 @@ from _helpers import toffoli_gates
 
 import repro
 from repro.compiler import CompilerSession
-from repro.pipeline import FlowState, PassCache, Pipeline, SimplifyPass
+from repro.pipeline import FlowState, PassCache, Pipeline
 from repro.pipeline.cache import DISK_FORMAT
 from repro.revkit import generators
 
@@ -59,15 +58,39 @@ def _sweeping(cache):
     assert not errors, errors
 
 
+def _in_threads(count, sweep):
+    """Run ``sweep()`` on ``count`` threads at once; return the points."""
+    results = [None] * count
+    errors = []
+
+    def run(index):
+        try:
+            results[index] = list(sweep())
+        except Exception as exc:  # re-raised on the test thread below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(index,))
+        for index in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    return [point for points in results for point in points]
+
+
 class TestThreadStress:
     def test_hammered_bounded_cache_stays_correct(self, tmp_path):
         cache = PassCache(maxsize=4, path=str(tmp_path))
-        session = CompilerSession(
-            target="clifford_t", cache=cache, max_workers=8
-        )
+        session = CompilerSession(target="clifford_t", cache=cache)
         reference = {n: _reference(n) for n in (3, 4)}
         with _sweeping(cache):
-            swept = session.sweep({"hwb": [3, 4] * 8})
+            # eight threads sweep at once over the one shared cache
+            swept = _in_threads(8, lambda: session.sweep({"hwb": [3, 4]}))
+        assert len(swept) == 16
         for point in swept:
             expected = reference[point.params["hwb"]]
             assert point.result.circuit.gates == expected.circuit.gates
@@ -99,9 +122,7 @@ class TestThreadStress:
         path = str(tmp_path)
         reference = {n: _reference(n, "toffoli") for n in (3, 4)}
         thread_cache = PassCache(path=path)
-        thread_session = CompilerSession(
-            target="toffoli", cache=thread_cache, max_workers=4
-        )
+        thread_session = CompilerSession(target="toffoli", cache=thread_cache)
         process_sizes = [3, 4] * 2
         outcome = {}
 
@@ -116,7 +137,9 @@ class TestThreadStress:
             worker.start()
             outcome["thread"] = [
                 point.result
-                for point in thread_session.sweep({"hwb": [3, 4] * 4})
+                for point in _in_threads(
+                    4, lambda: thread_session.sweep({"hwb": [3, 4]})
+                )
             ]
             worker.join(timeout=300)
             assert not worker.is_alive()
@@ -131,29 +154,7 @@ class TestThreadStress:
             assert payload["format"] == DISK_FORMAT
 
 
-class TestInFlightProtection:
-    def test_gc_may_evict_an_inflight_entry(self, tmp_path):
-        """Nothing is pinned: a sweep under a running leader takes its
-        entry too, and the leader's store puts it back."""
-        cache = PassCache(path=str(tmp_path))
-        cache.put("busy", {"function": None}, {})
-        cache.put("idle", {"function": None}, {})
-        role, _event = cache.begin_compute("busy")
-        assert role == "leader"
-        try:
-            swept = cache.gc(max_entries=0)
-            assert swept["evicted"] == 2
-            assert cache.disk_usage() == (0, 0)
-            # another process now misses and would recompute
-            assert PassCache(path=str(tmp_path)).get("busy") is None
-            cache.put("busy", {"function": None}, {"again": True})
-        finally:
-            cache.end_compute("busy")
-        reread = PassCache(path=str(tmp_path)).get("busy")
-        assert reread is not None and reread[1] == {"again": True}
-        assert cache.begin_compute("busy")[0] == "leader"  # released
-        cache.end_compute("busy")
-
+class TestSharedCacheSemantics:
     def test_full_tier_keeps_the_fresh_insert(self):
         """A put into a full memory tier evicts the least recently
         used entry, never the one just inserted."""
@@ -163,7 +164,7 @@ class TestInFlightProtection:
         cache.put("fresh", {"function": None}, {})
         assert len(cache) == 4
         assert cache.get("fresh") is not None
-        assert cache.get("key0", count_miss=False) is None
+        assert cache.get("key0") is None
         assert cache.stats()["memory_evictions"] == 1
 
     def test_memory_lru_hit_refreshes_recency(self):
@@ -174,54 +175,11 @@ class TestInFlightProtection:
         cache.put("another", {"function": None}, {})
         assert cache.get("hot") is not None
         assert cache.get("another") is not None
-        assert cache.get("other", count_miss=False) is None
-
-    def test_single_flight_runs_concurrent_identical_passes_once(self):
-        class SlowSimplify(SimplifyPass):
-            calls = 0
-            _lock = threading.Lock()
-
-            def run(self, state):
-                with SlowSimplify._lock:
-                    SlowSimplify.calls += 1
-                time.sleep(0.05)
-                return super().run(state)
-
-        SlowSimplify.calls = 0
-        perm = generators.hwb(4)
-        from repro.pipeline import SynthesisPass
-
-        seed = FlowState(function=perm)
-        seed = SynthesisPass("tbs").run(seed)
-        cache = PassCache()
-        outputs = []
-
-        def worker():
-            pipeline = Pipeline(cache=cache)
-            state, record = pipeline.apply(SlowSimplify(), seed)
-            outputs.append((state.reversible.gates, record.cache_hit))
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert len(outputs) == 4
-        # the leader computed once; every follower replayed its entry
-        assert SlowSimplify.calls == 1
-        gates = {tuple(g for g in gates_) for gates_, _hit in outputs}
-        assert len(gates) == 1
-        assert sum(1 for _g, hit in outputs if hit) == 3
-        # counter accounting: one logical miss (the leader's compute),
-        # one hit per replayed follower — a follower's wait must not
-        # log a spurious miss-then-hit pair
-        stats = cache.stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 3
+        assert cache.get("other") is None
 
     def test_nested_apply_on_shared_cache_does_not_deadlock(self):
         """A pass whose run() itself drives the same cache (a nested
-        flow) must not deadlock on the single-flight registry."""
+        flow) must not deadlock on the cache's lock."""
         cache = PassCache()
         perm = generators.hwb(4)
         from repro.pipeline import SynthesisPass
@@ -238,86 +196,6 @@ class TestInFlightProtection:
         )
         assert state.reversible is not None
         assert not record.cache_hit
-
-    def test_follower_timeout_falls_back_to_computing(self, monkeypatch):
-        """If the leader stalls past the single-flight timeout, the
-        follower computes the pass itself instead of hanging."""
-        from repro.pipeline import SynthesisPass, runner
-
-        monkeypatch.setattr(runner, "SINGLE_FLIGHT_TIMEOUT", 0.01)
-        cache = PassCache()
-        seed = FlowState(function=generators.hwb(3))
-        pipeline = Pipeline(cache=cache)
-        key = pipeline._cache_key(SynthesisPass("tbs"), seed)
-        role, _event = cache.begin_compute(key)
-        assert role == "leader"
-
-        stalled_result = {}
-
-        def follower():
-            state, record = Pipeline(cache=cache).apply(
-                SynthesisPass("tbs"), seed
-            )
-            stalled_result["gates"] = state.reversible.gates
-            stalled_result["hit"] = record.cache_hit
-
-        thread = threading.Thread(target=follower)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        cache.end_compute(key)
-        assert not stalled_result["hit"]
-        assert stalled_result["gates"]
-
-    def test_follower_recomputes_entry_evicted_before_reread(self):
-        """The leader's entry is evicted before the waiting follower
-        re-reads it: the follower claims the key and recomputes, and
-        its outputs match the leader's gate for gate."""
-        from repro.pipeline import SynthesisPass
-
-        class EvictingCache(PassCache):
-            def __init__(self):
-                super().__init__()
-                self.roles = []
-                self.follower_waiting = threading.Event()
-
-            def begin_compute(self, key):
-                role, event = super().begin_compute(key)
-                self.roles.append(role)
-                if role == "follower":
-                    self.follower_waiting.set()
-                return role, event
-
-            def put(self, *args, **kwargs):
-                super().put(*args, **kwargs)
-                self.clear()  # gone before the follower re-reads it
-
-        cache = EvictingCache()
-
-        class HeldSynthesis(SynthesisPass):
-            def run(self, state):
-                # the leader stores only once a follower is waiting
-                assert cache.follower_waiting.wait(timeout=30)
-                return super().run(state)
-
-        seed = FlowState(function=generators.hwb(3))
-        outcomes = []
-
-        def apply():
-            state, record = Pipeline(cache=cache).apply(
-                HeldSynthesis("tbs"), seed
-            )
-            outcomes.append((state.reversible.gates, record.cache_hit))
-
-        threads = [threading.Thread(target=apply) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        assert cache.roles == ["leader", "follower", "leader"]
-        reference = SynthesisPass("tbs").run(seed).reversible.gates
-        assert outcomes == [(reference, False), (reference, False)]
 
 
 class TestConcurrentWriters:

@@ -1,14 +1,13 @@
 """Property-based differential compilation harness.
 
-The concurrency/eviction soundness property: for any workload, every
-execution path through the facade — plain synchronous compilation,
-async batched compilation, a cold disk-backed cache, a warm cache
-after an eviction sweep, and a pure disk replay — must produce
-gate-for-gate identical circuits.  Caching, concurrency and GC are
-allowed to change *when* work happens, never *what* comes out.
+The caching/eviction soundness property: for any workload, every
+execution path through the facade — plain uncached compilation, a
+session sweep over a shared cache, a cold disk-backed cache, a warm
+cache after an eviction sweep, and a pure disk replay — must produce
+gate-for-gate identical circuits.  Caching and GC are allowed to
+change *when* work happens, never *what* comes out.
 """
 
-import asyncio
 import shutil
 import tempfile
 
@@ -49,19 +48,17 @@ def _gates(result):
 def assert_paths_agree(workload, target):
     """Compile one workload through every execution path and compare.
 
-    Paths: (1) sync and uncached — the reference; (2) async batched
-    over a shared in-memory cache, twice in one batch so the second
-    job replays; (3) cold disk-backed cache; (4) warm cache after a
+    Paths: (1) uncached — the reference; (2) a session sweep over a
+    shared in-memory cache, twice in one sweep so the second point
+    replays; (3) cold disk-backed cache; (4) warm cache after a
     gc() sweep evicted most disk entries; (5) pure disk replay in a
     fresh cache instance.
     """
     reference = _gates(repro.compile(workload, target=target, cache=None))
 
-    session = CompilerSession(
-        target=target, cache=PassCache(), max_workers=4
-    )
-    first, second = asyncio.run(
-        session.sweep_async({"target": [target, target]}, base=workload)
+    session = CompilerSession(target=target, cache=PassCache())
+    first, second = session.sweep(
+        {"target": [target, target]}, base=workload
     )
     assert _gates(first.result) == reference
     assert _gates(second.result) == reference
@@ -107,14 +104,10 @@ def test_truth_tables_to_clifford_t(table):
     st.integers(2, 3),
     st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
 )
-def test_async_batch_order_is_deterministic(width, seeds):
-    """Async results must follow input order, not completion order."""
-    session = CompilerSession(
-        target="clifford_t", cache=PassCache(), max_workers=4
-    )
-    swept = asyncio.run(
-        session.sweep_async({"random": [width], "seed": seeds})
-    )
+def test_batch_order_is_deterministic(width, seeds):
+    """Sweep results follow the grid order."""
+    session = CompilerSession(target="clifford_t", cache=PassCache())
+    swept = session.sweep({"random": [width], "seed": seeds})
     assert [p.params["seed"] for p in swept] == seeds
     sync = [session.compile(point.params) for point in swept]
     assert [_gates(p.result) for p in swept] == [_gates(r) for r in sync]

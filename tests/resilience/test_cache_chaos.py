@@ -40,6 +40,19 @@ def quarantine_files(path):
     return sorted(os.listdir(quarantine))
 
 
+def make_unlistable(monkeypatch, path):
+    """Make ``os.listdir`` raise ``PermissionError`` for ``path`` only."""
+    real_listdir = os.listdir
+    denied = os.fspath(path)
+
+    def listdir(target="."):
+        if os.fspath(target) == denied:
+            raise PermissionError(13, "Permission denied", denied)
+        return real_listdir(target)
+
+    monkeypatch.setattr(os, "listdir", listdir)
+
+
 def put_one(cache, key=KEY, value=42):
     """Insert one spillable entry and return its outputs dict."""
     outputs = {"value": value, "label": f"entry-{value}"}
@@ -373,14 +386,8 @@ class TestGcChaos:
     ):
         cache = self.fill(tmp_path, count=3)
         chaos([{"site": "cache.gc.scan", "times": 1}])
-        swept = cache.gc(max_entries=1)
-        assert swept == {
-            "scanned": 0,
-            "evicted": 0,
-            "quarantined": 0,
-            "entries": 0,
-            "bytes": 0,
-        }
+        with pytest.raises(OSError, match="cache.gc.scan"):
+            cache.gc(max_entries=1)
         assert len(entry_files(tmp_path)) == 3  # tier intact
         assert cache.stats()["disk_io_errors"] == 1
         # and the next sweep (fault spent) works normally
@@ -390,19 +397,28 @@ class TestGcChaos:
         self, tmp_path, monkeypatch
     ):
         cache = self.fill(tmp_path, count=3)
-
-        def broken_listdir(path):
-            raise PermissionError(13, "Permission denied", path)
-
-        monkeypatch.setattr(cache_module.os, "listdir", broken_listdir)
-        swept = cache.gc(max_entries=1)
+        make_unlistable(monkeypatch, tmp_path)
+        with pytest.raises(PermissionError):
+            cache.gc(max_entries=1)
         monkeypatch.undo()
-        assert swept["scanned"] == 0
-        assert swept["evicted"] == 0
         assert len(entry_files(tmp_path)) == 3  # tier intact
         stats = cache.stats()
         assert stats["disk_io_errors"] == 1
         assert stats["io_errors"] == 1
+
+    def test_unlistable_directory_fails_usage_and_clear(
+        self, tmp_path, monkeypatch
+    ):
+        cache = self.fill(tmp_path, count=3)
+        make_unlistable(monkeypatch, tmp_path)
+        with pytest.raises(PermissionError):
+            cache.disk_usage()
+        with pytest.raises(PermissionError):
+            cache.clear(disk=True)
+        monkeypatch.undo()
+        assert len(entry_files(tmp_path)) == 3  # tier intact
+        assert len(cache) == 3  # a failed clear clears nothing
+        assert cache.stats()["disk_io_errors"] == 2
 
     def test_gc_unlink_fault_skips_entry_and_counts(
         self, tmp_path, chaos
@@ -482,3 +498,30 @@ class TestCacheCli:
         payload = json.loads(out)
         assert payload["quarantined"] == 1
         assert payload["entries"] == 1  # the healthy entry survived
+
+    @pytest.mark.parametrize("action", ["stats", "gc", "clear"])
+    def test_unlistable_directory_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch, action
+    ):
+        put_one(PassCache(path=str(tmp_path)))
+        make_unlistable(monkeypatch, tmp_path)
+        code = cli_main(["cache", action, "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        monkeypatch.undo()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot list cache directory {str(tmp_path)!r}: "
+            "Permission denied\n"
+        )
+        assert len(entry_files(tmp_path)) == 1  # nothing touched
+
+    def test_unlistable_quarantine_is_not_counted_as_empty(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        os.mkdir(os.path.join(tmp_path, QUARANTINE_DIR))
+        make_unlistable(monkeypatch, os.path.join(tmp_path, QUARANTINE_DIR))
+        code = cli_main(["cache", "stats", "--cache-dir", str(tmp_path)])
+        monkeypatch.undo()
+        assert code == 2
+        assert "cannot list cache directory" in capsys.readouterr().err

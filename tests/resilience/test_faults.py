@@ -23,9 +23,27 @@ from repro.resilience import (
 class TestFaultSpec:
     def test_validates_action_and_error(self):
         with pytest.raises(ValueError, match="unknown fault action"):
-            FaultSpec(site="x", action="explode")
+            FaultSpec(site="cache.load.read", action="explode")
         with pytest.raises(ValueError, match="unknown fault error"):
-            FaultSpec(site="x", error="kaboom")
+            FaultSpec(site="cache.load.read", error="kaboom")
+
+    @pytest.mark.parametrize(
+        "site",
+        ["session.dispach", "session.dispatch", "pipeline.apply.claim",
+         "pipeline.pass.run.", "cache.*.write.x", "a"],
+    )
+    def test_refuses_a_site_matching_no_registered_site(self, site):
+        with pytest.raises(ValueError, match=f"unknown fault site '{site}'"):
+            FaultSpec(site=site)
+
+    @pytest.mark.parametrize(
+        "site",
+        ["cache.gc.scan", "cache.*", "*", "pipeline.pass.run.tbs",
+         "pipeline.pass.run.revgen-hwb", "pipeline.pass.run.*",
+         "pipeline.*"],
+    )
+    def test_accepts_registered_sites_and_pass_names(self, site):
+        assert FaultSpec(site=site).site == site
 
     def test_matches_exact_and_glob(self):
         exact = FaultSpec(site="cache.spill.write")
@@ -34,12 +52,12 @@ class TestFaultSpec:
         glob = FaultSpec(site="pipeline.pass.run.*")
         assert glob.matches("pipeline.pass.run.tbs")
         assert glob.matches("pipeline.pass.run.revsimp")
-        assert not glob.matches("pipeline.apply.claim")
+        assert not glob.matches("cache.gc.scan")
 
     def test_known_sites_cover_all_layers(self):
         prefixes = {site.split(".")[0] for site in KNOWN_SITES}
-        assert prefixes == {"cache", "pipeline", "session"}
-        assert set(ACTIONS) == {"raise", "delay", "hang", "torn"}
+        assert prefixes == {"cache", "pipeline"}
+        assert set(ACTIONS) == {"raise", "delay", "torn"}
 
 
 class TestFaultPlan:
@@ -61,42 +79,42 @@ class TestFaultPlan:
         fault_point("cache.load.read")
 
     def test_times_none_fires_forever(self, chaos):
-        chaos([{"site": "session.dispatch", "times": None,
+        chaos([{"site": "cache.gc.scan", "times": None,
                 "error": "timeout"}])
         for _ in range(5):
             with pytest.raises(InjectedTimeout):
-                fault_point("session.dispatch")
+                fault_point("cache.gc.scan")
 
     def test_error_kinds(self, chaos):
         chaos([
-            {"site": "a", "error": "oserror"},
-            {"site": "b", "error": "fault"},
-            {"site": "c", "error": "timeout"},
+            {"site": "cache.load.read", "error": "oserror"},
+            {"site": "cache.gc.scan", "error": "fault"},
+            {"site": "cache.gc.unlink", "error": "timeout"},
         ])
         with pytest.raises(InjectedOSError) as os_info:
-            fault_point("a")
+            fault_point("cache.load.read")
         with pytest.raises(InjectedFault) as fault_info:
-            fault_point("b")
+            fault_point("cache.gc.scan")
         with pytest.raises(InjectedTimeout) as timeout_info:
-            fault_point("c")
+            fault_point("cache.gc.unlink")
         assert isinstance(os_info.value, OSError)
         # a generic fault is no I/O error: nothing in the stack retries it
         assert not isinstance(fault_info.value, OSError)
         assert isinstance(timeout_info.value, TimeoutError)
 
     def test_delay_blocks_for_roughly_seconds(self, chaos):
-        chaos([{"site": "pipeline.apply.wait", "action": "delay",
+        chaos([{"site": "pipeline.pass.run.tbs", "action": "delay",
                 "seconds": 0.05}])
         start = time.monotonic()
-        fault_point("pipeline.apply.wait")
+        fault_point("pipeline.pass.run.tbs")
         assert time.monotonic() - start >= 0.04
 
-    def test_release_unblocks_a_pending_hang(self, chaos):
-        plan = chaos([{"site": "pipeline.apply.claim", "action": "hang",
+    def test_release_unblocks_a_pending_delay(self, chaos):
+        plan = chaos([{"site": "pipeline.pass.run.tbs", "action": "delay",
                        "seconds": 30}])
         plan.release()
         start = time.monotonic()
-        fault_point("pipeline.apply.claim")  # released: returns at once
+        fault_point("pipeline.pass.run.tbs")  # released: returns at once
         assert time.monotonic() - start < 1.0
 
     def test_torn_truncation_is_seed_deterministic(self):
@@ -179,6 +197,11 @@ class TestPlanFromEnv:
             "cache.spill.write", "raise", 2)
         assert (second.times, second.seconds) == (None, 0.2)
         assert (third.times, third.error) == (1, "timeout")
+
+    def test_unknown_site_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "session.dispatch:raise:1")
+        with pytest.raises(ValueError, match="'session.dispatch'"):
+            plan_from_env()
 
     def test_malformed_segment_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "just-a-site")

@@ -6,26 +6,13 @@ never a hang and never a silently wrong circuit.  Nothing re-runs a
 failed pass: passes are deterministic, so the first error propagates.
 """
 
-import threading
 import time
 
 import pytest
 
-from repro.pipeline import (
-    FlowState,
-    PassCache,
-    Pipeline,
-    PipelineError,
-    SynthesisPass,
-    runner,
-)
+from repro.pipeline import FlowState, Pipeline, SynthesisPass
 from repro.pipeline.passes import Pass
-from repro.resilience import (
-    Deadline,
-    DeadlineExceeded,
-    InjectedFault,
-    InjectedOSError,
-)
+from repro.resilience import Deadline, DeadlineExceeded, InjectedFault
 from repro.revkit import generators
 
 
@@ -138,101 +125,3 @@ class TestInjectedPassFaults:
         reference = SynthesisPass("tbs").run(self.seed())
         assert state.reversible.gates == reference.reversible.gates
         assert not record.cache_hit
-
-    def test_claim_site_fault_surfaces_typed_not_hung(self, chaos):
-        chaos([{"site": "pipeline.apply.claim", "times": 1}])
-        pipeline = Pipeline(cache=PassCache())
-        with pytest.raises(InjectedOSError):
-            pipeline.apply(SynthesisPass("tbs"), self.seed())
-        # the fault is spent: the same apply now succeeds
-        state, _record = pipeline.apply(SynthesisPass("tbs"), self.seed())
-        assert state.reversible is not None
-
-
-class TestSingleFlightTimeout:
-    def seed(self):
-        """Return a flow store carrying an hwb specification."""
-        return FlowState(function=generators.hwb(3))
-
-    def hung_leader(self, cache, seed):
-        """Claim the tbs key as a leader that never finishes."""
-        key = Pipeline(cache=cache)._cache_key(SynthesisPass("tbs"), seed)
-        role, _event = cache.begin_compute(key)
-        assert role == "leader"
-        return key
-
-    def run_follower(self, pipeline, seed):
-        """Run one follower apply in a thread; return its outcome."""
-        outcome = {}
-
-        def follower():
-            """Apply the pass and record gates/hit (or the error)."""
-            try:
-                state, record = pipeline.apply(SynthesisPass("tbs"), seed)
-            except PipelineError as exc:
-                outcome["error"] = exc
-            else:
-                outcome["gates"] = state.reversible.gates
-                outcome["hit"] = record.cache_hit
-        thread = threading.Thread(target=follower)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive(), "follower hung"
-        return outcome
-
-    def test_follower_recomputes_past_the_timeout(self, monkeypatch):
-        monkeypatch.setattr(runner, "SINGLE_FLIGHT_TIMEOUT", 0.05)
-        cache = PassCache()
-        seed = self.seed()
-        key = self.hung_leader(cache, seed)
-        try:
-            outcome = self.run_follower(Pipeline(cache=cache), seed)
-        finally:
-            cache.end_compute(key)
-        assert outcome["hit"] is False  # recomputed, not replayed
-        reference = SynthesisPass("tbs").run(self.seed())
-        assert outcome["gates"] == reference.reversible.gates
-
-    @pytest.mark.parametrize("raw", ["3600", "inf"])
-    def test_env_variable_is_ignored(self, monkeypatch, raw):
-        """``REPRO_SINGLE_FLIGHT_TIMEOUT`` no longer sets the wait:
-        the follower gives up after ``runner.SINGLE_FLIGHT_TIMEOUT``."""
-        monkeypatch.setenv("REPRO_SINGLE_FLIGHT_TIMEOUT", raw)
-        monkeypatch.setattr(runner, "SINGLE_FLIGHT_TIMEOUT", 0.05)
-        cache = PassCache()
-        seed = self.seed()
-        key = self.hung_leader(cache, seed)
-        try:
-            outcome = self.run_follower(Pipeline(cache=cache), seed)
-        finally:
-            cache.end_compute(key)
-        assert "error" not in outcome
-        assert outcome["hit"] is False
-
-    def test_deadline_bounds_the_follower_wait(self):
-        cache = PassCache()
-        seed = self.seed()
-        key = self.hung_leader(cache, seed)
-        # the deadline, not the 60s follower timeout, must win
-        pipeline = Pipeline(cache=cache, deadline=0.1)
-        outcome = {}
-
-        def follower():
-            """Wait on the hung leader under a tiny deadline."""
-            try:
-                pipeline.apply(SynthesisPass("tbs"), seed)
-            except DeadlineExceeded as exc:
-                outcome["error"] = exc
-
-        try:
-            started = time.monotonic()
-            thread = threading.Thread(target=follower)
-            thread.start()
-            thread.join(timeout=30)
-            assert not thread.is_alive(), "follower hung"
-            elapsed = time.monotonic() - started
-        finally:
-            cache.end_compute(key)
-        assert isinstance(outcome.get("error"), DeadlineExceeded)
-        assert "pipeline.apply.wait(tbs)" in str(outcome["error"])
-        assert elapsed < 10

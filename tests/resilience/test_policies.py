@@ -44,17 +44,6 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded, match="deadline:"):
             deadline.check()
 
-    def test_bound_clamps_timeouts(self):
-        deadline = Deadline.after(10)
-        assert deadline.bound(0.5) == 0.5
-        assert deadline.bound(None) == pytest.approx(10, abs=1.0)
-        assert deadline.bound(99) <= 10
-
-    def test_bound_floors_at_zero_once_expired(self):
-        deadline = Deadline(expires_at=time.monotonic() - 5.0, budget=1.0)
-        assert deadline.bound(3.0) == 0.0
-        assert deadline.bound(None) == 0.0
-
     def test_deadline_errors_are_pipeline_errors(self):
         assert issubclass(DeadlineExceeded, ResilienceError)
         assert issubclass(ResilienceError, PipelineError)

@@ -46,13 +46,21 @@ engine's and ProjectQ ``Simulator``'s ``fusion=``, the
 ``post_cancel=`` and ``verify_routing``'s ``atol=``.  So is the
 routing check's ladder beside its exact SWAP-relabelling tier (the
 wire-permuting probe helpers and the measurement stripping), and a
-stored ``RoutingResult.initial_layout``.  An old spelling must
+stored ``RoutingResult.initial_layout``.  So is the batch executor:
+``sweep`` is a plain loop in the calling thread, so
+``CompilerSession.sweep_async`` with its asyncio core and thread pool,
+the session's ``max_workers=`` and ``job_timeout=``, the
+``session.dispatch`` fault site and single-flight deduplication
+(``PassCache.begin_compute``/``end_compute``/``count_miss``,
+``get(count_miss=)``, ``SINGLE_FLIGHT_TIMEOUT``, the
+``pipeline.apply.claim``/``pipeline.apply.wait`` sites,
+``Deadline.bound`` and the ``hang`` fault action) are gone.  An old
+spelling must
 end in an import, attribute, type or engine error — or, for the
 environment variables, have no effect at all — rather than being
 silently accepted.
 """
 
-import asyncio
 import importlib
 import subprocess
 import sys
@@ -231,14 +239,8 @@ def test_flow_presets_beside_the_targets_are_gone(module, name):
         lambda repro, session: session.CompilerSession(
             cache=None
         ).sweep({"hwb": [3]}, flow="eq5"),
-        lambda repro, session: asyncio.run(
-            session.CompilerSession(cache=None).sweep_async(
-                {"hwb": [3]}, flow="eq5"
-            )
-        ),
     ],
-    ids=["compile", "CompilerSession", "session.compile", "sweep",
-         "sweep_async"],
+    ids=["compile", "CompilerSession", "session.compile", "sweep"],
 )
 def test_flow_keyword_is_gone(call):
     import repro
@@ -287,13 +289,10 @@ def _session():
             {"hwb": [3]}, retry=2), "retry"),
         (lambda repro, P: _session().sweep(
             {"hwb": [3]}, job_timeout=60), "job_timeout"),
-        (lambda repro, P: asyncio.run(_session().sweep_async(
-            {"hwb": [3]}, max_in_flight=2)), "max_in_flight"),
     ],
     ids=["compile(on_error=)", "Pipeline(on_error=)",
          "Pipeline.run(deadline=)", "Pipeline.apply(retry=)",
-         "sweep(retry=)", "sweep(job_timeout=)",
-         "sweep_async(max_in_flight=)"],
+         "sweep(retry=)", "sweep(job_timeout=)"],
 )
 def test_failure_policies_beside_retry_are_gone(call, keyword):
     import repro
@@ -351,6 +350,61 @@ def test_retry_vocabulary_is_gone(name):
 
     for module in (repro.resilience, errors, policies):
         assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("keyword", ["max_workers", "job_timeout"])
+def test_session_pool_options_are_gone(keyword):
+    from repro.compiler import CompilerSession
+
+    with pytest.raises(TypeError, match=keyword):
+        CompilerSession(cache=None, **{keyword: 1})
+    session = CompilerSession(cache=None)
+    assert not hasattr(session, keyword)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.compiler.session.CompilerSession", "sweep_async"),
+        ("repro.compiler.session.CompilerSession", "_run_batch_async"),
+        ("repro.compiler.session.CompilerSession", "_compile_task"),
+        ("repro.compiler.session", "_run_sync"),
+        ("repro.compiler.session", "_run_private"),
+        ("repro.compiler.session", "_JOB_TIMEOUT_GRACE"),
+        ("repro.compiler.session", "asyncio"),
+        ("repro.compiler.session", "ThreadPoolExecutor"),
+        ("repro.pipeline.runner", "SINGLE_FLIGHT_TIMEOUT"),
+        ("repro.pipeline.cache.PassCache", "begin_compute"),
+        ("repro.pipeline.cache.PassCache", "end_compute"),
+        ("repro.pipeline.cache.PassCache", "count_miss"),
+        ("repro.resilience.policies.Deadline", "bound"),
+        ("repro.resilience.faults", "HANG_SECONDS"),
+    ],
+)
+def test_batch_executor_and_single_flight_are_gone(module, name):
+    path, _, attribute = module.rpartition(".")
+    try:
+        owner = importlib.import_module(module)
+    except ImportError:
+        owner = getattr(importlib.import_module(path), attribute)
+    assert not hasattr(owner, name), (module, name)
+
+
+def test_single_flight_remnants_fail():
+    from repro.pipeline import PassCache
+    from repro.resilience import ACTIONS, KNOWN_SITES, FaultSpec
+
+    with pytest.raises(TypeError, match="count_miss"):
+        PassCache().get("key", count_miss=False)
+    assert not hasattr(PassCache(), "_inflight")
+    assert "hang" not in ACTIONS
+    with pytest.raises(ValueError, match="unknown fault action"):
+        FaultSpec(site="cache.gc.scan", action="hang")
+    for site in ("session.dispatch", "pipeline.apply.claim",
+                 "pipeline.apply.wait"):
+        assert site not in KNOWN_SITES
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultSpec(site=site)
 
 
 def test_cache_probe_and_store_fault_site_are_gone():
