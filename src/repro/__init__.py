@@ -32,10 +32,8 @@ Subpackages
 ``repro.pipeline``
     The pass manager: a unified compilation pipeline with per-pass
     statistics, result caching and verification, running any pass
-    list (``Pipeline.run``).
-``repro.resilience``
-    The resilience layer: cooperative deadlines, a fault-injection
-    harness for chaos testing, and the typed deadline error.
+    list (``Pipeline.run``) under an optional cooperative
+    ``Deadline``.
 ``repro.verify``
     Tiered equivalence checking: the ``EquivalenceChecker`` picks the
     cheapest sound tier per pass (permutation tables, stabilizer
@@ -70,7 +68,6 @@ from . import (
     mapping,
     optimization,
     pipeline,
-    resilience,
     revkit,
     simulator,
     synthesis,
@@ -95,7 +92,6 @@ __all__ = [
     "mapping",
     "optimization",
     "pipeline",
-    "resilience",
     "revkit",
     "simulator",
     "synthesis",

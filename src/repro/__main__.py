@@ -215,8 +215,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             )
             payload = {"path": path, **swept}
         else:  # clear
-            entries, size = cache.disk_usage()
-            cache.clear(disk=True)
+            entries, size = cache.clear(disk=True)
             payload = {"path": path, "cleared": entries, "bytes_freed": size}
     except OSError as exc:
         print(

@@ -26,9 +26,8 @@ from ..engines import EngineError
 from ..engines import get as get_engine
 from ..pipeline.cache import PassCache, shared_cache
 from ..pipeline.passes import GENERATOR_KINDS
-from ..pipeline.runner import Pipeline
+from ..pipeline.runner import Deadline, Pipeline
 from ..pipeline.state import PipelineError
-from ..resilience.policies import Deadline
 from ..verify.checker import EquivalenceChecker
 from .frontends import detect_workload
 from .result import CompilationResult
@@ -94,10 +93,10 @@ def compile(
         pipeline: explicit pass-manager runner; overrides ``verify``
             and ``cache``.
         deadline: compute budget for the whole compilation — a
-            :class:`~repro.resilience.Deadline` or a number of
+            :class:`~repro.pipeline.Deadline` or a number of
             seconds; checked cooperatively before every pass, an
             expired budget raises
-            :class:`~repro.resilience.DeadlineExceeded` naming the
+            :class:`~repro.pipeline.DeadlineExceeded` naming the
             flow position.
         engine: default simulation backend for
             :meth:`~.result.CompilationResult.simulate` — any

@@ -11,7 +11,10 @@ routing.  This subsystem makes that flow a first-class object:
 * :class:`~.runner.Pipeline` — the runner: per-pass timing,
   gate-count/T-count deltas, fail-fast functional verification behind
   a flag, and a content-keyed result cache so repeated flows skip
-  recomputation.
+  recomputation;
+* :class:`~.runner.Deadline` — the one failure setting: a compute
+  budget checked before every pass, whose expiry raises
+  :class:`~.runner.DeadlineExceeded` naming the flow position.
 
 :meth:`~.runner.Pipeline.run` executes any pass list.  The paper's
 named pipelines are compilation targets
@@ -37,10 +40,13 @@ from .passes import (
     TparPass,
 )
 from .runner import (
+    Deadline,
+    DeadlineExceeded,
     PassRecord,
     Pipeline,
     PipelineResult,
     VerificationError,
+    as_deadline,
     format_records,
     state_metrics,
 )
@@ -60,10 +66,13 @@ __all__ = [
     "SynthesisPass",
     "TemplatePass",
     "TparPass",
+    "Deadline",
+    "DeadlineExceeded",
     "PassRecord",
     "Pipeline",
     "PipelineResult",
     "VerificationError",
+    "as_deadline",
     "format_records",
     "state_metrics",
     "FlowState",

@@ -30,9 +30,10 @@ entry file's access stamp (its mtime, touched on every disk hit).
 Entries are generation-stamped and written atomically
 (``os.replace``), so concurrent writers can never produce a torn
 read.  A sweep may evict an entry another process is about to read;
-that reader misses and recomputes, never reads a corrupt entry.  A
-directory the tier cannot list makes :meth:`PassCache.disk_usage`,
-:meth:`PassCache.gc` and ``clear(disk=True)`` raise the scan's
+that reader misses and recomputes, never reads a corrupt entry.
+Each of :meth:`PassCache.disk_usage`, :meth:`PassCache.gc` and
+``clear(disk=True)`` lists the directory once and works from that
+listing; a directory the tier cannot list makes them raise the scan's
 ``OSError`` (counted like any disk failure) rather than report an
 empty tier.
 
@@ -68,7 +69,6 @@ from ..boolean.truth_table import TruthTable
 from ..core.circuit import QuantumCircuit
 from ..core.statistics import CircuitStatistics
 from ..mapping.routing import RoutingResult
-from ..resilience.faults import fault_point, mutate_payload
 from ..synthesis.reversible import MctGate, ReversibleCircuit
 
 #: Default number of entries a cache retains (LRU eviction).
@@ -281,7 +281,7 @@ class PassCache:
         """Whether the disk tier is in memory-only degraded mode."""
         return self._degraded
 
-    def _record_disk_error(self, site: str, advisory: bool = False) -> None:
+    def _record_disk_error(self, advisory: bool = False) -> None:
         """Count one I/O failure; data-path ones advance degradation.
 
         Advisory failures (LRU access-stamp touches serving the memory
@@ -299,7 +299,7 @@ class PassCache:
             if self._consecutive_io_errors >= DEFAULT_DEGRADE_AFTER:
                 self._degraded = True
 
-    def _disk_io(self, operation, site: str):
+    def _disk_io(self, operation):
         """Run one disk operation, retrying it on ``OSError``.
 
         Each failure but the last sleeps the next of
@@ -314,7 +314,7 @@ class PassCache:
                 result = operation()
             except OSError:
                 if pause is None:
-                    self._record_disk_error(site)
+                    self._record_disk_error()
                     raise
                 with self._lock:
                     self.retries += 1
@@ -357,7 +357,7 @@ class PassCache:
                 except FileNotFoundError:
                     return None
                 except OSError:
-                    self._record_disk_error("cache.quarantine")
+                    self._record_disk_error()
                     return False
             self.quarantined += 1
             if key is not None:
@@ -401,18 +401,12 @@ class PassCache:
         tmp = f"{target}.tmp.{os.getpid()}.{threading.get_ident()}"
 
         def write() -> None:
-            """Write the payload to the temp file.
-
-            One injection visit per attempt: a raise-spec becomes a
-            (retried) I/O error, a torn-spec truncates the payload
-            exactly as an interrupted write would.
-            """
-            data = mutate_payload("cache.spill.write", payload)
+            """Write the payload to the temp file."""
             with open(tmp, "w") as stream:
-                stream.write(data)
+                stream.write(payload)
 
         try:
-            self._disk_io(write, "cache.spill.write")
+            self._disk_io(write)
         except OSError:
             try:
                 os.unlink(tmp)
@@ -422,7 +416,7 @@ class PassCache:
         try:
             os.replace(tmp, target)
         except OSError:
-            self._record_disk_error("cache.spill.write")
+            self._record_disk_error()
             try:
                 os.unlink(tmp)
             except OSError:
@@ -441,7 +435,6 @@ class PassCache:
 
         def read() -> Optional[str]:
             """Read the entry file text (``None`` on a plain miss)."""
-            fault_point("cache.load.read")
             try:
                 with open(entry_path) as stream:
                     return stream.read()
@@ -449,7 +442,7 @@ class PassCache:
                 return None  # a plain miss, not an I/O failure
 
         try:
-            text = self._disk_io(read, "cache.load.read")
+            text = self._disk_io(read)
         except OSError:
             return None
         if text is None:
@@ -477,7 +470,7 @@ class PassCache:
         except FileNotFoundError:
             pass  # concurrently evicted — not an error
         except OSError:
-            self._record_disk_error("cache.load.touch", advisory=True)
+            self._record_disk_error(advisory=True)
         return entry
 
     # ------------------------------------------------------------------
@@ -516,9 +509,7 @@ class PassCache:
                 # the file was evicted (gc/other process): forget it,
                 # so later hits stop paying a guaranteed-failing touch
                 if not isinstance(exc, FileNotFoundError):
-                    self._record_disk_error(
-                        "cache.get.touch", advisory=True
-                    )
+                    self._record_disk_error(advisory=True)
                 with self._lock:
                     self._spilled.discard(key)
         if entry is None and self.path is not None:
@@ -602,9 +593,9 @@ class PassCache:
                 except FileNotFoundError:
                     pass  # never spilled or already evicted
                 except OSError:
-                    self._record_disk_error("cache.drop.unlink")
+                    self._record_disk_error()
 
-    def clear(self, disk: bool = False) -> None:
+    def clear(self, disk: bool = False) -> Tuple[int, int]:
         """Drop all in-memory entries and reset the counters.
 
         Args:
@@ -612,13 +603,20 @@ class PassCache:
                 content-named ``<sha256>.json`` files this cache
                 owns — other files in the directory are untouched).
 
+        Returns:
+            The ``(entries, bytes)`` of the one directory listing the
+            entry files were deleted from; ``(0, 0)`` without
+            ``disk`` or for a memory-only cache.
+
         Raises:
             OSError: ``disk`` is set and the directory cannot be
                 listed; nothing is cleared.
         """
         with self._lock:
             doomed = (
-                self._scan_disk() if disk and self.path is not None else []
+                self._scan_disk()[0]
+                if disk and self.path is not None
+                else []
             )
             self._entries.clear()
             self.hits = 0
@@ -640,28 +638,38 @@ class PassCache:
                     pass
             if disk:
                 self._spilled.clear()
+        return len(doomed), sum(item[3] for item in doomed)
 
     # ------------------------------------------------------------------
     # disk-tier lifecycle
     # ------------------------------------------------------------------
-    def _scan_disk(self) -> List[Tuple[str, str, float, int]]:
-        """List disk entries as ``(name, path, atime_stamp, size)``.
+    def _scan_disk(
+        self,
+    ) -> Tuple[List[Tuple[str, str, float, int]], List[str]]:
+        """List the directory once: entries and spill temp files.
+
+        Returns:
+            The entries as ``(name, path, atime_stamp, size)`` and the
+            paths of the spill temp files (``*.json.tmp.*``).
 
         Raises:
             OSError: the directory scan itself failed; the failure is
                 counted against the tier before it propagates.
         """
         try:
-            fault_point("cache.gc.scan")
             names = os.listdir(self.path)
         except OSError:
-            self._record_disk_error("cache.gc.scan")
+            self._record_disk_error()
             raise
         entries = []
+        temps = []
         for name in names:
+            entry_path = os.path.join(self.path, name)
+            if ".json.tmp." in name:
+                temps.append(entry_path)
+                continue
             if not _ENTRY_FILE_RE.fullmatch(name):
                 continue
-            entry_path = os.path.join(self.path, name)
             try:
                 status = os.stat(entry_path)
             except OSError:
@@ -669,7 +677,7 @@ class PassCache:
             entries.append(
                 (name, entry_path, status.st_mtime, status.st_size)
             )
-        return entries
+        return entries, temps
 
     def disk_usage(self) -> Tuple[int, int]:
         """Return the disk tier's ``(entries, bytes)`` from one scan.
@@ -684,7 +692,7 @@ class PassCache:
         """
         if self.path is None:
             return 0, 0
-        entries = self._scan_disk()
+        entries, _temps = self._scan_disk()
         return len(entries), sum(item[3] for item in entries)
 
     def gc(
@@ -733,20 +741,14 @@ class PassCache:
                 "entries": 0,
                 "bytes": 0,
             }
-        entries = self._scan_disk()
+        entries, temps = self._scan_disk()
         now = time.time()
-        try:
-            for name in os.listdir(self.path):
-                if ".json.tmp." not in name:
-                    continue
-                stale = os.path.join(self.path, name)
-                try:
-                    if now - os.stat(stale).st_mtime > _STALE_TMP_SECONDS:
-                        os.unlink(stale)
-                except OSError:
-                    pass
-        except OSError:
-            pass
+        for stale in temps:
+            try:
+                if now - os.stat(stale).st_mtime > _STALE_TMP_SECONDS:
+                    os.unlink(stale)
+            except OSError:
+                pass
         scanned = len(entries)
         evicted = 0
         quarantined = 0
@@ -787,12 +789,11 @@ class PassCache:
             if not over_budget:
                 break
             try:
-                fault_point("cache.gc.unlink")
                 os.unlink(entry_path)
             except FileNotFoundError:
                 pass  # another process evicted it first
             except OSError:
-                self._record_disk_error("cache.gc.unlink")
+                self._record_disk_error()
             else:
                 evicted += 1
             total_entries -= 1

@@ -11,6 +11,11 @@ details.  Behind flags it also
   checks, Sec. IX), raising :class:`VerificationError` at the first
   pass that breaks the flow's semantics.
 
+A :class:`Deadline` bounds a flow: it is checked before every pass
+(never mid-pass) and an expired one raises :class:`DeadlineExceeded`
+naming the flow position.  A failing pass raises with that position
+too; passes are deterministic, so nothing re-runs one.
+
 The RevKit shell, the Q#/ProjectQ framework flows and the paper-flow
 benchmarks all execute through this runner.
 """
@@ -21,8 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..resilience.faults import fault_point
-from ..resilience.policies import Deadline, as_deadline
 from ..verify.checker import EquivalenceChecker, as_checker
 from ..verify.verdict import Verdict
 from .cache import PassCache, shared_cache
@@ -32,6 +35,114 @@ from .state import FlowState, PipelineError, state_key
 
 class VerificationError(PipelineError):
     """Raised when a pass breaks the flow's functional semantics."""
+
+
+class DeadlineExceeded(PipelineError):
+    """Raised when a cooperative :class:`Deadline` expires.
+
+    Deadlines are checked before every pass, so the error surfaces at
+    the next checkpoint after the budget runs out — never mid-pass.
+    The message starts with the checkpoint name
+    (``pipeline.apply(tbs)``), so it survives the pipeline's
+    re-raise-with-context wrapping, which rebuilds exceptions from
+    their message alone.
+
+    Args:
+        message: human-readable description.
+        site: optional machine-readable checkpoint name;
+            informational — the message is the durable carrier.
+    """
+
+    def __init__(self, message: str, site: Optional[str] = None) -> None:
+        """Store the message and remember the checkpoint."""
+        super().__init__(message)
+        self.site = site
+
+
+@dataclass(frozen=True)
+class Deadline:
+    """A monotonic compute budget, checked cooperatively.
+
+    Create one with :meth:`after`; pass it down through
+    ``repro.compile(deadline=...)`` / ``Pipeline(deadline=...)``.
+    Checkpoints call :meth:`check` — nothing is interrupted
+    preemptively, so a deadline can only fire between passes.  It is
+    an immutable value, so sharing one across threads or layers is
+    safe.
+
+    Attributes:
+        expires_at: absolute :func:`time.monotonic` expiry instant.
+        budget: the original budget in seconds (for error messages).
+    """
+
+    expires_at: float
+    budget: float
+
+    @classmethod
+    def after(cls, seconds: float) -> "Deadline":
+        """Return a deadline expiring ``seconds`` from now.
+
+        Args:
+            seconds: the budget; a positive number (not a bool, not
+                NaN).
+
+        Returns:
+            The new :class:`Deadline`.
+
+        Raises:
+            ValueError: ``seconds`` is a bool, NaN or not positive.
+        """
+        if isinstance(seconds, bool) or not float(seconds) > 0:
+            raise ValueError(
+                "deadline budget must be a positive number of seconds, "
+                f"not {seconds!r}"
+            )
+        seconds = float(seconds)
+        return cls(expires_at=time.monotonic() + seconds, budget=seconds)
+
+    def remaining(self) -> float:
+        """Return the seconds left (negative once expired)."""
+        return self.expires_at - time.monotonic()
+
+    def expired(self) -> bool:
+        """Return whether the budget has run out."""
+        return self.remaining() <= 0.0
+
+    def check(self, site: str = "") -> None:
+        """Raise :class:`DeadlineExceeded` once expired.
+
+        Args:
+            site: checkpoint name baked into the error message
+                (``pipeline.apply(tbs)``, ...).
+        """
+        if self.expired():
+            where = site or "deadline"
+            raise DeadlineExceeded(
+                f"{where}: deadline of {self.budget:g}s exceeded "
+                f"(over by {-self.remaining():.3f}s)",
+                site=site or None,
+            )
+
+
+def as_deadline(
+    value: Union[Deadline, float, int, None]
+) -> Optional[Deadline]:
+    """Coerce a deadline argument: seconds, a Deadline, or ``None``.
+
+    Args:
+        value: ``None`` (no deadline), a number of seconds from now,
+            or an existing :class:`Deadline` (shared across layers so
+            nested budgets do not stack).
+
+    Returns:
+        The resolved :class:`Deadline` or ``None``.
+
+    Raises:
+        ValueError: a number that :meth:`Deadline.after` refuses.
+    """
+    if value is None or isinstance(value, Deadline):
+        return value
+    return Deadline.after(value)
 
 
 def _flow_context(
@@ -253,9 +364,9 @@ class Pipeline:
             for the process-wide cache (default), or ``None`` to
             disable result caching.
         deadline: compute budget for every :meth:`run`/:meth:`apply`
-            — a :class:`~repro.resilience.Deadline`, or seconds that
-            start counting here, at construction; checked before
-            every pass, raising :class:`~repro.resilience.DeadlineExceeded`.
+            — a :class:`Deadline`, or seconds that start counting
+            here, at construction; checked before every pass, raising
+            :class:`DeadlineExceeded`.
     """
 
     def __init__(
@@ -299,8 +410,8 @@ class Pipeline:
                 recorded in that case, and a broken cached entry is
                 dropped.  Verified entries are flagged in the cache,
                 so replaying them skips re-verification.
-            repro.resilience.DeadlineExceeded: the budget ran out at
-                a cooperative checkpoint.
+            DeadlineExceeded: the budget ran out at a cooperative
+                checkpoint.
         """
         deadline = self.deadline
         if deadline is not None:
@@ -365,7 +476,6 @@ class Pipeline:
         verifying pipeline runs the pass certified and leaves that
         run's certificate on the output for :meth:`_check`.
         """
-        fault_point(f"pipeline.pass.run.{pass_.name}")
         if self.verify:
             result, certificate = pass_.run_certified(state)
             result.certificate = certificate
@@ -476,10 +586,9 @@ class Pipeline:
         and ``pass i/n`` prefixed to their message, other exceptions
         keep their type and message and gain a traceback note.  The
         pipeline's deadline is checked before every pass (a
-        cooperative checkpoint), so an expired
-        budget surfaces as a
-        :class:`~repro.resilience.DeadlineExceeded` naming the flow
-        position instead of a runaway flow.
+        cooperative checkpoint), so an expired budget surfaces as a
+        :class:`DeadlineExceeded` naming the flow position instead of
+        a runaway flow.
 
         Args:
             passes: an iterable of passes, or any object with a
@@ -512,6 +621,8 @@ class Pipeline:
                     # the exception intact, carry context as a note
                     exc.add_note(f"while running {where}")
                     raise
+                if isinstance(exc, DeadlineExceeded):
+                    wrapped.site = exc.site
                 raise wrapped from exc
             except Exception as exc:
                 where = _flow_context(flow_name, index, len(sequence), pass_)

@@ -115,19 +115,31 @@ class TestCompileCommand:
         assert err.startswith("error:")
 
     def test_failing_pass_exits_naming_its_flow_position(
-        self, run_cli, tmp_path
+        self, run_cli, tmp_path, monkeypatch
     ):
-        from repro.resilience import FaultPlan
+        from repro.pipeline import SynthesisPass
 
-        plan = FaultPlan([{"site": "pipeline.pass.run.tbs"}])
-        with plan.active():
-            # an empty cache directory: the shared cache may hold tbs
-            code, _out, err = run_cli(
-                "compile", "hwb=3", "--cache-dir", str(tmp_path)
-            )
+        def failing_run(self, state):
+            raise OSError(f"{self.name} lost its disk")
+
+        monkeypatch.setattr(SynthesisPass, "run", failing_run)
+        # an empty cache directory: the shared cache may hold tbs
+        code, _out, err = run_cli(
+            "compile", "hwb=3", "--cache-dir", str(tmp_path)
+        )
         assert code == 2
-        assert err.startswith("error: injected fault at pipeline.pass.run.tbs")
+        assert err.startswith("error: tbs lost its disk")
         assert "flow 'clifford_t[generator]' pass 2/6 ('tbs'" in err
+
+    @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+    def test_bad_deadline_exits_naming_the_value(self, run_cli, budget):
+        code, out, err = run_cli("compile", "hwb=3", "--deadline", budget)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: deadline budget must be a positive number of "
+            f"seconds, not {float(budget)!r}\n"
+        )
 
     def test_emission_error_exits_cleanly(self, run_cli):
         # a reversible-level target has no quantum circuit to emit

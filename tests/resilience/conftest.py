@@ -1,74 +1,119 @@
-"""Chaos-suite fixtures: fault plans, hypothesis profiles, reporting.
+"""Chaos-suite fixtures: failing OS calls and failing or slow passes.
 
-The CI chaos job runs this suite with ``HYPOTHESIS_PROFILE=ci`` and
-``REPRO_FAULTS_REPORT=FAULTS_report.json``: every plan activated
-through the :func:`chaos` fixture contributes its exercised-site
-accounting to that artifact, so the job's log shows exactly which
-injection sites each run covered.
+The disk tier's failure handling (retries, counted errors,
+quarantine, degraded mode) is reached through real calls: the
+:func:`os_fault` fixture patches ``os.listdir``, ``os.unlink``,
+``os.replace`` or the cache module's ``open`` so that calls on paths
+inside one cache directory fail on a fixed schedule, while every
+other path keeps working.  :func:`pass_fault` patches a pass class's
+``run`` so that one named pass fails or stalls.
 """
 
-import json
+import builtins
 import os
+import time
 
 import pytest
-from hypothesis import HealthCheck, settings
 
-from repro.resilience import FaultPlan, install
+from repro.pipeline import cache as cache_module
 
-settings.register_profile(
-    "ci",
-    max_examples=30,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.register_profile(
-    "dev",
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+#: The OS calls :func:`os_fault` can break: the owner it patches and
+#: how many leading arguments are paths.
+_CALLS = {
+    "listdir": (os, 1),
+    "unlink": (os, 1),
+    "replace": (os, 2),
+    "open": (cache_module, 1),
+}
 
-#: Fixed seed for every plan the suite activates — chaos runs are
-#: deterministic, in CI and locally.
-PLAN_SEED = 1701
 
-_REPORTS = []
+class OsFault:
+    """One failing OS call: skip ``skip`` hits, then fail ``times``.
+
+    ``times=None`` fails every hit after the skipped ones.  ``hits``
+    counts the calls that touched the directory; :meth:`heal` makes
+    every later call succeed.
+    """
+
+    def __init__(self, call, directory, times, skip, error):
+        self.call = call
+        self.directory = os.path.abspath(os.fspath(directory))
+        self.times = times
+        self.skip = skip
+        self.error = error
+        self.hits = 0
+
+    def heal(self):
+        """Let every later call through."""
+        self.times = 0
+
+    def touches(self, path):
+        """Return whether ``path`` is the directory or lies inside it."""
+        path = os.path.abspath(os.fspath(path))
+        return path == self.directory or path.startswith(
+            self.directory + os.sep
+        )
+
+    def visit(self, paths):
+        """Count a hit on the directory and raise when one is due."""
+        if not any(
+            isinstance(path, (str, os.PathLike)) and self.touches(path)
+            for path in paths
+        ):
+            return
+        self.hits += 1
+        due = self.hits - self.skip
+        if due > 0 and (self.times is None or due <= self.times):
+            raise self.error(f"injected {self.call} failure #{self.hits}")
 
 
 @pytest.fixture
-def chaos(request):
-    """Yield an activator installing a ``FaultPlan`` for one test.
+def os_fault(monkeypatch):
+    """Return ``install(call, directory, times=1, skip=0, error=OSError)``.
 
-    Call it with a list of spec dicts (``site``/``action``/``times``/
-    ``skip``/``seconds``/``error``); the plan is installed process-wide
-    until the test ends, then released (unblocking any pending hangs),
-    uninstalled, and its report queued for the ``FAULTS_report.json``
-    artifact.
+    ``call`` is ``"listdir"``, ``"unlink"``, ``"replace"`` or
+    ``"open"``; the returned :class:`OsFault` fails that call for
+    paths inside ``directory`` on its schedule.  The patch lasts until
+    the test ends.
     """
-    installed = []
 
-    def activate(specs, seed=PLAN_SEED, name=None):
-        plan = FaultPlan(specs, seed=seed, name=name or request.node.name)
-        installed.append((plan, install(plan)))
-        return plan
+    def install(call, directory, times=1, skip=0, error=OSError):
+        owner, path_args = _CALLS[call]
+        real = getattr(owner, call, builtins.open)
+        fault = OsFault(call, directory, times, skip, error)
 
-    yield activate
-    for plan, previous in reversed(installed):
-        plan.release()
-        install(previous)
-        _REPORTS.append(plan.report())
+        def failing(*args, **kwargs):
+            fault.visit(args[:path_args])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, call, failing, raising=False)
+        return fault
+
+    return install
 
 
-def pytest_sessionfinish(session, exitstatus):
-    """Write the aggregated fault report when the env asks for one."""
-    target = os.environ.get("REPRO_FAULTS_REPORT")
-    if target and _REPORTS:
-        with open(target, "w") as stream:
-            json.dump(
-                {"seed": PLAN_SEED, "plans": _REPORTS},
-                stream,
-                indent=2,
-                sort_keys=True,
-            )
+@pytest.fixture
+def pass_fault(monkeypatch):
+    """Return ``install(cls, name, error=RuntimeError, seconds=0)``.
+
+    Patches ``cls.run`` so that the first run of the pass called
+    ``name`` sleeps ``seconds`` and then raises ``error`` (with
+    ``error=None`` it only sleeps); every later run, and every other
+    pass, runs untouched.
+    """
+
+    def install(cls, name, error=RuntimeError, seconds=0.0):
+        real = cls.run
+        spent = []
+
+        def run(self, state):
+            if self.name == name and not spent:
+                spent.append(True)
+                time.sleep(seconds)
+                if error is not None:
+                    raise error(f"injected {name} failure")
+            return real(self, state)
+
+        monkeypatch.setattr(cls, "run", run)
+
+    return install

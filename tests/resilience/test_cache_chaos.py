@@ -1,9 +1,10 @@
 """Chaos tests for the disk cache tier: I/O retries, quarantine, degradation.
 
-Every scenario injects faults at the cache's named sites and asserts
-the tier ends in a *typed* state: counted errors, quarantined files,
-or memory-only degraded mode — never an unhandled exception, a hang,
-or a silently corrupt entry served back to a pipeline.
+Every scenario makes a real OS call fail for the cache directory (the
+``os_fault`` fixture) or truncates a spilled entry file in place, and
+asserts the tier ends in a *typed* state: counted errors, quarantined
+files, or memory-only degraded mode — never an unhandled exception, a
+hang, or a silently corrupt entry served back to a pipeline.
 """
 
 import json
@@ -60,6 +61,18 @@ def put_one(cache, key=KEY, value=42):
     return outputs
 
 
+def spill_torn(path, key=KEY):
+    """Spill one entry, then truncate its file as a torn write leaves it.
+
+    Returns the entry file's name.
+    """
+    writer = PassCache(path=str(path))
+    put_one(writer, key=key)
+    entry_path = writer._entry_path(key)
+    os.truncate(entry_path, os.path.getsize(entry_path) // 2)
+    return os.path.basename(entry_path)
+
+
 class FlakyOperation:
     """A disk operation that raises ``error`` for its first ``failures``."""
 
@@ -90,7 +103,7 @@ class TestDiskRetryLoop:
     ):
         cache, pauses = self.cache_and_pauses(tmp_path, monkeypatch)
         operation = FlakyOperation(failures)
-        assert cache._disk_io(operation, "test.site") == "done"
+        assert cache._disk_io(operation) == "done"
         assert operation.calls == failures + 1
         assert pauses == list(DISK_RETRY_DELAYS[:failures])
         stats = cache.stats()
@@ -104,7 +117,7 @@ class TestDiskRetryLoop:
         cache, pauses = self.cache_and_pauses(tmp_path, monkeypatch)
         operation = FlakyOperation(DISK_ATTEMPTS)
         with pytest.raises(OSError, match=f"attempt {DISK_ATTEMPTS} failed"):
-            cache._disk_io(operation, "test.site")
+            cache._disk_io(operation)
         assert operation.calls == DISK_ATTEMPTS
         assert pauses == list(DISK_RETRY_DELAYS)
         stats = cache.stats()
@@ -120,7 +133,7 @@ class TestDiskRetryLoop:
     ):
         cache, pauses = self.cache_and_pauses(tmp_path, monkeypatch)
         operation = FlakyOperation(1, error)
-        assert cache._disk_io(operation, "test.site") == "done"
+        assert cache._disk_io(operation) == "done"
         assert operation.calls == 2
         assert pauses == [DISK_RETRY_DELAYS[0]]
 
@@ -131,7 +144,7 @@ class TestDiskRetryLoop:
         cache, pauses = self.cache_and_pauses(tmp_path, monkeypatch)
         operation = FlakyOperation(1, error)
         with pytest.raises(error):
-            cache._disk_io(operation, "test.site")
+            cache._disk_io(operation)
         assert operation.calls == 1
         assert pauses == []
         stats = cache.stats()
@@ -143,7 +156,7 @@ class TestDiskRetryLoop:
         monkeypatch.setattr(cache_module, "DISK_RETRY_DELAYS", ())
         operation = FlakyOperation(1)
         with pytest.raises(OSError):
-            cache._disk_io(operation, "test.site")
+            cache._disk_io(operation)
         assert operation.calls == 1
         assert pauses == []
         assert cache.stats()["disk_io_errors"] == 1
@@ -154,18 +167,20 @@ class TestDiskRetryLoop:
         cache, _pauses = self.cache_and_pauses(tmp_path, monkeypatch)
         no_retry_degrade_after(monkeypatch, 2)
         with pytest.raises(OSError):
-            cache._disk_io(FlakyOperation(1), "test.site")
-        cache._disk_io(FlakyOperation(0), "test.site")
+            cache._disk_io(FlakyOperation(1))
+        cache._disk_io(FlakyOperation(0))
         with pytest.raises(OSError):
-            cache._disk_io(FlakyOperation(1), "test.site")
+            cache._disk_io(FlakyOperation(1))
         # two failures, but never two in a row
         assert cache.stats()["disk_io_errors"] == 2
         assert not cache.degraded
 
 
 class TestSpillRetry:
-    def test_transient_write_failures_are_retried(self, tmp_path, chaos):
-        chaos([{"site": "cache.spill.write", "times": 2}])
+    def test_transient_write_failures_are_retried(
+        self, tmp_path, os_fault
+    ):
+        os_fault("open", tmp_path, times=2)
         cache = PassCache(path=str(tmp_path))
         put_one(cache)
         # two injected failures, third attempt lands the file
@@ -181,10 +196,9 @@ class TestSpillRetry:
         assert verified
 
     def test_persistent_write_failure_is_counted_not_raised(
-        self, tmp_path, chaos
+        self, tmp_path, os_fault
     ):
-        chaos([{"site": "cache.spill.write",
-                "times": DISK_ATTEMPTS}])
+        os_fault("open", tmp_path, times=DISK_ATTEMPTS)
         cache = PassCache(path=str(tmp_path))
         put_one(cache)  # must not raise — spill is best effort
         assert entry_files(tmp_path) == []
@@ -196,22 +210,26 @@ class TestSpillRetry:
         outputs, _details, _verified = cache.get(KEY)
         assert outputs["value"] == 42
 
-    def test_no_leaked_tmp_files_after_failed_spill(self, tmp_path, chaos):
-        chaos([{"site": "cache.spill.write",
-                "times": DISK_ATTEMPTS}])
+    @pytest.mark.parametrize(
+        "call, times", [("open", DISK_ATTEMPTS), ("replace", 1)]
+    )
+    def test_no_leaked_tmp_files_after_failed_spill(
+        self, tmp_path, os_fault, call, times
+    ):
+        # a failed write leaves no temp file; a failed rename (never
+        # retried) drops the temp file it could not move into place
+        os_fault(call, tmp_path, times=times)
         cache = PassCache(path=str(tmp_path))
         put_one(cache)
-        leftovers = [
-            name for name in os.listdir(tmp_path) if ".tmp." in name
-        ]
-        assert leftovers == []
+        assert os.listdir(tmp_path) == []
+        assert cache.stats()["disk_io_errors"] == 1
 
 
 class TestLoadRetry:
-    def test_transient_read_failures_are_retried(self, tmp_path, chaos):
+    def test_transient_read_failures_are_retried(self, tmp_path, os_fault):
         writer = PassCache(path=str(tmp_path))
         put_one(writer)
-        chaos([{"site": "cache.load.read", "times": 2}])
+        os_fault("open", tmp_path, times=2)
         reader = PassCache(path=str(tmp_path))
         outputs, _details, verified = reader.get(KEY)
         assert outputs["value"] == 42
@@ -221,26 +239,24 @@ class TestLoadRetry:
         assert stats["disk_hits"] == 1
 
     def test_persistent_read_failure_is_a_counted_miss(
-        self, tmp_path, chaos
+        self, tmp_path, os_fault
     ):
         writer = PassCache(path=str(tmp_path))
         put_one(writer)
-        chaos([{"site": "cache.load.read", "times": None}])
+        os_fault("open", tmp_path, times=None)
         reader = PassCache(path=str(tmp_path))
         assert reader.get(KEY) is None
         stats = reader.stats()
-        assert stats["disk_io_errors"] >= 1
+        assert stats["disk_io_errors"] == 1
+        assert stats["retries"] == DISK_ATTEMPTS - 1
         assert stats["misses"] == 1
         # the entry file survives — a dead disk must not eat data
         assert len(entry_files(tmp_path)) == 1
 
 
 class TestTornWriteQuarantine:
-    def test_torn_spill_is_quarantined_on_load(self, tmp_path, chaos):
-        chaos([{"site": "cache.spill.write", "action": "torn"}])
-        writer = PassCache(path=str(tmp_path))
-        put_one(writer)
-        (torn_name,) = entry_files(tmp_path)
+    def test_torn_spill_is_quarantined_on_load(self, tmp_path):
+        torn_name = spill_torn(tmp_path)
         reader = PassCache(path=str(tmp_path))
         assert reader.get(KEY) is None  # typed miss, not a crash
         assert entry_files(tmp_path) == []
@@ -248,10 +264,8 @@ class TestTornWriteQuarantine:
         assert quarantine_files(tmp_path) == [torn_name]
         assert reader.stats()["quarantined"] == 1
 
-    def test_quarantined_entries_never_resurrect(self, tmp_path, chaos):
-        chaos([{"site": "cache.spill.write", "action": "torn"}])
-        writer = PassCache(path=str(tmp_path))
-        put_one(writer)
+    def test_quarantined_entries_never_resurrect(self, tmp_path):
+        spill_torn(tmp_path)
         reader = PassCache(path=str(tmp_path))
         assert reader.get(KEY) is None
         for _ in range(3):
@@ -276,28 +290,31 @@ def no_retry_degrade_after(monkeypatch, failures):
 
 
 class TestDegradedMode:
-    def degraded_cache(self, tmp_path, chaos, monkeypatch):
-        """Return a cache tripped into degraded mode by spill faults."""
-        chaos([{"site": "cache.spill.write", "times": None}])
+    def degraded_cache(self, tmp_path, os_fault, monkeypatch):
+        """Return a cache tripped into degraded mode by spill faults.
+
+        Also returns the fault, whose ``heal()`` repairs the disk.
+        """
+        fault = os_fault("open", tmp_path, times=None)
         no_retry_degrade_after(monkeypatch, 3)
         cache = PassCache(path=str(tmp_path))
         for index in range(3):
             put_one(cache, key=f"{KEY}:{index}", value=index)
-        return cache
+        return cache, fault
 
     def test_consecutive_failures_trip_memory_only_mode(
-        self, tmp_path, chaos, monkeypatch
+        self, tmp_path, os_fault, monkeypatch
     ):
-        cache = self.degraded_cache(tmp_path, chaos, monkeypatch)
+        cache, _fault = self.degraded_cache(tmp_path, os_fault, monkeypatch)
         assert cache.degraded
         stats = cache.stats()
         assert stats["degraded"] == 1
         assert stats["disk_io_errors"] == 3
 
     def test_degraded_cache_still_serves_compilations(
-        self, tmp_path, chaos, monkeypatch
+        self, tmp_path, os_fault, monkeypatch
     ):
-        cache = self.degraded_cache(tmp_path, chaos, monkeypatch)
+        cache, _fault = self.degraded_cache(tmp_path, os_fault, monkeypatch)
         # memory tier keeps working: inserts and hits succeed
         put_one(cache, key=f"{KEY}:fresh", value=99)
         outputs, _details, _verified = cache.get(f"{KEY}:fresh")
@@ -310,9 +327,9 @@ class TestDegradedMode:
 
     @pytest.mark.parametrize("threshold", [1, 2, 4])
     def test_trips_on_exactly_the_threshold_failure(
-        self, tmp_path, chaos, monkeypatch, threshold
+        self, tmp_path, os_fault, monkeypatch, threshold
     ):
-        chaos([{"site": "cache.spill.write", "times": None}])
+        os_fault("open", tmp_path, times=None)
         no_retry_degrade_after(monkeypatch, threshold)
         cache = PassCache(path=str(tmp_path))
         for index in range(threshold):
@@ -322,21 +339,21 @@ class TestDegradedMode:
         assert cache.stats()["disk_io_errors"] == threshold
 
     def test_clear_leaves_degraded_mode(
-        self, tmp_path, chaos, monkeypatch
+        self, tmp_path, os_fault, monkeypatch
     ):
-        cache = self.degraded_cache(tmp_path, chaos, monkeypatch)
-        chaos([])  # the disk heals
+        cache, fault = self.degraded_cache(tmp_path, os_fault, monkeypatch)
+        fault.heal()
         cache.clear()
         assert not cache.degraded
         put_one(cache)
         assert len(entry_files(tmp_path)) == 1  # spills again
 
     def test_a_fresh_instance_uses_the_healed_disk(
-        self, tmp_path, chaos, monkeypatch
+        self, tmp_path, os_fault, monkeypatch
     ):
-        cache = self.degraded_cache(tmp_path, chaos, monkeypatch)
+        cache, fault = self.degraded_cache(tmp_path, os_fault, monkeypatch)
         assert cache.degraded
-        chaos([])  # the disk heals
+        fault.heal()
         fresh = PassCache(path=str(tmp_path))
         assert not fresh.degraded
         put_one(fresh)
@@ -344,7 +361,7 @@ class TestDegradedMode:
         assert outputs["value"] == 42
 
     def test_advisory_touch_failures_never_trip_degradation(
-        self, tmp_path, chaos, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         no_retry_degrade_after(monkeypatch, 1)
         cache = PassCache(path=str(tmp_path))
@@ -382,11 +399,11 @@ class TestGcChaos:
         assert len(entry_files(tmp_path)) == 2
 
     def test_gc_scan_fault_aborts_sweep_without_eviction(
-        self, tmp_path, chaos
+        self, tmp_path, os_fault
     ):
         cache = self.fill(tmp_path, count=3)
-        chaos([{"site": "cache.gc.scan", "times": 1}])
-        with pytest.raises(OSError, match="cache.gc.scan"):
+        os_fault("listdir", tmp_path)
+        with pytest.raises(OSError, match="injected listdir failure"):
             cache.gc(max_entries=1)
         assert len(entry_files(tmp_path)) == 3  # tier intact
         assert cache.stats()["disk_io_errors"] == 1
@@ -394,47 +411,58 @@ class TestGcChaos:
         assert cache.gc(max_entries=1)["evicted"] == 2
 
     def test_real_scan_failure_aborts_sweep_and_counts(
-        self, tmp_path, monkeypatch
+        self, tmp_path, os_fault
     ):
         cache = self.fill(tmp_path, count=3)
-        make_unlistable(monkeypatch, tmp_path)
+        listing = os_fault("listdir", tmp_path, error=PermissionError)
         with pytest.raises(PermissionError):
             cache.gc(max_entries=1)
-        monkeypatch.undo()
+        assert listing.hits == 1  # a failed scan is not retried
         assert len(entry_files(tmp_path)) == 3  # tier intact
         stats = cache.stats()
         assert stats["disk_io_errors"] == 1
         assert stats["io_errors"] == 1
 
     def test_unlistable_directory_fails_usage_and_clear(
-        self, tmp_path, monkeypatch
+        self, tmp_path, os_fault
     ):
         cache = self.fill(tmp_path, count=3)
-        make_unlistable(monkeypatch, tmp_path)
+        os_fault("listdir", tmp_path, times=2, error=PermissionError)
         with pytest.raises(PermissionError):
             cache.disk_usage()
         with pytest.raises(PermissionError):
             cache.clear(disk=True)
-        monkeypatch.undo()
         assert len(entry_files(tmp_path)) == 3  # tier intact
         assert len(cache) == 3  # a failed clear clears nothing
         assert cache.stats()["disk_io_errors"] == 2
 
+    def test_gc_lists_the_directory_once(self, tmp_path, os_fault):
+        cache = self.fill(tmp_path, count=3)
+        leaked = os.path.join(tmp_path, "0" * 64 + ".json.tmp.1.2")
+        with open(leaked, "w") as stream:
+            stream.write("{")
+        os.utime(leaked, (0, 0))  # a crashed writer's stale temp file
+        listing = os_fault("listdir", tmp_path, times=0)
+        swept = cache.gc(max_entries=10)
+        assert listing.hits == 1
+        assert swept["scanned"] == 3
+        assert swept["evicted"] == 0
+        # the stale temp file came out of that same listing
+        assert not os.path.exists(leaked)
+
     def test_gc_unlink_fault_skips_entry_and_counts(
-        self, tmp_path, chaos
+        self, tmp_path, os_fault
     ):
         cache = self.fill(tmp_path, count=3)
-        chaos([{"site": "cache.gc.unlink", "times": 1}])
+        os_fault("unlink", tmp_path, skip=1)
         swept = cache.gc(max_entries=0)
-        # one unlink failed (counted), the others went through
+        # the second unlink failed (counted), the others went through
         assert swept["evicted"] == 2
         assert cache.stats()["disk_io_errors"] == 1
         assert len(entry_files(tmp_path)) == 1
 
-    def test_clear_disk_preserves_the_quarantine(self, tmp_path, chaos):
-        chaos([{"site": "cache.spill.write", "action": "torn"}])
-        writer = PassCache(path=str(tmp_path))
-        put_one(writer)
+    def test_clear_disk_preserves_the_quarantine(self, tmp_path):
+        spill_torn(tmp_path)
         reader = PassCache(path=str(tmp_path))
         assert reader.get(KEY) is None  # quarantines the torn file
         (quarantined,) = quarantine_files(tmp_path)
@@ -469,12 +497,8 @@ class TestCacheCli:
         }
         assert payload["bytes"] > 0
 
-    def test_stats_counts_quarantined_files(
-        self, tmp_path, capsys, chaos
-    ):
-        chaos([{"site": "cache.spill.write", "action": "torn"}])
-        writer = PassCache(path=str(tmp_path))
-        put_one(writer)
+    def test_stats_counts_quarantined_files(self, tmp_path, capsys):
+        spill_torn(tmp_path)
         reader = PassCache(path=str(tmp_path))
         assert reader.get(KEY) is None
         code, out = self.run_cli(
@@ -483,6 +507,30 @@ class TestCacheCli:
         )
         assert code == 0
         assert json.loads(out)["quarantined"] == 1
+
+    def test_clear_lists_once_and_reports_what_it_deleted(
+        self, tmp_path, capsys, os_fault
+    ):
+        cache = PassCache(path=str(tmp_path))
+        for index in range(3):
+            put_one(cache, key=f"{KEY}:{index}", value=index)
+        size = sum(
+            os.path.getsize(os.path.join(tmp_path, name))
+            for name in entry_files(tmp_path)
+        )
+        listing = os_fault("listdir", tmp_path, times=0)
+        code, out = self.run_cli(
+            capsys, "cache", "clear", "--cache-dir", str(tmp_path),
+            "--json",
+        )
+        assert listing.hits == 1
+        assert code == 0
+        assert json.loads(out) == {
+            "path": str(tmp_path),
+            "cleared": 3,
+            "bytes_freed": size,
+        }
+        assert entry_files(tmp_path) == []
 
     def test_gc_reports_quarantined_count(self, tmp_path, capsys):
         cache = PassCache(path=str(tmp_path))

@@ -1,7 +1,8 @@
 """Chaos tests for the pipeline layer: deadlines and failing passes.
 
 Every scenario must end in either a correct result or a *typed* error
-(`DeadlineExceeded`, an injected error) carrying its flow position —
+(`DeadlineExceeded`, the failing pass's own error) carrying its flow
+position —
 never a hang and never a silently wrong circuit.  Nothing re-runs a
 failed pass: passes are deterministic, so the first error propagates.
 """
@@ -10,9 +11,14 @@ import time
 
 import pytest
 
-from repro.pipeline import FlowState, Pipeline, SynthesisPass
+from repro.pipeline import (
+    Deadline,
+    DeadlineExceeded,
+    FlowState,
+    Pipeline,
+    SynthesisPass,
+)
 from repro.pipeline.passes import Pass
-from repro.resilience import Deadline, DeadlineExceeded, InjectedFault
 from repro.revkit import generators
 
 
@@ -114,11 +120,12 @@ class TestInjectedPassFaults:
         """Return a flow store carrying an hwb specification."""
         return FlowState(function=generators.hwb(n))
 
-    def test_injected_pass_fault_propagates_then_reruns_clean(self, chaos):
-        chaos([{"site": "pipeline.pass.run.tbs", "times": 1,
-                "error": "fault"}])
+    def test_injected_pass_fault_propagates_then_reruns_clean(
+        self, pass_fault
+    ):
+        pass_fault(SynthesisPass, "tbs")
         pipeline = Pipeline(cache=None)
-        with pytest.raises(InjectedFault):
+        with pytest.raises(RuntimeError, match="injected tbs failure"):
             pipeline.apply(SynthesisPass("tbs"), self.seed())
         # the fault is spent: a clean re-run is gate-identical
         state, record = pipeline.apply(SynthesisPass("tbs"), self.seed())

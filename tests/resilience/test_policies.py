@@ -1,14 +1,13 @@
-"""Unit tests for the resilience vocabulary: Deadline."""
+"""Unit tests for the pipeline's deadline: Deadline and as_deadline."""
 
 import time
 
 import pytest
 
-from repro.pipeline import PipelineError
-from repro.resilience import (
+from repro.pipeline import (
     Deadline,
     DeadlineExceeded,
-    ResilienceError,
+    PipelineError,
     as_deadline,
 )
 
@@ -45,8 +44,7 @@ class TestDeadline:
             deadline.check()
 
     def test_deadline_errors_are_pipeline_errors(self):
-        assert issubclass(DeadlineExceeded, ResilienceError)
-        assert issubclass(ResilienceError, PipelineError)
+        assert DeadlineExceeded.__bases__ == (PipelineError,)
 
     def test_as_deadline_coercion(self):
         assert as_deadline(None) is None

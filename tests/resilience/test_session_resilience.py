@@ -10,8 +10,13 @@ import pytest
 
 import repro
 from repro.compiler import CompilerSession
-from repro.pipeline import Pipeline, PipelineError
-from repro.resilience import DeadlineExceeded, InjectedFault, InjectedOSError
+from repro.pipeline import (
+    DeadlineExceeded,
+    GeneratePass,
+    Pipeline,
+    PipelineError,
+    SynthesisPass,
+)
 
 
 def reference(n, target="toffoli"):
@@ -20,23 +25,26 @@ def reference(n, target="toffoli"):
 
 
 class TestCompileDeadline:
-    def test_deadline_expiry_names_the_flow_position(self, chaos):
-        chaos([{"site": "pipeline.pass.run.*", "action": "delay",
-                "seconds": 0.2, "times": 1}])
+    def test_deadline_expiry_names_the_flow_position(self, pass_fault):
+        # the first pass stalls past the budget; the second trips it
+        pass_fault(GeneratePass, "revgen-hwb", error=None, seconds=0.2)
         with pytest.raises(DeadlineExceeded) as info:
             repro.compile({"hwb": 3}, cache=None, deadline=0.05)
         message = str(info.value)
         assert "deadline of 0.05s exceeded" in message
         assert "pass " in message  # flow position survived wrapping
 
-    @pytest.mark.parametrize(
-        "error, raised",
-        [("fault", InjectedFault), ("oserror", InjectedOSError)],
-    )
-    def test_injected_pass_fault_propagates(self, chaos, error, raised):
-        chaos([{"site": "pipeline.pass.run.tbs", "times": 1,
-                "error": error}])
-        with pytest.raises(raised) as info:
+    def test_wrapped_deadline_error_keeps_its_site(self, pass_fault):
+        pass_fault(GeneratePass, "revgen-hwb", error=None, seconds=0.2)
+        with pytest.raises(DeadlineExceeded) as info:
+            repro.compile({"hwb": 3}, cache=None, deadline=0.05)
+        assert info.value.site == info.value.__cause__.site
+        assert info.value.site.startswith("pipeline.apply(")
+
+    @pytest.mark.parametrize("error", [RuntimeError, OSError])
+    def test_injected_pass_fault_propagates(self, pass_fault, error):
+        pass_fault(SynthesisPass, "tbs", error=error)
+        with pytest.raises(error, match="injected tbs failure") as info:
             repro.compile({"hwb": 3}, target="toffoli", cache=None)
         assert "flow 'toffoli[generator]' pass 2/3 ('tbs'" in "".join(
             info.value.__notes__
@@ -58,12 +66,11 @@ class TestCompileDeadline:
 
 class TestSweepFaults:
     def test_pass_fault_propagates_out_of_the_sweep_then_reruns_clean(
-        self, chaos
+        self, pass_fault
     ):
-        chaos([{"site": "pipeline.pass.run.tbs", "times": 1,
-                "error": "fault"}])
+        pass_fault(SynthesisPass, "tbs")
         session = CompilerSession(target="toffoli", cache=None)
-        with pytest.raises(InjectedFault, match="pipeline.pass.run.tbs"):
+        with pytest.raises(RuntimeError, match="injected tbs failure"):
             session.sweep({"hwb": [3, 4]})
         # the fault is spent: the same sweep gives the fault-free circuits
         swept = session.sweep({"hwb": [3, 4]})

@@ -21,7 +21,6 @@ SUBPACKAGES = (
     "mapping",
     "optimization",
     "pipeline",
-    "resilience",
     "revkit",
     "simulator",
     "synthesis",
@@ -49,8 +48,7 @@ ENTRY_POINTS = (
     "repro.pipeline.Pipeline.apply",
     "repro.pipeline.Pipeline.run",
     "repro.pipeline.PassCache.gc",
-    "repro.resilience.Deadline.after",
-    "repro.resilience.FaultPlan.mutate",
+    "repro.pipeline.Deadline.after",
     "repro.mapping.map_to_clifford_t",
     "repro.mapping.route_circuit",
     "repro.optimization.simplify_reversible",

@@ -54,7 +54,12 @@ the session's ``max_workers=`` and ``job_timeout=``, the
 (``PassCache.begin_compute``/``end_compute``/``count_miss``,
 ``get(count_miss=)``, ``SINGLE_FLIGHT_TIMEOUT``, the
 ``pipeline.apply.claim``/``pipeline.apply.wait`` sites,
-``Deadline.bound`` and the ``hang`` fault action) are gone.  An old
+``Deadline.bound`` and the ``hang`` fault action) are gone.  So is
+the fault-injection harness and the ``repro.resilience`` package that
+held it (``fault_point``, ``FaultPlan``, ``KNOWN_SITES``, the
+injected error types and the ``REPRO_FAULTS`` variable; tests make
+the OS calls fail instead), with ``ResilienceError``; ``Deadline``
+and ``DeadlineExceeded`` live in ``repro.pipeline``.  An old
 spelling must
 end in an import, attribute, type or engine error — or, for the
 environment variables, have no effect at all — rather than being
@@ -62,6 +67,7 @@ silently accepted.
 """
 
 import importlib
+import os
 import subprocess
 import sys
 import warnings
@@ -102,6 +108,10 @@ def _bell() -> QuantumCircuit:
         "repro.emit.qir",
         "repro.emit.qasm3",
         "repro.verify.passes",
+        "repro.resilience",
+        "repro.resilience.faults",
+        "repro.resilience.policies",
+        "repro.resilience.errors",
     ],
 )
 def test_retired_modules_are_gone(module):
@@ -143,6 +153,26 @@ def test_array_backend_env_vars_are_ignored(monkeypatch):
     np.testing.assert_allclose(
         state.data, [2 ** -0.5, 2 ** -0.5, 0.0, 0.0], atol=1e-15
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compile", "hwb=3"], ["cache", "stats", "--cache-dir", "{dir}"]],
+    ids=["compile", "cache-stats"],
+)
+def test_repro_faults_env_var_is_ignored(argv, tmp_path):
+    # a fresh process: nothing can have read the variable before
+    env = {**os.environ, "REPRO_FAULTS": "session.dispatch:raise:1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro",
+         *(arg.format(dir=tmp_path) for arg in argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_compiler_backend_optimize_keyword_is_gone():
@@ -345,10 +375,10 @@ def test_cli_retry_option_is_gone():
 def test_retry_vocabulary_is_gone(name):
     # the retry vocabulary left with the per-pass and per-job retries:
     # the disk tier's own loop is the only retry left
-    import repro.resilience
-    from repro.resilience import errors, policies
+    from repro import pipeline
+    from repro.pipeline import cache, runner
 
-    for module in (repro.resilience, errors, policies):
+    for module in (pipeline, cache, runner):
         assert not hasattr(module, name), (module.__name__, name)
 
 
@@ -377,8 +407,7 @@ def test_session_pool_options_are_gone(keyword):
         ("repro.pipeline.cache.PassCache", "begin_compute"),
         ("repro.pipeline.cache.PassCache", "end_compute"),
         ("repro.pipeline.cache.PassCache", "count_miss"),
-        ("repro.resilience.policies.Deadline", "bound"),
-        ("repro.resilience.faults", "HANG_SECONDS"),
+        ("repro.pipeline.Deadline", "bound"),
     ],
 )
 def test_batch_executor_and_single_flight_are_gone(module, name):
@@ -390,32 +419,50 @@ def test_batch_executor_and_single_flight_are_gone(module, name):
     assert not hasattr(owner, name), (module, name)
 
 
+def _assert_fault_harness_is_gone():
+    import repro
+
+    assert not hasattr(repro, "resilience")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.resilience.faults")
+
+
 def test_single_flight_remnants_fail():
     from repro.pipeline import PassCache
-    from repro.resilience import ACTIONS, KNOWN_SITES, FaultSpec
 
     with pytest.raises(TypeError, match="count_miss"):
         PassCache().get("key", count_miss=False)
     assert not hasattr(PassCache(), "_inflight")
-    assert "hang" not in ACTIONS
-    with pytest.raises(ValueError, match="unknown fault action"):
-        FaultSpec(site="cache.gc.scan", action="hang")
-    for site in ("session.dispatch", "pipeline.apply.claim",
-                 "pipeline.apply.wait"):
-        assert site not in KNOWN_SITES
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultSpec(site=site)
+    # the hang action and the dispatch/claim/wait sites went with the
+    # whole harness
+    _assert_fault_harness_is_gone()
 
 
 def test_cache_probe_and_store_fault_site_are_gone():
     from repro.pipeline import PassCache
     from repro.pipeline import cache as cache_module
-    from repro.resilience import KNOWN_SITES, InjectedFault
 
     assert not hasattr(PassCache, "probe")
     assert not hasattr(cache_module, "DISK_RETRY")
-    assert "cache.store" not in KNOWN_SITES
-    assert not hasattr(InjectedFault, "transient")
+    _assert_fault_harness_is_gone()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "fault_point", "mutate_payload", "FaultSpec", "FaultPlan",
+        "KNOWN_SITES", "ACTIONS", "InjectedFault", "InjectedOSError",
+        "InjectedTimeout", "install", "active_plan", "plan_from_env",
+        "ResilienceError",
+    ],
+)
+def test_fault_harness_names_are_gone(name):
+    import repro
+    from repro import pipeline
+    from repro.pipeline import cache, runner
+
+    for module in (repro, pipeline, cache, runner):
+        assert not hasattr(module, name), (module.__name__, name)
 
 
 #: Public names only tests reached, by the module that defined them.
@@ -444,7 +491,6 @@ TEST_ONLY_NAMES = {
     ],
     "repro.optimization.templates": ["optimization_ladder"],
     "repro.optimization.tpar": ["t_count_before_after"],
-    "repro.resilience.faults": ["is_injected"],
     "repro.revkit.generators": ["maiorana_mcfarland"],
     "repro.simulator.statevector": ["evolve_batch"],
     "repro.synthesis.embedding": ["verify_embedding"],
