@@ -17,8 +17,9 @@ Reproduced series:
 from conftest import report
 
 from repro.boolean.truth_table import TruthTable
-from repro.synthesis.bdd_based import bdd_synthesis, verify_bdd_synthesis
-from repro.synthesis.lut_based import lut_synthesis, verify_lut_synthesis
+from repro.synthesis.bdd_based import bdd_synthesis
+from repro.synthesis.embedding import verify_bennett_circuit
+from repro.synthesis.lut_based import lut_synthesis
 from repro.synthesis.pebbling import pebble_tradeoff_curve
 
 
@@ -51,11 +52,11 @@ def test_hierarchical_ancilla_counts(benchmark):
     rows = [("paper: k (ancillae) is decided by the algorithm", "")]
     for name, table in workloads():
         bdd_result = bdd_synthesis(table)
-        assert verify_bdd_synthesis(bdd_result, table)
+        assert verify_bennett_circuit(bdd_result.circuit, table)
         bennett = lut_synthesis(table, k=3, strategy="bennett")
         eager = lut_synthesis(table, k=3, strategy="eager")
-        assert verify_lut_synthesis(bennett, table)
-        assert verify_lut_synthesis(eager, table)
+        assert verify_bennett_circuit(bennett.circuit, table)
+        assert verify_bennett_circuit(eager.circuit, table)
         rows.append(
             (
                 name,
@@ -78,7 +79,7 @@ def test_lut_size_tradeoff(benchmark):
         previous_anc = None
         for k in (2, 3, 4, 5, 6):
             result = lut_synthesis(table, k=k, strategy="bennett")
-            assert verify_lut_synthesis(result, table)
+            assert verify_bennett_circuit(result.circuit, table)
             rows.append(
                 (
                     f"k = {k}",

@@ -22,16 +22,17 @@ Run:  python examples/synthesis_tour.py
 from repro.boolean.permutation import BitPermutation
 from repro.boolean.truth_table import TruthTable
 from repro.mapping.barenco import map_to_clifford_t
-from repro.synthesis.bdd_based import bdd_synthesis, verify_bdd_synthesis
+from repro.synthesis.bdd_based import bdd_synthesis
 from repro.synthesis.decomposition import decomposition_based_synthesis
 from repro.synthesis.embedding import (
     bennett_embedding,
     explicit_embedding,
     minimum_garbage_bits,
+    verify_bennett_circuit,
 )
-from repro.synthesis.esop_based import esop_synthesis, verify_esop_circuit
+from repro.synthesis.esop_based import esop_synthesis
 from repro.synthesis.exact import exact_synthesis
-from repro.synthesis.lut_based import lut_synthesis, verify_lut_synthesis
+from repro.synthesis.lut_based import lut_synthesis
 from repro.synthesis.transformation import (
     bidirectional_synthesis,
     transformation_based_synthesis,
@@ -63,14 +64,14 @@ def irreversible_portfolio():
     )
 
     esop = esop_synthesis(table)
-    assert verify_esop_circuit(esop, table)
+    assert verify_bennett_circuit(esop, table)
     print(
         f"  ESOP-based (ancilla-free)   lines={esop.num_lines} "
         f"gates={len(esop)}"
     )
 
     bdd = bdd_synthesis(table)
-    assert verify_bdd_synthesis(bdd, table)
+    assert verify_bennett_circuit(bdd.circuit, table)
     print(
         f"  BDD-based hierarchical      lines={bdd.total_lines} "
         f"gates={len(bdd.circuit)} (ancillae={bdd.num_ancillae})"
@@ -78,7 +79,7 @@ def irreversible_portfolio():
 
     for strategy in ("bennett", "eager"):
         lut = lut_synthesis(table, k=3, strategy=strategy)
-        assert verify_lut_synthesis(lut, table)
+        assert verify_bennett_circuit(lut.circuit, table)
         print(
             f"  LUT-based ({strategy:<7})       lines={lut.total_lines} "
             f"gates={len(lut.circuit)} (ancillae={lut.num_ancillae})"

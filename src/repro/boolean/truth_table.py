@@ -70,13 +70,15 @@ class TruthTable:
 
     @classmethod
     def projection(cls, num_vars: int, var: int) -> "TruthTable":
-        """The function f(x) = x_var."""
+        """The function f(x) = x_var: runs of ``2^var`` zeros then
+        ``2^var`` ones, each doubling step copying the pattern so far."""
         if not 0 <= var < num_vars:
             raise ValueError("projection variable out of range")
-        bits = 0
-        for x in range(1 << num_vars):
-            if (x >> var) & 1:
-                bits |= 1 << x
+        run = 1 << var
+        bits, width = ((1 << run) - 1) << run, run << 1
+        while width < 1 << num_vars:
+            bits |= bits << width
+            width <<= 1
         return cls(num_vars, bits)
 
     @classmethod

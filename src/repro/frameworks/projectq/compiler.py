@@ -83,21 +83,15 @@ class CompilerBackend(Backend):
             compile_target = compile_target.with_(coupling=coupling)
         self.compile_target = compile_target
         self.coupling = compile_target.coupling
-        self.optimize = compile_target.optimization_level >= 2
         self.pipeline = pipeline if pipeline is not None else Pipeline()
         self.report: Optional[CompilationReport] = None
         self.compiled_circuit: Optional[QuantumCircuit] = None
         self.routing: Optional[RoutingResult] = None
 
     def execute(self, circuit: QuantumCircuit) -> Optional[int]:
-        compiled = self.compile(circuit)
-        outcome = self.target.execute(compiled)
-        if outcome is None or self.routing is None:
-            return outcome
-        # translate physical measurement bits back to logical qubits:
-        # measure gates were emitted on logical clbits already, so the
-        # outcome is logical — nothing to undo (clbits never move).
-        return outcome
+        # measure gates keep their logical clbits through routing, so the
+        # outcome is logical already: nothing to translate back
+        return self.target.execute(self.compile(circuit))
 
     def compile(self, circuit: QuantumCircuit) -> QuantumCircuit:
         """Run the device flow through ``repro.compile`` and report."""

@@ -33,9 +33,10 @@ from ..optimization.simplify import (
 )
 from ..optimization.templates import template_optimize
 from ..optimization.tpar import tpar_optimize
-from ..synthesis.bdd_based import bdd_synthesis, verify_bdd_synthesis
+from ..synthesis.bdd_based import bdd_synthesis
 from ..synthesis.decomposition import decomposition_based_synthesis
-from ..synthesis.esop_based import esop_synthesis, verify_esop_circuit
+from ..synthesis.embedding import verify_bennett_circuit
+from ..synthesis.esop_based import esop_synthesis
 from ..synthesis.exact import exact_synthesis
 from ..synthesis.transformation import (
     bidirectional_synthesis,
@@ -455,21 +456,15 @@ class SynthesisPass(Pass):
             return Verdict.reject(
                 "specification", "synthesis produced no cascade"
             )
-        if self.method == "esop" and isinstance(function, TruthTable):
-            if not verify_esop_circuit(cascade, function):
+        agrees = {"esop": "esop covers agree", "bdd": "bdd evaluation agrees"}
+        if self.method in agrees and isinstance(function, TruthTable):
+            if not verify_bennett_circuit(cascade, function):
                 return Verdict.reject(
                     "specification",
-                    "esop cascade does not compute the truth table",
-                )
-            return Verdict.accept("specification", detail="esop covers agree")
-        if self.method == "bdd" and isinstance(function, TruthTable):
-            if not verify_bdd_synthesis(after.artifacts["bdd"], function):
-                return Verdict.reject(
-                    "specification",
-                    "bdd cascade does not compute the truth table",
+                    f"{self.method} cascade does not compute the truth table",
                 )
             return Verdict.accept(
-                "specification", detail="bdd evaluation agrees"
+                "specification", detail=agrees[self.method]
             )
         return checker.check_specification(cascade, function)
 

@@ -1,6 +1,6 @@
 """Reversible logic synthesis: the RevKit algorithm suite (Sec. V)."""
 
-from .bdd_based import BddSynthesisResult, bdd_synthesis, verify_bdd_synthesis
+from .bdd_based import BddSynthesisResult, bdd_synthesis
 from .decomposition import (
     decomposition_based_synthesis,
     young_subgroup_decomposition,
@@ -9,19 +9,15 @@ from .embedding import (
     bennett_embedding,
     explicit_embedding,
     minimum_garbage_bits,
+    verify_bennett_circuit,
 )
-from .esop_based import (
-    cubes_to_mct,
-    esop_synthesis,
-    verify_esop_circuit,
-)
+from .esop_based import cubes_to_mct, esop_synthesis
 from .exact import all_mct_gates, exact_synthesis
 from .lut_based import (
     AncillaBudgetError,
     LutSynthesisResult,
     lut_synthesis,
     lut_synthesis_from_mapping,
-    verify_lut_synthesis,
 )
 from .pebbling import (
     PebbleGameError,
@@ -39,22 +35,20 @@ from .transformation import (
 __all__ = [
     "BddSynthesisResult",
     "bdd_synthesis",
-    "verify_bdd_synthesis",
     "decomposition_based_synthesis",
     "young_subgroup_decomposition",
     "bennett_embedding",
     "explicit_embedding",
     "minimum_garbage_bits",
+    "verify_bennett_circuit",
     "cubes_to_mct",
     "esop_synthesis",
-    "verify_esop_circuit",
     "all_mct_gates",
     "exact_synthesis",
     "AncillaBudgetError",
     "LutSynthesisResult",
     "lut_synthesis",
     "lut_synthesis_from_mapping",
-    "verify_lut_synthesis",
     "PebbleGameError",
     "checkpoint_moves",
     "pebble_tradeoff_curve",

@@ -19,10 +19,10 @@ an open challenge; :func:`bdd_synthesis` therefore reports it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List
 
 from ..boolean.bdd import ONE, ZERO, Bdd
-from ..boolean.truth_table import MultiTruthTable, TruthTable
+from .embedding import Function, as_tables
 from .reversible import MctGate, ReversibleCircuit
 
 
@@ -43,14 +43,14 @@ class BddSynthesisResult:
 
 
 def bdd_synthesis(
-    function: Union[TruthTable, MultiTruthTable, Sequence[TruthTable]],
+    function: Function,
 ) -> BddSynthesisResult:
     """Hierarchical synthesis over the shared BDD of ``function``.
 
     Line layout: inputs ``0..n-1``, outputs ``n..n+m-1`` (clean),
     ancillae above.  Realizes ``|x>|0>|0> -> |x>|f(x)>|0>``.
     """
-    tables = _as_tables(function)
+    tables = as_tables(function)
     n = tables[0].num_vars
     m = len(tables)
     bdd = Bdd(n)
@@ -126,30 +126,3 @@ def _node_gates(
     branch(data.high, True)
     branch(data.low, False)
     return gates
-
-
-def verify_bdd_synthesis(
-    result: BddSynthesisResult,
-    function: Union[TruthTable, MultiTruthTable, Sequence[TruthTable]],
-) -> bool:
-    """Exhaustively check |x>|0>|0> -> |x>|f(x)>|0>."""
-    tables = _as_tables(function)
-    n = result.num_inputs
-    for x in range(1 << n):
-        output = result.circuit.apply(x)
-        if output & ((1 << n) - 1) != x:
-            return False
-        for j, table in enumerate(tables):
-            if (output >> (n + j)) & 1 != table(x):
-                return False
-        if output >> (n + result.num_outputs):
-            return False  # dirty ancilla
-    return True
-
-
-def _as_tables(function) -> List[TruthTable]:
-    if isinstance(function, TruthTable):
-        return [function]
-    if isinstance(function, MultiTruthTable):
-        return list(function.outputs)
-    return list(function)

@@ -15,10 +15,55 @@ Two strategies from the paper:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..boolean.permutation import BitPermutation
 from ..boolean.truth_table import MultiTruthTable, TruthTable
+from .reversible import ReversibleCircuit
+
+#: A Boolean function given as one table, a multi-output table, or a
+#: list of single-output tables over the same inputs.
+Function = Union[TruthTable, MultiTruthTable, Sequence[TruthTable]]
+
+
+def as_tables(function: Function) -> List[TruthTable]:
+    """The function's outputs as a list of single-output tables."""
+    if isinstance(function, TruthTable):
+        return [function]
+    if isinstance(function, MultiTruthTable):
+        return list(function.outputs)
+    return list(function)
+
+
+def verify_bennett_circuit(
+    circuit: ReversibleCircuit, function: Function
+) -> bool:
+    """Check that a cascade computes ``function`` with clean ancillae.
+
+    The line layout of :func:`bennett_embedding`, which ESOP-, BDD- and
+    LUT-based synthesis share: inputs on lines ``0..n-1``, output ``j``
+    on line ``n + j``, ancillae above.  The check is
+    ``|x>|0>|0> -> |x>|f(x)>|0>`` on every input ``x``: the input lines
+    pass through, each output line ends as its table, and every higher
+    line ends at 0.  The cascade is evaluated on every input at once
+    (:meth:`~.reversible.ReversibleCircuit.columns`).
+
+    Args:
+        circuit: the synthesized cascade.
+        function: the specification.
+
+    Returns:
+        Whether the cascade computes it; ``False`` too for a cascade
+        with fewer lines than inputs plus outputs.
+    """
+    tables = as_tables(function)
+    n = tables[0].num_vars
+    expected = [TruthTable.projection(n, i).bits for i in range(n)]
+    expected += [table.bits for table in tables]
+    if circuit.num_lines < len(expected):
+        return False
+    expected += [0] * (circuit.num_lines - len(expected))
+    return circuit.columns(n) == expected
 
 
 def bennett_embedding(
@@ -28,9 +73,7 @@ def bennett_embedding(
 
     Input layout: x on bits 0..n-1, y on bits n..n+m-1.
     """
-    tables = (
-        [function] if isinstance(function, TruthTable) else list(function.outputs)
-    )
+    tables = as_tables(function)
     n = tables[0].num_vars
     m = len(tables)
     image = []
@@ -63,9 +106,7 @@ def explicit_embedding(
     greedily at the information-theoretic minimum
     ``r = max(n, m + g_min)`` with ``g_min = minimum_garbage_bits``.
     """
-    tables = (
-        [function] if isinstance(function, TruthTable) else list(function.outputs)
-    )
+    tables = as_tables(function)
     n = tables[0].num_vars
     m = len(tables)
     g_min = minimum_garbage_bits(function)
@@ -106,9 +147,7 @@ def explicit_embedding(
 def _output_multiplicities(
     function: Union[TruthTable, MultiTruthTable]
 ) -> Dict[int, int]:
-    tables = (
-        [function] if isinstance(function, TruthTable) else list(function.outputs)
-    )
+    tables = as_tables(function)
     n = tables[0].num_vars
     counts: Dict[int, int] = {}
     for x in range(1 << n):

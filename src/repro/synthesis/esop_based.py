@@ -16,16 +16,16 @@ paper discusses in Sec. IX; the scaling bench reproduces that claim.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 from ..boolean.cube import Cube
 from ..boolean.esop import minimize_esop
-from ..boolean.truth_table import MultiTruthTable, TruthTable
+from .embedding import Function, as_tables
 from .reversible import MctGate, ReversibleCircuit
 
 
 def esop_synthesis(
-    function: Union[TruthTable, MultiTruthTable, Sequence[TruthTable]],
+    function: Function,
     effort: str = "medium",
 ) -> ReversibleCircuit:
     """Bennett-style XOR-oracle circuit on ``n + m`` lines.
@@ -34,7 +34,7 @@ def esop_synthesis(
     start in |0> for a plain function evaluation, or hold ``y`` for the
     XOR semantics).
     """
-    tables = _as_tables(function)
+    tables = as_tables(function)
     n = tables[0].num_vars
     circuit = ReversibleCircuit(n + len(tables), name="esop")
     for j, table in enumerate(tables):
@@ -54,28 +54,3 @@ def cubes_to_mct(cubes: Sequence[Cube], target: int) -> List[MctGate]:
             polarity.append(positive)
         gates.append(MctGate(target, tuple(controls), tuple(polarity)))
     return gates
-
-
-def verify_esop_circuit(
-    circuit: ReversibleCircuit,
-    function: Union[TruthTable, MultiTruthTable, Sequence[TruthTable]],
-) -> bool:
-    """Check U|x>|0> = |x>|f(x)> for all x (exhaustive)."""
-    tables = _as_tables(function)
-    n = tables[0].num_vars
-    for x in range(1 << n):
-        output = circuit.apply(x)
-        if output & ((1 << n) - 1) != x:
-            return False
-        for j, table in enumerate(tables):
-            if (output >> (n + j)) & 1 != table(x):
-                return False
-    return True
-
-
-def _as_tables(function) -> List[TruthTable]:
-    if isinstance(function, TruthTable):
-        return [function]
-    if isinstance(function, MultiTruthTable):
-        return list(function.outputs)
-    return list(function)

@@ -21,10 +21,10 @@ the "take k as an input parameter" challenge highlighted in Sec. IX.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Set
 
 from ..boolean.network import LogicNetwork, LutNetwork, lut_map
-from ..boolean.truth_table import MultiTruthTable, TruthTable
+from .embedding import Function, as_tables
 from .reversible import MctGate, ReversibleCircuit
 from .single_target import SingleTargetGate
 
@@ -50,7 +50,7 @@ class LutSynthesisResult:
 
 
 def lut_synthesis(
-    function: Union[TruthTable, MultiTruthTable, Sequence[TruthTable]],
+    function: Function,
     k: int = 4,
     strategy: str = "bennett",
     ancilla_budget: Optional[int] = None,
@@ -61,7 +61,7 @@ def lut_synthesis(
     Line layout: inputs ``0..n-1``, outputs ``n..n+m-1``, ancillae
     above.  Realizes ``|x>|0>|0> -> |x>|f(x)>|0>``.
     """
-    tables = _as_tables(function)
+    tables = as_tables(function)
     network = LogicNetwork.from_truth_tables(tables)
     mapped = lut_map(network, k)
     return lut_synthesis_from_mapping(
@@ -285,30 +285,3 @@ def _eager_flow(
         num_luts=len(mapped.luts),
         strategy="eager",
     )
-
-
-def verify_lut_synthesis(
-    result: LutSynthesisResult,
-    function: Union[TruthTable, MultiTruthTable, Sequence[TruthTable]],
-) -> bool:
-    """Exhaustively check |x>|0>|0> -> |x>|f(x)>|0>."""
-    tables = _as_tables(function)
-    n = result.num_inputs
-    for x in range(1 << n):
-        output = result.circuit.apply(x)
-        if output & ((1 << n) - 1) != x:
-            return False
-        for j, table in enumerate(tables):
-            if (output >> (n + j)) & 1 != table(x):
-                return False
-        if output >> (n + result.num_outputs):
-            return False
-    return True
-
-
-def _as_tables(function) -> List[TruthTable]:
-    if isinstance(function, TruthTable):
-        return [function]
-    if isinstance(function, MultiTruthTable):
-        return list(function.outputs)
-    return list(function)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..boolean.permutation import BitPermutation
+from ..boolean.truth_table import TruthTable
 from ..core.circuit import Freezable, QuantumCircuit
 
 
@@ -190,6 +191,35 @@ class ReversibleCircuit(Freezable):
         for gate in self.gates:
             value = gate.apply(value)
         return value
+
+    def columns(self, inputs: Optional[int] = None) -> List[int]:
+        """Evaluate the cascade on every input at once.
+
+        Each line holds one int whose bit ``x`` is the line's value on
+        input ``x``, so a gate costs one AND per control and one XOR:
+        ``col[target] ^= AND of (col[c] or ~col[c])``.
+
+        Args:
+            inputs: how many low lines are free inputs (default: all);
+                they start as the projections
+                :meth:`~repro.boolean.truth_table.TruthTable.projection`
+                (so at most 24), every other line starts at 0.
+
+        Returns:
+            One ``2^inputs``-bit int per line.
+        """
+        if inputs is None:
+            inputs = self.num_lines
+        columns = [
+            TruthTable.projection(inputs, i).bits for i in range(inputs)
+        ] + [0] * (self.num_lines - inputs)
+        every = (1 << (1 << inputs)) - 1
+        for gate in self.gates:
+            fire = every
+            for line, positive in zip(gate.controls, gate.polarity):
+                fire &= columns[line] if positive else ~columns[line]
+            columns[gate.target] ^= fire
+        return columns
 
     def permutation(self) -> BitPermutation:
         """The bijection the circuit realizes (input -> output)."""

@@ -5,9 +5,10 @@ pass needs, the cheapest tier that is sound for the circuits at hand
 and wraps the outcome in a :class:`~.verdict.Verdict`:
 
 1. **syntactic** — identical gate lists (free, exact);
-2. **permutation** — integer bit-simulation of reversible cascades
-   and classical (X/CNOT/Toffoli/SWAP) circuits over every basis
-   input (exact, ``O(2^n . gates)`` in the *data* width only);
+2. **permutation** — reversible cascades and classical
+   (X/CNOT/Toffoli/SWAP) circuits evaluated on every basis input at
+   once, one ``2^n``-bit int per line (exact, ``O(2^n . gates)`` bit
+   operations in the *data* width only);
 3. **stabilizer** — the composed-tableau identity test for Clifford
    circuits, applied after stripping the common gate prefix/suffix
    (exact at any width, polynomial);
@@ -33,12 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..boolean.permutation import BitPermutation
+from ..boolean.truth_table import TruthTable
 from ..core.circuit import QuantumCircuit
 from ..core.gates import NON_UNITARY
 from ..core.unitary import MAX_UNITARY_QUBITS
@@ -139,9 +141,10 @@ class EquivalenceChecker:
     ) -> Verdict:
         """Check that a cascade rewrite preserved the permutation.
 
-        Enumerates every basis input up to ``DEFAULT_MAX_TABLE_LINES``
-        data lines (exact), and falls back to seeded random basis-input
-        probes at larger widths.
+        Evaluates both cascades on every basis input at once
+        (:meth:`~repro.synthesis.reversible.ReversibleCircuit.columns`)
+        up to ``DEFAULT_MAX_TABLE_LINES`` lines (exact), and falls back
+        to seeded random basis-input probes at larger widths.
 
         Args:
             before: the cascade entering the pass.
@@ -154,15 +157,10 @@ class EquivalenceChecker:
             return Verdict.reject("permutation", "pass changed the line count")
         n = before.num_lines
         if n <= DEFAULT_MAX_TABLE_LINES:
-            for x in range(1 << n):
-                if before.apply(x) != after.apply(x):
-                    return Verdict.reject(
-                        "permutation",
-                        "pass changed the realized permutation "
-                        f"(input {x})",
-                        checks=x + 1,
-                    )
-            return Verdict.accept("permutation", checks=1 << n)
+            return _column_verdict(
+                n, before.columns(), after.columns(),
+                "pass changed the realized permutation (input {})",
+            )
         rng = np.random.default_rng(DEFAULT_SEED)
         for i in range(DEFAULT_PROBES):
             x = int(rng.integers(0, 1 << n))
@@ -188,7 +186,8 @@ class EquivalenceChecker:
         Args:
             reversible: the synthesized MCT cascade.
             function: a :class:`~repro.boolean.permutation.BitPermutation`
-                is checked exactly on every input; other specification
+                is checked exactly on every input (a cascade of
+                another width is rejected); other specification
                 kinds are skipped here (their line embedding is
                 synthesis-specific and checked by the synthesis pass
                 itself).
@@ -203,21 +202,24 @@ class EquivalenceChecker:
                 "synthesis-specific embedding; no generic check applies",
             )
         n = reversible.num_lines
+        if n != function.num_bits:
+            return Verdict.reject(
+                "permutation",
+                f"synthesized cascade has {n} lines, the permutation "
+                f"{function.num_bits} bits",
+            )
         if n > DEFAULT_MAX_TABLE_LINES:
             return Verdict.skip(
                 "permutation",
                 f"{n} lines exceed the {DEFAULT_MAX_TABLE_LINES}-line "
                 "exhaustive-table limit",
             )
-        for x in range(1 << n):
-            if reversible.apply(x) != function(x):
-                return Verdict.reject(
-                    "permutation",
-                    "synthesized cascade does not realize the "
-                    f"permutation (input {x})",
-                    checks=x + 1,
-                )
-        return Verdict.accept("permutation", checks=1 << n)
+        image = np.asarray(function.image)
+        return _column_verdict(
+            n, reversible.columns(),
+            [TruthTable.from_numpy(n, image >> i & 1).bits for i in range(n)],
+            "synthesized cascade does not realize the permutation (input {})",
+        )
 
     # ------------------------------------------------------------------
     # circuit-level checks
@@ -382,7 +384,9 @@ class EquivalenceChecker:
         ``|x>|0> -> e^{i phi(x)}|P(x)>|0>`` for every data input ``x``,
         with ``P`` the cascade's permutation.  Classical
         (Toffoli-level) circuits are checked exactly by the permutation
-        tier at any wire count.  Clifford+T mappings with a ``blocks``
+        tier at any wire count: :func:`~.tiers.classical_cascade`
+        translates them, and both cascades are evaluated on every data
+        input at once.  Clifford+T mappings with a ``blocks``
         certificate that validates are settled block by block (see
         :meth:`_block_verdict`); otherwise they use the dense column
         check at small widths and seeded basis-input probes up to
@@ -404,14 +408,15 @@ class EquivalenceChecker:
                 "permutation",
                 "mapped circuit is narrower than the cascade",
             )
-        if n <= DEFAULT_MAX_TABLE_LINES and tiers.is_classical(quantum):
-            apply = reversible.apply
-            for x in range(1 << n):
-                if tiers.apply_classical_gates(quantum, x) != apply(x):
-                    return Verdict.reject(
-                        "permutation", f"mismatch at input {x}", checks=x + 1
-                    )
-            return Verdict.accept("permutation", checks=1 << n)
+        cascade = (
+            tiers.classical_cascade(quantum)
+            if n <= DEFAULT_MAX_TABLE_LINES else None
+        )
+        if cascade is not None:
+            return _column_verdict(
+                n, cascade.columns(n), reversible.columns(),
+                "mismatch at input {}",
+            )
         if blocks is not None:
             verdict = self._block_verdict(
                 quantum.gates, blocks, reversible.gates, n, "mapped"
@@ -757,6 +762,24 @@ class EquivalenceChecker:
             ):
                 return f"mismatch at input {x}"
         return None
+
+
+def _column_verdict(
+    n: int, actual: Sequence[int], expected: Sequence[int], failure: str
+) -> Verdict:
+    """Compare two lists of line columns on all ``2^n`` inputs.
+
+    A line missing from the shorter list counts as constant 0.  A
+    mismatch is rejected with ``failure`` naming the lowest differing
+    input, as if the inputs had been tried in order up to it.
+    """
+    diff = 0
+    for a, b in zip_longest(actual, expected, fillvalue=0):
+        diff |= a ^ b
+    if not diff:
+        return Verdict.accept("permutation", checks=1 << n)
+    x = (diff & -diff).bit_length() - 1
+    return Verdict.reject("permutation", failure.format(x), checks=x + 1)
 
 
 def _phase_compare_failure(u_before, u_after, atol: float) -> Optional[str]:

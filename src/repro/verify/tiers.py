@@ -1,7 +1,7 @@
 """Tier primitives behind the tiered equivalence checker.
 
 Each helper here implements one *mechanism* — gate-list stripping,
-classical bit-level simulation of permutation circuits, the composed
+the translation of classical circuits into MCT cascades, the composed
 stabilizer-tableau identity test, the SWAP-relabelling replay of a
 routing, random product-state probes — and stays policy-free: the
 :class:`~.checker.EquivalenceChecker` decides which mechanism is the
@@ -41,6 +41,7 @@ from ..core.circuit import QuantumCircuit
 from ..core.gates import Gate
 from ..simulator.stabilizer import StabilizerError, StabilizerState
 from ..simulator.statevector import Statevector
+from ..synthesis.reversible import MctGate, ReversibleCircuit
 
 #: Gate names the stabilizer tableau engine executes directly.
 TABLEAU_GATES = frozenset(
@@ -48,7 +49,7 @@ TABLEAU_GATES = frozenset(
 )
 
 #: Gate names acting as classical bit permutations (the reversible
-#: vocabulary), executable by integer bit-simulation at any width.
+#: vocabulary), which :func:`classical_cascade` translates.
 CLASSICAL_GATES = frozenset(("x", "cx", "ccx", "mcx", "swap", "cswap"))
 
 #: Gate names that are semantic no-ops for equivalence checking.
@@ -464,59 +465,36 @@ def clifford_equivalence_failure(
 # ----------------------------------------------------------------------
 # permutation tier
 # ----------------------------------------------------------------------
-def is_classical(circuit: QuantumCircuit) -> bool:
-    """Whether every gate acts as a classical bit permutation.
+def classical_cascade(circuit: QuantumCircuit) -> Optional[ReversibleCircuit]:
+    """Translate a classical circuit into an MCT cascade on its wires.
+
+    ``x``/``cx``/``ccx``/``mcx`` keep their wires, a ``swap`` becomes
+    three CNOTs and a ``cswap`` CNOT-Toffoli-CNOT; ``id`` and
+    ``barrier`` are dropped.
 
     Args:
-        circuit: the circuit to inspect.
+        circuit: the circuit to translate.
 
     Returns:
-        True when the circuit is X/CX/Toffoli/SWAP-only (ignoring
-        no-ops), so integer bit-simulation reproduces it exactly.
+        The cascade, or ``None`` at the first gate that is not a
+        classical bit permutation.
     """
-    return all(
-        g.name in CLASSICAL_GATES or g.name in NOOP_GATES
-        for g in circuit.gates
-    )
-
-
-def apply_classical_gates(circuit: QuantumCircuit, value: int) -> int:
-    """Propagate a basis state through a classical (permutation) circuit.
-
-    Args:
-        circuit: an X/CX/Toffoli/SWAP-only circuit.
-        value: input basis state as an integer (qubit 0 = LSB).
-
-    Returns:
-        The output basis state integer.
-
-    Raises:
-        ValueError: when a gate is not a classical permutation gate.
-    """
+    cascade = ReversibleCircuit(circuit.num_qubits)
     for gate in circuit.gates:
         name = gate.name
         if name in NOOP_GATES:
             continue
-        if name not in CLASSICAL_GATES:
-            raise ValueError(f"gate {name!r} is not a classical gate")
-        if name == "swap" or name == "cswap":
-            if gate.controls and not _bits_set(value, gate.controls):
-                continue
+        if name in ("swap", "cswap"):
             a, b = gate.targets
-            bit_a = (value >> a) & 1
-            bit_b = (value >> b) & 1
-            if bit_a != bit_b:
-                value ^= (1 << a) | (1 << b)
-            continue
-        # x / cx / ccx / mcx: flip the target when all controls are set
-        if _bits_set(value, gate.controls):
-            value ^= 1 << gate.targets[0]
-    return value
-
-
-def _bits_set(value: int, positions: Sequence[int]) -> bool:
-    """Whether every bit of ``value`` at ``positions`` is one."""
-    return all((value >> p) & 1 for p in positions)
+            cnot = MctGate(a, (b,))
+            cascade.append(cnot)
+            cascade.append(MctGate(b, gate.controls + (a,)))
+            cascade.append(cnot)
+        elif name in CLASSICAL_GATES:
+            cascade.append(MctGate(gate.targets[0], gate.controls))
+        else:
+            return None
+    return cascade
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,35 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite, and the Hypothesis
+profiles.
 
+CI's ``differential``, ``verification`` and ``engines`` jobs run with
+``HYPOTHESIS_PROFILE=ci``: derandomized (each property fixes its own
+seed material, so runs are reproducible) and with a larger example
+budget.  Local tier-1 runs use the quicker ``dev`` profile.
+"""
+
+import os
 import random
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.boolean.permutation import BitPermutation
 from repro.boolean.truth_table import TruthTable
+
+settings.register_profile(
+    "ci",
+    max_examples=30,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.register_profile(
+    "dev",
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 @pytest.fixture

@@ -1,32 +1,8 @@
-"""Hypothesis profiles + shared circuits for the engine tests.
-
-The CI ``engines`` job runs with ``HYPOTHESIS_PROFILE=ci`` —
-derandomized (the seed is fixed by each test's code, so runs are
-reproducible) and with a larger example budget.  Local tier-1 runs use
-the quicker ``dev`` profile.
-"""
-
-import os
+"""Shared circuits for the engine tests."""
 
 import pytest
-from hypothesis import HealthCheck, settings
 
 from repro.core.circuit import QuantumCircuit
-
-settings.register_profile(
-    "ci",
-    max_examples=30,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.register_profile(
-    "dev",
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 def fig6_hidden_shift_circuit() -> QuantumCircuit:

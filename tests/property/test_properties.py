@@ -26,7 +26,8 @@ from repro.optimization.simplify import (
 )
 from repro.optimization.tpar import tpar_optimize
 from repro.synthesis.decomposition import decomposition_based_synthesis
-from repro.synthesis.esop_based import esop_synthesis, verify_esop_circuit
+from repro.synthesis.embedding import verify_bennett_circuit
+from repro.synthesis.esop_based import esop_synthesis
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
 from repro.synthesis.transformation import (
     bidirectional_synthesis,
@@ -148,7 +149,7 @@ def test_dbs_realizes_specification(perm):
 @settings(max_examples=25, deadline=None)
 def test_esop_synthesis_is_bennett_oracle(table):
     circuit = esop_synthesis(table)
-    assert verify_esop_circuit(circuit, table)
+    assert verify_bennett_circuit(circuit, table)
 
 
 @given(mct_circuits())

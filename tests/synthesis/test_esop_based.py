@@ -5,10 +5,9 @@ import random
 import pytest
 
 from repro.boolean.truth_table import MultiTruthTable, TruthTable
-from repro.synthesis.esop_based import (
-    esop_synthesis,
-    verify_esop_circuit,
-)
+from repro.synthesis.embedding import verify_bennett_circuit
+from repro.synthesis.esop_based import esop_synthesis
+from repro.synthesis.reversible import ReversibleCircuit
 
 
 class TestEsopSynthesis:
@@ -16,7 +15,7 @@ class TestEsopSynthesis:
         table = TruthTable.from_function(2, lambda a, b: a and b)
         circ = esop_synthesis(table)
         assert circ.num_lines == 3
-        assert verify_esop_circuit(circ, table)
+        assert verify_bennett_circuit(circ, table)
 
     def test_inputs_never_targets(self):
         table = TruthTable.inner_product(2)
@@ -36,7 +35,7 @@ class TestEsopSynthesis:
         tables = MultiTruthTable.from_function(3, 2, lambda x: (x * 3) & 3)
         circ = esop_synthesis(tables)
         assert circ.num_lines == 5
-        assert verify_esop_circuit(circ, tables)
+        assert verify_bennett_circuit(circ, tables)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_random_functions(self, seed):
@@ -45,12 +44,12 @@ class TestEsopSynthesis:
         m = rng.randint(1, 3)
         tables = [TruthTable(n, rng.getrandbits(1 << n)) for _ in range(m)]
         circ = esop_synthesis(tables)
-        assert verify_esop_circuit(circ, tables)
+        assert verify_bennett_circuit(circ, tables)
 
     def test_constant_one_output(self):
         table = TruthTable.constant(2, True)
         circ = esop_synthesis(table)
-        assert verify_esop_circuit(circ, table)
+        assert verify_bennett_circuit(circ, table)
         # constant realized by an uncontrolled NOT
         assert any(g.num_controls == 0 for g in circ)
 
@@ -71,3 +70,32 @@ class TestEsopSynthesis:
         circ = esop_synthesis(table, effort="fast")
         assert circ.num_lines == 17
         assert len(circ) == 8  # one cube per x_i y_i pair
+
+
+class TestVerifyBennettCircuit:
+    """The one embedding check ESOP, BDD and LUT synthesis share."""
+
+    def test_refuses_a_cascade_with_too_few_lines(self):
+        # 2 inputs + 1 output need 3 lines; the inputs pass through
+        # and the missing output line would have read as the constant 0
+        assert not verify_bennett_circuit(
+            ReversibleCircuit(2), TruthTable(2, 0)
+        )
+
+    def test_refuses_a_dirty_ancilla(self):
+        table = TruthTable.from_function(2, lambda a, b: a and b)
+        circuit = esop_synthesis(table)
+        assert verify_bennett_circuit(circuit, table)
+        wide = ReversibleCircuit(circuit.num_lines + 1)
+        wide.extend(circuit.gates)
+        assert verify_bennett_circuit(wide, table)
+        wide.cnot(0, circuit.num_lines)
+        assert not verify_bennett_circuit(wide, table)
+
+    def test_refuses_a_wrong_output_or_a_moved_input(self):
+        table = TruthTable.from_function(2, lambda a, b: a or b)
+        circuit = esop_synthesis(table)
+        wrong = circuit.copy().x(2)
+        assert not verify_bennett_circuit(wrong, table)
+        moved = circuit.copy().cnot(2, 0)
+        assert not verify_bennett_circuit(moved, table)

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from repro.boolean.truth_table import TruthTable
+from repro.synthesis.embedding import verify_bennett_circuit
 from repro.synthesis.lut_based import (
     AncillaBudgetError,
     lut_synthesis,
-    verify_lut_synthesis,
 )
 
 
@@ -18,7 +18,7 @@ class TestBennettStrategy:
             4, lambda a, b, c, d: (a and b) ^ (c and d)
         )
         result = lut_synthesis(table, k=3, strategy="bennett")
-        assert verify_lut_synthesis(result, table)
+        assert verify_bennett_circuit(result.circuit, table)
         assert result.strategy == "bennett"
 
     def test_ancillae_equal_luts(self):
@@ -33,7 +33,7 @@ class TestBennettStrategy:
         n = rng.randint(2, 5)
         table = TruthTable(n, rng.getrandbits(1 << n))
         result = lut_synthesis(table, k=k, strategy="bennett")
-        assert verify_lut_synthesis(result, table)
+        assert verify_bennett_circuit(result.circuit, table)
 
 
 class TestEagerStrategy:
@@ -45,7 +45,7 @@ class TestEagerStrategy:
         m = rng.randint(1, 2)
         tables = [TruthTable(n, rng.getrandbits(1 << n)) for _ in range(m)]
         result = lut_synthesis(tables, k=k, strategy="eager")
-        assert verify_lut_synthesis(result, tables)
+        assert verify_bennett_circuit(result.circuit, tables)
 
     def test_eager_saves_ancillae_on_deep_networks(self):
         """A multi-level single-output function: the output LUT lands
@@ -54,7 +54,7 @@ class TestEagerStrategy:
         bennett = lut_synthesis(table, k=2, strategy="bennett")
         eager = lut_synthesis(table, k=2, strategy="eager")
         assert eager.num_ancillae < bennett.num_ancillae
-        assert verify_lut_synthesis(eager, table)
+        assert verify_bennett_circuit(eager.circuit, table)
 
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ class TestAncillaBudget:
     def test_generous_budget_accepted(self):
         table = TruthTable.inner_product(2)
         result = lut_synthesis(table, k=3, ancilla_budget=100)
-        assert verify_lut_synthesis(result, table)
+        assert verify_bennett_circuit(result.circuit, table)
 
     def test_tight_budget_falls_back_to_eager(self):
         table = TruthTable.inner_product(3)
@@ -76,7 +76,7 @@ class TestAncillaBudget:
             table, k=2, strategy="bennett", ancilla_budget=eager_cost
         )
         assert result.strategy == "eager"
-        assert verify_lut_synthesis(result, table)
+        assert verify_bennett_circuit(result.circuit, table)
 
     def test_impossible_budget_raises(self):
         table = TruthTable.inner_product(3)

@@ -675,6 +675,35 @@ def test_certificate_re_runs_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.verify.tiers", "apply_classical_gates"),
+        ("repro.verify.tiers", "is_classical"),
+        ("repro.verify.tiers", "_bits_set"),
+        ("repro.synthesis.esop_based", "verify_esop_circuit"),
+        ("repro.synthesis.bdd_based", "verify_bdd_synthesis"),
+        ("repro.synthesis.lut_based", "verify_lut_synthesis"),
+        ("repro.synthesis", "verify_esop_circuit"),
+        ("repro.synthesis", "verify_bdd_synthesis"),
+        ("repro.synthesis", "verify_lut_synthesis"),
+        ("repro.synthesis.esop_based", "_as_tables"),
+        ("repro.synthesis.bdd_based", "_as_tables"),
+        ("repro.synthesis.lut_based", "_as_tables"),
+    ],
+)
+def test_per_input_classical_checks_are_gone(module, name):
+    # one column evaluator (ReversibleCircuit.columns) and one embedding
+    # check (synthesis.embedding.verify_bennett_circuit) replaced them
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_compiler_backend_optimize_attribute_is_gone():
+    from repro.frameworks.projectq.compiler import CompilerBackend
+
+    assert not hasattr(CompilerBackend(), "optimize")
+
+
 
 def _name(module, name):
     return getattr(importlib.import_module(module), name)

@@ -17,7 +17,7 @@ These tests hold it to three promises:
   certificate is adjusted to tile it;
 * short ``mcx``/``mcz`` gates and measurement circuits verify.
 
-Randomized cases use the Hypothesis profile of ``conftest.py``
+Randomized cases use the Hypothesis profile of ``tests/conftest.py``
 (``HYPOTHESIS_PROFILE=ci`` derandomizes them).
 """
 

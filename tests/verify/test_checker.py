@@ -441,6 +441,41 @@ class TestSpecificationCheck:
                 Broken("tbs"), FlowState(function=generators.hwb(4))
             )
 
+    def test_rejects_a_narrower_cascade(self):
+        # a negative-control NOT realizes [1, 0, 2, 3] on 2 lines, which
+        # agrees with the 3-bit permutation on the inputs 2 lines have
+        narrow = ReversibleCircuit(2).add_gate(0, (1,), (False,))
+        verdict = EquivalenceChecker().check_specification(
+            narrow, BitPermutation([1, 0, 2, 3, 4, 5, 6, 7])
+        )
+        assert verdict.status == "failed" and verdict.tier == "permutation"
+        assert verdict.detail == (
+            "synthesized cascade has 2 lines, the permutation 3 bits"
+        )
+
+    def test_rejects_a_wider_cascade(self):
+        verdict = EquivalenceChecker().check_specification(
+            ReversibleCircuit(4), BitPermutation.identity(3)
+        )
+        assert verdict.status == "failed" and verdict.tier == "permutation"
+        assert verdict.detail == (
+            "synthesized cascade has 4 lines, the permutation 3 bits"
+        )
+
+    def test_compile_refuses_a_synthesis_of_the_wrong_width(self):
+        from repro.compiler import get_target
+
+        target = get_target("toffoli").with_(
+            synthesis=lambda function: ReversibleCircuit(2).add_gate(
+                0, (1,), (False,)
+            )
+        )
+        with pytest.raises(VerificationError, match="2 lines, the permutation 3"):
+            compile_workload(
+                [1, 0, 2, 3, 4, 5, 6, 7], target=target, verify="auto",
+                cache=None,
+            )
+
 
 class TestCompileFacade:
     def test_compile_verify_auto_records_every_tier(self, tmp_path):

@@ -13,7 +13,7 @@ anything does not validate.  These tests hold it to three promises:
 * a forged certificate falls through and never passes a wrong circuit;
 * ``cancel`` on measurement circuits verifies instead of being skipped.
 
-Randomized cases use the Hypothesis profile of ``conftest.py``
+Randomized cases use the Hypothesis profile of ``tests/conftest.py``
 (``HYPOTHESIS_PROFILE=ci`` derandomizes them).
 """
 

@@ -16,7 +16,7 @@ with SWAPs between the gates.  So its differential demands one
 direction: router outputs pass both it and the oracle, and it never
 passes a routing (or a mutant of one) that the oracle rejects.
 
-Under ``HYPOTHESIS_PROFILE=ci`` (see ``conftest.py``) the run is
+Under ``HYPOTHESIS_PROFILE=ci`` (see ``tests/conftest.py``) the run is
 derandomized, so CI failures replay exactly.
 """
 
