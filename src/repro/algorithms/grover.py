@@ -83,8 +83,6 @@ class GroverResult:
 
 def solve_grover(
     predicate: Union[Callable, TruthTable],
-    num_vars: Optional[int] = None,
-    iterations: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> GroverResult:
     """Search for an input satisfying ``predicate``.
@@ -97,11 +95,10 @@ def solve_grover(
     """
     from ..compiler.frontends import as_truth_table
 
-    table = as_truth_table(predicate, num_vars)
+    table = as_truth_table(predicate)
     if table.bits == 0:
         raise ValueError("predicate has no satisfying assignment")
-    if iterations is None:
-        iterations = optimal_iterations(table.num_vars, table.count_ones())
+    iterations = optimal_iterations(table.num_vars, table.count_ones())
     circuit = grover_circuit(table, iterations)
     result = engines.run("statevector", circuit, shots=1, seed=seed)
     measured = result.most_frequent()

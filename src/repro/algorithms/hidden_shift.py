@@ -15,14 +15,14 @@ examples:
   explicit tables of ``g`` and ``f~`` (the Fig. 4 flow);
 * ``method="mm"`` — the structured Maiorana–McFarland realization of
   Fig. 7/8: the permutation pi is synthesized as a reversible circuit
-  (default: transformation-based for U_g, decomposition-based for the
+  (transformation-based for U_g, decomposition-based for the
   inverse, as in the paper), conjugating an inner-product CZ layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .. import engines
 from ..boolean.bent import HiddenShiftInstance
@@ -37,30 +37,23 @@ from ..frameworks.projectq.oracles import (
 from ..simulator.statevector import Statevector
 from ..synthesis.reversible import ReversibleCircuit
 
-SynthesisFn = Callable[[BitPermutation], ReversibleCircuit]
-
 
 def _synthesize_permutation(
-    permutation: BitPermutation,
-    synth: Optional[SynthesisFn],
-    default: str,
+    permutation: BitPermutation, method: str
 ) -> ReversibleCircuit:
     """Synthesize an oracle permutation through the compiler facade.
 
-    With no explicit ``synth`` callable the cascade is compiled via
-    ``repro.compile`` at the raw reversible level (no simplification),
-    which is gate-for-gate what calling the synthesis entry point
-    directly produced — but repeated oracle builds for the same
-    permutation now replay from the shared pass cache.
+    The cascade is compiled via ``repro.compile`` at the raw reversible
+    level (no simplification), which is gate-for-gate what calling the
+    synthesis entry point directly produces — but repeated oracle
+    builds for the same permutation replay from the shared pass cache.
     """
-    if synth is not None:
-        return synth(permutation)
     from ..compiler import compile as facade_compile, targets
 
     result = facade_compile(
         permutation,
         target=targets.TOFFOLI.with_(
-            optimization_level=0, synthesis=default
+            optimization_level=0, synthesis=method
         ),
     )
     return result.reversible
@@ -78,23 +71,19 @@ class HiddenShiftCircuit:
 
 
 def phase_oracle_circuit(
-    table: TruthTable, num_qubits: int, wires: Optional[Sequence[int]] = None,
-    effort: str = "medium",
+    table: TruthTable, num_qubits: int, wires: Optional[Sequence[int]] = None
 ) -> QuantumCircuit:
     """Diagonal circuit for ``(-1)^{table(x)}`` on the given wires."""
     if wires is None:
         wires = list(range(table.num_vars))
     circuit = QuantumCircuit(num_qubits)
-    cubes = minimize_esop(table, effort=effort)
+    cubes = minimize_esop(table)
     circuit.extend(phase_oracle_gates(cubes, list(wires)))
     return circuit
 
 
 def hidden_shift_circuit(
-    instance: HiddenShiftInstance,
-    method: str = "truth_table",
-    synth: Optional[SynthesisFn] = None,
-    inverse_synth: Optional[SynthesisFn] = None,
+    instance: HiddenShiftInstance, method: str = "truth_table"
 ) -> HiddenShiftCircuit:
     """Build the Fig. 3 circuit for a hidden shift instance."""
     n = instance.num_vars
@@ -108,14 +97,14 @@ def hidden_shift_circuit(
     if method == "truth_table":
         circuit.compose(phase_oracle_circuit(instance.g_table(), n))
     elif method == "mm":
-        _mm_shifted_oracle(circuit, instance, synth)
+        _mm_shifted_oracle(circuit, instance)
     else:
         raise ValueError(f"unknown method {method!r}")
     hadamard_layer()
     if method == "truth_table":
         circuit.compose(phase_oracle_circuit(instance.dual_table(), n))
     else:
-        _mm_dual_oracle(circuit, instance, inverse_synth)
+        _mm_dual_oracle(circuit, instance)
     hadamard_layer()
     for q in range(n):
         circuit.measure(q, q)
@@ -142,9 +131,7 @@ def _cz_layer(
 
 
 def _mm_shifted_oracle(
-    circuit: QuantumCircuit,
-    instance: HiddenShiftInstance,
-    synth: Optional[SynthesisFn],
+    circuit: QuantumCircuit, instance: HiddenShiftInstance
 ) -> None:
     """U_g = X^s U_f X^s with the structured MM realization of U_f.
 
@@ -155,7 +142,7 @@ def _mm_shifted_oracle(
     half = mm.half_vars
     x_wires = list(range(half))
     y_wires = list(range(half, 2 * half))
-    perm_circuit = _synthesize_permutation(mm.pi, synth, "tbs")
+    perm_circuit = _synthesize_permutation(mm.pi, "tbs")
     all_wires = x_wires + y_wires
 
     _x_layer(circuit, instance.shift, all_wires)
@@ -173,21 +160,19 @@ def _mm_shifted_oracle(
 
 
 def _mm_dual_oracle(
-    circuit: QuantumCircuit,
-    instance: HiddenShiftInstance,
-    inverse_synth: Optional[SynthesisFn],
+    circuit: QuantumCircuit, instance: HiddenShiftInstance
 ) -> None:
     """U_f~ via pi^{-1} on the x register (Fig. 7's second block).
 
-    Following the paper, a circuit for pi is synthesized (by default
-    with decomposition-based synthesis) and *inverted with Dagger*
+    Following the paper, a circuit for pi is synthesized (with
+    decomposition-based synthesis) and *inverted with Dagger*
     instead of synthesizing pi^{-1} directly.
     """
     mm = instance.function
     half = mm.half_vars
     x_wires = list(range(half))
     y_wires = list(range(half, 2 * half))
-    perm_circuit = _synthesize_permutation(mm.pi, inverse_synth, "dbs")
+    perm_circuit = _synthesize_permutation(mm.pi, "dbs")
     inverse_gates = list(
         reversed(permutation_oracle_gates(perm_circuit, x_wires))
     )
@@ -214,17 +199,11 @@ class HiddenShiftResult:
 
 
 def solve_hidden_shift(
-    instance: HiddenShiftInstance,
-    method: str = "truth_table",
-    seed: Optional[int] = None,
-    synth: Optional[SynthesisFn] = None,
-    inverse_synth: Optional[SynthesisFn] = None,
+    instance: HiddenShiftInstance, method: str = "truth_table"
 ) -> HiddenShiftResult:
     """Build and simulate the circuit; noiseless runs are deterministic."""
-    built = hidden_shift_circuit(
-        instance, method=method, synth=synth, inverse_synth=inverse_synth
-    )
-    result = engines.run("statevector", built.circuit, shots=1, seed=seed)
+    built = hidden_shift_circuit(instance, method=method)
+    result = engines.run("statevector", built.circuit, shots=1)
     measured = result.most_frequent()
     probability = _shift_probability(built.circuit, instance.shift)
     return HiddenShiftResult(

@@ -116,15 +116,13 @@ class SimonResult:
 
 
 def solve_simon(
-    instance: SimonInstance,
-    seed: Optional[int] = None,
-    max_rounds: int = 200,
+    instance: SimonInstance, seed: Optional[int] = None
 ) -> SimonResult:
     """Sample orthogonality equations until the secret is determined."""
     n = instance.function.num_vars
     circuit = simon_circuit(instance)
-    # draw the sample budget in one batch (one simulation, many shots)
-    batch = engines.run("statevector", circuit, shots=max_rounds, seed=seed)
+    # draw a 200-sample budget in one batch (one simulation, many shots)
+    batch = engines.run("statevector", circuit, shots=200, seed=seed)
     samples: List[int] = []
     for outcome, count in batch.counts.items():
         samples.extend([outcome] * count)

@@ -104,19 +104,17 @@ def cuccaro_adder(
 def constant_adder(
     num_bits: int,
     constant: int,
-    target: Optional[Sequence[int]] = None,
     controls: Sequence[int] = (),
     num_lines: Optional[int] = None,
 ) -> ReversibleCircuit:
-    """``x <- x + c (mod 2^n)``, optionally controlled.
+    """``x <- x + c (mod 2^n)`` on lines ``0..n-1``, optionally controlled.
 
     Built as a cascade of controlled increments on the suffix registers
     (add bit i of c = +1 on bits i..n-1): O(n^2) MCT gates, no
     ancillae — the simple variant of the Häner et al. construction.
     """
     n = num_bits
-    if target is None:
-        target = list(range(n))
+    target = list(range(n))
     if num_lines is None:
         num_lines = max([*target, *controls], default=0) + 1
     _check_disjoint(target, controls)

@@ -9,8 +9,8 @@ pseudo-Kronecker expressions [59] and fast heuristic minimization
 * :func:`pprm` — positive-polarity Reed-Muller (unique canonical ESOP),
   via the butterfly (Möbius) transform.
 * :func:`fprm` — fixed-polarity Reed-Muller for a given polarity
-  vector; :func:`best_fprm` searches polarities (exhaustively up to a
-  budget, greedily beyond).
+  vector; :func:`best_fprm` searches polarities (exhaustively up to 10
+  variables, greedily beyond).
 * :func:`exorcism` — distance-based cube merging (exorlink distance 0,
   1 and 2) as a fast post-pass.
 * :func:`minimize_esop` — the convenience entry point combining them.
@@ -72,16 +72,14 @@ def _esop_cost(cubes: Sequence[Cube]) -> Tuple[int, int]:
     return len(cubes), sum(c.num_literals() for c in cubes)
 
 
-def best_fprm(
-    table: TruthTable, max_exhaustive_vars: int = 10
-) -> Tuple[List[Cube], int]:
+def best_fprm(table: TruthTable) -> Tuple[List[Cube], int]:
     """Search fixed polarities for the cheapest FPRM.
 
-    Exhaustive over all ``2^n`` polarities when ``n`` is small, greedy
-    bit-flip descent otherwise.  Returns (cubes, polarity).
+    Exhaustive over all ``2^n`` polarities up to 10 variables, greedy
+    bit-flip descent beyond.  Returns (cubes, polarity).
     """
     n = table.num_vars
-    if n <= max_exhaustive_vars:
+    if n <= 10:
         best_cubes = None
         best_pol = 0
         for polarity in range(1 << n):

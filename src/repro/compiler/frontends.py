@@ -459,27 +459,7 @@ def detect_workload(obj: Any) -> Workload:
     raise _unsupported(obj)
 
 
-def _widen_table(table: TruthTable, num_vars: int) -> TruthTable:
-    """Extend a table with don't-care variables up to ``num_vars``."""
-    if num_vars == table.num_vars:
-        return table
-    if num_vars < table.num_vars:
-        raise _unsupported(
-            table,
-            hint=(
-                f"workload uses {table.num_vars} variables but "
-                f"num_vars={num_vars} was requested"
-            ),
-        )
-    block = table.bits
-    width = 1 << table.num_vars
-    bits = 0
-    for i in range(1 << (num_vars - table.num_vars)):
-        bits |= block << (i * width)
-    return TruthTable(num_vars, bits)
-
-
-def as_truth_table(obj: Any, num_vars: Optional[int] = None) -> TruthTable:
+def as_truth_table(obj: Any) -> TruthTable:
     """Normalize any function-shaped workload to a single truth table.
 
     The algorithm entry points (Grover, hidden shift) use this to
@@ -488,36 +468,21 @@ def as_truth_table(obj: Any, num_vars: Optional[int] = None) -> TruthTable:
     Args:
         obj: a TruthTable, predicate, expression string, cube list, or
             BDD pair.
-        num_vars: arity override; predicates are tabulated at this
-            arity, and derived tables (expressions, cube lists, BDD
-            nodes) whose variables are positional are widened with
-            don't-care variables up to it.
 
     Returns:
         The workload's single-output truth table.
 
     Raises:
         WorkloadError: when the workload is not function-shaped (e.g. a
-            circuit or permutation), cannot be detected, or uses more
-            variables than ``num_vars``.
+            circuit or permutation) or cannot be detected.
     """
     if isinstance(obj, TruthTable):
-        if num_vars is not None and num_vars != obj.num_vars:
-            raise _unsupported(
-                obj,
-                hint=(
-                    f"explicit TruthTable has {obj.num_vars} variables "
-                    f"but num_vars={num_vars} was requested"
-                ),
-            )
         return obj
     if callable(obj) and not isinstance(obj, type):
-        return predicate_to_truth_table(obj, num_vars)
+        return predicate_to_truth_table(obj)
     workload = detect_workload(obj)
     function = workload.state.function
     if isinstance(function, TruthTable):
-        if num_vars is not None:
-            return _widen_table(function, num_vars)
         return function
     raise _unsupported(
         obj,

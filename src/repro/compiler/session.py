@@ -225,9 +225,6 @@ class CompilerSession:
     """Batched compilations over a shared pass cache.
 
     Args:
-        target: session default target (name or
-            :class:`~.target.Target`); ``None`` keeps the library
-            default.
         verify: fail-fast functional verification of every pass —
             ``"auto"``/``"strict"``/``"off"``, a boolean, a
             configured :class:`~repro.verify.EquivalenceChecker`, or
@@ -240,12 +237,10 @@ class CompilerSession:
 
     def __init__(
         self,
-        target: Union[Target, str, None] = None,
         verify: Union[bool, str, EquivalenceChecker, None] = None,
         cache: Union[PassCache, str, None] = "shared",
     ) -> None:
         """Resolve the session defaults and the shared cache."""
-        self.target = get_target(target) if target is not None else None
         self.verify = verify
         self.cache = _resolve_cache(cache)
 
@@ -259,14 +254,15 @@ class CompilerSession:
 
         Args:
             workload: any supported workload shape.
-            target: per-call target override.
+            target: a :class:`~.target.Target` or preset name;
+                ``None`` keeps the library default.
 
         Returns:
             The :class:`~.result.CompilationResult`.
         """
         return compile(
             workload,
-            target=target if target is not None else self.target,
+            target=target,
             verify=self.verify,
             cache=self.cache,
         )
@@ -278,7 +274,7 @@ class CompilerSession:
         """Translate one grid assignment into (workload, target)."""
         params = dict(params)
         target = params.pop("target", None)
-        target = get_target(target if target is not None else self.target)
+        target = get_target(target)
         overrides = {
             key: params.pop(key)
             for key in tuple(params)

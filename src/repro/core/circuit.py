@@ -17,8 +17,7 @@ emitted text) once and keeps it in a per-instance memo.
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
-    Sequence,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence,
 )
 
 from .gates import Gate, is_clifford_t_name
@@ -316,39 +315,19 @@ class QuantumCircuit(Freezable):
     # ------------------------------------------------------------------
     # structural operations
     # ------------------------------------------------------------------
-    def compose(
-        self,
-        other: "QuantumCircuit",
-        qubits: Optional[Sequence[int]] = None,
-    ) -> "QuantumCircuit":
-        """Append ``other`` onto this circuit (in place).
-
-        Args:
-            other: circuit to append.
-            qubits: target wires in ``self`` for each wire of ``other``;
-                defaults to the identity mapping.  Must name distinct
-                wires of ``self``.
+    def compose(self, other: "QuantumCircuit") -> "QuantumCircuit":
+        """Append ``other`` onto this circuit (in place), wire for wire.
 
         Raises:
-            ValueError: ``other`` is wider than ``self``, or ``qubits``
-                has the wrong length, repeats a wire or names one
-                outside ``self``.
+            ValueError: ``other`` is wider than ``self``.
         """
         self._check_mutable()
-        if qubits is None:
-            if other.num_qubits > self.num_qubits:
-                raise ValueError("composed circuit is wider than target")
-            # gates are immutable: share them (still range-checked
-            # below, as ``other.gates`` may have been assigned directly)
-            moved = other.gates
-        else:
-            if len(qubits) != other.num_qubits:
-                raise ValueError("qubit mapping length mismatch")
-            mapping = dict(enumerate(qubits))
-            self._check_wire_map(mapping)
-            moved = [gate.remap(mapping) for gate in other.gates]
-        self._check_wires(moved)
-        self.gates.extend(moved)
+        if other.num_qubits > self.num_qubits:
+            raise ValueError("composed circuit is wider than target")
+        # gates are immutable: share them (still range-checked below,
+        # as ``other.gates`` may have been assigned directly)
+        self._check_wires(other.gates)
+        self.gates.extend(other.gates)
         return self
 
     def dagger(self) -> "QuantumCircuit":
@@ -369,15 +348,14 @@ class QuantumCircuit(Freezable):
             out.compose(base)
         return out
 
-    def remap(self, mapping: Mapping[int, int], num_qubits: Optional[int] = None) -> "QuantumCircuit":
+    def remap(self, mapping: Mapping[int, int]) -> "QuantumCircuit":
         """Return a copy acting on relabelled qubits.
 
         Raises:
             ValueError: ``mapping`` sends two wires to one, or a wire
-                outside the copy's ``num_qubits``.
+                outside the circuit.
         """
-        width = num_qubits if num_qubits is not None else self.num_qubits
-        out = QuantumCircuit(width, self.num_clbits, self.name)
+        out = QuantumCircuit(self.num_qubits, self.num_clbits, self.name)
         out._check_wire_map(mapping)
         out.gates = [gate.remap(mapping) for gate in self.gates]
         return out

@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 from ... import engines
 from ...core.circuit import QuantumCircuit
-from ...engines.noise import QE5_NOISE, NoiseModel
+from ...engines.noise import QE5_NOISE
 from ...simulator.statevector import Statevector
 
 
@@ -58,7 +58,7 @@ class IBMBackend(Backend):
     """Noisy shot-based backend standing in for the IBM QE chip.
 
     Runs ``shots`` executions on the ``monte_carlo`` engine under the
-    calibrated noise model (default :data:`~repro.engines.QE5_NOISE`)
+    calibrated noise model :data:`~repro.engines.QE5_NOISE`
     and reports the modal outcome (what one reads off the chip's
     histogram); the full histogram is kept in ``last_counts``.
     """
@@ -66,18 +66,16 @@ class IBMBackend(Backend):
     def __init__(
         self,
         shots: int = 1024,
-        noise_model: Optional[NoiseModel] = None,
         seed: Optional[int] = None,
     ):
         self.shots = shots
-        self._noise = QE5_NOISE if noise_model is None else noise_model
         self._seed = seed
         self.last_counts: Dict[int, int] = {}
 
     def execute(self, circuit: QuantumCircuit) -> Optional[int]:
         result = engines.run(
             "monte_carlo", circuit, shots=self.shots,
-            noise=self._noise, seed=self._seed,
+            noise=QE5_NOISE, seed=self._seed,
         )
         self.last_counts = result.counts
         if not result.counts:

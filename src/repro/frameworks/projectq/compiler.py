@@ -53,37 +53,26 @@ class CompilationReport:
 class CompilerBackend(Backend):
     """Backend decorator running the full compilation chain.
 
+    The chain is the ``projectq`` target preset, and the compiled
+    circuit runs on a noiseless :class:`Simulator`.  One pass-manager
+    runner, over the shared cache, serves every flush.
+
     Args:
-        target: the execution backend (default: noiseless simulator).
         coupling: optional device topology; when given, the compiled
             circuit is routed onto it and measurements follow their
             logical qubits.
-        pipeline: pass-manager runner shared across flushes (fresh one
-            with the shared cache by default).
-        compile_target: a :class:`repro.compiler.Target` (or
-            preset name) selecting the compilation chain; defaults
-            to the ``projectq`` preset, with ``coupling`` overlaid.
     """
 
-    def __init__(
-        self,
-        target: Optional[Backend] = None,
-        coupling: Optional[CouplingMap] = None,
-        pipeline: Optional[Pipeline] = None,
-        compile_target=None,
-    ):
+    def __init__(self, coupling: Optional[CouplingMap] = None):
         from ... import compiler
 
-        self.target = target if target is not None else Simulator()
-        if compile_target is None:
-            compile_target = compiler.targets.PROJECTQ
-        else:
-            compile_target = compiler.get_target(compile_target)
+        self.target = Simulator()
+        compile_target = compiler.targets.PROJECTQ
         if coupling is not None:
             compile_target = compile_target.with_(coupling=coupling)
         self.compile_target = compile_target
         self.coupling = compile_target.coupling
-        self.pipeline = pipeline if pipeline is not None else Pipeline()
+        self.pipeline = Pipeline()
         self.report: Optional[CompilationReport] = None
         self.compiled_circuit: Optional[QuantumCircuit] = None
         self.routing: Optional[RoutingResult] = None

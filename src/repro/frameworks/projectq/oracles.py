@@ -35,9 +35,8 @@ SynthesisFn = Callable[[BitPermutation], ReversibleCircuit]
 class PhaseOracle:
     """Diagonal phase oracle of a Boolean predicate."""
 
-    def __init__(self, function: FunctionSpec, effort: str = "medium"):
+    def __init__(self, function: FunctionSpec):
         self.function = function
-        self.effort = effort
 
     def _truth_table(self, num_vars: int) -> TruthTable:
         if isinstance(self.function, TruthTable):
@@ -53,7 +52,7 @@ class PhaseOracle:
         qubits = _qubit_list(operand)
         engine = _engine_of(qubits)
         table = self._truth_table(len(qubits))
-        cubes = minimize_esop(table, effort=self.effort)
+        cubes = minimize_esop(table)
         for gate in phase_oracle_gates(cubes, [q.index for q in qubits]):
             engine.emit(gate)
 

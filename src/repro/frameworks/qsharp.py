@@ -93,7 +93,6 @@ def _operation_from_circuit(
 
 def permutation_oracle_operation(
     permutation: Union[BitPermutation, Sequence[int]],
-    name: str = "PermutationOracle",
     pipeline: Optional[Pipeline] = None,
     target=None,
 ) -> QSharpOperation:
@@ -102,12 +101,12 @@ def permutation_oracle_operation(
     Dispatches through :func:`repro.compile` with the ``qsharp``
     target — chosen synthesis (default transformation-based [43]),
     ``revsimp``, Clifford+T mapping [42], gate cancellation — then
-    generates the Q# text from the compiled circuit.  Repeated calls
-    for the same permutation replay the pass manager's cached results.
+    generates the Q# text of operation ``PermutationOracle`` from the
+    compiled circuit.  Repeated calls for the same permutation replay
+    the pass manager's cached results.
 
     Args:
         permutation: the oracle permutation ``pi``.
-        name: Q# operation name to emit.
         pipeline: pass-manager runner to execute on (fresh one with
             the shared cache by default).
         target: a :class:`repro.compiler.Target` (or preset name)
@@ -124,20 +123,14 @@ def permutation_oracle_operation(
     if target is None:
         target = compiler.targets.QSHARP
     result = compiler.compile(permutation, target=target, pipeline=pipeline)
-    return _operation_from_circuit(name, result.circuit)
+    return _operation_from_circuit("PermutationOracle", result.circuit)
 
 
 def hidden_shift_program(
-    permutation: Union[BitPermutation, Sequence[int]],
-    num_vars: int,
-    target=None,
+    permutation: Union[BitPermutation, Sequence[int]], num_vars: int
 ) -> str:
-    """The full two-namespace Q# program of Figs. 9 and 10.
-
-    ``target`` selects the oracle's compilation chain exactly as on
-    :func:`permutation_oracle_operation`.
-    """
-    oracle = permutation_oracle_operation(permutation, target=target)
+    """The full two-namespace Q# program of Figs. 9 and 10."""
+    oracle = permutation_oracle_operation(permutation)
     driver = f"""namespace Repro.Quantum.HiddenShift {{
     // basic operations: Hadamard, CNOT, etc
     open Microsoft.Quantum.Primitive;

@@ -57,21 +57,20 @@ def _merge_pair(a: MctGate, b: MctGate) -> Optional[MctGate]:
     return MctGate.from_masks(wide.target, wide.control_mask(), new_pol)
 
 
-def template_optimize(
-    circuit: ReversibleCircuit, max_rounds: int = 20
-) -> ReversibleCircuit:
+def template_optimize(circuit: ReversibleCircuit) -> ReversibleCircuit:
     """Apply the template rewriting rules to a fixpoint.
+
+    At most 20 rounds run.
 
     Args:
         circuit: the MCT cascade to rewrite.
-        max_rounds: fixpoint iteration bound.
 
     Returns:
         A new cascade realizing the same permutation, never larger
         than the input.
     """
     gates = list(circuit.gates)
-    for _ in range(max_rounds):
+    for _ in range(20):
         changed = (
             _cancel_pass(gates)
             or _merge_pass(gates)

@@ -71,8 +71,8 @@ from ..core.statistics import CircuitStatistics
 from ..mapping.routing import RoutingResult
 from ..synthesis.reversible import MctGate, ReversibleCircuit
 
-#: Default number of entries a cache retains (LRU eviction).
-DEFAULT_MAXSIZE = 512
+#: Number of entries the memory tier retains (LRU eviction).
+MEMORY_ENTRIES = 512
 
 #: Seconds slept before each retry of a disk operation that raised
 #: an ``OSError`` (read at each operation): three attempts with
@@ -222,27 +222,18 @@ def _decode(value: Any) -> Any:
 class PassCache:
     """Locked LRU cache mapping content keys to pass outputs.
 
+    The memory tier holds :data:`MEMORY_ENTRIES` entries; the least
+    recently used entry is evicted first.
+
     Args:
-        maxsize: in-memory entry cap; the least recently used entry is
-            evicted first.  ``None`` disables eviction.
         path: optional directory for the persistent tier; entries with
             JSON-codable values are written there and reloaded on a
             memory miss, including from other processes.  The tier is
             unbounded until :meth:`gc` sweeps it.
-
-    Raises:
-        ValueError: ``maxsize`` is neither ``None`` nor at least 1.
     """
 
-    def __init__(
-        self,
-        maxsize: Optional[int] = DEFAULT_MAXSIZE,
-        path: Optional[str] = None,
-    ) -> None:
-        """Create an empty cache with the given capacity and tier."""
-        if maxsize is not None and maxsize < 1:
-            raise ValueError(f"maxsize must be None or >= 1, not {maxsize!r}")
-        self.maxsize = maxsize
+    def __init__(self, path: Optional[str] = None) -> None:
+        """Create an empty cache, with a disk tier under ``path``."""
         self.path = os.fspath(path) if path is not None else None
         if self.path is not None:
             os.makedirs(self.path, exist_ok=True)
@@ -542,11 +533,9 @@ class PassCache:
         """Insert an entry into the memory tier and apply the LRU cap."""
         self._entries[key] = entry
         self._entries.move_to_end(key)
-        if self.maxsize is not None:
-            # maxsize >= 1, so the entry just inserted is never evicted
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.memory_evictions += 1
+        while len(self._entries) > MEMORY_ENTRIES:
+            self._entries.popitem(last=False)
+            self.memory_evictions += 1
 
     def put(
         self,

@@ -381,7 +381,7 @@ class SynthesisPass(Pass):
 
     stage = "synthesis"
     reads = ("function",)
-    writes = ("reversible", "artifacts")
+    writes = ("reversible",)
 
     def __init__(self, method="tbs") -> None:
         """Select the synthesis method (name or callable)."""
@@ -425,9 +425,7 @@ class SynthesisPass(Pass):
         if self.method == "bdd":
             if not isinstance(function, TruthTable):
                 raise PipelineError("bdd synthesis needs a truth table")
-            result = bdd_synthesis(function)
-            out.reversible = result.circuit
-            out.artifacts["bdd"] = result
+            out.reversible = bdd_synthesis(function).circuit
             return out
         if not isinstance(function, BitPermutation):
             raise PipelineError(f"{self.name} synthesis needs a permutation")
@@ -450,23 +448,30 @@ class SynthesisPass(Pass):
         before: FlowState,
         after: FlowState,
     ) -> Verdict:
-        """Check the cascade against the specification."""
+        """Check the cascade against the specification.
+
+        The kind of specification picks the check, whatever the method:
+        a truth table's cascade (esop, bdd or a callable) must compute
+        it in the Bennett line layout, anything else goes to
+        :meth:`~repro.verify.EquivalenceChecker.check_specification`.
+        """
         function, cascade = after.function, after.reversible
         if cascade is None:
             return Verdict.reject(
                 "specification", "synthesis produced no cascade"
             )
-        agrees = {"esop": "esop covers agree", "bdd": "bdd evaluation agrees"}
-        if self.method in agrees and isinstance(function, TruthTable):
-            if not verify_bennett_circuit(cascade, function):
-                return Verdict.reject(
-                    "specification",
-                    f"{self.method} cascade does not compute the truth table",
-                )
-            return Verdict.accept(
-                "specification", detail=agrees[self.method]
+        if not isinstance(function, TruthTable):
+            return checker.check_specification(cascade, function)
+        if not verify_bennett_circuit(cascade, function):
+            return Verdict.reject(
+                "specification",
+                f"{self.name} cascade does not compute the truth table",
             )
-        return checker.check_specification(cascade, function)
+        agrees = {"esop": "esop covers agree", "bdd": "bdd evaluation agrees"}
+        return Verdict.accept(
+            "specification",
+            detail=agrees.get(self.name, "cascade computes the truth table"),
+        )
 
 
 # ----------------------------------------------------------------------

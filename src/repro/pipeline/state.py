@@ -42,8 +42,8 @@ class FlowState:
         reversible: current MCT cascade.
         quantum: current quantum circuit.
         routing: layout bookkeeping of the last routing pass.
-        artifacts: free-form side products (emitted code, synthesis
-            result objects with ancilla bookkeeping, ...).
+        artifacts: free-form side products (``ps``'s statistics, or
+            whatever a caller's own pass records).
         certificate: what a verified run of the pass that produced
             this store claims about its own rewrite (``cancel``'s fused
             groups, ``rptm``'s block lengths), for that pass's check

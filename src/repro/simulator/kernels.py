@@ -46,7 +46,7 @@ refuse non-numeric data.
 2. consecutive diagonal gates merge into a single local diagonal
    (they all commute, so a run becomes one elementwise multiply);
 3. remaining ops are greedily grouped into multi-qubit *blocks* of at
-   most ``DEFAULT_BLOCK_QUBITS`` qubits — commuting ops may be pulled
+   most ``BLOCK_QUBITS`` qubits — commuting ops may be pulled
    over unrelated gates, qiskit-aer/qulacs style — and each block is
    executed as one BLAS matmul over the state reshaped around the
    block's axes.  A cost heuristic keeps blocks only where the matmul
@@ -103,8 +103,8 @@ SINGLE_QUBIT_BASES = frozenset(
 #: qubits (the merged diagonal stores 2^m entries).
 DIAG_FUSION_MAX_QUBITS = 12
 
-#: default upper bound on the qubit count of a fused matmul block.
-DEFAULT_BLOCK_QUBITS = 5
+#: upper bound on the qubit count of a fused matmul block.
+BLOCK_QUBITS = 5
 
 #: how far block fusion scans ahead for absorbable commuting ops.
 BLOCK_LOOKAHEAD = 256
@@ -559,28 +559,8 @@ _GENERIC_WEIGHT = 1.0
 
 #: minimum summed member weight for a block of f qubits to beat its
 #: members' individual kernels (one f-qubit matmul costs roughly this
-#: many generic single-qubit sweeps; measured on the dev box to f = 6).
-_BLOCK_GAIN = {1: 0.7, 2: 1.0, 3: 1.1, 4: 1.3, 5: 1.9, 6: 3.0}
-
-#: per-qubit growth factor extrapolating the gain curve past f = 6
-#: (the measured tail grows ~1.5-1.6x per qubit: one more qubit
-#: doubles the matmul flops but also doubles the amplitudes each
-#: member kernel would sweep).
-_BLOCK_GAIN_GROWTH = 1.6
-
-
-def _block_gain(f: int) -> float:
-    """Break-even member weight for an ``f``-qubit fused block.
-
-    Measured values cover f <= 6; larger blocks extrapolate the curve
-    geometrically instead of returning infinity, so an oversized
-    ``block_size`` degrades predictably rather than silently disabling
-    fusion (historically ``block_size=7`` never fused anything).
-    """
-    if f in _BLOCK_GAIN:
-        return _BLOCK_GAIN[f]
-    top = max(_BLOCK_GAIN)
-    return _BLOCK_GAIN[top] * _BLOCK_GAIN_GROWTH ** (f - top)
+#: many generic single-qubit sweeps; measured on the dev box).
+_BLOCK_GAIN = {1: 0.7, 2: 1.0, 3: 1.1, 4: 1.3, 5: 1.9}
 
 
 def _op_weight(op: CompiledOp) -> float:
@@ -633,11 +613,12 @@ def _block_matrix(
     return np.ascontiguousarray(unitary)
 
 
-def _fuse_blocks(ops: List[CompiledOp], max_qubits: int) -> List[CompiledOp]:
-    """Greedily group ops into multi-qubit matmul blocks.
+def _fuse_blocks(ops: List[CompiledOp]) -> List[CompiledOp]:
+    """Greedily group ops into matmul blocks.
 
     Standard simulator gate fusion: starting from a seed op, absorb any
-    later op whose qubits fit in the growing block support and that
+    later op whose qubits fit in the growing block support (at most
+    ``BLOCK_QUBITS`` qubits) and that
     commutes past every skipped op in between (guaranteed by qubit
     disjointness from everything skipped).  A block is emitted as one
     dense matrix only when the cost heuristic says the single matmul
@@ -654,7 +635,7 @@ def _fuse_blocks(ops: List[CompiledOp], max_qubits: int) -> List[CompiledOp]:
             continue
         used[i] = True
         seed_qubits = _op_qubits(ops[i])
-        if len(seed_qubits) > max_qubits:
+        if len(seed_qubits) > BLOCK_QUBITS:
             out.append(ops[i])
             continue
         support = set(seed_qubits)
@@ -665,7 +646,9 @@ def _fuse_blocks(ops: List[CompiledOp], max_qubits: int) -> List[CompiledOp]:
             if used[j]:
                 continue
             qubits = set(_op_qubits(ops[j]))
-            if not (qubits & blocked) and len(support | qubits) <= max_qubits:
+            if not (qubits & blocked) and (
+                len(support | qubits) <= BLOCK_QUBITS
+            ):
                 used[j] = True
                 support |= qubits
                 members.append(ops[j])
@@ -673,7 +656,7 @@ def _fuse_blocks(ops: List[CompiledOp], max_qubits: int) -> List[CompiledOp]:
             else:
                 blocked |= qubits
         f = len(support)
-        if len(members) >= 2 and weight >= _block_gain(f):
+        if len(members) >= 2 and weight >= _BLOCK_GAIN[f]:
             qubits_desc = tuple(sorted(support, reverse=True))
             out.append(("block", (qubits_desc, _block_matrix(members, qubits_desc))))
         else:
@@ -682,9 +665,7 @@ def _fuse_blocks(ops: List[CompiledOp], max_qubits: int) -> List[CompiledOp]:
 
 
 def compile_circuit(
-    gates: Iterable[Gate],
-    fuse: bool = True,
-    block_size: int = DEFAULT_BLOCK_QUBITS,
+    gates: Iterable[Gate], fuse: bool = True
 ) -> List[CompiledOp]:
     """Compile a unitary gate sequence into fused kernel ops.
 
@@ -692,12 +673,10 @@ def compile_circuit(
     matrix (products that collapse to the identity are dropped), merges
     consecutive diagonal gates into one local diagonal of at most
     ``DIAG_FUSION_MAX_QUBITS`` qubits, and groups the remaining ops
-    into matmul blocks of at most ``block_size`` qubits where that
-    wins (the break-even curve is measured to 6 qubits and
-    extrapolated geometrically beyond, so oversized block sizes still
-    fuse).  With ``fuse=False`` the gates pass through one-to-one
-    (still kernel-dispatched); ``block_size=0`` disables only the
-    block stage.
+    into matmul blocks of at most ``BLOCK_QUBITS`` qubits
+    where the measured break-even curve says that wins.  With
+    ``fuse=False`` the gates pass through one-to-one (still
+    kernel-dispatched).
     """
     if not fuse:
         return [("gate", g) for g in gates if g.name not in ("barrier", "id")]
@@ -742,10 +721,7 @@ def compile_circuit(
         ops.append(("gate", gate))
     for q in list(pending):
         flush(q)
-    ops = _fuse_diagonals(ops)
-    if block_size:
-        ops = _fuse_blocks(ops, block_size)
-    return ops
+    return _fuse_blocks(_fuse_diagonals(ops))
 
 
 def apply_ops(

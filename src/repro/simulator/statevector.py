@@ -238,15 +238,14 @@ class SimulationResult:
         #: producing backend knows it; used for bitstring formatting.
         self.num_clbits = num_clbits
 
-    def counts_by_bitstring(self, width: Optional[int] = None) -> Dict[str, int]:
+    def counts_by_bitstring(self) -> Dict[str, int]:
         """Counts keyed by bitstrings (most-significant bit first).
 
-        The width is, in order of preference: the explicit ``width``
-        argument, the measured classical register width recorded by the
-        backend, or the widest observed outcome / final-state width.
+        The width is, in order of preference: the measured classical
+        register width recorded by the backend, or the widest observed
+        outcome / final-state width.
         """
-        if width is None:
-            width = self.num_clbits
+        width = self.num_clbits
         if width is None:
             width = max(
                 (key.bit_length() for key in self.counts), default=1

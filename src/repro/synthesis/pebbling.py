@@ -27,14 +27,11 @@ class PebbleGameError(ValueError):
     """Raised for illegal move sequences or infeasible budgets."""
 
 
-def validate_moves(
-    num_steps: int, moves: List[Move], require_clean: bool = True
-) -> int:
+def validate_moves(num_steps: int, moves: List[Move]) -> int:
     """Replay a move sequence, checking legality.
 
     Returns the peak pebble count.  The final step must end pebbled
-    (it carries the result) and, if ``require_clean``, all others must
-    end unpebbled.
+    (it carries the result) and all others must end unpebbled.
     """
     pebbled = [False] * num_steps
     peak = 0
@@ -53,7 +50,7 @@ def validate_moves(
         peak = max(peak, sum(pebbled))
     if not pebbled[num_steps - 1]:
         raise PebbleGameError("result step must end pebbled")
-    if require_clean and any(pebbled[:-1]):
+    if any(pebbled[:-1]):
         raise PebbleGameError("intermediate steps must end unpebbled")
     return peak
 

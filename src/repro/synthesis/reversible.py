@@ -242,12 +242,8 @@ class ReversibleCircuit(Freezable):
         self.gates.extend(other.gates)
         return self
 
-    def remap(
-        self, mapping: Dict[int, int], num_lines: Optional[int] = None
-    ) -> "ReversibleCircuit":
-        out = ReversibleCircuit(
-            num_lines if num_lines is not None else self.num_lines, self.name
-        )
+    def remap(self, mapping: Dict[int, int]) -> "ReversibleCircuit":
+        out = ReversibleCircuit(self.num_lines, self.name)
         for gate in self.gates:
             out.append(gate.remap(mapping))
         return out

@@ -73,13 +73,6 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_grover(TruthTable(3))
 
-    def test_explicit_iteration_count(self):
-        table = TruthTable(3)
-        table.bits |= 1 << 2
-        over_rotated = solve_grover(table, iterations=4, seed=1)
-        optimal = solve_grover(table, iterations=2, seed=1)
-        assert optimal.success_probability >= over_rotated.success_probability
-
     def test_circuit_iteration_structure(self):
         table = TruthTable(3)
         table.bits |= 1

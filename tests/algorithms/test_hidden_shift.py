@@ -12,10 +12,6 @@ from repro.algorithms.hidden_shift import (
     phase_oracle_circuit,
     solve_hidden_shift,
 )
-from repro.synthesis.transformation import (
-    bidirectional_synthesis,
-    transformation_based_synthesis,
-)
 
 
 @pytest.fixture
@@ -82,15 +78,6 @@ class TestSolving:
         mm = MaioranaMcFarland.inner_product(2)
         result = solve_hidden_shift(HiddenShiftInstance(mm, 0))
         assert result.measured_shift == 0
-
-    def test_custom_synthesis_functions(self, paper_instance):
-        result = solve_hidden_shift(
-            paper_instance,
-            method="mm",
-            synth=bidirectional_synthesis,
-            inverse_synth=transformation_based_synthesis,
-        )
-        assert result.success
 
     def test_agrees_with_classical_correlation(self):
         """Quantum result == classical exhaustive correlation."""

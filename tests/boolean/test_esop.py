@@ -98,10 +98,13 @@ class TestFprm:
             assert_cover_correct(best, table)
 
     def test_best_fprm_greedy_path(self):
-        # forces the greedy branch by shrinking the exhaustive budget
-        table = TruthTable.inner_product(2)
-        cubes, polarity = best_fprm(table, max_exhaustive_vars=1)
+        # past 10 variables the search is a greedy descent
+        table = TruthTable.from_function(
+            11, lambda *x: (not x[0] and not x[1]) ^ (x[2] and x[10])
+        )
+        cubes, polarity = best_fprm(table)
         assert_cover_correct(cubes, table)
+        assert len(cubes) < len(pprm(table))
 
 
 class TestExorcism:

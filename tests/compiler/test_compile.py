@@ -215,9 +215,7 @@ class TestFrameworkDispatch:
         circuit.h(0).ccx(0, 1, 2).h(0)
         coupling = CouplingMap.ibm_qx2()
         legacy = hand_wired.device(circuit.copy(), coupling)
-        backend = CompilerBackend(
-            coupling=coupling, pipeline=Pipeline(cache=None)
-        )
+        backend = CompilerBackend(coupling=coupling)
         compiled = backend.compile(circuit.copy())
         assert compiled.gates == legacy.circuit.gates
 
@@ -225,7 +223,7 @@ class TestFrameworkDispatch:
         from repro.algorithms.hidden_shift import _synthesize_permutation
 
         assert (
-            _synthesize_permutation(paper_pi, None, "tbs").gates
+            _synthesize_permutation(paper_pi, "tbs").gates
             == transformation_based_synthesis(paper_pi).gates
         )
 

@@ -233,29 +233,6 @@ class TestHelpers:
         with pytest.raises(TypeError, match="Boolean function"):
             as_truth_table(QuantumCircuit(1).h(0))
 
-    def test_as_truth_table_widens_derived_tables(self):
-        # positional workloads honor num_vars by padding don't-cares
-        table = as_truth_table("a and b", num_vars=3)
-        assert table.num_vars == 3
-        expected = TruthTable.from_function(
-            3, lambda a, b, _c: a and b
-        )
-        assert table.bits == expected.bits
-        cubes = [cube_from_literals([(0, True)])]
-        assert as_truth_table(cubes, num_vars=2).num_vars == 2
-
-    def test_as_truth_table_num_vars_mismatch_raises(self, paper_f4):
-        with pytest.raises(TypeError, match="num_vars=2"):
-            as_truth_table(paper_f4, num_vars=2)
-        with pytest.raises(TypeError, match="num_vars=1"):
-            as_truth_table("a and b", num_vars=1)
-
-    def test_solve_grover_honors_num_vars(self):
-        from repro.algorithms.grover import solve_grover
-
-        result = solve_grover("a and b", num_vars=3, seed=3)
-        assert result.circuit.num_qubits == 3
-        assert result.is_solution
 
 
 class TestQasmWorkloads:

@@ -19,10 +19,9 @@ from repro.synthesis.transformation import transformation_based_synthesis
 
 class TestBatch:
     def test_order_preserved(self):
-        session = CompilerSession(target="toffoli", cache=PassCache())
-        results = [
-            point.result for point in session.sweep({"hwb": [3, 4, 5] * 2})
-        ]
+        session = CompilerSession(cache=PassCache())
+        grid = {"hwb": [3, 4, 5] * 2, "target": ["toffoli"]}
+        results = [point.result for point in session.sweep(grid)]
         assert len(results) == 6
         sizes = [r.reversible.num_lines for r in results]
         assert sizes == [3, 4, 5, 3, 4, 5]
@@ -32,12 +31,12 @@ class TestBatch:
 
     def test_batch_shares_cache(self):
         cache = PassCache()
-        session = CompilerSession(target="toffoli", cache=cache)
-        session.sweep({"hwb": [4] * 4})
+        session = CompilerSession(cache=cache)
+        session.sweep({"hwb": [4] * 4, "target": ["toffoli"]})
         stats = session.cache_stats()
         assert stats["hits"] > 0
         # a repeated batch replays everything
-        swept = session.sweep({"hwb": [4] * 2})
+        swept = session.sweep({"hwb": [4] * 2, "target": ["toffoli"]})
         assert all(
             p.result.cache_hits == len(p.result.records) for p in swept
         )
@@ -46,7 +45,7 @@ class TestBatch:
         assert len(CompilerSession(cache=None).sweep({"hwb": []})) == 0
 
     def test_point_error_propagates_unwrapped(self):
-        session = CompilerSession(target="toffoli", cache=None)
+        session = CompilerSession(cache=None)
         with pytest.raises(TypeError, match="workload"):
             session.sweep({"optimization_level": [0, 1]}, base=object())
 
@@ -69,8 +68,8 @@ class TestBatch:
             optimization_level=0,
             synthesis=recording_synthesis,
         )
-        session = CompilerSession(target=target, cache=None)
-        session.sweep({"hwb": [4, 3, 5]})
+        session = CompilerSession(cache=None)
+        session.sweep({"hwb": [4, 3, 5], "target": [target]})
         caller = threading.current_thread()
         assert seen == [(4, caller), (3, caller), (5, caller)]
 
@@ -91,9 +90,9 @@ class TestBatch:
             optimization_level=0,
             synthesis=tracking_synthesis,
         )
-        session = CompilerSession(target=target, cache=None)
+        session = CompilerSession(cache=None)
         grid = {"synthesis": [tracking_synthesis, failing_synthesis]
-                + [tracking_synthesis] * 4}
+                + [tracking_synthesis] * 4, "target": [target]}
         with pytest.raises(TypeError, match="synthesis refused"):
             session.sweep(grid, base=BitPermutation(range(8)))
         # the points after the failing one never start
@@ -208,7 +207,7 @@ class TestSweepInsideARunningLoop:
     async server), and it never touches that thread's loop."""
 
     def test_sweep_from_a_running_loop(self):
-        session = CompilerSession(target="toffoli", cache=PassCache())
+        session = CompilerSession(cache=PassCache())
 
         async def story():
             return session.sweep({"hwb": [3, 4]})
@@ -223,7 +222,7 @@ class TestSweepInsideARunningLoop:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         try:
-            session = CompilerSession(target="toffoli", cache=None)
+            session = CompilerSession(cache=None)
             session.sweep({"hwb": [3]})
             assert asyncio.get_event_loop_policy().get_event_loop() is loop
         finally:
@@ -231,7 +230,7 @@ class TestSweepInsideARunningLoop:
             loop.close()
 
     def test_errors_inside_a_running_loop_propagate_unwrapped(self):
-        session = CompilerSession(target="toffoli", cache=None)
+        session = CompilerSession(cache=None)
 
         async def story():
             session.sweep({"optimization_level": [0, 1]}, base=object())
@@ -261,9 +260,9 @@ class TestPersistentCache:
 
     def test_disk_cache_through_session(self, tmp_path):
         path = str(tmp_path / "session-cache")
-        session = CompilerSession(target="toffoli", cache=path)
+        session = CompilerSession(cache=path)
         session.compile({"hwb": 4})
-        other = CompilerSession(target="toffoli", cache=path)
+        other = CompilerSession(cache=path)
         result = other.compile({"hwb": 4})
         assert result.cache_hits == len(result.records)
         assert other.cache_stats()["disk_hits"] > 0
@@ -316,8 +315,8 @@ class TestDiskTierAcrossProcesses:
         with ProcessPoolExecutor(max_workers=2) as pool:
             gates = list(pool.map(toffoli_gates, [3, 4], [path] * 2))
         # the disk tier the workers fed serves this process in full
-        replay = CompilerSession(target="toffoli", cache=path).compile(
-            {"hwb": 4}
+        replay = CompilerSession(cache=path).compile(
+            {"hwb": 4}, target="toffoli"
         )
         assert replay.cache_hits == len(replay.records)
         assert list(replay.reversible.gates) == gates[1]
@@ -325,14 +324,15 @@ class TestDiskTierAcrossProcesses:
 
 class TestSessionDefaults:
     def test_session_target_default(self):
-        session = CompilerSession(target="clifford_t", cache=None)
+        # no target: the library default, clifford_t
+        session = CompilerSession(cache=None)
         result = session.compile({"hwb": 4})
         _, _, optimized = hand_wired.eq5(generators.hwb(4))
         assert result.circuit.gates == optimized.gates
 
     def test_per_call_target_override(self, paper_pi):
-        session = CompilerSession(target="toffoli", cache=None)
-        mct = session.compile(paper_pi)
+        session = CompilerSession(cache=None)
+        mct = session.compile(paper_pi, target="toffoli")
         ct = session.compile(paper_pi, target=targets.QSHARP)
         assert mct.circuit is None
         assert ct.circuit is not None

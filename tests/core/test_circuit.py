@@ -62,14 +62,6 @@ class TestStructure:
         a.compose(b)
         assert [g.name for g in a] == ["h", "cx"]
 
-    def test_compose_with_mapping(self):
-        a = QuantumCircuit(3)
-        b = QuantumCircuit(2).cx(0, 1)
-        a.compose(b, qubits=[2, 0])
-        gate = a.gates[0]
-        assert gate.controls == (2,)
-        assert gate.targets == (0,)
-
     def test_compose_width_check(self):
         with pytest.raises(ValueError):
             QuantumCircuit(1).compose(QuantumCircuit(2).h(1))
@@ -90,27 +82,9 @@ class TestStructure:
         with pytest.raises(ValueError, match="classical bit 2"):
             QuantumCircuit(2, 2).compose(other)
         assert target.gates == [Gate("h", (1,))]
-
-    def test_compose_rejects_repeated_wire(self):
-        other = QuantumCircuit(2).h(0).x(1)
-        target = QuantumCircuit(2)
-        with pytest.raises(ValueError, match=r"wire map \{0: 0, 1: 0\}"):
-            target.compose(other, qubits=[0, 0])
-        assert target.gates == []
-
-    def test_compose_rejects_out_of_range_wire(self):
-        other = QuantumCircuit(2).h(0)
-        with pytest.raises(ValueError, match=r"wire map \{0: 0, 1: 3\}"):
-            QuantumCircuit(3).compose(other, qubits=[0, 3])
-        with pytest.raises(ValueError, match="wire map"):
-            QuantumCircuit(3).compose(other, qubits=[-1, 0])
-
-    def test_compose_mapped_clbit_still_checked(self):
-        other = QuantumCircuit(1, 2).measure(0, 1)
+        measured = QuantumCircuit(1, 2).measure(0, 1)
         with pytest.raises(ValueError, match="classical bit 1"):
-            QuantumCircuit(2, 1).compose(other, qubits=[1])
-        with pytest.raises(ValueError, match="classical bit 1"):
-            QuantumCircuit(2, 1).compose(other)
+            QuantumCircuit(2, 1).compose(measured)
 
     def test_remap_rejects_merged_wires(self):
         circ = QuantumCircuit(2).h(0).x(1)
@@ -121,7 +95,6 @@ class TestStructure:
         circ = QuantumCircuit(2).h(0)
         with pytest.raises(ValueError, match=r"wire map \{0: 2, 1: 0\}"):
             circ.remap({0: 2, 1: 0})
-        assert circ.remap({0: 2, 1: 0}, num_qubits=3).gates[0].qubits == (2,)
 
     def test_remapped_gates_store_their_qubits(self):
         circ = QuantumCircuit(3, 1).ccx(0, 1, 2).measure(2, 0)
@@ -154,10 +127,11 @@ class TestStructure:
         )
 
     def test_remap(self):
-        circ = QuantumCircuit(2).cx(0, 1)
-        wide = circ.remap({0: 3, 1: 1}, num_qubits=4)
-        assert wide.gates[0].controls == (3,)
-        assert wide.gates[0].targets == (1,)
+        circ = QuantumCircuit(4).cx(0, 1)
+        moved = circ.remap({0: 3, 1: 1})
+        assert moved.num_qubits == 4
+        assert moved.gates[0].controls == (3,)
+        assert moved.gates[0].targets == (1,)
 
     def test_controlled_promotes_gates(self):
         circ = QuantumCircuit(2).x(0).cx(0, 1)

@@ -83,9 +83,10 @@ def _in_threads(count, sweep):
 
 
 class TestThreadStress:
-    def test_hammered_bounded_cache_stays_correct(self, tmp_path):
-        cache = PassCache(maxsize=4, path=str(tmp_path))
-        session = CompilerSession(target="clifford_t", cache=cache)
+    def test_hammered_bounded_cache_stays_correct(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.pipeline.cache.MEMORY_ENTRIES", 4)
+        cache = PassCache(path=str(tmp_path))
+        session = CompilerSession(cache=cache)  # clifford_t, the default
         reference = {n: _reference(n) for n in (3, 4)}
         with _sweeping(cache):
             # eight threads sweep at once over the one shared cache
@@ -122,7 +123,7 @@ class TestThreadStress:
         path = str(tmp_path)
         reference = {n: _reference(n, "toffoli") for n in (3, 4)}
         thread_cache = PassCache(path=path)
-        thread_session = CompilerSession(target="toffoli", cache=thread_cache)
+        thread_session = CompilerSession(cache=thread_cache)
         process_sizes = [3, 4] * 2
         outcome = {}
 
@@ -138,7 +139,10 @@ class TestThreadStress:
             outcome["thread"] = [
                 point.result
                 for point in _in_threads(
-                    4, lambda: thread_session.sweep({"hwb": [3, 4]})
+                    4,
+                    lambda: thread_session.sweep(
+                        {"hwb": [3, 4], "target": ["toffoli"]}
+                    ),
                 )
             ]
             worker.join(timeout=300)
@@ -155,10 +159,11 @@ class TestThreadStress:
 
 
 class TestSharedCacheSemantics:
-    def test_full_tier_keeps_the_fresh_insert(self):
+    def test_full_tier_keeps_the_fresh_insert(self, monkeypatch):
         """A put into a full memory tier evicts the least recently
         used entry, never the one just inserted."""
-        cache = PassCache(maxsize=4)
+        monkeypatch.setattr("repro.pipeline.cache.MEMORY_ENTRIES", 4)
+        cache = PassCache()
         for index in range(4):
             cache.put(f"key{index}", {"function": None}, {})
         cache.put("fresh", {"function": None}, {})
@@ -167,8 +172,9 @@ class TestSharedCacheSemantics:
         assert cache.get("key0") is None
         assert cache.stats()["memory_evictions"] == 1
 
-    def test_memory_lru_hit_refreshes_recency(self):
-        cache = PassCache(maxsize=2)
+    def test_memory_lru_hit_refreshes_recency(self, monkeypatch):
+        monkeypatch.setattr("repro.pipeline.cache.MEMORY_ENTRIES", 2)
+        cache = PassCache()
         cache.put("hot", {"function": None}, {})
         cache.put("other", {"function": None}, {})
         assert cache.get("hot") is not None  # now the most recent

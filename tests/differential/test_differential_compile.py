@@ -56,7 +56,7 @@ def assert_paths_agree(workload, target):
     """
     reference = _gates(repro.compile(workload, target=target, cache=None))
 
-    session = CompilerSession(target=target, cache=PassCache())
+    session = CompilerSession(cache=PassCache())
     first, second = session.sweep(
         {"target": [target, target]}, base=workload
     )
@@ -106,7 +106,7 @@ def test_truth_tables_to_clifford_t(table):
 )
 def test_batch_order_is_deterministic(width, seeds):
     """Sweep results follow the grid order."""
-    session = CompilerSession(target="clifford_t", cache=PassCache())
+    session = CompilerSession(cache=PassCache())  # clifford_t, the default
     swept = session.sweep({"random": [width], "seed": seeds})
     assert [p.params["seed"] for p in swept] == seeds
     sync = [session.compile(point.params) for point in swept]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.frameworks.projectq import (
     All,
-    CNOT,
     H,
     MainEngine,
     Measure,
@@ -15,7 +14,6 @@ from repro.frameworks.projectq.backends import (
     IBMBackend,
     Simulator,
 )
-from repro.engines import NoiseModel
 
 
 class TestSimulatorBackend:
@@ -46,18 +44,6 @@ class TestIBMBackend:
         Measure | q
         eng.flush()
         assert int(q) == 1  # despite noise, mode is the right answer
-
-    def test_noiseless_model(self):
-        backend = IBMBackend(
-            shots=64, noise_model=NoiseModel.noiseless(), seed=3
-        )
-        eng = MainEngine(backend=backend)
-        a, b = eng.allocate_qureg(2)
-        H | a
-        CNOT | (a, b)
-        Measure | (a, b)
-        eng.flush()
-        assert set(backend.last_counts) <= {0, 3}
 
 
 class TestCircuitCollector:

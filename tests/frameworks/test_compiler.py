@@ -112,22 +112,6 @@ class TestCompilerBackend:
         assert report.compiled_stats.num_gates == 1
         assert "compiled_gates" in report.as_dict()
 
-    def test_optimization_can_be_disabled(self):
-        from repro.compiler import targets
-
-        backend = CompilerBackend(
-            compile_target=targets.PROJECTQ.with_(optimization_level=1)
-        )
-        eng = MainEngine(backend=backend)
-        q = eng.allocate_qubit()
-        from repro.frameworks.projectq import T
-
-        T | q
-        T | q  # would merge to S under tpar
-        eng.flush()
-        names = [g.name for g in backend.compiled_circuit]
-        assert names == ["t", "t"]
-
     def test_t_count_never_increases(self):
         backend = CompilerBackend()
         eng = MainEngine(backend=backend)

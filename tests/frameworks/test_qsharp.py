@@ -133,19 +133,6 @@ class TestPermutationOracleGeneration:
         assert validate_program(op.code)
 
 class TestFullProgram:
-    def test_hidden_shift_program_custom_synthesis(self, paper_pi):
-        import warnings
-
-        from repro.compiler import targets
-
-        target = targets.QSHARP.with_(synthesis=decomposition_based_synthesis)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            program = hidden_shift_program(paper_pi, 3, target=target)
-        oracle = permutation_oracle_operation(paper_pi, target=target)
-        assert validate_program(program)
-        assert oracle.code in program
-
     def test_generation_raises_no_deprecation_warnings(self, paper_pi):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -4,8 +4,6 @@ import json
 import os
 import time
 
-import pytest
-
 import repro
 from repro.pipeline import PassCache
 from repro.pipeline.cache import DISK_FORMAT
@@ -78,10 +76,11 @@ class TestGcOrdering:
 
 
 class TestUnboundedDiskTier:
-    def test_put_never_evicts_from_disk(self, tmp_path):
+    def test_put_never_evicts_from_disk(self, tmp_path, monkeypatch):
         """The memory tier is LRU-capped; the disk tier keeps every
         spilled entry until gc() sweeps it."""
-        cache = PassCache(maxsize=2, path=str(tmp_path))
+        monkeypatch.setattr("repro.pipeline.cache.MEMORY_ENTRIES", 2)
+        cache = PassCache(path=str(tmp_path))
         _fill(cache, 10)
         assert len(cache) == 2
         assert cache.disk_usage()[0] == 10
@@ -166,15 +165,16 @@ class TestStampsAndStats:
         assert pid == os.getpid()
         assert counter > 0
 
-    def test_stats_schema(self, tmp_path):
-        cache = PassCache(maxsize=2, path=str(tmp_path))
+    def test_stats_schema(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.pipeline.cache.MEMORY_ENTRIES", 2)
+        cache = PassCache(path=str(tmp_path))
         _fill(cache, 3)
         cache.get("key2")
         cache.get("missing")
         stats = cache.stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 1
-        assert stats["memory_evictions"] == 1  # maxsize=2, 3 puts
+        assert stats["memory_evictions"] == 1  # 2 entries kept, 3 puts
         assert stats["evictions"] == stats["memory_evictions"] + stats[
             "disk_evictions"
         ]
@@ -211,8 +211,9 @@ class TestStampsAndStats:
         uncached = repro.compile({"hwb": 3}, target="toffoli", cache=None)
         assert uncached.cache_stats is None
 
-    def test_clear_resets_eviction_counters(self, tmp_path):
-        cache = PassCache(maxsize=1, path=str(tmp_path))
+    def test_clear_resets_eviction_counters(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.pipeline.cache.MEMORY_ENTRIES", 1)
+        cache = PassCache(path=str(tmp_path))
         _fill(cache, 3)
         assert cache.gc(max_entries=1)["evicted"] == 2
         stats = cache.stats()
@@ -221,10 +222,3 @@ class TestStampsAndStats:
         cache.clear(disk=True)
         assert cache.stats()["evictions"] == 0
         assert cache.disk_usage() == (0, 0)
-
-    @pytest.mark.parametrize("maxsize", [0, -1])
-    def test_maxsize_below_one_is_refused(self, maxsize):
-        with pytest.raises(ValueError, match=f"maxsize .* not {maxsize}$"):
-            PassCache(maxsize=maxsize)
-        assert PassCache(maxsize=1).maxsize == 1
-        assert PassCache(maxsize=None).maxsize is None

@@ -237,8 +237,9 @@ class TestCache:
             warm.routing.swap_count = 0
         assert isinstance(warm.routing.final_layout, tuple)
 
-    def test_lru_eviction(self):
-        cache = PassCache(maxsize=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr("repro.pipeline.cache.MEMORY_ENTRIES", 2)
+        cache = PassCache()
         cache.put("a", {}, {})
         cache.put("b", {}, {})
         cache.put("c", {}, {})
@@ -287,6 +288,27 @@ class TestCache:
         _, warm = pipeline.apply(SynthesisPass(bidirectional_synthesis), state)
         assert not cold.cache_hit
         assert warm.cache_hit
+
+
+class TestSynthesisOutputs:
+    def test_bdd_synthesis_writes_only_the_cascade(self, tmp_path):
+        import repro
+        from repro.boolean.truth_table import TruthTable
+        from repro.compiler import get_target
+
+        assert SynthesisPass.writes == ("reversible",)
+        table = TruthTable.from_function(3, lambda a, b, c: (a and b) ^ c)
+        target = get_target("toffoli").with_(synthesis="bdd")
+        result = repro.compile(table, target=target, cache=None)
+        assert "bdd" not in result.state.artifacts
+        # with no opaque artifact the synthesis entry spills to disk, so
+        # a fresh cache over the same directory replays it
+        repro.compile(table, target=target, cache=PassCache(path=tmp_path))
+        replay = repro.compile(
+            table, target=target, cache=PassCache(path=tmp_path)
+        )
+        assert replay.record("bdd").cache_hit
+        assert replay.reversible.gates == result.reversible.gates
 
 
 class TestVerification:

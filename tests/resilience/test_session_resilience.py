@@ -69,11 +69,12 @@ class TestSweepFaults:
         self, pass_fault
     ):
         pass_fault(SynthesisPass, "tbs")
-        session = CompilerSession(target="toffoli", cache=None)
+        session = CompilerSession(cache=None)
+        grid = {"hwb": [3, 4], "target": ["toffoli"]}
         with pytest.raises(RuntimeError, match="injected tbs failure"):
-            session.sweep({"hwb": [3, 4]})
+            session.sweep(grid)
         # the fault is spent: the same sweep gives the fault-free circuits
-        swept = session.sweep({"hwb": [3, 4]})
+        swept = session.sweep(grid)
         for n, point in zip((3, 4), swept):
             gates = point.result.reversible.gates
             assert gates == reference(n).reversible.gates

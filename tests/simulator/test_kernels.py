@@ -156,12 +156,18 @@ def test_fusion_with_rotations_and_controls(seed):
     assert np.abs(fused.data - unfused.data).max() < 1e-10
 
 
-def test_compile_reduces_op_count():
-    """Adjacent 1q runs and diagonal runs collapse."""
+def test_compile_reduces_op_count(monkeypatch):
+    """Each wire's run of 1q gates folds into one 2x2 op.
+
+    Block fusion is switched off so it cannot hide a broken run merge
+    by grouping the unmerged gates into one block.
+    """
+    monkeypatch.setattr(kernels, "_fuse_blocks", lambda ops: ops)
     circ = QuantumCircuit(2)
     circ.h(0).t(0).h(0).s(1).t(1).z(1)
-    ops = kernels.compile_circuit(circ.gates, block_size=0)
-    assert len(ops) < len(circ.gates)
+    ops = kernels.compile_circuit(circ.gates)
+    assert [kind for kind, _ in ops] == ["u1", "u1"]
+    assert [qubit for _, (_, qubit) in ops] == [0, 1]
 
 
 def test_identity_products_are_dropped():
@@ -173,7 +179,7 @@ def test_identity_products_are_dropped():
 def test_diagonal_run_merges_to_single_op():
     circ = QuantumCircuit(3)
     circ.cz(0, 1).t(2).ccz(0, 1, 2).rz(0.3, 1)
-    ops = kernels.compile_circuit(circ.gates, block_size=0)
+    ops = kernels.compile_circuit(circ.gates)
     assert len(ops) == 1
     kind, (qubits, diag) = ops[0]
     assert kind == "diag"

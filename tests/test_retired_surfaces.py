@@ -59,8 +59,11 @@ the fault-injection harness and the ``repro.resilience`` package that
 held it (``fault_point``, ``FaultPlan``, ``KNOWN_SITES``, the
 injected error types and the ``REPRO_FAULTS`` variable; tests make
 the OS calls fail instead), with ``ResilienceError``; ``Deadline``
-and ``DeadlineExceeded`` live in ``repro.pipeline``.  An old
-spelling must
+and ``DeadlineExceeded`` live in ``repro.pipeline``.  So is every
+defaulted parameter no caller outside the tests set (the parameter
+sweep of ``tests/test_src_names_have_callers.py`` listed them), from
+``PassCache``'s ``maxsize=`` to ``compile_circuit``'s ``block_size=``.
+An old spelling must
 end in an import, attribute, type or engine error — or, for the
 environment variables, have no effect at all — rather than being
 silently accepted.
@@ -199,9 +202,9 @@ def test_qsharp_synth_keyword_is_gone(call, paper_pi):
 
 
 @pytest.mark.parametrize(
-    "keyword", ["max_entries", "max_bytes", "retry", "degrade_after"]
+    "keyword", ["maxsize", "max_entries", "max_bytes", "retry", "degrade_after"]
 )
-def test_pass_cache_takes_only_maxsize_and_path(keyword):
+def test_pass_cache_takes_only_path(keyword):
     from repro.pipeline import PassCache
 
     with pytest.raises(TypeError, match=keyword):
@@ -303,7 +306,7 @@ def test_core_dag_export_is_gone():
 def _session():
     from repro.compiler import CompilerSession
 
-    return CompilerSession(target="toffoli", cache=None)
+    return CompilerSession(cache=None)
 
 
 @pytest.mark.parametrize(
@@ -800,3 +803,58 @@ def test_dirty_v_chain_is_gone():
         exec("from repro.mapping import mcx_dirty_ancilla", {})
     assert not hasattr(repro.mapping, "mcx_dirty_ancilla")
     assert not hasattr(barenco, "mcx_dirty_ancilla")
+
+
+@pytest.mark.parametrize(
+    "path, parameter",
+    [
+        ("repro.algorithms.grover:solve_grover", "num_vars"),
+        ("repro.algorithms.grover:solve_grover", "iterations"),
+        ("repro.compiler.frontends:as_truth_table", "num_vars"),
+        ("repro.algorithms.hidden_shift:phase_oracle_circuit", "effort"),
+        ("repro.algorithms.hidden_shift:hidden_shift_circuit", "synth"),
+        ("repro.algorithms.hidden_shift:hidden_shift_circuit",
+         "inverse_synth"),
+        ("repro.algorithms.hidden_shift:solve_hidden_shift", "seed"),
+        ("repro.algorithms.hidden_shift:solve_hidden_shift", "synth"),
+        ("repro.algorithms.hidden_shift:solve_hidden_shift",
+         "inverse_synth"),
+        ("repro.algorithms.simon:solve_simon", "max_rounds"),
+        ("repro.arith.adders:constant_adder", "target"),
+        ("repro.boolean.esop:best_fprm", "max_exhaustive_vars"),
+        ("repro.compiler.session:CompilerSession", "target"),
+        ("repro.core.circuit:QuantumCircuit.compose", "qubits"),
+        ("repro.core.circuit:QuantumCircuit.remap", "num_qubits"),
+        ("repro.frameworks.projectq.backends:IBMBackend", "noise_model"),
+        ("repro.frameworks.projectq.compiler:CompilerBackend", "target"),
+        ("repro.frameworks.projectq.compiler:CompilerBackend", "pipeline"),
+        ("repro.frameworks.projectq.compiler:CompilerBackend",
+         "compile_target"),
+        ("repro.frameworks.projectq.oracles:PhaseOracle", "effort"),
+        ("repro.frameworks.qsharp:permutation_oracle_operation", "name"),
+        ("repro.frameworks.qsharp:hidden_shift_program", "target"),
+        ("repro.optimization.templates:template_optimize", "max_rounds"),
+        ("repro.pipeline.cache:PassCache", "maxsize"),
+        ("repro.simulator.kernels:compile_circuit", "block_size"),
+        ("repro.simulator.statevector:SimulationResult.counts_by_bitstring",
+         "width"),
+        ("repro.synthesis.pebbling:validate_moves", "require_clean"),
+        ("repro.synthesis.reversible:ReversibleCircuit.remap", "num_lines"),
+    ],
+)
+def test_parameters_only_tests_set_are_gone(path, parameter):
+    import inspect
+
+    module, _, qualname = path.partition(":")
+    target = importlib.import_module(module)
+    for attribute in qualname.split("."):
+        target = getattr(target, attribute)
+    assert parameter not in inspect.signature(target).parameters
+
+
+def test_block_gain_extrapolation_is_gone():
+    from repro.simulator import kernels
+
+    assert not hasattr(kernels, "_block_gain")
+    assert not hasattr(kernels, "_BLOCK_GAIN_GROWTH")
+    assert max(kernels._BLOCK_GAIN) == kernels.BLOCK_QUBITS

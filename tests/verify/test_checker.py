@@ -476,6 +476,44 @@ class TestSpecificationCheck:
                 cache=None,
             )
 
+    def test_a_truth_table_callable_is_checked_by_its_table(self):
+        # the specification's kind picks the check, not the method name
+        from repro.boolean.truth_table import TruthTable
+        from repro.compiler import get_target
+        from repro.synthesis.esop_based import esop_synthesis
+
+        result = compile_workload(
+            TruthTable.from_function(3, lambda a, b, c: (a and b) ^ c),
+            target=get_target("toffoli").with_(synthesis=esop_synthesis),
+            verify="auto",
+            cache=None,
+        )
+        verdict = result.record("esop_synthesis").verification
+        assert verdict.passed and verdict.tier == "specification"
+        assert result.verified
+
+    def test_compile_refuses_a_wrong_truth_table_cascade(self):
+        from repro.boolean.truth_table import TruthTable
+        from repro.compiler import get_target
+        from repro.synthesis.esop_based import esop_synthesis
+
+        def drops_a_cube(function):
+            cascade = esop_synthesis(function)
+            return ReversibleCircuit(cascade.num_lines).extend(
+                cascade.gates[:-1]
+            )
+
+        with pytest.raises(
+            VerificationError,
+            match="tier specification.*does not compute the truth table",
+        ):
+            compile_workload(
+                TruthTable.from_function(3, lambda a, b, c: (a and b) ^ c),
+                target=get_target("toffoli").with_(synthesis=drops_a_cube),
+                verify="auto",
+                cache=None,
+            )
+
 
 class TestCompileFacade:
     def test_compile_verify_auto_records_every_tier(self, tmp_path):
