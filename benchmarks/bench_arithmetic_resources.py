@@ -15,10 +15,10 @@ mapping through the rptm pass.
 from conftest import report
 
 from repro.arith import constant_adder, cuccaro_adder, modular_constant_adder
+from repro.core.statistics import circuit_statistics
 from repro.mapping.barenco import map_to_clifford_t
 from repro.optimization.simplify import cancel_adjacent_gates
 from repro.optimization.tpar import tpar_optimize
-from repro.simulator.resources import ResourceCounter
 
 
 def test_adder_scaling(benchmark):
@@ -61,13 +61,11 @@ def test_constant_and_modular_adders(benchmark):
             )
         for n, modulus in ((3, 5), (4, 11), (5, 23)):
             circuit = modular_constant_adder(n, 3, modulus)
-            estimate = ResourceCounter().run(
-                map_to_clifford_t(circuit)
-            )
+            stats = circuit_statistics(map_to_clifford_t(circuit))
             rows.append(
                 (
                     f"add-mod n={n} N={modulus}",
-                    f"{len(circuit):4d}      | T={estimate.t_count}",
+                    f"{len(circuit):4d}      | T={stats.t_count}",
                 )
             )
         report("EXT-ARITH: constant / modular adder costs", rows)

@@ -3,20 +3,20 @@
 The paper's thesis is that the *automatic* flow scales where manual
 compilation does not (Sec. IV).  This bench compiles hidden-shift
 instances of growing width end to end — structured MM oracles
-(synthesis + mapping + optimization) — and reports the resource-counter
-costs, far past the widths anyone would compile by hand.  Simulation
-is only run where feasible (<= 12 variables) to confirm correctness;
-beyond that, the resource counter alone scales.
+(synthesis + mapping + optimization) — and reports the ``ps``
+statistics, far past the widths anyone would compile by hand.
+Simulation is only run where feasible (<= 12 variables) to confirm
+correctness; beyond that, the statistics scan alone scales.
 """
 
 from conftest import report
 
 from repro.algorithms.hidden_shift import hidden_shift_circuit, solve_hidden_shift
 from repro.boolean.bent import HiddenShiftInstance
+from repro.core.statistics import circuit_statistics
 from repro.mapping.barenco import map_to_clifford_t
 from repro.optimization.simplify import cancel_adjacent_gates
 from repro.optimization.tpar import tpar_optimize
-from repro.simulator.resources import ResourceCounter
 
 
 def compile_instance(half_vars, seed=0):
@@ -34,11 +34,10 @@ def test_flow_scaling(benchmark):
     )
 
     rows = [("instance", "qubits | gates | T | depth | verified")]
-    counter = ResourceCounter()
     for half_vars in (2, 3, 4, 5):
         n = 2 * half_vars
         instance, mapped = compile_instance(half_vars, seed=half_vars)
-        estimate = counter.run(mapped)
+        stats = circuit_statistics(mapped)
         if n <= 12:
             result = solve_hidden_shift(instance, method="mm")
             verified = result.success
@@ -48,8 +47,8 @@ def test_flow_scaling(benchmark):
         rows.append(
             (
                 f"MM n={n} vars",
-                f"{estimate.num_qubits:3d}    | {estimate.total_gates:5d} | "
-                f"{estimate.t_count:4d} | {estimate.depth:5d} | {verified}",
+                f"{stats.num_qubits:3d}    | {stats.num_gates:5d} | "
+                f"{stats.t_count:4d} | {stats.depth:5d} | {verified}",
             )
         )
     report("EXT-FLOW: automatic compilation across widths", rows)

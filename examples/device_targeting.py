@@ -76,7 +76,7 @@ def main():
     print("\nrepro.compile(circuit, target='ibm_qe5'):")
     print("  " + result.summary())
     print("  first QASM lines: "
-          + " / ".join(result.to_qasm().splitlines()[:4]))
+          + " / ".join(result.emit("qasm2").splitlines()[:4]))
 
     # the same compiled circuit renders in every format
     # (see examples/emitter_tour.py for the full tour)

@@ -15,9 +15,9 @@ from repro.boolean.bent import HiddenShiftInstance, MaioranaMcFarland
 from repro.boolean.permutation import BitPermutation
 from repro.boolean.truth_table import TruthTable
 from repro.core.unitary import circuit_unitary
+from repro.emit.qsharp import parse_operation_body
 from repro.frameworks.qsharp import (
     hidden_shift_program,
-    parse_operation_body,
     permutation_oracle_operation,
     validate_program,
 )

@@ -64,7 +64,7 @@ def main():
     print("\nexporting the mapped circuit as OpenQASM:")
     shell = RevKitShell()
     shell.run("revgen --hwb 3; tbs; revsimp; rptm")
-    qasm = shell.quantum.to_qasm()
+    qasm = repro.emit.emit(shell.quantum, "qasm2")
     head = "\n".join("    " + line for line in qasm.splitlines()[:8])
     print(head)
     print(f"    ... ({len(qasm.splitlines())} lines total)")

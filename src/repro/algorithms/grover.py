@@ -43,22 +43,17 @@ def optimal_iterations(num_vars: int, num_solutions: int) -> int:
     return max(1, int(math.floor(math.pi / 4 * math.sqrt(ratio))))
 
 
-def grover_circuit(
-    table: TruthTable, iterations: Optional[int] = None
-) -> QuantumCircuit:
+def grover_circuit(table: TruthTable, iterations: int) -> QuantumCircuit:
     """Build the Grover search circuit for a truth-table oracle.
 
     Args:
         table: marks the solutions (f(x) = 1).
-        iterations: Grover iteration count; the amplitude-optimal
-            count for the table's solution density when omitted.
+        iterations: Grover iteration count.
 
     Returns:
         The prepared circuit with final measurements on all qubits.
     """
     n = table.num_vars
-    if iterations is None:
-        iterations = optimal_iterations(n, max(table.count_ones(), 1))
     circuit = QuantumCircuit(n, n, name="grover")
     for q in range(n):
         circuit.h(q)

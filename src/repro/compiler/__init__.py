@@ -16,8 +16,8 @@ This package is that front door, in four layers:
   (:meth:`~.target.Target.flow`) — the only named recipes for the
   paper's flows;
 * :mod:`~.result` — :class:`~.result.CompilationResult`: final
-  circuit, per-pass records, statistics, and lazy
-  ``emit``/``to_qasm``/``to_projectq`` emission;
+  circuit, per-pass records, statistics, and lazy, memoized
+  ``emit(fmt)``;
 * :mod:`~.session` — :func:`compile` itself plus
   :class:`~.session.CompilerSession` for batched compilation and
   parameter sweeps over a shared (optionally disk-backed) pass cache.

@@ -4,10 +4,8 @@
 final :class:`~repro.pipeline.state.FlowState`, the per-pass
 :class:`~repro.pipeline.runner.PassRecord` list with timing and
 gate/T-count deltas, and lazy emission: :meth:`~CompilationResult.emit`
-dispatches any :mod:`repro.emit` format (the legacy
-:meth:`~CompilationResult.to_qasm` and
-:meth:`~CompilationResult.to_projectq` are thin wrappers over it),
-rendering the compiled circuit on first use.  The text memo lives on
+dispatches any :mod:`repro.emit` format, rendering the compiled
+circuit on first use.  The text memo lives on
 the frozen compiled circuit itself, not on the result, so it cannot go
 stale and every result replayed from one cache entry shares it;
 ``result.circuit.copy()`` is the editable builder.
@@ -134,23 +132,6 @@ class CompilationResult(RecordedRun):
                 "quantum circuit (reversible-level target?)"
             )
         return self.state.quantum
-
-    def to_qasm(self) -> str:
-        """Render the compiled circuit as OpenQASM 2.0 (cached).
-
-        Returns:
-            The OpenQASM source text.
-        """
-        return self.emit("qasm2")
-
-    def to_projectq(self) -> str:
-        """Render the compiled circuit as a ProjectQ eDSL script (cached).
-
-        Returns:
-            Python source that replays the circuit through
-            :mod:`repro.frameworks.projectq`.
-        """
-        return self.emit("projectq")
 
     def emit(self, format: Optional[str] = None, **opts) -> str:
         """Render in the given (or the default) format, memoized.

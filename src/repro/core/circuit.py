@@ -4,14 +4,15 @@
 list of :class:`~repro.core.gates.Gate` objects over ``num_qubits``
 qubit wires and ``num_clbits`` classical wires.  It offers the gate
 vocabulary as builder methods (``circ.h(0)``, ``circ.mcx([0, 1], 2)``),
-structural operations (composition, inversion, power, remapping), and
-emission (OpenQASM and every other output format via :mod:`repro.emit`;
-the unitary matrix is :func:`repro.core.unitary.circuit_unitary`).
+structural operations (composition, inversion, power, remapping) and
+the cost figures of :func:`repro.core.statistics.circuit_statistics`.
+Emission is :func:`repro.emit.emit`; the unitary matrix is
+:func:`repro.core.unitary.circuit_unitary`.
 
 A circuit is a builder until ``freeze()``; the pass manager freezes
 pass outputs so they can be shared, and ``copy()`` is editable again.
 A frozen circuit computes each derived fact (content digest, T-count,
-emitted text) once and keeps it in a per-instance memo.
+statistics, emitted text) once and keeps it in a per-instance memo.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import (
 )
 
 from .gates import Gate, is_clifford_t_name
+from .statistics import CircuitStatistics, circuit_statistics
 
 
 class FrozenCircuitError(TypeError):
@@ -337,8 +339,6 @@ class QuantumCircuit(Freezable):
             out.append(gate.dagger())
         return out
 
-    inverse = dagger
-
     def power(self, exponent: int) -> "QuantumCircuit":
         """Return the circuit repeated ``exponent`` times (negative for
         powers of the adjoint)."""
@@ -409,25 +409,18 @@ class QuantumCircuit(Freezable):
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+    def _statistics(self) -> CircuitStatistics:
+        """The :func:`~repro.core.statistics.circuit_statistics` bundle
+        the figures below read (computed once when frozen)."""
+        return self.memoized("statistics", lambda: circuit_statistics(self))
+
     def count_ops(self) -> Dict[str, int]:
-        """Histogram of gate names."""
-        counts: Dict[str, int] = {}
-        for gate in self.gates:
-            counts[gate.name] = counts.get(gate.name, 0) + 1
-        return counts
+        """Histogram of gate names (a copy of the statistics')."""
+        return dict(self._statistics().histogram)
 
     def depth(self) -> int:
         """Circuit depth counting every non-barrier gate as one level."""
-        level: Dict[int, int] = {}
-        depth = 0
-        for gate in self.gates:
-            if gate.name == "barrier":
-                continue
-            start = max((level.get(q, 0) for q in gate.qubits), default=0)
-            for q in gate.qubits:
-                level[q] = start + 1
-            depth = max(depth, start + 1)
-        return depth
+        return self._statistics().depth
 
     def t_count(self) -> int:
         """Number of T/T' gates (computed once when frozen)."""
@@ -436,22 +429,8 @@ class QuantumCircuit(Freezable):
             lambda: sum(1 for g in self.gates if g.name in ("t", "tdg")),
         )
 
-    def t_depth(self) -> int:
-        """Number of T-stages: depth counting only T/T' gates."""
-        level: Dict[int, int] = {}
-        depth = 0
-        for gate in self.gates:
-            if gate.name == "barrier":
-                continue
-            start = max((level.get(q, 0) for q in gate.qubits), default=0)
-            inc = 1 if gate.name in ("t", "tdg") else 0
-            for q in gate.qubits:
-                level[q] = start + inc
-            depth = max(depth, start + inc)
-        return depth
-
     def two_qubit_count(self) -> int:
-        return sum(1 for g in self.gates if g.is_unitary and g.num_qubits == 2)
+        return self._statistics().two_qubit_count
 
     def is_clifford_t(self) -> bool:
         return all(
@@ -463,29 +442,6 @@ class QuantumCircuit(Freezable):
 
     def unitary_gates(self) -> List[Gate]:
         return [g for g in self.gates if g.is_unitary and g.name != "barrier"]
-
-    # ------------------------------------------------------------------
-    # conversions
-    # ------------------------------------------------------------------
-    def to_qasm(self) -> str:
-        from ..emit.qasm2 import to_qasm
-
-        return to_qasm(self)
-
-    def emit(self, format: str, **opts) -> str:
-        """Render this circuit in any :mod:`repro.emit` format.
-
-        Args:
-            format: a :func:`repro.emit.formats` name or alias
-                (``qasm2``, ``qsharp``, ``projectq``).
-            **opts: backend-specific options.
-
-        Returns:
-            The emitted source text.
-        """
-        from ..emit import emit
-
-        return emit(self, format, **opts)
 
     def __str__(self) -> str:
         lines = [f"QuantumCircuit({self.num_qubits} qubits, {len(self.gates)} gates)"]

@@ -54,10 +54,10 @@ class CircuitStatistics:
 def circuit_statistics(circuit: "QuantumCircuit") -> CircuitStatistics:
     """Compute the full statistics bundle for ``circuit`` in one scan.
 
-    Every figure equals its :class:`QuantumCircuit` method's
-    (``depth``, ``t_depth``, ``t_count``, ``two_qubit_count``,
-    ``count_ops``); barriers count in the histogram only, measurements
-    and resets in the histogram and both depths.
+    This is the one implementation of the cost figures: the
+    :class:`QuantumCircuit` methods ``depth``, ``two_qubit_count`` and
+    ``count_ops`` read it.  Barriers count in the histogram only,
+    measurements and resets in the histogram and both depths.
     """
     histogram: Dict[str, int] = {}
     level: Dict[int, int] = {}  # depth reached on each wire

@@ -1,9 +1,6 @@
 """ProjectQ backend — the eDSL replay script as a registry emitter.
 
-Moved out of ``repro.compiler.result`` (where the line assembly was
-inlined in ``CompilationResult.to_projectq``); the emitted text is
-byte-identical to what that method historically produced: a Python
-script that replays the circuit through
+The emitted text is a Python script that replays the circuit through
 :mod:`repro.frameworks.projectq`.
 """
 

@@ -12,44 +12,31 @@ environment, so this module
   and :func:`hidden_shift_program` the full two-namespace program; and
 * keeps the source of truth executable — every generated operation
   carries its :class:`~repro.core.circuit.QuantumCircuit`, and
-  :func:`parse_operation_body` re-parses emitted Q# back into a
-  circuit so tests can verify text == semantics.
+  :func:`repro.emit.qsharp.parse_operation_body` re-parses emitted Q#
+  back into a circuit so tests can verify text == semantics.
+
+The Q# dialect itself (gate statements, operation frame, parser) lives
+in :mod:`repro.emit.qsharp`.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ..boolean.permutation import BitPermutation
 from ..core.circuit import QuantumCircuit
-from ..emit.base import EmitterError
+from ..emit.qsharp import parse_operation_body
 from ..pipeline import Pipeline
 
-_QSHARP_NAMES = {
-    "h": "H",
-    "x": "X",
-    "y": "Y",
-    "z": "Z",
-    "s": "S",
-    "t": "T",
-    "cx": "CNOT",
-    "cz": "CZ",
-    "ccx": "CCNOT",
-    "swap": "SWAP",
-}
-_ADJOINT_NAMES = {"sdg": "S", "tdg": "T"}
-
-
-class QSharpError(EmitterError):
-    """Raised for unexportable gates or malformed generated code.
-
-    Subclasses :class:`repro.emit.EmitterError` (itself a
-    ``ValueError``) so registry dispatch — including
-    :meth:`repro.compiler.CompilationResult.emit` — uniformly
-    translates Q# backend failures into :class:`EmissionError`.
-    """
+#: perfbench's Fig. 10 check imports ``parse_operation_body`` from here.
+__all__ = [
+    "QSharpOperation",
+    "permutation_oracle_operation",
+    "hidden_shift_program",
+    "validate_program",
+    "parse_operation_body",
+]
 
 
 @dataclass
@@ -59,19 +46,6 @@ class QSharpOperation:
     name: str
     code: str
     circuit: QuantumCircuit
-
-
-def gate_to_qsharp(gate) -> str:
-    """One Q# statement for a core gate."""
-    if gate.name in _ADJOINT_NAMES:
-        base = _ADJOINT_NAMES[gate.name]
-        args = ", ".join(f"qubits[{q}]" for q in gate.qubits)
-        return f"(Adjoint {base})({args});"
-    name = _QSHARP_NAMES.get(gate.name)
-    if name is None:
-        raise QSharpError(f"gate {gate.name!r} has no Q# primitive form")
-    args = ", ".join(f"qubits[{q}]" for q in gate.qubits)
-    return f"{name}({args});"
 
 
 def _operation_from_circuit(
@@ -184,25 +158,8 @@ def hidden_shift_program(
 
 
 # ----------------------------------------------------------------------
-# structural validation / re-parsing
+# structural validation
 # ----------------------------------------------------------------------
-#: Every frame line :func:`repro.emit.qsharp.operation_code` writes.
-_FRAME_RE = re.compile(
-    r"^(?:|\}|namespace [\w.]+ \{|open [\w.]+;|operation \w+"
-    r"|\(qubits : Qubit\[\]\) :|\(\) \{|body \{"
-    r"|adjoint auto|controlled auto|controlled adjoint auto)$"
-)
-#: One :func:`gate_to_qsharp` statement.
-_STMT_RE = re.compile(
-    r"^(?:\(Adjoint (?P<adj>[ST])\)|(?P<name>[A-Z]+))"
-    r"\((?P<args>qubits\[\d+\](?:, qubits\[\d+\])*)\);$"
-)
-#: One ``qubits[i]`` operand; :mod:`repro.emit.qsharp` reads widths with it.
-_INDEX_RE = re.compile(r"qubits\[(\d+)\]")
-#: Qubit count of each multi-qubit primitive (the rest take one).
-_ARITY = {"cx": 2, "cz": 2, "ccx": 3, "swap": 2}
-
-
 def validate_program(code: str) -> bool:
     """Structural checks: braces nest and a namespace opens first.
 
@@ -220,58 +177,3 @@ def validate_program(code: str) -> bool:
     if depth:
         return False
     return 0 <= code.find("namespace") < code.find("operation")
-
-
-def parse_operation_body(code: str, num_qubits: int) -> QuantumCircuit:
-    """Parse a generated operation back into a circuit.
-
-    Strict: accepts exactly the lines
-    :func:`repro.emit.qsharp.operation_code` writes — its frame
-    (namespace, ``open``, ``operation``, signature, ``body``, the
-    ``adjoint``/``controlled`` lines and braces) and one
-    :func:`gate_to_qsharp` statement per line.
-
-    Args:
-        code: the operation source text.
-        num_qubits: width of the ``qubits`` register.
-
-    Returns:
-        The circuit of the operation's gate statements.
-
-    Raises:
-        QSharpError: for any other line, a gate with the wrong number
-            of qubits, or a repeated or out-of-range qubit index; the
-            message names the 1-based line number and its text.
-    """
-    inverse_names = {v: k for k, v in _QSHARP_NAMES.items()}
-    circuit = QuantumCircuit(num_qubits)
-    for number, raw in enumerate(code.splitlines(), 1):
-        line = raw.strip()
-        if _FRAME_RE.match(line):
-            continue
-        match = _STMT_RE.match(line)
-        if match is None:
-            name = None
-        elif match.group("adj"):
-            name = {"S": "sdg", "T": "tdg"}[match.group("adj")]
-        else:
-            name = inverse_names.get(match.group("name"))
-        if name is None:
-            raise QSharpError(
-                f"line {number}: not a generated Q# line: {line!r}"
-            )
-        qubits = [int(i) for i in _INDEX_RE.findall(match.group("args"))]
-        arity = _ARITY.get(name, 1)
-        if len(qubits) != arity:
-            raise QSharpError(
-                f"line {number}: {match.group('name') or name} takes "
-                f"{arity} qubit(s), got {len(qubits)}: {line!r}"
-            )
-        try:
-            if name in ("cx", "cz", "ccx"):
-                circuit._add(name, qubits[-1:], qubits[:-1])
-            else:
-                circuit._add(name, qubits)
-        except ValueError as exc:
-            raise QSharpError(f"line {number}: {exc}: {line!r}") from exc
-    return circuit

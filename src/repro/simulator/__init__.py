@@ -1,4 +1,4 @@
-"""Simulation state primitives: statevector, stabilizer tableau, resources.
+"""Simulation state primitives: statevector and stabilizer tableau.
 
 Running a circuit is the job of the engines (:mod:`repro.engines`);
 this package holds only the states they evolve.  :class:`Statevector`,
@@ -8,7 +8,6 @@ engine execute gates via the shared in-place NumPy kernel layer in
 """
 
 from . import kernels
-from .resources import ResourceCounter, ResourceEstimate
 from .stabilizer import StabilizerState, StabilizerError
 from .statevector import (
     SimulationError,
@@ -18,8 +17,6 @@ from .statevector import (
 
 __all__ = [
     "kernels",
-    "ResourceCounter",
-    "ResourceEstimate",
     "StabilizerState",
     "StabilizerError",
     "SimulationError",

@@ -233,8 +233,6 @@ class ReversibleCircuit(Freezable):
         out.gates = list(reversed(self.gates))
         return out
 
-    inverse = dagger
-
     def compose(self, other: "ReversibleCircuit") -> "ReversibleCircuit":
         self._check_mutable()
         if other.num_lines > self.num_lines:
@@ -251,9 +249,6 @@ class ReversibleCircuit(Freezable):
     # ------------------------------------------------------------------
     # costs
     # ------------------------------------------------------------------
-    def gate_count(self) -> int:
-        return len(self.gates)
-
     def quantum_cost(self) -> int:
         """Classical 'quantum cost' heuristic (Maslov-style table):
         NOT/CNOT cost 1, Toffoli 5, k-control MCT ~ 2^(k+1) - 3 for

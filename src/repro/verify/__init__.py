@@ -22,7 +22,6 @@ verification").
 
 from . import tiers
 from .checker import (
-    DEFAULT_MAX_DENSE_QUBITS,
     DEFAULT_MAX_PROBE_QUBITS,
     DEFAULT_MAX_TABLE_LINES,
     DEFAULT_PROBES,
@@ -35,7 +34,6 @@ from .verdict import Verdict
 
 __all__ = [
     "tiers",
-    "DEFAULT_MAX_DENSE_QUBITS",
     "DEFAULT_MAX_PROBE_QUBITS",
     "DEFAULT_MAX_TABLE_LINES",
     "DEFAULT_PROBES",

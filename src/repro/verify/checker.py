@@ -31,7 +31,6 @@ skips to hard failures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, zip_longest
@@ -50,7 +49,10 @@ from . import tiers
 from .verdict import Verdict, timed
 
 #: Widest register for which dense unitary checks are attempted.
-DEFAULT_MAX_DENSE_QUBITS = 10
+MAX_DENSE_QUBITS = 10
+
+#: Numeric tolerance of the dense and probe tiers.
+ATOL = 1e-7
 
 #: Widest register for which statevector probes are attempted.
 DEFAULT_MAX_PROBE_QUBITS = 20
@@ -75,56 +77,31 @@ _BLOCK_MEMO_SIZE = 1024
 
 @dataclass(frozen=True)
 class EquivalenceChecker:
-    """Tier-selection policy plus the dense width and tolerance.
+    """Tier-selection policy.
 
-    The exhaustive-table width, the probe width, the probe count and
-    the probe seed are the module's ``DEFAULT_*`` constants.
+    The dense width and the tolerance are the module's
+    ``MAX_DENSE_QUBITS`` and ``ATOL``; the exhaustive-table width, the
+    probe width, the probe count and the probe seed its ``DEFAULT_*``
+    constants.
 
     Attributes:
         mode: ``"auto"`` (skips are reported but tolerated) or
             ``"strict"`` (the pipeline escalates skipped checks to
             :class:`~repro.pipeline.runner.VerificationError`).
-        max_dense_qubits: widest register for the dense-unitary tier.
-        atol: numeric tolerance of the dense and probe tiers.
     """
 
     mode: str = "auto"
-    max_dense_qubits: int = DEFAULT_MAX_DENSE_QUBITS
-    atol: float = 1e-7
 
     def __post_init__(self) -> None:
-        """Validate the mode name, the dense width and the tolerance.
+        """Validate the mode name.
 
         Raises:
-            ValueError: for modes other than ``auto``/``strict``, a
-                ``max_dense_qubits`` that is not an int (bools
-                included) in ``0..MAX_UNITARY_QUBITS``, or an ``atol``
-                that is not a finite, non-negative number.
+            ValueError: for modes other than ``auto``/``strict``.
         """
         if self.mode not in ("auto", "strict"):
             raise ValueError(
                 f"unknown verification mode {self.mode!r}; use 'auto' "
                 "or 'strict' (or 'off' via as_checker)"
-            )
-        width = self.max_dense_qubits
-        if (
-            isinstance(width, bool)
-            or not isinstance(width, int)
-            or not 0 <= width <= MAX_UNITARY_QUBITS
-        ):
-            raise ValueError(
-                f"max_dense_qubits must be an int in 0..{MAX_UNITARY_QUBITS}, "
-                f"not {width!r}"
-            )
-        atol = self.atol
-        if (
-            isinstance(atol, bool)
-            or not isinstance(atol, (int, float))
-            or not math.isfinite(atol)
-            or atol < 0
-        ):
-            raise ValueError(
-                f"atol must be a finite number >= 0, not {atol!r}"
             )
 
     @property
@@ -286,7 +263,7 @@ class EquivalenceChecker:
                 detail="composed tableau is the identity",
             )
         support = tiers.gate_support(rest_before + rest_after)
-        if 0 < len(support) <= self.max_dense_qubits and len(support) < n:
+        if 0 < len(support) <= MAX_DENSE_QUBITS and len(support) < n:
             failure = self._dense_failure(
                 tiers.compact_circuit(rest_before, support),
                 tiers.compact_circuit(rest_after, support),
@@ -297,7 +274,7 @@ class EquivalenceChecker:
                 "dense",
                 detail=f"rewritten region on {len(support)} qubits",
             )
-        if n <= self.max_dense_qubits:
+        if n <= MAX_DENSE_QUBITS:
             failure = self._dense_failure(before, after)
             if failure is not None:
                 return Verdict.reject("dense", failure)
@@ -354,7 +331,7 @@ class EquivalenceChecker:
         w = after.num_qubits
         # one more wire than the limit for the widening ancilla, but
         # never past what circuit_unitary builds
-        if w <= min(self.max_dense_qubits + 1, MAX_UNITARY_QUBITS):
+        if w <= min(MAX_DENSE_QUBITS + 1, MAX_UNITARY_QUBITS):
             failure = self._dense_extended_failure(before, after)
             if failure is not None:
                 return Verdict.reject("dense", failure)
@@ -434,7 +411,7 @@ class EquivalenceChecker:
                 f"{n} data lines exceed the {DEFAULT_MAX_TABLE_LINES}-line "
                 "exhaustive-table limit",
             )
-        if w <= min(self.max_dense_qubits + 1, MAX_UNITARY_QUBITS):
+        if w <= min(MAX_DENSE_QUBITS + 1, MAX_UNITARY_QUBITS):
             failure = self._dense_mapped_failure(quantum, reversible)
             if failure is not None:
                 return Verdict.reject("dense", failure)
@@ -455,7 +432,7 @@ class EquivalenceChecker:
             state = Statevector.from_basis_state(w, x)
             state.evolve(quantum)
             prob = float(abs(state.data[reversible.apply(x)]) ** 2)
-            if abs(prob - 1.0) > self.atol:
+            if abs(prob - 1.0) > ATOL:
                 return Verdict.reject(
                     "probes",
                     f"basis input {x} does not map to the cascade's "
@@ -569,7 +546,7 @@ class EquivalenceChecker:
                 tiers.random_product_state(probe_width, rng)
             )
             overlap = tiers.overlap_magnitude(expected, actual)
-            if abs(overlap - 1.0) > self.atol:
+            if abs(overlap - 1.0) > ATOL:
                 return Verdict.reject(
                     "probes",
                     f"probe {i} distinguishes "
@@ -613,7 +590,7 @@ class EquivalenceChecker:
             A ``passed`` verdict, or ``None`` — the caller falls
             through to the whole-circuit tiers — when the tiling is
             wrong, a block touches another data wire, is wider than
-            ``max_dense_qubits`` or holds a non-unitary gate, or a
+            ``MAX_DENSE_QUBITS`` or holds a non-unitary gate, or a
             block fails.  The tier never rejects on its own.
         """
         if (
@@ -644,13 +621,13 @@ class EquivalenceChecker:
                 return None
             local, clean = relabelled
             width = len(own) + clean
-            if width > self.max_dense_qubits:
+            if width > MAX_DENSE_QUBITS:
                 return None
             if mapped:
                 reference = source.polarity
             else:
                 reference = tiers.relabel_block((source,), own, num_data)[0][0]
-            key = (local, reference, clean, obligation, self.atol)
+            key = (local, reference, clean, obligation)
             if _local_block_failure(*key) is not None:
                 return None
             keys.add(key)
@@ -687,7 +664,7 @@ class EquivalenceChecker:
         Returns:
             A ``passed`` verdict, or ``None`` — the caller falls
             through to the whole-circuit tiers — when a claim fails, a
-            group is wider than ``max_dense_qubits``, or a group does
+            group is wider than ``MAX_DENSE_QUBITS``, or a group does
             not multiply to its reference.  The tier never rejects on
             its own.
         """
@@ -697,7 +674,7 @@ class EquivalenceChecker:
         keys = set()
         for members, reference in blocks:
             k = len(reference.qubits)
-            if k > self.max_dense_qubits:
+            if k > MAX_DENSE_QUBITS:
                 return None
             wires = tuple(range(k))
             key = (
@@ -707,7 +684,7 @@ class EquivalenceChecker:
                 ]),
                 (reference.name, wires, len(reference.controls),
                  reference.params),
-                0, "extended", self.atol,
+                0, "extended",
             )
             if _local_block_failure(*key) is not None:
                 return None
@@ -728,7 +705,7 @@ class EquivalenceChecker:
 
         u_before = circuit_unitary(before)
         u_after = circuit_unitary(after)
-        return _phase_compare_failure(u_before, u_after, self.atol)
+        return _phase_compare_failure(u_before, u_after)
 
     def _dense_extended_failure(
         self, before: QuantumCircuit, after: QuantumCircuit
@@ -739,11 +716,9 @@ class EquivalenceChecker:
         u_before = circuit_unitary(before)
         u_after = circuit_unitary(after)
         dim = 1 << before.num_qubits
-        if np.abs(u_after[dim:, :dim]).max(initial=0.0) > self.atol:
+        if np.abs(u_after[dim:, :dim]).max(initial=0.0) > ATOL:
             return "lowered circuit leaks into the ancilla subspace"
-        return _phase_compare_failure(
-            u_before, u_after[:dim, :dim], self.atol
-        )
+        return _phase_compare_failure(u_before, u_after[:dim, :dim])
 
     def _dense_mapped_failure(
         self, quantum: QuantumCircuit, reversible: ReversibleCircuit
@@ -756,8 +731,8 @@ class EquivalenceChecker:
             column = unitary[:, x]
             index = int(np.argmax(np.abs(column)))
             if (
-                abs(abs(column[index]) - 1.0) > self.atol
-                or np.abs(column).sum() - abs(column[index]) > self.atol
+                abs(abs(column[index]) - 1.0) > ATOL
+                or np.abs(column).sum() - abs(column[index]) > ATOL
                 or index != reversible.apply(x)
             ):
                 return f"mismatch at input {x}"
@@ -782,13 +757,13 @@ def _column_verdict(
     return Verdict.reject("permutation", failure.format(x), checks=x + 1)
 
 
-def _phase_compare_failure(u_before, u_after, atol: float) -> Optional[str]:
+def _phase_compare_failure(u_before, u_after) -> Optional[str]:
     """Compare two equal-shape matrices up to one global phase."""
     overlap = u_after.conj().T @ u_before
     phase = overlap[np.unravel_index(np.argmax(np.abs(overlap)), overlap.shape)]
-    if abs(abs(phase) - 1.0) > atol:
+    if abs(abs(phase) - 1.0) > ATOL:
         return "pass changed the circuit unitary"
-    if not np.allclose(u_before, phase * u_after, atol=atol):
+    if not np.allclose(u_before, phase * u_after, atol=ATOL):
         return "pass changed the circuit unitary"
     return None
 
@@ -799,7 +774,6 @@ def _local_block_failure(
     reference,
     clean: int,
     obligation: str,
-    atol: float,
 ) -> Optional[str]:
     """Dense check of one relabelled block against its local reference.
 
@@ -814,7 +788,7 @@ def _local_block_failure(
     """
     if any(name in NON_UNITARY for name, _, _, _ in local):
         return "block holds a non-unitary gate"
-    checker = EquivalenceChecker(atol=atol)
+    checker = EquivalenceChecker()
     if obligation == "mapped":
         k = len(reference)
         data = k + 1

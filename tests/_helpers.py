@@ -7,7 +7,9 @@ import mode), and a uniquely-named module avoids the clash between
 repository is collected in one run.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 
@@ -102,3 +104,38 @@ def toffoli_gates(n, path):
     """
     result = repro.compile({"hwb": n}, target="toffoli", cache=path)
     return list(result.reversible.gates)
+
+
+def imports_into(package, targets):
+    """Every import under ``repro/<package>`` of a ``repro.<target>``.
+
+    Walks the whole syntax tree of each module, so imports inside
+    functions count as much as module-level ones.  Relative imports are
+    resolved against the importing module's package.
+
+    Returns:
+        ``"<file>:<line>: <module>"`` for each import of one of the
+        ``targets`` subpackages (``("emit",)``, say) or a name in it.
+    """
+    root = Path(repro.__file__).parent
+    prefixes = tuple(f"repro.{target}" for target in targets)
+    found = []
+    for path in sorted((root / package).rglob("*.py")):
+        here = ["repro", *path.relative_to(root).parent.parts]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                base = here[:len(here) - node.level + 1] if node.level else []
+                module = ".".join(base + [node.module] if node.module else base)
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if any(
+                    name == prefix or name.startswith(prefix + ".")
+                    for prefix in prefixes
+                ):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+                    break
+    return found

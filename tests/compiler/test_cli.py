@@ -61,9 +61,10 @@ class TestCompileCommand:
 
     def test_qasm_file_workload(self, run_cli, tmp_path):
         from repro.core.circuit import QuantumCircuit
+        from repro.emit import emit
 
         path = tmp_path / "circuit.qasm"
-        path.write_text(QuantumCircuit(2).h(0).cx(0, 1).to_qasm())
+        path.write_text(emit(QuantumCircuit(2).h(0).cx(0, 1), "qasm2"))
         code, out, _err = run_cli(
             "compile", str(path), "--target", "projectq"
         )

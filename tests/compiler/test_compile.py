@@ -13,7 +13,7 @@ from repro.compiler import (
     targets,
 )
 from repro.core.circuit import QuantumCircuit
-from repro.frameworks.qsharp import parse_operation_body
+from repro.emit.qsharp import parse_operation_body
 from repro.mapping.routing import CouplingMap
 from repro.pipeline import FlowState, Pipeline, PipelineError
 from repro.revkit import generators
@@ -155,10 +155,10 @@ class TestCompilationResult:
     def test_to_qasm_round_trips(self, result):
         from repro.emit.qasm2 import from_qasm
 
-        parsed = from_qasm(result.to_qasm())
+        parsed = from_qasm(result.emit("qasm2"))
         assert parsed.gates == result.circuit.gates
         # lazy: the second call returns the cached text
-        assert result.to_qasm() is result.to_qasm()
+        assert result.emit("qasm2") is result.emit("qasm2")
 
     def test_to_qsharp_round_trips(self, result, paper_pi):
         code = result.emit("qsharp", name="Oracle")
@@ -167,7 +167,7 @@ class TestCompilationResult:
         assert parsed.gates == result.circuit.gates
 
     def test_to_projectq_replays(self, result):
-        source = result.to_projectq()
+        source = result.emit("projectq")
         namespace = {}
         exec(source, namespace)  # noqa: S102 - generated by us
         replayed = namespace["eng"].circuit
@@ -188,7 +188,7 @@ class TestCompilationResult:
     def test_reversible_result_cannot_emit(self, paper_pi):
         mct = repro.compile(paper_pi, target="toffoli", cache=None)
         with pytest.raises(EmissionError, match="no\\s+quantum circuit"):
-            mct.to_qasm()
+            mct.emit("qasm2")
 
     def test_verify_flag_runs_verification(self, paper_pi):
         result = repro.compile(

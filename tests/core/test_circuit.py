@@ -9,6 +9,7 @@ from _dense_reference import circuits_equivalent
 
 from repro.core.circuit import FrozenCircuitError, QuantumCircuit
 from repro.core.gates import Gate
+from repro.core.statistics import circuit_statistics
 from repro.core.unitary import circuit_unitary
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
 
@@ -167,11 +168,11 @@ class TestMetrics:
 
     def test_t_depth_parallel(self):
         circ = QuantumCircuit(2).t(0).t(1)
-        assert circ.t_depth() == 1
+        assert circuit_statistics(circ).t_depth == 1
 
     def test_t_depth_serial(self):
         circ = QuantumCircuit(1).t(0).h(0).t(0)
-        assert circ.t_depth() == 2
+        assert circuit_statistics(circ).t_depth == 2
 
     def test_two_qubit_count(self):
         circ = QuantumCircuit(3).cx(0, 1).swap(1, 2).h(0).ccx(0, 1, 2)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import _statistics_reference as reference
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import is_clifford_name
 from repro.core.statistics import circuit_statistics
@@ -72,16 +73,64 @@ def _random_circuit(rng):
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_one_scan_matches_the_circuit_methods(seed):
+def test_one_scan_matches_the_per_figure_loops(seed):
     circ = _random_circuit(random.Random(seed))
     stats = circuit_statistics(circ)
     assert stats.num_qubits == circ.num_qubits
     assert stats.num_gates == len(circ.unitary_gates())
-    assert stats.depth == circ.depth()
-    assert stats.t_depth == circ.t_depth()
-    assert stats.t_count == circ.t_count()
-    assert stats.two_qubit_count == circ.two_qubit_count()
+    assert stats.depth == reference.depth(circ)
+    assert stats.t_depth == reference.t_depth(circ)
+    assert stats.t_count == reference.t_count(circ)
+    assert stats.two_qubit_count == reference.two_qubit_count(circ)
     assert stats.clifford_count == sum(
         1 for g in circ.unitary_gates() if is_clifford_name(g.name, g.params)
     )
-    assert stats.histogram == circ.count_ops()
+    assert stats.histogram == reference.count_ops(circ)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_circuit_methods_match_the_per_figure_loops(seed):
+    circ = _random_circuit(random.Random(seed))
+    for frozen in (circ.copy(), circ.copy().freeze()):
+        assert frozen.depth() == reference.depth(circ)
+        assert frozen.t_count() == reference.t_count(circ)
+        assert frozen.two_qubit_count() == reference.two_qubit_count(circ)
+        assert frozen.count_ops() == reference.count_ops(circ)
+
+
+def test_frozen_circuit_scans_once_and_hands_out_histogram_copies(
+    monkeypatch,
+):
+    from repro.core import circuit as circuit_module
+
+    scans = []
+
+    def counting(circ):
+        scans.append(circ)
+        return circuit_statistics(circ)
+
+    monkeypatch.setattr(circuit_module, "circuit_statistics", counting)
+    circ = QuantumCircuit(2).h(0).cx(0, 1).freeze()
+    assert (circ.depth(), circ.two_qubit_count()) == (2, 1)
+    ops = circ.count_ops()
+    ops["h"] = 99
+    assert circ.count_ops() == {"h": 1, "cx": 1}
+    assert len(scans) == 1
+    # a builder rescans, so an edit shows at once
+    builder = circ.copy()
+    assert builder.depth() == 2
+    builder.x(1)
+    assert builder.depth() == 3
+    assert len(scans) == 3
+
+
+def test_scales_without_simulation():
+    """Counting works far beyond simulable widths."""
+    circ = QuantumCircuit(200)
+    for q in range(199):
+        circ.cx(q, q + 1)
+    for q in range(200):
+        circ.t(q)
+    stats = circuit_statistics(circ)
+    assert stats.num_qubits == 200
+    assert (stats.histogram["cx"], stats.t_count) == (199, 200)

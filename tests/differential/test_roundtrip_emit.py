@@ -124,7 +124,7 @@ def test_compiled_permutation_round_trips_as_workload(image):
     reference = repro.compile(
         BitPermutation(list(image)), target="clifford_t", cache=None
     )
-    text = reference.to_qasm()
+    text = reference.emit("qasm2")
     workload = detect_workload(text)
     assert workload.kind == "circuit"
     assert not workload.needs_synthesis

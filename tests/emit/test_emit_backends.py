@@ -70,17 +70,6 @@ class TestQasm2ExternalFiles:
         with pytest.raises(QasmError, match="OpenQASM 3 import"):
             emit.parse("OPENQASM 3.0;\nqubit[2] q;\n", "qasm2")
 
-    def test_core_package_reexports_do_not_warn(self):
-        import warnings
-
-        from repro.emit import qasm2
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            from repro.core import from_qasm, to_qasm
-        assert to_qasm is qasm2.to_qasm
-        assert from_qasm is qasm2.from_qasm
-
 
 class TestQsharpBackend:
     def test_matches_legacy_generator(self, clifford_t_circuit):
@@ -122,8 +111,7 @@ def _fig10_pool():
 
 def _qsharp_per_gate(circuit):
     """The operation text with every gate rendered on its own."""
-    from repro.emit.qsharp import operation_code
-    from repro.frameworks.qsharp import gate_to_qsharp
+    from repro.emit.qsharp import gate_to_qsharp, operation_code
 
     body = "\n".join(f"            {gate_to_qsharp(g)}" for g in circuit.gates)
     empty = operation_code(QuantumCircuit(circuit.num_qubits))
@@ -154,7 +142,7 @@ class TestProjectQBackend:
         import repro
 
         result = repro.compile(paper_pi, target="projectq", cache=None)
-        assert emit.emit(result.circuit, "projectq") == result.to_projectq()
+        assert emit.emit(result.circuit, "projectq") == result.emit("projectq")
 
     def test_script_replays(self, clifford_t_circuit):
         text = emit.emit(clifford_t_circuit, "projectq")

@@ -5,7 +5,8 @@ pre-refactor code (PR 4 state), where QASM lived in ``core/qasm.py``,
 Q# generation in ``frameworks/qsharp.py`` and the ProjectQ line
 assembly inline in ``CompilationResult.to_projectq``.  The refactor
 onto the ``repro.emit`` registry must not change a single byte of
-what ``to_qasm`` / ``emit("qsharp")`` / ``to_projectq`` produce.
+what ``emit("qasm2")`` / ``emit("qsharp")`` / ``emit("projectq")``
+produce.
 """
 
 import pathlib
@@ -31,7 +32,7 @@ def _golden(name):
 class TestByteIdentical:
     def test_qasm_via_ibm_qe5(self, perm):
         result = repro.compile(perm, target="ibm_qe5", cache=None)
-        assert result.to_qasm() == _golden("perm8_ibm_qe5.qasm")
+        assert result.emit("qasm2") == _golden("perm8_ibm_qe5.qasm")
 
     def test_qasm_via_emit_default(self, perm):
         result = repro.compile(perm, target="ibm_qe5", cache=None)
@@ -49,11 +50,11 @@ class TestByteIdentical:
 
     def test_projectq(self, perm):
         result = repro.compile(perm, target="projectq", cache=None)
-        assert result.to_projectq() == _golden("perm8_projectq.py.txt")
+        assert result.emit("projectq") == _golden("perm8_projectq.py.txt")
 
     def test_qasm_via_eq5_generator(self):
         result = repro.compile({"hwb": 4}, target="clifford_t", cache=None)
-        assert result.to_qasm() == _golden("hwb4_clifford_t.qasm")
+        assert result.emit("qasm2") == _golden("hwb4_clifford_t.qasm")
 
     def test_legacy_alias_matches_canonical(self, perm):
         result = repro.compile(perm, target="ibm_qe5", cache=None)

@@ -9,12 +9,10 @@ from _dense_reference import circuits_equivalent
 from repro.boolean.permutation import BitPermutation
 from repro.core.circuit import QuantumCircuit
 from repro.core.unitary import circuit_unitary
+from repro.emit.qsharp import QSharpError, gate_to_qsharp, parse_operation_body
 from repro.frameworks.qsharp import (
-    QSharpError,
     _operation_from_circuit as operation_from_circuit,
-    gate_to_qsharp,
     hidden_shift_program,
-    parse_operation_body,
     permutation_oracle_operation,
     validate_program,
 )

@@ -24,9 +24,9 @@ from repro.frameworks.projectq import (
     Uncompute,
     X,
 )
+from repro.emit.qsharp import parse_operation_body
 from repro.frameworks.qsharp import (
     hidden_shift_program,
-    parse_operation_body,
     permutation_oracle_operation,
     validate_program,
 )

@@ -3,6 +3,7 @@
 from _dense_reference import allclose_up_to_global_phase
 
 from repro.core.circuit import QuantumCircuit
+from repro.core.statistics import circuit_statistics
 from repro.core.unitary import circuit_unitary
 from repro.mapping.clifford_t import ccx_clifford_t
 
@@ -17,7 +18,7 @@ class TestCcx:
         assert ccx_clifford_t(0, 1, 2, 3).t_count() == 7
 
     def test_t_depth_bound(self):
-        assert ccx_clifford_t(0, 1, 2, 3).t_depth() <= 4
+        assert circuit_statistics(ccx_clifford_t(0, 1, 2, 3)).t_depth <= 4
 
     def test_is_clifford_t(self):
         assert ccx_clifford_t(0, 1, 2, 3).is_clifford_t()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.boolean.permutation import BitPermutation
 from repro.core.circuit import QuantumCircuit
+from repro.core.statistics import circuit_statistics
 from repro.mapping.barenco import map_to_clifford_t
 from repro.optimization.simplify import cancel_adjacent_gates
 from repro.optimization.tpar import (
@@ -76,5 +77,5 @@ class TestDiagnostics:
     def test_t_depth_estimate_le_naive(self):
         circ = QuantumCircuit(2).t(0).t(1).cx(0, 1).t(1)
         estimate = t_depth_estimate(circ)
-        assert estimate <= circ.t_depth() + 1
+        assert estimate <= circuit_statistics(circ).t_depth + 1
         assert estimate >= 1

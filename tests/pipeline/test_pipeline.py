@@ -206,7 +206,9 @@ class TestCache:
         replay = repro.compile({"hwb": 3}, target="clifford_t", cache=cache)
         assert replay.cache_hits == len(replay.records)
         assert replay.circuit.gates == gates
-        assert replay.emit("qasm2") == first.circuit.copy().emit("qasm2")
+        assert replay.emit("qasm2") == repro.emit.emit(
+            first.circuit.copy(), "qasm2"
+        )
 
     def test_memory_hit_returns_the_stored_objects(self):
         circuit = ReversibleCircuit(2).cnot(0, 1).freeze()

@@ -63,6 +63,17 @@ and ``DeadlineExceeded`` live in ``repro.pipeline``.  So is every
 defaulted parameter no caller outside the tests set (the parameter
 sweep of ``tests/test_src_names_have_callers.py`` listed them), from
 ``PassCache``'s ``maxsize=`` to ``compile_circuit``'s ``block_size=``.
+So are the second implementations of each output job: the resource
+counter (``ResourceCounter``/``ResourceEstimate`` beside
+``circuit_statistics``) with ``QuantumCircuit.t_depth``, the emission
+twins of ``repro.emit.emit`` and ``CompilationResult.emit``
+(``QuantumCircuit.to_qasm``/``emit``, ``CompilationResult.to_qasm``/
+``to_projectq`` and ``repro.core``'s ``QasmError``/``from_qasm``/
+``to_qasm``), the unused ``inverse`` aliases and
+``ReversibleCircuit.gate_count``, and the Q# dialect's copy in
+``repro.frameworks.qsharp`` (it lives in ``repro.emit.qsharp``).  So
+are the checker's ``max_dense_qubits=``/``atol=`` (module constants
+now) and ``grover_circuit``'s default iteration count.
 An old spelling must
 end in an import, attribute, type or engine error — or, for the
 environment variables, have no effect at all — rather than being
@@ -115,6 +126,7 @@ def _bell() -> QuantumCircuit:
         "repro.resilience.faults",
         "repro.resilience.policies",
         "repro.resilience.errors",
+        "repro.simulator.resources",
     ],
 )
 def test_retired_modules_are_gone(module):
@@ -858,3 +870,64 @@ def test_block_gain_extrapolation_is_gone():
     assert not hasattr(kernels, "_block_gain")
     assert not hasattr(kernels, "_BLOCK_GAIN_GROWTH")
     assert max(kernels._BLOCK_GAIN) == kernels.BLOCK_QUBITS
+
+
+#: Second implementations of an output job, by the module or class
+#: that held them.
+OUTPUT_JOB_TWINS = {
+    "repro.simulator": ["ResourceCounter", "ResourceEstimate"],
+    "repro.core": ["QasmError", "from_qasm", "to_qasm"],
+    "repro.core.circuit.QuantumCircuit": [
+        "t_depth", "to_qasm", "emit", "inverse",
+    ],
+    "repro.synthesis.reversible.ReversibleCircuit": ["gate_count", "inverse"],
+    "repro.compiler.result.CompilationResult": ["to_qasm", "to_projectq"],
+    "repro.frameworks.qsharp": [
+        "_QSHARP_NAMES", "_ADJOINT_NAMES", "QSharpError", "gate_to_qsharp",
+        "_FRAME_RE", "_STMT_RE", "_INDEX_RE", "_ARITY",
+    ],
+    "repro.verify": ["DEFAULT_MAX_DENSE_QUBITS"],
+}
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (owner, name)
+        for owner, names in OUTPUT_JOB_TWINS.items()
+        for name in names
+    ],
+)
+def test_output_job_twins_are_gone(owner, name):
+    try:
+        holder = importlib.import_module(owner)
+    except ImportError:
+        module, _, attribute = owner.rpartition(".")
+        holder = getattr(importlib.import_module(module), attribute)
+    assert not hasattr(holder, name), (owner, name)
+
+
+def test_frameworks_qsharp_defines_no_parser():
+    # perfbench's Fig. 10 check imports the parser from the framework
+    # module; it is the one in repro.emit.qsharp, not a copy
+    from repro.emit import qsharp as dialect
+    from repro.frameworks import qsharp
+
+    assert qsharp.parse_operation_body is dialect.parse_operation_body
+
+
+@pytest.mark.parametrize("keyword", ["max_dense_qubits", "atol"])
+def test_checker_dense_width_and_tolerance_are_constants(keyword):
+    from repro.verify import EquivalenceChecker, checker
+
+    with pytest.raises(TypeError, match=keyword):
+        EquivalenceChecker(**{keyword: 4})
+    assert (checker.MAX_DENSE_QUBITS, checker.ATOL) == (10, 1e-7)
+
+
+def test_grover_circuit_iterations_are_required():
+    from repro.algorithms import grover_circuit
+    from repro.boolean.truth_table import TruthTable
+
+    with pytest.raises(TypeError, match="iterations"):
+        grover_circuit(TruthTable.from_values([0, 0, 0, 1]))

@@ -21,14 +21,14 @@ Randomized cases use the Hypothesis profile of ``tests/conftest.py``
 (``HYPOTHESIS_PROFILE=ci`` derandomizes them).
 """
 
-import ast
 import random
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from _helpers import imports_into
 
 import repro
 from repro.core.circuit import QuantumCircuit
@@ -37,6 +37,7 @@ from repro.mapping.barenco import map_to_clifford_t, map_with_block_lengths
 from repro.pipeline import FlowState, MapToCliffordTPass, Pipeline
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
 from repro.verify import EquivalenceChecker, tiers
+from repro.verify import checker as checker_module
 
 CHECKER = EquivalenceChecker()
 
@@ -555,11 +556,13 @@ class TestShortGatesAndMeasurements:
         assert (verdict.status, verdict.tier) == ("passed", "dense")
         assert BLOCK_DETAIL.match(verdict.detail)
 
-    def test_block_wider_than_the_dense_limit_falls_through(self):
-        narrow = EquivalenceChecker(max_dense_qubits=4)
+    def test_block_wider_than_the_dense_limit_falls_through(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(checker_module, "MAX_DENSE_QUBITS", 4)
         reversible = cascade({"hwb": 4})
         mapped = map_to_clifford_t(reversible)
-        verdict = narrow.check_mapped_circuit(
+        verdict = CHECKER.check_mapped_circuit(
             mapped, reversible, blocks=map_with_block_lengths(reversible)[1]
         )
         assert verdict.status == "passed"
@@ -573,23 +576,4 @@ def test_verify_imports_nothing_from_the_passes_it_checks():
     """``repro.verify`` imports neither ``repro.mapping`` nor
     ``repro.optimization``, at module level or inside a function: a
     bug shared by a pass and its checker would be invisible to both."""
-    package = Path(repro.__file__).parent / "verify"
-    found = []
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = [("." * node.level) + (node.module or "")]
-                names += [f"{names[0]}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            for name in names:
-                parts = name.lstrip(".").split(".")
-                if parts[0] == "repro":
-                    parts = parts[1:]
-                elif not name.startswith(".."):
-                    continue
-                if parts and parts[0] in ("mapping", "optimization"):
-                    found.append(f"{path.name}:{node.lineno}: {name}")
-    assert found == []
+    assert imports_into("verify", ("mapping", "optimization")) == []

@@ -38,6 +38,7 @@ from repro.pipeline import (
 )
 from repro.synthesis.reversible import MctGate
 from repro.verify import EquivalenceChecker
+from repro.verify import checker as checker_module
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +362,7 @@ class TestProbesTierCatches:
         return a, b
 
     @pytest.mark.parametrize("mutation", QUANTUM_MUTATIONS)
-    def test_probe_rejections(self, mutation):
+    def test_probe_rejections(self, mutation, monkeypatch):
         a, b = self._wide_pair()
         if mutation == "swapped-control-target":
             # give both sides a controlled gate, swapped on one side
@@ -369,20 +370,16 @@ class TestProbesTierCatches:
             b.cx(0, 1)
         else:
             b = MUTATIONS[mutation][0](b)
-        checker = dataclasses.replace(
-            EquivalenceChecker(), max_dense_qubits=4
-        )
-        verdict = checker.check_same_unitary(a, b)
+        monkeypatch.setattr(checker_module, "MAX_DENSE_QUBITS", 4)
+        verdict = EquivalenceChecker().check_same_unitary(a, b)
         assert verdict.failed
         assert verdict.tier == "probes"
         assert "probe" in verdict.detail
 
-    def test_probe_baseline_accepts_the_unmutated_pair(self):
+    def test_probe_baseline_accepts_the_unmutated_pair(self, monkeypatch):
         # guards the corpus itself: rejections above stem from the
         # mutation, not from a broken fixture pair
         a, b = self._wide_pair()
-        checker = dataclasses.replace(
-            EquivalenceChecker(), max_dense_qubits=4
-        )
-        verdict = checker.check_same_unitary(a, b)
+        monkeypatch.setattr(checker_module, "MAX_DENSE_QUBITS", 4)
+        verdict = EquivalenceChecker().check_same_unitary(a, b)
         assert verdict.passed and verdict.tier == "probes"

@@ -150,7 +150,7 @@ class TestAgreesWithWholeCircuit:
                 expected.append((
                     tiers.relabel_block(members, own, n)[0],
                     tiers.relabel_block((reference,), own, n)[0][0],
-                    0, "extended", CHECKER.atol,
+                    0, "extended",
                 ))
         assert len(expected) > 1000
         assert keys == expected
@@ -478,10 +478,12 @@ class TestFences:
         verdict = CHECKER.check_same_unitary(before, after, groups=groups)
         assert (verdict.status, verdict.tier) == ("skipped", "none")
 
-    def test_group_wider_than_the_dense_limit_falls_through(self):
-        narrow = EquivalenceChecker(max_dense_qubits=1)
+    def test_group_wider_than_the_dense_limit_falls_through(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(checker, "MAX_DENSE_QUBITS", 1)
         before = circuit_of(2, [g("cx", 1, controls=(0,))] * 2)
-        verdict = narrow.check_same_unitary(
+        verdict = CHECKER.check_same_unitary(
             before, circuit_of(2, []), groups=[((0, 1), None)]
         )
         assert verdict.status == "passed"

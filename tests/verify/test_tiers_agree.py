@@ -6,9 +6,9 @@ or inequivalent pairs, and checks that the verdict of each sub-dense
 tier — permutation tables, stabilizer tableaus, seeded fidelity
 probes — matches the dense-unitary oracle in BOTH directions: the
 cheap tier accepts exactly when the oracle accepts, and rejects
-exactly when it rejects.  The dense tiers are disabled through the
-checker's ``max_dense_qubits`` knob so the cheap tier genuinely
-produces the verdict under test.
+exactly when it rejects.  The dense tiers are disabled by setting
+``repro.verify.checker.MAX_DENSE_QUBITS`` to 0, so the cheap tier
+genuinely produces the verdict under test.
 
 The routing check (tier ``swap``) is stricter than unitary
 equivalence: it accepts only the router's form, a remapped gate list
@@ -20,6 +20,7 @@ Under ``HYPOTHESIS_PROFILE=ci`` (see ``tests/conftest.py``) the run is
 derandomized, so CI failures replay exactly.
 """
 
+import contextlib
 import dataclasses
 
 import pytest
@@ -32,6 +33,7 @@ from repro.core.circuit import QuantumCircuit
 from repro.mapping.routing import CouplingMap, route_circuit
 from repro.synthesis.reversible import MctGate, ReversibleCircuit
 from repro.verify import EquivalenceChecker
+from repro.verify import checker as checker_module
 
 #: Clifford vocabulary the stabilizer tier claims; the +T extension
 #: pushes pairs past the tableau into the probe tier.
@@ -47,11 +49,12 @@ _CANCELING = {
 }
 
 
-def _no_dense(**overrides):
-    """A checker whose dense tiers can never run."""
-    return dataclasses.replace(
-        EquivalenceChecker(), max_dense_qubits=0, **overrides
-    )
+@contextlib.contextmanager
+def _no_dense():
+    """A checker whose dense tiers can never run, while in the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checker_module, "MAX_DENSE_QUBITS", 0)
+        yield EquivalenceChecker()
 
 
 @st.composite
@@ -247,7 +250,8 @@ class TestStabilizerTierAgrees:
     @given(pair=quantum_pairs(CLIFFORD_NAMES))
     def test_matches_the_dense_oracle(self, pair):
         a, b = pair
-        verdict = _no_dense().check_same_unitary(a, b)
+        with _no_dense() as checker:
+            verdict = checker.check_same_unitary(a, b)
         oracle = circuits_equivalent(a, b)
         assert not verdict.skipped
         assert verdict.tier in ("syntactic", "stabilizer")
@@ -258,7 +262,8 @@ class TestProbeTierAgrees:
     @given(pair=quantum_pairs(CLIFFORD_T_NAMES))
     def test_matches_the_dense_oracle(self, pair):
         a, b = pair
-        verdict = _no_dense().check_same_unitary(a, b)
+        with _no_dense() as checker:
+            verdict = checker.check_same_unitary(a, b)
         oracle = circuits_equivalent(a, b)
         assert not verdict.skipped
         # stripped remainders may still be Clifford — the checker is
@@ -269,8 +274,9 @@ class TestProbeTierAgrees:
     @given(pair=quantum_pairs(CLIFFORD_T_NAMES))
     def test_probe_acceptance_is_seed_stable(self, pair):
         a, b = pair
-        first = _no_dense().check_same_unitary(a, b)
-        second = _no_dense().check_same_unitary(a, b)
+        with _no_dense() as checker:
+            first = checker.check_same_unitary(a, b)
+            second = checker.check_same_unitary(a, b)
         assert first.status == second.status
         assert first.tier == second.tier
 
