@@ -31,6 +31,13 @@ Obligations of the `repro.compile()` front door:
   point verifies with each pass record naming its tier, and the
   measured overhead (plus the first fully-checked sweep) lands in
   `extra_info` (`verify_overhead`, `verify_first_sweep_s`).
+* **Verified Fig. 10 pool** — the 57-spec Fig. 10 pool (the paper's
+  permutation and 56 seeded 3-5 variable ones, as the
+  `fig10-verified` benchmark draws them) compiled cold for `qsharp`
+  with `verify="off"` and `verify="auto"`, interleaved, gives the same
+  circuits gate for gate; the verified/unverified CPU-time ratio lands
+  in `extra_info["fig10_verify_ratio"]` (no bound is asserted; the
+  aim is 1.5x).
 
 Timing asserts are skipped on shared CI runners (`CI` env var) where
 timers are too noisy; CI still smokes both paths and uploads the
@@ -40,6 +47,8 @@ in `extra_info`).
 
 import itertools
 import os
+import random
+import statistics
 import time
 
 from conftest import report
@@ -436,4 +445,80 @@ def test_emitter_matrix(benchmark):
     report(
         f"emitter matrix: hwb4 Clifford+T x {len(formats)} formats",
         rows,
+    )
+
+
+#: the paper's Fig. 10 permutation
+FIG10_PI = (0, 2, 3, 5, 7, 1, 4, 6)
+
+#: widths of the seeded random permutations in each pool round
+FIG10_WIDTHS = (3, 3, 4, 4, 4, 5, 5)
+
+
+def fig10_pool(rounds=8):
+    """The ``fig10-verified`` spec pool: pi, then per round one seeded
+    random permutation for each of :data:`FIG10_WIDTHS`."""
+    pool = [FIG10_PI]
+    for pool_round in range(rounds):
+        for slot, width in enumerate(FIG10_WIDTHS):
+            image = list(range(1 << width))
+            random.Random(f"fig10-pool:{pool_round}:{slot}").shuffle(image)
+            pool.append(tuple(image))
+    return pool
+
+
+def _compile_fig10(spec, verify):
+    return repro.compile(list(spec), target="qsharp", verify=verify,
+                         cache=None)
+
+
+def test_fig10_verify_ratio(benchmark):
+    """What verifying the Fig. 10 flow costs over not verifying it.
+
+    Obligations: every spec of the 57-spec pool compiles cold to the
+    same circuit gate for gate with `verify="off"` and `"auto"`, and
+    every verified compile is `verified`.  Each round compiles the
+    pool once each way, interleaved spec by spec, on CPU time; the
+    ratio of the median round totals lands in
+    `extra_info["fig10_verify_ratio"]`, with the mean per-compile
+    times.  No time bound is asserted.
+    """
+    pool = fig10_pool()
+    assert len(pool) == 57
+    for spec in pool:  # also warms the per-process dense memo
+        plain = _compile_fig10(spec, "off")
+        verified = _compile_fig10(spec, "auto")
+        assert verified.verified, spec
+        assert plain.circuit.gates == verified.circuit.gates, spec
+
+    benchmark(lambda: [_compile_fig10(spec, "auto") for spec in pool])
+
+    totals = {"off": [], "auto": []}
+    for _ in range(7):
+        spent = {"off": 0.0, "auto": 0.0}
+        for spec in pool:
+            for verify in ("off", "auto"):
+                started = time.process_time()
+                _compile_fig10(spec, verify)
+                spent[verify] += time.process_time() - started
+        for verify, seconds in spent.items():
+            totals[verify].append(seconds)
+    off_s = statistics.median(totals["off"])
+    auto_s = statistics.median(totals["auto"])
+    ratio = auto_s / off_s
+
+    benchmark.extra_info["fig10_specs"] = len(pool)
+    benchmark.extra_info["fig10_off_ms"] = off_s / len(pool) * 1e3
+    benchmark.extra_info["fig10_auto_ms"] = auto_s / len(pool) * 1e3
+    benchmark.extra_info["fig10_verify_ratio"] = ratio
+
+    report(
+        "verified Fig. 10 pool: verify=auto over verify=off, CPU time",
+        [
+            ("specs", len(pool)),
+            ("off, per compile", f"{off_s / len(pool) * 1e3:.2f}ms"),
+            ("auto, per compile", f"{auto_s / len(pool) * 1e3:.2f}ms"),
+            ("ratio", f"{ratio:.2f}x"),
+            ("gate-for-gate, all verified", True),
+        ],
     )

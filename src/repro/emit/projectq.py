@@ -32,8 +32,8 @@ _PROJECTQ_ROTATIONS = {"rx": "Rx", "ry": "Ry", "rz": "Rz", "p": "Ph"}
 def _gate_to_projectq(gate) -> str:
     """Render one core gate as a ProjectQ eDSL statement.
 
-    Barriers never reach this function — :func:`to_projectq` filters
-    them out of the statement list.
+    Barriers never reach this function — :meth:`ProjectQEmitter.emit`
+    filters them out of the statement list.
     """
     name, controls, targets = gate.name, gate.controls, gate.targets
     if name == "measure":
@@ -61,35 +61,6 @@ def _gate_to_projectq(gate) -> str:
     )
 
 
-def to_projectq(circuit: "QuantumCircuit") -> str:
-    """Render a circuit as a ProjectQ eDSL replay script."""
-    statements = [
-        _gate_to_projectq(gate)
-        for gate in circuit.gates
-        if gate.name != "barrier"
-    ]
-    ops = sorted(
-        {s.split(" ", 1)[0].partition("(")[0] for s in statements}
-        | {"MainEngine"}
-    )
-    lines = [
-        f'"""ProjectQ replay of circuit {circuit.name!r} '
-        '(generated by repro.compile)."""',
-        "",
-        "from repro.frameworks.projectq import (",
-    ]
-    lines.extend(f"    {op}," for op in ops)
-    lines.append(")")
-    lines.append("")
-    lines.append("eng = MainEngine()")
-    lines.append(
-        f"q = eng.allocate_qureg({circuit.num_qubits})"
-    )
-    lines.extend(statements)
-    lines.append("eng.flush()")
-    return "\n".join(lines) + "\n"
-
-
 class ProjectQEmitter:
     """The ``projectq`` registry backend (eDSL replay script)."""
 
@@ -104,7 +75,31 @@ class ProjectQEmitter:
             raise EmitterError(
                 f"projectq emitter takes no options, got {sorted(opts)}"
             )
-        return to_projectq(circuit)
+        statements = [
+            _gate_to_projectq(gate)
+            for gate in circuit.gates
+            if gate.name != "barrier"
+        ]
+        ops = sorted(
+            {s.split(" ", 1)[0].partition("(")[0] for s in statements}
+            | {"MainEngine"}
+        )
+        lines = [
+            f'"""ProjectQ replay of circuit {circuit.name!r} '
+            '(generated by repro.compile)."""',
+            "",
+            "from repro.frameworks.projectq import (",
+        ]
+        lines.extend(f"    {op}," for op in ops)
+        lines.append(")")
+        lines.append("")
+        lines.append("eng = MainEngine()")
+        lines.append(
+            f"q = eng.allocate_qureg({circuit.num_qubits})"
+        )
+        lines.extend(statements)
+        lines.append("eng.flush()")
+        return "\n".join(lines) + "\n"
 
 
 #: The backend instance listed in :mod:`repro.emit.registry`.

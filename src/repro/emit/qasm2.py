@@ -72,29 +72,6 @@ class QasmError(EmitterError):
     """Raised on malformed OpenQASM input or unexportable gates."""
 
 
-def to_qasm(circuit: "QuantumCircuit") -> str:
-    """Serialize a circuit as OpenQASM 2.0 text."""
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{max(circuit.num_qubits, 1)}];",
-    ]
-    if circuit.num_clbits:
-        lines.append(f"creg c[{circuit.num_clbits}];")
-    # a params- and cbit-free line depends on the shape alone (1 == 1.0)
-    rendered = {}
-    for gate in circuit.gates:
-        if gate.params or gate.cbits:
-            lines.append(_gate_to_qasm(gate))
-            continue
-        key = (gate.name, gate.controls, gate.targets)
-        line = rendered.get(key)
-        if line is None:
-            line = rendered[key] = _gate_to_qasm(gate)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
 def _gate_to_qasm(gate: Gate) -> str:
     """Render one core gate as an OpenQASM 2.0 statement."""
     if gate.name == "measure":
@@ -248,61 +225,6 @@ def _wire_lookup(registers, kind):
     return resolve
 
 
-def from_qasm(text: str) -> "QuantumCircuit":
-    """Parse OpenQASM 2.0 text (the subset emitted by :func:`to_qasm`).
-
-    Externally produced files are welcome too: named and multiple
-    ``qreg``/``creg`` declarations flatten onto one register in
-    declaration order, and operands referencing undeclared registers
-    raise :class:`QasmError` instead of being dropped.  Any statement
-    that does not read — an unsupported gate, the wrong operand or
-    parameter count, a register broadcast, an index outside its
-    register — raises :class:`QasmError` naming the 1-based line number
-    and its text.
-    """
-    from ..core.circuit import QuantumCircuit
-
-    qregs = {}
-    cregs = {}
-    num_qubits = 0
-    num_clbits = 0
-    body: List[Tuple[int, str]] = []
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("//")[0].strip()
-        if not line:
-            continue
-        if line.startswith("OPENQASM"):
-            if not re.match(r"^OPENQASM\s+2(\.\d+)?\s*;", line):
-                raise QasmError(
-                    f"line {number}: OpenQASM 3 import is not supported; "
-                    f"only the OpenQASM 2.0 subset parses: {line!r}"
-                )
-            continue
-        if line.startswith("include"):
-            continue
-        match = re.match(r"^qreg\s+(\w+)\[(\d+)\];$", line)
-        if match:
-            qregs[match.group(1)] = (num_qubits, int(match.group(2)))
-            num_qubits += int(match.group(2))
-            continue
-        match = re.match(r"^creg\s+(\w+)\[(\d+)\];$", line)
-        if match:
-            cregs[match.group(1)] = (num_clbits, int(match.group(2)))
-            num_clbits += int(match.group(2))
-            continue
-        body.append((number, line))
-
-    qubit_of = _wire_lookup(qregs, "quantum")
-    clbit_of = _wire_lookup(cregs, "classical")
-    circuit = QuantumCircuit(num_qubits, num_clbits)
-    for number, line in body:
-        try:
-            _read_statement(circuit, line, qubit_of, clbit_of)
-        except ValueError as exc:  # QasmError, or a gate the IR refuses
-            raise QasmError(f"line {number}: {exc}: {line!r}") from exc
-    return circuit
-
-
 def _read_statement(circuit, line, qubit_of, clbit_of) -> None:
     """Append the gate or measurement of one body statement."""
     match = _MEASURE_RE.match(line)
@@ -359,11 +281,79 @@ class Qasm2Emitter:
             raise QasmError(
                 f"qasm2 emitter takes no options, got {sorted(opts)}"
             )
-        return to_qasm(circuit)
+        lines = [
+            "OPENQASM 2.0;",
+            'include "qelib1.inc";',
+            f"qreg q[{max(circuit.num_qubits, 1)}];",
+        ]
+        if circuit.num_clbits:
+            lines.append(f"creg c[{circuit.num_clbits}];")
+        # a params- and cbit-free line depends on the shape alone (1 == 1.0)
+        rendered = {}
+        for gate in circuit.gates:
+            if gate.params or gate.cbits:
+                lines.append(_gate_to_qasm(gate))
+                continue
+            key = (gate.name, gate.controls, gate.targets)
+            line = rendered.get(key)
+            if line is None:
+                line = rendered[key] = _gate_to_qasm(gate)
+            lines.append(line)
+        return "\n".join(lines) + "\n"
 
     def parse(self, text: str) -> "QuantumCircuit":
-        """Import OpenQASM 2.0 text back into a circuit."""
-        return from_qasm(text)
+        """Parse OpenQASM 2.0 text (the subset :meth:`emit` writes).
+
+        Externally produced files are welcome too: named and multiple
+        ``qreg``/``creg`` declarations flatten onto one register in
+        declaration order, and operands referencing undeclared registers
+        raise :class:`QasmError` instead of being dropped.  Any statement
+        that does not read — an unsupported gate, the wrong operand or
+        parameter count, a register broadcast, an index outside its
+        register — raises :class:`QasmError` naming the 1-based line number
+        and its text.
+        """
+        from ..core.circuit import QuantumCircuit
+
+        qregs = {}
+        cregs = {}
+        num_qubits = 0
+        num_clbits = 0
+        body: List[Tuple[int, str]] = []
+        for number, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("//")[0].strip()
+            if not line:
+                continue
+            if line.startswith("OPENQASM"):
+                if not re.match(r"^OPENQASM\s+2(\.\d+)?\s*;", line):
+                    raise QasmError(
+                        f"line {number}: OpenQASM 3 import is not supported; "
+                        f"only the OpenQASM 2.0 subset parses: {line!r}"
+                    )
+                continue
+            if line.startswith("include"):
+                continue
+            match = re.match(r"^qreg\s+(\w+)\[(\d+)\];$", line)
+            if match:
+                qregs[match.group(1)] = (num_qubits, int(match.group(2)))
+                num_qubits += int(match.group(2))
+                continue
+            match = re.match(r"^creg\s+(\w+)\[(\d+)\];$", line)
+            if match:
+                cregs[match.group(1)] = (num_clbits, int(match.group(2)))
+                num_clbits += int(match.group(2))
+                continue
+            body.append((number, line))
+
+        qubit_of = _wire_lookup(qregs, "quantum")
+        clbit_of = _wire_lookup(cregs, "classical")
+        circuit = QuantumCircuit(num_qubits, num_clbits)
+        for number, line in body:
+            try:
+                _read_statement(circuit, line, qubit_of, clbit_of)
+            except ValueError as exc:  # QasmError, or a gate the IR refuses
+                raise QasmError(f"line {number}: {exc}: {line!r}") from exc
+        return circuit
 
 
 #: The backend instance listed in :mod:`repro.emit.registry`.

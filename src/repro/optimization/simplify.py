@@ -21,7 +21,6 @@ Two levels:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.circuit import QuantumCircuit
@@ -213,7 +212,9 @@ def _frontier(
     # the top of every stack it is on: deleting or merging it exposes
     # no gate that a second pass could pair.  One pass is the fixpoint.
     out: List[Optional[Gate]] = []
-    stacks: Dict[int, List[int]] = defaultdict(list)
+    stacks: Dict[int, List[int]] = {}
+    stack_of = stacks.get
+    adjoint = ADJOINT_NAME.get
     fence = -1
     for i, incoming in enumerate(gates):
         name = incoming.name
@@ -229,10 +230,16 @@ def _frontier(
         if qubits:
             top = -1
             for q in qubits:
-                stack = stacks[q]
+                stack = stack_of(q)
                 if stack and stack[-1] > top:
                     top = stack[-1]
-            candidates: Sequence[int] = (top,) if top > fence else ()
+            # both predicates need equal or adjoint names, so most
+            # gates have no candidate at all
+            candidates: Sequence[int] = ()
+            if top > fence:
+                partner = out[top].name
+                if partner == name or adjoint(partner) == name:
+                    candidates = (top,)
         else:
             # a gate on no qubits slides past every gate: each earlier
             # qubit-less gate after the fence is a candidate, latest first
@@ -242,8 +249,8 @@ def _frontier(
             ]
         for j in candidates:
             other = out[j]
-            # both predicates need equal or adjoint names (most fail here)
-            if other.name != name and ADJOINT_NAME.get(other.name) != name:
+            # a candidate on qubits passed this test above
+            if other.name != name and adjoint(other.name) != name:
                 continue
             if _inverse_pair(other, incoming):
                 merged = None
@@ -261,8 +268,13 @@ def _frontier(
                 members[j].append(i)
             break
         else:
+            slot = len(out)
             for q in qubits:
-                stacks[q].append(len(out))
+                stack = stack_of(q)
+                if stack is None:
+                    stacks[q] = [slot]
+                else:
+                    stack.append(slot)
             out.append(incoming)
             if members is not None:
                 members.append([i])

@@ -264,7 +264,7 @@ class EquivalenceChecker:
             )
         support = tiers.gate_support(rest_before + rest_after)
         if 0 < len(support) <= MAX_DENSE_QUBITS and len(support) < n:
-            failure = self._dense_failure(
+            failure = _dense_failure(
                 tiers.compact_circuit(rest_before, support),
                 tiers.compact_circuit(rest_after, support),
             )
@@ -275,7 +275,7 @@ class EquivalenceChecker:
                 detail=f"rewritten region on {len(support)} qubits",
             )
         if n <= MAX_DENSE_QUBITS:
-            failure = self._dense_failure(before, after)
+            failure = _dense_failure(before, after)
             if failure is not None:
                 return Verdict.reject("dense", failure)
             return Verdict.accept("dense")
@@ -332,7 +332,7 @@ class EquivalenceChecker:
         # one more wire than the limit for the widening ancilla, but
         # never past what circuit_unitary builds
         if w <= min(MAX_DENSE_QUBITS + 1, MAX_UNITARY_QUBITS):
-            failure = self._dense_extended_failure(before, after)
+            failure = _dense_extended_failure(before, after)
             if failure is not None:
                 return Verdict.reject("dense", failure)
             return Verdict.accept("dense")
@@ -412,7 +412,7 @@ class EquivalenceChecker:
                 "exhaustive-table limit",
             )
         if w <= min(MAX_DENSE_QUBITS + 1, MAX_UNITARY_QUBITS):
-            failure = self._dense_mapped_failure(quantum, reversible)
+            failure = _dense_mapped_failure(quantum, reversible)
             if failure is not None:
                 return Verdict.reject("dense", failure)
             return Verdict.accept("dense", checks=1 << n)
@@ -579,7 +579,10 @@ class EquivalenceChecker:
         The blocks must tile ``gates``; each is relabelled onto its
         local wires (:func:`~.tiers.relabel_block`) and checked densely
         against a reference built here from its source gate, once per
-        distinct local block (:func:`_local_block_failure`).  A block
+        distinct local block (:func:`_local_block_failure`); a block
+        that repeats an earlier one of this call object for object, for
+        a source with the same own wires and content, is not relabelled
+        again.  A block
         may touch its source gate's wires and ancilla wires at or above
         ``num_data``; the ancillae must start and end at ``|0>``, so
         they are clean between blocks by induction.  A one-gate block
@@ -601,6 +604,10 @@ class EquivalenceChecker:
             return None
         mapped = obligation == "mapped"
         keys = set()
+        # blocks already settled in this call, by own wires, source
+        # content and gate objects: every gate of ``gates`` stays alive
+        # for the call, so equal ids are the same immutable gates
+        seen = set()
         widest = 0
         start = 0
         for source, length in zip(sources, blocks):
@@ -608,12 +615,17 @@ class EquivalenceChecker:
             start += length
             if mapped:
                 own = source.controls + (source.target,)
-            elif length == 1 and block[0] == source:
+                content = source.polarity
+            elif length == 1 and (block[0] is source or block[0] == source):
                 continue
-            elif not source.is_unitary:
+            elif source.name in NON_UNITARY:
                 return None
             else:
                 own = source.qubits
+                content = (source.name, source.params, len(source.controls))
+            settled = (own, content, tuple(map(id, block)))
+            if settled in seen:
+                continue
             if any(wire >= num_data for wire in own):
                 return None
             relabelled = tiers.relabel_block(block, own, num_data)
@@ -624,13 +636,14 @@ class EquivalenceChecker:
             if width > MAX_DENSE_QUBITS:
                 return None
             if mapped:
-                reference = source.polarity
+                reference = content
             else:
                 reference = tiers.relabel_block((source,), own, num_data)[0][0]
             key = (local, reference, clean, obligation)
             if _local_block_failure(*key) is not None:
                 return None
             keys.add(key)
+            seen.add(settled)
             widest = max(widest, width)
         if not keys:
             return Verdict.accept(
@@ -694,50 +707,6 @@ class EquivalenceChecker:
             detail=f"rewrite: {len(blocks)} groups, {len(keys)} distinct",
         )
 
-    # ------------------------------------------------------------------
-    # dense primitives
-    # ------------------------------------------------------------------
-    def _dense_failure(
-        self, before: QuantumCircuit, after: QuantumCircuit
-    ) -> Optional[str]:
-        """Compare two equal-width circuits' dense unitaries."""
-        from ..core.unitary import circuit_unitary
-
-        u_before = circuit_unitary(before)
-        u_after = circuit_unitary(after)
-        return _phase_compare_failure(u_before, u_after)
-
-    def _dense_extended_failure(
-        self, before: QuantumCircuit, after: QuantumCircuit
-    ) -> Optional[str]:
-        """Dense block check of an ancilla-widened lowering."""
-        from ..core.unitary import circuit_unitary
-
-        u_before = circuit_unitary(before)
-        u_after = circuit_unitary(after)
-        dim = 1 << before.num_qubits
-        if np.abs(u_after[dim:, :dim]).max(initial=0.0) > ATOL:
-            return "lowered circuit leaks into the ancilla subspace"
-        return _phase_compare_failure(u_before, u_after[:dim, :dim])
-
-    def _dense_mapped_failure(
-        self, quantum: QuantumCircuit, reversible: ReversibleCircuit
-    ) -> Optional[str]:
-        """Dense per-column check of a mapped circuit."""
-        from ..core.unitary import circuit_unitary
-
-        unitary = circuit_unitary(quantum)
-        for x in range(1 << reversible.num_lines):
-            column = unitary[:, x]
-            index = int(np.argmax(np.abs(column)))
-            if (
-                abs(abs(column[index]) - 1.0) > ATOL
-                or np.abs(column).sum() - abs(column[index]) > ATOL
-                or index != reversible.apply(x)
-            ):
-                return f"mismatch at input {x}"
-        return None
-
 
 def _column_verdict(
     n: int, actual: Sequence[int], expected: Sequence[int], failure: str
@@ -768,6 +737,50 @@ def _phase_compare_failure(u_before, u_after) -> Optional[str]:
     return None
 
 
+def _dense_failure(
+    before: QuantumCircuit, after: QuantumCircuit
+) -> Optional[str]:
+    """Compare two equal-width circuits' dense unitaries."""
+    from ..core.unitary import circuit_unitary
+
+    return _phase_compare_failure(
+        circuit_unitary(before), circuit_unitary(after)
+    )
+
+
+def _dense_extended_failure(
+    before: QuantumCircuit, after: QuantumCircuit
+) -> Optional[str]:
+    """Dense block check of an ancilla-widened lowering."""
+    from ..core.unitary import circuit_unitary
+
+    u_before = circuit_unitary(before)
+    u_after = circuit_unitary(after)
+    dim = 1 << before.num_qubits
+    if np.abs(u_after[dim:, :dim]).max(initial=0.0) > ATOL:
+        return "lowered circuit leaks into the ancilla subspace"
+    return _phase_compare_failure(u_before, u_after[:dim, :dim])
+
+
+def _dense_mapped_failure(
+    quantum: QuantumCircuit, reversible: ReversibleCircuit
+) -> Optional[str]:
+    """Dense per-column check of a mapped circuit."""
+    from ..core.unitary import circuit_unitary
+
+    unitary = circuit_unitary(quantum)
+    for x in range(1 << reversible.num_lines):
+        column = unitary[:, x]
+        index = int(np.argmax(np.abs(column)))
+        if (
+            abs(abs(column[index]) - 1.0) > ATOL
+            or np.abs(column).sum() - abs(column[index]) > ATOL
+            or index != reversible.apply(x)
+        ):
+            return f"mismatch at input {x}"
+    return None
+
+
 @lru_cache(maxsize=_BLOCK_MEMO_SIZE)
 def _local_block_failure(
     local: Tuple[tiers.LocalGate, ...],
@@ -788,17 +801,16 @@ def _local_block_failure(
     """
     if any(name in NON_UNITARY for name, _, _, _ in local):
         return "block holds a non-unitary gate"
-    checker = EquivalenceChecker()
     if obligation == "mapped":
         k = len(reference)
         data = k + 1
         cascade = ReversibleCircuit(data)
         cascade.append(MctGate(k, tuple(range(k)), reference))
-        return checker._dense_mapped_failure(
+        return _dense_mapped_failure(
             tiers.local_circuit(local, data + clean), cascade
         )
     data = len(reference[1])
-    return checker._dense_extended_failure(
+    return _dense_extended_failure(
         tiers.local_circuit((reference,), data),
         tiers.local_circuit(local, data + clean),
     )

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.circuit import QuantumCircuit
-from ..core.gates import Gate
+from ..core.gates import NON_UNITARY, Gate
 from ..simulator.stabilizer import StabilizerError, StabilizerState
 from ..simulator.statevector import Statevector
 from ..synthesis.reversible import MctGate, ReversibleCircuit
@@ -86,15 +86,19 @@ def strip_common_gates(
     Returns:
         ``(before_rest, after_rest)`` — the unmatched middles.
     """
+    # a pass keeps most gates as the same objects: identity first
     lo = 0
     hi = min(len(before), len(after))
-    while lo < hi and before[lo] == after[lo]:
+    while lo < hi and (
+        before[lo] is after[lo] or before[lo] == after[lo]
+    ):
         lo += 1
     tail = 0
-    while (
-        tail < hi - lo
-        and before[len(before) - 1 - tail] == after[len(after) - 1 - tail]
-    ):
+    last_before, last_after = len(before) - 1, len(after) - 1
+    while tail < hi - lo:
+        ours, theirs = before[last_before - tail], after[last_after - tail]
+        if ours is not theirs and ours != theirs:
+            break
         tail += 1
     return (
         list(before[lo:len(before) - tail]),
@@ -250,13 +254,11 @@ def rewrite_groups(
     """
     count = len(before)
     group_of: List[Optional[int]] = [None] * count
-    fences = [0]
-    for gate in before:
-        fences.append(fences[-1] + (gate.name in FENCE_GATES))
     for g, (members, slot) in enumerate(groups):
         if not members or (slot is not None and type(slot) is not int):
             return None
         previous = -1
+        qubits = None
         for i in members:
             if type(i) is not int or not previous < i < count:
                 return None
@@ -264,61 +266,88 @@ def rewrite_groups(
                 return None
             group_of[i] = g
             previous = i
-        first, last = members[0], members[-1]
-        qubits = before[first].qubits
-        if not qubits or fences[last] != fences[first + 1]:
-            return None
-        for i in members:
             gate = before[i]
-            if gate.qubits != qubits or gate.cbits or not gate.is_unitary:
+            if qubits is None:
+                qubits = gate.qubits
+                if not qubits:
+                    return None
+            if (
+                gate.qubits != qubits or gate.cbits
+                or gate.name in NON_UNITARY
+            ):
                 return None
-    # one walk checks the nesting (on each wire the open groups form a
-    # stack) and the output (kept gates in order, a fused gate at its
-    # group's first slot)
-    stacks: Dict[int, List[int]] = {}
+    # one walk checks the fences, the nesting (on each wire the open
+    # groups form a stack; a wire leaves ``open_on`` when its stack
+    # empties) and the output (kept gates in order, a fused gate at its
+    # group's first slot).  Kept gates are almost always the input's
+    # own objects, so identity is tested before ``==``.
+    open_on: Dict[int, List[int]] = {}
     blocks = []
     position = 0
+    size = len(after)
     for i, gate in enumerate(before):
         g = group_of[i]
         if g is None:
             if gate.name == "id":
                 continue
-            for q in gate.qubits:
-                if stacks.get(q):
+            if open_on:
+                # a fence inside any open group, or a kept gate on the
+                # wires of an open group
+                if gate.name in FENCE_GATES:
                     return None
-            if position >= len(after) or after[position] != gate:
+                for q in gate.qubits:
+                    if q in open_on:
+                        return None
+            if position >= size:
+                return None
+            kept = after[position]
+            if kept is not gate and kept != gate:
                 return None
             position += 1
             continue
         members, slot = groups[g]
-        first = i == members[0]
-        for q in gate.qubits:
-            stack = stacks.setdefault(q, [])
-            if first:
-                if stack and slot is not None:
+        qubits = gate.qubits
+        last = i == members[-1]
+        if i != members[0]:
+            for q in qubits:
+                stack = open_on.get(q)
+                if stack is None or stack[-1] != g:
                     return None
-                stack.append(g)
-            elif not stack or stack[-1] != g:
-                return None
-            if i == members[-1]:
-                stack.pop()
-        if not first:
+            if last:
+                for q in qubits:
+                    stack = open_on[q]
+                    if len(stack) == 1:
+                        del open_on[q]
+                    else:
+                        stack.pop()
             continue
+        # only a group fused into nothing may open inside another gap
+        if slot is not None:
+            for q in qubits:
+                if q in open_on:
+                    return None
+        if not last:
+            for q in qubits:
+                stack = open_on.get(q)
+                if stack is None:
+                    open_on[q] = [g]
+                else:
+                    stack.append(g)
         if slot is None:
-            reference = Gate("id", gate.qubits)
+            reference = Gate("id", qubits)
         else:
-            if slot != position or position >= len(after):
+            if slot != position or position >= size:
                 return None
             reference = after[position]
             if (
-                reference.qubits != gate.qubits
+                reference.qubits != qubits
                 or reference.cbits
-                or not reference.is_unitary
+                or reference.name in NON_UNITARY
             ):
                 return None
             position += 1
-        blocks.append((tuple(before[m] for m in members), reference))
-    if position != len(after):
+        blocks.append((tuple([before[m] for m in members]), reference))
+    if position != size:
         return None
     return blocks
 

@@ -153,9 +153,9 @@ class TestCompilationResult:
         assert "target=qsharp" in result.summary()
 
     def test_to_qasm_round_trips(self, result):
-        from repro.emit.qasm2 import from_qasm
+        from repro import emit
 
-        parsed = from_qasm(result.emit("qasm2"))
+        parsed = emit.parse(result.emit("qasm2"), "qasm2")
         assert parsed.gates == result.circuit.gates
         # lazy: the second call returns the cached text
         assert result.emit("qasm2") is result.emit("qasm2")

@@ -1,6 +1,6 @@
-"""``to_qasm``'s per-call line memo against rendering every gate anew.
+"""The ``qasm2`` emitter's per-call line memo against rendering every gate anew.
 
-Inside one call, :func:`repro.emit.qasm2.to_qasm` renders each
+Inside one call, :meth:`repro.emit.qasm2.Qasm2Emitter.emit` renders each
 parameter-free, cbit-free gate shape once and reuses the line.  The
 text must be byte for byte what rendering every gate on its own gives
 (``tests/_qasm_reference.py``): with measures, barriers, resets,
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import _qasm_reference as reference
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
-from repro.emit.qasm2 import to_qasm
+from repro import emit
 
 FIXED = ("h", "x", "z", "s", "sdg", "t", "tdg", "cx", "cz", "swap", "ccz",
          "ccx", "barrier", "reset")
@@ -57,14 +57,14 @@ def circuits(draw):
 
 @given(circuits())
 def test_memoized_lines_match_per_gate_rendering(circuit):
-    assert to_qasm(circuit) == reference.to_qasm(circuit)
+    assert emit.emit(circuit, "qasm2") == reference.to_qasm(circuit)
 
 
 def test_equal_parameters_keep_their_own_spelling():
     circuit = QuantumCircuit(1)
     for angle in (1, 1.0, 1, 1.0):
         circuit.append(Gate("rz", (0,), params=(angle,)))
-    lines = to_qasm(circuit).splitlines()[3:]
+    lines = emit.emit(circuit, "qasm2").splitlines()[3:]
     assert lines == ["rz(1) q[0];", "rz(1.0) q[0];"] * 2
 
 
@@ -72,6 +72,6 @@ def test_repeated_shapes_render_once_per_call():
     circuit = QuantumCircuit(3, 1)
     for _ in range(3):
         circuit.h(0).cx(0, 1).ccz(0, 1, 2).measure(2, 0)
-    text = to_qasm(circuit)
+    text = emit.emit(circuit, "qasm2")
     assert text == reference.to_qasm(circuit)
     assert text.count("ccx q[0], q[1], q[2];") == 3

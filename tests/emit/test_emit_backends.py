@@ -19,14 +19,13 @@ def clifford_t_circuit():
 
 class TestQasm2ExternalFiles:
     def test_named_register_imports(self):
-        from repro.emit.qasm2 import from_qasm
-
-        circ = from_qasm(
+        circ = emit.parse(
             "OPENQASM 2.0;\n"
             'include "qelib1.inc";\n'
             "qreg r[2];\n"
             "cx r[0], r[1];\n"
-            "x r[1];\n"
+            "x r[1];\n",
+            "qasm2",
         )
         assert circ.num_qubits == 2
         assert circ.gates[0].controls == (0,)
@@ -34,15 +33,14 @@ class TestQasm2ExternalFiles:
         assert circ.gates[1].targets == (1,)
 
     def test_multiple_registers_flatten_in_order(self):
-        from repro.emit.qasm2 import from_qasm
-
-        circ = from_qasm(
+        circ = emit.parse(
             "OPENQASM 2.0;\n"
             "qreg a[2];\n"
             "qreg b[2];\n"
             "creg m[1];\n"
             "cx a[1], b[0];\n"
-            "measure b[1] -> m[0];\n"
+            "measure b[1] -> m[0];\n",
+            "qasm2",
         )
         assert circ.num_qubits == 4 and circ.num_clbits == 1
         assert circ.gates[0].controls == (1,)
@@ -51,19 +49,19 @@ class TestQasm2ExternalFiles:
         assert circ.gates[1].cbits == (0,)
 
     def test_undeclared_register_raises(self):
-        from repro.emit.qasm2 import QasmError, from_qasm
+        from repro.emit.qasm2 import QasmError
 
         with pytest.raises(QasmError, match="unknown quantum register"):
-            from_qasm("OPENQASM 2.0;\nqreg q[2];\nx r[0];\n")
+            emit.parse("OPENQASM 2.0;\nqreg q[2];\nx r[0];\n", "qasm2")
 
     def test_out_of_range_index_raises(self):
-        from repro.emit.qasm2 import QasmError, from_qasm
+        from repro.emit.qasm2 import QasmError
 
         with pytest.raises(QasmError, match="outside the register"):
-            from_qasm("OPENQASM 2.0;\nqreg q[2];\nx q[2];\n")
+            emit.parse("OPENQASM 2.0;\nqreg q[2];\nx q[2];\n", "qasm2")
 
     def test_openqasm3_header_rejected_by_the_parser_itself(self):
-        # the version hint comes from from_qasm, so every entry point
+        # the version hint comes from the qasm2 parser, so every entry point
         # (registry parse, CLI, frontends) reports the same message
         from repro.emit.qasm2 import QasmError
 

@@ -17,7 +17,8 @@ import struct
 import pytest
 
 import _qasm_reference as reference
-from repro.emit.qasm2 import QasmError, _format_angle, _parse_angle, from_qasm
+from repro import emit
+from repro.emit.qasm2 import QasmError, _format_angle, _parse_angle
 
 #: the exporter's denominators, and some it never writes
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 12, 16, 32)
@@ -60,7 +61,7 @@ def test_exported_angles_read_back_as_python_arithmetic():
     expected = [bits(reference.eval_angle(text)) for text in texts]
     assert [bits(_parse_angle(text)) for text in texts] == expected
     lines = "".join(f"rz({text}) q[0];\n" for text in texts)
-    read = from_qasm("OPENQASM 2.0;\nqreg q[1];\n" + lines)
+    read = emit.parse("OPENQASM 2.0;\nqreg q[1];\n" + lines, "qasm2")
     assert [bits(gate.params[0]) for gate in read.gates] == expected
 
 
@@ -110,4 +111,4 @@ def test_powers_are_refused_naming_the_line(angle):
         f"rz({angle}) q[0];\n"
     )
     with pytest.raises(QasmError, match=r"line 4: .*rz\(" + re.escape(angle)):
-        from_qasm(text)
+        emit.parse(text, "qasm2")

@@ -887,6 +887,11 @@ OUTPUT_JOB_TWINS = {
         "_FRAME_RE", "_STMT_RE", "_INDEX_RE", "_ARITY",
     ],
     "repro.verify": ["DEFAULT_MAX_DENSE_QUBITS"],
+    "repro.emit.qasm2": ["to_qasm", "from_qasm"],
+    "repro.emit.projectq": ["to_projectq"],
+    "repro.verify.checker.EquivalenceChecker": [
+        "_dense_failure", "_dense_extended_failure", "_dense_mapped_failure",
+    ],
 }
 
 

@@ -478,6 +478,107 @@ class TestInBlockMutants:
 
 
 # ----------------------------------------------------------------------
+# the per-call relabel memo
+# ----------------------------------------------------------------------
+def _reused_block(first, second):
+    """``first``'s lowering, its gate objects placed twice, for the
+    cascade ``first; second`` with one length per cascade gate."""
+    source = ReversibleCircuit(3)
+    source.append(first)
+    block = list(map_to_clifford_t(source).gates)
+    mapped = QuantumCircuit(3)
+    mapped.gates = block + block
+    reversible = ReversibleCircuit(3)
+    reversible.extend([first, second])
+    return mapped, reversible, [len(block), len(block)]
+
+
+class TestRelabelMemo:
+    """Blocks are relabelled once per call, keyed by own wires, source
+    content and gate objects; the key must keep every source checked."""
+
+    @pytest.mark.parametrize("second, status, distinct", [
+        (MctGate(2, (0, 1)), "passed", 1),                 # the same gate
+        (MctGate(2, (1, 0)), "passed", 2),                 # controls swapped
+        (MctGate(2, (0, 1), (True, False)), "failed", 0),  # other polarity
+        (MctGate(0, (1, 2)), "failed", 0),                 # other wires
+    ], ids=["same", "control-order", "polarity", "wires"])
+    def test_a_reused_block_is_checked_for_each_source(
+        self, second, status, distinct
+    ):
+        mapped, reversible, lengths = _reused_block(MctGate(2, (0, 1)), second)
+        verdict = CHECKER.check_mapped_circuit(
+            mapped, reversible, blocks=lengths
+        )
+        assert (verdict.status, verdict.tier) == (status, "dense")
+        if status == "failed":
+            # the forged reuse falls through, and the dense tier rejects
+            assert not BLOCK_DETAIL.match(verdict.detail or "")
+        else:
+            # the same Toffoli on other own wires is another local block
+            assert verdict.detail.startswith(
+                f"2 blocks, {distinct} distinct, "
+            )
+
+    def test_a_circuit_source_is_checked_for_each_gate_content(self):
+        # the lowered ccx placed for a ccx and then for a ccz on the
+        # same wires: the second block must be checked for the ccz
+        source = QuantumCircuit(3).ccx(0, 1, 2)
+        block = list(map_to_clifford_t(source).gates)
+        assert len(block) > 1
+        wrong = QuantumCircuit(3).ccx(0, 1, 2)
+        wrong.append(Gate("ccz", (2,), (0, 1)))
+        lowered = QuantumCircuit(3)
+        lowered.gates = block + block
+        verdict = CHECKER.check_extended_unitary(
+            wrong, lowered, blocks=[len(block), len(block)]
+        )
+        assert (verdict.status, verdict.tier) == ("failed", "dense")
+        right = QuantumCircuit(3).ccx(0, 1, 2).ccx(0, 1, 2)
+        verdict = CHECKER.check_extended_unitary(
+            right, lowered, blocks=[len(block), len(block)]
+        )
+        assert (verdict.status, verdict.tier) == ("passed", "dense")
+        assert verdict.detail.startswith("2 blocks, 1 distinct, ")
+
+    def test_repeated_blocks_leave_the_detail_unchanged(self, monkeypatch):
+        # equal copies of every gate defeat the memo; the verdict must
+        # be the same, with more blocks relabelled
+        relabel = tiers.relabel_block
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return relabel(*args)
+
+        monkeypatch.setattr(tiers, "relabel_block", counting)
+        shared = copied = 0
+        for spec in fig10_pool(rounds=2):
+            reversible = cascade(spec)
+            mapped, lengths = map_with_block_lengths(reversible)
+            copies = QuantumCircuit(mapped.num_qubits)
+            copies.gates = [
+                Gate(g.name, g.targets, g.controls, g.params, g.cbits)
+                for g in mapped.gates
+            ]
+            calls.clear()
+            ours = CHECKER.check_mapped_circuit(
+                mapped, reversible, blocks=lengths
+            )
+            shared += len(calls)
+            calls.clear()
+            theirs = CHECKER.check_mapped_circuit(
+                copies, reversible, blocks=lengths
+            )
+            copied += len(calls)
+            assert BLOCK_DETAIL.match(ours.detail), ours.detail
+            assert (ours.status, ours.tier, ours.detail, ours.checks) == (
+                theirs.status, theirs.tier, theirs.detail, theirs.checks
+            )
+        assert shared < copied  # the pool does repeat blocks
+
+
+# ----------------------------------------------------------------------
 # short multi-controlled gates, measurements, wide registers
 # ----------------------------------------------------------------------
 def _short_gates():
