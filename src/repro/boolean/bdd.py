@@ -56,12 +56,6 @@ class Bdd:
             self._unique[key] = node_id
         return node_id
 
-    def variable(self, var: int) -> int:
-        """The function f = x_var."""
-        if not 0 <= var < self.num_vars:
-            raise ValueError("variable out of range")
-        return self.make_node(var, ZERO, ONE)
-
     def is_terminal(self, node: int) -> bool:
         return node in (ZERO, ONE)
 

@@ -238,9 +238,6 @@ class LutNetwork:
     luts: List[Lut]
     outputs: List[Tuple[int, bool]]  # (node, complemented) per output
 
-    def num_luts(self) -> int:
-        return len(self.luts)
-
     def simulate(self) -> List[TruthTable]:
         """Verify the mapping by re-simulating over primary inputs."""
         n = self.num_inputs

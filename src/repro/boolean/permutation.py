@@ -110,9 +110,5 @@ class BitPermutation:
             out.append(cycle)
         return out
 
-    def parity(self) -> int:
-        """0 for even permutations, 1 for odd."""
-        return sum(len(c) - 1 for c in self.cycles()) % 2
-
     def __repr__(self) -> str:
         return f"BitPermutation({self.image})"

@@ -138,14 +138,6 @@ class TruthTable:
     def count_ones(self) -> int:
         return bin(self.bits).count("1")
 
-    def support(self) -> List[int]:
-        """Variables the function actually depends on."""
-        return [
-            var
-            for var in range(self.num_vars)
-            if self.cofactor(var, 0) != self.cofactor(var, 1)
-        ]
-
     def values(self) -> List[int]:
         return [(self.bits >> x) & 1 for x in range(self.size)]
 
@@ -184,16 +176,6 @@ class TruthTable:
 
     def __hash__(self) -> int:
         return hash((self.num_vars, self.bits))
-
-    def cofactor(self, var: int, value: int) -> "TruthTable":
-        """Shannon cofactor: fix ``x_var = value``; same variable count
-        (the fixed variable becomes don't-care)."""
-        bits = 0
-        for x in range(self.size):
-            fixed = (x & ~(1 << var)) | (value << var)
-            if self(fixed):
-                bits |= 1 << x
-        return TruthTable(self.num_vars, bits)
 
     def shift(self, s: int) -> "TruthTable":
         """Input shift: g(x) = f(x ^ s) — the paper's ``f(x + s)``."""

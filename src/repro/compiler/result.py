@@ -190,7 +190,6 @@ class CompilationResult(RecordedRun):
         shots: int = 1024,
         noise: Union[NoiseModel, str, None] = None,
         seed: Optional[int] = None,
-        **opts,
     ) -> "SimulationResult":
         """Run the compiled circuit on a simulation engine.
 
@@ -213,7 +212,6 @@ class CompilationResult(RecordedRun):
                 preset name (``"qe5"``), a ``"p1=0.001"`` rate list,
                 or ``None`` for the target default.
             seed: RNG seed for reproducible sampling.
-            **opts: backend-specific options.
 
         Returns:
             The run's
@@ -242,6 +240,4 @@ class CompilationResult(RecordedRun):
         if not circuit.has_measurements():
             circuit = circuit.copy()
             circuit.measure_all()
-        return backend.run(
-            circuit, shots=shots, noise=model, seed=seed, **opts
-        )
+        return backend.run(circuit, shots=shots, noise=model, seed=seed)

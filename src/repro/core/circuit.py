@@ -188,9 +188,6 @@ class QuantumCircuit(Freezable):
         return self
 
     # single-qubit fixed gates ----------------------------------------
-    def i(self, qubit: int) -> "QuantumCircuit":
-        return self._add("id", (qubit,))
-
     def h(self, qubit: int) -> "QuantumCircuit":
         return self._add("h", (qubit,))
 
@@ -339,15 +336,6 @@ class QuantumCircuit(Freezable):
             out.append(gate.dagger())
         return out
 
-    def power(self, exponent: int) -> "QuantumCircuit":
-        """Return the circuit repeated ``exponent`` times (negative for
-        powers of the adjoint)."""
-        base = self if exponent >= 0 else self.dagger()
-        out = QuantumCircuit(self.num_qubits, self.num_clbits, self.name)
-        for _ in range(abs(exponent)):
-            out.compose(base)
-        return out
-
     def remap(self, mapping: Mapping[int, int]) -> "QuantumCircuit":
         """Return a copy acting on relabelled qubits.
 
@@ -358,52 +346,6 @@ class QuantumCircuit(Freezable):
         out = QuantumCircuit(self.num_qubits, self.num_clbits, self.name)
         out._check_wire_map(mapping)
         out.gates = [gate.remap(mapping) for gate in self.gates]
-        return out
-
-    def controlled(self, num_controls: int = 1) -> "QuantumCircuit":
-        """Return a controlled version of the circuit.
-
-        New control wires are prepended (indices ``0..num_controls-1``)
-        and every original gate gains the new controls.  Only works for
-        gates whose controlled form exists in the vocabulary.
-        """
-        promote = {
-            "x": "cx",
-            "cx": "ccx",
-            "ccx": "mcx",
-            "mcx": "mcx",
-            "z": "cz",
-            "cz": "ccz",
-            "ccz": "mcz",
-            "mcz": "mcz",
-            "y": "cy",
-            "h": "ch",
-            "rz": "crz",
-            "p": "cp",
-            "cp": "mcp",
-            "mcp": "mcp",
-            "swap": "cswap",
-        }
-        out = QuantumCircuit(
-            self.num_qubits + num_controls, self.num_clbits, self.name + "_ctl"
-        )
-        new_controls = tuple(range(num_controls))
-        shift = {q: q + num_controls for q in range(self.num_qubits)}
-        for gate in self.gates:
-            shifted = gate.remap(shift)
-            name = gate.name
-            for _ in range(num_controls):
-                if name not in promote:
-                    raise ValueError(f"cannot control gate {gate.name!r}")
-                name = promote[name]
-            out.append(
-                Gate(
-                    name,
-                    shifted.targets,
-                    new_controls + shifted.controls,
-                    shifted.params,
-                )
-            )
         return out
 
     # ------------------------------------------------------------------

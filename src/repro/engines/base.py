@@ -98,7 +98,6 @@ class Engine(Protocol):
         shots: int = 1024,
         noise: Optional["NoiseModel"] = None,
         seed: Optional[int] = None,
-        **opts,
     ) -> "SimulationResult":
         """Execute ``circuit`` and return its measurement statistics.
 
@@ -110,7 +109,6 @@ class Engine(Protocol):
                 :class:`EngineError` for a non-trivial model instead
                 of silently ignoring it.
             seed: RNG seed for reproducible sampling.
-            **opts: backend-specific options.
 
         Returns:
             The run's :class:`~repro.simulator.statevector.SimulationResult`.
@@ -135,22 +133,6 @@ def reject_noise(engine: Engine, noise: Optional["NoiseModel"]) -> None:
         f"engine {engine.name!r} does not support noise models; use "
         "'density_matrix' (exact) or 'monte_carlo' (sampled) instead"
     )
-
-
-def reject_opts(engine: Engine, opts: dict) -> None:
-    """Raise for backend options: no engine takes any.
-
-    Args:
-        engine: the backend the options were passed to.
-        opts: the keyword options to vet.
-
-    Raises:
-        EngineError: naming the first unknown option.
-    """
-    if opts:
-        raise EngineError(
-            f"engine {engine.name!r} got unknown option {next(iter(opts))!r}"
-        )
 
 
 def reject_shots(engine: Engine, shots: object) -> None:

@@ -49,7 +49,6 @@ from ..simulator.statevector import (
 from .base import (
     EngineCapabilities,
     EngineError,
-    reject_opts,
     reject_shots,
     reject_width,
 )
@@ -287,7 +286,6 @@ class DensityMatrixEngine:
         shots: int = 1024,
         noise: Optional[NoiseModel] = None,
         seed: Optional[int] = None,
-        **opts,
     ) -> DensityMatrixResult:
         """Evolve ``rho`` through ``circuit`` and read exact statistics.
 
@@ -300,14 +298,12 @@ class DensityMatrixEngine:
                 damping channels on every touched qubit, and measured
                 bits mix through the readout-assignment matrix.
             seed: RNG seed for the count sampling only.
-            **opts: none are accepted; any option raises.
 
         Returns:
             The run's :class:`DensityMatrixResult`.
         """
         reject_shots(self, shots)
         reject_width(self, circuit)
-        reject_opts(self, opts)
         if not _measurements_terminal(circuit):
             raise EngineError(
                 "density_matrix engine requires terminal measurements; "

@@ -35,7 +35,6 @@ from ..simulator.statevector import SimulationResult, _measured_width
 from .base import (
     EngineCapabilities,
     EngineError,
-    reject_opts,
     reject_shots,
     reject_width,
 )
@@ -67,7 +66,6 @@ class MonteCarloEngine:
         shots: int = 1024,
         noise: Optional[NoiseModel] = None,
         seed: Optional[int] = None,
-        **opts,
     ) -> SimulationResult:
         """Sample ``shots`` noisy trajectories of ``circuit``.
 
@@ -86,14 +84,12 @@ class MonteCarloEngine:
                 the paper's device rates).  Damping rates are exact-
                 tier channels and are rejected here.
             seed: RNG seed for the error/measurement sampling.
-            **opts: none are accepted; any option raises.
 
         Returns:
             The run's :class:`SimulationResult` (counts only).
         """
         reject_shots(self, shots)
         reject_width(self, circuit)
-        reject_opts(self, opts)
         model = noise if noise is not None else NoiseModel.noiseless()
         if not model.trajectory_safe:
             raise EngineError(

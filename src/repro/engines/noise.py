@@ -104,25 +104,6 @@ class NoiseModel:
         """
         return not (self.amplitude_damping or self.phase_damping)
 
-    def scaled(self, factor: float) -> "NoiseModel":
-        """Return a copy with every rate multiplied by ``factor``.
-
-        Args:
-            factor: the scale to apply (rates are clipped to 1.0).
-
-        Returns:
-            The scaled :class:`NoiseModel`.
-        """
-        return NoiseModel(
-            *(
-                min(1.0, rate * factor)
-                for rate in (
-                    self.p1, self.p2, self.p_meas, self.p_multi,
-                    self.amplitude_damping, self.phase_damping,
-                )
-            )
-        )
-
     @classmethod
     def ibm_qe_2018(cls) -> "NoiseModel":
         """Calibration representative of the early-2018 IBM QE chips."""

@@ -47,7 +47,6 @@ def run(
     shots: int = 1024,
     noise: Union[NoiseModel, str, None] = None,
     seed: Optional[int] = None,
-    **opts,
 ) -> "SimulationResult":
     """Execute a circuit on a named engine.
 
@@ -58,7 +57,6 @@ def run(
         noise: a :class:`NoiseModel`, a preset name (``"qe5"``), a
             ``"p1=0.001,p2=0.03"`` rate list, or ``None``.
         seed: RNG seed for reproducible sampling.
-        **opts: backend-specific options.
 
     Returns:
         The run's :class:`~repro.simulator.statevector.SimulationResult`.
@@ -69,5 +67,5 @@ def run(
     """
     backend = get(engine)
     return backend.run(
-        circuit, shots=shots, noise=as_noise_model(noise), seed=seed, **opts
+        circuit, shots=shots, noise=as_noise_model(noise), seed=seed
     )

@@ -18,7 +18,6 @@ from ..simulator.statevector import SimulationResult, _measured_width
 from .base import (
     EngineCapabilities,
     reject_noise,
-    reject_opts,
     reject_shots,
     reject_width,
 )
@@ -45,7 +44,6 @@ class StabilizerEngine:
         shots: int = 1024,
         noise: Optional[NoiseModel] = None,
         seed: Optional[int] = None,
-        **opts,
     ) -> SimulationResult:
         """Run a Clifford circuit ``shots`` times on fresh tableaus.
 
@@ -55,7 +53,6 @@ class StabilizerEngine:
             noise: must be ``None`` or all-zero (this backend is
                 noiseless; the error names the noisy alternatives).
             seed: RNG seed for measurement outcomes.
-            **opts: no backend options are defined; any raises.
 
         Returns:
             The run's :class:`SimulationResult` (counts only).
@@ -66,7 +63,6 @@ class StabilizerEngine:
         reject_shots(self, shots)
         reject_width(self, circuit)
         reject_noise(self, noise)
-        reject_opts(self, opts)
         rng = np.random.default_rng(seed)
         counts: Dict[int, int] = {}
         for _ in range(shots):

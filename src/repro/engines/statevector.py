@@ -31,7 +31,6 @@ from ..simulator.statevector import (
 from .base import (
     EngineCapabilities,
     reject_noise,
-    reject_opts,
     reject_shots,
     reject_width,
 )
@@ -56,7 +55,6 @@ class StatevectorEngine:
         shots: int = 1024,
         noise: Optional[NoiseModel] = None,
         seed: Optional[int] = None,
-        **opts,
     ) -> SimulationResult:
         """Evolve ``circuit`` from |0..0> and sample ``shots`` outcomes.
 
@@ -66,7 +64,6 @@ class StatevectorEngine:
             noise: must be ``None`` or all-zero (this backend is
                 noiseless; the error names the noisy alternatives).
             seed: RNG seed for measurement sampling.
-            **opts: none are supported; any option raises.
 
         Returns:
             The run's :class:`SimulationResult` with the final state
@@ -75,7 +72,6 @@ class StatevectorEngine:
         reject_shots(self, shots)
         reject_width(self, circuit)
         reject_noise(self, noise)
-        reject_opts(self, opts)
         rng = np.random.default_rng(seed)
         state = Statevector(circuit.num_qubits)
         if not circuit.has_measurements():

@@ -207,21 +207,6 @@ class PassRecord:
     details: Dict[str, Any] = field(default_factory=dict)
     verification: Optional[Verdict] = None
 
-    def delta(self, metric: str) -> Optional[int]:
-        """Return ``after - before`` for ``metric`` when both exist.
-
-        Args:
-            metric: a :func:`state_metrics` key, e.g. ``t_count``.
-
-        Returns:
-            The signed change, or ``None`` if the metric is missing
-            on either side.
-        """
-        before, after = self.before.get(metric), self.after.get(metric)
-        if before is None or after is None:
-            return None
-        return after - before
-
     def summary(self) -> str:
         """Return a one-line human-readable delta summary."""
         parts: List[str] = []

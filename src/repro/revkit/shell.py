@@ -448,21 +448,6 @@ class RevKitShell:
             histogram += f", ... ({len(counts)} outcomes)"
         return f"{engines.get(engine).name} ({shots} shots): {histogram}"
 
-    def sim(
-        self,
-        engine: str = "statevector",
-        shots: int = 1024,
-        noise: Optional[str] = None,
-        seed: Optional[int] = None,
-    ) -> str:
-        """Python form of the ``sim_<engine>`` commands."""
-        args = [f"--shots={shots}"]
-        if noise is not None:
-            args.append(f"--noise={noise}")
-        if seed is not None:
-            args.append(f"--seed={seed}")
-        return self._cmd_sim(engine, *args)
-
 
 def _parse_options(args) -> Dict[str, str]:
     """Parse ``--key value`` / ``--key=value`` / ``-c`` style options."""

@@ -664,9 +664,7 @@ def _fuse_blocks(ops: List[CompiledOp]) -> List[CompiledOp]:
     return out
 
 
-def compile_circuit(
-    gates: Iterable[Gate], fuse: bool = True
-) -> List[CompiledOp]:
+def compile_circuit(gates: Iterable[Gate]) -> List[CompiledOp]:
     """Compile a unitary gate sequence into fused kernel ops.
 
     Fusion folds wire-adjacent runs of single-qubit gates into one 2x2
@@ -674,13 +672,8 @@ def compile_circuit(
     consecutive diagonal gates into one local diagonal of at most
     ``DIAG_FUSION_MAX_QUBITS`` qubits, and groups the remaining ops
     into matmul blocks of at most ``BLOCK_QUBITS`` qubits
-    where the measured break-even curve says that wins.  With
-    ``fuse=False`` the gates pass through one-to-one (still
-    kernel-dispatched).
+    where the measured break-even curve says that wins.
     """
-    if not fuse:
-        return [("gate", g) for g in gates if g.name not in ("barrier", "id")]
-
     ops: List[CompiledOp] = []
     pending: dict = {}  # qubit -> accumulated 2x2 matrix
 

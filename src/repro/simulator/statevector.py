@@ -108,11 +108,11 @@ class Statevector:
         if not kernels.apply_gate(self.data, gate, self.num_qubits):
             self.apply_matrix(gate.matrix(), gate.qubits)
 
-    def evolve(self, circuit: QuantumCircuit, fuse: bool = True) -> "Statevector":
+    def evolve(self, circuit: QuantumCircuit) -> "Statevector":
         """Apply all unitary gates of ``circuit`` in place; returns self.
 
-        With ``fuse=True`` (the default) the circuit first runs through
-        the kernel layer's gate-fusion pre-pass.
+        The circuit first runs through the kernel layer's gate-fusion
+        pre-pass.
         """
         if circuit.num_qubits != self.num_qubits:
             raise SimulationError("circuit width does not match state")
@@ -122,7 +122,7 @@ class Statevector:
                     "evolve() only handles unitary circuits; use "
                     "engines.run('statevector', ...) for measurements"
                 )
-        _evolve_gates(self, circuit.gates, fuse)
+        _evolve_gates(self, circuit.gates)
         return self
 
     # ------------------------------------------------------------------
@@ -133,12 +133,6 @@ class Statevector:
 
     def probability_of(self, basis: int) -> float:
         return float(abs(self.data[basis]) ** 2)
-
-    def amplitude(self, basis: int) -> complex:
-        return complex(self.data[basis])
-
-    def fidelity(self, other: "Statevector") -> float:
-        return float(abs(np.vdot(self.data, other.data)) ** 2)
 
     def measure_qubit(
         self, qubit: int, rng: np.random.Generator
@@ -185,11 +179,9 @@ def _bit_gather_counts(
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def _evolve_gates(
-    state: Statevector, gates: Sequence[Gate], fusion: bool = True
-) -> None:
-    """Apply a unitary gate list in place (fused when enabled)."""
-    ops = kernels.compile_circuit(gates, fuse=fusion)
+def _evolve_gates(state: Statevector, gates: Sequence[Gate]) -> None:
+    """Apply a unitary gate list in place, fused."""
+    ops = kernels.compile_circuit(gates)
     kernels.apply_ops(state.data, ops, state.num_qubits)
 
 

@@ -18,6 +18,7 @@ from repro.boolean.cube import Cube
 from repro.boolean.truth_table import TruthTable
 from repro.core.circuit import QuantumCircuit
 from repro.engines.density_matrix import DensityMatrix
+from repro.simulator import kernels
 
 
 def random_clifford_t_circuit(num_qubits, num_gates, seed=0):
@@ -37,6 +38,12 @@ def random_clifford_t_circuit(num_qubits, num_gates, seed=0):
                 rng.randrange(num_qubits)
             )
     return circuit
+
+
+def apply_per_gate(state, gates, num_qubits):
+    """Apply ``gates`` in place one kernel call each, without fusion:
+    the named kernel, else the dense matrix fallback."""
+    kernels.apply_ops(state, [("gate", g) for g in gates], num_qubits)
 
 
 def cube_from_literals(literals):

@@ -20,16 +20,6 @@ class TestNodeConstruction:
         b = bdd.make_node(0, ZERO, ONE)
         assert a == b
 
-    def test_variable(self):
-        bdd = Bdd(3)
-        var = bdd.variable(1)
-        assert bdd.evaluate(var, 0b010) == 1
-        assert bdd.evaluate(var, 0b101) == 0
-
-    def test_variable_range_check(self):
-        with pytest.raises(ValueError):
-            Bdd(2).variable(2)
-
 
 class TestTruthTableBridge:
     @pytest.mark.parametrize("seed", range(12))
@@ -78,6 +68,6 @@ class TestQueries:
 
     def test_count_nodes_shared(self):
         bdd = Bdd(2)
-        x0 = bdd.variable(0)
-        x1 = bdd.variable(1)
+        x0 = bdd.make_node(0, ZERO, ONE)
+        x1 = bdd.make_node(1, ZERO, ONE)
         assert len(bdd.reachable_nodes([x0, x1, x0])) == 2

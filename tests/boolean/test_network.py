@@ -82,8 +82,8 @@ class TestLutMapping:
     def test_lut_count_shrinks_with_larger_k(self):
         table = TruthTable.inner_product(3)
         net = LogicNetwork.from_truth_table(table)
-        small = lut_map(net, 2).num_luts()
-        large = lut_map(net, 6).num_luts()
+        small = len(lut_map(net, 2).luts)
+        large = len(lut_map(net, 6).luts)
         assert large <= small
 
     def test_multi_output_mapping(self):

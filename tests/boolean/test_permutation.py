@@ -81,12 +81,6 @@ class TestAlgebra:
         cycles = perm.cycles()
         assert cycles == [[0, 1]]
 
-    def test_parity(self):
-        assert BitPermutation([1, 0, 2, 3]).parity() == 1
-        assert BitPermutation.identity(2).parity() == 0
-        # 3-cycle is even
-        assert BitPermutation([1, 2, 0, 3]).parity() == 0
-
     def test_output_tables_round_trip(self):
         perm = BitPermutation.random(3, seed=9)
         tables = MultiTruthTable.from_function(3, 3, perm)

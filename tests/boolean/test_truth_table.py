@@ -50,13 +50,6 @@ class TestQueries:
         assert table.evaluate([1, 0, 1]) == 1
         assert table.evaluate([1, 1, 1]) == 0
 
-    def test_support(self):
-        table = TruthTable.from_function(3, lambda a, b, c: a ^ c)
-        assert table.support() == [0, 2]
-
-    def test_support_of_constant_empty(self):
-        assert TruthTable.constant(3, True).support() == []
-
 
 class TestAlgebra:
     def test_xor_and_or_not(self):
@@ -70,12 +63,6 @@ class TestAlgebra:
     def test_incompatible_sizes(self):
         with pytest.raises(ValueError):
             TruthTable(2) ^ TruthTable(3)
-
-    def test_cofactor(self):
-        table = TruthTable.from_function(2, lambda a, b: a and b)
-        positive = table.cofactor(0, 1)
-        for x in range(4):
-            assert positive(x) == ((x >> 1) & 1)
 
     def test_shift(self):
         table = TruthTable.from_function(2, lambda a, b: a and b)

@@ -118,15 +118,6 @@ class TestStructure:
             circuit_unitary(composed), np.eye(8), atol=1e-9
         )
 
-    def test_power(self):
-        circ = QuantumCircuit(1).t(0)
-        assert circuits_equivalent(
-            circ.power(2), QuantumCircuit(1).s(0)
-        )
-        assert circuits_equivalent(
-            circ.power(-1), QuantumCircuit(1).tdg(0)
-        )
-
     def test_remap(self):
         circ = QuantumCircuit(4).cx(0, 1)
         moved = circ.remap({0: 3, 1: 1})
@@ -134,19 +125,6 @@ class TestStructure:
         assert moved.gates[0].controls == (3,)
         assert moved.gates[0].targets == (1,)
 
-    def test_controlled_promotes_gates(self):
-        circ = QuantumCircuit(2).x(0).cx(0, 1)
-        controlled = circ.controlled()
-        assert [g.name for g in controlled] == ["cx", "ccx"]
-        assert controlled.num_qubits == 3
-        # control wire is qubit 0
-        assert all(0 in g.controls for g in controlled)
-
-    def test_controlled_unitary_semantics(self):
-        base = QuantumCircuit(1).x(0)
-        controlled = base.controlled()
-        reference = QuantumCircuit(2).cx(0, 1)
-        assert circuits_equivalent(controlled, reference)
 
 
 class TestMetrics:
@@ -212,7 +190,6 @@ _QUANTUM_MUTATORS = [
     ("append", lambda c: c.append(Gate("h", (0,)))),
     ("extend", lambda c: c.extend([Gate("x", (1,))])),
     ("extend-empty", lambda c: c.extend([])),
-    ("i", lambda c: c.i(0)),
     ("h", lambda c: c.h(0)),
     ("x", lambda c: c.x(0)),
     ("y", lambda c: c.y(0)),
@@ -295,10 +272,7 @@ class TestFrozen:
 
     def test_derived_circuits_are_builders(self):
         circ = QuantumCircuit(2).h(0).cx(0, 1).freeze()
-        for derived in (
-            circ.dagger(), circ.power(2), circ.remap({0: 1, 1: 0}),
-            circ.controlled(),
-        ):
+        for derived in (circ.dagger(), circ.remap({0: 1, 1: 0})):
             assert not derived.frozen
             derived.x(0)
 

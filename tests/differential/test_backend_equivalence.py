@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _dense_reference as dense
-from _helpers import density_from_statevector
+from _helpers import apply_per_gate, density_from_statevector
 
 from repro import engines
 from repro.core.circuit import QuantumCircuit
@@ -64,10 +64,16 @@ def random_state(num_qubits, seed, batch=()):
     return data
 
 
-def evolve_on(circ, state, fuse=True):
+def evolve_on(circ, state):
     out = np.array(state, dtype=complex)
-    ops = kernels.compile_circuit(circ.gates, fuse=fuse)
+    ops = kernels.compile_circuit(circ.gates)
     kernels.apply_ops(out, ops, circ.num_qubits)
+    return out
+
+
+def evolve_per_gate(circ, state):
+    out = np.array(state, dtype=complex)
+    apply_per_gate(out, circ.gates, circ.num_qubits)
     return out
 
 
@@ -79,8 +85,8 @@ class TestNumpyProperties:
     @settings(max_examples=25)
     def test_fused_matches_unfused(self, circ):
         state = random_state(circ.num_qubits, 7)
-        fused = evolve_on(circ, state, fuse=True)
-        unfused = evolve_on(circ, state, fuse=False)
+        fused = evolve_on(circ, state)
+        unfused = evolve_per_gate(circ, state)
         np.testing.assert_allclose(fused, unfused, atol=ATOL)
 
     @given(circuits())
@@ -210,7 +216,7 @@ class TestDenseReferenceDifferential:
     def test_gate_vocabulary_matches(self, circ):
         state = random_state(circ.num_qubits, 3)
         np.testing.assert_allclose(
-            evolve_on(circ, state, fuse=False),
+            evolve_per_gate(circ, state),
             dense.evolve(state, _unitary_gates(circ)),
             atol=ATOL,
         )
@@ -218,10 +224,10 @@ class TestDenseReferenceDifferential:
     @given(circuits())
     @settings(max_examples=20, deadline=None)
     def test_fused_ops_match(self, circ):
-        # fuse=True routes dense runs through the block sweep
+        # fusion routes dense runs through the block sweep
         state = random_state(circ.num_qubits, 9)
         np.testing.assert_allclose(
-            evolve_on(circ, state, fuse=True),
+            evolve_on(circ, state),
             dense.evolve(state, _unitary_gates(circ)),
             atol=ATOL,
         )
@@ -286,7 +292,7 @@ class TestDenseReferenceDifferential:
         circ.crz(-1.1, 16, 3)
         state = random_state(n, 29)
         np.testing.assert_allclose(
-            evolve_on(circ, state, fuse=True),
+            evolve_on(circ, state),
             dense.evolve(state, circ.gates),
             atol=ATOL,
         )

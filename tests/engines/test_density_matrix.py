@@ -285,7 +285,7 @@ class TestDensityMatrixEngine:
             engines.run("density_matrix", circuit)
 
     def test_unknown_option_rejected(self):
-        with pytest.raises(engines.EngineError, match="unknown option"):
+        with pytest.raises(TypeError, match="fusion"):
             engines.run("density_matrix", QuantumCircuit(1), fusion=False)
 
     def test_width_cap_enforced(self):

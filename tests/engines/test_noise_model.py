@@ -38,15 +38,6 @@ class TestNoiseModel:
             p1=0, p2=0, p_meas=0, p_multi=0, phase_damping=0.1
         ).is_noiseless
 
-    def test_scaled_clips_and_covers_damping(self):
-        model = NoiseModel(
-            p1=0.4, p2=0.6, p_meas=0.0, p_multi=0.0, amplitude_damping=0.3
-        )
-        doubled = model.scaled(2.0)
-        assert doubled.p1 == 0.8
-        assert doubled.p2 == 1.0  # clipped
-        assert doubled.amplitude_damping == 0.6
-
 
 class TestAsNoiseModel:
     def test_passthrough(self):

@@ -193,8 +193,8 @@ class TestShell:
         out = shell.execute("sim_dm --noise qe5 --shots 2048 --seed 7")
         assert out.startswith("density_matrix (2048 shots)")
 
-    def test_python_method_form(self, shell):
-        out = shell.sim("monte_carlo", shots=128, noise="qe5", seed=2)
+    def test_sim_monte_carlo(self, shell):
+        out = shell.execute("sim_monte_carlo --shots 128 --noise qe5 --seed 2")
         assert out.startswith("monte_carlo (128 shots)")
 
     def test_unknown_engine(self, shell):

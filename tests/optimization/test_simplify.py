@@ -151,5 +151,7 @@ class TestQuantumCancellation:
         assert len(out) <= len(circ)
 
     def test_identity_gates_dropped(self):
-        circ = QuantumCircuit(1).i(0).h(0).i(0)
+        circ = QuantumCircuit(1).extend(
+            [Gate("id", (0,)), Gate("h", (0,)), Gate("id", (0,))]
+        )
         assert len(cancel_adjacent_gates(circ)) == 1

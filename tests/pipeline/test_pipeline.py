@@ -108,7 +108,7 @@ class TestPipelineRecords:
         ]
         assert all(r.seconds >= 0 for r in result.records)
         tpar = result.record("tpar")
-        assert tpar.delta("t_count") < 0
+        assert tpar.after["t_count"] < tpar.before["t_count"]
         assert "T " in tpar.summary()
         assert "statistics" in result.state.artifacts
 

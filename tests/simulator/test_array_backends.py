@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from _backend_corpus import CASES, corpus_circuit, corpus_state
+from _helpers import apply_per_gate
 from repro.engines.density_matrix import DensityMatrix
 from repro.simulator import kernels
 from repro.simulator.statevector import Statevector
@@ -37,8 +38,11 @@ class TestGoldenIdentity:
     ):
         circ = corpus_circuit(num_qubits, seed, gates)
         state = corpus_state(num_qubits, seed + 1)
-        ops = kernels.compile_circuit(circ.gates, fuse=fuse)
-        kernels.apply_ops(state, ops, num_qubits)
+        if fuse:
+            ops = kernels.compile_circuit(circ.gates)
+            kernels.apply_ops(state, ops, num_qubits)
+        else:
+            apply_per_gate(state, circ.gates, num_qubits)
         assert np.array_equal(state, golden[name])
 
     def test_density_matrix_bit_identical(self, golden):

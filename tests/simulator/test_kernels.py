@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 import _dense_reference as dense
-from _helpers import assert_states_equal, random_clifford_t_circuit
+from _helpers import (
+    apply_per_gate,
+    assert_states_equal,
+    random_clifford_t_circuit,
+)
 
 from repro import engines
 from repro.core.circuit import QuantumCircuit
@@ -136,7 +140,7 @@ def test_fusion_preserves_clifford_t_equivalence(seed):
     rng = random.Random(seed)
     num_qubits = rng.randint(3, 6)
     circ = random_clifford_t_circuit(num_qubits, 60, seed=seed)
-    fused = Statevector(num_qubits).evolve(circ, fuse=True)
+    fused = Statevector(num_qubits).evolve(circ)
     ground = Statevector(num_qubits).data
     reference = Statevector(num_qubits, dense.evolve(ground, circ.gates))
     assert_states_equal(fused, reference, atol=1e-10)
@@ -151,9 +155,10 @@ def test_fusion_with_rotations_and_controls(seed):
     circ = QuantumCircuit(num_qubits)
     for _ in range(50):
         circ.append(_random_gate(num_qubits, rng))
-    fused = Statevector(num_qubits).evolve(circ, fuse=True)
-    unfused = Statevector(num_qubits).evolve(circ.copy(), fuse=False)
-    assert np.abs(fused.data - unfused.data).max() < 1e-10
+    fused = Statevector(num_qubits).evolve(circ)
+    unfused = Statevector(num_qubits).data
+    apply_per_gate(unfused, circ.gates, num_qubits)
+    assert np.abs(fused.data - unfused).max() < 1e-10
 
 
 def test_compile_reduces_op_count(monkeypatch):

@@ -165,6 +165,19 @@ class TestTierSelection:
             second.status, second.tier, second.detail, second.checks
         )
 
+    @pytest.mark.parametrize("lines", [63, 64, 70])
+    def test_permutation_probes_draw_inputs_of_any_width(self, lines):
+        # NumPy's int64 draws stop at 63 bits; the probes have no limit
+        a = ReversibleCircuit(lines).toffoli(3, lines - 2, lines - 1)
+        b = a.copy().cnot(0, 1)
+        checker = EquivalenceChecker()
+        same = checker.check_same_permutation(a, a.copy())
+        assert same.passed and same.tier == "probes"
+        assert same.checks == DEFAULT_PROBES
+        changed = checker.check_same_permutation(a, b)
+        assert changed.failed and changed.tier == "probes"
+        assert "probe input" in changed.detail
+
     def test_width_change_is_a_rejection_not_a_crash(self):
         verdict = EquivalenceChecker().check_same_unitary(
             QuantumCircuit(2).h(0), QuantumCircuit(3).h(0)
@@ -501,6 +514,23 @@ class TestCompileFacade:
         )
         report = result.verification_report()
         assert "tier" in report
+
+    @pytest.mark.parametrize("target", ["clifford_t", "toffoli"])
+    def test_wide_bdd_cascade_gets_verdicts(self, target):
+        # the BDD cascade of the 10-input inner product has 88 lines
+        from repro.boolean.truth_table import TruthTable
+        from repro.compiler import get_target
+
+        result = compile_workload(
+            TruthTable.inner_product(5),
+            target=get_target(target).with_(synthesis="bdd"),
+            verify="auto",
+            cache=None,
+        )
+        assert result.state.reversible.num_lines == 88
+        revsimp = result.record("revsimp").verification
+        assert revsimp.passed and revsimp.tier == "probes"
+        assert not any(r.verification.failed for r in result.records)
 
     def test_compile_verify_off_by_default(self):
         result = compile_workload({"hwb": 4}, cache=None)

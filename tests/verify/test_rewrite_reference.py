@@ -99,9 +99,10 @@ def mutate(before, after, groups, mutation, rng):
         return before, after, [(tuple(m), s) for m, s in groups]
     chosen = rng.randrange(len(groups))
     members, slot = groups[chosen]
-    if mutation == "drop":
+    # a "type" mutation may have emptied the group
+    if mutation == "drop" and members:
         del members[rng.randrange(len(members))]
-    elif mutation == "shift":
+    elif mutation == "shift" and members:
         k = rng.randrange(len(members))
         members[k] += rng.choice([-2, -1, 1, 2])
     elif mutation == "merge" and len(groups) > 1:
@@ -111,16 +112,17 @@ def mutate(before, after, groups, mutation, rng):
         members.extend(groups[other][0])
         members.sort()
         del groups[other]
-    elif mutation == "swap" and len(groups) > 1:
+    elif mutation == "swap" and len(groups) > 1 and members:
         other = rng.choice(
             [k for k in range(len(groups)) if k != chosen]
         )
         others = groups[other][0]
-        a, b = rng.randrange(len(members)), rng.randrange(len(others))
-        members[a], others[b] = others[b], members[a]
-        if rng.random() < 0.5:
-            members.sort()
-            others.sort()
+        if others:
+            a, b = rng.randrange(len(members)), rng.randrange(len(others))
+            members[a], others[b] = others[b], members[a]
+            if rng.random() < 0.5:
+                members.sort()
+                others.sort()
     elif mutation == "slot":
         base = rng.randint(0, len(after)) if slot is None else slot
         groups[chosen] = (members, base + rng.choice([-1, 1]))
