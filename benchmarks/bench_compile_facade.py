@@ -38,6 +38,10 @@ Obligations of the `repro.compile()` front door:
   circuits gate for gate; the verified/unverified CPU-time ratio lands
   in `extra_info["fig10_verify_ratio"]` (no bound is asserted; the
   aim is 1.5x).
+* **Verified compiles per pass** — hwb=4 → `ibm_qe5` and hwb 4-5 →
+  `clifford_t` compiled with `verify="auto"`; each pass's verify/run
+  ratio and the share of lowered blocks the checker's per-process
+  memo settled land in `extra_info` (no bound is asserted).
 
 Timing asserts are skipped on shared CI runners (`CI` env var) where
 timers are too noisy; CI still smokes both paths and uploads the
@@ -522,3 +526,80 @@ def test_fig10_verify_ratio(benchmark):
             ("gate-for-gate, all verified", True),
         ],
     )
+
+
+#: the verified device and Clifford+T compiles of the per-pass row
+VERIFIED_COMPILES = (
+    ("hwb4-ibm_qe5", {"hwb": 4}, "ibm_qe5"),
+    ("hwb4-clifford_t", {"hwb": 4}, "clifford_t"),
+    ("hwb5-clifford_t", {"hwb": 5}, "clifford_t"),
+)
+
+
+def test_verified_compiles_per_pass(benchmark, monkeypatch):
+    """What each pass's check costs over its run, and how often the
+    checker's block memo is hit, on verified cold compiles.
+
+    Obligations: hwb=4 → `ibm_qe5` and hwb 4-5 → `clifford_t` compile
+    verified.  Per compile and pass, the median verify/run wall-clock
+    ratio over the rounds lands in `extra_info["<compile>_verify_run"]`,
+    and the share of lowered blocks the checker's per-process memo
+    settled in `extra_info["<compile>_block_hits"]`: on the first
+    compile from an emptied memo (`first`) and on the later ones
+    (`later`).  Hits are counted from here, by wrapping the memo's
+    lookup.  No time bound is asserted.
+    """
+    from repro.verify import checker
+
+    lookups = {"blocks": 0, "hits": 0}
+    recalled = checker._recalled
+
+    def counting(memo, key):
+        entry = recalled(memo, key)
+        if memo is checker._passed_blocks:
+            lookups["blocks"] += 1
+            lookups["hits"] += entry is not None
+        return entry
+
+    monkeypatch.setattr(checker, "_recalled", counting)
+
+    def hit_share():
+        share = lookups["hits"] / max(lookups["blocks"], 1)
+        lookups.update(blocks=0, hits=0)
+        return round(share, 3)
+
+    def compile_verified(spec, target):
+        result = repro.compile(spec, target=target, cache=None,
+                               verify="auto")
+        assert result.verified, (spec, target)
+        return result
+
+    rows = []
+    for label, spec, target in VERIFIED_COMPILES:
+        ratios = {}
+        for name in ("_passed_blocks", "_passed_groups", "_local_keys"):
+            monkeypatch.setattr(checker, name, {})
+        compile_verified(spec, target)
+        hits = {"first": hit_share()}
+        for _ in range(5):
+            result = compile_verified(spec, target)
+            for record in result.records:
+                ratios.setdefault(record.name, []).append(
+                    record.verification.seconds / max(record.seconds, 1e-9)
+                )
+        hits["later"] = hit_share()
+        medians = {
+            name: round(statistics.median(values), 2)
+            for name, values in ratios.items()
+        }
+        benchmark.extra_info[f"{label}_verify_run"] = medians
+        benchmark.extra_info[f"{label}_block_hits"] = hits
+        rows.append((
+            label,
+            ", ".join(f"{name} {ratio:.2f}" for name, ratio in medians.items())
+            + f"; block memo hits {hits['first']:.0%} first, "
+            f"{hits['later']:.0%} later",
+        ))
+
+    benchmark(lambda: compile_verified({"hwb": 4}, "ibm_qe5"))
+    report("verified compiles: verify/run per pass, block memo hits", rows)

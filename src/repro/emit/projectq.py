@@ -69,12 +69,8 @@ class ProjectQEmitter:
     file_extension = ".py"
     aliases: Tuple[str, ...] = ()
 
-    def emit(self, circuit: "QuantumCircuit", **opts) -> str:
+    def emit(self, circuit: "QuantumCircuit") -> str:
         """Render ``circuit`` as a ProjectQ replay script."""
-        if opts:
-            raise EmitterError(
-                f"projectq emitter takes no options, got {sorted(opts)}"
-            )
         statements = [
             _gate_to_projectq(gate)
             for gate in circuit.gates

@@ -275,12 +275,8 @@ class Qasm2Emitter:
     file_extension = ".qasm"
     aliases: Tuple[str, ...] = ("qasm", "openqasm2")
 
-    def emit(self, circuit: "QuantumCircuit", **opts) -> str:
+    def emit(self, circuit: "QuantumCircuit") -> str:
         """Serialize ``circuit`` as OpenQASM 2.0 text."""
-        if opts:
-            raise QasmError(
-                f"qasm2 emitter takes no options, got {sorted(opts)}"
-            )
         lines = [
             "OPENQASM 2.0;",
             'include "qelib1.inc";',

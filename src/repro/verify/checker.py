@@ -35,7 +35,9 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, zip_longest
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -70,10 +72,28 @@ DEFAULT_SEED = 2018
 #: Verification modes ``as_checker`` accepts as strings.
 MODES = ("auto", "strict", "off")
 
-#: Distinct local blocks whose dense verdicts are kept; a lowering has
-#: a handful of block shapes (the Fig. 10 pool has five in all), and a
-#: gate cancellation a handful of group shapes (four on that pool).
+#: Entries each per-process memo of the block and rewrite tiers keeps:
+#: the dense verdicts of distinct local blocks (a lowering has a handful
+#: of block shapes, the Fig. 10 pool five in all, and a gate
+#: cancellation a handful of group shapes, four on that pool), their
+#: interned keys, and the blocks and cancel groups that passed.
 _BLOCK_MEMO_SIZE = 1024
+
+#: Lowered blocks that passed, by ``(own wires, source content,
+#: num_data, obligation, gate ids)``, to ``(gates, local key, width)``.
+#: ``rptm`` places its templates through a cache, so one block's gate
+#: objects recur across compiles; the entry holds them, so no id in a
+#: live key can name another object, and ``Gate`` is frozen.
+_passed_blocks: Dict[tuple, tuple] = {}
+
+#: Cancel groups that passed, by ``(member ids, reference name,
+#: reference controls, reference params)``, to ``(members, local key,
+#: k)``; the entry holds the members, as above.
+_passed_groups: Dict[tuple, tuple] = {}
+
+#: One object per distinct local key, so that a call counts distinct
+#: keys by identity and compares only those few by equality.
+_local_keys: Dict[tuple, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -581,10 +601,13 @@ class EquivalenceChecker:
         The blocks must tile ``gates``; each is relabelled onto its
         local wires (:func:`~.tiers.relabel_block`) and checked densely
         against a reference built here from its source gate, once per
-        distinct local block (:func:`_local_block_failure`); a block
-        that repeats an earlier one of this call object for object, for
-        a source with the same own wires and content, is not relabelled
-        again.  A block
+        distinct local block (:func:`_local_block_failure`).  A block of
+        two or more gates that repeats one that passed earlier in the
+        process object for object, for a source with the same own wires
+        and content, at the same ``num_data`` and obligation, is not
+        relabelled again (``_passed_blocks``); only its width is
+        checked again.  One-gate blocks are built afresh by every
+        compile, so they are not kept.  A block
         may touch its source gate's wires and ancilla wires at or above
         ``num_data``; the ancillae must start and end at ``|0>``, so
         they are clean between blocks by induction.  A one-gate block
@@ -605,48 +628,60 @@ class EquivalenceChecker:
         ):
             return None
         mapped = obligation == "mapped"
-        keys = set()
-        # blocks already settled in this call, by own wires, source
-        # content and gate objects: every gate of ``gates`` stays alive
-        # for the call, so equal ids are the same immutable gates
-        seen = set()
+        ids = list(map(id, gates))
+        keys = {}  # the interned local keys met, by identity
         widest = 0
-        start = 0
+        end = 0
         for source, length in zip(sources, blocks):
-            block = gates[start:start + length]
-            start += length
+            start = end
+            end += length
             if mapped:
                 own = source.controls + (source.target,)
                 content = source.polarity
-            elif length == 1 and (block[0] is source or block[0] == source):
+            elif length == 1 and (
+                gates[start] is source or gates[start] == source
+            ):
                 continue
             elif source.name in NON_UNITARY:
                 return None
             else:
                 own = source.qubits
                 content = (source.name, source.params, len(source.controls))
-            settled = (own, content, tuple(map(id, block)))
-            if settled in seen:
-                continue
-            if any(wire >= num_data for wire in own):
-                return None
-            relabelled = tiers.relabel_block(block, own, num_data)
-            if relabelled is None:
-                return None
-            local, clean = relabelled
-            width = len(own) + clean
-            if width > MAX_DENSE_QUBITS:
-                return None
-            if mapped:
-                reference = content
+            settled = (
+                (own, content, num_data, obligation, tuple(ids[start:end]))
+                if length > 1 else None
+            )
+            entry = _recalled(_passed_blocks, settled)
+            if entry is not None:
+                _, key, width = entry
+                if width > MAX_DENSE_QUBITS:
+                    return None
             else:
-                reference = tiers.relabel_block((source,), own, num_data)[0][0]
-            key = (local, reference, clean, obligation)
-            if _local_block_failure(*key) is not None:
-                return None
-            keys.add(key)
-            seen.add(settled)
-            widest = max(widest, width)
+                if any(wire >= num_data for wire in own):
+                    return None
+                block = tuple(gates[start:end])
+                relabelled = tiers.relabel_block(block, own, num_data)
+                if relabelled is None:
+                    return None
+                local, clean = relabelled
+                width = len(own) + clean
+                if width > MAX_DENSE_QUBITS:
+                    return None
+                if mapped:
+                    reference = content
+                else:
+                    reference = tiers.relabel_block(
+                        (source,), own, num_data
+                    )[0][0]
+                key = (local, reference, clean, obligation)
+                if _local_block_failure(*key) is not None:
+                    return None
+                key = _interned(key)
+                if settled is not None:
+                    _bounded_put(_passed_blocks, settled, (block, key, width))
+            keys[id(key)] = key
+            if width > widest:
+                widest = width
         if not keys:
             return Verdict.accept(
                 "syntactic",
@@ -655,7 +690,7 @@ class EquivalenceChecker:
         return Verdict.accept(
             "dense",
             detail=(
-                f"{len(blocks)} blocks, {len(keys)} distinct, "
+                f"{len(blocks)} blocks, {len(set(keys.values()))} distinct, "
                 f"<= {widest} wires"
             ),
         )
@@ -674,7 +709,12 @@ class EquivalenceChecker:
         ``k`` qubits, so the local gates of a group are its gates on
         wires ``0..k-1``; each is checked densely against its fused
         gate, or the identity for a group fused into nothing, once per
-        distinct local group (:func:`_local_block_failure`).
+        distinct local group (:func:`_local_block_failure`).  A group
+        whose member objects and reference content passed earlier in
+        the process is not relabelled again (``_passed_groups``); only
+        its ``k`` is checked again.  Its members determine ``k`` and
+        the local member gates, since they all sit on the reference's
+        qubits.
 
         Returns:
             A ``passed`` verdict, or ``None`` — the caller falls
@@ -686,27 +726,42 @@ class EquivalenceChecker:
         blocks = tiers.rewrite_groups(before.gates, after.gates, groups)
         if blocks is None:
             return None
-        keys = set()
+        keys = {}  # the interned local keys met, by identity
         for members, reference in blocks:
-            k = len(reference.qubits)
-            if k > MAX_DENSE_QUBITS:
-                return None
-            wires = tuple(range(k))
-            key = (
-                tuple([
-                    (gate.name, wires, len(gate.controls), gate.params)
-                    for gate in members
-                ]),
-                (reference.name, wires, len(reference.controls),
-                 reference.params),
-                0, "extended",
+            settled = (
+                tuple(map(id, members)), reference.name,
+                len(reference.controls), reference.params,
             )
-            if _local_block_failure(*key) is not None:
-                return None
-            keys.add(key)
+            entry = _recalled(_passed_groups, settled)
+            if entry is not None:
+                _, key, k = entry
+                if k > MAX_DENSE_QUBITS:
+                    return None
+            else:
+                k = len(reference.qubits)
+                if k > MAX_DENSE_QUBITS:
+                    return None
+                wires = tuple(range(k))
+                key = (
+                    tuple([
+                        (gate.name, wires, len(gate.controls), gate.params)
+                        for gate in members
+                    ]),
+                    (reference.name, wires, len(reference.controls),
+                     reference.params),
+                    0, "extended",
+                )
+                if _local_block_failure(*key) is not None:
+                    return None
+                key = _interned(key)
+                _bounded_put(_passed_groups, settled, (members, key, k))
+            keys[id(key)] = key
         return Verdict.accept(
             "dense",
-            detail=f"rewrite: {len(blocks)} groups, {len(keys)} distinct",
+            detail=(
+                f"rewrite: {len(blocks)} groups, "
+                f"{len(set(keys.values()))} distinct"
+            ),
         )
 
 
@@ -772,6 +827,38 @@ def _dense_mapped_failure(
         ):
             return f"mismatch at input {x}"
     return None
+
+
+def _recalled(memo: dict, key):
+    """Return ``memo[key]``, or ``None`` when ``key`` is not in it.
+
+    A hit becomes the most recently used entry, so entries that never
+    recur are the first to go.
+    """
+    entry = memo.pop(key, None)
+    if entry is not None:
+        memo[key] = entry
+    return entry
+
+
+def _bounded_put(memo: dict, key, value) -> None:
+    """Store ``value`` under ``key`` in ``memo``.
+
+    A memo that already holds ``_BLOCK_MEMO_SIZE`` entries first drops
+    its least recently used one.
+    """
+    if len(memo) >= _BLOCK_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
+def _interned(key: tuple) -> tuple:
+    """Return the one stored object equal to the local block key."""
+    canonical = _local_keys.get(key)
+    if canonical is None:
+        _bounded_put(_local_keys, key, key)
+        canonical = key
+    return canonical
 
 
 @lru_cache(maxsize=_BLOCK_MEMO_SIZE)

@@ -79,7 +79,9 @@ only look-alike names kept alive: members such as
 ``Statevector.amplitude``/``fidelity`` and ``RevKitShell.sim``,
 ``Statevector.evolve``'s and ``compile_circuit``'s ``fuse=``, and the
 engines' ``**opts`` with ``reject_opts`` (an unknown engine option is
-Python's ``TypeError``), plus the checker's ``_dense_failure``.
+Python's ``TypeError``), plus the checker's ``_dense_failure``; so
+are the ``qasm2`` and ``projectq`` emitters' ``**opts``, which took
+options only to refuse them (an unknown option is a ``TypeError``).
 An old spelling must
 end in an import, attribute, type or engine error — or, for the
 environment variables, have no effect at all — rather than being
@@ -873,6 +875,8 @@ def test_dirty_v_chain_is_gone():
         ("repro.engines.density_matrix:DensityMatrixEngine.run", "opts"),
         ("repro.engines.monte_carlo:MonteCarloEngine.run", "opts"),
         ("repro.compiler.result:CompilationResult.simulate", "opts"),
+        ("repro.emit.qasm2:Qasm2Emitter.emit", "opts"),
+        ("repro.emit.projectq:ProjectQEmitter.emit", "opts"),
         ("repro.simulator.statevector:SimulationResult.counts_by_bitstring",
          "width"),
         ("repro.synthesis.pebbling:validate_moves", "require_clean"),

@@ -579,6 +579,177 @@ class TestRelabelMemo:
 
 
 # ----------------------------------------------------------------------
+# the per-process block memo
+# ----------------------------------------------------------------------
+def _lowering(gate, lines=3):
+    """The cascade of ``gate`` alone, its lowering and block lengths."""
+    reversible = ReversibleCircuit(lines)
+    reversible.append(gate)
+    mapped, lengths = map_with_block_lengths(reversible)
+    return reversible, mapped, lengths
+
+
+def _counting_relabels(monkeypatch):
+    """Patch ``relabel_block`` to record the length of each block."""
+    relabel = tiers.relabel_block
+    lengths = []
+
+    def counting(block, own, num_data):
+        lengths.append(len(block))
+        return relabel(block, own, num_data)
+
+    monkeypatch.setattr(tiers, "relabel_block", counting)
+    return lengths
+
+
+class TestProcessMemo:
+    """A block that passed is not relabelled again in the process, in
+    any later call; the memo key keeps every other source, data
+    register and dense width checked.  Each case starts from emptied
+    memos."""
+
+    @pytest.mark.parametrize("second", [
+        MctGate(2, (0, 1), (True, False)),
+        MctGate(0, (1, 2)),
+    ], ids=["polarity", "wires"])
+    def test_a_memoized_block_is_checked_again_for_another_source(
+        self, fresh_memo, second
+    ):
+        ours, mapped, lengths = _lowering(MctGate(2, (0, 1)))
+        verdict = CHECKER.check_mapped_circuit(mapped, ours, blocks=lengths)
+        assert BLOCK_DETAIL.match(verdict.detail)
+        assert len(checker_module._passed_blocks) == 1
+        theirs = ReversibleCircuit(3)
+        theirs.append(second)
+        verdict = CHECKER.check_mapped_circuit(mapped, theirs, blocks=lengths)
+        # the reuse falls through, and the dense tier rejects
+        assert (verdict.status, verdict.tier) == ("failed", "dense")
+        assert not BLOCK_DETAIL.match(verdict.detail or "")
+
+    def test_a_memoized_block_is_checked_again_for_another_gate(
+        self, fresh_memo
+    ):
+        # the lowered ccx, memoized for a ccx, then certified for a ccz
+        # on the same wires
+        source = QuantumCircuit(3).ccx(0, 1, 2)
+        lowered, lengths = map_with_block_lengths(source)
+        verdict = CHECKER.check_extended_unitary(
+            source, lowered, blocks=lengths
+        )
+        assert BLOCK_DETAIL.match(verdict.detail)
+        wrong = QuantumCircuit(3)
+        wrong.append(Gate("ccz", (2,), (0, 1)))
+        verdict = CHECKER.check_extended_unitary(
+            wrong, lowered, blocks=lengths
+        )
+        assert (verdict.status, verdict.tier) == ("failed", "dense")
+        assert not BLOCK_DETAIL.match(verdict.detail or "")
+
+    def test_a_memoized_ancilla_is_a_data_wire_at_a_wider_register(
+        self, fresh_memo
+    ):
+        # the clean-ancilla ladder of a 3-control gate on 4 lines uses
+        # wire 4 as its ancilla; a 5-line cascade makes wire 4 data, on
+        # which the ladder is wrong for an input of 1
+        narrow, mapped, lengths = _lowering(MctGate(3, (0, 1, 2)), lines=4)
+        assert mapped.num_qubits == 5
+        verdict = CHECKER.check_mapped_circuit(mapped, narrow, blocks=lengths)
+        assert BLOCK_DETAIL.match(verdict.detail)
+        wide = ReversibleCircuit(5)
+        wide.append(MctGate(3, (0, 1, 2)))
+        verdict = CHECKER.check_mapped_circuit(mapped, wide, blocks=lengths)
+        assert (verdict.status, verdict.tier) == ("failed", "dense")
+        assert not BLOCK_DETAIL.match(verdict.detail or "")
+
+    def test_a_hit_honours_the_dense_limit(self, fresh_memo, monkeypatch):
+        reversible = cascade({"hwb": 4})
+        mapped, lengths = map_with_block_lengths(reversible)
+        verdict = CHECKER.check_mapped_circuit(
+            mapped, reversible, blocks=lengths
+        )
+        widest = int(verdict.detail.split("<= ")[1].split()[0])
+        monkeypatch.setattr(checker_module, "MAX_DENSE_QUBITS", widest - 1)
+        relabelled = _counting_relabels(monkeypatch)
+        verdict = CHECKER.check_mapped_circuit(
+            mapped, reversible, blocks=lengths
+        )
+        # every longer block was a hit, and the widest one fell through
+        assert all(length == 1 for length in relabelled)
+        assert verdict.status == "passed"
+        assert not BLOCK_DETAIL.match(verdict.detail or "")
+
+    def test_a_repeat_call_relabels_only_its_one_gate_blocks(
+        self, fresh_memo, monkeypatch
+    ):
+        reversible = cascade(fig10_pool()[1])
+        mapped, lengths = map_with_block_lengths(reversible)
+        relabelled = _counting_relabels(monkeypatch)
+        first = CHECKER.check_mapped_circuit(
+            mapped, reversible, blocks=lengths
+        )
+        assert any(length > 1 for length in relabelled)
+        relabelled.clear()
+        second = CHECKER.check_mapped_circuit(
+            mapped, reversible, blocks=lengths
+        )
+        assert relabelled == [1] * lengths.count(1)
+        assert BLOCK_DETAIL.match(first.detail)
+        assert (first.status, first.tier, first.detail, first.checks) == (
+            second.status, second.tier, second.detail, second.checks
+        )
+
+    def test_one_gate_blocks_are_not_kept(self, fresh_memo):
+        # mcx/mcz of no or one control lower to one gate each, except
+        # an mcz of one control, which lowers to three
+        source = _short_gates()
+        lowered, lengths = map_with_block_lengths(source)
+        assert list(lengths) == [1, 1, 1, 3, 1]
+        verdict = CHECKER.check_extended_unitary(
+            source, lowered, blocks=lengths
+        )
+        assert BLOCK_DETAIL.match(verdict.detail)
+        assert [
+            len(gates)
+            for gates, _, _ in checker_module._passed_blocks.values()
+        ] == [3]
+
+    def test_an_entry_holds_the_gates_its_key_names(self, fresh_memo):
+        for spec in fig10_pool()[:8]:
+            repro.compile(list(spec), target="qsharp", cache=None,
+                          verify="auto")
+        assert checker_module._passed_blocks
+        for key, (gates, _, _) in checker_module._passed_blocks.items():
+            assert key[-1] == tuple(map(id, gates))
+        assert checker_module._passed_groups
+        for key, (members, _, _) in checker_module._passed_groups.items():
+            assert key[0] == tuple(map(id, members))
+
+    def test_the_memos_never_grow_past_their_bound(
+        self, fresh_memo, monkeypatch
+    ):
+        def verdicts():
+            for spec in fig10_pool()[:8]:
+                result = repro.compile(list(spec), target="qsharp",
+                                       cache=None, verify="auto")
+                for name in fresh_memo:
+                    assert len(getattr(checker_module, name)) <= bound
+                yield from (
+                    (record.name, v.status, v.tier, v.detail, v.checks)
+                    for record in result.records
+                    for v in [record.verification]
+                )
+
+        bound = checker_module._BLOCK_MEMO_SIZE
+        unbounded = list(verdicts())
+        bound = 3
+        monkeypatch.setattr(checker_module, "_BLOCK_MEMO_SIZE", bound)
+        for name in fresh_memo:
+            monkeypatch.setattr(checker_module, name, {})
+        # evicting entries changes no verdict
+        assert list(verdicts()) == unbounded
+
+
+# ----------------------------------------------------------------------
 # short multi-controlled gates, measurements, wide registers
 # ----------------------------------------------------------------------
 def _short_gates():
